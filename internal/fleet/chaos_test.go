@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"threegol/internal/fault"
@@ -147,5 +149,43 @@ func TestRunChaosValidation(t *testing.T) {
 	}
 	if _, err := RunChaos(ChaosConfig{Homes: 4, Scenario: "earthquake"}, 1); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+}
+
+// TestRunChaosGolden pins the full chaos report of every catalogued
+// scenario against a file generated before the scheduler core was
+// shared with the live driver: a change to the decision code that moves
+// any simulated outcome — a tie broken the other way, a jitter draw
+// reordered — shows up here as a diff, not as a silently different
+// fleet. Regenerate only for an intended behaviour change:
+// go test ./internal/fleet -run TestRunChaosGolden -update.
+func TestRunChaosGolden(t *testing.T) {
+	var reports []ChaosReport
+	for _, sc := range fault.Scenarios() {
+		cfg := ChaosConfig{Homes: 1024, Shards: 8, Seed: 1, Scenario: sc}
+		res, err := RunChaos(cfg, 4)
+		if err != nil {
+			t.Fatalf("RunChaos(%s): %v", sc, err)
+		}
+		reports = append(reports, res.Report(sc))
+	}
+	b, err := json.MarshalIndent(reports, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := string(b) + "\n"
+	path := filepath.Join("testdata", "golden_chaos.json")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run go test ./internal/fleet -run TestRunChaosGolden -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("chaos reports drifted from golden\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
