@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -282,5 +283,78 @@ func TestScaleDuration(t *testing.T) {
 	}
 	if h.TimeScale() != ts {
 		t.Errorf("TimeScale = %v", h.TimeScale())
+	}
+}
+
+// goroutinesSettleAt polls until the process runs at most limit
+// goroutines (connection read/write loops exit asynchronously after a
+// close) and returns the last count seen.
+func goroutinesSettleAt(limit int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(3 * time.Second); n > limit && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return n
+}
+
+// Every session builds its own transports; when it returns, the
+// connections they pooled — and the two goroutines behind each — must
+// go with it, or a long-lived Home grows without bound.
+func TestSessionsReleaseConnections(t *testing.T) {
+	origin := httptest.NewServer(hls.NewOrigin(testVideo()))
+	defer origin.Close()
+	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusCreated)
+	}))
+	defer sink.Close()
+	// Links fast enough that a session costs milliseconds.
+	h, err := NewHome(HomeConfig{
+		DSLDown: 100e6, DSLUp: 100e6, TimeScale: 100, Seed: 42,
+		Phones: []PhoneConfig{
+			{Name: "ph1", Down: 100e6, Up: 100e6, Warm: true},
+			{Name: "ph2", Down: 100e6, Up: 100e6, Warm: true},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	phones := h.AdmissibleDevices(2, 5*time.Second)
+	if len(phones) != 2 {
+		t.Fatal("phones not discovered")
+	}
+	photos := GeneratePhotos(4, 7)
+	for i := range photos {
+		photos[i].Data = photos[i].Data[:32*1024]
+	}
+	sessions := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := h.BoostVoD(context.Background(), origin.URL, "/clip/master.m3u8", VoDOptions{
+				Algo: scheduler.Greedy, Phones: phones, PrebufferFrac: 0.4, Quality: "q1",
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.UploadPhotos(context.Background(), photos, UploadOptions{
+				Algo: scheduler.Greedy, Phones: phones, TargetURL: sink.URL,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.BaselineVoD(context.Background(), origin.URL, "/clip/master.m3u8", 0.4, "q1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := runtime.NumGoroutine()
+	sessions(5)
+	// Some goroutines legitimately outlive a session (the phones' own
+	// pooled upstream connections), so the yardstick is the count after
+	// a few sessions, not the count before any.
+	after5 := goroutinesSettleAt(before)
+	const slack = 12
+	sessions(45)
+	if after50 := goroutinesSettleAt(after5 + slack); after50 > after5+slack {
+		t.Errorf("goroutines: %d after 5 sessions, %d after 50 — sessions leak connections", after5, after50)
 	}
 }

@@ -87,14 +87,20 @@ func (h *Home) UploadPhotos(ctx context.Context, photos []Photo, opts UploadOpti
 		return io.NopCloser(bytes.NewReader(b)), nil
 	}
 
+	// The session's clients each own a fresh transport; release their
+	// pooled connections (and the goroutines serving them) on return.
+	adsl := h.ADSLClient()
+	defer adsl.CloseIdleConnections()
 	paths := []scheduler.Path{
 		&transfer.UploadPath{
-			PathName: "adsl", Client: h.ADSLClient(), TargetURL: opts.TargetURL, Source: source,
+			PathName: "adsl", Client: adsl, TargetURL: opts.TargetURL, Source: source,
 		},
 	}
 	for _, ph := range opts.Phones {
+		c := h.PhoneClient(ph)
+		defer c.CloseIdleConnections()
 		paths = append(paths, &transfer.UploadPath{
-			PathName: ph.Name, Client: h.PhoneClient(ph), TargetURL: opts.TargetURL, Source: source,
+			PathName: ph.Name, Client: c, TargetURL: opts.TargetURL, Source: source,
 		})
 	}
 

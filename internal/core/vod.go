@@ -256,11 +256,17 @@ func (v *vodProxy) buildPaths() []scheduler.Path {
 // proxy and reports emulated-time results. With an empty Phones set the
 // same pipeline degrades to the ADSL baseline.
 func (h *Home) BoostVoD(ctx context.Context, origin, masterPath string, opts VoDOptions) (*VoDResult, error) {
+	// The session's clients each own a fresh transport; release their
+	// pooled connections (and the goroutines serving them) on return.
+	adsl := h.ADSLClient()
+	defer adsl.CloseIdleConnections()
 	routes := make([]Route, 0, len(opts.Phones))
 	for _, ph := range opts.Phones {
-		routes = append(routes, Route{Name: ph.Name, Client: h.PhoneClient(ph)})
+		c := h.PhoneClient(ph)
+		defer c.CloseIdleConnections()
+		routes = append(routes, Route{Name: ph.Name, Client: c})
 	}
-	vp, err := newVoDProxy(h.ADSLClient(), routes, origin, opts.Algo, scheduler.Options{
+	vp, err := newVoDProxy(adsl, routes, origin, opts.Algo, scheduler.Options{
 		MinAlpha:           opts.MinAlpha,
 		DisableDuplication: opts.DisableDuplication,
 	})
@@ -326,7 +332,9 @@ func (v *vodProxy) outcome() (*scheduler.Report, error) {
 // BaselineVoD plays the video directly over the ADSL line (no 3GOL),
 // reporting emulated-time results.
 func (h *Home) BaselineVoD(ctx context.Context, origin, masterPath string, prebufferFrac float64, quality string) (*VoDResult, error) {
-	player := &hls.Player{Client: h.ADSLClient(), PrebufferFrac: prebufferFrac}
+	adsl := h.ADSLClient()
+	defer adsl.CloseIdleConnections()
+	player := &hls.Player{Client: adsl, PrebufferFrac: prebufferFrac}
 	res, err := player.Play(ctx, strings.TrimSuffix(origin, "/")+masterPath, quality)
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline playback: %w", err)

@@ -1,0 +1,248 @@
+package fault
+
+// Property tests of the two drivers of scheduler.Core. The decision
+// logic exists once, so there is no second procedure to diff action by
+// action; what can still go wrong is a driver feeding the core
+// unfaithful events (a cancellation reported as a failure, a loser left
+// running, a wake never delivered). Both drivers are therefore run over
+// random workloads and compiled fault plans and held to the paper's
+// transaction-level claims: every item delivered exactly once, loser
+// waste at any completion ≤ (N−1)·Sm, termination, and ADSL-only
+// completion when every phone is dead.
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strconv"
+	"testing"
+	"time"
+
+	"threegol/internal/obs/eventlog"
+	"threegol/internal/scheduler"
+)
+
+// workload is one random transaction: path 0 is the never-faulted ADSL
+// line, the rest are phones.
+type workload struct {
+	scenario Scenario
+	names    []string
+	rates    []float64 // bytes/s
+	sizes    []int64
+	maxSize  int64
+}
+
+func randomWorkload(seed int64) workload {
+	rng := rand.New(rand.NewSource(seed))
+	scs := Scenarios()
+	w := workload{scenario: scs[int(seed)%len(scs)], names: []string{"adsl"}}
+	w.rates = append(w.rates, 50e3+rng.Float64()*150e3)
+	for i := 1 + rng.Intn(3); i > 0; i-- {
+		w.names = append(w.names, "phone"+strconv.Itoa(len(w.names)))
+		w.rates = append(w.rates, 100e3+rng.Float64()*400e3)
+	}
+	for i := 1 + rng.Intn(16); i > 0; i-- {
+		size := int64(50e3 + rng.Float64()*1.5e6)
+		w.sizes = append(w.sizes, size)
+		if size > w.maxSize {
+			w.maxSize = size
+		}
+	}
+	return w
+}
+
+func (w workload) phones() []string { return w.names[1:] }
+
+// wasteBound is (N−1)·Sm.
+func (w workload) wasteBound() int64 { return int64(len(w.names)-1) * w.maxSize }
+
+func TestSimDriverProperties(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		w := randomWorkload(seed)
+		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		policy := scheduler.Options{
+			MaxRetries:         2 + rng.Intn(4),
+			DisableDuplication: rng.Intn(8) == 0,
+			Backoff: scheduler.BackoffConfig{
+				Base:   time.Duration(rng.Intn(400)) * time.Millisecond, // 0 = off
+				Jitter: 0.5, Seed: seed,
+			},
+			StallTimeout: time.Duration(rng.Intn(4)) * time.Second, // 0 = off
+			Breaker:      scheduler.BreakerConfig{Threshold: rng.Intn(5)},
+		}
+		cfg := SimConfig{Items: w.sizes, Plan: MustCompile(w.scenario, seed, w.phones(), 120), Policy: policy}
+		for i, name := range w.names {
+			cfg.Paths = append(cfg.Paths, SimPath{Name: name, Rate: w.rates[i]})
+		}
+		rep, err := Simulate(cfg)
+		if err != nil {
+			t.Fatalf("seed %d (%s): %v", seed, w.scenario, err)
+		}
+		if rep.Failed != "" {
+			t.Fatalf("seed %d (%s): aborted with a clean ADSL line: %s", seed, w.scenario, rep.Failed)
+		}
+		for i, d := range rep.Delivered {
+			if d != 1 {
+				t.Fatalf("seed %d (%s): item %d delivered %d times", seed, w.scenario, i, d)
+			}
+		}
+		if rep.MaxCompletionWaste > w.wasteBound() {
+			t.Errorf("seed %d (%s): completion waste %d > (N-1)·Sm = %d",
+				seed, w.scenario, rep.MaxCompletionWaste, w.wasteBound())
+		}
+		if policy.DisableDuplication && (rep.Duplicates != 0 || rep.DuplicateWaste != 0) {
+			t.Errorf("seed %d: duplication disabled yet %d duplicates, %d waste",
+				seed, rep.Duplicates, rep.DuplicateWaste)
+		}
+		if w.scenario == ScenarioBlackoutAll {
+			if got := rep.PerPath["adsl"].Items; got != len(w.sizes) {
+				t.Errorf("seed %d: blackout-all: ADSL carried %d of %d items", seed, got, len(w.sizes))
+			}
+			for _, phone := range w.phones() {
+				if st := rep.PerPath[phone]; st.Items != 0 || st.Bytes != 0 {
+					t.Errorf("seed %d: blackout-all: %s moved %+v", seed, phone, st)
+				}
+			}
+		}
+	}
+}
+
+// memPath moves an item's bytes at a fixed rate in real time, reporting
+// progress every millisecond and returning the partial count when
+// cancelled — an in-memory stand-in for a transport.
+type memPath struct {
+	name string
+	rate float64 // bytes/s
+}
+
+func (p *memPath) Name() string { return p.name }
+
+func (p *memPath) Transfer(ctx context.Context, it scheduler.Item) (int64, error) {
+	return p.TransferProgress(ctx, it, func(int64) {})
+}
+
+func (p *memPath) TransferProgress(ctx context.Context, it scheduler.Item, progress func(int64)) (int64, error) {
+	start := time.Now()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for {
+		moved := int64(p.rate * time.Since(start).Seconds())
+		if moved >= it.Size {
+			progress(it.Size)
+			return it.Size, nil
+		}
+		progress(moved)
+		select {
+		case <-ctx.Done():
+			return moved, ctx.Err()
+		case <-tick.C:
+		}
+	}
+}
+
+// scalePlan shrinks every window of plan by factor k, bringing the
+// catalog's second-scale schedules down to milliseconds.
+func scalePlan(plan *Plan, k float64) *Plan {
+	var ws []Window
+	for _, target := range plan.Targets() {
+		for _, w := range plan.Windows(target) {
+			w.Start *= k
+			w.End *= k
+			ws = append(ws, w)
+		}
+	}
+	return NewPlan(ws...)
+}
+
+func TestLiveDriverProperties(t *testing.T) {
+	// The sim workloads at 1/50 scale: item sizes and fault windows both
+	// shrink (1–30 KB items, 10–400 ms windows) while rates stay, so a
+	// transaction lasts a few hundred real milliseconds and meets as many
+	// windows as its simulated twin.
+	const scale = 1.0 / 50
+	for seed := int64(0); seed < 16; seed++ {
+		seed := seed
+		w := randomWorkload(seed)
+		t.Run(fmt.Sprintf("%s/seed%d", w.scenario, seed), func(t *testing.T) {
+			t.Parallel()
+			plan := scalePlan(MustCompile(w.scenario, seed, w.phones(), 120), scale)
+			items := make([]scheduler.Item, len(w.sizes))
+			for i, size := range w.sizes {
+				items[i] = scheduler.Item{ID: i, Name: "item" + strconv.Itoa(i), Size: int64(float64(size) * scale)}
+			}
+			epoch := time.Now()
+			paths := make([]scheduler.Path, len(w.names))
+			for i, name := range w.names {
+				paths[i] = WrapPath(&memPath{name: name, rate: w.rates[i]}, plan, epoch, nil)
+			}
+			log := eventlog.New(0, seed, func() float64 { return time.Since(epoch).Seconds() })
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			rep, err := scheduler.Run(ctx, scheduler.Greedy, items, paths, scheduler.Options{
+				MaxRetries:   4,
+				Backoff:      scheduler.BackoffConfig{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Jitter: 0.5, Seed: seed},
+				StallTimeout: 40 * time.Millisecond,
+				Breaker:      scheduler.BreakerConfig{Threshold: 3, Cooldown: 20 * time.Millisecond},
+				Events:       log,
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err) // includes non-termination: the deadline
+			}
+
+			// The attempt spans are the driver's own record of what each
+			// replica did: one "ok" per item, losers' bytes as waste.
+			events := log.Events()
+			itemOf := make(map[string]int) // attempt span → item
+			for _, ev := range events {
+				if ev.Kind == eventlog.KindBegin && ev.Name == "scheduler.attempt" {
+					itemOf[ev.Span], _ = strconv.Atoi(ev.Attrs["item"])
+				}
+			}
+			delivered := make([]int, len(items))
+			loss := make([]int64, len(items))
+			var wasted int64
+			for _, ev := range events {
+				if ev.Kind != eventlog.KindEnd || ev.Name != "scheduler.attempt" {
+					continue
+				}
+				bytes, _ := strconv.ParseInt(ev.Attrs["bytes"], 10, 64)
+				switch ev.Attrs["outcome"] {
+				case "ok":
+					delivered[itemOf[ev.Span]]++
+				case "cancelled", "lost_race":
+					loss[itemOf[ev.Span]] += bytes
+					wasted += bytes
+				}
+			}
+			bound := int64(float64(w.wasteBound()) * scale)
+			for i := range items {
+				if delivered[i] != 1 {
+					t.Errorf("item %d delivered %d times", i, delivered[i])
+				}
+				if loss[i] > bound {
+					t.Errorf("item %d: loser waste %d > (N-1)·Sm = %d", i, loss[i], bound)
+				}
+			}
+			completions := 0
+			for _, st := range rep.PerPath {
+				completions += st.Items
+			}
+			if completions != len(items) {
+				t.Errorf("report counts %d completions for %d items", completions, len(items))
+			}
+			if wasted != rep.WastedBytes {
+				t.Errorf("attempt spans show %d wasted bytes, report says %d", wasted, rep.WastedBytes)
+			}
+			if w.scenario == ScenarioBlackoutAll {
+				if got := rep.PerPath["adsl"].Items; got != len(items) {
+					t.Errorf("blackout-all: ADSL carried %d of %d items", got, len(items))
+				}
+				for _, phone := range w.phones() {
+					if st := rep.PerPath[phone]; st.Items != 0 || st.Bytes != 0 {
+						t.Errorf("blackout-all: %s moved %+v", phone, st)
+					}
+				}
+			}
+		})
+	}
+}

@@ -15,8 +15,9 @@
 //     wrapper) and the Conn/Dialer wrappers at the netem level;
 //   - admission control, via Gate (a discovery.Beacon / permit-style
 //     allow hook honouring departure and revocation windows);
-//   - the fleet chaos harness, via Simulate — a virtual-time greedy
-//     scheduler emulator whose output is bit-identical across runs.
+//   - the fleet chaos harness, via Simulate — a virtual-time driver of
+//     the scheduler's decision core (scheduler.Core) whose output is
+//     bit-identical across runs.
 //
 // Five fault kinds cover the failure modes the resilience machinery in
 // internal/scheduler must answer: path blackouts (connections refused,
@@ -29,6 +30,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"threegol/internal/obs/eventlog"
 )
 
 // Kind classifies one fault window.
@@ -235,19 +238,9 @@ func (p *Plan) Gate(target string, now func() float64) func() bool {
 	return func() bool { return p.AdmissibleAt(target, now()) }
 }
 
-// splitmix64 is the repo's standard seed mixer (the eventlog ID
-// derivation): a bijective finaliser, so distinct inputs can never
-// collide.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // MixSeed derives a sub-seed from a parent seed and two indexes — the
 // sanctioned way to give every (home, session) chaos transaction its
 // own independent plan stream without wall clock or global rand.
 func MixSeed(seed int64, a, b int) int64 {
-	return int64(splitmix64(uint64(seed) ^ splitmix64(uint64(a)<<32^uint64(uint32(b)))))
+	return int64(eventlog.SplitMix64(uint64(seed) ^ eventlog.SplitMix64(uint64(a)<<32^uint64(uint32(b)))))
 }

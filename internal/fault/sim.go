@@ -4,20 +4,22 @@ package fault
 // is real-time and goroutine-concurrent, so its outputs are not
 // bit-stable across runs — fine for the prototype path, fatal for the
 // fleet engine's byte-identical-across-worker-counts contract. Simulate
-// is the bridge: a single-threaded discrete-event emulator of the
-// greedy (GRD) policy with the full resilience stack — per-(item,path)
-// retry budgets, requeue on failure, endgame duplication with replica
-// cancellation, deterministic backoff with seeded jitter, the stall
-// watchdog, and the per-path circuit breaker — all played against a
-// fault Plan on the same float64-seconds timeline the live decorators
-// use. No wall clock, no global rand, no goroutines: same config in,
-// same report out, bit for bit.
+// is the bridge: a single-threaded discrete-event driver of the same
+// decision core (scheduler.Core) the live greedy scheduler runs — item
+// selection, endgame duplication, retry budgets, requeue, backoff and
+// the circuit breaker are the core's — played against a fault Plan on
+// the float64-seconds timeline the live decorators use. This file owns
+// what the core does not: the event heap, how long an attempt takes
+// under the plan (including the stall watchdog), and byte and waste
+// accounting. No wall clock, no global rand, no goroutines: same config
+// in, same report out, bit for bit.
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-	"math/rand"
+
+	"threegol/internal/scheduler"
 )
 
 // SimPath describes one path in a chaos simulation.
@@ -28,69 +30,16 @@ type SimPath struct {
 	Rate float64
 }
 
-// SimConfig drives Simulate. All times are virtual seconds on the
-// plan's timeline.
+// SimConfig drives Simulate.
 type SimConfig struct {
 	Paths []SimPath
 	Items []int64 // item sizes in bytes
 	Plan  *Plan
-
-	// Resilience knobs, mirroring scheduler.Options:
-
-	// MaxRetries is the per-(item, path) attempt budget; 0 selects 3.
-	MaxRetries int
-	// DisableDuplication turns off the endgame.
-	DisableDuplication bool
-	// BackoffBase is the delay before a path's next attempt after a
-	// failure, growing exponentially with its failure streak; 0
-	// disables backoff.
-	BackoffBase float64
-	// BackoffMax caps the growth; 0 selects 32×Base.
-	BackoffMax float64
-	// Jitter widens each backoff by a uniform fraction in [0, Jitter)
-	// drawn from the seeded stream.
-	Jitter float64
-	// Seed seeds the jitter stream.
-	Seed int64
-	// StallTimeout aborts an attempt when a stall window holds it
-	// silent this long; 0 disables the watchdog (the attempt waits the
-	// stall out).
-	StallTimeout float64
-	// BreakerThreshold opens a path's breaker after this many
-	// consecutive failures; 0 disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is the first hold; 0 selects 0.5. Re-openings
-	// double it up to BreakerMaxCooldown (0 selects 8× cooldown).
-	BreakerCooldown    float64
-	BreakerMaxCooldown float64
-}
-
-func (c SimConfig) maxRetries() int {
-	if c.MaxRetries <= 0 {
-		return 3
-	}
-	return c.MaxRetries
-}
-
-func (c SimConfig) backoffMax() float64 {
-	if c.BackoffMax > 0 {
-		return c.BackoffMax
-	}
-	return 32 * c.BackoffBase
-}
-
-func (c SimConfig) breakerCooldown() float64 {
-	if c.BreakerCooldown > 0 {
-		return c.BreakerCooldown
-	}
-	return 0.5
-}
-
-func (c SimConfig) breakerMaxCooldown() float64 {
-	if c.BreakerMaxCooldown > 0 {
-		return c.BreakerMaxCooldown
-	}
-	return 8 * c.breakerCooldown()
+	// Policy is the scheduler configuration under test. Simulate runs
+	// the Greedy policy and reads MaxRetries, DisableDuplication,
+	// Backoff, StallTimeout and Breaker, with the live scheduler's
+	// defaults; durations are virtual time on the plan's timeline.
+	Policy scheduler.Options
 }
 
 // SimPathStats aggregates one path's activity in a SimReport.
@@ -137,13 +86,6 @@ const (
 	attemptOK = iota
 	attemptKilled
 	attemptStalled
-)
-
-// breaker states, mirroring the scheduler's machine.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
 )
 
 // walkAttempt plays one transfer attempt against the plan: from t0,
@@ -230,44 +172,26 @@ func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h 
 
 type simAttempt struct {
 	item      int
-	path      int
 	start     float64
 	bytes     int64 // bytes at natural resolution
 	out       int
 	cancelled bool
 }
 
-type simFlight struct {
-	item     int
-	seq      int
-	replicas map[int]*simAttempt // path index → active attempt
-}
-
 type simState struct {
-	cfg  SimConfig
-	plan *Plan
-	rng  *rand.Rand
-	rep  *SimReport
+	cfg   SimConfig
+	core  *scheduler.Core
+	stall float64 // watchdog timeout, seconds; 0 = off
+	rep   *SimReport
 
 	events eventHeap
 	evSeq  int
 
-	pending   []int
-	flights   map[int]*simFlight
-	assignSeq int
-	doneItem  []bool
-	fails     [][]int // [item][path]
-	busy      []bool
+	// running[p] is path p's attempt in progress, nil when idle.
+	running []*simAttempt
 	// earliestIdle[p] is the backoff horizon: dispatches before it are
 	// ignored (the failure that set it already queued a wake there).
 	earliestIdle []float64
-	streak       []int // consecutive failures per path (backoff)
-
-	// breaker per path
-	brState  []int // breakerClosed/Open/HalfOpen (shared constants)
-	brConsec []int
-	brUntil  []float64
-	brHold   []float64
 
 	// lossByItem accumulates each item's completion-time loser waste
 	// (winner-cancelled replicas plus simultaneous-finish ties); its
@@ -291,32 +215,19 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	}
 	n := len(cfg.Paths)
 	s := &simState{
-		cfg:  cfg,
-		plan: cfg.Plan,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		cfg:   cfg,
+		core:  scheduler.NewCore(scheduler.Greedy, len(cfg.Items), n, cfg.Policy),
+		stall: cfg.Policy.StallTimeout.Seconds(),
 		rep: &SimReport{
 			Delivered: make([]int, len(cfg.Items)),
 			PerPath:   make(map[string]SimPathStats, n),
 		},
-		flights:      make(map[int]*simFlight),
-		doneItem:     make([]bool, len(cfg.Items)),
-		fails:        make([][]int, len(cfg.Items)),
-		busy:         make([]bool, n),
+		running:      make([]*simAttempt, n),
 		earliestIdle: make([]float64, n),
-		streak:       make([]int, n),
-		brState:      make([]int, n),
-		brConsec:     make([]int, n),
-		brUntil:      make([]float64, n),
-		brHold:       make([]float64, n),
 		lossByItem:   make([]int64, len(cfg.Items)),
-	}
-	for i := range cfg.Items {
-		s.fails[i] = make([]int, n)
-		s.pending = append(s.pending, i)
 	}
 	for p := range cfg.Paths {
 		s.rep.PerPath[cfg.Paths[p].Name] = SimPathStats{}
-		s.brHold[p] = cfg.breakerCooldown()
 		s.push(simEvent{t: 0, kind: evIdle, path: p})
 	}
 	if len(cfg.Items) == 0 {
@@ -329,7 +240,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		case evIdle:
 			s.dispatch(e.path, e.t)
 		case evResolve:
-			s.resolve(e.att, e.t)
+			s.resolve(e.path, e.att, e.t)
 		}
 	}
 	if !s.done && s.rep.Failed == "" {
@@ -354,148 +265,69 @@ func (s *simState) push(e simEvent) {
 	heap.Push(&s.events, e)
 }
 
-// wakeAll re-dispatches every idle path at time t — the simulation's
-// cond.Broadcast.
+// wakeAll re-dispatches every idle path at time t: the core's state
+// changed, so a parked path may have something to carry now.
 func (s *simState) wakeAll(t float64) {
-	for p := range s.cfg.Paths {
-		if !s.busy[p] {
+	for p, att := range s.running {
+		if att == nil {
 			s.push(simEvent{t: t, kind: evIdle, path: p})
 		}
 	}
 }
 
-// backoffDelay draws the delay for a path's k-th consecutive failure.
-func (s *simState) backoffDelay(k int) float64 {
-	if s.cfg.BackoffBase <= 0 {
-		return 0
-	}
-	d := s.cfg.BackoffBase
-	for i := 0; i < k && d < s.cfg.backoffMax(); i++ {
-		d *= 2
-	}
-	d = math.Min(d, s.cfg.backoffMax())
-	if s.cfg.Jitter > 0 {
-		d += s.cfg.Jitter * s.rng.Float64() * d
-	}
-	return d
-}
-
-// dispatch tries to start work on idle path p at time t.
+// dispatch asks the core what idle path p carries at time t and starts
+// the attempt.
 func (s *simState) dispatch(p int, t float64) {
-	if s.done || s.rep.Failed != "" || s.busy[p] {
+	if s.running[p] != nil || t < s.earliestIdle[p] {
+		return // busy, or backing off with a wake queued at the horizon
+	}
+	d := s.core.Idle(p, t)
+	switch d.Action {
+	case scheduler.Park:
+		return // a wake will retry when state changes
+	case scheduler.Wait:
+		s.push(simEvent{t: d.Until, kind: evIdle, path: p})
 		return
-	}
-	if t < s.earliestIdle[p] {
-		return // backing off; a wake is queued at the horizon
-	}
-	if s.cfg.BreakerThreshold > 0 && s.brState[p] == breakerOpen {
-		if t < s.brUntil[p] {
-			s.push(simEvent{t: s.brUntil[p], kind: evIdle, path: p})
-			return
-		}
-		s.brState[p] = breakerHalfOpen // this dispatch is the probe
-	}
-
-	// Prefer pending work; otherwise duplicate the endgame item with
-	// the fewest replicas (oldest assignment breaks ties).
-	takeIdx := -1
-	for i, it := range s.pending {
-		if s.fails[it][p] < s.cfg.maxRetries() {
-			takeIdx = i
-			break
-		}
-	}
-	var f *simFlight
-	if takeIdx >= 0 {
-		it := s.pending[takeIdx]
-		s.pending = append(s.pending[:takeIdx], s.pending[takeIdx+1:]...)
-		f = &simFlight{item: it, seq: s.assignSeq, replicas: make(map[int]*simAttempt)}
-		s.assignSeq++
-		s.flights[it] = f
-	} else if !s.cfg.DisableDuplication {
-		best := -1
-		for it, cand := range s.flights {
-			_ = it
-			if _, carrying := cand.replicas[p]; carrying {
-				continue
-			}
-			if len(cand.replicas) >= len(s.cfg.Paths) {
-				continue
-			}
-			if s.fails[cand.item][p] >= s.cfg.maxRetries() {
-				continue
-			}
-			if best == -1 {
-				best = cand.item
-				continue
-			}
-			b := s.flights[best]
-			if len(cand.replicas) != len(b.replicas) {
-				if len(cand.replicas) < len(b.replicas) {
-					best = cand.item
-				}
-			} else if cand.seq < b.seq {
-				best = cand.item
-			}
-		}
-		if best == -1 {
-			return // park; a wake will retry when state changes
-		}
-		f = s.flights[best]
+	case scheduler.Duplicate:
 		s.rep.Duplicates++
-	} else {
-		return
 	}
-
 	sp := s.cfg.Paths[p]
-	end, bytes, out := walkAttempt(s.plan, sp.Name, sp.Rate, s.cfg.Items[f.item], t, s.cfg.StallTimeout)
-	att := &simAttempt{item: f.item, path: p, start: t, bytes: bytes, out: out}
-	f.replicas[p] = att
-	s.busy[p] = true
+	end, bytes, out := walkAttempt(s.cfg.Plan, sp.Name, sp.Rate, s.cfg.Items[d.Item], t, s.stall)
+	att := &simAttempt{item: d.Item, start: t, bytes: bytes, out: out}
+	s.running[p] = att
 	s.push(simEvent{t: end, kind: evResolve, path: p, att: att})
 	// A fresh in-flight item is a new endgame candidate for parked
 	// paths.
 	s.wakeAll(t)
 }
 
-// resolve settles an attempt at its natural end time t.
-func (s *simState) resolve(att *simAttempt, t float64) {
+// resolve settles path p's attempt at its natural end time t.
+func (s *simState) resolve(p int, att *simAttempt, t float64) {
 	if att.cancelled {
 		return // already settled at the winner's completion
 	}
-	p := att.path
 	name := s.cfg.Paths[p].Name
-	s.busy[p] = false
-	f := s.flights[att.item]
-	if f != nil {
-		delete(f.replicas, p)
-	}
+	s.running[p] = nil
 	st := s.rep.PerPath[name]
+	st.Bytes += att.bytes
 
 	if att.out == attemptOK {
-		st.Bytes += att.bytes
-		if !s.doneItem[att.item] {
-			s.doneItem[att.item] = true
+		if res := s.core.Succeeded(att.item, p); res.Won {
 			s.rep.Delivered[att.item]++
 			s.rep.Completed++
 			st.Items++
-			s.streak[p] = 0
-			s.breakerSuccess(p)
 			// Cancel the losing replicas: account their partial bytes
 			// as duplicate waste and free their paths now.
-			if f != nil {
-				for rp, r := range f.replicas {
-					r.cancelled = true
-					rb := cleanBytes(s.plan, s.cfg.Paths[rp].Name, s.cfg.Paths[rp].Rate,
-						s.cfg.Items[att.item], r.start, t)
-					rst := s.rep.PerPath[s.cfg.Paths[rp].Name]
-					rst.Bytes += rb
-					s.rep.PerPath[s.cfg.Paths[rp].Name] = rst
-					s.rep.DuplicateWaste += rb
-					s.lossByItem[att.item] += rb
-					s.busy[rp] = false
-				}
-				delete(s.flights, att.item)
+			for _, q := range res.Cancel {
+				r, loser := s.running[q], s.cfg.Paths[q]
+				r.cancelled = true
+				s.running[q] = nil
+				rb := cleanBytes(s.cfg.Plan, loser.Name, loser.Rate, s.cfg.Items[att.item], r.start, t)
+				lst := s.rep.PerPath[loser.Name]
+				lst.Bytes += rb
+				s.rep.PerPath[loser.Name] = lst
+				s.rep.DuplicateWaste += rb
+				s.lossByItem[att.item] += rb
 			}
 			if s.rep.Completed == len(s.cfg.Items) {
 				s.done = true
@@ -515,82 +347,28 @@ func (s *simState) resolve(att *simAttempt, t float64) {
 	}
 
 	// Failure (killed or stall-aborted).
-	st.Bytes += att.bytes
 	st.Failures++
 	if att.out == attemptStalled {
 		st.Stalls++
 		s.rep.StallAborts++
 	}
-	s.rep.PerPath[name] = st
 	s.rep.FailureWaste += att.bytes
-	s.fails[att.item][p]++
-	s.breakerFailure(p, t)
-	delay := s.backoffDelay(s.streak[p])
-	s.streak[p]++
-
-	if !s.doneItem[att.item] {
-		exhausted := true
-		for q := range s.cfg.Paths {
-			if s.fails[att.item][q] < s.cfg.maxRetries() {
-				exhausted = false
-				break
-			}
-		}
-		switch {
-		case exhausted:
-			s.rep.Failed = fmt.Sprintf("item %d failed on every path (last %s) after %d attempts",
-				att.item, name, sumInts(s.fails[att.item]))
-			s.elapsed = t
-			return
-		case f != nil && len(f.replicas) == 0:
-			delete(s.flights, att.item)
-			s.pending = append(s.pending, att.item)
-			s.rep.Requeues++
-		}
-	}
-	s.earliestIdle[p] = t + delay
-	s.push(simEvent{t: t + delay, kind: evIdle, path: p})
-	s.wakeAll(t)
-}
-
-func (s *simState) breakerSuccess(p int) {
-	if s.cfg.BreakerThreshold <= 0 {
-		return
-	}
-	s.brState[p] = breakerClosed
-	s.brConsec[p] = 0
-	s.brHold[p] = s.cfg.breakerCooldown()
-}
-
-func (s *simState) breakerFailure(p int, t float64) {
-	if s.cfg.BreakerThreshold <= 0 {
-		return
-	}
-	open := func() {
-		s.brState[p] = breakerOpen
-		s.brUntil[p] = t + s.brHold[p]
-		s.brHold[p] = math.Min(s.brHold[p]*2, s.cfg.breakerMaxCooldown())
-		s.brConsec[p] = 0
-		s.rep.BreakerOpens++
-		st := s.rep.PerPath[s.cfg.Paths[p].Name]
+	f := s.core.Failed(att.item, p, t)
+	if f.Opened {
 		st.BreakerOpens++
-		s.rep.PerPath[s.cfg.Paths[p].Name] = st
+		s.rep.BreakerOpens++
 	}
-	switch s.brState[p] {
-	case breakerHalfOpen:
-		open()
-	case breakerClosed:
-		s.brConsec[p]++
-		if s.brConsec[p] >= s.cfg.BreakerThreshold {
-			open()
-		}
+	s.rep.PerPath[name] = st
+	if f.Exhausted {
+		s.rep.Failed = fmt.Sprintf("item %d failed on every path (last %s) after %d attempts",
+			att.item, name, f.Attempts)
+		s.elapsed = t
+		return
 	}
-}
-
-func sumInts(xs []int) int {
-	total := 0
-	for _, x := range xs {
-		total += x
+	if f.Requeued {
+		s.rep.Requeues++
 	}
-	return total
+	s.earliestIdle[p] = t + f.Backoff
+	s.push(simEvent{t: t + f.Backoff, kind: evIdle, path: p})
+	s.wakeAll(t)
 }

@@ -23,9 +23,11 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"threegol/internal/fault"
 	"threegol/internal/obs/eventlog"
+	"threegol/internal/scheduler"
 )
 
 // chaos path names: one ADSL line plus two phones per home, matching
@@ -260,16 +262,17 @@ func chaosHomeConfig(cfg ChaosConfig, homeID int, rng *rand.Rand) (fault.SimConf
 			{Name: chaosPhones[0], Rate: 300e3},
 			{Name: chaosPhones[1], Rate: 300e3},
 		},
-		Items:            items,
-		Plan:             plan,
-		MaxRetries:       4,
-		BackoffBase:      0.1,
-		BackoffMax:       2,
-		Jitter:           0.5,
-		Seed:             fault.MixSeed(cfg.Seed, homeID, 1),
-		StallTimeout:     2,
-		BreakerThreshold: 3,
-		BreakerCooldown:  1,
+		Items: items,
+		Plan:  plan,
+		Policy: scheduler.Options{
+			MaxRetries: 4,
+			Backoff: scheduler.BackoffConfig{
+				Base: 100 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5,
+				Seed: fault.MixSeed(cfg.Seed, homeID, 1),
+			},
+			StallTimeout: 2 * time.Second,
+			Breaker:      scheduler.BreakerConfig{Threshold: 3, Cooldown: time.Second},
+		},
 	}, maxItem
 }
 

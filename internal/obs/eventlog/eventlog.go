@@ -148,19 +148,26 @@ func (l *Log) Now() float64 {
 	return l.now()
 }
 
-// newIDLocked derives the next trace/span ID. The pre-mix input packs
-// (shard, counter) into disjoint bit ranges and XORs the seed, so IDs
-// are unique within a run and — because splitmix64's finaliser is a
-// bijection — collision-free across shards sharing one seed. No wall
-// clock, no global rand: byte-identical across runs. Caller holds l.mu.
-func (l *Log) newIDLocked() string {
-	l.nextID++
-	x := uint64(l.seed) ^ (uint64(l.shard)+1)<<40 ^ l.nextID
+// SplitMix64 is the repo's one seed mixer: the SplitMix64 output
+// function, a bijection on uint64 that turns a counter, hash or packed
+// index into a well-distributed value. Span IDs here, fault.MixSeed and
+// permitplane.JitterFrac all derive from it, so distinct inputs never
+// collide and nothing needs a wall clock or the global rand source.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return fmt.Sprintf("%016x", x)
+	return x ^ (x >> 31)
+}
+
+// newIDLocked derives the next trace/span ID. The pre-mix input packs
+// (shard, counter) into disjoint bit ranges and XORs the seed, so IDs
+// are unique within a run and — because SplitMix64 is a bijection —
+// collision-free across shards sharing one seed. No wall clock, no
+// global rand: byte-identical across runs. Caller holds l.mu.
+func (l *Log) newIDLocked() string {
+	l.nextID++
+	return fmt.Sprintf("%016x", SplitMix64(uint64(l.seed)^(uint64(l.shard)+1)<<40^l.nextID))
 }
 
 // emitLocked stamps and stores one event. Caller holds l.mu.

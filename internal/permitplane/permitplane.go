@@ -29,7 +29,11 @@
 // drives one with ≥100k simulated clients.
 package permitplane
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+
+	"threegol/internal/obs/eventlog"
+)
 
 // ShardOf maps a cell ID to its owning shard: a stable FNV-1a hash of
 // the cell ID modulo the shard count. Every component — router,
@@ -44,16 +48,6 @@ func ShardOf(cellID string, shards int) int {
 	return int(h.Sum64() % uint64(shards))
 }
 
-// splitmix64 is the SplitMix64 mixing function — the same generator the
-// eventlog uses for trace IDs. It turns a counter or hash into a
-// well-distributed 64-bit value.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // JitterFrac returns the n-th deterministic uniform draw in [0, 1) of a
 // named client's jitter stream. It is stateless — seed, name and draw
 // index fully determine the value — which is what lets the load harness
@@ -62,6 +56,6 @@ func splitmix64(x uint64) uint64 {
 func JitterFrac(seed int64, name string, n uint64) float64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name)) // hash.Hash.Write never errors
-	x := splitmix64(uint64(seed) ^ h.Sum64() ^ splitmix64(n))
+	x := eventlog.SplitMix64(uint64(seed) ^ h.Sum64() ^ eventlog.SplitMix64(n))
 	return float64(x>>11) / (1 << 53)
 }

@@ -1,0 +1,331 @@
+package scheduler
+
+// This file is the greedy policies' decision core: the one place that
+// decides which item an idle path carries, when an endgame replica is
+// launched, what a failure costs (retry budget, requeue, exhaustion,
+// backoff) and whether a path's circuit breaker lets it try at all.
+//
+// Core holds no clock, no lock and no goroutine. Its callers — the live
+// goroutine-per-path driver in runGreedy and the virtual-time event
+// loop in fault.Simulate — serialise calls, pass the time in, and own
+// everything that touches bytes: contexts, the stall watchdog,
+// waste accounting, metrics and events. Paths and items are dense
+// indexes; every time is float64 seconds elapsed since the transaction
+// started, so the same arithmetic runs on the wall clock and on a
+// simulated timeline.
+
+import (
+	"math"
+	"math/rand"
+)
+
+// Action is the core's answer to an idle path.
+type Action int
+
+// Answers to Core.Idle.
+const (
+	// Park: nothing this path may carry right now; ask again after any
+	// other path's outcome changes the state.
+	Park Action = iota
+	// Assign: carry Item, which leaves the pending queue.
+	Assign
+	// Duplicate: carry Item as an endgame replica of an in-flight item.
+	Duplicate
+	// Wait: the path's breaker is open; ask again at Until.
+	Wait
+)
+
+// Decision is what Core.Idle tells a driver to do with an idle path.
+type Decision struct {
+	Action Action
+	Item   int     // Assign, Duplicate
+	Until  float64 // Wait: when the half-open probe unlocks
+	// Probe reports that this call moved the path's breaker from open
+	// to half-open: whatever the path carries next is the probe.
+	Probe bool
+}
+
+// Success is the verdict on a transfer that finished without error.
+type Success struct {
+	// Won is true for the item's first completion; a replica finishing
+	// after that delivered nothing and its bytes are waste.
+	Won bool
+	// Cancel lists the paths still carrying a replica of the item the
+	// winner just delivered. The core has already released them; the
+	// driver aborts their attempts. Valid until the next call.
+	Cancel []int
+	// Closed reports that the success re-closed a half-open breaker.
+	Closed bool
+}
+
+// Failure is the verdict on a genuine transfer failure.
+type Failure struct {
+	// Backoff is how long the path sits out before it next asks Idle,
+	// growing with the path's failure streak; 0 when backoff is off.
+	Backoff float64
+	// Opened reports that the failure opened the path's breaker, to be
+	// held for Cooldown.
+	Opened   bool
+	Cooldown float64
+	// Requeued: no other replica carries the item, so it went back on
+	// the pending queue for a path with budget left.
+	Requeued bool
+	// Exhausted: every path has spent its retry budget on the item, Attempts
+	// failures in all; the transaction cannot complete.
+	Exhausted bool
+	Attempts  int
+}
+
+// backoff computes retry delays: exponential in the failure streak,
+// capped, widened by jitter drawn from a stream seeded per transaction
+// (no global rand, so a replay draws the same sequence).
+type backoff struct {
+	base, max, jitter float64
+	rng               *rand.Rand
+}
+
+func newBackoff(cfg BackoffConfig) backoff {
+	b := backoff{base: cfg.Base.Seconds(), max: cfg.max().Seconds(), jitter: cfg.Jitter}
+	if b.base > 0 && b.jitter > 0 {
+		b.rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	return b
+}
+
+// delay is the sit-out after a path's k-th consecutive failure
+// (0-based): min(max, base·2^k)·(1 + jitter·U), U ∈ [0, 1).
+func (b *backoff) delay(k int) float64 {
+	if b.base <= 0 {
+		return 0
+	}
+	d := b.base
+	for i := 0; i < k && d < b.max; i++ {
+		d *= 2
+	}
+	d = math.Min(d, b.max)
+	if b.rng != nil {
+		d += b.jitter * b.rng.Float64() * d
+	}
+	return d
+}
+
+// Breaker states: closed (healthy) → open (ejected, cooling down) →
+// half-open (one probe in flight) → closed again on probe success, or
+// back to open with a doubled hold on probe failure.
+const (
+	breakerClosed = iota
+	breakerOpen
+	breakerHalfOpen
+)
+
+// corePath is one path's share of the state. A path carries at most one
+// attempt at a time, so an item's replica set is the set of paths whose
+// item field names it.
+type corePath struct {
+	item   int // item being carried, −1 when idle
+	streak int // consecutive failures, for backoff growth
+
+	breaker int     // breakerClosed, breakerOpen, breakerHalfOpen
+	consec  int     // consecutive failures while closed
+	until   float64 // open: when the half-open probe unlocks
+	hold    float64 // cooldown applied at the next opening
+}
+
+// coreFlight is one item's in-flight state; replicas == 0 means the
+// item is pending or delivered, not in flight.
+type coreFlight struct {
+	replicas int
+	seq      int // assignment order, for "oldest" in the GRD endgame
+}
+
+// Core is the GRD/PLAYOUT decision state of one transaction.
+type Core struct {
+	playout     bool
+	duplication bool
+	maxRetries  int
+	backoff     backoff
+	threshold   int // breaker: consecutive failures that open it; 0 = off
+	cooldown    float64
+	maxCooldown float64
+
+	pending []int
+	done    []bool
+	flights []coreFlight
+	fails   []int // [item·len(paths)+path] genuine failures charged
+	paths   []corePath
+	nextSeq int
+	cancel  []int // backing store for Success.Cancel
+}
+
+// NewCore returns the decision state for a transaction of `items` items
+// over `paths` paths under algo (Greedy or Playout), reading MaxRetries,
+// DisableDuplication, Backoff and Breaker from opts.
+func NewCore(algo Algo, items, paths int, opts Options) *Core {
+	c := &Core{
+		playout:     algo == Playout,
+		duplication: !opts.DisableDuplication,
+		maxRetries:  opts.maxRetries(),
+		backoff:     newBackoff(opts.Backoff),
+		threshold:   opts.Breaker.Threshold,
+		cooldown:    opts.Breaker.cooldown().Seconds(),
+		maxCooldown: opts.Breaker.maxCooldown().Seconds(),
+		pending:     make([]int, items),
+		done:        make([]bool, items),
+		flights:     make([]coreFlight, items),
+		fails:       make([]int, items*paths),
+		paths:       make([]corePath, paths),
+		cancel:      make([]int, 0, paths),
+	}
+	for i := range c.pending {
+		c.pending[i] = i
+	}
+	for p := range c.paths {
+		c.paths[p] = corePath{item: -1, hold: c.cooldown}
+	}
+	return c
+}
+
+// spent reports whether path p has used up its retry budget for item.
+func (c *Core) spent(item, p int) bool {
+	return c.fails[item*len(c.paths)+p] >= c.maxRetries
+}
+
+// Idle answers an idle path p at time now. A path with an open breaker
+// waits out the hold and comes back as the half-open probe; otherwise
+// it takes the first pending item it still has budget for, and when
+// there is none it duplicates an in-flight item — GRD picks the one
+// with the fewest replicas, oldest assignment first; PLAYOUT the
+// lowest ID, which is what gates in-order playout.
+func (c *Core) Idle(p int, now float64) Decision {
+	var d Decision
+	if pp := &c.paths[p]; pp.breaker == breakerOpen {
+		if now < pp.until {
+			return Decision{Action: Wait, Until: pp.until}
+		}
+		pp.breaker = breakerHalfOpen
+		d.Probe = true
+	}
+	for i, it := range c.pending {
+		if c.spent(it, p) {
+			continue
+		}
+		c.pending = append(c.pending[:i], c.pending[i+1:]...)
+		c.flights[it] = coreFlight{replicas: 1, seq: c.nextSeq}
+		c.nextSeq++
+		c.paths[p].item = it
+		d.Action, d.Item = Assign, it
+		return d
+	}
+	if !c.duplication {
+		return d
+	}
+	best := -1
+	for q := range c.paths {
+		it := c.paths[q].item
+		if it < 0 || c.spent(it, p) {
+			continue
+		}
+		if best < 0 || c.duplicateBefore(it, best) {
+			best = it
+		}
+	}
+	if best < 0 {
+		return d
+	}
+	c.flights[best].replicas++
+	c.paths[p].item = best
+	d.Action, d.Item = Duplicate, best
+	return d
+}
+
+// duplicateBefore orders endgame candidates.
+func (c *Core) duplicateBefore(a, b int) bool {
+	if c.playout {
+		return a < b
+	}
+	fa, fb := c.flights[a], c.flights[b]
+	if fa.replicas != fb.replicas {
+		return fa.replicas < fb.replicas
+	}
+	return fa.seq < fb.seq
+}
+
+// release takes path p off whatever it carries. A replica the winner
+// already cancelled carries nothing by the time its driver reports.
+func (c *Core) release(p int) {
+	if it := c.paths[p].item; it >= 0 {
+		c.flights[it].replicas--
+		c.paths[p].item = -1
+	}
+}
+
+// Succeeded records that path p finished item without error. Any
+// success — winner or late replica — proves the path healthy: its
+// failure streak resets and its breaker re-closes.
+func (c *Core) Succeeded(item, p int) Success {
+	c.release(p)
+	pp := &c.paths[p]
+	s := Success{Closed: pp.breaker == breakerHalfOpen}
+	pp.streak = 0
+	pp.breaker, pp.consec, pp.hold = breakerClosed, 0, c.cooldown
+	if c.done[item] {
+		return s
+	}
+	c.done[item] = true
+	s.Won = true
+	s.Cancel = c.cancel[:0]
+	for q := range c.paths {
+		if c.paths[q].item == item {
+			c.paths[q].item = -1
+			s.Cancel = append(s.Cancel, q)
+		}
+	}
+	c.flights[item].replicas = 0
+	return s
+}
+
+// Failed records a genuine failure (error or stall abort, not a
+// cancellation) of item on path p at time now. The path's health always
+// takes the hit — breaker and backoff streak advance — but the item is
+// charged, requeued or declared exhausted only while it is undelivered:
+// a replica that dies after the item landed costs the item nothing.
+func (c *Core) Failed(item, p int, now float64) Failure {
+	c.release(p)
+	pp := &c.paths[p]
+	var f Failure
+	if c.threshold > 0 {
+		switch pp.breaker {
+		case breakerClosed:
+			pp.consec++
+			f.Opened = pp.consec >= c.threshold
+		case breakerHalfOpen:
+			f.Opened = true // failed probe
+		}
+		if f.Opened {
+			f.Cooldown = pp.hold
+			pp.breaker, pp.consec = breakerOpen, 0
+			pp.until = now + pp.hold
+			pp.hold = math.Min(pp.hold*2, c.maxCooldown)
+		}
+	}
+	f.Backoff = c.backoff.delay(pp.streak)
+	pp.streak++
+	if c.done[item] {
+		return f
+	}
+	n := len(c.paths)
+	row := c.fails[item*n : (item+1)*n]
+	row[p]++
+	f.Exhausted = true
+	for _, k := range row {
+		f.Attempts += k
+		if k < c.maxRetries {
+			f.Exhausted = false
+		}
+	}
+	if !f.Exhausted && c.flights[item].replicas == 0 {
+		c.pending = append(c.pending, item)
+		f.Requeued = true
+	}
+	return f
+}

@@ -1,19 +1,20 @@
 package scheduler
 
-// This file is the scheduler's path-health resilience layer — the
-// answer to internal/fault's hostile edge. Three mechanisms, all off by
-// default (zero Options values preserve the historical fail-politely
-// behaviour):
+// This file is the live side of the scheduler's path-health resilience
+// layer — the answer to internal/fault's hostile edge. Three
+// mechanisms, all off by default (zero Options values preserve the
+// historical fail-politely behaviour):
 //
 //   - deterministic exponential backoff with seeded jitter between
-//     retry attempts (BackoffConfig);
+//     retry attempts (BackoffConfig; the delays come from core.go);
 //   - a progress watchdog that aborts an attempt when no bytes move for
 //     StallTimeout and requeues the item — the only defence against
 //     silent stalls, where the path neither errs nor progresses
 //     (ProgressPath, runAttempt);
 //   - a per-path circuit breaker: consecutive failures eject the path
 //     from the greedy rotation, an escalating cooldown holds it out,
-//     and a half-open probe readmits it (BreakerConfig, breaker).
+//     and a half-open probe readmits it (BreakerConfig; the state
+//     machine lives in core.go).
 //
 // Every state transition is exported through Options.Metrics and
 // Options.Events so a chaos run's eventlog tells the whole story.
@@ -21,11 +22,9 @@ package scheduler
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"math"
 	"sync"
 	"time"
-
-	"threegol/internal/obs/eventlog"
 )
 
 // ProgressPath is a Path that can report byte progress mid-transfer.
@@ -106,43 +105,6 @@ func (c BackoffConfig) max() time.Duration {
 	return 32 * c.Base
 }
 
-// backoffState owns the seeded jitter stream for one transaction.
-type backoffState struct {
-	cfg BackoffConfig
-
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newBackoffState(cfg BackoffConfig) *backoffState {
-	if cfg.Base <= 0 {
-		return nil
-	}
-	return &backoffState{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-// delay computes the backoff before retry k (0-based): exponential from
-// Base, capped at Max, widened by seeded jitter.
-func (b *backoffState) delay(k int) time.Duration {
-	if b == nil {
-		return 0
-	}
-	d := b.cfg.Base
-	for i := 0; i < k && d < b.cfg.max(); i++ {
-		d *= 2
-	}
-	if m := b.cfg.max(); d > m {
-		d = m
-	}
-	if b.cfg.Jitter > 0 {
-		b.mu.Lock() //3golvet:allow locksafe — one jitter draw; deferring would serialise the arithmetic below
-		u := b.rng.Float64()
-		b.mu.Unlock()
-		d += time.Duration(b.cfg.Jitter * u * float64(d))
-	}
-	return d
-}
-
 // BreakerConfig tunes the per-path circuit breaker. The zero value
 // disables it. The breaker applies to the greedy policies (GRD and
 // PLAYOUT) only: fixed-queue policies cannot reassign around an ejected
@@ -173,169 +135,11 @@ func (c BreakerConfig) maxCooldown() time.Duration {
 	return 8 * c.cooldown()
 }
 
-// Breaker states: closed (healthy) → open (ejected, cooling down) →
-// half-open (one probe in flight) → closed again on probe success, or
-// back to open (escalated cooldown) on probe failure.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breaker is one path's circuit breaker. Each path is driven by exactly
-// one greedy worker, so the half-open probe needs no token contention:
-// whichever admit call finds the cooldown expired is the probe.
-type breaker struct {
-	path string
-	cfg  BreakerConfig
-	trk  *tracker
-
-	mu       sync.Mutex
-	state    int
-	consec   int           // consecutive failures while closed
-	until    time.Time     // open: when the half-open probe unlocks
-	cooldown time.Duration // hold applied at the next opening
-}
-
-// admit reports whether the path may attempt a transfer now. While the
-// breaker is open it returns the remaining cooldown; an open breaker
-// whose cooldown has elapsed transitions to half-open and admits the
-// caller as the probe.
-func (b *breaker) admit(now time.Time) (wait time.Duration, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != breakerOpen {
-		return 0, true
-	}
-	if wait := b.until.Sub(now); wait > 0 {
-		return wait, false
-	}
-	b.state = breakerHalfOpen
-	b.trk.opts.Metrics.breakerProbed(b.path)
-	b.trk.opts.Events.Point(b.trk.opts.Trace, "scheduler.breaker_probe", "path", b.path)
-	return 0, true
-}
-
-// onSuccess re-closes the breaker and resets the failure streak and
-// cooldown escalation.
-func (b *breaker) onSuccess() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerHalfOpen {
-		b.trk.opts.Metrics.breakerClosed(b.path)
-		b.trk.opts.Events.Point(b.trk.opts.Trace, "scheduler.breaker_close", "path", b.path)
-	}
-	b.state = breakerClosed
-	b.consec = 0
-	b.cooldown = b.cfg.cooldown()
-}
-
-// onFailure advances the state machine on a genuine transfer failure:
-// a failed half-open probe re-opens immediately with an escalated
-// cooldown; while closed, reaching Threshold consecutive failures opens
-// the breaker.
-func (b *breaker) onFailure(now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerHalfOpen:
-		b.open(now)
-	case breakerClosed:
-		b.consec++
-		if b.consec >= b.cfg.Threshold {
-			b.open(now)
-		}
-	}
-}
-
-// open ejects the path and escalates the next cooldown. Caller holds
-// b.mu.
-func (b *breaker) open(now time.Time) {
-	b.state = breakerOpen
-	b.until = now.Add(b.cooldown)
-	b.trk.opts.Metrics.breakerOpened(b.path)
-	b.trk.opts.Events.Point(b.trk.opts.Trace, "scheduler.breaker_open",
-		"path", b.path, "cooldown_s", eventlog.Float(b.cooldown.Seconds()))
-	b.cooldown *= 2
-	if m := b.cfg.maxCooldown(); b.cooldown > m {
-		b.cooldown = m
-	}
-	b.consec = 0
-}
-
-// resilience bundles one transaction's resilience state: the backoff
-// stream, the per-path consecutive-failure counters, and the breakers.
-type resilience struct {
-	backoff *backoffState
-	stall   time.Duration
-
-	mu       sync.Mutex
-	consec   map[string]int      // per-path failure streak (greedy backoff)
-	breakers map[string]*breaker // nil when the breaker is disabled
-}
-
-func newResilience(opts Options, paths []Path, trk *tracker) *resilience {
-	r := &resilience{
-		backoff: newBackoffState(opts.Backoff),
-		stall:   opts.StallTimeout,
-		consec:  make(map[string]int),
-	}
-	if opts.Breaker.Threshold > 0 {
-		r.breakers = make(map[string]*breaker, len(paths))
-		for _, p := range paths {
-			r.breakers[p.Name()] = &breaker{
-				path: p.Name(), cfg: opts.Breaker, trk: trk,
-				cooldown: opts.Breaker.cooldown(),
-			}
-		}
-	}
-	return r
-}
-
-// breakerFor returns the path's breaker, or nil when disabled.
-func (r *resilience) breakerFor(path string) *breaker {
-	return r.breakers[path]
-}
-
-// retryDelay is the backoff before the k-th same-path retry (0-based) —
-// the fixed-queue policies' attempt-indexed schedule.
-func (r *resilience) retryDelay(k int) time.Duration {
-	return r.backoff.delay(k)
-}
-
-// onSuccess resets the path's failure streak and re-closes its breaker.
-func (r *resilience) onSuccess(path string) {
-	r.clearStreak(path)
-	if br := r.breakers[path]; br != nil {
-		br.onSuccess()
-	}
-}
-
-// onFailure records a genuine transfer failure on path: it advances the
-// breaker state machine and returns the backoff to apply before the
-// path's next attempt (growing with the path's failure streak).
-func (r *resilience) onFailure(path string, now time.Time) time.Duration {
-	if br := r.breakers[path]; br != nil {
-		br.onFailure(now)
-	}
-	if r.backoff == nil {
-		return 0
-	}
-	return r.backoff.delay(r.bumpStreak(path))
-}
-
-func (r *resilience) bumpStreak(path string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.consec[path]
-	r.consec[path] = n + 1
-	return n
-}
-
-func (r *resilience) clearStreak(path string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.consec, path)
+// toDuration converts the decision core's float seconds to a sleepable
+// duration, rounding up so a sleep never ends a fraction of a nanosecond
+// short of the instant the core named.
+func toDuration(seconds float64) time.Duration {
+	return time.Duration(math.Ceil(seconds * float64(time.Second)))
 }
 
 // sleepFor sleeps d on the transaction clock in small slices, waking
@@ -368,7 +172,7 @@ func (t *tracker) sleepFor(ctx context.Context, d time.Duration) bool {
 // which case err is a *StallError and the parent ctx is still alive).
 func runAttempt(ctx context.Context, p Path, it Item, trk *tracker) (n int64, err error, stalled bool) {
 	pp, watched := p.(ProgressPath)
-	st := trk.res.stall
+	st := trk.opts.StallTimeout
 	if st <= 0 || !watched {
 		n, err = p.Transfer(ctx, it)
 		return n, err, false

@@ -10,89 +10,6 @@ import (
 	"threegol/internal/obs"
 )
 
-func TestBackoffDelayDeterministic(t *testing.T) {
-	cfg := BackoffConfig{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: 0.5, Seed: 7}
-	a, b := newBackoffState(cfg), newBackoffState(cfg)
-	for k := 0; k < 8; k++ {
-		da, db := a.delay(k), b.delay(k)
-		if da != db {
-			t.Fatalf("delay(%d): %v vs %v — same seed must draw the same jitter", k, da, db)
-		}
-		// Bounds: min(Max, Base·2^k) ≤ d < that·(1+Jitter).
-		base := cfg.Base << k
-		if base > cfg.Max {
-			base = cfg.Max
-		}
-		if da < base || da >= base+time.Duration(cfg.Jitter*float64(base))+time.Nanosecond {
-			t.Fatalf("delay(%d) = %v outside [%v, %v)", k, da, base, base*3/2)
-		}
-	}
-	// Zero Base disables backoff entirely.
-	if d := newBackoffState(BackoffConfig{}).delay(3); d != 0 {
-		t.Fatalf("disabled backoff returned %v", d)
-	}
-}
-
-func TestBreakerStateMachine(t *testing.T) {
-	trk := &tracker{opts: Options{}}
-	b := &breaker{
-		path: "phone1",
-		cfg:  BreakerConfig{Threshold: 2, Cooldown: time.Second, MaxCooldown: 3 * time.Second},
-		trk:  trk, cooldown: time.Second,
-	}
-	t0 := time.Unix(100, 0)
-
-	if _, ok := b.admit(t0); !ok {
-		t.Fatal("closed breaker must admit")
-	}
-	b.onFailure(t0)
-	if _, ok := b.admit(t0); !ok {
-		t.Fatal("one failure under threshold must not eject")
-	}
-	b.onFailure(t0) // second consecutive failure → open
-	wait, ok := b.admit(t0)
-	if ok || wait != time.Second {
-		t.Fatalf("open breaker admitted (wait %v, ok %v)", wait, ok)
-	}
-
-	// Cooldown elapsed → half-open probe admitted; probe failure
-	// re-opens with doubled cooldown.
-	t1 := t0.Add(time.Second)
-	if _, ok := b.admit(t1); !ok {
-		t.Fatal("expired cooldown must admit the probe")
-	}
-	b.onFailure(t1)
-	wait, ok = b.admit(t1)
-	if ok || wait != 2*time.Second {
-		t.Fatalf("failed probe: wait %v, ok %v; want 2s hold", wait, ok)
-	}
-
-	// Next probe succeeds → closed, cooldown reset.
-	t2 := t1.Add(2 * time.Second)
-	if _, ok := b.admit(t2); !ok {
-		t.Fatal("second probe not admitted")
-	}
-	b.onSuccess()
-	if _, ok := b.admit(t2); !ok {
-		t.Fatal("closed-after-probe breaker must admit")
-	}
-	if b.cooldown != time.Second {
-		t.Fatalf("cooldown after success = %v; want reset to 1s", b.cooldown)
-	}
-
-	// Cooldown escalation caps at MaxCooldown.
-	for i := 0; i < 4; i++ {
-		b.onFailure(t2)
-		b.onFailure(t2)
-		b.mu.Lock()
-		b.state = breakerClosed // re-arm without waiting out the hold
-		b.mu.Unlock()
-	}
-	if b.cooldown != 3*time.Second {
-		t.Fatalf("cooldown = %v; want capped at 3s", b.cooldown)
-	}
-}
-
 // stallyPath is a ProgressPath that silently wedges (no bytes, no
 // error) for the first stallsLeft[item] attempts, then transfers
 // instantly.

@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -238,33 +237,27 @@ type tracker struct {
 	clk   clock.Clock
 	start time.Time
 	opts  Options
-	res   *resilience
-	done  []bool
-	left  int
+	// backoff paces the fixed-queue policies' same-path retries; the
+	// greedy policies' decision core carries its own.
+	backoff backoff
+	left    int
 	// doneCh closes when the last item completes, so workers sleeping
 	// out a backoff or breaker cooldown wake instead of delaying the
 	// transaction's return.
 	doneCh chan struct{}
 }
 
-func newTracker(rep *Report, clk clock.Clock, start time.Time, n int, opts Options, paths []Path) *tracker {
-	t := &tracker{rep: rep, clk: clk, start: start, opts: opts,
-		done: make([]bool, n), left: n, doneCh: make(chan struct{})}
-	t.res = newResilience(opts, paths, t)
-	return t
+func newTracker(rep *Report, clk clock.Clock, start time.Time, n int, opts Options) *tracker {
+	return &tracker{rep: rep, clk: clk, start: start, opts: opts,
+		backoff: newBackoff(opts.Backoff), left: n, doneCh: make(chan struct{})}
 }
 
-// complete records the first successful completion of item. It reports
-// whether this call was the winner (false when another replica already
-// completed the item).
-func (t *tracker) complete(item Item, pathName string, bytes int64) bool {
-	t.mu.Lock() //3golvet:allow locksafe — unlocks early so the OnItemDone callback runs outside the lock
+// complete records the delivery of item over pathName. Every policy
+// calls it exactly once per item: the fixed-queue policies deal each
+// item to one path, and the greedy core names one winner.
+func (t *tracker) complete(item Item, pathName string, bytes int64) {
+	t.mu.Lock() // unlocked by hand so the OnItemDone callback runs outside the lock
 	t.addBytesLocked(pathName, bytes)
-	if t.done[item.ID] {
-		t.mu.Unlock()
-		return false
-	}
-	t.done[item.ID] = true
 	t.left--
 	if t.left == 0 {
 		close(t.doneCh)
@@ -283,7 +276,14 @@ func (t *tracker) complete(item Item, pathName string, bytes int64) bool {
 	if cb != nil {
 		cb(item, elapsed)
 	}
-	return true
+}
+
+// retryDelay is the backoff before the k-th same-path retry (0-based) —
+// the fixed-queue policies' attempt-indexed schedule.
+func (t *tracker) retryDelay(k int) time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return toDuration(t.backoff.delay(k))
 }
 
 // addBytes accounts bytes moved on a path without completing anything
@@ -299,12 +299,6 @@ func (t *tracker) addBytesLocked(pathName string, bytes int64) {
 	st.Bytes += bytes
 	t.rep.PerPath[pathName] = st
 	t.opts.Metrics.movedBytes(pathName, bytes)
-}
-
-func (t *tracker) isDone(id int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done[id]
 }
 
 // remaining reports how many items have not yet completed.
@@ -331,7 +325,7 @@ func (t *tracker) addDuplicate(pathName string) {
 // ----- Round robin -----
 
 func runRoundRobin(ctx context.Context, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
-	trk := newTracker(rep, clk, start, len(items), opts, paths)
+	trk := newTracker(rep, clk, start, len(items), opts)
 	queues := make([][]Item, len(paths))
 	for i, it := range items {
 		q := i % len(paths)
@@ -374,7 +368,7 @@ func transferWithRetry(ctx context.Context, p Path, it Item, maxRetries int, trk
 			return err
 		}
 		if attempt > 0 {
-			if d := trk.res.retryDelay(attempt - 1); d > 0 {
+			if d := trk.retryDelay(attempt - 1); d > 0 {
 				trk.opts.Metrics.backedOff(p.Name())
 				ev.Point(tc, "scheduler.backoff",
 					"item", eventlog.Int(int64(it.ID)), "path", p.Name(),
@@ -409,7 +403,7 @@ func transferWithRetry(ctx context.Context, p Path, it Item, maxRetries int, trk
 			trk.opts.Metrics.stallAborted(p.Name())
 			ev.Point(tc, "scheduler.stall",
 				"item", eventlog.Int(int64(it.ID)), "path", p.Name(),
-				"timeout_s", eventlog.Float(trk.res.stall.Seconds()))
+				"timeout_s", eventlog.Float(trk.opts.StallTimeout.Seconds()))
 		}
 		trk.opts.Metrics.retried(p.Name())
 		ev.Point(tc, "scheduler.retry",
@@ -426,7 +420,7 @@ func transferWithRetry(ctx context.Context, p Path, it Item, maxRetries int, trk
 // ----- MIN (estimated minimum completion time) -----
 
 func runMinTime(ctx context.Context, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
-	trk := newTracker(rep, clk, start, len(items), opts, paths)
+	trk := newTracker(rep, clk, start, len(items), opts)
 	n := len(paths)
 
 	type pathState struct {
@@ -558,46 +552,25 @@ func runMinTime(ctx context.Context, items []Item, paths []Path, opts Options, r
 
 // ----- Greedy with endgame duplication -----
 
-type flight struct {
-	item     Item
-	seq      int // assignment order (for "oldest" selection)
-	replicas map[string]context.CancelFunc
-}
-
+// runGreedy is the live driver of the decision core: one goroutine per
+// path asks the core what to carry, runs the attempt against the real
+// transport, and reports the outcome back. The core decides; this loop
+// owns the goroutines, the lock that serialises calls into the core,
+// contexts and replica cancellation, byte and waste accounting, metrics
+// and events.
 func runGreedy(ctx context.Context, algo Algo, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
-	trk := newTracker(rep, clk, start, len(items), opts, paths)
+	trk := newTracker(rep, clk, start, len(items), opts)
 
 	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		pending  = append([]Item(nil), items...)
-		inflight = make(map[int]*flight)
-		seq      int
-		failed   error
-		// fails[itemID][pathName] counts genuine transfer failures; an
-		// item only fails the transaction once every path has exhausted
-		// its per-path retry budget for it.
-		fails = make(map[int]map[string]int)
+		mu   sync.Mutex
+		cond = sync.NewCond(&mu)
+		core = NewCore(algo, len(items), len(paths), opts)
+		// cancels[p] aborts path p's current (or, harmlessly, latest)
+		// attempt; the winner of an item calls it on the losing replicas.
+		cancels = make([]context.CancelFunc, len(paths))
+		failed  error
 	)
-	pathFails := func(id int, path string) int {
-		return fails[id][path]
-	}
-	recordFail := func(id int, path string) {
-		m := fails[id]
-		if m == nil {
-			m = make(map[string]int)
-			fails[id] = m
-		}
-		m[path]++
-	}
-	exhaustedEverywhere := func(id int) bool {
-		for _, p := range paths {
-			if pathFails(id, p.Name()) < opts.maxRetries() {
-				return false
-			}
-		}
-		return true
-	}
+	now := func() float64 { return clk.Since(start).Seconds() }
 	g := newErrGroup(ctx)
 	// Wake all cond waiters when the group context dies (parent cancel or
 	// a worker error) so they can exit.
@@ -611,73 +584,13 @@ func runGreedy(ctx context.Context, algo Algo, items []Item, paths []Path, opts 
 	})
 	defer stopWake()
 
-	// pickDuplicate selects the oldest in-flight item this path is not
-	// already carrying (and has retry budget left for), preferring items
-	// with the fewest replicas.
-	pickDuplicate := func(self string) *flight {
-		var cands []*flight
-		for _, f := range inflight {
-			if _, carrying := f.replicas[self]; carrying {
-				continue
-			}
-			if len(f.replicas) >= len(paths) {
-				continue
-			}
-			if pathFails(f.item.ID, self) >= opts.maxRetries() {
-				continue
-			}
-			cands = append(cands, f)
-		}
-		if len(cands) == 0 {
-			return nil
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if algo == Playout {
-				// Head-of-line first: the lowest-ID incomplete item is
-				// what gates in-order playout.
-				return cands[i].item.ID < cands[j].item.ID
-			}
-			if len(cands[i].replicas) != len(cands[j].replicas) {
-				return len(cands[i].replicas) < len(cands[j].replicas)
-			}
-			return cands[i].seq < cands[j].seq
-		})
-		return cands[0]
-	}
-
-	// takeable returns the index of the first pending item this path may
-	// still attempt, or −1.
-	takeable := func(self string) int {
-		for i, it := range pending {
-			if pathFails(it.ID, self) < opts.maxRetries() {
-				return i
-			}
-		}
-		return -1
-	}
-
-	for _, p := range paths {
-		p := p
+	for pi, p := range paths {
+		pi, name, p := pi, p.Name(), p
 		g.go_(func(ctx context.Context) error {
+			ev, tc, m := trk.opts.Events, trk.opts.Trace, trk.opts.Metrics
 			for {
-				// Circuit-breaker gate: while this path's breaker is open
-				// it is ejected from the rotation — sleep out the cooldown
-				// (waking early on completion or cancellation), then come
-				// back as the half-open probe.
-				if br := trk.res.breakerFor(p.Name()); br != nil {
-					if wait, ok := br.admit(trk.clk.Now()); !ok {
-						if trk.sleepFor(ctx, wait) {
-							continue
-						}
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-						// Transaction resolved while ejected: fall through
-						// to the exit checks under the lock.
-					}
-				}
 				mu.Lock() //3golvet:allow locksafe — condition-variable protocol; cond.Wait needs the raw mutex
-				var takeIdx int
+				var d Decision
 				for {
 					if failed != nil {
 						mu.Unlock()
@@ -687,42 +600,45 @@ func runGreedy(ctx context.Context, algo Algo, items []Item, paths []Path, opts 
 						mu.Unlock()
 						return nil
 					}
-					takeIdx = takeable(p.Name())
-					if takeIdx >= 0 {
-						break
+					d = core.Idle(pi, now())
+					if d.Probe {
+						m.breakerProbed(name)
+						ev.Point(tc, "scheduler.breaker_probe", "path", name)
 					}
-					if !opts.DisableDuplication && pickDuplicate(p.Name()) != nil {
+					if d.Action != Park {
 						break
 					}
 					cond.Wait()
 				}
-
-				var f *flight
-				if takeIdx >= 0 {
-					it := pending[takeIdx]
-					pending = append(pending[:takeIdx], pending[takeIdx+1:]...)
-					f = &flight{item: it, seq: seq, replicas: map[string]context.CancelFunc{}}
-					seq++
-					inflight[it.ID] = f
-				} else {
-					f = pickDuplicate(p.Name())
-					trk.addDuplicate(p.Name())
+				if d.Action == Wait {
+					// Breaker open: the path is out of the rotation. Sleep
+					// out the hold (waking early on completion or
+					// cancellation), then come back as the half-open probe.
+					mu.Unlock()
+					if !trk.sleepFor(ctx, toDuration(d.Until-now())) {
+						if err := ctx.Err(); err != nil {
+							return err
+						}
+					}
+					continue
 				}
 				tctx, cancel := context.WithCancel(ctx)
-				f.replicas[p.Name()] = cancel
-				item := f.item
+				cancels[pi] = cancel
+				item := items[d.Item]
+				if d.Action == Duplicate {
+					trk.addDuplicate(name)
+				}
 				mu.Unlock()
-				trk.opts.Metrics.assigned(p.Name())
-				ev, tc := trk.opts.Events, trk.opts.Trace
-				if takeIdx >= 0 {
+				m.assigned(name)
+				if d.Action == Assign {
 					ev.Point(tc, "scheduler.assign",
-						"item", eventlog.Int(int64(item.ID)), "path", p.Name())
+						"item", eventlog.Int(int64(item.ID)), "path", name)
 				} else {
 					ev.Point(tc, "scheduler.duplicate",
-						"item", eventlog.Int(int64(item.ID)), "path", p.Name())
+						"item", eventlog.Int(int64(item.ID)), "path", name)
 				}
 				sp := ev.Begin(tc, "scheduler.attempt",
-					"item", eventlog.Int(int64(item.ID)), "path", p.Name())
+					"item", eventlog.Int(int64(item.ID)), "path", name)
 
 				n, err, stalled := runAttempt(eventlog.NewContext(tctx, sp.Context()), p, item, trk)
 				// Record whether *our replica* was cancelled before we
@@ -733,89 +649,81 @@ func runGreedy(ctx context.Context, algo Algo, items []Item, paths []Path, opts 
 				replicaCancelled := tctx.Err() != nil
 				cancel()
 
-				var backoffDelay time.Duration
+				var backoff float64
 				mu.Lock() //3golvet:allow locksafe — outcome bookkeeping unlocks manually on the abort path
-				delete(f.replicas, p.Name())
 				switch {
 				case err == nil:
-					won := false
-					if !trk.isDone(item.ID) {
-						won = trk.complete(item, p.Name(), n)
-					} else {
-						trk.addBytes(p.Name(), n)
-						trk.addWaste(n)
-					}
-					if won {
+					s := core.Succeeded(item.ID, pi)
+					if s.Won {
+						trk.complete(item, name, n)
 						sp.End("outcome", "ok", "bytes", eventlog.Int(n))
 						// Abort losing replicas; their partial bytes are
 						// accounted when their Transfer returns.
-						for _, c := range f.replicas {
-							c()
+						for _, q := range s.Cancel {
+							cancels[q]()
 						}
-						delete(inflight, item.ID)
 					} else {
+						trk.addBytes(name, n)
+						trk.addWaste(n)
 						sp.End("outcome", "lost_race", "bytes", eventlog.Int(n))
 					}
-					trk.res.onSuccess(p.Name())
+					if s.Closed {
+						m.breakerClosed(name)
+						ev.Point(tc, "scheduler.breaker_close", "path", name)
+					}
 					cond.Broadcast()
 				case replicaCancelled && ctx.Err() == nil:
-					// Cancelled because another replica won: waste.
+					// Cancelled because another replica won: waste. The
+					// core released this path when the winner reported.
 					sp.End("outcome", "cancelled", "bytes", eventlog.Int(n))
-					trk.addBytes(p.Name(), n)
+					trk.addBytes(name, n)
 					trk.addWaste(n)
 					cond.Broadcast()
 				case ctx.Err() != nil:
 					sp.End("outcome", "cancelled", "bytes", eventlog.Int(n))
-					trk.addBytes(p.Name(), n)
+					trk.addBytes(name, n)
 					mu.Unlock()
 					return ctx.Err()
 				default:
-					// Genuine transfer failure: requeue unless the item
-					// completed elsewhere or every path has exhausted its
-					// retry budget for it.
+					// Genuine transfer failure.
 					sp.End("outcome", "error", "bytes", eventlog.Int(n), "error", err.Error())
-					trk.addBytes(p.Name(), n)
+					trk.addBytes(name, n)
 					if stalled {
-						trk.opts.Metrics.stallAborted(p.Name())
+						m.stallAborted(name)
 						ev.Point(tc, "scheduler.stall",
-							"item", eventlog.Int(int64(item.ID)), "path", p.Name(),
-							"timeout_s", eventlog.Float(trk.res.stall.Seconds()))
+							"item", eventlog.Int(int64(item.ID)), "path", name,
+							"timeout_s", eventlog.Float(opts.StallTimeout.Seconds()))
 					}
-					trk.opts.Metrics.retried(p.Name())
+					m.retried(name)
 					ev.Point(tc, "scheduler.retry",
-						"item", eventlog.Int(int64(item.ID)), "path", p.Name())
-					backoffDelay = trk.res.onFailure(p.Name(), trk.clk.Now())
-					if !trk.isDone(item.ID) {
-						recordFail(item.ID, p.Name())
-						switch {
-						case exhaustedEverywhere(item.ID):
-							attempts := 0
-							for _, c := range fails[item.ID] {
-								attempts += c
-							}
-							failed = &ItemError{ItemID: item.ID, ItemName: item.Name,
-								PathName: p.Name(), Attempts: attempts, Everywhere: true, Err: err}
-							ev.Point(tc, "scheduler.exhausted",
-								"item", eventlog.Int(int64(item.ID)), "path", p.Name())
-						case len(f.replicas) == 0:
-							// No other replica carries it: requeue so a
-							// path with remaining budget can take it.
-							delete(inflight, item.ID)
-							pending = append(pending, item)
-							trk.opts.Metrics.requeued()
-							ev.Point(tc, "scheduler.requeue",
-								"item", eventlog.Int(int64(item.ID)), "path", p.Name())
-						}
+						"item", eventlog.Int(int64(item.ID)), "path", name)
+					f := core.Failed(item.ID, pi, now())
+					if f.Opened {
+						m.breakerOpened(name)
+						ev.Point(tc, "scheduler.breaker_open",
+							"path", name, "cooldown_s", eventlog.Float(f.Cooldown))
 					}
+					switch {
+					case f.Exhausted:
+						failed = &ItemError{ItemID: item.ID, ItemName: item.Name,
+							PathName: name, Attempts: f.Attempts, Everywhere: true, Err: err}
+						ev.Point(tc, "scheduler.exhausted",
+							"item", eventlog.Int(int64(item.ID)), "path", name)
+					case f.Requeued:
+						m.requeued()
+						ev.Point(tc, "scheduler.requeue",
+							"item", eventlog.Int(int64(item.ID)), "path", name)
+					}
+					backoff = f.Backoff
 					cond.Broadcast()
 				}
 				mu.Unlock()
-				if backoffDelay > 0 {
-					trk.opts.Metrics.backedOff(p.Name())
+				if backoff > 0 {
+					m.backedOff(name)
 					ev.Point(tc, "scheduler.backoff",
-						"item", eventlog.Int(int64(item.ID)), "path", p.Name(),
-						"delay_s", eventlog.Float(backoffDelay.Seconds()))
-					trk.sleepFor(ctx, backoffDelay)
+						"item", eventlog.Int(int64(item.ID)), "path", name,
+						"delay_s", eventlog.Float(backoff))
+					trk.sleepFor(ctx, toDuration(backoff))
 				}
 			}
 		})

@@ -36,6 +36,9 @@
 #      (3golobs gen-docs -check)
 #  13. package docs — every package must carry a godoc comment
 #      (go list's .Doc field is empty otherwise)
+#  14. code size — BENCH_codesize.json must match scripts/codesize.sh
+#      (lines of Go, packages, binaries), so every PR's size change is
+#      in its diff
 #
 # Usage: ./scripts/check.sh   (from anywhere; cd's to the repo root)
 set -eu
@@ -137,6 +140,14 @@ undocumented=$(go list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./...)
 if [ -n "$undocumented" ]; then
     echo "check.sh: packages missing a package-level doc comment:" >&2
     echo "$undocumented" >&2
+    exit 1
+fi
+
+echo '==> code size (BENCH_codesize.json matches scripts/codesize.sh)'
+# The committed snapshot is how a reviewer sees whether a PR grew or
+# shrank the tree; a stale file hides that.
+if ! ./scripts/codesize.sh | cmp -s - BENCH_codesize.json; then
+    echo "check.sh: BENCH_codesize.json is stale; run ./scripts/codesize.sh > BENCH_codesize.json" >&2
     exit 1
 fi
 
