@@ -8,11 +8,13 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"threegol/internal/hls"
+	"threegol/internal/proxy"
 	"threegol/internal/scheduler"
 	"threegol/internal/transfer"
 )
@@ -70,7 +72,17 @@ type vodProxy struct {
 	adsl   *http.Client
 	routes []Route
 
+	// ctx scopes the prefetch transaction; close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	srv    *http.Server // set by listen
+
+	// handlers counts ServeHTTP calls in flight. Add happens only under
+	// mu with closed unset, so once close has set it Wait is final.
+	handlers sync.WaitGroup
+
 	mu       sync.Mutex
+	closed   bool
 	cache    *transfer.Cache
 	prefetch map[string]bool // segment URL → prefetch in flight/done
 	report   *scheduler.Report
@@ -82,7 +94,8 @@ type vodProxy struct {
 // player points at: direct is the ADSL route, routes are the admissible
 // devices' proxied clients, origin is the upstream base URL. This is the
 // deployable (non-emulated) entry point; Home.BoostVoD wraps it for the
-// emulated experiments.
+// emulated experiments. The handler has no end of session: its prefetch
+// runs to completion and its segment buffers are the garbage collector's.
 func NewVoDProxy(direct *http.Client, routes []Route, origin string, algo scheduler.Algo, opts scheduler.Options) (http.Handler, error) {
 	vp, err := newVoDProxy(direct, routes, origin, algo, opts)
 	if err != nil {
@@ -99,12 +112,15 @@ func newVoDProxy(direct *http.Client, routes []Route, origin string, algo schedu
 	if direct == nil {
 		direct = http.DefaultClient
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &vodProxy{
 		origin:   u,
 		algo:     algo,
 		opts:     opts,
 		adsl:     direct,
 		routes:   routes,
+		ctx:      ctx,
+		cancel:   cancel,
 		cache:    transfer.NewCache(),
 		prefetch: make(map[string]bool),
 		done:     make(chan struct{}),
@@ -121,6 +137,11 @@ func (v *vodProxy) originURL(r *http.Request) string {
 
 // ServeHTTP implements the player-facing reverse proxy.
 func (v *vodProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !v.enter() {
+		http.Error(w, "session closed", http.StatusServiceUnavailable)
+		return
+	}
+	defer v.handlers.Done()
 	target := v.originURL(r)
 	if hls.IsPlaylistURI(target) {
 		v.servePlaylist(w, r, target)
@@ -135,10 +156,56 @@ func (v *vodProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "video/mp2t")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		_, _ = w.Write(body) // client disconnects surface on the next request
 		return
 	}
 	v.passthrough(w, r, target)
+}
+
+// enter admits one ServeHTTP call unless the session is closed; the
+// caller owes handlers.Done.
+func (v *vodProxy) enter() bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.closed {
+		return false
+	}
+	v.handlers.Add(1)
+	return true
+}
+
+// listen serves the proxy to one session's player on a loopback port and
+// returns its base URL; close stops it.
+func (v *vodProxy) listen() (string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", fmt.Errorf("core: starting VoD proxy listener: %w", err)
+	}
+	v.srv = &http.Server{Handler: v}
+	go v.srv.Serve(ln) //3golvet:allow goroleak — bounded by close's srv.Close, which makes Serve return
+	return "http://" + ln.Addr().String(), nil
+}
+
+// close ends the session. It cancels the prefetch transaction (a no-op
+// once it has finished), closes the server and waits, in this order, for
+// every handler in flight to return and for the transaction's paths to
+// stop. Only then does nobody hold a cached slice or a buffer bound for
+// the cache, and the segment buffers go back for the next session (see
+// transfer.Cache).
+func (v *vodProxy) close() {
+	v.mu.Lock()
+	v.closed = true
+	v.mu.Unlock()
+	v.cancel()
+	if v.srv != nil {
+		_ = v.srv.Close() // only the listener's close error; the session is over either way
+	}
+	v.handlers.Wait()
+	if v.started() {
+		<-v.done
+	}
+	v.cache.Release()
 }
 
 func (v *vodProxy) passthrough(w http.ResponseWriter, r *http.Request, target string) {
@@ -159,7 +226,7 @@ func (v *vodProxy) passthrough(w http.ResponseWriter, r *http.Request, target st
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	_, _ = proxy.Relay(w, resp.Body) // either end hanging up ends the relay; nothing to add
 }
 
 // servePlaylist fetches the playlist over ADSL, and when it is a media
@@ -227,7 +294,7 @@ func (v *vodProxy) startPrefetch(playlistURL string, media *hls.MediaPlaylist) {
 	}
 	paths := v.buildPaths()
 	go func() {
-		rep, err := scheduler.Run(context.Background(), v.algo, items, paths, v.opts)
+		rep, err := scheduler.Run(v.ctx, v.algo, items, paths, v.opts)
 		v.mu.Lock()
 		v.report, v.runErr = rep, err
 		v.mu.Unlock()
@@ -273,13 +340,13 @@ func (h *Home) BoostVoD(ctx context.Context, origin, masterPath string, opts VoD
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, err := vp.listen()
 	if err != nil {
-		return nil, fmt.Errorf("core: starting VoD proxy listener: %w", err)
+		return nil, err
 	}
-	srv := &http.Server{Handler: vp}
-	go srv.Serve(ln) //3golvet:allow goroleak — bounded by the deferred srv.Close, which makes Serve return
-	defer srv.Close()
+	// Whatever way the session ends, its transaction ends with it and
+	// its segment buffers are recycled once nothing can touch them.
+	defer vp.close()
 
 	player := &hls.Player{
 		// The player sits next to the proxy on the client machine: its
@@ -288,7 +355,7 @@ func (h *Home) BoostVoD(ctx context.Context, origin, masterPath string, opts VoD
 		Client:        &http.Client{},
 		PrebufferFrac: opts.PrebufferFrac,
 	}
-	res, err := player.Play(ctx, "http://"+ln.Addr().String()+masterPath, opts.Quality)
+	res, err := player.Play(ctx, base+masterPath, opts.Quality)
 	if err != nil {
 		return nil, fmt.Errorf("core: boosted playback: %w", err)
 	}

@@ -1,6 +1,8 @@
 package hls
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
 	"io"
 	"net/http"
@@ -9,6 +11,44 @@ import (
 	"testing"
 	"testing/quick"
 )
+
+// The body generator emits 8 bytes per step; sizes that end inside a
+// word, below and above one chunk, must still come out exact,
+// deterministic and incompressible.
+func TestSyntheticBodyExactAtOddSizes(t *testing.T) {
+	body := func(size int, seed int64) []byte {
+		rec := httptest.NewRecorder()
+		writeSyntheticBody(rec, size, seed)
+		return rec.Body.Bytes()
+	}
+	for _, size := range []int{0, 1, 7, 8, 9, 12_503, bodyChunk, bodyChunk + 3, 3*bodyChunk + 4093} {
+		a, b := body(size, 5), body(size, 5)
+		if len(a) != size {
+			t.Errorf("size %d: wrote %d bytes", size, len(a))
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("size %d: two bodies from one seed differ", size)
+		}
+		if size >= 8 && bytes.Equal(a, body(size, 6)) {
+			t.Errorf("size %d: seeds 5 and 6 gave the same body", size)
+		}
+	}
+	raw := body(100_003, 1)
+	var packed bytes.Buffer
+	zw, err := flate.NewWriter(&packed, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if packed.Len() < len(raw)*99/100 {
+		t.Errorf("body deflates from %d to %d bytes: a middlebox could shrink it", len(raw), packed.Len())
+	}
+}
 
 func TestVideoGeometry(t *testing.T) {
 	v := BipBop()

@@ -1,11 +1,13 @@
 package hls
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"path"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Quality describes one encoded rendition of a video.
@@ -179,25 +181,37 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// bodyChunk is the unit writeSyntheticBody generates and writes: a
+// multiple of 8, so only a body's last chunk can end inside a word.
+const bodyChunk = 16 * 1024
+
+var bodyChunks = sync.Pool{New: func() any {
+	b := make([]byte, bodyChunk)
+	return &b
+}}
+
 // writeSyntheticBody streams size bytes of deterministic pseudo-random
 // data derived from seed, in chunks, without allocating the whole body.
+// It is fixture code: one generator step yields 8 bytes so that serving
+// a body costs little next to the proxy path under test.
 func writeSyntheticBody(w http.ResponseWriter, size int, seed int64) {
-	const chunk = 16 * 1024
-	buf := make([]byte, chunk)
+	bp := bodyChunks.Get().(*[]byte)
+	defer bodyChunks.Put(bp)
+	buf := *bp
 	x := uint64(seed)*2862933555777941757 + 3037000493
 	for size > 0 {
-		n := chunk
+		n := bodyChunk
 		if size < n {
 			n = size
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < n; i += 8 {
 			// xorshift64* keeps the body incompressible enough that
 			// proxies cannot shrink it (the paper avoids compressing
 			// middleboxes by using random payloads).
 			x ^= x >> 12
 			x ^= x << 25
 			x ^= x >> 27
-			buf[i] = byte(x * 2685821657736338717 >> 56)
+			binary.LittleEndian.PutUint64(buf[i:], x*2685821657736338717)
 		}
 		if _, err := w.Write(buf[:n]); err != nil {
 			return

@@ -119,7 +119,7 @@ type Parsed struct {
 // HLS-aware client proxy applies to intercepted playlist responses.
 func Parse(r io.Reader) (*Parsed, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // lines up to 1 MB; the buffer grows from the scanner's default
 	var first string
 	for sc.Scan() {
 		first = strings.TrimSpace(sc.Text())

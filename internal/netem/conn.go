@@ -59,8 +59,9 @@ type shaper struct {
 	stallDelay time.Duration
 
 	mu       sync.Mutex
-	rng      *rand.Rand
-	latentcy sync.Once // pays the one-way latency once per connection
+	seed     int64
+	rng      *rand.Rand // seeded from seed on the first draw
+	latentcy sync.Once  // pays the one-way latency once per connection
 }
 
 func newShaper(s Shape, scale float64, seed int64, clk clock.Clock) *shaper {
@@ -70,7 +71,7 @@ func newShaper(s Shape, scale float64, seed int64, clk clock.Clock) *shaper {
 		jitter:     time.Duration(float64(s.Jitter) / scale),
 		stallProb:  s.StallProb,
 		stallDelay: time.Duration(float64(s.StallDelay) / scale),
-		rng:        rand.New(rand.NewSource(seed)),
+		seed:       seed,
 	}
 	if s.Rate > 0 {
 		sh.limiters = append(sh.limiters, NewLimiter(s.Rate*scale, 0))
@@ -105,8 +106,14 @@ func (s *shaper) pace(n int) {
 // stochasticDelay draws the per-chunk jitter and stall penalty under the
 // shaper's lock (the rng is not safe for concurrent use).
 func (s *shaper) stochasticDelay() time.Duration {
+	if s.jitter <= 0 && s.stallProb <= 0 {
+		return 0 // nothing to draw: most connections never need the rng
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
 	var d time.Duration
 	if s.jitter > 0 {
 		d += time.Duration(s.rng.Int63n(int64(s.jitter)))

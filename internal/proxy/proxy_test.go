@@ -249,3 +249,26 @@ func TestProxyDebugRouteBypassesAdmitGate(t *testing.T) {
 		t.Errorf("metrics body missing proxy_requests_total:\n%s", body)
 	}
 }
+
+// readerFromTrap is a destination whose ReadFrom, the shortcut io.Copy
+// takes and the one that allocates a buffer per response, must stay
+// unused.
+type readerFromTrap struct {
+	bytes.Buffer
+	t *testing.T
+}
+
+func (d *readerFromTrap) ReadFrom(io.Reader) (int64, error) {
+	d.t.Error("Relay let the destination's ReadFrom do the copy")
+	return 0, nil
+}
+
+func TestRelayCopiesThroughItsOwnBuffer(t *testing.T) {
+	want := bytes.Repeat([]byte("3gol"), 50_000) // several buffers' worth
+	dst := &readerFromTrap{t: t}
+	// Like a response body, the source offers no WriteTo shortcut either.
+	n, err := Relay(dst, struct{ io.Reader }{bytes.NewReader(want)})
+	if err != nil || n != int64(len(want)) || !bytes.Equal(dst.Bytes(), want) {
+		t.Fatalf("Relay = %d, %v; %d bytes arrived, want %d", n, err, dst.Len(), len(want))
+	}
+}

@@ -27,10 +27,12 @@ type DownloadPath struct {
 	// transport: the ADSL path uses a dialer shaped to the DSL line; a
 	// phone path uses a transport whose Proxy points at the device.
 	Client *http.Client
-	// Sink consumes each item's body; nil discards it. The HLS client
-	// proxy installs a caching sink here. Sink must be safe for
-	// concurrent calls with distinct items.
-	Sink func(item scheduler.Item, body io.Reader) (int64, error)
+	// Sink consumes each item's body; nil discards it. size is the
+	// response's Content-Length, -1 when the origin did not declare one.
+	// The HLS client proxy installs a caching sink here. Sink must be
+	// safe for concurrent calls, with the same item too (GRD's endgame
+	// runs one item on two paths).
+	Sink func(item scheduler.Item, body io.Reader, size int64) (int64, error)
 	// Metrics, when non-nil, receives transfer instrumentation (see
 	// NewMetrics); one Metrics may be shared across paths.
 	Metrics *Metrics
@@ -84,7 +86,7 @@ func (p *DownloadPath) transfer(ctx context.Context, item scheduler.Item, progre
 	}
 	sink := p.Sink
 	if sink == nil {
-		sink = func(_ scheduler.Item, body io.Reader) (int64, error) {
+		sink = func(_ scheduler.Item, body io.Reader, _ int64) (int64, error) {
 			return io.Copy(io.Discard, body)
 		}
 	}
@@ -92,7 +94,7 @@ func (p *DownloadPath) transfer(ctx context.Context, item scheduler.Item, progre
 	if progress != nil {
 		body = &progressReader{r: body, fn: progress}
 	}
-	n, err = sink(item, body)
+	n, err = sink(item, body, resp.ContentLength)
 	if err != nil {
 		// Prefer reporting cancellation over the wrapped copy error so
 		// the scheduler classifies aborted replicas correctly.
@@ -280,100 +282,4 @@ func (c *countingReader) count() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
-}
-
-// Cache is a concurrency-safe in-memory store of completed item bodies,
-// keyed by item name. The HLS client proxy prefetches segments into a
-// Cache through the scheduler and serves the player's sequential GETs
-// from it, waiting when the player outruns the prefetcher.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[string][]byte
-	waiters map[string][]chan []byte
-}
-
-// NewCache creates an empty cache.
-func NewCache() *Cache {
-	return &Cache{
-		entries: make(map[string][]byte),
-		waiters: make(map[string][]chan []byte),
-	}
-}
-
-// Put stores a completed item and releases any waiters.
-func (c *Cache) Put(name string, body []byte) {
-	c.mu.Lock()
-	c.entries[name] = body
-	ws := c.waiters[name]
-	delete(c.waiters, name)
-	c.mu.Unlock()
-	for _, w := range ws {
-		w <- body
-	}
-}
-
-// Get returns the cached body, if present.
-func (c *Cache) Get(name string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.entries[name]
-	return b, ok
-}
-
-// Wait blocks until the item is cached or the context is cancelled.
-func (c *Cache) Wait(ctx context.Context, name string) ([]byte, error) {
-	b, ch := c.subscribe(name)
-	if ch == nil {
-		return b, nil
-	}
-	select {
-	case b := <-ch:
-		return b, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// subscribe returns the cached body (nil channel), or registers and
-// returns a waiter channel for a not-yet-cached item.
-func (c *Cache) subscribe(name string) ([]byte, chan []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.entries[name]; ok {
-		return b, nil
-	}
-	ch := make(chan []byte, 1)
-	c.waiters[name] = append(c.waiters[name], ch)
-	return nil, ch
-}
-
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Bytes reports the total cached payload size.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t int64
-	for _, b := range c.entries {
-		t += int64(len(b))
-	}
-	return t
-}
-
-// CachingSink returns a DownloadPath sink that stores bodies into cache
-// under the item's name.
-func CachingSink(cache *Cache) func(scheduler.Item, io.Reader) (int64, error) {
-	return func(item scheduler.Item, body io.Reader) (int64, error) {
-		buf, err := io.ReadAll(body)
-		if err != nil {
-			return int64(len(buf)), err
-		}
-		cache.Put(item.Name, buf)
-		return int64(len(buf)), nil
-	}
 }

@@ -9,34 +9,38 @@
 #      (type-aware, ratcheted against lint/baseline.json; emits
 #      vet-report.json for CI artifact upload)
 #   5. go test -race — full suite under the race detector
-#   6. fleet smoke — 3golfleet city-scale engine run inside a time
+#   6. alloc budget — TestBoostVoDAllocBudget without the race detector
+#      (the race stage skips it): a boosted BipBop q4 session at steady
+#      state allocates under 2 MB, the ratchet on the segment-buffer
+#      recycling of the client proxy
+#   7. fleet smoke — 3golfleet city-scale engine run inside a time
 #      budget, with its -json report validated for shape
-#   7. trace smoke — 3golfleet -events flight-recorder capture piped
+#   8. trace smoke — 3golfleet -events flight-recorder capture piped
 #      through 3goltrace -check (stream invariants)
-#   8. chaos smoke — 3golfleet -chaos runs the fault-injection harness
+#   9. chaos smoke — 3golfleet -chaos runs the fault-injection harness
 #      under a hostile scenario and under blackout-all; the command
 #      exits non-zero if any resilience invariant (exactly-once
 #      delivery, duplicate-waste bound, ADSL-only completion) breaks
-#   9. chaos at scale — the hostile scenario again at 100k homes: the
+#  10. chaos at scale — the hostile scenario again at 100k homes: the
 #      invariants must hold, and the run must fit the time budget, at a
 #      population three orders of magnitude above the race-detector
 #      tests (which cap at tens of homes for wall-time reasons)
-#  10. permit smoke — 3golpermitload -smoke drives a few thousand
+#  11. permit smoke — 3golpermitload -smoke drives a few thousand
 #      simulated clients through an in-process sharded permit plane
 #      over real HTTP and asserts the decision invariants (no errors,
 #      every client served, mixed grant/deny split); the JSON report is
 #      left at bench-permit-smoke.json for CI artifact upload
-#  11. permit chaos smoke — 3golpermitload -chaos spawns a real
+#  12. permit chaos smoke — 3golpermitload -chaos spawns a real
 #      3golpermitd with a WAL, SIGKILLs it mid-load, independently
 #      replays the WAL, restarts the daemon and cross-checks every
 #      shard's recovered state hash; the command exits non-zero on any
 #      recovery-invariant violation. The lifecycle eventlog is left at
 #      chaos-permit-events.jsonl for CI artifact upload
-#  12. metrics docs — METRICS.md must match the live registry
+#  13. metrics docs — METRICS.md must match the live registry
 #      (3golobs gen-docs -check)
-#  13. package docs — every package must carry a godoc comment
+#  14. package docs — every package must carry a godoc comment
 #      (go list's .Doc field is empty otherwise)
-#  14. code size — BENCH_codesize.json must match scripts/codesize.sh
+#  15. code size — BENCH_codesize.json must match scripts/codesize.sh
 #      (lines of Go, packages, binaries), so every PR's size change is
 #      in its diff
 #
@@ -73,6 +77,11 @@ echo '==> go test -race ./...'
 # race detector (see the race_test.go files), which lengthens wall time;
 # give the slowest package headroom beyond the default 10m.
 go test -race -timeout 20m ./...
+
+echo '==> alloc budget (go test -run TestBoostVoDAllocBudget ./internal/core, no -race)'
+# Allocation counts mean nothing under the race detector, so the stage
+# above skips this test; -count=1 keeps a cached pass from standing in.
+go test -count=1 -run 'TestBoostVoDAllocBudget$' ./internal/core
 
 echo '==> fleet smoke (3golfleet -json inside a time budget)'
 # A small city-scale run must finish inside the time budget (a hang or
