@@ -8,10 +8,14 @@ package fault
 // random workloads and compiled fault plans and held to the paper's
 // transaction-level claims: every item delivered exactly once, loser
 // waste at any completion ≤ (N−1)·Sm, termination, and ADSL-only
-// completion when every phone is dead.
+// completion when every phone is dead. The live driver also runs the
+// two fixed-queue baselines, which promise less: termination, no
+// duplicate and no waste, and an honest error when a dead path holds an
+// item nobody else may carry.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -160,86 +164,134 @@ func TestLiveDriverProperties(t *testing.T) {
 	// transaction lasts a few hundred real milliseconds and meets as many
 	// windows as its simulated twin.
 	const scale = 1.0 / 50
+	const maxRetries = 4
 	for seed := int64(0); seed < 16; seed++ {
 		seed := seed
 		w := randomWorkload(seed)
 		t.Run(fmt.Sprintf("%s/seed%d", w.scenario, seed), func(t *testing.T) {
 			t.Parallel()
-			plan := scalePlan(MustCompile(w.scenario, seed, w.phones(), 120), scale)
-			items := make([]scheduler.Item, len(w.sizes))
-			for i, size := range w.sizes {
-				items[i] = scheduler.Item{ID: i, Name: "item" + strconv.Itoa(i), Size: int64(float64(size) * scale)}
-			}
-			epoch := time.Now()
-			paths := make([]scheduler.Path, len(w.names))
-			for i, name := range w.names {
-				paths[i] = WrapPath(&memPath{name: name, rate: w.rates[i]}, plan, epoch, nil)
-			}
-			log := eventlog.New(0, seed, func() float64 { return time.Since(epoch).Seconds() })
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			rep, err := scheduler.Run(ctx, scheduler.Greedy, items, paths, scheduler.Options{
-				MaxRetries:   4,
-				Backoff:      scheduler.BackoffConfig{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Jitter: 0.5, Seed: seed},
-				StallTimeout: 40 * time.Millisecond,
-				Breaker:      scheduler.BreakerConfig{Threshold: 3, Cooldown: 20 * time.Millisecond},
-				Events:       log,
-			})
-			if err != nil {
-				t.Fatalf("Run: %v", err) // includes non-termination: the deadline
-			}
-
-			// The attempt spans are the driver's own record of what each
-			// replica did: one "ok" per item, losers' bytes as waste.
-			events := log.Events()
-			itemOf := make(map[string]int) // attempt span → item
-			for _, ev := range events {
-				if ev.Kind == eventlog.KindBegin && ev.Name == "scheduler.attempt" {
-					itemOf[ev.Span], _ = strconv.Atoi(ev.Attrs["item"])
+			for _, algo := range []scheduler.Algo{scheduler.Greedy, scheduler.Playout, scheduler.RoundRobin, scheduler.MinTime} {
+				plan := scalePlan(MustCompile(w.scenario, seed, w.phones(), 120), scale)
+				items := make([]scheduler.Item, len(w.sizes))
+				for i, size := range w.sizes {
+					items[i] = scheduler.Item{ID: i, Name: "item" + strconv.Itoa(i), Size: int64(float64(size) * scale)}
 				}
-			}
-			delivered := make([]int, len(items))
-			loss := make([]int64, len(items))
-			var wasted int64
-			for _, ev := range events {
-				if ev.Kind != eventlog.KindEnd || ev.Name != "scheduler.attempt" {
+				epoch := time.Now()
+				paths := make([]scheduler.Path, len(w.names))
+				for i, name := range w.names {
+					paths[i] = WrapPath(&memPath{name: name, rate: w.rates[i]}, plan, epoch, nil)
+				}
+				log := eventlog.New(0, seed, func() float64 { return time.Since(epoch).Seconds() })
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				rep, err := scheduler.Run(ctx, algo, items, paths, scheduler.Options{
+					MaxRetries:   maxRetries,
+					Backoff:      scheduler.BackoffConfig{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Jitter: 0.5, Seed: seed},
+					StallTimeout: 40 * time.Millisecond,
+					Breaker:      scheduler.BreakerConfig{Threshold: 3, Cooldown: 20 * time.Millisecond},
+					Events:       log,
+				})
+				cancel()
+
+				// The attempt spans are the driver's own record of what each
+				// replica did: one "ok" per item, losers' bytes as waste,
+				// failures charged to the path that suffered them.
+				events := log.Events()
+				type attempt struct {
+					item int
+					path string
+				}
+				attemptOf := make(map[string]attempt) // attempt span → what it carried
+				dups := 0
+				for _, ev := range events {
+					if ev.Kind == eventlog.KindBegin && ev.Name == "scheduler.attempt" {
+						item, _ := strconv.Atoi(ev.Attrs["item"])
+						attemptOf[ev.Span] = attempt{item, ev.Attrs["path"]}
+					}
+					if ev.Kind == eventlog.KindPoint && ev.Name == "scheduler.duplicate" {
+						dups++
+					}
+				}
+				delivered := make([]int, len(items))
+				loss := make([]int64, len(items))
+				killed := make(map[attempt]int)
+				var wasted int64
+				for _, ev := range events {
+					if ev.Kind != eventlog.KindEnd || ev.Name != "scheduler.attempt" {
+						continue
+					}
+					bytes, _ := strconv.ParseInt(ev.Attrs["bytes"], 10, 64)
+					switch ev.Attrs["outcome"] {
+					case "ok":
+						delivered[attemptOf[ev.Span].item]++
+					case "error":
+						killed[attemptOf[ev.Span]]++
+					case "cancelled", "lost_race":
+						loss[attemptOf[ev.Span].item] += bytes
+						wasted += bytes
+					}
+				}
+
+				if algo == scheduler.RoundRobin || algo == scheduler.MinTime {
+					// Fixed queues cannot route around a dead path, so they
+					// may lose the transaction — but only honestly: to a path
+					// the plan really killed maxRetries times under one item,
+					// with nothing duplicated, wasted or delivered twice.
+					if dups != 0 {
+						t.Errorf("%v: %d duplicates on fixed queues", algo, dups)
+					}
+					var ie *scheduler.ItemError
+					switch {
+					case err == nil:
+						// (On an abort the attempts still running end
+						// "cancelled" too; that is not replica waste.)
+						if wasted != 0 || rep.WastedBytes != 0 {
+							t.Errorf("%v: wasted %d bytes by the spans, %d by the report", algo, wasted, rep.WastedBytes)
+						}
+					case !errors.As(err, &ie): // includes non-termination: the deadline
+						t.Fatalf("%v: Run: %v", algo, err)
+					case ie.Everywhere || ie.Attempts != maxRetries || ie.PathName == "adsl" ||
+						killed[attempt{ie.ItemID, ie.PathName}] != maxRetries:
+						t.Errorf("%v: %+v, but the attempt spans show item %d died %d times on %s",
+							algo, ie, ie.ItemID, killed[attempt{ie.ItemID, ie.PathName}], ie.PathName)
+					}
+					for i, n := range delivered {
+						if n > 1 || (err == nil && n != 1) {
+							t.Errorf("%v: item %d delivered %d times (Run: %v)", algo, i, n, err)
+						}
+					}
 					continue
 				}
-				bytes, _ := strconv.ParseInt(ev.Attrs["bytes"], 10, 64)
-				switch ev.Attrs["outcome"] {
-				case "ok":
-					delivered[itemOf[ev.Span]]++
-				case "cancelled", "lost_race":
-					loss[itemOf[ev.Span]] += bytes
-					wasted += bytes
+
+				if err != nil {
+					t.Fatalf("%v: Run: %v", algo, err) // includes non-termination: the deadline
 				}
-			}
-			bound := int64(float64(w.wasteBound()) * scale)
-			for i := range items {
-				if delivered[i] != 1 {
-					t.Errorf("item %d delivered %d times", i, delivered[i])
+				bound := int64(float64(w.wasteBound()) * scale)
+				for i := range items {
+					if delivered[i] != 1 {
+						t.Errorf("%v: item %d delivered %d times", algo, i, delivered[i])
+					}
+					if loss[i] > bound {
+						t.Errorf("%v: item %d: loser waste %d > (N-1)·Sm = %d", algo, i, loss[i], bound)
+					}
 				}
-				if loss[i] > bound {
-					t.Errorf("item %d: loser waste %d > (N-1)·Sm = %d", i, loss[i], bound)
+				completions := 0
+				for _, st := range rep.PerPath {
+					completions += st.Items
 				}
-			}
-			completions := 0
-			for _, st := range rep.PerPath {
-				completions += st.Items
-			}
-			if completions != len(items) {
-				t.Errorf("report counts %d completions for %d items", completions, len(items))
-			}
-			if wasted != rep.WastedBytes {
-				t.Errorf("attempt spans show %d wasted bytes, report says %d", wasted, rep.WastedBytes)
-			}
-			if w.scenario == ScenarioBlackoutAll {
-				if got := rep.PerPath["adsl"].Items; got != len(items) {
-					t.Errorf("blackout-all: ADSL carried %d of %d items", got, len(items))
+				if completions != len(items) {
+					t.Errorf("%v: report counts %d completions for %d items", algo, completions, len(items))
 				}
-				for _, phone := range w.phones() {
-					if st := rep.PerPath[phone]; st.Items != 0 || st.Bytes != 0 {
-						t.Errorf("blackout-all: %s moved %+v", phone, st)
+				if wasted != rep.WastedBytes {
+					t.Errorf("%v: attempt spans show %d wasted bytes, report says %d", algo, wasted, rep.WastedBytes)
+				}
+				if w.scenario == ScenarioBlackoutAll {
+					if got := rep.PerPath["adsl"].Items; got != len(items) {
+						t.Errorf("%v: blackout-all: ADSL carried %d of %d items", algo, got, len(items))
+					}
+					for _, phone := range w.phones() {
+						if st := rep.PerPath[phone]; st.Items != 0 || st.Bytes != 0 {
+							t.Errorf("%v: blackout-all: %s moved %+v", algo, phone, st)
+						}
 					}
 				}
 			}

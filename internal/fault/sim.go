@@ -5,7 +5,7 @@ package fault
 // bit-stable across runs — fine for the prototype path, fatal for the
 // fleet engine's byte-identical-across-worker-counts contract. Simulate
 // is the bridge: a single-threaded discrete-event driver of the same
-// decision core (scheduler.Core) the live greedy scheduler runs — item
+// decision core (scheduler.Core) the live scheduler runs — item
 // selection, endgame duplication, retry budgets, requeue, backoff and
 // the circuit breaker are the core's — played against a fault Plan on
 // the float64-seconds timeline the live decorators use. This file owns
@@ -208,15 +208,17 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	if len(cfg.Paths) == 0 {
 		return nil, fmt.Errorf("fault: simulate needs at least one path")
 	}
-	for _, p := range cfg.Paths {
+	n := len(cfg.Paths)
+	names := make([]string, n)
+	for i, p := range cfg.Paths {
 		if p.Rate <= 0 {
 			return nil, fmt.Errorf("fault: path %q has non-positive rate", p.Name)
 		}
+		names[i] = p.Name
 	}
-	n := len(cfg.Paths)
 	s := &simState{
 		cfg:   cfg,
-		core:  scheduler.NewCore(scheduler.Greedy, len(cfg.Items), n, cfg.Policy),
+		core:  scheduler.NewCore(scheduler.Greedy, cfg.Items, names, cfg.Policy),
 		stall: cfg.Policy.StallTimeout.Seconds(),
 		rep: &SimReport{
 			Delivered: make([]int, len(cfg.Items)),
@@ -312,7 +314,7 @@ func (s *simState) resolve(p int, att *simAttempt, t float64) {
 	st.Bytes += att.bytes
 
 	if att.out == attemptOK {
-		if res := s.core.Succeeded(att.item, p); res.Won {
+		if res := s.core.Succeeded(att.item, p, att.bytes, t); res.Won {
 			s.rep.Delivered[att.item]++
 			s.rep.Completed++
 			st.Items++

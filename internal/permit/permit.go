@@ -3,7 +3,9 @@
 // consults the cellular monitoring system and grants a time-limited
 // permit only while utilisation in the device's cell is below the
 // acceptance threshold. Devices cache the permit and stop advertising
-// themselves on the LAN the moment it lapses.
+// themselves on the LAN the moment it lapses — the device side is
+// permitplane.Cache over permitplane.BatchClient, which speaks this
+// backend's GET /permit as its legacy protocol.
 package permit
 
 import (
@@ -11,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -153,149 +154,4 @@ func (b *Backend) count(granted bool) {
 // Stats reports how many requests were granted and denied.
 func (b *Backend) Stats() (grants, denials int64) {
 	return b.grants.Load(), b.denials.Load()
-}
-
-// Client is the device-side permit cache. Allowed consults the cache and
-// refreshes from the backend when the permit has lapsed; it degrades to
-// "not allowed" when the backend is unreachable (fail-safe: no permit, no
-// onloading).
-type Client struct {
-	// BackendURL is the backend's base URL (scheme://host:port).
-	BackendURL string
-	// Device and Cell identify this device and its serving cell.
-	Device, Cell string
-	// HTTPClient issues the permit requests; nil uses a short-timeout
-	// default (the permit check sits on the request path).
-	HTTPClient *http.Client
-	// RequestTimeout bounds each individual backend request (applied as
-	// a per-attempt context deadline, independent of any HTTPClient
-	// timeout); 0 selects 2 seconds. A transient failure — connection
-	// error or 5xx — is retried exactly once within the caller's
-	// context, so a flaky backend costs at most one extra round-trip
-	// and a dead one still fails fast.
-	RequestTimeout time.Duration
-	// Metrics, when non-nil, receives refresh instrumentation (see
-	// NewMetrics).
-	Metrics *Metrics
-	// Events, when non-nil, records a flight-recorder point per backend
-	// refresh, joining the TraceContext riding the caller's context.
-	Events *eventlog.Log
-
-	mu      sync.Mutex
-	granted bool
-	expires time.Time
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return &http.Client{Timeout: 2 * time.Second}
-}
-
-func (c *Client) requestTimeout() time.Duration {
-	if c.RequestTimeout > 0 {
-		return c.RequestTimeout
-	}
-	return 2 * time.Second
-}
-
-// Allowed reports whether the device currently holds a valid permit,
-// refreshing from the backend as needed. It is safe for concurrent use
-// and matches the proxy.Server Admit hook shape. The context rides into
-// the backend refresh, so a refresh made on behalf of a traced proxy
-// request propagates that trace (and its cancellation) to the permit
-// server — there is deliberately no context-free variant.
-func (c *Client) Allowed(ctx context.Context) bool {
-	if ok, fresh := c.cached(); fresh {
-		return ok
-	}
-
-	resp, err := c.fetch(ctx)
-	now := time.Now() //3golvet:allow wallclock — permit TTLs are wall-clock by protocol
-	c.Metrics.refreshed(err == nil && resp.Granted, err)
-	tc, _ := eventlog.FromContext(ctx)
-	granted := err == nil && resp.Granted
-	c.Events.Point(tc, "permit.refresh",
-		"cell", c.Cell, "granted", fmt.Sprintf("%t", granted),
-		"ok", fmt.Sprintf("%t", err == nil))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
-		// Back off briefly on backend failure so a dead backend does not
-		// turn every request into a permit round-trip.
-		c.granted = false
-		c.expires = now.Add(2 * time.Second)
-		return false
-	}
-	c.granted = resp.Granted
-	ttl := time.Duration(resp.TTLSeconds * float64(time.Second))
-	if ttl <= 0 {
-		// Denials are re-checked after a short cool-down ("the
-		// transmission is denied, and the device does not advertise").
-		ttl = 5 * time.Second
-	}
-	c.expires = now.Add(ttl)
-	return c.granted
-}
-
-// cached returns the granted decision while the permit is still fresh.
-func (c *Client) cached() (ok, fresh bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if time.Now().Before(c.expires) { //3golvet:allow wallclock — permit TTLs are wall-clock by protocol
-		return c.granted, true
-	}
-	return false, false
-}
-
-// Invalidate drops the cached permit, forcing a refresh on next use.
-func (c *Client) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expires = time.Time{}
-}
-
-// fetch performs one backend refresh, retrying exactly once when the
-// first attempt fails transiently (connection error or 5xx) and the
-// caller's context is still alive.
-func (c *Client) fetch(ctx context.Context) (*Response, error) {
-	resp, transient, err := c.fetchOnce(ctx)
-	if err != nil && transient && ctx.Err() == nil {
-		c.Metrics.retriedRefresh()
-		resp, _, err = c.fetchOnce(ctx)
-	}
-	return resp, err
-}
-
-// fetchOnce issues a single permit request under the per-attempt
-// timeout. transient classifies the failure: connection-level errors
-// and 5xx responses are worth one retry; 4xx and malformed bodies are
-// not.
-func (c *Client) fetchOnce(ctx context.Context) (resp *Response, transient bool, err error) {
-	rctx, cancel := context.WithTimeout(ctx, c.requestTimeout())
-	defer cancel()
-	url := fmt.Sprintf("%s/permit?device=%s&cell=%s", c.BackendURL, c.Device, c.Cell)
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false, fmt.Errorf("permit: building request for %s: %w", url, err)
-	}
-	if tc, ok := eventlog.FromContext(ctx); ok {
-		eventlog.InjectHTTP(req.Header, tc)
-	}
-	httpResp, err := c.httpClient().Do(req)
-	if err != nil {
-		// Connection refused, reset, or timeout: all transient.
-		return nil, true, fmt.Errorf("permit: requesting %s: %w", url, err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, httpResp.StatusCode >= 500,
-			fmt.Errorf("permit: backend returned %s", httpResp.Status)
-	}
-	var out Response
-	if err := json.NewDecoder(httpResp.Body).Decode(&out); err != nil {
-		return nil, false, fmt.Errorf("permit: decoding response: %w", err)
-	}
-	return &out, false, nil
 }

@@ -1,21 +1,48 @@
-package permit
+package permit_test
 
 import (
 	"context"
-	"fmt"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
-	"threegol/internal/obs"
+	"threegol/internal/permit"
+	"threegol/internal/permitplane"
 )
+
+// ask is one GET /permit on the backend's wire.
+func ask(t *testing.T, backendURL, cell string) permit.Response {
+	t.Helper()
+	resp, err := http.Get(backendURL + "/permit?device=d&cell=" + cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out permit.Response
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("GET /permit: %s: %v", resp.Status, err)
+	}
+	return out
+}
+
+// deviceCache is the device side the daemons run, pointed at a bare
+// Backend: permitplane.Cache refreshing through BatchClient, which falls
+// back to this package's GET /permit.
+func deviceCache(backendURL string) *permitplane.Cache {
+	return &permitplane.Cache{
+		Fetch:  (&permitplane.BatchClient{BackendURL: backendURL}).Fetch,
+		Device: "d",
+		Cell:   "c",
+	}
+}
 
 func TestBackendGrantsBelowThreshold(t *testing.T) {
 	util := 0.3
 	var mu sync.Mutex
-	b := &Backend{
+	b := &permit.Backend{
 		Utilization: func(cell string) float64 {
 			mu.Lock()
 			defer mu.Unlock()
@@ -26,35 +53,29 @@ func TestBackendGrantsBelowThreshold(t *testing.T) {
 	srv := httptest.NewServer(b)
 	defer srv.Close()
 
-	c := &Client{BackendURL: srv.URL, Device: "d1", Cell: "c1"}
-	if !c.Allowed(context.Background()) {
-		t.Error("permit denied below threshold")
+	if r := ask(t, srv.URL, "c1"); !r.Granted || r.TTLSeconds != permit.DefaultTTL.Seconds() || r.Utilization != 0.3 {
+		t.Errorf("below threshold: %+v; want granted for DefaultTTL", r)
 	}
 	grants, denials := b.Stats()
 	if grants != 1 || denials != 0 {
 		t.Errorf("stats = %d/%d, want 1/0", grants, denials)
 	}
 
-	// Congest the cell; the cached permit still holds until TTL.
+	// Congest the cell: the backend holds no per-device state, so the
+	// next request is decided on the new reading.
 	mu.Lock()
 	util = 0.9
 	mu.Unlock()
-	if !c.Allowed(context.Background()) {
-		t.Error("cached permit should still be honoured")
-	}
-	// Force refresh: now denied.
-	c.Invalidate()
-	if c.Allowed(context.Background()) {
-		t.Error("permit granted above threshold after refresh")
+	if r := ask(t, srv.URL, "c1"); r.Granted || r.TTLSeconds != 0 {
+		t.Errorf("above threshold: %+v; want denied, no TTL", r)
 	}
 }
 
 func TestBackendDeniesAboveThreshold(t *testing.T) {
-	b := &Backend{Utilization: func(string) float64 { return 0.95 }}
+	b := &permit.Backend{Utilization: func(string) float64 { return 0.95 }}
 	srv := httptest.NewServer(b)
 	defer srv.Close()
-	c := &Client{BackendURL: srv.URL, Device: "d", Cell: "c"}
-	if c.Allowed(context.Background()) {
+	if ask(t, srv.URL, "c").Granted {
 		t.Error("permit granted for congested cell")
 	}
 	if g, d := b.Stats(); g != 0 || d != 1 {
@@ -65,13 +86,13 @@ func TestBackendDeniesAboveThreshold(t *testing.T) {
 func TestPermitExpiresAfterTTL(t *testing.T) {
 	var mu sync.Mutex
 	util := 0.1
-	b := &Backend{
+	b := &permit.Backend{
 		Utilization: func(string) float64 { mu.Lock(); defer mu.Unlock(); return util },
 		TTL:         50 * time.Millisecond,
 	}
 	srv := httptest.NewServer(b)
 	defer srv.Close()
-	c := &Client{BackendURL: srv.URL, Device: "d", Cell: "c"}
+	c := deviceCache(srv.URL)
 	if !c.Allowed(context.Background()) {
 		t.Fatal("initial grant failed")
 	}
@@ -85,14 +106,14 @@ func TestPermitExpiresAfterTTL(t *testing.T) {
 }
 
 func TestClientFailsSafeOnBackendDown(t *testing.T) {
-	c := &Client{BackendURL: "http://127.0.0.1:1", Device: "d", Cell: "c"}
+	c := deviceCache("http://127.0.0.1:1")
 	if c.Allowed(context.Background()) {
 		t.Error("unreachable backend must deny onloading")
 	}
 }
 
 func TestBackendValidation(t *testing.T) {
-	b := &Backend{Utilization: func(string) float64 { return 0 }}
+	b := &permit.Backend{Utilization: func(string) float64 { return 0 }}
 	srv := httptest.NewServer(b)
 	defer srv.Close()
 
@@ -113,7 +134,7 @@ func TestBackendValidation(t *testing.T) {
 		t.Errorf("unknown path = %d, want 404", resp.StatusCode)
 	}
 
-	misconfigured := httptest.NewServer(&Backend{})
+	misconfigured := httptest.NewServer(&permit.Backend{})
 	defer misconfigured.Close()
 	resp, err = misconfigured.Client().Get(misconfigured.URL + "/permit?cell=c")
 	if err != nil {
@@ -129,12 +150,12 @@ func TestDeniedPermitRecheckedAfterCooldown(t *testing.T) {
 	var mu sync.Mutex
 	util := 0.99
 	calls := 0
-	b := &Backend{
+	b := &permit.Backend{
 		Utilization: func(string) float64 { mu.Lock(); defer mu.Unlock(); calls++; return util },
 	}
 	srv := httptest.NewServer(b)
 	defer srv.Close()
-	c := &Client{BackendURL: srv.URL, Device: "d", Cell: "c"}
+	c := deviceCache(srv.URL)
 	if c.Allowed(context.Background()) {
 		t.Fatal("should be denied")
 	}
@@ -145,87 +166,4 @@ func TestDeniedPermitRecheckedAfterCooldown(t *testing.T) {
 		t.Errorf("backend called %d times within cool-down, want 1", calls)
 	}
 	mu.Unlock()
-}
-
-func TestClientRetriesTransient5xx(t *testing.T) {
-	// First request 503, second succeeds: the client's single retry
-	// must turn this into a granted permit.
-	var mu sync.Mutex
-	calls := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		calls++
-		n := calls
-		mu.Unlock()
-		if n == 1 {
-			http.Error(w, "warming up", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"granted":true,"ttl_seconds":60}`)
-	}))
-	defer srv.Close()
-
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	c := &Client{BackendURL: srv.URL, Device: "d1", Cell: "c1", Metrics: m}
-	if !c.Allowed(context.Background()) {
-		t.Fatal("permit denied despite successful retry")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 2 {
-		t.Fatalf("backend saw %d calls; want exactly 2 (one retry)", calls)
-	}
-	if got := m.ClientRetries.With().Value(); got != 1 {
-		t.Fatalf("retry counter = %v; want 1", got)
-	}
-}
-
-func TestClientRetriesConnectionRefused(t *testing.T) {
-	// A dead backend: both attempts fail, the client degrades to "not
-	// allowed" after exactly one retry, and fails fast.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	url := srv.URL
-	srv.Close() // nothing listens here any more → connection refused
-
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	c := &Client{BackendURL: url, Device: "d1", Cell: "c1", Metrics: m,
-		RequestTimeout: 200 * time.Millisecond}
-	start := time.Now()
-	if c.Allowed(context.Background()) {
-		t.Fatal("permit granted with a dead backend")
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("dead-backend refresh took %v; want fast failure", d)
-	}
-	if got := m.ClientRetries.With().Value(); got != 1 {
-		t.Fatalf("retry counter = %v; want exactly 1", got)
-	}
-	if got := m.ClientRefreshes.With("error").Value(); got != 1 {
-		t.Fatalf("error refreshes = %v; want 1 (retry folded into one refresh)", got)
-	}
-}
-
-func TestClientDoesNotRetry4xx(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		http.Error(w, "who are you", http.StatusForbidden)
-	}))
-	defer srv.Close()
-
-	c := &Client{BackendURL: srv.URL, Device: "d1", Cell: "c1"}
-	if c.Allowed(context.Background()) {
-		t.Fatal("permit granted on 403")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 1 {
-		t.Fatalf("backend saw %d calls; 4xx must not be retried", calls)
-	}
 }

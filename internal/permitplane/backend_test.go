@@ -145,12 +145,23 @@ func TestShardedRoutesSinglePermit(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	cl := permit.Client{BackendURL: srv.URL, Device: "d0", Cell: "cell-0"}
-	if !cl.Allowed(context.Background()) {
+	get := func(device, cell string) permit.Response {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/permit?device=" + device + "&cell=" + cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out permit.Response
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("GET /permit: %s: %v", resp.Status, err)
+		}
+		return out
+	}
+	if !get("d0", "cell-0").Granted {
 		t.Error("idle cell denied through the router")
 	}
-	hot := permit.Client{BackendURL: srv.URL, Device: "d1", Cell: "hot-0"}
-	if hot.Allowed(context.Background()) {
+	if get("d1", "hot-0").Granted {
 		t.Error("congested cell granted through the router")
 	}
 }

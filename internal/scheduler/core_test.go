@@ -1,12 +1,20 @@
 package scheduler
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 )
 
 // The decision core is clockless and single-threaded, so its tests are
 // scripts: ask Idle, report an outcome, compare the verdict.
+
+// newCore is NewCore for scripts that care about neither item sizes nor
+// path names.
+func newCore(algo Algo, items, paths int, opts Options) *Core {
+	return NewCore(algo, make([]int64, items), make([]string, paths), opts)
+}
 
 func TestBackoffDelay(t *testing.T) {
 	for _, tc := range []struct {
@@ -59,7 +67,7 @@ func TestToDurationNeverUndershoots(t *testing.T) {
 // closed → open → half-open probe → re-open with a doubled, capped hold
 // → closed with the hold reset.
 func TestCoreBreaker(t *testing.T) {
-	c := NewCore(Greedy, 4, 1, Options{
+	c := newCore(Greedy, 4, 1, Options{
 		MaxRetries: 100,
 		Breaker:    BreakerConfig{Threshold: 2, Cooldown: time.Second, MaxCooldown: 3 * time.Second},
 	})
@@ -101,7 +109,7 @@ func TestCoreBreaker(t *testing.T) {
 		}
 		switch st.outcome {
 		case ok:
-			if s := c.Succeeded(d.Item, 0); !s.Won || s.Closed != st.reclosed {
+			if s := c.Succeeded(d.Item, 0, 0, 0); !s.Won || s.Closed != st.reclosed {
 				t.Fatalf("step %d (%s): Succeeded = %+v; want won, closed %v", i, st.why, s, st.reclosed)
 			}
 		case fail:
@@ -115,7 +123,7 @@ func TestCoreBreaker(t *testing.T) {
 }
 
 func TestCoreBreakerDisabledByDefault(t *testing.T) {
-	c := NewCore(Greedy, 1, 1, Options{MaxRetries: 50})
+	c := newCore(Greedy, 1, 1, Options{MaxRetries: 50})
 	for i := 0; i < 40; i++ {
 		d := c.Idle(0, 0)
 		if d.Action != Assign || d.Probe {
@@ -137,21 +145,21 @@ func idle(t *testing.T, c *Core, p int, want Action, item int) {
 }
 
 func TestCoreTakesPendingBeforeDuplicating(t *testing.T) {
-	c := NewCore(Greedy, 3, 2, Options{})
+	c := newCore(Greedy, 3, 2, Options{})
 	idle(t, c, 0, Assign, 0)
 	idle(t, c, 1, Assign, 1) // item 0 is in flight and duplicable, but item 1 is pending
-	if s := c.Succeeded(1, 1); !s.Won || len(s.Cancel) != 0 {
+	if s := c.Succeeded(1, 1, 0, 0); !s.Won || len(s.Cancel) != 0 {
 		t.Fatalf("Succeeded = %+v", s)
 	}
 	idle(t, c, 1, Assign, 2)
-	if s := c.Succeeded(2, 1); !s.Won {
+	if s := c.Succeeded(2, 1, 0, 0); !s.Won {
 		t.Fatalf("Succeeded = %+v", s)
 	}
 	idle(t, c, 1, Duplicate, 0) // queue drained: now the endgame
-	if s := c.Succeeded(0, 1); !s.Won || len(s.Cancel) != 1 || s.Cancel[0] != 0 {
+	if s := c.Succeeded(0, 1, 0, 0); !s.Won || len(s.Cancel) != 1 || s.Cancel[0] != 0 {
 		t.Fatalf("winner must be told to cancel path 0's replica: %+v", s)
 	}
-	if s := c.Succeeded(0, 0); s.Won || len(s.Cancel) != 0 {
+	if s := c.Succeeded(0, 0, 0, 0); s.Won || len(s.Cancel) != 0 {
 		t.Fatalf("second finisher of a delivered item won: %+v", s)
 	}
 	idle(t, c, 0, Park, 0)
@@ -184,11 +192,11 @@ func TestCoreEndgameOrder(t *testing.T) {
 				c.Idle(0, 0)
 			}, 0},
 	} {
-		c := NewCore(tc.algo, 3, 4, Options{})
+		c := newCore(tc.algo, 3, 4, Options{})
 		idle(t, c, 0, Assign, 0)
 		idle(t, c, 1, Assign, 1)
 		idle(t, c, 2, Assign, 2)
-		c.Succeeded(1, 1)
+		c.Succeeded(1, 1, 0, 0)
 		tc.setup(c)
 		if d := c.Idle(1, 0); d.Action != Duplicate || d.Item != tc.want {
 			t.Errorf("%s: Idle = %+v; want duplicate of item %d", tc.name, d, tc.want)
@@ -197,7 +205,7 @@ func TestCoreEndgameOrder(t *testing.T) {
 }
 
 func TestCoreDisableDuplicationParks(t *testing.T) {
-	c := NewCore(Greedy, 1, 2, Options{DisableDuplication: true})
+	c := newCore(Greedy, 1, 2, Options{DisableDuplication: true})
 	idle(t, c, 0, Assign, 0)
 	idle(t, c, 1, Park, 0)
 	if f := c.Failed(0, 0, 0); !f.Requeued {
@@ -211,7 +219,7 @@ func TestCoreRetryBudget(t *testing.T) {
 	// must then skip it — in the queue and in the endgame — while path 1
 	// still may take it; the item is exhausted only once path 1 has
 	// burnt its budget too.
-	c := NewCore(Greedy, 2, 2, Options{MaxRetries: 2})
+	c := newCore(Greedy, 2, 2, Options{MaxRetries: 2})
 	idle(t, c, 0, Assign, 0)
 	idle(t, c, 1, Assign, 1)
 	if f := c.Failed(0, 0, 0); !f.Requeued || f.Exhausted || f.Attempts != 1 {
@@ -222,7 +230,7 @@ func TestCoreRetryBudget(t *testing.T) {
 		t.Fatalf("path 0 try 2: %+v", f)
 	}
 	idle(t, c, 0, Duplicate, 1) // item 0 is pending but path 0 is spent on it
-	if s := c.Succeeded(1, 0); !s.Won || len(s.Cancel) != 1 || s.Cancel[0] != 1 {
+	if s := c.Succeeded(1, 0, 0, 0); !s.Won || len(s.Cancel) != 1 || s.Cancel[0] != 1 {
 		t.Fatalf("Succeeded = %+v", s)
 	}
 	idle(t, c, 1, Assign, 0)
@@ -238,7 +246,7 @@ func TestCoreRetryBudget(t *testing.T) {
 }
 
 func TestCoreRequeuesOnlyTheLastReplica(t *testing.T) {
-	c := NewCore(Greedy, 1, 3, Options{})
+	c := newCore(Greedy, 1, 3, Options{})
 	idle(t, c, 0, Assign, 0)
 	idle(t, c, 1, Duplicate, 0)
 	idle(t, c, 2, Duplicate, 0)
@@ -259,7 +267,7 @@ func TestCoreRequeuesOnlyTheLastReplica(t *testing.T) {
 // Ruling (a): any successful transfer proves the path healthy, also a
 // replica that finishes after the item was delivered elsewhere.
 func TestCoreLateReplicaSuccessHealsPath(t *testing.T) {
-	c := NewCore(Greedy, 2, 3, Options{
+	c := newCore(Greedy, 2, 3, Options{
 		MaxRetries: 10,
 		Backoff:    BackoffConfig{Base: time.Second},
 		Breaker:    BreakerConfig{Threshold: 2, Cooldown: time.Second},
@@ -278,10 +286,10 @@ func TestCoreLateReplicaSuccessHealsPath(t *testing.T) {
 	if d := c.Idle(1, 1); !d.Probe || d.Action != Duplicate || d.Item != 0 {
 		t.Fatalf("probe: %+v", d)
 	}
-	if s := c.Succeeded(0, 0); !s.Won || len(s.Cancel) != 1 || s.Cancel[0] != 1 {
+	if s := c.Succeeded(0, 0, 0, 0); !s.Won || len(s.Cancel) != 1 || s.Cancel[0] != 1 {
 		t.Fatalf("winner: %+v", s)
 	}
-	if s := c.Succeeded(0, 1); s.Won || !s.Closed {
+	if s := c.Succeeded(0, 1, 0, 0); s.Won || !s.Closed {
 		t.Fatalf("late replica: %+v; want lost race, breaker re-closed", s)
 	}
 	// Healed: no probe, and the next failure is the first of a new streak.
@@ -296,14 +304,14 @@ func TestCoreLateReplicaSuccessHealsPath(t *testing.T) {
 // Ruling (b): a failure on an item that is already delivered costs the
 // path (breaker, backoff streak) but not the item.
 func TestCoreFailureAfterDeliveryNotCharged(t *testing.T) {
-	c := NewCore(Greedy, 1, 2, Options{
+	c := newCore(Greedy, 1, 2, Options{
 		MaxRetries: 1,
 		Backoff:    BackoffConfig{Base: time.Second},
 		Breaker:    BreakerConfig{Threshold: 1, Cooldown: time.Second},
 	})
 	idle(t, c, 0, Assign, 0)
 	idle(t, c, 1, Duplicate, 0)
-	if s := c.Succeeded(0, 0); !s.Won || len(s.Cancel) != 1 {
+	if s := c.Succeeded(0, 0, 0, 0); !s.Won || len(s.Cancel) != 1 {
 		t.Fatalf("winner: %+v", s)
 	}
 	// Path 1's replica died on its own in the same instant, before the
@@ -317,5 +325,234 @@ func TestCoreFailureAfterDeliveryNotCharged(t *testing.T) {
 	}
 	if d := c.Idle(1, 5); d.Action != Wait || d.Until != 6 {
 		t.Fatalf("Idle = %+v; want the opened breaker to hold until 6", d)
+	}
+}
+
+// ----- fixed-queue policies (RR, MIN) -----
+
+// namedCore is a two-path core over paths "a" and "b".
+func namedCore(algo Algo, sizes []int64, opts Options) *Core {
+	return NewCore(algo, sizes, []string{"a", "b"}, opts)
+}
+
+func TestCoreRoundRobinDealsCyclically(t *testing.T) {
+	c := newCore(RoundRobin, 7, 3, Options{})
+	for p, want := range [][]int{{0, 3, 6}, {1, 4}, {2, 5}} {
+		for _, it := range want {
+			idle(t, c, p, Assign, it) // its own queue, in order
+			if s := c.Succeeded(it, p, 0, 0); !s.Won || len(s.Cancel) != 0 {
+				t.Fatalf("Succeeded(%d, %d) = %+v", it, p, s)
+			}
+		}
+		idle(t, c, p, Park, 0) // an empty queue parks the path: no stealing
+	}
+}
+
+func TestCoreFixedQueueRetriesAtTheHead(t *testing.T) {
+	for _, tc := range []struct {
+		algo Algo
+		next int // what path 1 carries after item 1
+	}{
+		{RoundRobin, 3}, // dealt [0 2] and [1 3] up front
+		{MinTime, 2},    // seeded [0] and [1]; the finishing path is fed in order
+	} {
+		c := newCore(tc.algo, 4, 2, Options{MaxRetries: 3})
+		idle(t, c, 0, Assign, 0)
+		idle(t, c, 1, Assign, 1)
+		if f := c.Failed(0, 0, 0); f.Requeued || f.Exhausted || f.Attempts != 1 {
+			t.Fatalf("%v try 1: %+v; a fixed-queue failure reassigns nothing", tc.algo, f)
+		}
+		if s := c.Succeeded(1, 1, 0, 0); !s.Won {
+			t.Fatalf("%v: %+v", tc.algo, s)
+		}
+		idle(t, c, 1, Assign, tc.next) // path 1 moves on; item 0 is not its business
+		idle(t, c, 0, Assign, 0)       // and path 0 retries item 0 before anything behind it
+		if f := c.Failed(0, 0, 0); f.Requeued || f.Exhausted || f.Attempts != 2 {
+			t.Fatalf("%v try 2: %+v", tc.algo, f)
+		}
+		idle(t, c, 0, Assign, 0)
+		// The path's own budget is the whole budget: path 1 never failed
+		// the item, and never will be asked to try.
+		if f := c.Failed(0, 0, 0); !f.Exhausted || f.Everywhere || f.Attempts != 3 || f.Requeued {
+			t.Fatalf("%v try 3: %+v; want exhausted on this path alone after 3 attempts", tc.algo, f)
+		}
+	}
+}
+
+func TestCoreFixedQueuesIgnoreBreakerAndDuplication(t *testing.T) {
+	for _, algo := range []Algo{RoundRobin, MinTime} {
+		c := newCore(algo, 1, 2, Options{
+			MaxRetries: 10,
+			Breaker:    BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+		})
+		idle(t, c, 0, Assign, 0)
+		idle(t, c, 1, Park, 0) // item 0 is in flight and path 1 is idle: GRD would duplicate
+		for k := 0; k < 5; k++ {
+			if f := c.Failed(0, 0, 0); f.Opened {
+				t.Fatalf("%v failure %d: %+v; no breaker on a path that cannot be routed around", algo, k, f)
+			}
+			if d := c.Idle(0, 0); d.Action != Assign || d.Item != 0 || d.Probe {
+				t.Fatalf("%v failure %d: Idle = %+v; want the head of the queue again", algo, k, d)
+			}
+		}
+	}
+}
+
+// Ruling (c), DESIGN.md §10: a path carries nothing between
+// two tries of an item, so its failure streak is the retry index the
+// deleted per-item loop counted, and the seeded jitter stream is drawn
+// in the same order.
+func TestCoreFixedQueueBackoffIndexIsTheRetryIndex(t *testing.T) {
+	cfg := BackoffConfig{Base: time.Second, Jitter: 0.5, Seed: 7}
+	c := newCore(RoundRobin, 2, 1, Options{MaxRetries: 4, Backoff: cfg})
+	ref := newBackoff(cfg)
+	for _, it := range []int{0, 1} {
+		for k := 0; k < 3; k++ { // a fresh index for each item
+			idle(t, c, 0, Assign, it)
+			if f, want := c.Failed(it, 0, 0), ref.delay(k); f.Backoff != want {
+				t.Fatalf("item %d retry %d: backoff %v, want %v", it, k, f.Backoff, want)
+			}
+		}
+		idle(t, c, 0, Assign, it)
+		c.Succeeded(it, 0, 0, 0)
+	}
+}
+
+// Ruling (d): the failure that exhausts an item ends the transaction,
+// so it names no backoff — under every policy.
+func TestCoreExhaustionCarriesNoBackoff(t *testing.T) {
+	for _, algo := range []Algo{Greedy, Playout, RoundRobin, MinTime} {
+		c := newCore(algo, 1, 1, Options{MaxRetries: 2, Backoff: BackoffConfig{Base: time.Second}})
+		idle(t, c, 0, Assign, 0)
+		if f := c.Failed(0, 0, 0); f.Exhausted || f.Backoff != 1 {
+			t.Fatalf("%v try 1: %+v", algo, f)
+		}
+		idle(t, c, 0, Assign, 0)
+		if f := c.Failed(0, 0, 0); !f.Exhausted || f.Backoff != 0 || f.Attempts != 2 {
+			t.Fatalf("%v try 2: %+v; want exhausted, no backoff", algo, f)
+		}
+	}
+}
+
+func TestCoreMinSeedsFeedsAndDealsOnce(t *testing.T) {
+	sizes := []int64{1000, 1000, 1000, 1000, 1000, 1000, 1000}
+	c := namedCore(MinTime, sizes, Options{})
+	queues := func(want ...[]int) {
+		t.Helper()
+		for p := range want {
+			if !slices.Equal(c.queues[p], want[p]) {
+				t.Fatalf("queues = %v, want %v", c.queues, want)
+			}
+		}
+	}
+	est := func(p int, want float64) {
+		t.Helper()
+		if got := c.paths[p].est; math.Abs(got-want) > 1e-6 {
+			t.Fatalf("path %d estimate = %v, want %v", p, got, want)
+		}
+	}
+	queues([]int{0}, []int{1}) // the first round: one item per path, in path order
+	est(0, 1e6)                // no InitialBandwidth: 1 Mbps
+	if d := c.Idle(0, 0); d.Action != Assign || d.Item != 0 {
+		t.Fatalf("Idle = %+v", d)
+	}
+	if d := c.Idle(1, 0); d.Action != Assign || d.Item != 1 {
+		t.Fatalf("Idle = %+v", d)
+	}
+
+	// Path a delivers at 8 kbit/s. Path b has no sample yet, so the round
+	// is still open and a is kept busy with the next item in order.
+	c.Succeeded(0, 0, 1000, 1)
+	est(0, 0.75*8000+0.25*1e6)
+	queues([]int{2}, []int{1})
+	if d := c.Idle(0, 1); d.Action != Assign || d.Item != 2 {
+		t.Fatalf("Idle = %+v", d)
+	}
+	c.Succeeded(2, 0, 1000, 2) // 1 s since Idle handed it out, not since the transaction started
+	est(0, 0.75*8000+0.25*(0.75*8000+0.25*1e6))
+	queues([]int{3}, []int{1})
+
+	// Path b's first sample closes the round: 3200 bit/s smoothed against
+	// 1 Mbps still reads 252 kbit/s, three times a's 70 kbit/s, and a has
+	// item 3 on its books. Everything left is dealt now, by estimate.
+	c.Succeeded(1, 1, 1000, 2.5)
+	est(1, 0.75*3200+0.25*1e6)
+	queues([]int{3}, []int{4, 5, 6})
+	if got := c.paths[1].backlog; got != 3000 {
+		t.Fatalf("path b backlog = %d after the deal, want 3000", got)
+	}
+
+	// Dealt once, never rebalanced: a empties its queue and parks while b
+	// still has two items waiting, whatever the estimates say by then.
+	idle(t, c, 0, Assign, 3)
+	idle(t, c, 1, Assign, 4)
+	c.Succeeded(3, 0, 1e9, 2.6)
+	idle(t, c, 0, Park, 0)
+	queues(nil, []int{4, 5, 6})
+	if f := c.Failed(4, 1, 3); f.Requeued { // a failure moves nothing and samples nothing
+		t.Fatalf("Failed = %+v", f)
+	}
+	est(1, 0.75*3200+0.25*1e6)
+	idle(t, c, 0, Park, 0)
+	queues(nil, []int{4, 5, 6})
+	if got := c.paths[1].backlog; got != 3000 {
+		t.Fatalf("path b backlog = %d after a failure, want 3000: it shrinks only on delivery", got)
+	}
+}
+
+func TestCoreMinAlphaAndTies(t *testing.T) {
+	c := namedCore(MinTime, []int64{500, 500, 500, 500, 500}, Options{MinAlpha: 0.5})
+	c.Idle(0, 0)
+	c.Idle(1, 0)
+	c.Succeeded(0, 0, 500, 1) // 4000 bit/s at weight 0.5; a is fed item 2
+	c.Succeeded(1, 1, 500, 1) // the same sample: equal estimates as the round closes
+	if want := 0.5*4000 + 0.5*1e6; c.paths[0].est != want || c.paths[1].est != want {
+		t.Fatalf("estimates = %v, %v; want %v", c.paths[0].est, c.paths[1].est, want)
+	}
+	// Item 3 goes to b, because a has item 2 on its books; that evens the
+	// backlogs, and the tie over item 4 goes to the lowest path index.
+	if q := c.queues; len(q[0]) != 2 || q[0][1] != 4 || len(q[1]) != 1 || q[1][0] != 3 {
+		t.Fatalf("queues = %v, want [[2 4] [3]]", q)
+	}
+}
+
+// The paper's reason MIN loses: a wrong prior outlives the first sample.
+// Path "a" really moves 8 Mbit/s and "b" 400 kbit/s; told the opposite,
+// one smoothed sample each leaves b looking three times faster and it
+// is dealt the whole tail.
+func TestCoreMinMisledByInitialBandwidth(t *testing.T) {
+	sizes := []int64{1e6, 50e3, 1e5, 1e5, 1e5, 1e5, 1e5, 1e5}
+	script := func(opts Options) (a, b int) {
+		c := namedCore(MinTime, sizes, opts)
+		c.Idle(0, 0)
+		c.Idle(1, 0)
+		c.Succeeded(0, 0, 1e6, 1)  // 8 Mbit/s; a takes item 2 while b is unsampled
+		c.Succeeded(1, 1, 50e3, 1) // 400 kbit/s; the round closes and the tail is dealt
+		return len(c.queues[0]), len(c.queues[1])
+	}
+	if a, b := script(Options{}); a != 6 || b != 0 {
+		t.Errorf("honest prior: a holds %d, b %d; want all 6 on the fast path", a, b)
+	}
+	a, b := script(Options{InitialBandwidth: map[string]float64{"a": 100e3, "b": 80e6}})
+	if a != 1 || b != 5 {
+		t.Errorf("inverted prior: a holds %d, b %d; want the tail of 5 piled on the slow path", a, b)
+	}
+}
+
+// Ruling (f): a transfer that measured no elapsed time leaves the
+// estimate alone but still counts as the path's sample and still gets
+// the path its next item — a stopped clock must not stop the deal.
+func TestCoreMinZeroLengthSample(t *testing.T) {
+	c := namedCore(MinTime, []int64{100, 100, 100, 100, 100}, Options{})
+	c.Idle(0, 5)
+	c.Idle(1, 5)
+	c.Succeeded(0, 0, 100, 5)
+	if pp := c.paths[0]; pp.est != 1e6 || !pp.sampled || pp.backlog != 100 {
+		t.Fatalf("path a = %+v; want estimate untouched, sampled, fed item 2", pp)
+	}
+	idle(t, c, 0, Assign, 2)
+	c.Succeeded(1, 1, 100, 5)
+	if c.next != 5 {
+		t.Fatalf("dealt %d of 5 items; every path is sampled, the tail must be dealt", c.next)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"threegol/internal/obs"
 	"threegol/internal/obs/eventlog"
 )
 
@@ -96,6 +97,33 @@ func TestRetryEventsOnFixedPath(t *testing.T) {
 	}
 	if got := outcomes(evs, "scheduler.transaction"); got["ok"] != 1 {
 		t.Errorf("transaction outcomes = %v, want ok:1", got)
+	}
+}
+
+// Ruling (e): a same-path retry on a fixed queue is a fresh launch —
+// one assign point and one assignment counted per attempt, as GRD has
+// after a requeue — but not a requeue: nothing was reassigned.
+func TestFixedQueueRetryIsALaunchNotARequeue(t *testing.T) {
+	for _, algo := range []Algo{RoundRobin, MinTime} {
+		log, m := newTestLog(), NewMetrics(obs.NewRegistry())
+		p := &fakePath{name: "adsl", rate: 1e6, failures: map[int]int{0: 2}}
+		if _, err := Run(context.Background(), algo, mkItems(1, 1000), []Path{p},
+			Options{MaxRetries: 3, Events: log, Metrics: m}); err != nil {
+			t.Fatal(err)
+		}
+		evs := log.Events()
+		if got := len(filterEvents(evs, eventlog.KindPoint, "scheduler.assign")); got != 3 {
+			t.Errorf("%v: assign points = %d, want 3 (one per launch)", algo, got)
+		}
+		if got := m.Assignments.With("adsl").Value(); got != 3 {
+			t.Errorf("%v: scheduler_assignments_total = %v, want 3", algo, got)
+		}
+		if got := len(filterEvents(evs, eventlog.KindPoint, "scheduler.requeue")); got != 0 {
+			t.Errorf("%v: requeue points = %d, want 0", algo, got)
+		}
+		if got := m.Requeues.With().Value(); got != 0 {
+			t.Errorf("%v: scheduler_requeues_total = %v, want 0", algo, got)
+		}
 	}
 }
 

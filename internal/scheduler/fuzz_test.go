@@ -1,0 +1,325 @@
+package scheduler
+
+import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+)
+
+// FuzzCore drives the decision core from a byte script through a
+// single-threaded model driver and holds every answer to what the model
+// knows must be true, whatever the order and timing of events.
+//
+// Script layout. Five header bytes: policy (mod 4), paths (1 + mod 4),
+// items (mod 9), MaxRetries (1 + mod 3), and option flags — 1 no
+// duplication, 2 backoff with seeded jitter, 4 breaker, 8 an inflated
+// InitialBandwidth for path 0, 16 MinAlpha 0.5. Then one byte per item,
+// its size in kB. Then events of two bytes each. The first picks a path
+// (low two bits, mod paths), what the path's running attempt does (bits
+// 2–3: 2 fails, anything else succeeds; a replica the winner already
+// cancelled instead returns silently unless 2, fails anyway, or 3,
+// finishes anyway) and how far time moves first (high nibble, quarter
+// seconds — zero keeps the instant). The second is the bytes a success
+// reports, in units of 500. An event on an idle path asks Idle.
+func FuzzCore(f *testing.F) {
+	f.Fuzz(func(t *testing.T, script []byte) {
+		first := playCoreScript(t, script)
+		if again := playCoreScript(t, script); !slices.Equal(first.steps, again.steps) {
+			t.Fatalf("same script, different decisions:\n%s--- vs ---\n%s", first.transcript(), again.transcript())
+		}
+	})
+}
+
+// coreModel is what a faithful driver knows without looking inside the
+// core: what it launched, what came back, what the verdicts said.
+type coreModel struct {
+	t       *testing.T
+	c       *Core
+	fixed   bool
+	dup     bool
+	breaker bool
+	now     float64
+
+	carrying  []int  // [path] item of the running attempt, −1 when idle
+	cancelled []bool // [path] the winner cancelled the running attempt
+	done      []bool
+	home      []int   // [item] fixed queues: the one path that ever carried it
+	fails     [][]int // [item][path] failures charged while undelivered
+	exhausted bool
+
+	algo  Algo
+	sizes []int64
+	opts  Options
+	steps []coreStep
+}
+
+// coreStep is one call into the core and its answer, kept comparable
+// and unformatted: the transcript is only rendered for a failure, which
+// keeps fmt's pooled state out of the fuzzer's coverage signal.
+type coreStep struct {
+	now        float64
+	call       string // "idle", "succeeded", "failed"
+	path, item int
+	bytes      int64
+	d          Decision
+	won        bool
+	cancel     int // Success.Cancel as a bit set of paths
+	closed     bool
+	f          Failure
+}
+
+func (m *coreModel) transcript() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%v, %d paths, sizes %v, %+v\n", m.algo, len(m.carrying), m.sizes, m.opts)
+	for _, s := range m.steps {
+		fmt.Fprintf(&b, "%+v\n", s)
+	}
+	return b.String()
+}
+
+func (m *coreModel) fatalf(format string, args ...any) {
+	m.t.Helper()
+	m.t.Fatalf("%s\ntranscript:\n%s", fmt.Sprintf(format, args...), m.transcript())
+}
+
+func (m *coreModel) carriers(item int) (n int) {
+	for q, it := range m.carrying {
+		if it == item && !m.cancelled[q] {
+			n++
+		}
+	}
+	return n
+}
+
+// idle asks the core what idle path p carries and checks the answer. It
+// returns the time a Wait named, or 0.
+func (m *coreModel) idle(p int) float64 {
+	d := m.c.Idle(p, m.now)
+	m.steps = append(m.steps, coreStep{now: m.now, call: "idle", path: p, d: d})
+	if m.fixed && (d.Action == Duplicate || d.Action == Wait || d.Probe) {
+		m.fatalf("fixed queue answered %+v", d)
+	}
+	if !m.breaker && (d.Action == Wait || d.Probe) {
+		m.fatalf("breaker is off yet Idle answered %+v", d)
+	}
+	switch d.Action {
+	case Park:
+	case Wait:
+		if d.Until <= m.now {
+			m.fatalf("Wait until %v is not in the future of %v", d.Until, m.now)
+		}
+		return d.Until
+	case Assign, Duplicate:
+		if d.Item < 0 || d.Item >= len(m.done) {
+			m.fatalf("item %d out of range", d.Item)
+		}
+		if m.done[d.Item] {
+			m.fatalf("handed out item %d, already delivered", d.Item)
+		}
+		if m.fails[d.Item][p] >= m.opts.MaxRetries {
+			m.fatalf("path %d handed item %d with its budget for it spent", p, d.Item)
+		}
+		if n := m.carriers(d.Item); (d.Action == Assign) != (n == 0) {
+			m.fatalf("%+v with %d paths already carrying the item", d, n)
+		}
+		if d.Action == Duplicate && !m.dup {
+			m.fatalf("duplication is off yet Idle answered %+v", d)
+		}
+		if m.fixed {
+			if h := m.home[d.Item]; h >= 0 && h != p {
+				m.fatalf("item %d moved from path %d to path %d", d.Item, h, p)
+			}
+			m.home[d.Item] = p
+		}
+		m.carrying[p] = d.Item
+	default:
+		m.fatalf("unknown action %+v", d)
+	}
+	return 0
+}
+
+func (m *coreModel) succeed(p int, bytes int64) {
+	item := m.carrying[p]
+	wantCancel := 0
+	if !m.done[item] {
+		wantCancel = m.carriers(item) - 1
+	}
+	m.carrying[p], m.cancelled[p] = -1, false
+	s := m.c.Succeeded(item, p, bytes, m.now)
+	step := coreStep{now: m.now, call: "succeeded", path: p, item: item, bytes: bytes, won: s.Won, closed: s.Closed}
+	for _, q := range s.Cancel {
+		step.cancel |= 1 << q
+	}
+	m.steps = append(m.steps, step)
+	if s.Won == m.done[item] {
+		m.fatalf("Won = %v for item %d, delivered before = %v", s.Won, item, m.done[item])
+	}
+	m.done[item] = true
+	if len(s.Cancel) != wantCancel {
+		m.fatalf("Cancel = %v, want the %d other carriers of item %d", s.Cancel, wantCancel, item)
+	}
+	for _, q := range s.Cancel {
+		if q < 0 || q >= len(m.carrying) || q == p || m.carrying[q] != item || m.cancelled[q] {
+			m.fatalf("Cancel names path %d, which is not running a live replica of item %d", q, item)
+		}
+		m.cancelled[q] = true
+	}
+	if s.Closed && !m.breaker {
+		m.fatalf("breaker is off yet %+v", s)
+	}
+}
+
+func (m *coreModel) fail(p int) {
+	item := m.carrying[p]
+	m.carrying[p], m.cancelled[p] = -1, false
+	f := m.c.Failed(item, p, m.now)
+	m.steps = append(m.steps, coreStep{now: m.now, call: "failed", path: p, item: item, f: f})
+	if f.Opened && !m.breaker {
+		m.fatalf("breaker is off yet %+v", f)
+	}
+	if f.Backoff < 0 || (f.Backoff > 0 && (m.opts.Backoff.Base == 0 || f.Exhausted)) {
+		m.fatalf("backoff base %v yet %+v", m.opts.Backoff.Base, f)
+	}
+	if m.done[item] {
+		if f.Exhausted || f.Requeued || f.Attempts != 0 {
+			m.fatalf("delivered item %d was charged: %+v", item, f)
+		}
+		return
+	}
+	m.fails[item][p]++
+	attempts, everywhere := 0, true
+	for _, k := range m.fails[item] {
+		attempts += k
+		everywhere = everywhere && k >= m.opts.MaxRetries
+	}
+	want := Failure{Exhausted: everywhere, Everywhere: everywhere, Attempts: attempts,
+		Requeued: !everywhere && m.carriers(item) == 0}
+	if m.fixed {
+		k := m.fails[item][p]
+		want = Failure{Exhausted: k >= m.opts.MaxRetries, Attempts: k}
+	}
+	if f.Exhausted != want.Exhausted || f.Everywhere != want.Everywhere ||
+		f.Attempts != want.Attempts || f.Requeued != want.Requeued {
+		m.fatalf("%+v; the budgets spent say %+v", f, want)
+	}
+	m.exhausted = f.Exhausted
+}
+
+func playCoreScript(t *testing.T, script []byte) *coreModel {
+	next := func() byte {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return b
+	}
+	algo := Algo(next() % 4)
+	paths := 1 + int(next()%4)
+	items := int(next() % 9)
+	opts := Options{MaxRetries: 1 + int(next()%3)}
+	flags := next()
+	opts.DisableDuplication = flags&1 != 0
+	if flags&2 != 0 {
+		opts.Backoff = BackoffConfig{Base: time.Second, Jitter: 0.5, Seed: int64(flags)}
+	}
+	if flags&4 != 0 {
+		opts.Breaker = BreakerConfig{Threshold: 1 + int(flags>>6), Cooldown: time.Second}
+	}
+	names := make([]string, paths)
+	for p := range names {
+		names[p] = "p" + strconv.Itoa(p)
+	}
+	if flags&8 != 0 {
+		opts.InitialBandwidth = map[string]float64{names[0]: 80e6}
+	}
+	if flags&16 != 0 {
+		opts.MinAlpha = 0.5
+	}
+	sizes := make([]int64, items)
+	for i := range sizes {
+		sizes[i] = 1000 * int64(next())
+	}
+
+	fixed := algo == RoundRobin || algo == MinTime
+	m := &coreModel{
+		t: t, c: NewCore(algo, sizes, names, opts), fixed: fixed,
+		algo: algo, sizes: sizes, opts: opts,
+		dup:     !fixed && !opts.DisableDuplication,
+		breaker: !fixed && opts.Breaker.Threshold > 0,
+
+		carrying: make([]int, paths), cancelled: make([]bool, paths),
+		done: make([]bool, items), home: make([]int, items), fails: make([][]int, items),
+	}
+	for p := range m.carrying {
+		m.carrying[p] = -1
+	}
+	for i := range m.home {
+		m.home[i], m.fails[i] = -1, make([]int, paths)
+	}
+
+	for len(script) > 0 && !m.exhausted {
+		ev, bytes := next(), 500*int64(next())
+		p, outcome := int(ev&3)%paths, ev>>2&3
+		m.now += float64(ev>>4) / 4
+		switch {
+		case m.carrying[p] < 0:
+			m.idle(p)
+		case outcome == 2:
+			m.fail(p)
+		case outcome == 3 || !m.cancelled[p]:
+			m.succeed(p, bytes)
+		default: // the cancellation reached the replica: it reports nothing
+			m.carrying[p], m.cancelled[p] = -1, false
+		}
+	}
+	if m.exhausted {
+		return m
+	}
+
+	// Liveness: from wherever the script left things, a world in which
+	// every attempt succeeds delivers every item. Each sweep lets every
+	// busy path finish and every idle one ask; a sweep in which nothing
+	// finished and nothing was launched jumps the clock to the earliest
+	// breaker hold, and there must be one.
+	for sweep := 0; ; sweep++ {
+		left := 0
+		for _, d := range m.done {
+			if !d {
+				left++
+			}
+		}
+		if left == 0 {
+			break
+		}
+		if sweep > 2*(items+paths)+2 {
+			m.fatalf("liveness: %d items undelivered after %d all-success sweeps", left, sweep)
+		}
+		wake, progress := 0.0, false
+		for p := range m.carrying {
+			switch {
+			case m.carrying[p] < 0:
+				if until := m.idle(p); until > 0 && (wake == 0 || until < wake) {
+					wake = until
+				}
+				progress = progress || m.carrying[p] >= 0
+			case m.cancelled[p]:
+				m.carrying[p], m.cancelled[p] = -1, false
+				progress = true
+			default:
+				m.succeed(p, sizes[m.carrying[p]])
+				progress = true
+			}
+		}
+		if !progress {
+			if wake == 0 {
+				m.fatalf("liveness: every path parked with %d items undelivered", left)
+			}
+			m.now = wake
+		}
+	}
+	return m
+}

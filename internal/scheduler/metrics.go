@@ -11,17 +11,18 @@ import "threegol/internal/obs"
 // times come from the transaction's injected clock.Clock, so a
 // virtual-clock run fills the latency histogram deterministically.
 type Metrics struct {
-	// Assignments counts item-to-path launches: first attempts and
-	// endgame replicas, but not same-path retries.
+	// Assignments counts item-to-path launches: every attempt a path
+	// starts, be it an item's first, a retry or an endgame replica.
 	Assignments *obs.Counter
 	// Completed counts winning transfers per path.
 	Completed *obs.Counter
 	// Retries counts failed transfer attempts (the item is retried on
 	// the same path, or — under GRD — requeued for another).
 	Retries *obs.Counter
-	// Requeues counts items put back on the pending queue after a path
-	// exhausted its retry budget for them — the reassignment-on-path-
-	// death signal.
+	// Requeues counts items put back on the shared pending pool because
+	// the last path carrying them failed — the reassignment-on-path-
+	// death signal. Always zero under RR and MIN, whose items never
+	// leave the queue they were dealt to.
 	Requeues *obs.Counter
 	// Duplicates counts endgame replica launches (GRD/PLAYOUT only).
 	Duplicates *obs.Counter
@@ -56,13 +57,13 @@ type Metrics struct {
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		Assignments: r.NewCounter("scheduler_assignments_total",
-			"Item-to-path launches: first attempts and endgame replicas (not same-path retries).", "path"),
+			"Item-to-path launches: first attempts, retries and endgame replicas.", "path"),
 		Completed: r.NewCounter("scheduler_items_completed_total",
 			"Winning item transfers, by path.", "path"),
 		Retries: r.NewCounter("scheduler_retries_total",
 			"Failed transfer attempts that will be retried or requeued, by path.", "path"),
 		Requeues: r.NewCounter("scheduler_requeues_total",
-			"Items requeued after a path exhausted its retry budget for them (reassignment on path death)."),
+			"Items put back on the pending pool after the last path carrying them failed (reassignment on path death; GRD/PLAYOUT)."),
 		Duplicates: r.NewCounter("scheduler_duplicates_total",
 			"Endgame replica launches (GRD/PLAYOUT), by path.", "path"),
 		Bytes: r.NewCounter("scheduler_bytes_total",

@@ -6,15 +6,16 @@ package scheduler
 // historical fail-politely behaviour):
 //
 //   - deterministic exponential backoff with seeded jitter between
-//     retry attempts (BackoffConfig; the delays come from core.go);
+//     retry attempts, under every policy (BackoffConfig; the delays
+//     come from core.go, the one driver sleeps them out);
 //   - a progress watchdog that aborts an attempt when no bytes move for
-//     StallTimeout and requeues the item — the only defence against
-//     silent stalls, where the path neither errs nor progresses
-//     (ProgressPath, runAttempt);
-//   - a per-path circuit breaker: consecutive failures eject the path
-//     from the greedy rotation, an escalating cooldown holds it out,
-//     and a half-open probe readmits it (BreakerConfig; the state
-//     machine lives in core.go).
+//     StallTimeout, which the core then treats as any other failure —
+//     the only defence against silent stalls, where the path neither
+//     errs nor progresses (ProgressPath, runAttempt);
+//   - a per-path circuit breaker, GRD and PLAYOUT only: consecutive
+//     failures eject the path from the greedy rotation, an escalating
+//     cooldown holds it out, and a half-open probe readmits it
+//     (BreakerConfig; the state machine lives in core.go).
 //
 // Every state transition is exported through Options.Metrics and
 // Options.Events so a chaos run's eventlog tells the whole story.

@@ -18,6 +18,11 @@
 //     MIN the worst performer in the paper.
 //   - Playout: greedy with a head-of-line endgame — the in-order
 //     delivery variant the paper leaves as future work.
+//
+// All four are decided in one place, the clockless Core (core.go), and
+// run by one live loop, run (below): a goroutine per path that asks the
+// core what to carry and reports back how it went. fault.Simulate drives
+// the same core in virtual time.
 package scheduler
 
 import (
@@ -113,7 +118,7 @@ type Options struct {
 	// watchdog.
 	StallTimeout time.Duration
 	// Breaker configures the per-path circuit breaker (GRD/PLAYOUT
-	// only). The zero value disables it.
+	// only: see BreakerConfig). The zero value disables it.
 	Breaker BreakerConfig
 	// Clock supplies elapsed-time measurement; nil selects the system
 	// clock. Tests and virtual-time harnesses inject a fake here.
@@ -184,6 +189,9 @@ func Run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 	if len(paths) == 0 {
 		return nil, errors.New("scheduler: no paths")
 	}
+	if algo < Greedy || algo > Playout {
+		return nil, fmt.Errorf("scheduler: unknown algorithm %v", algo)
+	}
 	for i, it := range items {
 		if it.ID != i {
 			return nil, fmt.Errorf("scheduler: item %d has ID %d; IDs must be dense and ordered", i, it.ID)
@@ -210,18 +218,7 @@ func Run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 		// Workers parent their spans to the transaction, not the caller.
 		opts.Trace = tx.Context()
 	}
-	var err error
-	switch algo {
-	case Greedy, Playout:
-		err = runGreedy(ctx, algo, items, paths, opts, rep, clk, start)
-	case RoundRobin:
-		err = runRoundRobin(ctx, items, paths, opts, rep, clk, start)
-	case MinTime:
-		err = runMinTime(ctx, items, paths, opts, rep, clk, start)
-	default:
-		err = fmt.Errorf("scheduler: unknown algorithm %v", algo)
-	}
-	if err != nil {
+	if err := run(ctx, algo, items, paths, opts, rep, clk, start); err != nil {
 		tx.End("outcome", "error", "error", err.Error())
 		return nil, err
 	}
@@ -237,10 +234,7 @@ type tracker struct {
 	clk   clock.Clock
 	start time.Time
 	opts  Options
-	// backoff paces the fixed-queue policies' same-path retries; the
-	// greedy policies' decision core carries its own.
-	backoff backoff
-	left    int
+	left  int
 	// doneCh closes when the last item completes, so workers sleeping
 	// out a backoff or breaker cooldown wake instead of delaying the
 	// transaction's return.
@@ -248,13 +242,11 @@ type tracker struct {
 }
 
 func newTracker(rep *Report, clk clock.Clock, start time.Time, n int, opts Options) *tracker {
-	return &tracker{rep: rep, clk: clk, start: start, opts: opts,
-		backoff: newBackoff(opts.Backoff), left: n, doneCh: make(chan struct{})}
+	return &tracker{rep: rep, clk: clk, start: start, opts: opts, left: n, doneCh: make(chan struct{})}
 }
 
-// complete records the delivery of item over pathName. Every policy
-// calls it exactly once per item: the fixed-queue policies deal each
-// item to one path, and the greedy core names one winner.
+// complete records the delivery of item over pathName, exactly once per
+// item: the core names one winner.
 func (t *tracker) complete(item Item, pathName string, bytes int64) {
 	t.mu.Lock() // unlocked by hand so the OnItemDone callback runs outside the lock
 	t.addBytesLocked(pathName, bytes)
@@ -276,14 +268,6 @@ func (t *tracker) complete(item Item, pathName string, bytes int64) {
 	if cb != nil {
 		cb(item, elapsed)
 	}
-}
-
-// retryDelay is the backoff before the k-th same-path retry (0-based) —
-// the fixed-queue policies' attempt-indexed schedule.
-func (t *tracker) retryDelay(k int) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return toDuration(t.backoff.delay(k))
 }
 
 // addBytes accounts bytes moved on a path without completing anything
@@ -322,249 +306,27 @@ func (t *tracker) addDuplicate(pathName string) {
 	t.opts.Metrics.duplicated(pathName)
 }
 
-// ----- Round robin -----
-
-func runRoundRobin(ctx context.Context, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
+// run is the live driver of the decision core, under every policy: one
+// goroutine per path asks the core what to carry, runs the attempt
+// against the real transport, and reports the outcome back. The core
+// decides; this loop owns the goroutines, the lock that serialises
+// calls into the core, contexts and replica cancellation, byte and
+// waste accounting, metrics and events.
+func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
 	trk := newTracker(rep, clk, start, len(items), opts)
-	queues := make([][]Item, len(paths))
+	sizes := make([]int64, len(items))
 	for i, it := range items {
-		q := i % len(paths)
-		queues[q] = append(queues[q], it)
+		sizes[i] = it.Size
 	}
-	return drainQueues(ctx, queues, paths, opts, trk)
-}
-
-// drainQueues runs one worker per path over fixed queues with per-item
-// retry on the same path (no stealing) — shared by RR and MIN.
-func drainQueues(ctx context.Context, queues [][]Item, paths []Path, opts Options, trk *tracker) error {
-	g := newErrGroup(ctx)
+	names := make([]string, len(paths))
 	for i, p := range paths {
-		q := queues[i]
-		p := p
-		g.go_(func(ctx context.Context) error {
-			for _, it := range q {
-				if err := transferWithRetry(ctx, p, it, opts.maxRetries(), trk, nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		names[i] = p.Name()
 	}
-	return g.wait()
-}
-
-// transferWithRetry attempts item on path up to maxRetries times; each
-// successful completion is recorded in trk. onSample, when non-nil,
-// receives (bytes, seconds) of the successful attempt for bandwidth
-// estimation.
-func transferWithRetry(ctx context.Context, p Path, it Item, maxRetries int, trk *tracker, onSample func(bytes int64, seconds float64)) error {
-	trk.opts.Metrics.assigned(p.Name())
-	ev, tc := trk.opts.Events, trk.opts.Trace
-	ev.Point(tc, "scheduler.assign",
-		"item", eventlog.Int(int64(it.ID)), "path", p.Name())
-	var lastErr error
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if attempt > 0 {
-			if d := trk.retryDelay(attempt - 1); d > 0 {
-				trk.opts.Metrics.backedOff(p.Name())
-				ev.Point(tc, "scheduler.backoff",
-					"item", eventlog.Int(int64(it.ID)), "path", p.Name(),
-					"delay_s", eventlog.Float(d.Seconds()))
-				if !trk.sleepFor(ctx, d) && ctx.Err() != nil {
-					return ctx.Err()
-				}
-			}
-		}
-		t0 := trk.clk.Now()
-		sp := ev.Begin(tc, "scheduler.attempt",
-			"item", eventlog.Int(int64(it.ID)), "path", p.Name(),
-			"try", eventlog.Int(int64(attempt)))
-		n, err, stalled := runAttempt(eventlog.NewContext(ctx, sp.Context()), p, it, trk)
-		if err == nil {
-			sp.End("outcome", "ok", "bytes", eventlog.Int(n))
-			trk.complete(it, p.Name(), n)
-			if onSample != nil {
-				if secs := trk.clk.Since(t0).Seconds(); secs > 0 {
-					onSample(n, secs)
-				}
-			}
-			return nil
-		}
-		trk.addBytes(p.Name(), n)
-		if ctx.Err() != nil {
-			sp.End("outcome", "cancelled", "bytes", eventlog.Int(n))
-			return ctx.Err()
-		}
-		sp.End("outcome", "error", "bytes", eventlog.Int(n), "error", err.Error())
-		if stalled {
-			trk.opts.Metrics.stallAborted(p.Name())
-			ev.Point(tc, "scheduler.stall",
-				"item", eventlog.Int(int64(it.ID)), "path", p.Name(),
-				"timeout_s", eventlog.Float(trk.opts.StallTimeout.Seconds()))
-		}
-		trk.opts.Metrics.retried(p.Name())
-		ev.Point(tc, "scheduler.retry",
-			"item", eventlog.Int(int64(it.ID)), "path", p.Name(),
-			"try", eventlog.Int(int64(attempt)))
-		lastErr = err
-	}
-	ev.Point(tc, "scheduler.exhausted",
-		"item", eventlog.Int(int64(it.ID)), "path", p.Name())
-	return &ItemError{ItemID: it.ID, ItemName: it.Name, PathName: p.Name(),
-		Attempts: maxRetries, Err: lastErr}
-}
-
-// ----- MIN (estimated minimum completion time) -----
-
-func runMinTime(ctx context.Context, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
-	trk := newTracker(rep, clk, start, len(items), opts)
-	n := len(paths)
-
-	type pathState struct {
-		est     float64 // bits/s estimate
-		sampled bool    // has at least one measured transfer
-		backlog int64   // bytes assigned but not completed
-		queue   chan Item
-	}
-	states := make([]*pathState, n)
-	for i, p := range paths {
-		est := 1e6 // default 1 Mbps
-		if opts.InitialBandwidth != nil {
-			if v, ok := opts.InitialBandwidth[p.Name()]; ok && v > 0 {
-				est = v
-			}
-		}
-		states[i] = &pathState{est: est, queue: make(chan Item, len(items))}
-	}
-
-	var mu sync.Mutex // guards states and the assignment cursor
-	next := 0
-	bulkDone := false
-	alpha := opts.minAlpha()
-
-	assignTo := func(st *pathState, it Item) {
-		st.backlog += it.Size
-		st.queue <- it
-	}
-
-	// minEstPath returns the path with the smallest estimated completion
-	// time for an item of the given size. Caller holds mu.
-	minEstPath := func(size int64) *pathState {
-		var best *pathState
-		bestT := 0.0
-		for _, st := range states {
-			estT := float64(st.backlog+size) * 8 / st.est
-			if best == nil || estT < bestT {
-				best, bestT = st, estT
-			}
-		}
-		return best
-	}
-
-	// maybeBulkAssign performs the paper's one-shot assignment: once every
-	// path has produced a bandwidth sample (the round-robin initialisation
-	// is over), all remaining items are placed onto the paths minimising
-	// their estimated completion time — and never rebalanced. Deep queues
-	// built from noisy early samples are exactly why MIN underperforms
-	// under wireless variability. Caller holds mu.
-	maybeBulkAssign := func() {
-		if bulkDone {
-			return
-		}
-		for _, st := range states {
-			if !st.sampled {
-				return
-			}
-		}
-		bulkDone = true
-		for ; next < len(items); next++ {
-			it := items[next]
-			assignTo(minEstPath(it.Size), it)
-		}
-	}
-
-	// Seed: first N items round-robin (initialisation per the paper).
-	mu.Lock()
-	for i := 0; i < n && next < len(items); i++ {
-		assignTo(states[i], items[next])
-		next++
-	}
-	mu.Unlock()
-
-	// allDone releases workers whose queues will never be fed again.
-	allDone := make(chan struct{})
-	var doneOnce sync.Once
-
-	g := newErrGroup(ctx)
-	for i, p := range paths {
-		st := states[i]
-		p := p
-		g.go_(func(ctx context.Context) error {
-			for {
-				var it Item
-				select {
-				case it = <-st.queue:
-				default:
-					// Queue momentarily empty: wait for new work, global
-					// completion, or cancellation. MIN never steals.
-					select {
-					case it = <-st.queue:
-					case <-allDone:
-						return nil
-					case <-ctx.Done():
-						return ctx.Err()
-					}
-				}
-				err := transferWithRetry(ctx, p, it, opts.maxRetries(), trk, func(bytes int64, secs float64) {
-					mu.Lock()
-					sample := float64(bytes) * 8 / secs
-					st.est = alpha*sample + (1-alpha)*st.est
-					st.sampled = true
-					st.backlog -= it.Size
-					if !bulkDone && next < len(items) {
-						// Still initialising: keep this path busy with the
-						// next item in order, and bulk-assign the moment
-						// every path has a sample.
-						maybeBulkAssign()
-						if !bulkDone {
-							assignTo(st, items[next])
-							next++
-							maybeBulkAssign()
-						}
-					}
-					mu.Unlock()
-				})
-				if err != nil {
-					return err
-				}
-				if trk.remaining() == 0 {
-					doneOnce.Do(func() { close(allDone) })
-					return nil
-				}
-			}
-		})
-	}
-	return g.wait()
-}
-
-// ----- Greedy with endgame duplication -----
-
-// runGreedy is the live driver of the decision core: one goroutine per
-// path asks the core what to carry, runs the attempt against the real
-// transport, and reports the outcome back. The core decides; this loop
-// owns the goroutines, the lock that serialises calls into the core,
-// contexts and replica cancellation, byte and waste accounting, metrics
-// and events.
-func runGreedy(ctx context.Context, algo Algo, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
-	trk := newTracker(rep, clk, start, len(items), opts)
 
 	var (
 		mu   sync.Mutex
 		cond = sync.NewCond(&mu)
-		core = NewCore(algo, len(items), len(paths), opts)
+		core = NewCore(algo, sizes, names, opts)
 		// cancels[p] aborts path p's current (or, harmlessly, latest)
 		// attempt; the winner of an item calls it on the losing replicas.
 		cancels = make([]context.CancelFunc, len(paths))
@@ -585,7 +347,7 @@ func runGreedy(ctx context.Context, algo Algo, items []Item, paths []Path, opts 
 	defer stopWake()
 
 	for pi, p := range paths {
-		pi, name, p := pi, p.Name(), p
+		pi, name, p := pi, names[pi], p
 		g.go_(func(ctx context.Context) error {
 			ev, tc, m := trk.opts.Events, trk.opts.Trace, trk.opts.Metrics
 			for {
@@ -653,7 +415,7 @@ func runGreedy(ctx context.Context, algo Algo, items []Item, paths []Path, opts 
 				mu.Lock() //3golvet:allow locksafe — outcome bookkeeping unlocks manually on the abort path
 				switch {
 				case err == nil:
-					s := core.Succeeded(item.ID, pi)
+					s := core.Succeeded(item.ID, pi, n, now())
 					if s.Won {
 						trk.complete(item, name, n)
 						sp.End("outcome", "ok", "bytes", eventlog.Int(n))
@@ -705,8 +467,8 @@ func runGreedy(ctx context.Context, algo Algo, items []Item, paths []Path, opts 
 					}
 					switch {
 					case f.Exhausted:
-						failed = &ItemError{ItemID: item.ID, ItemName: item.Name,
-							PathName: name, Attempts: f.Attempts, Everywhere: true, Err: err}
+						failed = &ItemError{ItemID: item.ID, ItemName: item.Name, PathName: name,
+							Attempts: f.Attempts, Everywhere: f.Everywhere, Err: err}
 						ev.Point(tc, "scheduler.exhausted",
 							"item", eventlog.Int(int64(item.ID)), "path", name)
 					case f.Requeued:

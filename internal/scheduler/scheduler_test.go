@@ -402,3 +402,68 @@ func TestPlayoutDuplicatesHeadOfLine(t *testing.T) {
 		}
 	}
 }
+
+// fakeClock is a clock.Clock that moves only when slept on: transfers
+// take no time at all, and every sleep is on the record.
+type fakeClock struct {
+	mu    sync.Mutex
+	now   time.Time
+	slept time.Duration
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+
+func (c *fakeClock) Sleep(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	c.slept += d
+}
+
+// Nothing sleeps here, so the injected clock stands still and every
+// transfer measures zero elapsed time: the setting a virtual-time
+// harness runs the live driver in. MIN used to feed a path its next
+// item only after a sample of positive length and never returned.
+func TestZeroElapsedClockCompletes(t *testing.T) {
+	for _, algo := range []Algo{Greedy, Playout, RoundRobin, MinTime} {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		paths := []Path{&fakePath{name: "a", rate: 1e12}, &fakePath{name: "b", rate: 1e12}}
+		rep, err := Run(ctx, algo, mkItems(6, 1000), paths, Options{Clock: &fakeClock{}})
+		cancel()
+		if err != nil {
+			t.Errorf("%v: %v", algo, err)
+			continue
+		}
+		if got := rep.PerPath["a"].Items + rep.PerPath["b"].Items; got != 6 {
+			t.Errorf("%v: %d of 6 items delivered", algo, got)
+		}
+	}
+}
+
+// The verdict that ends a transaction carries no backoff: with two
+// tries allowed the only sit-out is the one between them. GRD used to
+// sleep out a second, doubled one after the item was already lost.
+func TestExhaustionReturnsWithoutBackoff(t *testing.T) {
+	for _, algo := range []Algo{Greedy, RoundRobin} {
+		clk := &fakeClock{}
+		p := &fakePath{name: "dead", rate: 1e6, failures: map[int]int{0: 99}}
+		_, err := Run(context.Background(), algo, mkItems(1, 1000), []Path{p}, Options{
+			MaxRetries: 2,
+			Backoff:    BackoffConfig{Base: 300 * time.Millisecond},
+			Clock:      clk,
+		})
+		var ie *ItemError
+		if !errors.As(err, &ie) || ie.Attempts != 2 {
+			t.Errorf("%v: err = %v; want an *ItemError after 2 attempts", algo, err)
+		}
+		if clk.slept != 300*time.Millisecond {
+			t.Errorf("%v: slept %v on the way to exhaustion; want one 300ms backoff", algo, clk.slept)
+		}
+	}
+}

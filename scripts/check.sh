@@ -9,38 +9,43 @@
 #      (type-aware, ratcheted against lint/baseline.json; emits
 #      vet-report.json for CI artifact upload)
 #   5. go test -race — full suite under the race detector
-#   6. alloc budget — TestBoostVoDAllocBudget without the race detector
+#   6. fuzz        — ten seconds of FuzzCore: the scheduler's decision
+#      core under byte-scripted event sequences from a model driver
+#      (all four policies, equal timestamps allowed), starting from the
+#      seed corpus in internal/scheduler/testdata/fuzz; a failing input
+#      is written there for the fix to commit
+#   7. alloc budget — TestBoostVoDAllocBudget without the race detector
 #      (the race stage skips it): a boosted BipBop q4 session at steady
 #      state allocates under 2 MB, the ratchet on the segment-buffer
 #      recycling of the client proxy
-#   7. fleet smoke — 3golfleet city-scale engine run inside a time
+#   8. fleet smoke — 3golfleet city-scale engine run inside a time
 #      budget, with its -json report validated for shape
-#   8. trace smoke — 3golfleet -events flight-recorder capture piped
+#   9. trace smoke — 3golfleet -events flight-recorder capture piped
 #      through 3goltrace -check (stream invariants)
-#   9. chaos smoke — 3golfleet -chaos runs the fault-injection harness
+#  10. chaos smoke — 3golfleet -chaos runs the fault-injection harness
 #      under a hostile scenario and under blackout-all; the command
 #      exits non-zero if any resilience invariant (exactly-once
 #      delivery, duplicate-waste bound, ADSL-only completion) breaks
-#  10. chaos at scale — the hostile scenario again at 100k homes: the
+#  11. chaos at scale — the hostile scenario again at 100k homes: the
 #      invariants must hold, and the run must fit the time budget, at a
 #      population three orders of magnitude above the race-detector
 #      tests (which cap at tens of homes for wall-time reasons)
-#  11. permit smoke — 3golpermitload -smoke drives a few thousand
+#  12. permit smoke — 3golpermitload -smoke drives a few thousand
 #      simulated clients through an in-process sharded permit plane
 #      over real HTTP and asserts the decision invariants (no errors,
 #      every client served, mixed grant/deny split); the JSON report is
 #      left at bench-permit-smoke.json for CI artifact upload
-#  12. permit chaos smoke — 3golpermitload -chaos spawns a real
+#  13. permit chaos smoke — 3golpermitload -chaos spawns a real
 #      3golpermitd with a WAL, SIGKILLs it mid-load, independently
 #      replays the WAL, restarts the daemon and cross-checks every
 #      shard's recovered state hash; the command exits non-zero on any
 #      recovery-invariant violation. The lifecycle eventlog is left at
 #      chaos-permit-events.jsonl for CI artifact upload
-#  13. metrics docs — METRICS.md must match the live registry
+#  14. metrics docs — METRICS.md must match the live registry
 #      (3golobs gen-docs -check)
-#  14. package docs — every package must carry a godoc comment
+#  15. package docs — every package must carry a godoc comment
 #      (go list's .Doc field is empty otherwise)
-#  15. code size — BENCH_codesize.json must match scripts/codesize.sh
+#  16. code size — BENCH_codesize.json must match scripts/codesize.sh
 #      (lines of Go, packages, binaries), so every PR's size change is
 #      in its diff
 #
@@ -77,6 +82,11 @@ echo '==> go test -race ./...'
 # race detector (see the race_test.go files), which lengthens wall time;
 # give the slowest package headroom beyond the default 10m.
 go test -race -timeout 20m ./...
+
+echo '==> fuzz (go test -fuzz FuzzCore -fuzztime 10s ./internal/scheduler)'
+# The race stage above already replays the seed corpus; this stage lets
+# the mutator look for ten seconds more. -run '^$' keeps it to fuzzing.
+go test -run '^$' -fuzz '^FuzzCore$' -fuzztime 10s ./internal/scheduler
 
 echo '==> alloc budget (go test -run TestBoostVoDAllocBudget ./internal/core, no -race)'
 # Allocation counts mean nothing under the race detector, so the stage
