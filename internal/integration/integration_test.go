@@ -233,6 +233,10 @@ func TestFullOTTStack(t *testing.T) {
 // routing around it.
 func TestQuotaGateClosesMidSession(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// A little service time per item: at loopback speed the ADSL path
+		// could drain all twelve while the phone was still dialling its
+		// first, and a phone that serves one item never meets its quota.
+		time.Sleep(2 * time.Millisecond)
 		w.Write(make([]byte, 64*1024))
 	}))
 	defer origin.Close()

@@ -11,8 +11,8 @@ package permit
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -133,11 +133,13 @@ func (b *Backend) Decide(ctx context.Context, cell string) Response {
 		b.OnGrant(cell)
 	}
 	b.Metrics.decided(resp.Granted, clk.Since(t0).Seconds())
-	tc, _ := eventlog.FromContext(ctx)
-	attrs := []string{"cell", cell, "granted", fmt.Sprintf("%t", resp.Granted),
-		"utilization", eventlog.Float(util)}
-	attrs = append(attrs, b.Tags...)
-	b.Events.Point(tc, "permit.decision", attrs...)
+	if b.Events != nil {
+		tc, _ := eventlog.FromContext(ctx)
+		attrs := []string{"cell", cell, "granted", strconv.FormatBool(resp.Granted),
+			"utilization", eventlog.Float(util)}
+		attrs = append(attrs, b.Tags...)
+		b.Events.Point(tc, "permit.decision", attrs...)
+	}
 	return resp
 }
 

@@ -1,6 +1,7 @@
 package permitplane
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -202,40 +203,83 @@ func (s *Sharded) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// batchScratch is what one serveBatch call works in and the next can
+// reuse: both bodies, the decoded requests, the decisions and the
+// per-shard index lists. A handler owns its scratch from the pool until
+// it has written the response — the ResponseWriter keeps nothing of a
+// Write after it returned — and nothing else keeps a slice of it (the
+// grant store and the hooks keep ID strings, which are never recycled).
+type batchScratch struct {
+	body      wireBuf
+	out       []byte
+	reqs      []PermitRequest
+	decisions []permit.Response
+	byShard   [][]int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// putScratch recycles sc unless a rare huge batch grew it past what is
+// worth keeping (the body bounds what was decoded from it).
+func putScratch(sc *batchScratch) {
+	if cap(sc.body.b) > maxWireKeep || cap(sc.out) > maxWireKeep {
+		return
+	}
+	clear(sc.reqs[:cap(sc.reqs)]) // let go of the ID strings
+	scratchPool.Put(sc)
+}
+
+// batchBodyLimit caps a batch body; larger is a 400.
+const batchBodyLimit = 8 << 20
+
 // serveBatch decodes a batch, fans the requests out to their owning
 // shards in parallel, and writes the decisions back in request order.
+// Each shard decides its slice and folds it into its grant store as one
+// unit (one lock, one WAL write); the response is written only after
+// every shard's fold returned — append-before-serve for the batch.
 func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
+	sc := scratchPool.Get().(*batchScratch)
+	defer putScratch(sc)
+	reject := func(status int, msg string) {
 		s.metrics.batchServed(false, 0)
-		http.Error(w, fmt.Sprintf("malformed batch: %v", err), http.StatusBadRequest)
+		http.Error(w, msg, status)
+	}
+	if err := sc.body.readFrom(http.MaxBytesReader(w, r.Body, batchBodyLimit), r.ContentLength); err != nil {
+		reject(http.StatusBadRequest, fmt.Sprintf("malformed batch: %v", err))
 		return
 	}
-	if len(req.Requests) == 0 {
-		s.metrics.batchServed(false, 0)
-		http.Error(w, "empty batch", http.StatusBadRequest)
+	reqs, ok := parseBatchRequest(sc.body.b, sc.reqs)
+	if ok {
+		sc.reqs = reqs
+	} else {
+		// Not the canonical shape: encoding/json decides, reading the
+		// first value of the body as it always has.
+		var plain plainBatchRequest
+		if err := json.NewDecoder(bytes.NewReader(sc.body.b)).Decode(&plain); err != nil {
+			reject(http.StatusBadRequest, fmt.Sprintf("malformed batch: %v", err))
+			return
+		}
+		reqs = plain.Requests
+	}
+	if len(reqs) == 0 {
+		reject(http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(req.Requests) > MaxBatch {
-		s.metrics.batchServed(false, 0)
-		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Requests), MaxBatch),
-			http.StatusRequestEntityTooLarge)
+	if len(reqs) > MaxBatch {
+		reject(http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d exceeds limit %d", len(reqs), MaxBatch))
 		return
 	}
-	for i, pr := range req.Requests {
+	for i, pr := range reqs {
 		if pr.Cell == "" {
-			s.metrics.batchServed(false, 0)
-			http.Error(w, fmt.Sprintf("request %d: missing cell", i), http.StatusBadRequest)
+			reject(http.StatusBadRequest, fmt.Sprintf("request %d: missing cell", i))
 			return
 		}
 		if len(pr.Device) > wal.MaxIDLen || len(pr.Cell) > wal.MaxIDLen {
-			s.metrics.batchServed(false, 0)
-			http.Error(w, fmt.Sprintf("request %d: device or cell ID exceeds %d bytes", i, wal.MaxIDLen),
-				http.StatusBadRequest)
+			reject(http.StatusBadRequest, fmt.Sprintf("request %d: device or cell ID exceeds %d bytes", i, wal.MaxIDLen))
 			return
 		}
 	}
@@ -249,14 +293,22 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 	// Group request indices by owning shard, then decide each shard's
 	// slice on its own goroutine. Indices are disjoint, so the shared
 	// decisions slice needs no lock.
-	byShard := make([][]int, len(s.shards))
-	for i, pr := range req.Requests {
-		idx := ShardOf(pr.Cell, len(s.shards))
-		byShard[idx] = append(byShard[idx], i)
+	if len(sc.byShard) != len(s.shards) {
+		sc.byShard = make([][]int, len(s.shards))
 	}
-	decisions := make([]permit.Response, len(req.Requests))
+	for si := range sc.byShard {
+		sc.byShard[si] = sc.byShard[si][:0]
+	}
+	for i, pr := range reqs {
+		idx := ShardOf(pr.Cell, len(s.shards))
+		sc.byShard[idx] = append(sc.byShard[idx], i)
+	}
+	if cap(sc.decisions) < len(reqs) {
+		sc.decisions = make([]permit.Response, len(reqs))
+	}
+	decisions := sc.decisions[:len(reqs)]
 	var wg sync.WaitGroup
-	for si, indices := range byShard {
+	for si, indices := range sc.byShard {
 		if len(indices) == 0 {
 			continue
 		}
@@ -264,18 +316,31 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 		go func(sh *shard, indices []int) {
 			defer wg.Done()
 			for _, i := range indices {
-				decisions[i] = s.decideOn(sh, ctx, req.Requests[i].Device, req.Requests[i].Cell)
+				decisions[i] = sh.backend.Decide(ctx, reqs[i].Cell)
 			}
+			sh.store.RecordDecisions(reqs, decisions, indices)
 		}(s.shards[si], indices)
 	}
 	wg.Wait()
 
-	s.metrics.batchServed(true, len(req.Requests))
-	s.events.Point(tc, "permitplane.batch",
-		"size", strconv.Itoa(len(req.Requests)),
-		"shards", strconv.Itoa(len(s.shards)))
+	s.metrics.batchServed(true, len(reqs))
+	if s.events != nil {
+		s.events.Point(tc, "permitplane.batch",
+			"size", strconv.Itoa(len(reqs)),
+			"shards", strconv.Itoa(len(s.shards)))
+	}
+	var err error
+	if sc.out, err = appendBatchResponse(sc.out[:0], decisions); err != nil {
+		// A NaN or infinite utilisation from the monitoring hook: there
+		// is no JSON for it, so the batch fails whole rather than send
+		// bytes no client can parse.
+		http.Error(w, fmt.Sprintf("encoding batch response: %v", err), http.StatusInternalServerError)
+		return
+	}
+	sc.out = append(sc.out, '\n') // json.Encoder's line end, as ever
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(BatchResponse{Decisions: decisions}) // client disconnect; nothing to do
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.out)))
+	_, _ = w.Write(sc.out) // client disconnect; nothing to do
 }
 
 // Stats sums grant/denial counts across shards.

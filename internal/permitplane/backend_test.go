@@ -393,3 +393,44 @@ func TestBatchClientAgainstShardedBackend(t *testing.T) {
 		t.Error("batch-capable backend latched the legacy fallback")
 	}
 }
+
+// TestBatchClientLegacyPathEscapesIDs pins the fallback's URL: a device
+// or cell ID holding a query metacharacter must land in the store under
+// the same grant key whether it rode the batch body or the single GET's
+// query string (unescaped, "&", "#", "+" and " " cut the ID short or
+// turned it into another).
+func TestBatchClientLegacyPathEscapesIDs(t *testing.T) {
+	ids := []string{"a&b", "a#b", "a+b", "a b", "a%26b", "a=b?c/d"}
+	for _, legacy := range []bool{false, true} {
+		s := New(Config{Shards: 4, Utilization: testUtil, Clock: &fakeClock{}})
+		srv := httptest.NewServer(s)
+		c := &BatchClient{BackendURL: srv.URL, ReprobeInterval: -1}
+		c.legacy.Store(legacy)
+		var reqs []PermitRequest
+		for _, id := range ids {
+			reqs = append(reqs, PermitRequest{Device: "dev-" + id, Cell: "cell-" + id})
+		}
+		out, err := c.Batch(context.Background(), reqs)
+		srv.Close()
+		if err != nil || len(out) != len(reqs) {
+			t.Fatalf("legacy=%t: %d decisions, err %v", legacy, len(out), err)
+		}
+		for _, pr := range reqs {
+			st := s.shardFor(pr.Cell).store
+			st.mu.Lock()
+			_, held := st.state.Grants[wal.Key(pr.Device, pr.Cell)]
+			st.mu.Unlock()
+			if !held {
+				t.Errorf("legacy=%t: no grant under (%q, %q) in the cell's shard", legacy, pr.Device, pr.Cell)
+			}
+		}
+		if got := func() (n int) {
+			for _, st := range s.Status() {
+				n += st.Outstanding
+			}
+			return n
+		}(); got != len(reqs) {
+			t.Errorf("legacy=%t: %d grants outstanding, want %d — an ID was recorded under another key", legacy, got, len(reqs))
+		}
+	}
+}

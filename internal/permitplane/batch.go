@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"sync/atomic"
 	"time"
 
@@ -124,15 +126,16 @@ func (c *BatchClient) Batch(ctx context.Context, reqs []PermitRequest) ([]permit
 	}
 	rctx, cancel := context.WithTimeout(ctx, c.requestTimeout())
 	defer cancel()
-	body, err := json.Marshal(BatchRequest{Requests: reqs})
-	if err != nil {
-		return nil, fmt.Errorf("permitplane: encoding batch: %w", err)
-	}
 	url := c.BackendURL + "/permits/batch"
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, url, nil)
 	if err != nil {
 		return nil, fmt.Errorf("permitplane: building batch request for %s: %w", url, err)
 	}
+	sent := newRequestBuf(reqs)
+	defer sent.release()
+	req.Body = sent.reader()
+	req.GetBody = func() (io.ReadCloser, error) { return sent.reader(), nil }
+	req.ContentLength = int64(len(sent.b))
 	req.Header.Set("Content-Type", "application/json")
 	if tc, ok := eventlog.FromContext(ctx); ok {
 		eventlog.InjectHTTP(req.Header, tc)
@@ -164,15 +167,71 @@ func (c *BatchClient) Batch(ctx context.Context, reqs []PermitRequest) ([]permit
 	default:
 		return nil, fmt.Errorf("permitplane: batch backend returned %s", httpResp.Status)
 	}
-	var out BatchResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("permitplane: decoding batch response: %w", err)
+	got := getWireBuf()
+	defer putWireBuf(got)
+	if err := got.readFrom(httpResp.Body, httpResp.ContentLength); err != nil {
+		return nil, fmt.Errorf("permitplane: reading batch response: %w", err)
 	}
-	if len(out.Decisions) != len(reqs) {
+	decisions, ok := parseBatchResponse(got.b, nil)
+	if !ok {
+		var out plainBatchResponse
+		if err := json.NewDecoder(bytes.NewReader(got.b)).Decode(&out); err != nil {
+			return nil, fmt.Errorf("permitplane: decoding batch response: %w", err)
+		}
+		decisions = out.Decisions
+	}
+	if len(decisions) != len(reqs) {
 		return nil, fmt.Errorf("permitplane: batch returned %d decisions for %d requests",
-			len(out.Decisions), len(reqs))
+			len(decisions), len(reqs))
 	}
-	return out.Decisions, nil
+	return decisions, nil
+}
+
+// requestBuf is the pooled buffer one batch RPC's request body is
+// encoded into and sent from. It is never reused for the response, and
+// it outlives Do: net/http may still be reading a request body after Do
+// returned (a backend that answers before it has read the request — the
+// legacy 404 — leaves the transport's writer running) and may ask
+// GetBody for a second reader on a retry. So Batch and every reader
+// handed out hold a reference each, and the buffer returns to the pool
+// when the last one lets go — Batch after it has read the whole
+// response, a reader when the transport closes it.
+type requestBuf struct {
+	*wireBuf
+	refs atomic.Int32
+}
+
+func newRequestBuf(reqs []PermitRequest) *requestBuf {
+	rb := &requestBuf{wireBuf: getWireBuf()}
+	rb.b = appendBatchRequest(rb.b[:0], reqs)
+	rb.refs.Store(1) // Batch's own
+	return rb
+}
+
+func (rb *requestBuf) release() {
+	if rb.refs.Add(-1) == 0 {
+		putWireBuf(rb.wireBuf)
+	}
+}
+
+// reader hands out one more reader of the encoded body.
+func (rb *requestBuf) reader() io.ReadCloser {
+	rb.refs.Add(1)
+	return &requestBody{Reader: bytes.NewReader(rb.b), buf: rb}
+}
+
+type requestBody struct {
+	*bytes.Reader
+	buf    *requestBuf
+	closed atomic.Bool
+}
+
+// Close lets go of the buffer; the transport may close a body twice.
+func (b *requestBody) Close() error {
+	if b.closed.CompareAndSwap(false, true) {
+		b.buf.release()
+	}
+	return nil
 }
 
 // Fetch requests a single decision — the Cache.Fetch hook. It rides
@@ -203,17 +262,18 @@ func (c *BatchClient) singles(ctx context.Context, reqs []PermitRequest) ([]perm
 func (c *BatchClient) single(ctx context.Context, pr PermitRequest) (permit.Response, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.requestTimeout())
 	defer cancel()
-	url := fmt.Sprintf("%s/permit?device=%s&cell=%s", c.BackendURL, pr.Device, pr.Cell)
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
+	target := fmt.Sprintf("%s/permit?device=%s&cell=%s", c.BackendURL,
+		url.QueryEscape(pr.Device), url.QueryEscape(pr.Cell))
+	req, err := http.NewRequestWithContext(rctx, http.MethodGet, target, nil)
 	if err != nil {
-		return permit.Response{}, fmt.Errorf("permitplane: building request for %s: %w", url, err)
+		return permit.Response{}, fmt.Errorf("permitplane: building request for %s: %w", target, err)
 	}
 	if tc, ok := eventlog.FromContext(ctx); ok {
 		eventlog.InjectHTTP(req.Header, tc)
 	}
 	httpResp, err := c.httpClient().Do(req)
 	if err != nil {
-		return permit.Response{}, fmt.Errorf("permitplane: requesting %s: %w", url, err)
+		return permit.Response{}, fmt.Errorf("permitplane: requesting %s: %w", target, err)
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {

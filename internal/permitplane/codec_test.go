@@ -1,0 +1,213 @@
+package permitplane
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"threegol/internal/permit"
+)
+
+// TestCodecWritesEncodingJSONBytes pins the wire: what the append
+// encoders write is byte for byte what encoding/json writes for the
+// plain structs.
+func TestCodecWritesEncodingJSONBytes(t *testing.T) {
+	requests := [][]PermitRequest{
+		nil,
+		{},
+		{{Device: "dev-000001", Cell: "cell-001"}},
+		{{Device: "", Cell: ""}, {Device: "d", Cell: "bs0/s1"}},
+		{{Device: `a"b\c`, Cell: "tab\there"}, {Device: "<&>", Cell: "line\nfeed"}},
+		{{Device: "zero\x00one\x1f", Cell: "del\x7f"}, {Device: "café   ", Cell: "bad\xffutf8"}},
+		{{Device: "a b+c#d&e=f", Cell: "\b\f\r"}},
+	}
+	for _, reqs := range requests {
+		want, err := json.Marshal(plainBatchRequest{Requests: reqs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendBatchRequest(nil, reqs); !bytes.Equal(got, want) {
+			t.Errorf("request encoder wrote\n%s\nencoding/json\n%s", got, want)
+		}
+	}
+
+	floats := []float64{0, 1, -1, 0.2, 180, 0.95, 1e-6, 9.99e-7, 1e-7, 5e-324, 1e20, 1e21, 1.5e21, 1.7976931348623157e308,
+		-1e-9, -1e21, 123456789.125, 1.0 / 3, math.Copysign(0, -1), 100000000000000000000, 1e-10, 1.5e-10, 1e100}
+	responses := [][]permit.Response{nil, {}, {{Granted: true, TTLSeconds: 180, Utilization: 0.2}, {Utilization: 0.95}}}
+	var all []permit.Response
+	for i, f := range floats {
+		all = append(all, permit.Response{Granted: i%2 == 0, TTLSeconds: f, Utilization: floats[len(floats)-1-i]})
+	}
+	responses = append(responses, all)
+	for _, decisions := range responses {
+		want, err := json.Marshal(plainBatchResponse{Decisions: decisions})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := appendBatchResponse(nil, decisions); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("response encoder wrote\n%s (err %v)\nencoding/json\n%s", got, err, want)
+		}
+	}
+}
+
+// TestCodecRefusesNaNAndInf pins what a NaN or infinite utilisation
+// does: encoding/json's error from the encoder, and from the server a
+// 500 with no JSON in it — never bytes a client cannot parse.
+func TestCodecRefusesNaNAndInf(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := []permit.Response{{Granted: true, TTLSeconds: 1, Utilization: 0.1}, {Utilization: f}}
+		_, plainErr := json.Marshal(plainBatchResponse{Decisions: bad})
+		var unsupported *json.UnsupportedValueError
+		if _, err := appendBatchResponse(nil, bad); !errors.As(err, &unsupported) || plainErr == nil || err.Error() != plainErr.Error() {
+			t.Errorf("encoding %v: err %v, want encoding/json's %v", f, err, plainErr)
+		}
+
+		s := New(Config{Shards: 2, Utilization: func(string) float64 { return f }, Clock: &fakeClock{}})
+		rec := httptest.NewRecorder()
+		body := appendBatchRequest(nil, []PermitRequest{{Device: "d", Cell: "c"}})
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/permits/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusInternalServerError || strings.Contains(rec.Body.String(), "{") {
+			t.Errorf("utilisation %v: server answered %d %q, want a 500 without JSON", f, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// checkWireDecode holds both decoders to encoding/json on one body:
+// same error-ness, DeepEqual values — through json.Unmarshal (the
+// UnmarshalJSON methods) and through the shape parsers directly, whose
+// "mine" must mean exactly what encoding/json decodes.
+func checkWireDecode(t *testing.T, data []byte) {
+	t.Helper()
+	var req BatchRequest
+	var plainReq plainBatchRequest
+	err, plainErr := json.Unmarshal(data, &req), json.Unmarshal(data, &plainReq)
+	if (err == nil) != (plainErr == nil) {
+		t.Fatalf("request %q: err %v, encoding/json %v", data, err, plainErr)
+	}
+	if err == nil && !reflect.DeepEqual(req.Requests, plainReq.Requests) {
+		t.Fatalf("request %q: decoded %#v, encoding/json %#v", data, req.Requests, plainReq.Requests)
+	}
+	if reqs, ok := parseBatchRequest(data, nil); ok && (plainErr != nil || !reflect.DeepEqual(reqs, plainReq.Requests)) {
+		t.Fatalf("request %q: shape parser took it as %#v, encoding/json %#v (err %v)", data, reqs, plainReq.Requests, plainErr)
+	}
+
+	var resp BatchResponse
+	var plainResp plainBatchResponse
+	err, plainErr = json.Unmarshal(data, &resp), json.Unmarshal(data, &plainResp)
+	if (err == nil) != (plainErr == nil) {
+		t.Fatalf("response %q: err %v, encoding/json %v", data, err, plainErr)
+	}
+	if err == nil && !reflect.DeepEqual(resp.Decisions, plainResp.Decisions) {
+		t.Fatalf("response %q: decoded %#v, encoding/json %#v", data, resp.Decisions, plainResp.Decisions)
+	}
+	if decisions, ok := parseBatchResponse(data, nil); ok && (plainErr != nil || !reflect.DeepEqual(decisions, plainResp.Decisions)) {
+		t.Fatalf("response %q: shape parser took it as %#v, encoding/json %#v (err %v)", data, decisions, plainResp.Decisions, plainErr)
+	}
+}
+
+// TestCodecTakesItsOwnBodies requires the shape parsers to take the
+// bodies this repository's encoders write: the fast path has to be the
+// common path, not only a correct one.
+func TestCodecTakesItsOwnBodies(t *testing.T) {
+	reqs := []PermitRequest{{Device: "dev-000001", Cell: "cell-001"}, {Device: "a b+c#d", Cell: "del\x7f"}}
+	if got, ok := parseBatchRequest(appendBatchRequest(nil, reqs), nil); !ok || !reflect.DeepEqual(got, reqs) {
+		t.Errorf("shape parser left an encoder-written request body to encoding/json (ok=%t, %v)", ok, got)
+	}
+	decisions := []permit.Response{{Granted: true, TTLSeconds: 180, Utilization: 0.2}, {Utilization: 1e-9}}
+	body, err := appendBatchResponse(nil, decisions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := parseBatchResponse(append(body, '\n'), nil); !ok || !reflect.DeepEqual(got, decisions) {
+		t.Errorf("shape parser left an encoder-written response body to encoding/json (ok=%t, %v)", ok, got)
+	}
+}
+
+// FuzzBatchCodec is the differential check on arbitrary bytes. Its seed
+// corpus (testdata/fuzz/FuzzBatchCodec: bodies around the canonical
+// shape — padded, reordered, escaped, cased, null, truncated, …) runs
+// on every plain `go test`; the one seed too big to commit, a batch one
+// request over MaxBatch, is built here.
+func FuzzBatchCodec(f *testing.F) {
+	over := make([]PermitRequest, MaxBatch+1)
+	for i := range over {
+		over[i] = PermitRequest{Device: fmt.Sprintf("dev-%05d", i), Cell: "cell"}
+	}
+	f.Add(appendBatchRequest(nil, over))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkWireDecode(t, data)
+	})
+}
+
+// TestBatchWireInteroperatesWithEncodingJSON puts encoding/json on the
+// other end of each side — the client and the server as they were
+// before the codec: a reflection-encoded body into the new server and
+// its reply decoded by reflection, then the new client against a
+// handler that decodes and encodes by reflection.
+func TestBatchWireInteroperatesWithEncodingJSON(t *testing.T) {
+	reqs := []PermitRequest{{Device: "d0", Cell: "cell-0"}, {Device: "d<1>", Cell: "hot-1"}, {Device: "dé", Cell: "cell 2"}}
+	wantGranted := []bool{true, false, true}
+
+	s := New(Config{Shards: 4, Utilization: testUtil, Clock: &fakeClock{}})
+	body, err := json.Marshal(plainBatchRequest{Requests: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/permits/batch", bytes.NewReader(body)))
+	var out plainBatchResponse
+	if err := json.NewDecoder(rec.Body).Decode(&out); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("old client against new server: %d, decode err %v", rec.Code, err)
+	}
+	reply, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/permits/batch", bytes.NewReader(body)))
+	if want := append(reply, '\n'); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("new server wrote\n%q\nthe reflection encoder\n%q", rec.Body.Bytes(), want)
+	}
+	if got := rec.Header().Get("Content-Length"); got != fmt.Sprint(rec.Body.Len()) {
+		t.Errorf("Content-Length %q on a %d-byte reply", got, rec.Body.Len())
+	}
+
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sent, err := io.ReadAll(r.Body)
+		if want, _ := json.Marshal(plainBatchRequest{Requests: reqs}); err != nil || !bytes.Equal(sent, want) {
+			t.Errorf("new client sent\n%q\nthe reflection encoder\n%q", sent, want)
+		}
+		if r.ContentLength != int64(len(sent)) {
+			t.Errorf("new client declared %d bytes and sent %d", r.ContentLength, len(sent))
+		}
+		var in plainBatchRequest
+		if err := json.Unmarshal(sent, &in); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		var out plainBatchResponse
+		for _, pr := range in.Requests {
+			out.Decisions = append(out.Decisions, s.DecideDevice(r.Context(), pr.Device, pr.Cell))
+		}
+		_ = json.NewEncoder(w).Encode(out)
+	}))
+	defer old.Close()
+	got, err := (&BatchClient{BackendURL: old.URL}).Batch(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("new client against old server: %v", err)
+	}
+	for i, d := range got {
+		if d.Granted != wantGranted[i] || d.Granted != out.Decisions[i].Granted {
+			t.Errorf("request %d: granted=%t, want %t", i, d.Granted, wantGranted[i])
+		}
+	}
+}

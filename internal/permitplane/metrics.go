@@ -265,11 +265,11 @@ func (m *Metrics) batchReprobed() {
 	m.BatchReprobes.Inc()
 }
 
-func (m *Metrics) walAppended(op wal.Op) {
+func (m *Metrics) walAppended(op wal.Op, n int) {
 	if m == nil {
 		return
 	}
-	m.WALRecords.With(op.String()).Inc()
+	m.WALRecords.With(op.String()).Add(int64(n))
 }
 
 func (m *Metrics) walAppendFailed() {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"threegol/internal/clock"
+	"threegol/internal/permit"
 	"threegol/internal/permitplane/wal"
 )
 
@@ -24,20 +25,34 @@ const DefaultSnapshotEvery = 8192
 // a crashed daemon replays back to exactly the state it died with —
 // modulo the TTL expiries that genuinely lapsed while it was down.
 //
-// Expiry is lazy: a min-heap of (expiry, device) is drained at the top
-// of every mutation (and by ExpireDue), so TTL lapses are observed in
-// deterministic order without a background timer.
+// Expiry is lazy: a min-heap of (expiry, device, cell) is drained at
+// the top of every mutation (and by ExpireDue), so TTL lapses are
+// observed in deterministic order without a background timer. The heap
+// holds exactly one entry per outstanding grant — a refresh moves its
+// entry in place — so its size is bounded by the grant count, not by
+// TTL × refresh rate.
+//
+// The unit of work is a slice of decisions, not a decision: one lock,
+// one clock read, one expiry drain, every record staged into the log's
+// buffer and written with one write(2) (RecordDecisions; RecordDecision
+// is a slice of one).
 type GrantStore struct {
 	mu    sync.Mutex
 	log   *wal.Log // nil for a memory-only store
 	state *wal.State
-	heap  storeExpiryHeap
-	clk   clock.Clock
+	// entries and heap hold the same *storeExpiry values: entries by
+	// grant key (the keys of state.Grants, always), heap by expiry.
+	entries map[string]*storeExpiry
+	heap    storeExpiryHeap
+	clk     clock.Clock
 
 	metrics       *Metrics
 	snapshotEvery int
 	sinceSnapshot int
 	walErrs       int64
+	// staged counts, by op, the records staged in the log and not yet
+	// committed.
+	staged [wal.OpExpire + 1]int
 
 	recovery Recovery
 }
@@ -72,6 +87,7 @@ type Recovery struct {
 func NewGrantStore(clk clock.Clock, m *Metrics) *GrantStore {
 	return &GrantStore{
 		state:   wal.NewState(),
+		entries: make(map[string]*storeExpiry),
 		clk:     clock.Or(clk),
 		metrics: m,
 	}
@@ -97,6 +113,7 @@ func OpenGrantStore(dir string, clk clock.Clock, m *Metrics, snapshotEvery int) 
 	s := &GrantStore{
 		log:           log,
 		state:         state,
+		entries:       make(map[string]*storeExpiry, len(state.Grants)),
 		clk:           c,
 		metrics:       m,
 		snapshotEvery: snapshotEvery,
@@ -111,16 +128,23 @@ func OpenGrantStore(dir string, clk clock.Clock, m *Metrics, snapshotEvery int) 
 		// the snapshot written below then carries exactly the counters
 		// an independent replay of these records would reach, keeping
 		// compaction equivalent to the fold it replaces.
-		rec, err := log.Append(wal.OpExpire, g.Device, g.Cell, recoveredAt, 0)
+		rec, err := log.Stage(wal.OpExpire, g.Device, g.Cell, recoveredAt, 0)
 		if err != nil {
 			log.Close()
 			return nil, err
 		}
 		state.Apply(rec)
 	}
-	for _, g := range state.Grants {
-		heap.Push(&s.heap, storeExpiry{at: g.Expiry, device: g.Device, cell: g.Cell})
+	if err := log.Commit(); err != nil {
+		log.Close()
+		return nil, err
 	}
+	for key, g := range state.Grants {
+		e := &storeExpiry{at: g.Expiry, device: g.Device, cell: g.Cell, index: len(s.heap)}
+		s.entries[key] = e
+		s.heap = append(s.heap, e)
+	}
+	heap.Init(&s.heap)
 	// Compact immediately: recovery cost never compounds across
 	// restarts, and the recovered state is durably pinned.
 	if err := log.WriteSnapshot(state); err != nil {
@@ -150,46 +174,107 @@ func (s *GrantStore) Recovery() Recovery {
 	return s.recovery
 }
 
-// RecordDecision folds one permit decision into the grant state. A
-// granted decision creates or refreshes the device's outstanding
-// permit for ttlSeconds; a denial revokes any permit the device still
-// held (its cell filled up — the operator's signal to stop onloading).
-// Decisions with no device identity cannot be tracked and are ignored.
+// RecordDecision folds one permit decision into the grant state: a
+// slice of one through RecordDecisions.
 //
 //3golvet:allow ctxprop — the WAL append must stay ordered with the decision it records; cancelling it mid-write would desynchronise log and state
 func (s *GrantStore) RecordDecision(device, cell string, granted bool, ttlSeconds float64) {
-	if s == nil || device == "" {
+	s.RecordDecisions(
+		[]PermitRequest{{Device: device, Cell: cell}},
+		[]permit.Response{{Granted: granted, TTLSeconds: ttlSeconds}},
+		[]int{0})
+}
+
+// RecordDecisions folds the decisions resps[i] on reqs[i], for each i
+// of indices in that order, into the grant state as one unit. A granted
+// decision creates or refreshes the device's outstanding permit for its
+// TTL; a denial revokes any permit the device still held (its cell
+// filled up — the operator's signal to stop onloading). State is
+// applied record by record, so the same device twice in one slice is
+// grant-then-refresh. Decisions with no device identity cannot be
+// tracked and are ignored; a slice of nothing else leaves the store
+// untouched.
+//
+// The records reach the log with one write: a failed write loses the
+// slice's durability as a whole (one WAL error; the state still
+// advances, see applyLocked). Callers serve the decisions only after
+// RecordDecisions returned — append-before-serve at slice granularity.
+//
+//3golvet:allow ctxprop — the WAL append must stay ordered with the decisions it records; cancelling it mid-write would desynchronise log and state
+func (s *GrantStore) RecordDecisions(reqs []PermitRequest, resps []permit.Response, indices []int) {
+	if s == nil {
 		return
 	}
-	if len(device) > wal.MaxIDLen || len(cell) > wal.MaxIDLen {
+	// The first tracked decision takes the lock, reads the clock and
+	// observes the lapses; a slice without one must not (an expiry is
+	// recorded at the instant it is observed).
+	for k, i := range indices {
+		if s.tracked(reqs[i]) {
+			s.recordFrom(reqs, resps, indices[k:])
+			return
+		}
+	}
+}
+
+// tracked reports whether a decision on pr can be recorded.
+func (s *GrantStore) tracked(pr PermitRequest) bool {
+	if pr.Device == "" {
+		return false
+	}
+	if len(pr.Device) > wal.MaxIDLen || len(pr.Cell) > wal.MaxIDLen {
 		// An oversized ID can be framed neither in a WAL record nor in
 		// a snapshot (both carry uint16 length fields); even holding it
 		// in memory would poison the next snapshot. The decision goes
 		// untracked, like one with no device identity.
 		s.metrics.oversizedID()
-		return
+		return false
 	}
+	return true
+}
+
+// recordFrom is RecordDecisions from the slice's first tracked decision
+// (indices[0]) on.
+func (s *GrantStore) recordFrom(reqs []PermitRequest, resps []permit.Response, indices []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.clk.Now()
-	s.expireLocked(now.UnixNano()) //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
-	key := wal.Key(device, cell)
+	s.drainLocked(now.UnixNano())
+	for k, i := range indices {
+		if k == 0 || s.tracked(reqs[i]) {
+			s.foldLocked(now, reqs[i].Device, reqs[i].Cell, resps[i].Granted, resps[i].TTLSeconds)
+		}
+	}
+	s.commitLocked() //3golvet:allow lockio — the slice's one WAL write is the durability point: it must stay ordered with the state mutations it records, under the per-shard lock; bounded local file I/O
+	s.metrics.outstanding(len(s.state.Grants))
+	s.maybeSnapshotLocked() //3golvet:allow lockio — compaction must see exactly the state the log it truncates recorded, under the per-shard lock; bounded local file I/O
+}
+
+// foldLocked stages and applies one tracked decision made at now. The
+// grant key is built where it is used: a key that is only looked up
+// stays on the stack, and only a first grant has to keep one.
+func (s *GrantStore) foldLocked(now time.Time, device, cell string, granted bool, ttlSeconds float64) {
+	e := s.entries[wal.Key(device, cell)]
 	switch {
 	case granted:
 		op := wal.OpGrant
-		if _, held := s.state.Grants[key]; held {
+		if e != nil {
 			op = wal.OpRefresh
 		}
 		expiry := now.Add(time.Duration(ttlSeconds * float64(time.Second))).UnixNano()
-		s.applyLocked(op, device, cell, now.UnixNano(), expiry) //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
-		heap.Push(&s.heap, storeExpiry{at: expiry, device: device, cell: cell})
-	default:
-		if _, held := s.state.Grants[key]; held {
-			s.applyLocked(wal.OpRevoke, device, cell, now.UnixNano(), 0) //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
+		s.applyLocked(op, device, cell, now.UnixNano(), expiry)
+		if e != nil {
+			e.at = expiry
+			heap.Fix(&s.heap, e.index)
+			return
 		}
+		e = &storeExpiry{at: expiry, device: device, cell: cell}
+		s.entries[wal.Key(device, cell)] = e
+		heap.Push(&s.heap, e)
+	case e != nil:
+		s.applyLocked(wal.OpRevoke, device, cell, now.UnixNano(), 0)
+		heap.Remove(&s.heap, e.index)
+		delete(s.entries, wal.Key(device, cell))
 	}
-	s.metrics.outstanding(len(s.state.Grants))
-	s.maybeSnapshotLocked() //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
 }
 
 // ExpireDue retires every grant whose TTL has lapsed. Mutating calls
@@ -203,35 +288,39 @@ func (s *GrantStore) ExpireDue() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(s.clk.Now().UnixNano()) //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
+	s.expireLocked() //3golvet:allow lockio — the expiries' one WAL write is the durability point: it must stay ordered with the state mutations it records, under the per-shard lock; bounded local file I/O
 	s.metrics.outstanding(len(s.state.Grants))
 }
 
-// expireLocked pops due grants in deterministic (expiry, device, cell)
-// order. The heap holds stale entries for refreshed grants; an entry
-// only expires the live grant when the expiry still matches.
-func (s *GrantStore) expireLocked(now int64) {
+// expireLocked observes the TTL lapses due by now as a unit of their
+// own: drain, then one WAL write.
+func (s *GrantStore) expireLocked() {
+	s.drainLocked(s.clk.Now().UnixNano())
+	s.commitLocked()
+}
+
+// drainLocked pops due grants in deterministic (expiry, device, cell)
+// order, staging one OpExpire record each; the caller commits.
+func (s *GrantStore) drainLocked(now int64) {
 	for len(s.heap) > 0 && s.heap[0].at <= now {
-		e := heap.Pop(&s.heap).(storeExpiry)
-		g, ok := s.state.Grants[wal.Key(e.device, e.cell)]
-		if !ok || g.Expiry != e.at {
-			continue // refreshed or revoked since this entry was pushed
-		}
-		s.applyLocked(wal.OpExpire, g.Device, g.Cell, now, 0)
+		e := heap.Pop(&s.heap).(*storeExpiry)
+		delete(s.entries, wal.Key(e.device, e.cell))
+		s.applyLocked(wal.OpExpire, e.device, e.cell, now, 0)
 	}
 }
 
-// applyLocked appends the record (durable stores) and folds it into
-// the in-memory state. WAL append failures are counted and the state
-// still advances: a daemon with a full disk keeps serving decisions,
-// degraded to memory-only durability, rather than going dark.
+// applyLocked stages the record (durable stores) and folds it into the
+// in-memory state; nothing is observable until the caller committed and
+// released the lock. A record the log refuses to stage (sealed) is
+// counted and the state still advances: a daemon with a full disk keeps
+// serving decisions, degraded to memory-only durability, rather than
+// going dark.
 func (s *GrantStore) applyLocked(op wal.Op, device, cell string, at, expiry int64) {
 	if s.log != nil {
-		rec, err := s.log.Append(op, device, cell, at, expiry)
+		rec, err := s.log.Stage(op, device, cell, at, expiry)
 		if err == nil {
 			s.state.Apply(rec)
-			s.sinceSnapshot++
-			s.metrics.walAppended(op)
+			s.staged[op]++
 			return
 		}
 		s.walErrs++
@@ -247,6 +336,28 @@ func (s *GrantStore) applyLocked(op wal.Op, device, cell string, at, expiry int6
 		// successful append that reused a lower number would be skipped
 		// on replay as already covered by that snapshot.
 		s.log.SkipTo(s.state.Seq)
+	}
+}
+
+// commitLocked writes the staged records with one write(2). A failed
+// write is one WAL error however many records it carried: the log
+// rewound them as a unit and keeps their sequence numbers spent, so the
+// state that already folded them stays aligned with later appends.
+func (s *GrantStore) commitLocked() {
+	if s.log == nil {
+		return
+	}
+	err := s.log.Commit()
+	for op, n := range s.staged {
+		if n > 0 && err == nil {
+			s.sinceSnapshot += n
+			s.metrics.walAppended(wal.Op(op), n)
+		}
+		s.staged[op] = 0
+	}
+	if err != nil {
+		s.walErrs++
+		s.metrics.walAppendFailed()
 	}
 }
 
@@ -278,8 +389,8 @@ func (s *GrantStore) Snapshot() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(s.clk.Now().UnixNano()) //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
-	s.snapshotLocked()                     //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
+	s.expireLocked()   //3golvet:allow lockio — the expiries' one WAL write is the durability point: it must stay ordered with the state mutations it records, under the per-shard lock; bounded local file I/O
+	s.snapshotLocked() //3golvet:allow lockio — compaction must see exactly the state the log it truncates recorded, under the per-shard lock; bounded local file I/O
 }
 
 // Close flushes a final snapshot and closes the log.
@@ -291,9 +402,9 @@ func (s *GrantStore) Close() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(s.clk.Now().UnixNano()) //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
-	s.snapshotLocked()                     //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
-	return s.log.Close()                   //3golvet:allow lockio — final close under the shard lock; nothing can contend after drain
+	s.expireLocked()     //3golvet:allow lockio — the expiries' one WAL write is the durability point: it must stay ordered with the state mutations it records, under the per-shard lock; bounded local file I/O
+	s.snapshotLocked()   //3golvet:allow lockio — compaction must see exactly the state the log it truncates recorded, under the per-shard lock; bounded local file I/O
+	return s.log.Close() //3golvet:allow lockio — final close under the shard lock; nothing can contend after drain
 }
 
 // Outstanding reports the live (unexpired) grant count.
@@ -305,7 +416,7 @@ func (s *GrantStore) Outstanding() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(s.clk.Now().UnixNano()) //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
+	s.expireLocked() //3golvet:allow lockio — the expiries' one WAL write is the durability point: it must stay ordered with the state mutations it records, under the per-shard lock; bounded local file I/O
 	return len(s.state.Grants)
 }
 
@@ -330,7 +441,7 @@ func (s *GrantStore) StateHash() string {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(s.clk.Now().UnixNano()) //3golvet:allow lockio — the WAL write is the durability point: it must stay ordered with the state mutation it records, under the per-shard lock; bounded local file I/O
+	s.expireLocked() //3golvet:allow lockio — the expiries' one WAL write is the durability point: it must stay ordered with the state mutations it records, under the per-shard lock; bounded local file I/O
 	return HashState(s.state)
 }
 
@@ -361,16 +472,19 @@ func ShardWALDir(root string, shard int) string {
 	return fmt.Sprintf("%s/shard-%d", root, shard)
 }
 
-// storeExpiry is one (expiry, device, cell) entry of the lazy min-heap.
+// storeExpiry is one outstanding grant's entry in the lazy min-heap;
+// index is its current heap position, so a refresh or revoke reaches it
+// without a search.
 type storeExpiry struct {
 	at           int64
 	device, cell string
+	index        int
 }
 
 // storeExpiryHeap orders by expiry, breaking ties by (device, cell) so
 // the drain order — and therefore the OpExpire record order in the WAL
 // — is deterministic.
-type storeExpiryHeap []storeExpiry
+type storeExpiryHeap []*storeExpiry
 
 func (h storeExpiryHeap) Len() int { return len(h) }
 func (h storeExpiryHeap) Less(i, j int) bool {
@@ -382,12 +496,20 @@ func (h storeExpiryHeap) Less(i, j int) bool {
 	}
 	return h[i].cell < h[j].cell
 }
-func (h storeExpiryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *storeExpiryHeap) Push(x any)   { *h = append(*h, x.(storeExpiry)) }
+func (h storeExpiryHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *storeExpiryHeap) Push(x any) {
+	e := x.(*storeExpiry)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
 func (h *storeExpiryHeap) Pop() any {
 	old := *h
 	n := len(old)
-	x := old[n-1]
+	e := old[n-1]
+	old[n-1] = nil
 	*h = old[:n-1]
-	return x
+	return e
 }

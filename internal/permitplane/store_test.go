@@ -1,6 +1,12 @@
 package permitplane
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -30,13 +36,13 @@ func TestGrantStoreExpiryHeap(t *testing.T) {
 		t.Errorf("outstanding after d1 lapse = %d, want 2", got)
 	}
 
-	// Refresh d2 before its 20s lapse: the old heap entry goes stale
-	// and must NOT expire the refreshed grant.
+	// Refresh d2 before its 20s lapse: its heap entry moves to the new
+	// expiry, and the old one must NOT expire the refreshed grant.
 	clk.advance(5 * time.Second) // t = +16s; d2's original expiry is +20s
 	s.RecordDecision("d2", "bs0/s1", true, 60)
-	clk.advance(10 * time.Second) // t = +26s; past the stale entry
+	clk.advance(10 * time.Second) // t = +26s; past the original expiry
 	if got := s.Outstanding(); got != 2 {
-		t.Errorf("stale heap entry expired a refreshed grant: outstanding = %d, want 2", got)
+		t.Errorf("the original expiry took a refreshed grant: outstanding = %d, want 2", got)
 	}
 
 	// d3 lapses at +30s, refreshed d2 at +16+60s.
@@ -252,4 +258,99 @@ func TestGrantStoreSnapshotEvery(t *testing.T) {
 	if len(st.Grants) != 1 {
 		t.Errorf("replayed %d grants, want 1", len(st.Grants))
 	}
+}
+
+// seededStoreRun drives a durable store through a seeded mix of grants,
+// refreshes, denials and TTL lapses (TTLs of whole seconds on a clock
+// stepping in half seconds, so expiries tie and the (expiry, device,
+// cell) order decides) and returns the store, still open.
+func seededStoreRun(t *testing.T, dir string, devices, steps int) *GrantStore {
+	t.Helper()
+	clk := storeClock()
+	s, err := OpenGrantStore(dir, clk, nil, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < steps; i++ {
+		d := rng.Intn(devices)
+		device, cell := fmt.Sprintf("dev-%03d", d), fmt.Sprintf("cell-%d", d%7)
+		switch r := rng.Intn(10); {
+		case r < 7:
+			s.RecordDecision(device, cell, true, float64(1+rng.Intn(4)))
+		case r < 8:
+			s.RecordDecision(device, cell, false, 0)
+		default:
+			clk.advance(500 * time.Millisecond)
+			s.ExpireDue()
+		}
+	}
+	return s
+}
+
+// TestGrantStoreWALBytesPinned pins the log a seeded run writes, byte
+// for byte, to what the one-write-per-record store with its
+// push-per-refresh heap wrote: staging, the in-place heap and the
+// batched commit change when bytes reach the file, never which.
+func TestGrantStoreWALBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	s := seededStoreRun(t, dir, 40, 4000)
+	logBytes, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(logBytes)
+	const want = "469b45ba0f9800b295815b6bf420331870d76453023eb8a9bfa872dd4e30404a"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("seeded run wrote %d WAL bytes hashing to %s, want %s", len(logBytes), got, want)
+	}
+	replayed := mustReplay(t, dir)
+	if got, want := HashState(replayed), s.StateHash(); got != want {
+		t.Errorf("replayed state hashes to %s, live store to %s", got, want)
+	}
+	if replayed.TotalRefreshes == 0 || replayed.TotalRevokes == 0 || replayed.TotalExpiries == 0 {
+		t.Errorf("seeded run made %d refreshes, %d revokes, %d expiries; the pin needs all three",
+			replayed.TotalRefreshes, replayed.TotalRevokes, replayed.TotalExpiries)
+	}
+}
+
+// TestGrantStoreHeapHoldsOneEntryPerGrant pins the heap bound: a
+// refresh moves its grant's entry in place, so however often G grants
+// are refreshed the heap holds G entries — not one per refresh waiting
+// out a TTL.
+func TestGrantStoreHeapHoldsOneEntryPerGrant(t *testing.T) {
+	const grants, rounds = 64, 50
+	clk := storeClock()
+	s := NewGrantStore(clk, nil)
+	for round := 0; round < rounds; round++ {
+		for d := 0; d < grants; d++ {
+			s.RecordDecision(fmt.Sprintf("dev-%02d", d), "cell", true, 3600)
+		}
+		clk.advance(time.Second)
+	}
+	if len(s.heap) != grants || len(s.entries) != grants {
+		t.Fatalf("after %d refreshes of %d grants: heap %d, entries %d, want %d each",
+			rounds-1, grants, len(s.heap), len(s.entries), grants)
+	}
+	for i, e := range s.heap {
+		if e.index != i || s.entries[wal.Key(e.device, e.cell)] != e {
+			t.Fatalf("heap[%d] (%s) has index %d or is not its grant's entry", i, e.device, e.index)
+		}
+	}
+	// Revokes and lapses take their entries with them.
+	s.RecordDecision("dev-00", "cell", false, 0)
+	clk.advance(2 * time.Hour)
+	if got := s.Outstanding(); got != 0 || len(s.heap) != 0 || len(s.entries) != 0 {
+		t.Errorf("after revoke and lapse: %d outstanding, heap %d, entries %d, want 0", got, len(s.heap), len(s.entries))
+	}
+}
+
+func mustReplay(t *testing.T, dir string) *wal.State {
+	t.Helper()
+	st, _, err := wal.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

@@ -19,9 +19,16 @@
 //     records the last sequence number it covers; replay skips log
 //     records at or below it, so a crash between "snapshot renamed"
 //     and "log truncated" double-applies nothing.
-//   - Sequence numbers are assigned at append time and never reused,
-//     so any prefix of the log composes with any snapshot into one
-//     well-defined state.
+//   - Sequence numbers are assigned when a record is staged and never
+//     reused, so any prefix of the log composes with any snapshot into
+//     one well-defined state.
+//
+// Appending is two steps: Stage numbers a record and frames it into a
+// buffer, Commit writes the buffer with one write(2) — however many
+// records a caller stages between commits, the file sees one write and
+// a failure rewinds that write as a unit. A kill inside the write still
+// leaves whole frames followed by at most one torn one, so recovery
+// works in records, not in commits. Append is Stage plus Commit.
 //
 // The package is deliberately free of clocks and goroutines: callers
 // stamp records with their own time source and serialise appends (the
@@ -94,6 +101,10 @@ const (
 	maxPayload  = 1 << 16
 )
 
+// maxStagedKeep is the largest staging buffer a Log keeps between
+// commits (a full 512-record slice of ordinary IDs is ~40 KB).
+const maxStagedKeep = 1 << 20
+
 // MaxIDLen bounds the device and cell identifiers a record may carry.
 // The frame stores each length in a uint16 and caps the whole payload
 // at maxPayload; an unbounded ID would wrap the length field or exceed
@@ -113,21 +124,25 @@ var ErrIDTooLong = errors.New("wal: device or cell ID exceeds MaxIDLen")
 // refused instead. A successful WriteSnapshot heals the log.
 var errSealed = errors.New("wal: log sealed after unrepairable partial write")
 
-// encode appends the record's frame to buf and returns the result.
+// encode appends the record's frame to buf and returns the result. The
+// payload is written in place behind a reserved header, so staging a
+// record allocates nothing once the buffer has grown.
 func encode(buf []byte, r Record) []byte {
-	payload := make([]byte, 0, 29+len(r.Device)+len(r.Cell))
-	payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
-	payload = append(payload, byte(r.Op))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.At))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.Expiry))
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(r.Device)))
-	payload = append(payload, r.Device...)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(r.Cell)))
-	payload = append(payload, r.Cell...)
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeader)...)
+	buf = binary.LittleEndian.AppendUint64(buf, r.Seq)
+	buf = append(buf, byte(r.Op))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.At))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Expiry))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Device)))
+	buf = append(buf, r.Device...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Cell)))
+	buf = append(buf, r.Cell...)
 
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
 // errTorn reports an invalid or incomplete frame — the replay loop's
@@ -216,7 +231,11 @@ type Log struct {
 	size int64
 	// sealed refuses further appends after a rewind itself failed —
 	// the only state in which partial bytes might precede the tail.
-	sealed    bool
+	sealed bool
+	// staged holds the frames of the stagedN records Stage has numbered
+	// and Commit has not yet written.
+	staged    []byte
+	stagedN   int
 	recovered RecoveryStats
 }
 
@@ -331,18 +350,19 @@ func (l *Log) Seq() uint64 { return l.seq }
 // Recovered reports what Open found.
 func (l *Log) Recovered() RecoveryStats { return l.recovered }
 
-// Append assigns the next sequence number to a record, writes its
-// frame, and returns the stamped record for the caller to apply to its
-// state. Records whose device or cell exceeds MaxIDLen are rejected
-// with ErrIDTooLong before anything is written — an oversized ID would
-// produce a frame replay reads as torn, truncating every record after
-// it. A failed write is rewound to the last frame boundary so partial
-// bytes never precede later appends; if the rewind itself fails the
-// log seals and every Append errors until a snapshot heals it. With
-// syncEvery > 0 the file is fsynced every that many appends;
-// syncEvery == 0 never fsyncs, which still survives kill -9 (the
-// kernel owns written pages) but not power loss.
-func (l *Log) Append(op Op, device, cell string, at, expiry int64) (Record, error) {
+// Stage assigns the next sequence number to a record, frames it into
+// the log's staging buffer, and returns the stamped record for the
+// caller to apply to its state; nothing reaches the file until Commit.
+// A sequence number is spent the moment it is assigned: if the commit
+// fails the staged records are dropped and their numbers are never
+// handed out again, so a caller that already folded them into its state
+// stays aligned with the log (what SkipTo arranges for records that
+// could not even be staged). Records whose device or cell exceeds
+// MaxIDLen are rejected with ErrIDTooLong before anything is numbered —
+// an oversized ID would produce a frame replay reads as torn,
+// truncating every record after it — and a sealed log stages nothing.
+// Every Stage must be followed by Commit before any other method.
+func (l *Log) Stage(op Op, device, cell string, at, expiry int64) (Record, error) {
 	if l.sealed {
 		return Record{}, fmt.Errorf("wal: appending %s record: %w", op, errSealed)
 	}
@@ -350,20 +370,54 @@ func (l *Log) Append(op Op, device, cell string, at, expiry int64) (Record, erro
 		return Record{}, fmt.Errorf("wal: appending %s record (device %d bytes, cell %d bytes): %w",
 			op, len(device), len(cell), ErrIDTooLong)
 	}
-	r := Record{Seq: l.seq + 1, Op: op, At: at, Expiry: expiry, Device: device, Cell: cell}
-	frame := encode(nil, r)
-	if _, err := l.f.Write(frame); err != nil {
-		l.rewind()
-		return Record{}, fmt.Errorf("wal: appending %s record: %w", op, err)
+	l.seq++
+	r := Record{Seq: l.seq, Op: op, At: at, Expiry: expiry, Device: device, Cell: cell}
+	l.staged = encode(l.staged, r)
+	l.stagedN++
+	return r, nil
+}
+
+// Commit writes every staged frame with one write(2) — the unit the
+// failure handling works in. A failed write is rewound to the last
+// frame boundary so partial bytes never precede later appends, and the
+// whole batch is dropped; if the rewind itself fails the log seals and
+// every Stage errors until a snapshot heals it. With syncEvery > 0 the
+// file is fsynced once that many records accumulated; syncEvery == 0
+// never fsyncs, which still survives kill -9 (the kernel owns written
+// pages) but not power loss. Commit with nothing staged is a no-op.
+func (l *Log) Commit() error {
+	if l.stagedN == 0 {
+		return nil
 	}
-	l.size += int64(len(frame))
-	l.seq = r.Seq
-	l.unsynced++
+	frames, n := l.staged, l.stagedN
+	l.staged, l.stagedN = l.staged[:0], 0
+	if cap(frames) > maxStagedKeep {
+		l.staged = nil // one huge batch must not pin its buffer for good
+	}
+	if _, err := l.f.Write(frames); err != nil {
+		l.rewind()
+		return fmt.Errorf("wal: writing %d staged record(s): %w", n, err)
+	}
+	l.size += int64(len(frames))
+	l.unsynced += n
 	if l.syncEvery > 0 && l.unsynced >= l.syncEvery {
 		if err := l.f.Sync(); err != nil {
-			return Record{}, fmt.Errorf("wal: syncing log: %w", err)
+			return fmt.Errorf("wal: syncing log: %w", err)
 		}
 		l.unsynced = 0
+	}
+	return nil
+}
+
+// Append is Stage and Commit of one record: the single-record form of
+// the one append implementation.
+func (l *Log) Append(op Op, device, cell string, at, expiry int64) (Record, error) {
+	r, err := l.Stage(op, device, cell, at, expiry)
+	if err != nil {
+		return Record{}, err
+	}
+	if err := l.Commit(); err != nil {
+		return Record{}, err
 	}
 	return r, nil
 }

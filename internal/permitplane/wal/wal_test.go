@@ -23,9 +23,16 @@ func testRecords() []Record {
 	}
 }
 
-// appendAll writes recs through a fresh log in dir and returns the
-// stamped records.
+// appendAll writes recs through a fresh log in dir, one record per
+// commit, and returns the stamped records.
 func appendAll(t *testing.T, dir string, recs []Record) []Record {
+	t.Helper()
+	return commitAll(t, dir, recs, 1)
+}
+
+// commitAll writes recs through a fresh log in dir, perCommit records
+// to a commit, and returns the stamped records.
+func commitAll(t *testing.T, dir string, recs []Record, perCommit int) []Record {
 	t.Helper()
 	l, _, _, err := Open(dir, 0)
 	if err != nil {
@@ -34,11 +41,14 @@ func appendAll(t *testing.T, dir string, recs []Record) []Record {
 	defer l.Close()
 	out := make([]Record, len(recs))
 	for i, r := range recs {
-		stamped, err := l.Append(r.Op, r.Device, r.Cell, r.At, r.Expiry)
-		if err != nil {
+		if out[i], err = l.Stage(r.Op, r.Device, r.Cell, r.At, r.Expiry); err != nil {
 			t.Fatal(err)
 		}
-		out[i] = stamped
+		if (i+1)%perCommit == 0 || i == len(recs)-1 {
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	return out
 }
@@ -70,13 +80,22 @@ func TestRoundTripThroughReopen(t *testing.T) {
 
 // TestKillAtEveryByteBoundary is the torn-tail pin: cutting the log at
 // any byte must reconstruct exactly the state of the longest valid
-// record prefix — never an error, never a partial record applied.
+// record prefix — never an error, never a partial record applied. A
+// commit of several records is one write(2) and can be cut anywhere
+// inside it, so the log is written three records to a commit: the cut
+// still recovers a record prefix, not a commit prefix, and the bytes
+// are those of one-record commits.
 func TestKillAtEveryByteBoundary(t *testing.T) {
 	full := t.TempDir()
-	stamped := appendAll(t, full, testRecords())
+	stamped := commitAll(t, full, testRecords(), 3)
 	logBytes, err := os.ReadFile(filepath.Join(full, logName))
 	if err != nil {
 		t.Fatal(err)
+	}
+	singles := t.TempDir()
+	appendAll(t, singles, testRecords())
+	if one, err := os.ReadFile(filepath.Join(singles, logName)); err != nil || !bytes.Equal(one, logBytes) {
+		t.Fatalf("three-record commits wrote different bytes than one-record commits (read err %v)", err)
 	}
 
 	// Valid prefix states: prefixState[k] is the state after the first
@@ -430,6 +449,61 @@ func TestRewindRepairsPartialWrite(t *testing.T) {
 	}
 }
 
+// TestRewindRepairsPartialBatchWrite is the same repair for a commit of
+// several records that failed partway: a whole frame and half of the
+// next reached the file. The rewind takes the batch back as a unit —
+// the whole frame too, since its commit was reported failed — and the
+// batch's sequence numbers stay spent.
+func TestRewindRepairsPartialBatchWrite(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(OpGrant, "d1", "bs0/s0", 100, 1100); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"b1", "b2", "b3"} {
+		if _, err := l.Stage(OpGrant, d, "bs0/s1", 200, 1200); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The on-disk state Commit's error path sees after a short write,
+	// then what that path does: rewind, drop the batch.
+	_, frame, err := decodeFrame(l.staged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.f.Write(l.staged[:frame+frame/2]); err != nil {
+		t.Fatal(err)
+	}
+	l.rewind()
+	l.staged, l.stagedN = l.staged[:0], 0
+	if l.sealed {
+		t.Fatal("rewind sealed a repairable log")
+	}
+	after, err := l.Append(OpGrant, "d2", "bs0/s2", 300, 1300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Seq != 5 {
+		t.Errorf("append after the failed batch got seq %d, want 5 — the batch's numbers 2..4 were handed out again", after.Seq)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, stats, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TornBytes != 0 || stats.RecordsReplayed != 2 {
+		t.Errorf("%d torn bytes, %d records replayed, want 0 and 2 (d1, d2; none of the batch)", stats.TornBytes, stats.RecordsReplayed)
+	}
+	if _, ok := st.Grants[Key("b1", "bs0/s1")]; ok {
+		t.Error("a record of the failed batch survived the rewind")
+	}
+}
+
 // TestSealedLogRefusesAppendsUntilSnapshot pins the last-resort path:
 // when even the rewind fails, the log seals (no append may land after
 // unrepaired partial bytes) and a successful snapshot — which empties
@@ -455,14 +529,26 @@ func TestSealedLogRefusesAppendsUntilSnapshot(t *testing.T) {
 	}
 	defer ro.Close()
 	l.f = ro
-	if _, err := l.Append(OpGrant, "d2", "bs0/s1", 200, 1200); err == nil {
-		t.Fatal("append on read-only log succeeded")
+	// The failing write is a batch: it fails, and seals, as a unit.
+	for _, d := range []string{"d2", "d2b", "d2c"} {
+		if _, err := l.Stage(OpGrant, d, "bs0/s1", 200, 1200); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Commit(); err == nil {
+		t.Fatal("commit on read-only log succeeded")
 	}
 	if !l.sealed {
 		t.Fatal("unrepairable write failure did not seal the log")
 	}
+	if l.stagedN != 0 || len(l.staged) != 0 {
+		t.Fatalf("failed commit left %d records staged", l.stagedN)
+	}
 	if _, err := l.Append(OpGrant, "d3", "bs0/s2", 300, 1300); !errors.Is(err, errSealed) {
 		t.Fatalf("sealed log append err = %v, want errSealed", err)
+	}
+	if l.Seq() != 4 {
+		t.Errorf("Seq() = %d after a failed batch of three, want 4 — its numbers must stay spent, and a refused Stage must spend none", l.Seq())
 	}
 
 	// The descriptor recovers; a snapshot covers the full state and

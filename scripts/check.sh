@@ -12,12 +12,20 @@
 #   6. fuzz        — ten seconds of FuzzCore: the scheduler's decision
 #      core under byte-scripted event sequences from a model driver
 #      (all four policies, equal timestamps allowed), starting from the
-#      seed corpus in internal/scheduler/testdata/fuzz; a failing input
-#      is written there for the fix to commit
-#   7. alloc budget — TestBoostVoDAllocBudget without the race detector
-#      (the race stage skips it): a boosted BipBop q4 session at steady
-#      state allocates under 2 MB, the ratchet on the segment-buffer
-#      recycling of the client proxy
+#      seed corpus in internal/scheduler/testdata/fuzz; then ten seconds
+#      of FuzzBatchCodec: arbitrary bytes into the /permits/batch
+#      request and response decoders against encoding/json on the plain
+#      structs (same error-ness, equal values), from the corpus in
+#      internal/permitplane/testdata/fuzz. A failing input is written
+#      beside its corpus for the fix to commit
+#   7. alloc budgets — without the race detector (the race stage skips
+#      them). TestBoostVoDAllocBudget: a boosted BipBop q4 session at
+#      steady state allocates under 2 MB, the ratchet on the
+#      segment-buffer recycling of the client proxy.
+#      TestServeBatchAllocBudget: a warmed 512-request batch allocates
+#      under 150 KB in the permit plane's handler and under 250 KB per
+#      BatchClient round trip, the ratchet on the batch path's codec
+#      and pooled buffers
 #   8. fleet smoke — 3golfleet city-scale engine run inside a time
 #      budget, with its -json report validated for shape
 #   9. trace smoke — 3golfleet -events flight-recorder capture piped
@@ -88,10 +96,14 @@ echo '==> fuzz (go test -fuzz FuzzCore -fuzztime 10s ./internal/scheduler)'
 # the mutator look for ten seconds more. -run '^$' keeps it to fuzzing.
 go test -run '^$' -fuzz '^FuzzCore$' -fuzztime 10s ./internal/scheduler
 
-echo '==> alloc budget (go test -run TestBoostVoDAllocBudget ./internal/core, no -race)'
+echo '==> fuzz (go test -fuzz FuzzBatchCodec -fuzztime 10s ./internal/permitplane)'
+go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 10s ./internal/permitplane
+
+echo '==> alloc budgets (TestBoostVoDAllocBudget, TestServeBatchAllocBudget; no -race)'
 # Allocation counts mean nothing under the race detector, so the stage
-# above skips this test; -count=1 keeps a cached pass from standing in.
+# above skips these tests; -count=1 keeps a cached pass from standing in.
 go test -count=1 -run 'TestBoostVoDAllocBudget$' ./internal/core
+go test -count=1 -run 'TestServeBatchAllocBudget$' ./internal/permitplane
 
 echo '==> fleet smoke (3golfleet -json inside a time budget)'
 # A small city-scale run must finish inside the time budget (a hang or
