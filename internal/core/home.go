@@ -215,10 +215,12 @@ func (h *Home) startPhone(i int, pc PhoneConfig, scale float64, promotion, tail 
 		ph.Proxy.OnBytes = tr.Use
 		ph.Proxy.Admit = func(context.Context) bool { return tr.ShouldAdvertise() }
 	}
-	addr, shutdown, err := ph.Proxy.ListenAndServe(context.Background(), "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("core: starting proxy for %s: %w", name, err)
 	}
+	addr := ln.Addr().String()
+	shutdown := ph.Proxy.Serve(context.Background(), netem.BoundUpstream(ln))
 	ph.ProxyAddr = addr
 	h.closers = append(h.closers, func() { shutdown() })
 

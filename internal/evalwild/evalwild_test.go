@@ -84,6 +84,9 @@ func TestFig6SchedulerOrdering(t *testing.T) {
 			t.Errorf("%dph: ADSL q4 not slower than q1", phones)
 		}
 	}
+	if grd, rr := total("3GOL_GRD", 1)+total("3GOL_GRD", 2), total("3GOL_RR", 1)+total("3GOL_RR", 2); grd >= rr {
+		t.Errorf("GRD (%v) not better than RR (%v) over both phone counts", grd, rr)
+	}
 	// Two phones beat one for GRD in aggregate.
 	if total("3GOL_GRD", 2) >= total("3GOL_GRD", 1) {
 		t.Error("2 phones not faster than 1 for GRD")
@@ -128,9 +131,15 @@ func TestFig7GainsGrowWithQualityAndPrebuffer(t *testing.T) {
 func TestFig8ReductionsPositiveEverywhere(t *testing.T) {
 	// Fig8's fast-DSL locations produce short emulated transfers, where
 	// unscaled per-request overheads distort ratios at high time scales;
-	// run this one at a gentler acceleration.
+	// run this one at a gentler acceleration. loc2 (21.64 Mbit/s, -95
+	// dBm) sets it: the line needs 4.5 s for the video, no phone can
+	// finish a segment inside that, and what GRD costs there is the
+	// player pulling the twenty cached segments from the local proxy
+	// after the line has re-fetched the one the cold phone took — 10 ms
+	// of host time, which reads as TimeScale × 10 ms of link time: -2 %
+	// at 10, -8 % at 40.
 	s := quick()
-	s.TimeScale = 40
+	s.TimeScale = 10
 	s.Reps = 2
 	rows, err := Fig8(s, []string{"q3"})
 	if err != nil {

@@ -20,12 +20,14 @@ type Shape struct {
 	// phone's radio shared by all flows through its proxy).
 	Shared []*Limiter
 	// Latency is the one-way propagation delay added per connection
-	// before the first byte (and per chunk jitter below).
+	// before the first byte.
 	Latency time.Duration
-	// Jitter adds a uniform random extra delay in [0, Jitter) per chunk.
+	// Jitter adds a uniform random extra delay in [0, Jitter) per
+	// maxChunk bytes carried, whatever sizes the caller writes in.
 	Jitter time.Duration
-	// StallProb is the per-chunk probability of a stall (TCP loss
-	// recovery on a wireless hop); each stall sleeps StallDelay.
+	// StallProb is the probability, per maxChunk bytes carried, of a
+	// stall (TCP loss recovery on a wireless hop); each stall delays the
+	// connection by StallDelay.
 	StallProb  float64
 	StallDelay time.Duration
 }
@@ -49,19 +51,36 @@ func (p Pipe) scale() float64 {
 	return p.TimeScale
 }
 
-// shaper paces one direction of one connection.
-type shaper struct {
-	clk        clock.Clock
-	limiters   []*Limiter
-	latency    time.Duration
-	jitter     time.Duration
-	stallProb  float64
-	stallDelay time.Duration
+// quantum is the shortest sleep a shaper asks of its clock: the host's
+// timer floor (a shorter time.Sleep takes about this long anyway). The
+// price is granularity: bytes are released in bursts of rate × quantum.
+const quantum = time.Millisecond
 
-	mu       sync.Mutex
-	seed     int64
-	rng      *rand.Rand // seeded from seed on the first draw
-	latentcy sync.Once  // pays the one-way latency once per connection
+// maxChunk is the unit of the byte clock: one jitter/stall draw per
+// maxChunk bytes carried. It also bounds the bytes charged per pacing
+// step, so a large write is smoothed rather than paid for in one sleep.
+const maxChunk = 16 * 1024
+
+// shaper paces one direction of one connection, clocked by the bytes it
+// carries, not by the calls that carry them: the limiters are charged
+// exactly on every call, stochastic delay is drawn once per maxChunk
+// bytes, and time owed — limiter debt plus drawn delay — is carried
+// forward until it amounts to a quantum. Skipping a sleep loses nothing:
+// the buckets' debt is the ledger, and the next call is quoted the rest.
+type shaper struct {
+	clk         clock.Clock
+	limiters    []*Limiter
+	latency     time.Duration
+	jitter      time.Duration
+	stallProb   float64
+	stallDelay  time.Duration
+	latencyOnce sync.Once // pays the one-way latency once per connection
+
+	mu      sync.Mutex
+	seed    int64
+	rng     *rand.Rand    // seeded from seed on the first draw
+	covered int           // bytes the latest draw still covers
+	drawn   time.Duration // drawn delay not yet slept
 }
 
 func newShaper(s Shape, scale float64, seed int64, clk clock.Clock) *shaper {
@@ -74,38 +93,40 @@ func newShaper(s Shape, scale float64, seed int64, clk clock.Clock) *shaper {
 		seed:       seed,
 	}
 	if s.Rate > 0 {
-		sh.limiters = append(sh.limiters, NewLimiter(s.Rate*scale, 0))
+		sh.limiters = append(sh.limiters, NewLimiterClock(s.Rate*scale, 0, clk))
 	}
 	sh.limiters = append(sh.limiters, s.Shared...)
 	return sh
 }
 
-// pace blocks until n bytes may pass.
+// pace charges n bytes to the link and blocks once a quantum is owed.
 func (s *shaper) pace(n int) {
 	if s == nil {
 		return
 	}
-	s.latentcy.Do(func() {
+	s.latencyOnce.Do(func() {
 		if s.latency > 0 {
 			s.clk.Sleep(s.latency)
 		}
 	})
 	bits := float64(n) * 8
-	var wait time.Duration
+	var debt time.Duration
 	for _, l := range s.limiters {
-		if d := l.Reserve(bits); d > wait {
-			wait = d
+		if d := l.Reserve(bits); d > debt {
+			debt = d
 		}
 	}
-	wait += s.stochasticDelay()
-	if wait > 0 {
+	if wait := debt + s.stochasticDelay(n, debt); wait >= quantum {
 		s.clk.Sleep(wait)
 	}
 }
 
-// stochasticDelay draws the per-chunk jitter and stall penalty under the
-// shaper's lock (the rng is not safe for concurrent use).
-func (s *shaper) stochasticDelay() time.Duration {
+// stochasticDelay advances the byte clock by n, drawing jitter and the
+// stall penalty for every maxChunk boundary crossed, and returns the
+// drawn delay to sleep now: all of it once it and debt amount to a
+// quantum, none until then. The rng is drawn under the shaper's lock;
+// the sleep is the caller's, outside it.
+func (s *shaper) stochasticDelay(n int, debt time.Duration) time.Duration {
 	if s.jitter <= 0 && s.stallProb <= 0 {
 		return 0 // nothing to draw: most connections never need the rng
 	}
@@ -114,13 +135,19 @@ func (s *shaper) stochasticDelay() time.Duration {
 	if s.rng == nil {
 		s.rng = rand.New(rand.NewSource(s.seed))
 	}
-	var d time.Duration
-	if s.jitter > 0 {
-		d += time.Duration(s.rng.Int63n(int64(s.jitter)))
+	for s.covered -= n; s.covered < 0; s.covered += maxChunk {
+		if s.jitter > 0 {
+			s.drawn += time.Duration(s.rng.Int63n(int64(s.jitter)))
+		}
+		if s.stallProb > 0 && s.rng.Float64() < s.stallProb {
+			s.drawn += s.stallDelay
+		}
 	}
-	if s.stallProb > 0 && s.rng.Float64() < s.stallProb {
-		d += s.stallDelay
+	if debt+s.drawn < quantum {
+		return 0
 	}
+	d := s.drawn
+	s.drawn = 0
 	return d
 }
 
@@ -129,10 +156,6 @@ type Conn struct {
 	net.Conn
 	down, up *shaper
 }
-
-// maxChunk bounds the bytes charged per pacing step so large writes are
-// smoothed rather than sleeping once for a whole buffer.
-const maxChunk = 16 * 1024
 
 // Read shapes the server→client direction.
 func (c *Conn) Read(p []byte) (int, error) {
@@ -178,6 +201,15 @@ func WrapConn(conn net.Conn, pipe Pipe, seed int64) *Conn {
 	}
 }
 
+// upstreamBuffer is the socket buffer a shaped hop gets in its upstream
+// direction: the send buffer of the connections of a Dialer whose Up is
+// rate-limited, the receive buffer of a BoundUpstream listener's.
+// Loopback autotunes both to megabytes and swallows a photo whole, so a
+// request cancelled early is already complete and queued. The kernel
+// reserves about twice the figure per socket. Downstream is left alone:
+// there the receiver paces, and a small window only costs CPU.
+const upstreamBuffer = 4 * maxChunk
+
 // Dialer dials through an emulated link. The zero value dials unshaped.
 type Dialer struct {
 	Pipe Pipe
@@ -200,6 +232,9 @@ func (d *Dialer) DialContext(ctx context.Context, network, addr string) (net.Con
 	conn, err := nd.DialContext(ctx, network, addr)
 	if err != nil {
 		return nil, err
+	}
+	if tc, ok := conn.(*net.TCPConn); ok && (d.Pipe.Up.Rate > 0 || len(d.Pipe.Up.Shared) > 0) {
+		_ = tc.SetWriteBuffer(upstreamBuffer) // a refusal loses only the bound
 	}
 	return WrapConn(conn, d.Pipe, d.nextSeed()), nil
 }
@@ -250,4 +285,20 @@ func (l *Listener) nextSeed() int64 {
 	seed := l.Seed + l.next
 	l.next += 2
 	return seed
+}
+
+// BoundUpstream returns ln with the receive buffer of every TCP
+// connection it accepts held to upstreamBuffer (64 KB; the kernel
+// reserves about twice that per socket): the far end of a hop
+// whose near end is a Dialer. Connections are otherwise untouched.
+func BoundUpstream(ln net.Listener) net.Listener { return boundedListener{ln} }
+
+type boundedListener struct{ net.Listener }
+
+func (l boundedListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if tc, ok := conn.(*net.TCPConn); ok {
+		_ = tc.SetReadBuffer(upstreamBuffer) // a refusal loses only the bound
+	}
+	return conn, err
 }

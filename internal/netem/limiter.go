@@ -29,12 +29,13 @@ type Limiter struct {
 	mu     sync.Mutex
 	rate   float64 // bits per second (already time-scaled by the owner)
 	bucket float64 // available bits; may go negative (debt)
-	burst  float64 // bucket ceiling in bits
+	burst  float64 // bucket ceiling in bits, where bankSeconds of rate is not more
 	last   time.Time
 }
 
 // DefaultBurst is the default token-bucket depth: deep enough to keep
 // pipelines busy, shallow enough that rate changes take effect quickly.
+// A link scaled past 131 Mbit/s banks bankSeconds of its rate instead.
 const DefaultBurst = 32 * 8 * 1024 // 32 KB in bits
 
 // NewLimiter creates a limiter on the system clock. rate is in bits/s;
@@ -69,12 +70,20 @@ func (l *Limiter) Rate() float64 {
 	return l.rate
 }
 
-// refill adds tokens accrued since the last update. Caller holds mu.
+// bankSeconds is the least idle time a bucket can bank, whatever its
+// burst: a sleep overshoots by up to a quantum here, and a bucket too
+// shallow to hold that loses it on every sleep (32 KB is 0.3 ms of a
+// 20 Mbit/s line at TimeScale 40). The price: after an idle spell two
+// quanta of the scaled rate, 2 ms × TimeScale of link time, go unpaced.
+const bankSeconds = float64(2*quantum) / float64(time.Second)
+
+// refill adds tokens accrued since the last update, up to the burst or
+// bankSeconds of the rate, whichever is more. Caller holds mu.
 func (l *Limiter) refill(now time.Time) {
 	if l.rate > 0 {
 		l.bucket += l.rate * now.Sub(l.last).Seconds()
-		if l.bucket > l.burst {
-			l.bucket = l.burst
+		if ceiling := max(l.burst, l.rate*bankSeconds); l.bucket > ceiling {
+			l.bucket = ceiling
 		}
 	}
 	l.last = now

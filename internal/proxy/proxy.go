@@ -279,6 +279,14 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) (string, func(
 	if err != nil {
 		return "", nil, err
 	}
+	return ln.Addr().String(), s.Serve(ctx, ln), nil
+}
+
+// Serve starts the proxy on a listener the caller made — the emulated
+// home hands it one whose accepted connections are buffer-bounded — and
+// returns ListenAndServe's shutdown func. The listener is the server's
+// from here on.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) func() error {
 	srv := &http.Server{
 		Handler:     s,
 		ErrorLog:    log.New(io.Discard, "", 0),
@@ -286,7 +294,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) (string, func(
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	return ln.Addr().String(), func() error {
+	return func() error {
 		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		err := srv.Shutdown(sctx)
@@ -294,5 +302,5 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) (string, func(
 			err = serr
 		}
 		return err
-	}, nil
+	}
 }

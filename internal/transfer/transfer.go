@@ -201,20 +201,26 @@ func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, progress
 	resp, err := p.Client.Do(req)
 	if err != nil {
 		pr.Close()
-		n := counter.count()
+	} else {
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated &&
+			resp.StatusCode != http.StatusNoContent {
+			err = fmt.Errorf("status %s", resp.Status)
+		}
+	}
+	n = counter.count()
+	if err != nil {
+		// Prefer reporting cancellation over whatever the cancel turned
+		// into on the wire (a short write, a broken pipe, a hop's 502 for
+		// the half-sent body), so the scheduler classifies a losing
+		// replica as cancelled, not as a failure of its path.
 		if ctx.Err() != nil {
 			return n, ctx.Err()
 		}
 		return n, fmt.Errorf("transfer: POST %s via %s: %w", item.Name, p.PathName, err)
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated &&
-		resp.StatusCode != http.StatusNoContent {
-		return counter.count(), fmt.Errorf("transfer: POST %s via %s: status %s",
-			item.Name, p.PathName, resp.Status)
-	}
-	return counter.count(), nil
+	return n, nil
 }
 
 // outcome classifies a finished transfer for the flight recorder,

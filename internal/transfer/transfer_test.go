@@ -3,6 +3,7 @@ package transfer
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -380,5 +381,45 @@ func TestUploadPathReportsProgress(t *testing.T) {
 	defer mu.Unlock()
 	if last != 2048 {
 		t.Fatalf("final progress total = %d; want 2048", last)
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// A cancel can reach the caller as something other than Do's context
+// error: a hop that saw the half-sent body answers 502 before the
+// client's transport has noticed. The upload is a cancelled one all the
+// same, and must say so.
+func TestUploadPathCancelOutranksStatus(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		http.Error(w, "upstream error", http.StatusBadGateway)
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelOnResponse := false
+	p := &UploadPath{
+		PathName: "phone1", TargetURL: srv.URL,
+		Source: bytesSource(map[string][]byte{"p1.jpg": bytes.Repeat([]byte("j"), 1<<16)}),
+		// The cancel lands once the response is the client's.
+		Client: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			resp, err := srv.Client().Transport.RoundTrip(r)
+			if cancelOnResponse {
+				cancel()
+			}
+			return resp, err
+		})},
+	}
+	item := scheduler.Item{Name: "p1.jpg", Size: 1 << 16}
+	if _, err := p.Transfer(ctx, item); err == nil || !strings.Contains(err.Error(), "status 502") {
+		t.Errorf("502 without a cancel returned %v, want a status error", err)
+	}
+	cancelOnResponse = true
+	if _, err := p.Transfer(ctx, item); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled upload answered 502 returned %v, want context.Canceled", err)
 	}
 }

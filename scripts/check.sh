@@ -18,14 +18,17 @@
 #      structs (same error-ness, equal values), from the corpus in
 #      internal/permitplane/testdata/fuzz. A failing input is written
 #      beside its corpus for the fix to commit
-#   7. alloc budgets — without the race detector (the race stage skips
-#      them). TestBoostVoDAllocBudget: a boosted BipBop q4 session at
-#      steady state allocates under 2 MB, the ratchet on the
-#      segment-buffer recycling of the client proxy.
+#   7. alloc and link-rate budgets — without the race detector (the
+#      race stage skips them). TestBoostVoDAllocBudget: a boosted BipBop
+#      q4 session at steady state allocates under 2 MB, the ratchet on
+#      the segment-buffer recycling of the client proxy.
 #      TestServeBatchAllocBudget: a warmed 512-request batch allocates
 #      under 150 KB in the permit plane's handler and under 250 KB per
 #      BatchClient round trip, the ratchet on the batch path's codec
-#      and pooled buffers
+#      and pooled buffers. TestLinkRateBudget: 3 MB in 4 KB writes over
+#      the HSPA uplink at TimeScale 150, on the system clock, finishes
+#      within 1.25 × its ideal link time, the ratchet on netem's
+#      byte-clocked pacing (one timer-floor sleep per write took 6 ×)
 #   8. fleet smoke — 3golfleet city-scale engine run inside a time
 #      budget, with its -json report validated for shape
 #   9. trace smoke — 3golfleet -events flight-recorder capture piped
@@ -99,11 +102,13 @@ go test -run '^$' -fuzz '^FuzzCore$' -fuzztime 10s ./internal/scheduler
 echo '==> fuzz (go test -fuzz FuzzBatchCodec -fuzztime 10s ./internal/permitplane)'
 go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 10s ./internal/permitplane
 
-echo '==> alloc budgets (TestBoostVoDAllocBudget, TestServeBatchAllocBudget; no -race)'
-# Allocation counts mean nothing under the race detector, so the stage
-# above skips these tests; -count=1 keeps a cached pass from standing in.
+echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestServeBatchAllocBudget, TestLinkRateBudget; no -race)'
+# Allocation counts and wall-clock link time mean nothing under the race
+# detector, so the stage above skips these tests; -count=1 keeps a
+# cached pass from standing in.
 go test -count=1 -run 'TestBoostVoDAllocBudget$' ./internal/core
 go test -count=1 -run 'TestServeBatchAllocBudget$' ./internal/permitplane
+go test -count=1 -run 'TestLinkRateBudget$' ./internal/netem
 
 echo '==> fleet smoke (3golfleet -json inside a time budget)'
 # A small city-scale run must finish inside the time budget (a hang or
