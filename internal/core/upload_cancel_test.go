@@ -37,7 +37,8 @@ func (b countedBody) Read(p []byte) (int, error) {
 // number of bytes between the client's progress counter and the upload
 // server, so a replica cancelled a tenth of the way in delivers at most
 // that much more — never the rest of the photo — nothing is stored, and
-// the phone's byte count and quota stop moving. With
+// the phone's byte count and quota, which charge the body as the 3G
+// transport reads it, cover what the server got and stop moving. With
 // loopback's autotuned socket buffers the whole photo was "sent" within
 // milliseconds and the device proxy went on to upload a complete, valid
 // request over the phone's uplink after the cancel.
@@ -117,6 +118,16 @@ func TestCancelledUploadStopsAtTheLink(t *testing.T) {
 	if p, c := ph.Proxy.BytesTotal(), ph.Tracker.Used(); p != proxied || c != charged {
 		t.Errorf("phone kept working after the cancel: proxy bytes %d → %d, quota used %d → %d", proxied, p, charged, c)
 	}
-	t.Logf("at cancel: sent %d, received %d; received after cancel: %d (bound %d)",
-		sentAtCancel.Load(), recvAtCancel.Load(), received.Load()-recvAtCancel.Load(), bound)
+	// The chunked multipart body declares no length, and the request
+	// failed: the phone is still charged every byte its uplink carried —
+	// what the server read, plus at most what the 3G hop's two sockets
+	// and the transport's copy buffer hold (from Content-Length this was
+	// 0 for the failed request, 213 bytes had it succeeded).
+	const hopBound = 2*2*64<<10 + 64<<10
+	if got := received.Load(); proxied != charged || proxied < got || proxied > got+hopBound {
+		t.Errorf("server read %d bytes of the cancelled upload; the phone counted %d and charged its quota %d, want both the same and within [%d, %d]",
+			got, proxied, charged, got, got+hopBound)
+	}
+	t.Logf("at cancel: sent %d, received %d; received after cancel: %d (bound %d); phone counted %d",
+		sentAtCancel.Load(), recvAtCancel.Load(), received.Load()-recvAtCancel.Load(), bound, proxied)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,7 +48,9 @@ func fetch(url string) (*http.Response, []byte, error) {
 // playVerified plays one rendition through the proxy at base the way a
 // player does — media playlist, then every segment in order — and
 // compares each segment, and its Content-Length, with what the origin
-// serves directly.
+// serves directly. The origin's bodies are windows of one tape: no two
+// of a rendition may be the same bytes, or a buffer served for the wrong
+// segment would pass.
 func playVerified(base, origin string, v hls.Video, quality string) error {
 	dir := "/" + v.Name + "/" + quality + "/"
 	_, playlist, err := fetch(base + dir + "playlist.m3u8")
@@ -58,11 +61,17 @@ func playVerified(base, origin string, v hls.Video, quality string) error {
 	if err != nil || parsed.Kind != hls.KindMedia || len(parsed.Media.Segments) != v.NumSegments() {
 		return fmt.Errorf("%s playlist through the proxy: %v", quality, err)
 	}
+	served := map[[sha256.Size]byte]string{}
 	for _, seg := range parsed.Media.Segments {
 		_, want, err := fetch(origin + dir + seg.URI)
 		if err != nil {
 			return err
 		}
+		sum := sha256.Sum256(want)
+		if other, dup := served[sum]; dup {
+			return fmt.Errorf("%s: the origin serves the same bytes for %s and %s", quality, other, seg.URI)
+		}
+		served[sum] = seg.URI
 		resp, got, err := fetch(base + dir + seg.URI)
 		if err != nil {
 			return err

@@ -11,9 +11,10 @@ import (
 // Conn subjects a net.Conn's byte stream to a fault plan — the layer
 // below Path, where mid-stream stalls are physically injectable because
 // this wrapper owns every Read and Write. Sitting on top of a
-// netem.Conn (whose pacing chunks I/O into ≤16 KiB steps), the plan is
-// consulted once per chunk, so a window opening mid-transfer takes
-// effect within one chunk:
+// netem.Conn (whose pacing steps I/O by at most a quantum of link time:
+// 16 KiB on a link that binds, up to netem.MaxRead on one that does
+// not), the plan is consulted once per step, so a window opening
+// mid-transfer takes effect within one step:
 //
 //   - blackout/depart/reset: the underlying conn is closed and the call
 //     errors with *Error — a connection reset as the transport sees it;

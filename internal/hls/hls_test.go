@@ -4,36 +4,64 @@ import (
 	"bytes"
 	"compress/flate"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"threegol/internal/netem"
 )
 
-// The body generator emits 8 bytes per step; sizes that end inside a
-// word, below and above one chunk, must still come out exact,
-// deterministic and incompressible.
-func TestSyntheticBodyExactAtOddSizes(t *testing.T) {
-	body := func(size int, seed int64) []byte {
-		rec := httptest.NewRecorder()
-		writeSyntheticBody(rec, size, seed)
-		return rec.Body.Bytes()
+// oddVideo has two renditions whose three segments are size bytes each.
+func oddVideo(size int) Video {
+	return Video{Name: "odd", Duration: 3, SegmentDur: 1, Qualities: []Quality{{Name: "a", Bitrate: 8 * size}, {Name: "b", Bitrate: 8 * size}}}
+}
+
+// serveSegment asks a fresh origin — a fresh tape — for one segment.
+func serveSegment(t *testing.T, v Video, quality string, idx int) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	path := fmt.Sprintf("/%s/%s/seg%04d.ts", v.Name, quality, idx)
+	NewOrigin(v).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s = %d", path, rec.Code)
 	}
-	for _, size := range []int{0, 1, 7, 8, 9, 12_503, bodyChunk, bodyChunk + 3, 3*bodyChunk + 4093} {
-		a, b := body(size, 5), body(size, 5)
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+		t.Errorf("GET %s: Content-Length %s on a body of %s bytes", path, got, want)
+	}
+	return rec.Body.Bytes()
+}
+
+// A segment body is a window of the origin's tape, which is generated 8
+// bytes per step; sizes that end inside a word, below and above the old
+// generator's 16 KB chunk, must still come out exact, deterministic per
+// (rendition, index), distinct between segments and incompressible.
+func TestSyntheticBodyExactAtOddSizes(t *testing.T) {
+	for _, size := range []int{0, 1, 7, 8, 9, 12_503, 16 << 10, 16<<10 + 3, 3*(16<<10) + 4093} {
+		v := oddVideo(size)
+		a, b := serveSegment(t, v, "a", 1), serveSegment(t, v, "a", 1)
 		if len(a) != size {
 			t.Errorf("size %d: wrote %d bytes", size, len(a))
 		}
 		if !bytes.Equal(a, b) {
-			t.Errorf("size %d: two bodies from one seed differ", size)
+			t.Errorf("size %d: one segment served by two origins differs", size)
 		}
-		if size >= 8 && bytes.Equal(a, body(size, 6)) {
-			t.Errorf("size %d: seeds 5 and 6 gave the same body", size)
+		if size < 8 {
+			continue // too short to tell apart reliably
+		}
+		if bytes.Equal(a, serveSegment(t, v, "a", 2)) {
+			t.Errorf("size %d: segments 1 and 2 have the same body", size)
+		}
+		if bytes.Equal(a, serveSegment(t, v, "b", 1)) {
+			t.Errorf("size %d: renditions a and b serve the same segment 1", size)
 		}
 	}
-	raw := body(100_003, 1)
+	raw := serveSegment(t, oddVideo(100_003), "a", 0)
 	var packed bytes.Buffer
 	zw, err := flate.NewWriter(&packed, flate.BestCompression)
 	if err != nil {
@@ -47,6 +75,32 @@ func TestSyntheticBodyExactAtOddSizes(t *testing.T) {
 	}
 	if packed.Len() < len(raw)*99/100 {
 		t.Errorf("body deflates from %d to %d bytes: a middlebox could shrink it", len(raw), packed.Len())
+	}
+}
+
+// Every segment of the paper's video is its own bytes, and the largest
+// one fits the tape from the furthest offset.
+func TestOriginTapeWindows(t *testing.T) {
+	v := BipBop()
+	o := NewOrigin(v)
+	seen := map[[sha256.Size]byte]string{}
+	for _, q := range v.Qualities {
+		for i := 0; i < v.NumSegments(); i++ {
+			body := o.segmentBody(q, i, v.SegmentSize(q, i))
+			if len(body) != v.SegmentSize(q, i) {
+				t.Fatalf("%s seg %d: %d bytes, want %d", q.Name, i, len(body), v.SegmentSize(q, i))
+			}
+			name := fmt.Sprintf("%s/%d", q.Name, i)
+			sum := sha256.Sum256(body)
+			if prev, dup := seen[sum]; dup {
+				t.Errorf("%s and %s are the same bytes", prev, name)
+			}
+			seen[sum] = name
+		}
+	}
+	top := v.Qualities[len(v.Qualities)-1]
+	if want := v.SegmentSize(top, 0) + tapeSlack; len(o.tape()) < want {
+		t.Errorf("tape of %d bytes cannot hold the largest segment at the last offset (%d)", len(o.tape()), want)
 	}
 }
 
@@ -258,6 +312,48 @@ func TestPlayerPlaysThroughOrigin(t *testing.T) {
 	}
 	if res.PrebufferTime <= 0 || res.PrebufferTime > res.TotalTime {
 		t.Errorf("prebuffer %v should be within (0, total=%v]", res.PrebufferTime, res.TotalTime)
+	}
+}
+
+// offerBody is a response body of left bytes that records the len(p) of
+// every Read it is offered and, like a socket, fills less than that.
+type offerBody struct {
+	left    int
+	offered []int
+}
+
+func (b *offerBody) Read(p []byte) (int, error) {
+	b.offered = append(b.offered, len(p))
+	if b.left == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), b.left, 10_000)
+	b.left -= n
+	return n, nil
+}
+
+func (b *offerBody) Close() error { return nil }
+
+type roundTrip func(*http.Request) (*http.Response, error)
+
+func (f roundTrip) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// The player drops a segment through reads as large as a shaped
+// connection can fill, not io.Discard's 8 KB, and counts every byte.
+func TestPlayerOffersItsSourceTheReadCap(t *testing.T) {
+	const size = 922_500 // a BipBop q4 segment
+	body := &offerBody{left: size}
+	p := &Player{Client: &http.Client{Transport: roundTrip(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Body: body, Request: r}, nil
+	})}}
+	n, err := p.fetchSegment(context.Background(), "http://origin/bipbop/q4/seg0000.ts")
+	if err != nil || n != size {
+		t.Fatalf("fetchSegment = %d, %v; want %d", n, err, size)
+	}
+	for _, offered := range body.offered {
+		if offered != netem.MaxRead {
+			t.Fatalf("the body was offered a %d-byte buffer, want netem.MaxRead = %d", offered, netem.MaxRead)
+		}
 	}
 }
 

@@ -87,6 +87,7 @@ func (v Video) QualityByName(name string) (Quality, bool) {
 //	/<video>/<quality>/seg<i>.ts
 type Origin struct {
 	video Video
+	tape  func() []byte // newTape, once, on the first segment request
 }
 
 // NewOrigin creates the origin handler. It panics when the video has no
@@ -95,7 +96,9 @@ func NewOrigin(v Video) *Origin {
 	if len(v.Qualities) == 0 || v.Duration <= 0 || v.SegmentDur <= 0 {
 		panic(fmt.Sprintf("hls: invalid video %+v", v))
 	}
-	return &Origin{video: v}
+	o := &Origin{video: v}
+	o.tape = sync.OnceValue(o.newTape)
+	return o
 }
 
 // Video returns the served asset description.
@@ -175,49 +178,47 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodHead {
 			return
 		}
-		writeSyntheticBody(w, size, int64(idx)+hashString(q.Name))
+		_, _ = w.Write(o.segmentBody(q, idx, size)) // client disconnect; nothing to do
 	default:
 		http.NotFound(w, r)
 	}
 }
 
-// bodyChunk is the unit writeSyntheticBody generates and writes: a
-// multiple of 8, so only a body's last chunk can end inside a word.
-const bodyChunk = 16 * 1024
+// tapeSlack is the range of a segment's offset into the tape: a power of
+// two, so that an odd stride visits every offset before repeating one.
+const tapeSlack = 1 << 20
 
-var bodyChunks = sync.Pool{New: func() any {
-	b := make([]byte, bodyChunk)
-	return &b
-}}
-
-// writeSyntheticBody streams size bytes of deterministic pseudo-random
-// data derived from seed, in chunks, without allocating the whole body.
-// It is fixture code: one generator step yields 8 bytes so that serving
-// a body costs little next to the proxy path under test.
-func writeSyntheticBody(w http.ResponseWriter, size int, seed int64) {
-	bp := bodyChunks.Get().(*[]byte)
-	defer bodyChunks.Put(bp)
-	buf := *bp
-	x := uint64(seed)*2862933555777941757 + 3037000493
-	for size > 0 {
-		n := bodyChunk
-		if size < n {
-			n = size
-		}
-		for i := 0; i < n; i += 8 {
-			// xorshift64* keeps the body incompressible enough that
-			// proxies cannot shrink it (the paper avoids compressing
-			// middleboxes by using random payloads).
-			x ^= x >> 12
-			x ^= x << 25
-			x ^= x >> 27
-			binary.LittleEndian.PutUint64(buf[i:], x*2685821657736338717)
-		}
-		if _, err := w.Write(buf[:n]); err != nil {
-			return
-		}
-		size -= n
+// newTape generates the bytes every segment body is a window of: the
+// largest segment plus tapeSlack (≈ 2 MB for BipBop) of xorshift64*
+// output, incompressible so that proxies cannot shrink a body (the paper
+// avoids compressing middleboxes by using random payloads).
+func (o *Origin) newTape() []byte {
+	largest := 0
+	for _, q := range o.video.Qualities {
+		largest = max(largest, o.video.SegmentSize(q, 0))
 	}
+	tape := make([]byte, (largest+tapeSlack+7)&^7)
+	x := uint64(hashString(o.video.Name))*2862933555777941757 + 3037000493
+	for i := 0; i < len(tape); i += 8 {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		binary.LittleEndian.PutUint64(tape[i:], x*2685821657736338717)
+	}
+	return tape
+}
+
+// segmentBody returns the size bytes of segment idx of rendition q. It is
+// fixture code: a body is a window of the tape, so that serving one costs
+// a single Write next to the proxy path under test. The offset derives
+// from (q, idx): a segment is the same bytes every time, and no two of a
+// rendition start at the same place (the stride is odd). A response is
+// incompressible in itself, but windows overlap: a compressor with more
+// than a megabyte of window across responses could now find one segment
+// in another — none exists here.
+func (o *Origin) segmentBody(q Quality, idx, size int) []byte {
+	off := (uint64(hashString(q.Name)) + uint64(idx)*2654435761) % tapeSlack
+	return o.tape()[off:][:size]
 }
 
 func hashString(s string) int64 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"threegol/internal/clock"
+	"threegol/internal/proxy"
 )
 
 // PlayerResult reports what a playback session measured.
@@ -177,7 +178,7 @@ func (p *Player) fetchSegment(ctx context.Context, u string) (int64, error) {
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("status %s", resp.Status)
 	}
-	return io.Copy(io.Discard, resp.Body)
+	return proxy.Relay(io.Discard, resp.Body) // in the steps a shaped connection reads in
 }
 
 // resolveRef resolves a possibly relative playlist reference against its

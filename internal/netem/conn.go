@@ -58,8 +58,15 @@ const quantum = time.Millisecond
 
 // maxChunk is the unit of the byte clock: one jitter/stall draw per
 // maxChunk bytes carried. It also bounds the bytes charged per pacing
-// step, so a large write is smoothed rather than paid for in one sleep.
+// step of a Write, so a large write is smoothed rather than paid for in
+// one sleep, and is the least a Read offers the kernel.
 const maxChunk = 16 * 1024
+
+// MaxRead is the most a Read offers the kernel in one call, and the size
+// of the buffer a relay above a shaped hop copies through (proxy.Relay):
+// a link too fast to bind inside a timer tick moves a segment in pieces
+// this large instead of paying a syscall per maxChunk.
+const MaxRead = 256 * 1024
 
 // shaper paces one direction of one connection, clocked by the bytes it
 // carries, not by the calls that carry them: the limiters are charged
@@ -121,6 +128,26 @@ func (s *shaper) pace(n int) {
 	}
 }
 
+// readCap is the size of one read step on this direction: what its
+// slowest limiter moves in a quantum, no less than maxChunk and no more
+// than MaxRead. A link that binds within a quantum is thus read in
+// maxChunk pieces and sleeps as often as ever, where one flat large
+// read would be paid for in a single long sleep; a link that cannot
+// bind is read MaxRead at a time. It follows SetRate: the limiters are
+// asked on every call.
+func (s *shaper) readCap() int {
+	if s == nil {
+		return MaxRead
+	}
+	limit := float64(MaxRead)
+	for _, l := range s.limiters {
+		if r := l.Rate(); r > 0 {
+			limit = min(limit, r/8*quantum.Seconds())
+		}
+	}
+	return max(maxChunk, int(limit))
+}
+
 // stochasticDelay advances the byte clock by n, drawing jitter and the
 // stall penalty for every maxChunk boundary crossed, and returns the
 // drawn delay to sleep now: all of it once it and debt amount to a
@@ -157,10 +184,11 @@ type Conn struct {
 	down, up *shaper
 }
 
-// Read shapes the server→client direction.
+// Read shapes the server→client direction, in steps of the link's
+// readCap.
 func (c *Conn) Read(p []byte) (int, error) {
 	if len(p) > maxChunk {
-		p = p[:maxChunk]
+		p = p[:min(len(p), c.down.readCap())]
 	}
 	n, err := c.Conn.Read(p)
 	if n > 0 {

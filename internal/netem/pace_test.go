@@ -116,6 +116,169 @@ func TestPacingIndependentOfWriteSize(t *testing.T) {
 	}
 }
 
+// offerConn is a net.Conn that fills every buffer it is offered and
+// records the sizes.
+type offerConn struct {
+	net.Conn
+	offered []int
+}
+
+func (c *offerConn) Read(p []byte) (int, error) {
+	c.offered = append(c.offered, len(p))
+	return len(p), nil
+}
+
+// readIn reads total bytes from c into a buffer of size ask.
+func readIn(t *testing.T, c *Conn, total, ask int) {
+	t.Helper()
+	buf := make([]byte, ask)
+	for got := 0; got < total; {
+		n, err := c.Read(buf[:min(ask, total-got)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += n
+	}
+}
+
+// The loc1 downlinks of the bench's shaped workloads, unscaled.
+const (
+	adslDown = 6.48e6
+	hspaDown = 1.83e6
+)
+
+// A link that binds inside a quantum is read exactly as before: at
+// vod_shaped's TimeScale the ADSL line moves 16.2 KB per quantum and a
+// phone 4.6 KB, so whatever buffer the caller brings the kernel is
+// offered maxChunk, and the bytes take the same virtual time in the same
+// sleeps and the same draws. At the upload workload's TimeScale a phone's
+// downlink moves 34 KB per quantum and is read that much at a time: the
+// same link time within a quantum, still at most one sleep per quantum,
+// the same draws.
+func TestReadPacingIndependentOfReadSize(t *testing.T) {
+	const (
+		seed  = 11
+		total = 3 << 20
+	)
+	draws := total / maxChunk
+	for _, link := range []struct {
+		name  string
+		scale float64
+		pipe  func(scale float64) (Pipe, *Limiter, *Limiter)
+		rate  float64
+		step  int // readCap of the link
+	}{
+		{"ADSL at 20", 20, func(s float64) (Pipe, *Limiter, *Limiter) { return ADSLPipe(adslDown, 0.83e6, s) }, adslDown, maxChunk},
+		{"HSPA at 20", 20, func(s float64) (Pipe, *Limiter, *Limiter) { return HSPAPipe(hspaDown, hspaUp, s) }, hspaDown, maxChunk},
+		{"HSPA at 150", 150, func(s float64) (Pipe, *Limiter, *Limiter) { return HSPAPipe(hspaDown, hspaUp, s) }, hspaDown, 34_312},
+	} {
+		t.Run(link.name, func(t *testing.T) {
+			rate := link.rate * link.scale
+			ideal := time.Duration(total * 8 / rate * float64(time.Second))
+			var first *stepClock
+			for _, ask := range []int{maxChunk, 32 << 10, MaxRead, 1 << 20} {
+				clk := &stepClock{now: time.Unix(0, 0)}
+				pipe, _, _ := link.pipe(link.scale)
+				pipe.Clock = clk
+				pipe.Down.Shared = []*Limiter{NewLimiterClock(rate, 0, clk)}
+				pipe.Down.Latency = 0
+				under := &offerConn{}
+				c := WrapConn(under, pipe, seed)
+				readIn(t, c, total, ask)
+
+				for _, n := range under.offered {
+					if n > link.step {
+						t.Fatalf("asked for %d: the kernel was offered %d bytes, want at most %d", ask, n, link.step)
+					}
+				}
+				if off := math.Abs(float64(clk.slept-ideal)) / float64(ideal); off > 0.02 {
+					t.Errorf("asked for %d: slept %v of virtual time, ideal %v: off by %.1f %%", ask, clk.slept, ideal, 100*off)
+				}
+				if most := int(ideal/quantum) + 2; clk.sleeps > most {
+					t.Errorf("asked for %d: %d sleeps for %v of link time, want at most %d", ask, clk.sleeps, ideal, most)
+				}
+				switch {
+				case first == nil:
+					first = clk
+				case link.step == maxChunk && (clk.slept != first.slept || clk.sleeps != first.sleeps):
+					t.Errorf("asked for %d: slept %v in %d sleeps; in maxChunk reads %v in %d", ask, clk.slept, clk.sleeps, first.slept, first.sleeps)
+				case clk.slept-first.slept > quantum || first.slept-clk.slept > quantum:
+					t.Errorf("asked for %d: slept %v; in maxChunk reads %v", ask, clk.slept, first.slept)
+				}
+				if pipe.Down.Jitter == 0 {
+					continue // ADSL draws nothing
+				}
+				ref := rand.New(rand.NewSource(seed)) // WrapConn seeds Down with seed
+				jitter := int64(float64(pipe.Down.Jitter) / link.scale)
+				for i := 0; i < draws; i++ {
+					ref.Int63n(jitter)
+					ref.Float64()
+				}
+				if got, want := c.down.rng.Int63(), ref.Int63(); got != want {
+					t.Errorf("asked for %d: rng is not %d draws in: next value %d, want %d", ask, draws, got, want)
+				}
+			}
+		})
+	}
+}
+
+// The size of a read step is what the slowest limiter of the direction
+// moves in a quantum, between maxChunk and MaxRead, and it follows
+// SetRate: a link that cannot bind inside a timer tick is not read a
+// syscall per maxChunk.
+func TestReadSizeFollowsTheLink(t *testing.T) {
+	offeredFor := func(c *Conn, under *offerConn, ask int) int {
+		t.Helper()
+		if _, err := c.Read(make([]byte, ask)); err != nil {
+			t.Fatal(err)
+		}
+		return under.offered[len(under.offered)-1]
+	}
+	clk := &stepClock{now: time.Unix(0, 0)}
+	wrap := func(down Shape) (*Conn, *offerConn) {
+		under := &offerConn{}
+		return WrapConn(under, Pipe{Down: down, Clock: clk}, 1), under
+	}
+	const big = 1 << 20
+	for _, tc := range []struct {
+		name string
+		down Shape
+		want int
+	}{
+		{"unlimited", Shape{}, MaxRead},
+		{"unlimited shared limiter", Shape{Shared: []*Limiter{NewLimiterClock(0, 0, clk)}}, MaxRead},
+		{"1e18 bit/s (the unshaped bench home)", Shape{Shared: []*Limiter{NewLimiterClock(1e18, 0, clk)}}, MaxRead},
+		{"Wi-Fi n at TimeScale 20", Shape{Shared: []*Limiter{NewLimiterClock(WiFiNGoodput*20, 0, clk)}}, MaxRead},
+		{"ADSL at TimeScale 20", Shape{Shared: []*Limiter{NewLimiterClock(adslDown*20, 0, clk)}}, maxChunk},
+		{"HSPA at TimeScale 20", Shape{Rate: hspaDown * 20}, maxChunk},
+		// At the upload workload's scale a phone's downlink moves more
+		// than maxChunk in a quantum (274.5 Mbit/s × 1 ms), and is read a
+		// quantum at a time.
+		{"HSPA at TimeScale 150", Shape{Rate: hspaDown * 150}, 34_312},
+		{"the slowest limiter decides", Shape{Rate: 1e18, Shared: []*Limiter{NewLimiterClock(1e18, 0, clk), NewLimiterClock(400e6, 0, clk)}}, 50_000},
+	} {
+		c, under := wrap(tc.down)
+		if got := offeredFor(c, under, big); got != tc.want {
+			t.Errorf("%s: a %d-byte read was offered to the kernel as %d bytes, want %d", tc.name, big, got, tc.want)
+		}
+		if got := offeredFor(c, under, 4<<10); got != 4<<10 {
+			t.Errorf("%s: a 4 KB read was offered as %d bytes", tc.name, got)
+		}
+	}
+
+	radio := NewLimiterClock(1e18, 0, clk)
+	c, under := wrap(Shape{Shared: []*Limiter{radio}})
+	for _, step := range []struct {
+		rate float64
+		want int
+	}{{1e18, MaxRead}, {adslDown * 20, maxChunk}, {400e6, 50_000}, {0, MaxRead}} {
+		radio.SetRate(step.rate)
+		if got := offeredFor(c, under, big); got != step.want {
+			t.Errorf("after SetRate(%g) the next read was offered %d bytes, want %d", step.rate, got, step.want)
+		}
+	}
+}
+
 // A bucket banks a late wake-up of up to two quanta whatever its burst,
 // and no more than the larger of that and its burst however long it
 // idles.

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"threegol/internal/clock"
+	"threegol/internal/netem"
 	"threegol/internal/obs/eventlog"
 )
 
@@ -43,8 +44,10 @@ type Server struct {
 	// X-3gol-Trace header), so permit checks made inside Admit join the
 	// client's trace.
 	Admit func(ctx context.Context) bool
-	// OnBytes, when non-nil, receives the byte count of every completed
-	// request/response body and tunnel, feeding the quota tracker.
+	// OnBytes, when non-nil, receives the bytes moved over the 3G
+	// interface as they move — request bodies and tunnels as the transport
+	// reads them, a response once it is relayed — feeding the quota
+	// tracker.
 	OnBytes func(n int64)
 	// Logf, when non-nil, receives diagnostic messages.
 	Logf func(format string, args ...any)
@@ -135,6 +138,11 @@ func (s *Server) serveHTTP1(w http.ResponseWriter, r *http.Request) {
 	out := r.Clone(r.Context())
 	out.RequestURI = "" // client-side field must be empty for RoundTrip
 	removeHopHeaders(out.Header)
+	if out.Body != nil && out.Body != http.NoBody {
+		// Charged as the 3G transport reads it: a chunked body declares no
+		// length, and an aborted request carried what it carried.
+		out.Body = &accountingBody{s: s, ReadCloser: out.Body}
+	}
 
 	resp, err := s.tr().RoundTrip(out)
 	if err != nil {
@@ -153,7 +161,7 @@ func (s *Server) serveHTTP1(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	n, err := Relay(w, resp.Body)
-	s.account(n + approxRequestBytes(r))
+	s.account(n + requestLineBytes(r))
 	s.Metrics.request(outcomeProxied)
 	s.Metrics.seconds(clk.Since(t0).Seconds())
 	sp.End("outcome", "ok", "status", eventlog.Int(int64(resp.StatusCode)),
@@ -163,22 +171,35 @@ func (s *Server) serveHTTP1(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// relayBufs recycles Relay's copy buffers.
-var relayBufs = sync.Pool{New: func() any {
-	b := make([]byte, 32*1024)
-	return &b
-}}
+// relayBufs is a free list of Relay's buffers, and not a sync.Pool: a
+// pool is emptied by the collector, and a buffer needed only when a
+// session's replicas peak did not survive from one peak to the next, so
+// it was made again (30 KB per link-bound session, measured). The list
+// keeps what it is given up to its capacity, 2 MB: eight relays at once
+// is more than an emulated home's phone proxies and player reach
+// together; past that a buffer is made and dropped.
+var relayBufs = make(chan []byte, 8)
 
-// Relay copies src to dst through a pooled buffer. io.Copy would hand an
-// http.ResponseWriter's ReadFrom the job, and with a response body as
-// the source that ends in net's generic copy loop, which allocates its
-// 32 KB buffer per call; dst's ReaderFrom is therefore hidden.
+// Relay copies src to dst until EOF through a buffer as large as one read
+// of a shaped connection gets, so that a relay adds no syscalls to those
+// the link's rate asks for. The ReadFrom of dst is hidden: an
+// http.ResponseWriter's ends in net's generic copy loop, which allocates
+// 32 KB per call, and io.Discard's reads 8 KB at a time.
 //
 //3golvet:allow ctxprop — a copy loop; cancellation reaches it through the request context that src and dst were made under
 func Relay(dst io.Writer, src io.Reader) (int64, error) {
-	bp := relayBufs.Get().(*[]byte)
-	defer relayBufs.Put(bp)
-	return io.CopyBuffer(struct{ io.Writer }{dst}, src, *bp)
+	var buf []byte
+	select {
+	case buf = <-relayBufs:
+	default:
+		buf = make([]byte, netem.MaxRead)
+	}
+	n, err := io.CopyBuffer(struct{ io.Writer }{dst}, src, buf)
+	select {
+	case relayBufs <- buf:
+	default: // the list is full
+	}
+	return n, err
 }
 
 func (s *Server) serveTunnel(w http.ResponseWriter, r *http.Request) {
@@ -234,6 +255,19 @@ func (a *accountingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// accountingBody charges a forwarded request's body as the 3G transport
+// reads it.
+type accountingBody struct {
+	s *Server
+	io.ReadCloser
+}
+
+func (a *accountingBody) Read(p []byte) (int, error) {
+	n, err := a.ReadCloser.Read(p)
+	a.s.account(int64(n))
+	return n, err
+}
+
 func (s *Server) account(n int64) {
 	if n <= 0 {
 		return
@@ -245,14 +279,10 @@ func (s *Server) account(n int64) {
 	}
 }
 
-// approxRequestBytes estimates uplink bytes of the forwarded request
-// (the request line and body length; headers are noise at 3GOL scales).
-func approxRequestBytes(r *http.Request) int64 {
-	n := int64(len(r.Method) + len(r.URL.String()) + 16)
-	if r.ContentLength > 0 {
-		n += r.ContentLength
-	}
-	return n
+// requestLineBytes estimates the uplink bytes of the forwarded request
+// line (headers are noise at 3GOL scales; the body is counted as read).
+func requestLineBytes(r *http.Request) int64 {
+	return int64(len(r.Method) + len(r.URL.String()) + 16)
 }
 
 var hopHeaders = []string{

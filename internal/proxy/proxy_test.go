@@ -11,7 +11,9 @@ import (
 	"net/url"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"threegol/internal/netem"
 	"threegol/internal/obs"
 )
 
@@ -90,25 +92,107 @@ func TestProxyAdmitGate(t *testing.T) {
 	}
 }
 
+// The proxy charges what the 3G interface carried: the response, and of
+// the request what the transport read of its body — whether the length
+// was declared, the body chunked (the uploader's multipart POSTs declare
+// none), or the request aborted part-way.
 func TestProxyOnBytesAccounting(t *testing.T) {
+	const reply = 10_000
+	var atOrigin atomic.Int64
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(bytes.Repeat([]byte("x"), 10000))
+		buf := make([]byte, 4<<10)
+		for {
+			n, err := r.Body.Read(buf)
+			atOrigin.Add(int64(n))
+			if err != nil {
+				break
+			}
+		}
+		w.Write(bytes.Repeat([]byte("x"), reply))
 	}))
 	defer origin.Close()
 
 	var counted atomic.Int64
-	s := &Server{Dial: &net.Dialer{}, OnBytes: func(n int64) { counted.Add(n) }}
+	failed := make(chan struct{}, 1)
+	s := &Server{
+		Dial:    &net.Dialer{},
+		OnBytes: func(n int64) { counted.Add(n) },
+		Logf: func(string, ...any) {
+			select {
+			case failed <- struct{}{}:
+			default:
+			}
+		},
+	}
 	client, stop := newProxyClient(t, s)
 	defer stop()
 
-	resp, err := client.Get(origin.URL)
+	// do sends one request and returns what it was charged beyond the
+	// response and the request line.
+	do := func(method string, body io.Reader) int64 {
+		t.Helper()
+		before := counted.Load()
+		req, err := http.NewRequest(method, origin.URL+"/photos", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || n != reply {
+			t.Fatalf("%s = %s with %d bytes", method, resp.Status, n)
+		}
+		if total := s.BytesTotal(); total != counted.Load() {
+			t.Errorf("BytesTotal = %d, OnBytes counted %d", total, counted.Load())
+		}
+		return counted.Load() - before - reply - requestLineBytes(req)
+	}
+
+	const photo = 614_400
+	if extra := do(http.MethodGet, nil); extra != 0 {
+		t.Errorf("a GET was charged %d bytes beyond its response and request line", extra)
+	}
+	if extra := do(http.MethodPost, bytes.NewReader(make([]byte, photo))); extra != photo {
+		t.Errorf("a declared-length body of %d bytes was charged %d", photo, extra)
+	}
+	// struct{ io.Reader } hides the length: net/http sends it chunked.
+	if extra := do(http.MethodPost, struct{ io.Reader }{bytes.NewReader(make([]byte, photo))}); extra != photo {
+		t.Errorf("a chunked body of %d bytes was charged %d", photo, extra)
+	}
+
+	// An aborted request: a fifth of a declared photo arrives, then the
+	// client gives up. The phone carried that fifth and is charged it.
+	before, seen := counted.Load(), atOrigin.Load()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, origin.URL+"/photos", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if counted.Load() < 10000 {
-		t.Errorf("OnBytes counted %d, want ≥10000", counted.Load())
+	req.ContentLength = photo
+	done := make(chan error, 1)
+	go func() {
+		resp, err := client.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	if _, err := pw.Write(make([]byte, photo/5)); err != nil {
+		t.Fatal(err)
+	}
+	for atOrigin.Load()-seen < photo/5 {
+		time.Sleep(time.Millisecond) // until the fifth has crossed the 3G hop
+	}
+	pw.CloseWithError(io.ErrClosedPipe)
+	if err := <-done; err == nil {
+		t.Fatal("the aborted request succeeded")
+	}
+	<-failed // the proxy has given the request up
+	if got := counted.Load() - before; got != photo/5 {
+		t.Errorf("an aborted request that carried %d body bytes was charged %d", photo/5, got)
 	}
 }
 
@@ -263,12 +347,31 @@ func (d *readerFromTrap) ReadFrom(io.Reader) (int64, error) {
 	return 0, nil
 }
 
+// offerReader records the len(p) of every Read a source is offered. Like
+// a response body it has no WriteTo shortcut.
+type offerReader struct {
+	r       io.Reader
+	offered []int
+}
+
+func (o *offerReader) Read(p []byte) (int, error) {
+	o.offered = append(o.offered, len(p))
+	return o.r.Read(p)
+}
+
 func TestRelayCopiesThroughItsOwnBuffer(t *testing.T) {
-	want := bytes.Repeat([]byte("3gol"), 50_000) // several buffers' worth
+	want := bytes.Repeat([]byte("3gol"), 250_000) // several buffers' worth
 	dst := &readerFromTrap{t: t}
-	// Like a response body, the source offers no WriteTo shortcut either.
-	n, err := Relay(dst, struct{ io.Reader }{bytes.NewReader(want)})
+	src := &offerReader{r: bytes.NewReader(want)}
+	n, err := Relay(dst, src)
 	if err != nil || n != int64(len(want)) || !bytes.Equal(dst.Bytes(), want) {
 		t.Fatalf("Relay = %d, %v; %d bytes arrived, want %d", n, err, dst.Len(), len(want))
+	}
+	// The source is offered what one read of a shaped connection can
+	// fill, not io.Copy's 32 KB.
+	for _, offered := range src.offered {
+		if offered != netem.MaxRead {
+			t.Fatalf("the source was offered a %d-byte buffer, want netem.MaxRead = %d", offered, netem.MaxRead)
+		}
 	}
 }
