@@ -52,7 +52,6 @@ func main() {
 	flag.Parse()
 
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(reg, nil)
 	// Seed per process so span IDs from two daemons never collide when
 	// their logs are stitched together.
 	events := eventlog.NewRing(0, int64(os.Getpid()), eventlog.SinceStart(nil), eventRingSize)
@@ -62,7 +61,6 @@ func main() {
 	}
 	debugMux := http.NewServeMux()
 	debugMux.Handle("/debug/metrics", obs.Handler(reg))
-	debugMux.Handle("/debug/spans", obs.SpansHandler(tracer))
 	debugMux.Handle("/debug/events", eventlog.Handler(events))
 	if *pprofOn {
 		debugMux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -103,7 +101,6 @@ func main() {
 		}
 	}
 	srv.Admit = func(ctx context.Context) bool {
-		defer tracer.Start("admit").End()
 		if permits != nil && !permits.Allowed(ctx) {
 			return false
 		}

@@ -4,8 +4,8 @@
 // serving cell sits below the utilisation acceptance threshold.
 //
 // The daemon hosts a cell-sharded permit plane (-shards N): each shard
-// owns a stable-hash slice of the cell ID space with its own decision
-// counters and metrics registry, and the built-in router serves both the
+// owns a stable-hash slice of the cell ID space with its own metrics
+// registry and grant store, and the built-in router serves both the
 // classic GET /permit and the batch POST /permits/batch. /debug/metrics
 // is the shard-merged dump (byte-identical regardless of shard count);
 // /debug/shards shows the per-shard split.
@@ -47,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	"threegol/internal/obs"
 	"threegol/internal/obs/eventlog"
 	"threegol/internal/permit"
 	"threegol/internal/permitplane"
@@ -74,11 +73,6 @@ func main() {
 	flag.Parse()
 
 	table := permitplane.NewUtilTable(*fallback, *denyUnknown)
-	// Process-level registry: span timings live here, outside the
-	// shard registries, so the merged metrics dump stays byte-identical
-	// across shard counts.
-	procReg := obs.NewRegistry()
-	tracer := obs.NewTracer(procReg, nil)
 	// Seed per process so span IDs from multiple daemons never collide
 	// when their logs are stitched together.
 	events := eventlog.NewRing(0, int64(os.Getpid()), eventlog.SinceStart(nil), eventRingSize)
@@ -88,7 +82,6 @@ func main() {
 		TTL:           *ttl,
 		Utilization:   table.Get,
 		Events:        events,
-		Tracer:        tracer,
 		WALDir:        *walDir,
 		SnapshotEvery: *snapEvery,
 	}
@@ -135,15 +128,8 @@ func main() {
 	mux := http.NewServeMux()
 	mux.Handle("/permit", plane)
 	mux.Handle("/permits/batch", plane)
-	mux.Handle("/debug/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// The shard-merged dump plus the process-level span timings.
-		dst := plane.MergedRegistry()
-		obs.NewTracer(dst, nil)
-		dst.Merge(procReg)
-		obs.Handler(dst).ServeHTTP(w, r)
-	}))
+	mux.Handle("/debug/metrics", plane.MetricsHandler())
 	mux.Handle("/debug/shards", plane.StatusHandler())
-	mux.Handle("/debug/spans", obs.SpansHandler(tracer))
 	mux.Handle("/debug/events", eventlog.Handler(events))
 	if *pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)

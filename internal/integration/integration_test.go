@@ -18,7 +18,6 @@ import (
 	"threegol/internal/discovery"
 	"threegol/internal/hls"
 	"threegol/internal/linksim"
-	"threegol/internal/permit"
 	"threegol/internal/permitplane"
 	"threegol/internal/proxy"
 	"threegol/internal/quota"
@@ -44,16 +43,20 @@ func TestNetworkIntegratedPermitLoop(t *testing.T) {
 	// the test publishes snapshots the way a real monitor would.
 	var utilSnapshot atomic.Value
 	utilSnapshot.Store(0.0)
-	backend := &permit.Backend{
+	backend := permitplane.New(permitplane.Config{
 		Utilization: func(cellID string) float64 { return utilSnapshot.Load().(float64) },
 		Threshold:   0.7,
 		TTL:         50 * time.Millisecond,
-	}
-	backendSrv := httptest.NewServer(backend)
+	})
+	// A one-shard plane behind a mux that routes only GET /permit, as a
+	// daemon from before the batch RPC did.
+	legacy := http.NewServeMux()
+	legacy.Handle("/permit", backend)
+	backendSrv := httptest.NewServer(legacy)
 	defer backendSrv.Close()
 
-	// The device side is the stack the daemons run; against a bare
-	// permit.Backend it rides the legacy single-GET fallback.
+	// The device side is the stack the daemons run; against the legacy
+	// daemon it rides the single-GET fallback.
 	permits := &permitplane.Cache{
 		Fetch:  (&permitplane.BatchClient{BackendURL: backendSrv.URL}).Fetch,
 		Device: "ph1",

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"net/http"
-)
+import "net/http"
 
 // Handler returns the /debug/metrics endpoint: a GET returns the
 // registry snapshot as indented JSON. Mount it wherever the daemon
@@ -18,21 +15,5 @@ func Handler(r *Registry) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w) // client disconnect; nothing to do
-	})
-}
-
-// SpansHandler returns the /debug/spans endpoint: a GET returns the
-// tracer's retained span ring (oldest first) as indented JSON — the
-// previously ring-only spans become reachable from the debug mux.
-func SpansHandler(t *Tracer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(t.Snapshot()) // client disconnect; nothing to do
 	})
 }

@@ -1,9 +1,9 @@
 // Package obs is the repository's deterministic observability layer: a
 // stdlib-only metrics registry (counters, gauges and fixed-bin
-// histograms backed by stats.Sketch) plus lightweight span tracing for
-// the onloading pipeline — the scheduler, the device proxy, the
-// transfer drivers, the permit control plane, discovery and the fleet
-// engine.
+// histograms backed by stats.Sketch) for the onloading pipeline — the
+// scheduler, the device proxy, the transfer drivers, the permit control
+// plane, discovery and the fleet engine. Spans live in the eventlog
+// subpackage, the flight recorder.
 //
 // Two properties distinguish it from an off-the-shelf metrics library:
 //

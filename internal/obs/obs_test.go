@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
@@ -177,51 +176,6 @@ func TestHandlerServesSnapshot(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("handler body missing %s:\n%s", want, body)
 		}
-	}
-}
-
-// fakeClock is a manually-advanced clock.Clock for tracer tests.
-type fakeClock struct{ now time.Time }
-
-func (f *fakeClock) Now() time.Time                  { return f.now }
-func (f *fakeClock) Since(t time.Time) time.Duration { return f.now.Sub(t) }
-func (f *fakeClock) Sleep(d time.Duration)           { f.now = f.now.Add(d) }
-
-func TestTracerRecordsSpans(t *testing.T) {
-	r := NewRegistry()
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	tr := NewTracer(r, clk)
-
-	sp := tr.Start("permit.decide")
-	clk.Sleep(250 * time.Millisecond)
-	if d := sp.End(); d != 250*time.Millisecond {
-		t.Errorf("span duration = %v, want 250ms", d)
-	}
-	if got := tr.durs.With("permit.decide").Count(); got != 1 {
-		t.Errorf("histogram count = %d, want 1", got)
-	}
-	rec := tr.Recent()
-	if len(rec) != 1 || rec[0].Name != "permit.decide" {
-		t.Errorf("Recent() = %+v, want one permit.decide span", rec)
-	}
-
-	// A zero Span is inert.
-	var zero Span
-	if d := zero.End(); d != 0 {
-		t.Errorf("zero span End = %v, want 0", d)
-	}
-}
-
-func TestTracerRingEviction(t *testing.T) {
-	r := NewRegistry()
-	clk := &fakeClock{now: time.Unix(0, 0)}
-	tr := NewTracer(r, clk)
-	for i := 0; i < SpanRingSize+10; i++ {
-		tr.Start("s").End()
-	}
-	rec := tr.Recent()
-	if len(rec) != SpanRingSize {
-		t.Errorf("ring holds %d spans, want %d", len(rec), SpanRingSize)
 	}
 }
 

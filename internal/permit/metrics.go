@@ -50,3 +50,9 @@ func (m *Metrics) decided(granted bool, secs float64) {
 	}
 	m.seconds.Observe(secs)
 }
+
+// Counts reads the granted and denied series of Decisions. It is the
+// only decision count: the permit plane's Stats and Status read it.
+func (m *Metrics) Counts() (grants, denials int64) {
+	return m.granted.Value(), m.denied.Value()
+}

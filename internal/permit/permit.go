@@ -1,23 +1,20 @@
-// Package permit implements the 3GOL backend of the network-integrated
-// deployment (§2.4): devices ask permission to onload; the backend
-// consults the cellular monitoring system and grants a time-limited
-// permit only while utilisation in the device's cell is below the
-// acceptance threshold. Devices cache the permit and stop advertising
-// themselves on the LAN the moment it lapses — the device side is
-// permitplane.Cache over permitplane.BatchClient, which speaks this
-// backend's GET /permit as its legacy protocol.
+// Package permit implements the 3GOL backend's admission decision in the
+// network-integrated deployment (§2.4): devices ask permission to
+// onload; the backend consults the cellular monitoring system and grants
+// a time-limited permit only while utilisation in the device's cell is
+// below the acceptance threshold. Devices cache the permit and stop
+// advertising themselves on the LAN the moment it lapses. The HTTP
+// surface (GET /permit, POST /permits/batch) is permitplane.Sharded,
+// which runs one Backend per shard; the device side is
+// permitplane.Cache over permitplane.BatchClient.
 package permit
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"threegol/internal/clock"
-	"threegol/internal/obs"
 	"threegol/internal/obs/eventlog"
 )
 
@@ -28,8 +25,8 @@ const DefaultTTL = 3 * time.Minute
 // DefaultThreshold is the default utilisation acceptance threshold.
 const DefaultThreshold = 0.7
 
-// Backend is the operator-side permit server. It is an http.Handler
-// exposing GET /permit?device=<id>&cell=<id>.
+// Backend is the operator-side permit decision: Decide, instrumented by
+// Metrics, answered as a Response.
 type Backend struct {
 	// Utilization reports current utilisation (0..1) of a cell — the
 	// interface to the 3G network monitoring system. Required. It is
@@ -48,9 +45,6 @@ type Backend struct {
 	// decision, parented to the caller's X-3gol-Trace header when
 	// present — stitching backend decisions into device-side traces.
 	Events *eventlog.Log
-	// Tracer, when non-nil, times each decision into the obs span ring
-	// (surfaced at /debug/spans).
-	Tracer *obs.Tracer
 	// Clock times decisions for Metrics; nil selects the system clock.
 	Clock clock.Clock
 	// OnGrant, when non-nil, fires after each granted decision with the
@@ -61,9 +55,6 @@ type Backend struct {
 	// Tags are extra attribute pairs appended to every decision's
 	// flight-recorder point (e.g. "shard", "3" in the sharded plane).
 	Tags []string
-
-	grants  atomic.Int64
-	denials atomic.Int64
 }
 
 // Response is the backend's JSON reply.
@@ -88,47 +79,21 @@ func (b *Backend) ttl() time.Duration {
 	return b.TTL
 }
 
-// ServeHTTP implements http.Handler.
-func (b *Backend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/permit" {
-		http.NotFound(w, r)
-		return
-	}
-	if b.Utilization == nil {
-		http.Error(w, "backend misconfigured: no monitoring hook", http.StatusInternalServerError)
-		return
-	}
-	cell := r.URL.Query().Get("cell")
-	if cell == "" {
-		http.Error(w, "missing cell parameter", http.StatusBadRequest)
-		return
-	}
-	ctx := r.Context()
-	if tc, ok := eventlog.ExtractHTTP(r.Header); ok {
-		ctx = eventlog.NewContext(ctx, tc)
-	}
-	resp := b.Decide(ctx, cell)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp) // client disconnect; nothing to do
-}
-
 // Decide makes one admission decision for a cell: granted while the
 // monitoring hook reports utilisation below the threshold, denied
-// otherwise. It is the transport-independent core of ServeHTTP — the
-// sharded permit plane's batch RPC calls it directly, once per request
-// in the batch. The flight-recorder point joins the TraceContext riding
-// ctx (HTTP callers extract the X-3gol-Trace header into it first).
+// otherwise. The sharded permit plane calls it once per request, whether
+// the request came as a GET /permit or inside a batch. The
+// flight-recorder point joins the TraceContext riding ctx (HTTP callers
+// extract the X-3gol-Trace header into it first).
 func (b *Backend) Decide(ctx context.Context, cell string) Response {
 	clk := clock.Or(b.Clock)
 	t0 := clk.Now()
-	defer b.Tracer.Start("permit.decision").End()
 	util := b.Utilization(cell)
 	resp := Response{Utilization: util}
 	if util < b.threshold() {
 		resp.Granted = true
 		resp.TTLSeconds = b.ttl().Seconds()
 	}
-	b.count(resp.Granted)
 	if resp.Granted && b.OnGrant != nil {
 		b.OnGrant(cell)
 	}
@@ -141,19 +106,4 @@ func (b *Backend) Decide(ctx context.Context, cell string) Response {
 		b.Events.Point(tc, "permit.decision", attrs...)
 	}
 	return resp
-}
-
-// count tallies one decision. Atomic, not mutex-guarded: the decision
-// path is the backend's hot loop and needs no lock at all.
-func (b *Backend) count(granted bool) {
-	if granted {
-		b.grants.Add(1)
-	} else {
-		b.denials.Add(1)
-	}
-}
-
-// Stats reports how many requests were granted and denied.
-func (b *Backend) Stats() (grants, denials int64) {
-	return b.grants.Load(), b.denials.Load()
 }

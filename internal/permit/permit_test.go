@@ -13,6 +13,19 @@ import (
 	"threegol/internal/permitplane"
 )
 
+// legacyDaemon serves a one-shard plane the way a daemon from before
+// the batch RPC did: a mux that routes only GET /permit, so BatchClient
+// takes its per-permit fallback.
+func legacyDaemon(t *testing.T, cfg permitplane.Config) (*permitplane.Sharded, string) {
+	t.Helper()
+	plane := permitplane.New(cfg)
+	mux := http.NewServeMux()
+	mux.Handle("/permit", plane)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return plane, srv.URL
+}
+
 // ask is one GET /permit on the backend's wire.
 func ask(t *testing.T, backendURL, cell string) permit.Response {
 	t.Helper()
@@ -28,9 +41,9 @@ func ask(t *testing.T, backendURL, cell string) permit.Response {
 	return out
 }
 
-// deviceCache is the device side the daemons run, pointed at a bare
-// Backend: permitplane.Cache refreshing through BatchClient, which falls
-// back to this package's GET /permit.
+// deviceCache is the device side the daemons run, pointed at a legacy
+// daemon: permitplane.Cache refreshing through BatchClient, which falls
+// back to GET /permit.
 func deviceCache(backendURL string) *permitplane.Cache {
 	return &permitplane.Cache{
 		Fetch:  (&permitplane.BatchClient{BackendURL: backendURL}).Fetch,
@@ -42,18 +55,16 @@ func deviceCache(backendURL string) *permitplane.Cache {
 func TestBackendGrantsBelowThreshold(t *testing.T) {
 	util := 0.3
 	var mu sync.Mutex
-	b := &permit.Backend{
+	b, url := legacyDaemon(t, permitplane.Config{
 		Utilization: func(cell string) float64 {
 			mu.Lock()
 			defer mu.Unlock()
 			return util
 		},
 		Threshold: 0.7,
-	}
-	srv := httptest.NewServer(b)
-	defer srv.Close()
+	})
 
-	if r := ask(t, srv.URL, "c1"); !r.Granted || r.TTLSeconds != permit.DefaultTTL.Seconds() || r.Utilization != 0.3 {
+	if r := ask(t, url, "c1"); !r.Granted || r.TTLSeconds != permit.DefaultTTL.Seconds() || r.Utilization != 0.3 {
 		t.Errorf("below threshold: %+v; want granted for DefaultTTL", r)
 	}
 	grants, denials := b.Stats()
@@ -66,16 +77,14 @@ func TestBackendGrantsBelowThreshold(t *testing.T) {
 	mu.Lock()
 	util = 0.9
 	mu.Unlock()
-	if r := ask(t, srv.URL, "c1"); r.Granted || r.TTLSeconds != 0 {
+	if r := ask(t, url, "c1"); r.Granted || r.TTLSeconds != 0 {
 		t.Errorf("above threshold: %+v; want denied, no TTL", r)
 	}
 }
 
 func TestBackendDeniesAboveThreshold(t *testing.T) {
-	b := &permit.Backend{Utilization: func(string) float64 { return 0.95 }}
-	srv := httptest.NewServer(b)
-	defer srv.Close()
-	if ask(t, srv.URL, "c").Granted {
+	b, url := legacyDaemon(t, permitplane.Config{Utilization: func(string) float64 { return 0.95 }})
+	if ask(t, url, "c").Granted {
 		t.Error("permit granted for congested cell")
 	}
 	if g, d := b.Stats(); g != 0 || d != 1 {
@@ -86,13 +95,11 @@ func TestBackendDeniesAboveThreshold(t *testing.T) {
 func TestPermitExpiresAfterTTL(t *testing.T) {
 	var mu sync.Mutex
 	util := 0.1
-	b := &permit.Backend{
+	_, url := legacyDaemon(t, permitplane.Config{
 		Utilization: func(string) float64 { mu.Lock(); defer mu.Unlock(); return util },
 		TTL:         50 * time.Millisecond,
-	}
-	srv := httptest.NewServer(b)
-	defer srv.Close()
-	c := deviceCache(srv.URL)
+	})
+	c := deviceCache(url)
 	if !c.Allowed(context.Background()) {
 		t.Fatal("initial grant failed")
 	}
@@ -113,11 +120,9 @@ func TestClientFailsSafeOnBackendDown(t *testing.T) {
 }
 
 func TestBackendValidation(t *testing.T) {
-	b := &permit.Backend{Utilization: func(string) float64 { return 0 }}
-	srv := httptest.NewServer(b)
-	defer srv.Close()
+	_, url := legacyDaemon(t, permitplane.Config{Utilization: func(string) float64 { return 0 }})
 
-	resp, err := srv.Client().Get(srv.URL + "/permit")
+	resp, err := http.Get(url + "/permit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +130,7 @@ func TestBackendValidation(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Errorf("missing cell param = %d, want 400", resp.StatusCode)
 	}
-	resp, err = srv.Client().Get(srv.URL + "/other")
+	resp, err = http.Get(url + "/other")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +139,8 @@ func TestBackendValidation(t *testing.T) {
 		t.Errorf("unknown path = %d, want 404", resp.StatusCode)
 	}
 
-	misconfigured := httptest.NewServer(&permit.Backend{})
-	defer misconfigured.Close()
-	resp, err = misconfigured.Client().Get(misconfigured.URL + "/permit?cell=c")
+	_, misconfigured := legacyDaemon(t, permitplane.Config{})
+	resp, err = http.Get(misconfigured + "/permit?cell=c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +154,10 @@ func TestDeniedPermitRecheckedAfterCooldown(t *testing.T) {
 	var mu sync.Mutex
 	util := 0.99
 	calls := 0
-	b := &permit.Backend{
+	_, url := legacyDaemon(t, permitplane.Config{
 		Utilization: func(string) float64 { mu.Lock(); defer mu.Unlock(); calls++; return util },
-	}
-	srv := httptest.NewServer(b)
-	defer srv.Close()
-	c := deviceCache(srv.URL)
+	})
+	c := deviceCache(url)
 	if c.Allowed(context.Background()) {
 		t.Fatal("should be denied")
 	}

@@ -60,11 +60,6 @@ type Config struct {
 	// permitplane.batch point per batch RPC, so 3goltrace can follow
 	// any decision to the shard that made it.
 	Events *eventlog.Log
-	// Tracer, when non-nil, times every shard's decisions into one
-	// shared span ring. Register it on a process-level registry, not a
-	// shard registry — span durations are wall-clock and would break
-	// the byte-identical merge guarantee if they lived shard-side.
-	Tracer *obs.Tracer
 	// WALDir, used by NewDurable, is the root directory for per-shard
 	// write-ahead logs (ShardWALDir names each shard's subdirectory).
 	// New ignores it: memory-only planes track grants but persist
@@ -75,9 +70,9 @@ type Config struct {
 	SnapshotEvery int
 }
 
-// shard is one slice of the cell ID space: its own permit.Backend with
-// lock-free counters, its own obs registry, and its own grant store (so
-// durability, like decision-making, shards without cross-shard locks).
+// shard is one slice of the cell ID space: its own permit.Backend, its
+// own obs registry, and its own grant store (so durability, like
+// decision-making, shards without cross-shard locks).
 type shard struct {
 	index    int
 	reg      *obs.Registry
@@ -124,7 +119,6 @@ func New(cfg Config) *Sharded {
 				TTL:         cfg.TTL,
 				Metrics:     permit.NewMetrics(reg),
 				Events:      cfg.Events,
-				Tracer:      cfg.Tracer,
 				Clock:       cfg.Clock,
 				OnGrant:     cfg.OnGrant,
 				Tags:        []string{"shard", strconv.Itoa(i)},
@@ -171,36 +165,47 @@ func (s *Sharded) shardFor(cellID string) *shard {
 // ServeHTTP implements http.Handler: GET /permit and POST
 // /permits/batch.
 func (s *Sharded) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if s.cfg.Utilization == nil {
+		// Checked here, once for both routes: a batch would otherwise
+		// call the nil hook on a shard goroutine, where a panic is not
+		// net/http's to recover.
+		http.Error(w, "backend misconfigured: no monitoring hook", http.StatusInternalServerError)
+		return
+	}
 	switch r.URL.Path {
 	case "/permit":
-		s.metrics.routed()
-		cell := r.URL.Query().Get("cell")
-		device := r.URL.Query().Get("device")
-		if len(cell) > wal.MaxIDLen || len(device) > wal.MaxIDLen {
-			// An oversized ID cannot be framed in the WAL; reject it at
-			// the edge instead of granting an untrackable permit.
-			http.Error(w, fmt.Sprintf("device or cell ID exceeds %d bytes", wal.MaxIDLen),
-				http.StatusBadRequest)
-			return
-		}
-		sh := s.shardFor(cell) // an empty cell routes to shard 0
-		if cell == "" || s.cfg.Utilization == nil {
-			// The shard's own Backend writes the canonical error reply.
-			sh.backend.ServeHTTP(w, r)
-			return
-		}
-		ctx := r.Context()
-		if tc, ok := eventlog.ExtractHTTP(r.Header); ok {
-			ctx = eventlog.NewContext(ctx, tc)
-		}
-		resp := s.decideOn(sh, ctx, device, cell)
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp) // client disconnect; nothing to do
+		s.serveSingle(w, r)
 	case "/permits/batch":
 		s.serveBatch(w, r)
 	default:
 		http.NotFound(w, r)
 	}
+}
+
+// serveSingle answers GET /permit?device=<id>&cell=<id> on the cell's
+// shard.
+func (s *Sharded) serveSingle(w http.ResponseWriter, r *http.Request) {
+	s.metrics.routed()
+	cell := r.URL.Query().Get("cell")
+	device := r.URL.Query().Get("device")
+	if cell == "" {
+		http.Error(w, "missing cell parameter", http.StatusBadRequest)
+		return
+	}
+	if len(cell) > wal.MaxIDLen || len(device) > wal.MaxIDLen {
+		// An oversized ID cannot be framed in the WAL; reject it at the
+		// edge instead of granting an untrackable permit.
+		http.Error(w, fmt.Sprintf("device or cell ID exceeds %d bytes", wal.MaxIDLen),
+			http.StatusBadRequest)
+		return
+	}
+	ctx := r.Context()
+	if tc, ok := eventlog.ExtractHTTP(r.Header); ok {
+		ctx = eventlog.NewContext(ctx, tc)
+	}
+	resp := s.DecideDevice(ctx, device, cell)
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(resp) // client disconnect; nothing to do
 }
 
 // batchScratch is what one serveBatch call works in and the next can
@@ -346,7 +351,7 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 // Stats sums grant/denial counts across shards.
 func (s *Sharded) Stats() (grants, denials int64) {
 	for _, sh := range s.shards {
-		g, d := sh.backend.Stats()
+		g, d := sh.backend.Metrics.Counts()
 		grants += g
 		denials += d
 	}
@@ -380,7 +385,7 @@ type ShardStatus struct {
 func (s *Sharded) Status() []ShardStatus {
 	out := make([]ShardStatus, len(s.shards))
 	for i, sh := range s.shards {
-		g, d := sh.backend.Stats()
+		g, d := sh.backend.Metrics.Counts()
 		out[i] = ShardStatus{
 			Shard:       i,
 			Grants:      g,
@@ -444,25 +449,12 @@ func (s *Sharded) MetricsHandler() http.Handler {
 	})
 }
 
-// Decide routes one in-process decision to its owning shard — the
-// entry point for embedded planes (tests, the load harness's in-process
-// backend, the fleet engine). With no device identity the decision is
-// not tracked in the grant store.
-func (s *Sharded) Decide(ctx context.Context, cell string) permit.Response {
-	return s.decideOn(s.shardFor(cell), ctx, "", cell)
-}
-
-// DecideDevice is Decide with a device identity, so embedded durable
-// planes track the grant.
+// DecideDevice routes one decision to the cell's shard and folds it into
+// that shard's grant store. It is GET /permit's path and the entry point
+// for embedded planes (tests, the benchmark); an empty device makes a
+// decision the store does not track.
 func (s *Sharded) DecideDevice(ctx context.Context, device, cell string) permit.Response {
-	return s.decideOn(s.shardFor(cell), ctx, device, cell)
-}
-
-// decideOn makes the decision on sh's backend and folds it into sh's
-// grant store — the single choke point every transport (GET, batch,
-// in-process) goes through, so the WAL sees every decision exactly
-// once.
-func (s *Sharded) decideOn(sh *shard, ctx context.Context, device, cell string) permit.Response {
+	sh := s.shardFor(cell)
 	resp := sh.backend.Decide(ctx, cell)
 	sh.store.RecordDecision(device, cell, resp.Granted, resp.TTLSeconds)
 	return resp

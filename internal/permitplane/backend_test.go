@@ -26,6 +26,14 @@ func testUtil(cellID string) float64 {
 	return 0.1
 }
 
+// legacyMux fronts p the way a daemon from before the batch RPC did: it
+// routes only GET /permit, so /permits/batch is a 404.
+func legacyMux(p *Sharded) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/permit", p)
+	return mux
+}
+
 func postBatch(t *testing.T, url string, reqs []PermitRequest) (*http.Response, BatchResponse) {
 	t.Helper()
 	body, err := json.Marshal(BatchRequest{Requests: reqs})
@@ -140,6 +148,82 @@ func TestShardedRejectsOversizedIDs(t *testing.T) {
 	}
 }
 
+// TestShardedWithoutHookFailsRequests pins the misconfigured plane: with
+// no monitoring hook both routes answer 500. A batch used to call the nil
+// hook on a shard goroutine, and that panic took the process down.
+func TestShardedWithoutHookFailsRequests(t *testing.T) {
+	s := New(Config{Shards: 2, Clock: &fakeClock{}})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	if resp, _ := postBatch(t, srv.URL, []PermitRequest{{Device: "d", Cell: "c"}}); resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("batch without a monitoring hook: %s, want 500", resp.Status)
+	}
+	resp, err := http.Get(srv.URL + "/permit?device=d&cell=c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("GET /permit without a monitoring hook: %s, want 500", resp.Status)
+	}
+}
+
+// TestDecisionCountsAgree pins the one decision count: whatever the
+// transport and the shard count, Stats, the per-shard Status split and
+// the merged permit_decisions_total series report the same grants and
+// denials.
+func TestDecisionCountsAgree(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		s := New(Config{Shards: shards, Utilization: testUtil, Clock: &fakeClock{}})
+		srv := httptest.NewServer(s)
+
+		var wantG, wantD int64
+		var batch []PermitRequest
+		for i := 0; i < 30; i++ {
+			cell := fmt.Sprintf("cell-%d", i)
+			if i%3 == 0 {
+				cell = fmt.Sprintf("hot-%d", i)
+			}
+			resp, err := http.Get(fmt.Sprintf("%s/permit?device=g%d&cell=%s", srv.URL, i, cell))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			s.DecideDevice(context.Background(), fmt.Sprintf("e%d", i), cell)
+			batch = append(batch, PermitRequest{Device: fmt.Sprintf("b%d", i), Cell: cell})
+			if strings.HasPrefix(cell, "hot-") {
+				wantD += 3
+			} else {
+				wantG += 3
+			}
+		}
+		if resp, _ := postBatch(t, srv.URL, batch); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d shards: batch returned %s", shards, resp.Status)
+		}
+		srv.Close()
+
+		if g, d := s.Stats(); g != wantG || d != wantD {
+			t.Errorf("%d shards: Stats = %d/%d, want %d/%d", shards, g, d, wantG, wantD)
+		}
+		var statusG, statusD int64
+		for _, st := range s.Status() {
+			statusG += st.Grants
+			statusD += st.Denials
+		}
+		if statusG != wantG || statusD != wantD {
+			t.Errorf("%d shards: Status sums = %d/%d, want %d/%d", shards, statusG, statusD, wantG, wantD)
+		}
+		merged := obs.NewRegistry()
+		pm := permit.NewMetrics(merged)
+		NewMetrics(merged)
+		s.MergeInto(merged)
+		if g, d := pm.Counts(); g != wantG || d != wantD {
+			t.Errorf("%d shards: merged permit_decisions_total = %d/%d, want %d/%d", shards, g, d, wantG, wantD)
+		}
+	}
+}
+
 func TestShardedRoutesSinglePermit(t *testing.T) {
 	s := New(Config{Shards: 4, Utilization: testUtil, Clock: &fakeClock{}})
 	srv := httptest.NewServer(s)
@@ -223,7 +307,7 @@ func TestMergedMetricsByteIdenticalAcrossShardCounts(t *testing.T) {
 func TestShardedStatusSplitsByShard(t *testing.T) {
 	s := New(Config{Shards: 4, Utilization: testUtil, Clock: &fakeClock{}})
 	for i := 0; i < 100; i++ {
-		s.Decide(context.Background(), fmt.Sprintf("cell-%d", i))
+		s.DecideDevice(context.Background(), "", fmt.Sprintf("cell-%d", i))
 	}
 	status := s.Status()
 	if len(status) != 4 {
@@ -263,18 +347,18 @@ func TestShardedDenyUnknownFailsClosed(t *testing.T) {
 	tbl.Set("known", 0.1)
 	s := New(Config{Shards: 4, Utilization: tbl.Get, Clock: &fakeClock{}})
 
-	if d := s.Decide(context.Background(), "known"); !d.Granted {
+	if d := s.DecideDevice(context.Background(), "", "known"); !d.Granted {
 		t.Error("known idle cell denied")
 	}
-	if d := s.Decide(context.Background(), "never-in-feed"); d.Granted {
+	if d := s.DecideDevice(context.Background(), "", "never-in-feed"); d.Granted {
 		t.Error("cell absent from the feed granted despite -deny-unknown")
 	}
 }
 
 func TestBatchClientFallsBackToLegacyBackend(t *testing.T) {
-	// A bare permit.Backend: GET /permit only, no /permits/batch.
-	legacy := &permit.Backend{Utilization: testUtil, Clock: &fakeClock{}}
-	srv := httptest.NewServer(legacy)
+	// A one-shard plane behind GET /permit only, no /permits/batch.
+	legacy := New(Config{Utilization: testUtil, Clock: &fakeClock{}})
+	srv := httptest.NewServer(legacyMux(legacy))
 	defer srv.Close()
 
 	c := &BatchClient{BackendURL: srv.URL, Metrics: NewMetrics(obs.NewRegistry())}
@@ -308,7 +392,7 @@ func TestBatchClientFallsBackToLegacyBackend(t *testing.T) {
 // path forever.
 func TestBatchClientReprobesBatchEndpointAfterRestart(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_000, 0)}
-	legacy := &permit.Backend{Utilization: testUtil, Clock: clk}
+	legacy := legacyMux(New(Config{Utilization: testUtil, Clock: clk}))
 	plane := New(Config{Shards: 2, Utilization: testUtil, Clock: clk})
 	var upgraded atomic.Bool
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -1,15 +1,15 @@
 // Package permitplane is the production permit control plane of the
-// network-integrated deployment (§2.4, §5) — the layer that scales the
-// single-process permit backend of internal/permit to fleet-sized
-// device populations:
+// network-integrated deployment (§2.4, §5) — the HTTP surface of the
+// admission decision of internal/permit, scaled to fleet-sized device
+// populations:
 //
 //   - Sharding. A Sharded backend runs N independent shards, each
 //     owning a deterministic slice of the cell ID space (ShardOf, a
-//     stable FNV-1a hash), each with its own permit.Backend, lock-free
-//     decision counters and obs registry. A router fronts them,
-//     serving the classic GET /permit and the batch POST
-//     /permits/batch, and merges per-shard metrics in shard order so
-//     the merged dump is byte-identical regardless of shard count.
+//     stable FNV-1a hash), each with its own permit.Backend, obs
+//     registry and grant store. A router fronts them, serving the
+//     classic GET /permit and the batch POST /permits/batch, and
+//     merges per-shard metrics in shard order so the merged dump is
+//     byte-identical regardless of shard count.
 //   - Batching. BatchClient groups many devices' grant/refresh
 //     requests into one POST /permits/batch round trip, falling back
 //     to per-permit GETs against backends that predate the endpoint.

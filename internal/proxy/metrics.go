@@ -24,6 +24,9 @@ type Metrics struct {
 	// (first byte in to last body byte out); tunnels are excluded, their
 	// lifetime is connection-scoped.
 	RequestSeconds *obs.Histogram
+	// AdmitSeconds is the time the Admit hook takes to answer (a permit
+	// check or quota lookup) per request that reaches it.
+	AdmitSeconds *obs.Histogram
 }
 
 // NewMetrics registers the proxy's metrics on r.
@@ -35,6 +38,9 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Bytes moved over the 3G interface, both directions, tunnels included."),
 		RequestSeconds: r.NewHistogram("proxy_request_seconds",
 			"Service time of plain-HTTP proxied requests (tunnels excluded).",
+			0, 60, 1200),
+		AdmitSeconds: r.NewHistogram("proxy_admit_seconds",
+			"Time the Admit hook (permit or quota gate) takes per request.",
 			0, 60, 1200),
 	}
 }
@@ -58,4 +64,11 @@ func (m *Metrics) seconds(s float64) {
 		return
 	}
 	m.RequestSeconds.Observe(s)
+}
+
+func (m *Metrics) admitSeconds(s float64) {
+	if m == nil {
+		return
+	}
+	m.AdmitSeconds.Observe(s)
 }

@@ -111,7 +111,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "proxy misconfigured: no dialer", http.StatusInternalServerError)
 		return
 	}
-	if s.Admit != nil && !s.Admit(r.Context()) {
+	if s.Admit != nil && !s.admit(r.Context()) {
 		s.Metrics.request(outcomeDenied)
 		tc, _ := eventlog.FromContext(r.Context())
 		s.Events.Point(tc, "proxy.denied", "host", r.Host)
@@ -128,6 +128,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveHTTP1(w, r)
+}
+
+// admit consults the Admit hook, timing it for Metrics.
+func (s *Server) admit(ctx context.Context) bool {
+	clk := clock.Or(s.Clock)
+	t0 := clk.Now()
+	ok := s.Admit(ctx)
+	s.Metrics.admitSeconds(clk.Since(t0).Seconds())
+	return ok
 }
 
 func (s *Server) serveHTTP1(w http.ResponseWriter, r *http.Request) {

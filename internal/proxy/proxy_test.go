@@ -334,6 +334,49 @@ func TestProxyDebugRouteBypassesAdmitGate(t *testing.T) {
 	}
 }
 
+// Every request that reaches the Admit hook is timed into
+// proxy_admit_seconds, granted or denied; a debug request never asks.
+func TestProxyTimesAdmit(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok"))
+	}))
+	defer origin.Close()
+
+	var allowed atomic.Bool
+	m := NewMetrics(obs.NewRegistry())
+	s := &Server{
+		Dial:    &net.Dialer{},
+		Admit:   func(context.Context) bool { return allowed.Swap(true) },
+		Metrics: m,
+		Debug:   http.NotFoundHandler(),
+	}
+	addr, shutdown, err := s.ListenAndServe(context.Background(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	client := &http.Client{Transport: &http.Transport{Proxy: http.ProxyURL(&url.URL{Scheme: "http", Host: addr})}}
+
+	for _, want := range []int{http.StatusServiceUnavailable, http.StatusOK} {
+		resp, err := client.Get(origin.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("request = %s, want %d", resp.Status, want)
+		}
+	}
+	resp, err := http.Get("http://" + addr + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := m.AdmitSeconds.With().Count(); got != 2 {
+		t.Errorf("proxy_admit_seconds count = %d, want 2", got)
+	}
+}
+
 // readerFromTrap is a destination whose ReadFrom, the shortcut io.Copy
 // takes and the one that allocates a buffer per response, must stay
 // unused.

@@ -94,17 +94,10 @@ type UserOutcome struct {
 // once the budget runs dry the remainder goes over DSL alone. The
 // returned outcomes feed the speedup CDF of Fig. 11(a). The arithmetic
 // is fleet.BoostModel's — this is a thin adapter binding it to a DSLAM
-// trace with one uniform line rate.
+// trace with one uniform line rate: Fig11aHeterogeneous with no
+// per-subscriber rates.
 func Fig11a(tr *traces.DSLAMTrace, cfg Config) []UserOutcome {
-	cfg = cfg.withDefaults()
-	model := cfg.model(cfg.DSLBits)
-
-	byUser := tr.SessionsByUser()
-	outcomes := make([]UserOutcome, 0, len(byUser))
-	for _, userID := range sortedUserIDs(byUser) {
-		outcomes = append(outcomes, userDay(userID, byUser[userID], model, cfg.budget()))
-	}
-	return outcomes
+	return Fig11aHeterogeneous(tr, nil, cfg)
 }
 
 // sortedUserIDs fixes the subscriber iteration order: the outcome slices
@@ -318,7 +311,8 @@ func AssignLineRates(tr *traces.DSLAMTrace, pop dsl.Population, seed int64) map[
 
 // Fig11aHeterogeneous runs the budgeted speedup analysis with
 // per-subscriber DSL rates (cfg.DSLBits is ignored for users present in
-// rates; absent users fall back to it).
+// rates; absent users, and every user when rates is nil, fall back to
+// it).
 func Fig11aHeterogeneous(tr *traces.DSLAMTrace, rates map[int]float64, cfg Config) []UserOutcome {
 	cfg = cfg.withDefaults()
 
