@@ -77,10 +77,10 @@ func main() {
 		srv.OnBytes = tracker.Use
 	}
 	// Network-integrated mode: the device-side permit cache refreshes
-	// through the batch RPC (degrading to GET /permit against old
-	// backends) at a TTL-jittered point before expiry, so a whole fleet
-	// granted together never stampedes the backend together. The jitter
-	// seed is per-process; the cache also mixes in the device name.
+	// through the batch RPC at a TTL-jittered point before expiry, so a
+	// whole fleet granted together never stampedes the backend together.
+	// The jitter seed is per-process; the cache also mixes in the device
+	// name.
 	// When the backend becomes unreachable the cache trips a circuit
 	// breaker and goes degraded: fail-closed by default (no permit, no
 	// onloading — traffic falls back to ADSL), or with -permit-fail-open
@@ -88,13 +88,12 @@ func main() {
 	// its expiry while probing for the backend's return.
 	var permits *permitplane.Cache
 	if *backend != "" {
-		pm := permitplane.NewMetrics(reg)
 		permits = &permitplane.Cache{
-			Fetch:    (&permitplane.BatchClient{BackendURL: *backend, Metrics: pm}).Fetch,
+			Fetch:    (&permitplane.BatchClient{BackendURL: *backend}).Fetch,
 			Device:   *name,
 			Cell:     *cell,
 			Seed:     int64(os.Getpid()),
-			Metrics:  pm,
+			Metrics:  permitplane.NewMetrics(reg),
 			Events:   events,
 			FailOpen: *failOpen,
 			Grace:    *grace,

@@ -376,22 +376,19 @@ func (f *fleet) virtualNow() float64 {
 	return f.clk.Since(f.start).Seconds() * f.o.timescale
 }
 
-// nextDelay computes a client's next refresh delay in virtual seconds,
-// mirroring the device cache's schedule: jittered proactive refresh
-// while granted, short recheck while denied, brief back-off on error.
+// nextDelay computes a client's next refresh delay in virtual seconds
+// on the device cache's own schedule: jittered proactive refresh while
+// granted, short recheck while denied, brief back-off on error.
 func (f *fleet) nextDelay(c *client, out outcome) float64 {
-	switch {
-	case out.err:
-		return 2
-	case out.granted:
-		frac := permitplane.DefaultRefreshLo +
-			(permitplane.DefaultRefreshHi-permitplane.DefaultRefreshLo)*
-				permitplane.JitterFrac(f.o.seed, c.name, c.draws)
-		c.draws++
-		return frac * f.o.ttl.Seconds()
-	default:
-		return 5
+	var ttl time.Duration
+	if out.granted {
+		ttl = f.o.ttl
 	}
+	return permitplane.RefreshDelay(out.err, ttl, 0, 0, func() float64 {
+		n := c.draws
+		c.draws++
+		return permitplane.JitterFrac(f.o.seed, c.name, n)
+	}).Seconds()
 }
 
 func (f *fleet) run() {

@@ -48,15 +48,10 @@ func TestNetworkIntegratedPermitLoop(t *testing.T) {
 		Threshold:   0.7,
 		TTL:         50 * time.Millisecond,
 	})
-	// A one-shard plane behind a mux that routes only GET /permit, as a
-	// daemon from before the batch RPC did.
-	legacy := http.NewServeMux()
-	legacy.Handle("/permit", backend)
-	backendSrv := httptest.NewServer(legacy)
+	backendSrv := httptest.NewServer(backend)
 	defer backendSrv.Close()
 
-	// The device side is the stack the daemons run; against the legacy
-	// daemon it rides the single-GET fallback.
+	// The device side is the stack the daemons run.
 	permits := &permitplane.Cache{
 		Fetch:  (&permitplane.BatchClient{BackendURL: backendSrv.URL}).Fetch,
 		Device: "ph1",

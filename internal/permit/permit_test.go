@@ -13,15 +13,12 @@ import (
 	"threegol/internal/permitplane"
 )
 
-// legacyDaemon serves a one-shard plane the way a daemon from before
-// the batch RPC did: a mux that routes only GET /permit, so BatchClient
-// takes its per-permit fallback.
-func legacyDaemon(t *testing.T, cfg permitplane.Config) (*permitplane.Sharded, string) {
+// daemon serves a one-shard plane the way 3golpermitd does: GET /permit
+// and POST /permits/batch.
+func daemon(t *testing.T, cfg permitplane.Config) (*permitplane.Sharded, string) {
 	t.Helper()
 	plane := permitplane.New(cfg)
-	mux := http.NewServeMux()
-	mux.Handle("/permit", plane)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(plane)
 	t.Cleanup(srv.Close)
 	return plane, srv.URL
 }
@@ -41,9 +38,8 @@ func ask(t *testing.T, backendURL, cell string) permit.Response {
 	return out
 }
 
-// deviceCache is the device side the daemons run, pointed at a legacy
-// daemon: permitplane.Cache refreshing through BatchClient, which falls
-// back to GET /permit.
+// deviceCache is the device side the daemons run: permitplane.Cache
+// refreshing through BatchClient.
 func deviceCache(backendURL string) *permitplane.Cache {
 	return &permitplane.Cache{
 		Fetch:  (&permitplane.BatchClient{BackendURL: backendURL}).Fetch,
@@ -55,7 +51,7 @@ func deviceCache(backendURL string) *permitplane.Cache {
 func TestBackendGrantsBelowThreshold(t *testing.T) {
 	util := 0.3
 	var mu sync.Mutex
-	b, url := legacyDaemon(t, permitplane.Config{
+	b, url := daemon(t, permitplane.Config{
 		Utilization: func(cell string) float64 {
 			mu.Lock()
 			defer mu.Unlock()
@@ -83,7 +79,7 @@ func TestBackendGrantsBelowThreshold(t *testing.T) {
 }
 
 func TestBackendDeniesAboveThreshold(t *testing.T) {
-	b, url := legacyDaemon(t, permitplane.Config{Utilization: func(string) float64 { return 0.95 }})
+	b, url := daemon(t, permitplane.Config{Utilization: func(string) float64 { return 0.95 }})
 	if ask(t, url, "c").Granted {
 		t.Error("permit granted for congested cell")
 	}
@@ -95,7 +91,7 @@ func TestBackendDeniesAboveThreshold(t *testing.T) {
 func TestPermitExpiresAfterTTL(t *testing.T) {
 	var mu sync.Mutex
 	util := 0.1
-	_, url := legacyDaemon(t, permitplane.Config{
+	_, url := daemon(t, permitplane.Config{
 		Utilization: func(string) float64 { mu.Lock(); defer mu.Unlock(); return util },
 		TTL:         50 * time.Millisecond,
 	})
@@ -120,7 +116,7 @@ func TestClientFailsSafeOnBackendDown(t *testing.T) {
 }
 
 func TestBackendValidation(t *testing.T) {
-	_, url := legacyDaemon(t, permitplane.Config{Utilization: func(string) float64 { return 0 }})
+	_, url := daemon(t, permitplane.Config{Utilization: func(string) float64 { return 0 }})
 
 	resp, err := http.Get(url + "/permit")
 	if err != nil {
@@ -139,7 +135,7 @@ func TestBackendValidation(t *testing.T) {
 		t.Errorf("unknown path = %d, want 404", resp.StatusCode)
 	}
 
-	_, misconfigured := legacyDaemon(t, permitplane.Config{})
+	_, misconfigured := daemon(t, permitplane.Config{})
 	resp, err = http.Get(misconfigured + "/permit?cell=c")
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +150,7 @@ func TestDeniedPermitRecheckedAfterCooldown(t *testing.T) {
 	var mu sync.Mutex
 	util := 0.99
 	calls := 0
-	_, url := legacyDaemon(t, permitplane.Config{
+	_, url := daemon(t, permitplane.Config{
 		Utilization: func(string) float64 { mu.Lock(); defer mu.Unlock(); calls++; return util },
 	})
 	c := deviceCache(url)

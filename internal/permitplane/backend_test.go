@@ -7,10 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"threegol/internal/obs"
 	"threegol/internal/permit"
@@ -24,14 +23,6 @@ func testUtil(cellID string) float64 {
 		return 0.95
 	}
 	return 0.1
-}
-
-// legacyMux fronts p the way a daemon from before the batch RPC did: it
-// routes only GET /permit, so /permits/batch is a 404.
-func legacyMux(p *Sharded) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/permit", p)
-	return mux
 }
 
 func postBatch(t *testing.T, url string, reqs []PermitRequest) (*http.Response, BatchResponse) {
@@ -355,111 +346,6 @@ func TestShardedDenyUnknownFailsClosed(t *testing.T) {
 	}
 }
 
-func TestBatchClientFallsBackToLegacyBackend(t *testing.T) {
-	// A one-shard plane behind GET /permit only, no /permits/batch.
-	legacy := New(Config{Utilization: testUtil, Clock: &fakeClock{}})
-	srv := httptest.NewServer(legacyMux(legacy))
-	defer srv.Close()
-
-	c := &BatchClient{BackendURL: srv.URL, Metrics: NewMetrics(obs.NewRegistry())}
-	reqs := []PermitRequest{
-		{Device: "d0", Cell: "cell-0"},
-		{Device: "d1", Cell: "hot-0"},
-		{Device: "d2", Cell: "cell-2"},
-	}
-	for round := 0; round < 2; round++ {
-		out, err := c.Batch(context.Background(), reqs)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if len(out) != 3 || !out[0].Granted || out[1].Granted || !out[2].Granted {
-			t.Fatalf("round %d: wrong decisions %+v", round, out)
-		}
-	}
-	if !c.legacy.Load() {
-		t.Error("legacy fallback not latched")
-	}
-	g, d := legacy.Stats()
-	if g != 4 || d != 2 {
-		t.Errorf("legacy backend saw grants=%d denials=%d, want 4/2", g, d)
-	}
-}
-
-// TestBatchClientReprobesBatchEndpointAfterRestart pins the un-latch
-// path: a client latched onto the legacy single-GET fallback must
-// periodically re-probe /permits/batch and return to the batch RPC when
-// a restarted (batch-capable) daemon comes back — not stay on the slow
-// path forever.
-func TestBatchClientReprobesBatchEndpointAfterRestart(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1_000, 0)}
-	legacy := legacyMux(New(Config{Utilization: testUtil, Clock: clk}))
-	plane := New(Config{Shards: 2, Utilization: testUtil, Clock: clk})
-	var upgraded atomic.Bool
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if upgraded.Load() {
-			plane.ServeHTTP(w, r)
-			return
-		}
-		legacy.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	m := NewMetrics(obs.NewRegistry())
-	c := &BatchClient{BackendURL: srv.URL, Metrics: m, Clock: clk, ReprobeInterval: time.Minute}
-	reqs := []PermitRequest{{Device: "d0", Cell: "cell-0"}}
-	reprobes := func() int64 { return m.BatchReprobes.With().Value() }
-
-	if _, err := c.Batch(context.Background(), reqs); err != nil {
-		t.Fatal(err)
-	}
-	if !c.legacy.Load() {
-		t.Fatal("legacy fallback not latched")
-	}
-
-	// Inside the re-probe interval the latch holds without probing.
-	clk.advance(20 * time.Second)
-	if _, err := c.Batch(context.Background(), reqs); err != nil {
-		t.Fatal(err)
-	}
-	if got := reprobes(); got != 0 {
-		t.Fatalf("%v re-probes inside the interval, want 0", got)
-	}
-
-	// A due re-probe against a still-legacy backend stays latched (and
-	// still answers via singles).
-	clk.advance(2 * time.Minute) // past any jittered spacing (max 1.5×)
-	out, err := c.Batch(context.Background(), reqs)
-	if err != nil || len(out) != 1 {
-		t.Fatalf("probe round against legacy backend: out=%v err=%v", out, err)
-	}
-	if !c.legacy.Load() {
-		t.Error("failed re-probe unlatched the fallback")
-	}
-	if got := reprobes(); got != 1 {
-		t.Fatalf("%v re-probes after one due window, want 1", got)
-	}
-
-	// The daemon restarts batch-capable: the next due re-probe unlatches.
-	upgraded.Store(true)
-	clk.advance(2 * time.Minute)
-	if _, err := c.Batch(context.Background(), reqs); err != nil {
-		t.Fatal(err)
-	}
-	if c.legacy.Load() {
-		t.Error("re-probe did not unlatch after the backend upgraded")
-	}
-	if got := reprobes(); got != 2 {
-		t.Errorf("%v re-probes total, want 2", got)
-	}
-	// And later batches ride the batch RPC without further probes.
-	if _, err := c.Batch(context.Background(), reqs); err != nil {
-		t.Fatal(err)
-	}
-	if got := reprobes(); got != 2 {
-		t.Errorf("unlatched client kept probing (%v)", got)
-	}
-}
-
 func TestBatchClientAgainstShardedBackend(t *testing.T) {
 	s := New(Config{Shards: 4, Utilization: testUtil, Clock: &fakeClock{}})
 	srv := httptest.NewServer(s)
@@ -473,31 +359,32 @@ func TestBatchClientAgainstShardedBackend(t *testing.T) {
 	if !resp.Granted {
 		t.Error("idle cell denied via BatchClient.Fetch")
 	}
-	if c.legacy.Load() {
-		t.Error("batch-capable backend latched the legacy fallback")
-	}
 }
 
-// TestBatchClientLegacyPathEscapesIDs pins the fallback's URL: a device
-// or cell ID holding a query metacharacter must land in the store under
-// the same grant key whether it rode the batch body or the single GET's
-// query string (unescaped, "&", "#", "+" and " " cut the ID short or
-// turned it into another).
-func TestBatchClientLegacyPathEscapesIDs(t *testing.T) {
+// TestBatchAndGetWiresAgreeOnEscapedIDs pins the IDs on both wires: a
+// device or cell ID holding a query metacharacter must land in the store
+// under the same grant key whether it rode the batch body or a GET
+// /permit query string escaped with url.QueryEscape (unescaped, "&",
+// "#", "+" and " " cut the ID short or turned it into another).
+func TestBatchAndGetWiresAgreeOnEscapedIDs(t *testing.T) {
 	ids := []string{"a&b", "a#b", "a+b", "a b", "a%26b", "a=b?c/d"}
-	for _, legacy := range []bool{false, true} {
+	for _, viaGET := range []bool{false, true} {
 		s := New(Config{Shards: 4, Utilization: testUtil, Clock: &fakeClock{}})
 		srv := httptest.NewServer(s)
-		c := &BatchClient{BackendURL: srv.URL, ReprobeInterval: -1}
-		c.legacy.Store(legacy)
 		var reqs []PermitRequest
 		for _, id := range ids {
 			reqs = append(reqs, PermitRequest{Device: "dev-" + id, Cell: "cell-" + id})
 		}
-		out, err := c.Batch(context.Background(), reqs)
+		var out []permit.Response
+		var err error
+		if viaGET {
+			out, err = getEach(srv.URL, reqs)
+		} else {
+			out, err = (&BatchClient{BackendURL: srv.URL}).Batch(context.Background(), reqs)
+		}
 		srv.Close()
 		if err != nil || len(out) != len(reqs) {
-			t.Fatalf("legacy=%t: %d decisions, err %v", legacy, len(out), err)
+			t.Fatalf("viaGET=%t: %d decisions, err %v", viaGET, len(out), err)
 		}
 		for _, pr := range reqs {
 			st := s.shardFor(pr.Cell).store
@@ -505,7 +392,7 @@ func TestBatchClientLegacyPathEscapesIDs(t *testing.T) {
 			_, held := st.state.Grants[wal.Key(pr.Device, pr.Cell)]
 			st.mu.Unlock()
 			if !held {
-				t.Errorf("legacy=%t: no grant under (%q, %q) in the cell's shard", legacy, pr.Device, pr.Cell)
+				t.Errorf("viaGET=%t: no grant under (%q, %q) in the cell's shard", viaGET, pr.Device, pr.Cell)
 			}
 		}
 		if got := func() (n int) {
@@ -514,7 +401,26 @@ func TestBatchClientLegacyPathEscapesIDs(t *testing.T) {
 			}
 			return n
 		}(); got != len(reqs) {
-			t.Errorf("legacy=%t: %d grants outstanding, want %d — an ID was recorded under another key", legacy, got, len(reqs))
+			t.Errorf("viaGET=%t: %d grants outstanding, want %d — an ID was recorded under another key", viaGET, got, len(reqs))
 		}
 	}
+}
+
+// getEach asks GET /permit once per request, escaping the IDs into the
+// query string.
+func getEach(backendURL string, reqs []PermitRequest) ([]permit.Response, error) {
+	out := make([]permit.Response, len(reqs))
+	for i, pr := range reqs {
+		resp, err := http.Get(fmt.Sprintf("%s/permit?device=%s&cell=%s", backendURL,
+			url.QueryEscape(pr.Device), url.QueryEscape(pr.Cell)))
+		if err != nil {
+			return nil, err
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out[i])
+		resp.Body.Close()
+		if err != nil {
+			return nil, fmt.Errorf("GET /permit: %s: %w", resp.Status, err)
+		}
+	}
+	return out, nil
 }

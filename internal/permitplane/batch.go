@@ -7,105 +7,32 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sync/atomic"
 	"time"
 
-	"threegol/internal/clock"
 	"threegol/internal/obs/eventlog"
 	"threegol/internal/permit"
 )
 
-// DefaultReprobeInterval is how often a legacy-latched BatchClient
-// re-probes /permits/batch (jittered per client, so a fleet latched by
-// the same restart does not re-probe in the same instant).
-const DefaultReprobeInterval = time.Minute
+// requestTimeout bounds each batch RPC via a per-attempt context
+// deadline (batches carry more work than a single permit decision).
+const requestTimeout = 5 * time.Second
 
-// BatchClient issues grant/refresh requests against a permit backend,
-// preferring the batch RPC and degrading transparently to per-permit
-// GETs when the backend predates /permits/batch. The fallback is
-// sticky only between re-probes: a jittered periodic re-probe of the
-// batch endpoint unlatches the client when the backend comes back
-// batch-capable (a restart onto a newer daemon must not leave the
-// fleet on the slow single-GET path forever).
+// BatchClient issues grant/refresh requests against a permit backend
+// over the batch RPC, POST /permits/batch. A backend that does not
+// serve the route fails the batch like any other non-OK status.
 type BatchClient struct {
 	// BackendURL is the backend's base URL (scheme://host:port).
 	BackendURL string
 	// HTTPClient issues the requests; nil uses a short-timeout default.
 	HTTPClient *http.Client
-	// RequestTimeout bounds each RPC via a per-attempt context
-	// deadline; 0 selects 5 seconds (batches carry more work than the
-	// 2 s single-permit default).
-	RequestTimeout time.Duration
-	// Metrics, when non-nil, receives fallback instrumentation.
-	Metrics *Metrics
-	// ReprobeInterval is the nominal spacing between re-probes of
-	// /permits/batch while latched onto the legacy fallback; each
-	// actual spacing is jittered into [0.5, 1.5)× of it. 0 selects
-	// DefaultReprobeInterval; negative disables re-probing (the
-	// historical latch-forever behaviour).
-	ReprobeInterval time.Duration
-	// Seed salts the re-probe jitter stream (mixed with BackendURL).
-	Seed int64
-	// Clock times re-probes; nil selects the system clock.
-	Clock clock.Clock
-
-	legacy    atomic.Bool  // backend has no /permits/batch
-	nextProbe atomic.Int64 // unixnano of the next re-probe while legacy
-	draws     atomic.Uint64
 }
 
 func (c *BatchClient) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	return &http.Client{Timeout: 5 * time.Second}
-}
-
-func (c *BatchClient) requestTimeout() time.Duration {
-	if c.RequestTimeout > 0 {
-		return c.RequestTimeout
-	}
-	return 5 * time.Second
-}
-
-func (c *BatchClient) reprobeInterval() time.Duration {
-	if c.ReprobeInterval == 0 {
-		return DefaultReprobeInterval
-	}
-	if c.ReprobeInterval < 0 {
-		return 0 // re-probing disabled
-	}
-	return c.ReprobeInterval
-}
-
-// scheduleReprobe arms the next jittered re-probe from now.
-func (c *BatchClient) scheduleReprobe() {
-	iv := c.reprobeInterval()
-	if iv <= 0 {
-		return
-	}
-	frac := 0.5 + JitterFrac(c.Seed, c.BackendURL, c.draws.Add(1))
-	next := clock.Or(c.Clock).Now().Add(time.Duration(frac * float64(iv)))
-	c.nextProbe.Store(next.UnixNano())
-}
-
-// claimReprobe reports whether this call should re-probe the batch
-// endpoint, claiming the due probe with a CAS so concurrent batches
-// issue exactly one.
-func (c *BatchClient) claimReprobe() bool {
-	if c.reprobeInterval() <= 0 {
-		return false
-	}
-	next := c.nextProbe.Load()
-	if next == 0 || clock.Or(c.Clock).Now().UnixNano() < next {
-		return false
-	}
-	if !c.nextProbe.CompareAndSwap(next, 0) {
-		return false // another caller claimed this probe
-	}
-	c.scheduleReprobe() // re-arm in case the probe fails
-	return true
+	return &http.Client{Timeout: requestTimeout}
 }
 
 // Batch requests a decision for every entry of reqs, returning the
@@ -116,15 +43,7 @@ func (c *BatchClient) Batch(ctx context.Context, reqs []PermitRequest) ([]permit
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	probing := false
-	if c.legacy.Load() {
-		if !c.claimReprobe() {
-			return c.singles(ctx, reqs)
-		}
-		probing = true
-		c.Metrics.batchReprobed()
-	}
-	rctx, cancel := context.WithTimeout(ctx, c.requestTimeout())
+	rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	url := c.BackendURL + "/permits/batch"
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, url, nil)
@@ -142,29 +61,10 @@ func (c *BatchClient) Batch(ctx context.Context, reqs []PermitRequest) ([]permit
 	}
 	httpResp, err := c.httpClient().Do(req)
 	if err != nil {
-		if probing {
-			// A dead backend proves nothing about batch support; the
-			// singles would fail identically, so surface the error.
-			return nil, fmt.Errorf("permitplane: batch re-probe of %s: %w", url, err)
-		}
 		return nil, fmt.Errorf("permitplane: batch request to %s: %w", url, err)
 	}
 	defer httpResp.Body.Close()
-	switch {
-	case httpResp.StatusCode == http.StatusOK:
-		if probing {
-			c.legacy.Store(false) // batch endpoint is back
-		}
-	case httpResp.StatusCode == http.StatusNotFound || httpResp.StatusCode == http.StatusMethodNotAllowed:
-		// Pre-batch backend: remember, arm the jittered re-probe, and
-		// degrade to per-permit GETs.
-		c.legacy.Store(true)
-		if !probing {
-			c.Metrics.batchFellBack()
-			c.scheduleReprobe()
-		}
-		return c.singles(ctx, reqs)
-	default:
+	if httpResp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("permitplane: batch backend returned %s", httpResp.Status)
 	}
 	got := getWireBuf()
@@ -190,8 +90,8 @@ func (c *BatchClient) Batch(ctx context.Context, reqs []PermitRequest) ([]permit
 // requestBuf is the pooled buffer one batch RPC's request body is
 // encoded into and sent from. It is never reused for the response, and
 // it outlives Do: net/http may still be reading a request body after Do
-// returned (a backend that answers before it has read the request — the
-// legacy 404 — leaves the transport's writer running) and may ask
+// returned (a backend that answers before it has read the request — a
+// 400 or 413 — leaves the transport's writer running) and may ask
 // GetBody for a second reader on a retry. So Batch and every reader
 // handed out hold a reference each, and the buffer returns to the pool
 // when the last one lets go — Batch after it has read the whole
@@ -235,53 +135,12 @@ func (b *requestBody) Close() error {
 }
 
 // Fetch requests a single decision — the Cache.Fetch hook. It rides
-// the batch path (a batch of one) so trace propagation, timeouts and
-// legacy fallback behave identically for cached and batched callers.
+// the batch path (a batch of one) so trace propagation and timeouts
+// behave identically for cached and batched callers.
 func (c *BatchClient) Fetch(ctx context.Context, device, cell string) (permit.Response, error) {
 	out, err := c.Batch(ctx, []PermitRequest{{Device: device, Cell: cell}})
 	if err != nil {
 		return permit.Response{}, err
 	}
 	return out[0], nil
-}
-
-// singles performs one GET /permit round trip per request — the legacy
-// protocol (and the shape of the load the batch RPC exists to avoid).
-func (c *BatchClient) singles(ctx context.Context, reqs []PermitRequest) ([]permit.Response, error) {
-	out := make([]permit.Response, len(reqs))
-	for i, pr := range reqs {
-		resp, err := c.single(ctx, pr)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = resp
-	}
-	return out, nil
-}
-
-func (c *BatchClient) single(ctx context.Context, pr PermitRequest) (permit.Response, error) {
-	rctx, cancel := context.WithTimeout(ctx, c.requestTimeout())
-	defer cancel()
-	target := fmt.Sprintf("%s/permit?device=%s&cell=%s", c.BackendURL,
-		url.QueryEscape(pr.Device), url.QueryEscape(pr.Cell))
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, target, nil)
-	if err != nil {
-		return permit.Response{}, fmt.Errorf("permitplane: building request for %s: %w", target, err)
-	}
-	if tc, ok := eventlog.FromContext(ctx); ok {
-		eventlog.InjectHTTP(req.Header, tc)
-	}
-	httpResp, err := c.httpClient().Do(req)
-	if err != nil {
-		return permit.Response{}, fmt.Errorf("permitplane: requesting %s: %w", target, err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return permit.Response{}, fmt.Errorf("permitplane: backend returned %s", httpResp.Status)
-	}
-	var resp permit.Response
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return permit.Response{}, fmt.Errorf("permitplane: decoding response: %w", err)
-	}
-	return resp, nil
 }

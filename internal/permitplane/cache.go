@@ -9,6 +9,7 @@ import (
 	"threegol/internal/clock"
 	"threegol/internal/obs/eventlog"
 	"threegol/internal/permit"
+	"threegol/internal/scheduler"
 )
 
 // Refresh-window defaults: a granted permit is proactively refreshed at
@@ -41,6 +42,40 @@ const (
 	DefaultGrace              = 30 * time.Second
 )
 
+// cacheBreaker configures every cache's breaker, which is the
+// scheduler's: one state machine for a path and for a permit backend.
+var cacheBreaker = scheduler.BreakerConfig{
+	Threshold:   DefaultBreakerThreshold,
+	Cooldown:    DefaultBreakerCooldown,
+	MaxCooldown: DefaultBreakerMaxCooldown,
+}
+
+// RefreshDelay is the cache's refresh schedule: how long after a refresh
+// the next one falls due. A failed refresh retries after errorCooldown
+// and a denial (ttl ≤ 0) rechecks after denyCooldown. A grant for ttl is
+// refreshed at lo + (hi−lo)·jitter() of it, zeros selecting
+// DefaultRefreshLo and DefaultRefreshHi; jitter is called once per grant
+// and nowhere else. cmd/3golpermitload schedules its simulated devices
+// with it.
+func RefreshDelay(failed bool, ttl time.Duration, lo, hi float64, jitter func() float64) time.Duration {
+	switch {
+	case failed:
+		return errorCooldown
+	case ttl <= 0:
+		return denyCooldown
+	}
+	if lo <= 0 {
+		lo = DefaultRefreshLo
+	}
+	if hi <= 0 {
+		hi = DefaultRefreshHi
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return time.Duration((lo + (hi-lo)*jitter()) * float64(ttl))
+}
+
 // Cache is the device-side permit cache. It refreshes on demand when
 // the permit has lapsed, and does three things that matter at fleet
 // scale:
@@ -59,14 +94,16 @@ const (
 //     the permit until its granted TTL genuinely lapses.
 //
 // When the backend becomes unreachable the cache enters an explicit
-// degraded state behind a per-endpoint circuit breaker: after
-// BreakerThreshold consecutive refresh failures it stops issuing
-// backend round trips and serves a local degraded verdict — fail-open
-// (honour the last granted permit for up to Grace past its genuine
-// expiry) or fail-closed (no permit, no onloading; the scheduler's
-// gated path then fails with ErrNotPermitted and the transfer falls
-// back to ADSL, exactly the blackout behaviour). Jittered half-open
-// probes re-close the breaker the moment the backend answers again.
+// degraded state behind a per-endpoint circuit breaker (the scheduler's
+// Breaker): after DefaultBreakerThreshold consecutive refresh failures
+// it stops issuing backend round trips and serves a local degraded
+// verdict — fail-open (honour the last granted permit for up to Grace
+// past its genuine expiry) or fail-closed (no permit, no onloading; the
+// scheduler's gated path then fails with ErrNotPermitted and the
+// transfer falls back to ADSL, exactly the blackout behaviour).
+// Half-open probes re-close the breaker the moment the backend answers
+// again. A caller that gives up mid-refresh tells nothing about the
+// backend, so it leaves the cache and the breaker as they were.
 type Cache struct {
 	// Fetch performs one backend refresh (BatchClient.Fetch, or a test
 	// double). Required.
@@ -97,15 +134,6 @@ type Cache struct {
 	// Grace bounds the fail-open stale-permit window, measured from the
 	// granted permit's genuine expiry; 0 selects DefaultGrace.
 	Grace time.Duration
-	// BreakerThreshold is the consecutive refresh-failure count that
-	// opens the breaker; 0 selects DefaultBreakerThreshold, negative
-	// disables degraded mode entirely.
-	BreakerThreshold int
-	// BreakerCooldown is the hold before the first half-open probe,
-	// doubling per failed probe up to BreakerMaxCooldown; zeros select
-	// DefaultBreakerCooldown and DefaultBreakerMaxCooldown.
-	BreakerCooldown    time.Duration
-	BreakerMaxCooldown time.Duration
 
 	mu        sync.Mutex
 	haveState bool
@@ -115,49 +143,11 @@ type Cache struct {
 	flight    chan struct{} // non-nil while a refresh is in flight
 	draws     uint64        // jitter draws so far (the stream position)
 
-	degraded    bool
-	consecFails int
-	probeAt     time.Time     // degraded: when the next half-open probe unlocks
-	cooldown    time.Duration // hold applied at the next failed probe
-	grantExpiry time.Time     // genuine expiry of the last granted permit
-}
-
-func (c *Cache) window() (lo, hi float64) {
-	lo, hi = c.RefreshLo, c.RefreshHi
-	if lo <= 0 {
-		lo = DefaultRefreshLo
-	}
-	if hi <= 0 {
-		hi = DefaultRefreshHi
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
-func (c *Cache) breakerThreshold() int {
-	if c.BreakerThreshold == 0 {
-		return DefaultBreakerThreshold
-	}
-	if c.BreakerThreshold < 0 {
-		return 0 // degraded mode disabled
-	}
-	return c.BreakerThreshold
-}
-
-func (c *Cache) breakerCooldown() time.Duration {
-	if c.BreakerCooldown > 0 {
-		return c.BreakerCooldown
-	}
-	return DefaultBreakerCooldown
-}
-
-func (c *Cache) breakerMaxCooldown() time.Duration {
-	if c.BreakerMaxCooldown > 0 {
-		return c.BreakerMaxCooldown
-	}
-	return DefaultBreakerMaxCooldown
+	// breaker is open while degraded; the cache never moves it to
+	// half-open, so a refresh through an open breaker is the probe.
+	breaker     scheduler.Breaker
+	probeAt     time.Time // degraded: when the next half-open probe unlocks
+	grantExpiry time.Time // genuine expiry of the last granted permit
 }
 
 func (c *Cache) grace() time.Duration {
@@ -172,7 +162,7 @@ func (c *Cache) grace() time.Duration {
 func (c *Cache) Mode() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.degraded {
+	if c.breaker.Open() {
 		return "degraded"
 	}
 	return "normal"
@@ -205,7 +195,7 @@ func (c *Cache) Allowed(ctx context.Context) bool {
 			c.Metrics.cacheHit()
 			return v
 		}
-		if c.degraded && (now.Before(c.probeAt) || c.flight != nil) {
+		if c.breaker.Open() && (now.Before(c.probeAt) || c.flight != nil) {
 			// Breaker open: no backend round trip. A still-valid permit
 			// keeps serving; otherwise the local degraded verdict does.
 			if fresh {
@@ -241,7 +231,7 @@ func (c *Cache) Allowed(ctx context.Context) bool {
 		}
 		flight := make(chan struct{})
 		c.flight = flight
-		probing := c.degraded // breaker cooldown elapsed: this call is the half-open probe
+		probing := c.breaker.Open() // breaker cooldown elapsed: this call is the half-open probe
 		c.mu.Unlock()
 		return c.refresh(ctx, flight, fresh, probing)
 	}
@@ -254,6 +244,15 @@ func (c *Cache) Allowed(ctx context.Context) bool {
 // degraded cache's half-open breaker probe.
 func (c *Cache) refresh(ctx context.Context, flight chan struct{}, proactive, probing bool) bool {
 	resp, err := c.Fetch(ctx, c.Device, c.Cell)
+	if ctx.Err() != nil {
+		// This caller gave up: its error is not the backend's. Charging
+		// the breaker or caching a refusal would deny every other caller.
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.flight = nil
+		close(flight)
+		return false
+	}
 	now := clock.Or(c.Clock).Now()
 	granted := err == nil && resp.Granted
 	c.Metrics.cacheRefreshed(granted, err, proactive)
@@ -270,80 +269,49 @@ func (c *Cache) refresh(ctx context.Context, flight chan struct{}, proactive, pr
 	defer c.mu.Unlock()
 	defer close(flight)
 	c.flight = nil
-	entered := c.noteBreakerLocked(err, probing, now)
-	if entered {
-		c.Metrics.cacheDegradedEnter()
-		c.Events.Point(tc, "permitplane.cache_degraded",
-			"cell", c.Cell, "fail_open", fmt.Sprintf("%t", c.FailOpen))
+	if err == nil {
+		c.breaker.Success()
+	} else if opened, hold := c.breaker.Failure(cacheBreaker); opened {
+		c.probeAt = now.Add(time.Duration(hold * float64(time.Second)))
+		if !probing {
+			c.Metrics.cacheDegradedEnter()
+			c.Events.Point(tc, "permitplane.cache_degraded",
+				"cell", c.Cell, "fail_open", fmt.Sprintf("%t", c.FailOpen))
+		}
 	}
+	var ttl time.Duration
+	if granted {
+		ttl = time.Duration(resp.TTLSeconds * float64(time.Second))
+	}
+	delay := RefreshDelay(err != nil, ttl, c.RefreshLo, c.RefreshHi, func() float64 {
+		n := c.draws
+		c.draws++
+		return JitterFrac(c.Seed, c.Device, n)
+	})
 	switch {
 	case err != nil && c.haveState && now.Before(c.expires):
 		// A failed proactive refresh must not revoke a permit the
 		// backend granted for a TTL that has not lapsed; retry shortly
 		// and keep serving the cached verdict until real expiry.
-		c.refreshAt = now.Add(errorCooldown)
+		c.refreshAt = now.Add(delay)
 		return c.granted
-	case err != nil && c.degraded:
+	case err != nil && c.breaker.Open():
 		// The degraded verdict is recomputed per call, never cached:
 		// the fail-open grace boundary stays exact (honoured one second
 		// before it, rejected one second after).
 		v, stale := c.degradedVerdictLocked(now)
 		c.Metrics.cacheDegradedServed(stale)
 		return v
-	case err != nil:
-		c.haveState = true
-		c.granted = false
-		c.expires = now.Add(errorCooldown)
-		c.refreshAt = c.expires
-		return false
 	}
 	c.haveState = true
-	c.granted = resp.Granted
-	ttl := time.Duration(resp.TTLSeconds * float64(time.Second))
-	if !resp.Granted || ttl <= 0 {
-		c.expires = now.Add(denyCooldown)
-		c.refreshAt = c.expires
-		return c.granted
+	c.granted = granted
+	c.refreshAt = now.Add(delay)
+	c.expires = c.refreshAt
+	if granted && ttl > 0 {
+		c.expires = now.Add(ttl)
+		c.grantExpiry = c.expires
 	}
-	c.expires = now.Add(ttl)
-	c.grantExpiry = c.expires
-	lo, hi := c.window()
-	frac := lo + (hi-lo)*JitterFrac(c.Seed, c.Device, c.draws)
-	c.draws++
-	c.refreshAt = now.Add(time.Duration(frac * float64(ttl)))
 	return c.granted
-}
-
-// noteBreakerLocked advances the circuit breaker on one refresh result
-// and reports whether the cache just entered degraded mode. A success
-// re-closes the breaker; a failed probe re-opens with a doubled
-// cooldown; reaching the threshold of consecutive failures while
-// closed opens it.
-func (c *Cache) noteBreakerLocked(err error, probing bool, now time.Time) (entered bool) {
-	if err == nil {
-		c.degraded = false
-		c.consecFails = 0
-		c.cooldown = 0
-		return false
-	}
-	th := c.breakerThreshold()
-	switch {
-	case probing:
-		c.cooldown *= 2
-		if m := c.breakerMaxCooldown(); c.cooldown > m {
-			c.cooldown = m
-		}
-		c.probeAt = now.Add(c.cooldown)
-	case !c.degraded && th > 0:
-		c.consecFails++
-		if c.consecFails >= th {
-			c.degraded = true
-			c.cooldown = c.breakerCooldown()
-			c.probeAt = now.Add(c.cooldown)
-			return true
-		}
-	}
-	return false
 }
 
 // Invalidate drops the cached permit, forcing a refresh on next use.

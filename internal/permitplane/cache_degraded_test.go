@@ -3,10 +3,14 @@ package permitplane
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"threegol/internal/obs"
 	"threegol/internal/permit"
 	"threegol/internal/scheduler"
 )
@@ -175,4 +179,144 @@ func TestCacheDegradedSchedulerFallsBack(t *testing.T) {
 	if got := rep.PerPath["3g"].Items; got != 0 {
 		t.Errorf("3g completed %d items with no permit", got)
 	}
+}
+
+// TestMissingBatchRouteDegradesCache pins what a backend without POST
+// /permits/batch means to the device: the batch fails with the status,
+// the cache trips its breaker on those failures and fails closed, and a
+// gated 3G path leaves the transaction to ADSL.
+func TestMissingBatchRouteDegradesCache(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.Handle("/permit", New(Config{Utilization: testUtil, Clock: &fakeClock{}}))
+	srv := httptest.NewServer(mux) // /permits/batch is a 404
+	defer srv.Close()
+	bc := &BatchClient{BackendURL: srv.URL}
+
+	_, err := bc.Batch(context.Background(), []PermitRequest{{Device: "d0", Cell: "cell-0"}})
+	if err == nil || !strings.Contains(err.Error(), "404 Not Found") {
+		t.Fatalf("batch against a backend without the route: err %v, want one naming 404 Not Found", err)
+	}
+
+	clk := &fakeClock{t: time.Unix(1_000, 0)}
+	m := NewMetrics(obs.NewRegistry())
+	c := &Cache{Fetch: bc.Fetch, Device: "d0", Cell: "cell-0", Clock: clk, Metrics: m}
+	tripBreaker(t, c, clk)
+	if got := m.CacheRefreshes.With(resultError).Value(); got != DefaultBreakerThreshold {
+		t.Errorf("degraded after %d failed refreshes, want %d", got, DefaultBreakerThreshold)
+	}
+	if c.Allowed(context.Background()) {
+		t.Error("degraded cache granted without a reachable batch route")
+	}
+
+	adsl := &stubPath{name: "adsl", n: 100}
+	gated := GatePath(&stubPath{name: "3g", n: 100}, c.Allowed)
+	items := make([]scheduler.Item, 6)
+	for i := range items {
+		items[i] = scheduler.Item{ID: i, Size: 100}
+	}
+	rep, err := scheduler.Run(context.Background(), scheduler.Greedy, items,
+		[]scheduler.Path{adsl, gated}, scheduler.Options{})
+	if err != nil {
+		t.Fatalf("transaction failed without a batch route: %v", err)
+	}
+	if got := rep.PerPath["adsl"].Items; got != len(items) {
+		t.Errorf("adsl completed %d of %d items", got, len(items))
+	}
+	if got := rep.PerPath["3g"].Items; got != 0 {
+		t.Errorf("3g completed %d items with no permit", got)
+	}
+}
+
+// TestCacheCallerCancellationLeavesCacheAlone pins that a caller giving
+// up mid-refresh — a GRD loser replica, a client hanging up on the proxy
+// — is not a backend failure: it neither caches a refusal that other
+// callers then read nor counts towards the breaker.
+func TestCacheCallerCancellationLeavesCacheAlone(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1_000, 0)}
+	var hang atomic.Bool
+	var calls atomic.Int64
+	fetch := func(ctx context.Context, device, cell string) (permit.Response, error) {
+		calls.Add(1)
+		if hang.Load() {
+			<-ctx.Done()
+			return permit.Response{}, ctx.Err()
+		}
+		return permit.Response{Granted: true, TTLSeconds: time.Minute.Seconds()}, nil
+	}
+	c := &Cache{Fetch: fetch, Device: "d0", Cell: "bs0/s0", Clock: clk}
+	// cancelledCall is one caller that gives up while its refresh hangs.
+	cancelledCall := func() {
+		t.Helper()
+		hang.Store(true)
+		defer hang.Store(false)
+		ctx, cancel := context.WithCancel(context.Background())
+		go cancel()
+		if c.Allowed(ctx) {
+			t.Fatal("cancelled caller granted")
+		}
+	}
+
+	for i := 0; i < DefaultBreakerThreshold; i++ {
+		cancelledCall()
+		clk.advance(errorCooldown + time.Second)
+	}
+	if got := calls.Load(); got != DefaultBreakerThreshold {
+		t.Fatalf("%d cancelled refreshes reached the backend, want %d", got, DefaultBreakerThreshold)
+	}
+	if c.Mode() != "normal" {
+		t.Errorf("mode %q after %d cancelled callers, want normal", c.Mode(), DefaultBreakerThreshold)
+	}
+
+	cancelledCall()
+	if !c.Allowed(context.Background()) {
+		t.Error("a cancelled caller's refresh denied the next caller against a healthy backend")
+	}
+}
+
+// TestCacheBreakerHoldCapsAndResets drives the cache's breaker through
+// repeated failed probes: each opening holds twice the last, from
+// DefaultBreakerCooldown up to DefaultBreakerMaxCooldown, and one
+// successful probe resets the next opening to DefaultBreakerCooldown.
+func TestCacheBreakerHoldCapsAndResets(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1_000, 0)}
+	b := &flakyBackend{ttl: time.Minute}
+	c := &Cache{Fetch: b.fetch, Device: "d0", Cell: "bs0/s0", Clock: clk}
+
+	// holdEnds checks that the opening at opened holds exactly hold: no
+	// probe a millisecond early, one probe on the instant.
+	holdEnds := func(opened time.Time, hold time.Duration) {
+		t.Helper()
+		calls := b.calls.Load()
+		clk.set(opened.Add(hold - time.Millisecond))
+		c.Allowed(context.Background())
+		if got := b.calls.Load(); got != calls {
+			t.Fatalf("probe %v before the %v hold ended", time.Millisecond, hold)
+		}
+		clk.set(opened.Add(hold))
+		c.Allowed(context.Background())
+		if got := b.calls.Load(); got != calls+1 {
+			t.Fatalf("%d probes when the %v hold ended, want 1", got-calls, hold)
+		}
+	}
+
+	tripBreaker(t, c, clk)
+	opened := clk.Now()
+	for _, s := range []int{2, 4, 8, 16, 30, 30} {
+		holdEnds(opened, time.Duration(s)*time.Second)
+		opened = clk.Now()
+		if c.Mode() != "degraded" {
+			t.Fatalf("failed probe left the cache %s", c.Mode())
+		}
+	}
+
+	b.healthy.Store(true)
+	holdEnds(opened, DefaultBreakerMaxCooldown)
+	if c.Mode() != "normal" {
+		t.Fatalf("mode %q after a successful probe, want normal", c.Mode())
+	}
+
+	b.healthy.Store(false)
+	c.Invalidate()
+	tripBreaker(t, c, clk)
+	holdEnds(clk.Now(), DefaultBreakerCooldown)
 }

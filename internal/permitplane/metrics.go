@@ -52,9 +52,6 @@ type Metrics struct {
 	// CacheCoalesced counts Allowed calls that coalesced onto another
 	// caller's in-flight refresh instead of issuing their own.
 	CacheCoalesced *obs.Counter
-	// BatchFallbacks counts batch RPCs downgraded to per-permit GETs
-	// because the backend has no /permits/batch endpoint.
-	BatchFallbacks *obs.Counter
 
 	// CacheDegraded counts transitions of the permit cache into
 	// degraded mode (the per-endpoint circuit breaker opened after
@@ -67,9 +64,6 @@ type Metrics struct {
 	// CacheProbes counts half-open probes a degraded cache issued, by
 	// result (ok | failed). An ok probe closes the breaker.
 	CacheProbes *obs.Counter
-	// BatchReprobes counts re-probes of /permits/batch by a client
-	// latched onto the legacy single-GET fallback.
-	BatchReprobes *obs.Counter
 
 	// ActiveGrants is the admission loop's count of live (unexpired)
 	// permits across all cells.
@@ -124,8 +118,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Permit-cache refreshes issued proactively, inside the jittered pre-expiry window."),
 		CacheCoalesced: r.NewCounter("permitplane_cache_coalesced_total",
 			"Permit-cache lookups coalesced onto an in-flight refresh (singleflight)."),
-		BatchFallbacks: r.NewCounter("permitplane_batch_fallbacks_total",
-			"Batch RPCs downgraded to per-permit GETs (backend without /permits/batch)."),
 		CacheDegraded: r.NewCounter("permitplane_cache_degraded_total",
 			"Permit-cache transitions into degraded mode (circuit breaker opened on consecutive refresh failures)."),
 		CacheDegradedServed: r.NewCounter("permitplane_cache_degraded_served_total",
@@ -133,8 +125,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"verdict"),
 		CacheProbes: r.NewCounter("permitplane_cache_probes_total",
 			"Half-open probes issued by a degraded permit cache, by result (ok | failed).", "result"),
-		BatchReprobes: r.NewCounter("permitplane_batch_reprobes_total",
-			"Jittered re-probes of /permits/batch by clients latched onto the legacy single-GET fallback."),
 		ActiveGrants: r.NewGauge("permitplane_active_grants",
 			"Live (unexpired) permits the admission loop is carrying across all cells."),
 		AdmittedLoad: r.NewGauge("permitplane_admitted_load_bps",
@@ -213,13 +203,6 @@ func (m *Metrics) cacheCoalesced() {
 	m.CacheCoalesced.Inc()
 }
 
-func (m *Metrics) batchFellBack() {
-	if m == nil {
-		return
-	}
-	m.BatchFallbacks.Inc()
-}
-
 func (m *Metrics) admitted(activeGrants int, dlBps, ulBps float64) {
 	if m == nil {
 		return
@@ -256,13 +239,6 @@ func (m *Metrics) cacheProbed(ok bool) {
 	} else {
 		m.CacheProbes.With(probeFailed).Inc()
 	}
-}
-
-func (m *Metrics) batchReprobed() {
-	if m == nil {
-		return
-	}
-	m.BatchReprobes.Inc()
 }
 
 func (m *Metrics) walAppended(op wal.Op, n int) {

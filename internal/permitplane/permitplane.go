@@ -11,8 +11,8 @@
 //     merges per-shard metrics in shard order so the merged dump is
 //     byte-identical regardless of shard count.
 //   - Batching. BatchClient groups many devices' grant/refresh
-//     requests into one POST /permits/batch round trip, falling back
-//     to per-permit GETs against backends that predate the endpoint.
+//     requests into one POST /permits/batch round trip; a backend
+//     without the route fails the batch like any other error.
 //   - Caching. Cache is the device-side permit cache: TTL-jittered
 //     proactive refresh (seeded, deterministic jitter — 10k devices
 //     sharing a TTL do not synchronise their refreshes), singleflight

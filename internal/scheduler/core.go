@@ -119,15 +119,6 @@ func (b *backoff) delay(k int) float64 {
 	return d
 }
 
-// Breaker states: closed (healthy) → open (ejected, cooling down) →
-// half-open (one probe in flight) → closed again on probe success, or
-// back to open with a doubled hold on probe failure.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
 // corePath is one path's share of the state. A path carries at most one
 // attempt at a time, so an item's replica set is the set of paths whose
 // item field names it.
@@ -136,10 +127,8 @@ type corePath struct {
 	started float64 // when Idle last answered the path: the start of what it carries
 	streak  int     // consecutive failures, for backoff growth
 
-	breaker int     // breakerClosed, breakerOpen, breakerHalfOpen
-	consec  int     // consecutive failures while closed
-	until   float64 // open: when the half-open probe unlocks
-	hold    float64 // cooldown applied at the next opening
+	breaker Breaker
+	until   float64 // breaker open: when the half-open probe unlocks
 
 	// MIN's estimator.
 	est     float64 // bits/s, exponentially smoothed
@@ -165,9 +154,7 @@ type Core struct {
 	duplication bool
 	maxRetries  int
 	backoff     backoff
-	threshold   int // breaker: consecutive failures that open it; 0 = off
-	cooldown    float64
-	maxCooldown float64
+	breaker     BreakerConfig // zero (off) under a fixed-queue policy
 
 	pending []int
 	queues  [][]int
@@ -197,8 +184,6 @@ func NewCore(algo Algo, sizes []int64, names []string, opts Options) *Core {
 		duplication: !opts.DisableDuplication,
 		maxRetries:  opts.maxRetries(),
 		backoff:     newBackoff(opts.Backoff),
-		cooldown:    opts.Breaker.cooldown().Seconds(),
-		maxCooldown: opts.Breaker.maxCooldown().Seconds(),
 		done:        make([]bool, items),
 		flights:     make([]coreFlight, items),
 		fails:       make([]int, items*paths),
@@ -206,10 +191,10 @@ func NewCore(algo Algo, sizes []int64, names []string, opts Options) *Core {
 		cancel:      make([]int, 0, paths),
 	}
 	for p := range c.paths {
-		c.paths[p] = corePath{item: -1, hold: c.cooldown}
+		c.paths[p] = corePath{item: -1}
 	}
 	if !c.fixed {
-		c.threshold = opts.Breaker.Threshold
+		c.breaker = opts.Breaker
 		c.pending = make([]int, items)
 		for i := range c.pending {
 			c.pending[i] = i
@@ -262,11 +247,11 @@ func (c *Core) Idle(p int, now float64) Decision {
 		}
 		return d
 	}
-	if pp.breaker == breakerOpen {
+	if pp.breaker.Open() {
 		if now < pp.until {
 			return Decision{Action: Wait, Until: pp.until}
 		}
-		pp.breaker = breakerHalfOpen
+		pp.breaker.Probe()
 		d.Probe = true
 	}
 	for i, it := range c.pending {
@@ -332,9 +317,8 @@ func (c *Core) release(p int) {
 func (c *Core) Succeeded(item, p int, bytes int64, now float64) Success {
 	c.release(p)
 	pp := &c.paths[p]
-	s := Success{Closed: pp.breaker == breakerHalfOpen}
+	s := Success{Closed: pp.breaker.Success()}
 	pp.streak = 0
-	pp.breaker, pp.consec, pp.hold = breakerClosed, 0, c.cooldown
 	if c.done[item] {
 		return s
 	}
@@ -413,20 +397,8 @@ func (c *Core) Failed(item, p int, now float64) Failure {
 	c.release(p)
 	pp := &c.paths[p]
 	var f Failure
-	if c.threshold > 0 {
-		switch pp.breaker {
-		case breakerClosed:
-			pp.consec++
-			f.Opened = pp.consec >= c.threshold
-		case breakerHalfOpen:
-			f.Opened = true // failed probe
-		}
-		if f.Opened {
-			f.Cooldown = pp.hold
-			pp.breaker, pp.consec = breakerOpen, 0
-			pp.until = now + pp.hold
-			pp.hold = math.Min(pp.hold*2, c.maxCooldown)
-		}
+	if f.Opened, f.Cooldown = pp.breaker.Failure(c.breaker); f.Opened {
+		pp.until = now + f.Cooldown
 	}
 	if !c.done[item] {
 		c.charge(item, p, &f)

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -11,7 +12,9 @@ import (
 
 // FuzzCore drives the decision core from a byte script through a
 // single-threaded model driver and holds every answer to what the model
-// knows must be true, whatever the order and timing of events.
+// knows must be true, whatever the order and timing of events. Under a
+// greedy policy with the breaker on, that includes every breaker
+// transition, held to a per-path reference breaker (refBreaker).
 //
 // Script layout. Five header bytes: policy (mod 4), paths (1 + mod 4),
 // items (mod 9), MaxRetries (1 + mod 3), and option flags — 1 no
@@ -46,8 +49,9 @@ type coreModel struct {
 	carrying  []int  // [path] item of the running attempt, −1 when idle
 	cancelled []bool // [path] the winner cancelled the running attempt
 	done      []bool
-	home      []int   // [item] fixed queues: the one path that ever carried it
-	fails     [][]int // [item][path] failures charged while undelivered
+	home      []int        // [item] fixed queues: the one path that ever carried it
+	breakers  []refBreaker // [path] what the breaker's transitions must be
+	fails     [][]int      // [item][path] failures charged while undelivered
 	exhausted bool
 
 	algo  Algo
@@ -55,6 +59,21 @@ type coreModel struct {
 	opts  Options
 	steps []coreStep
 }
+
+// refBreaker is the model's own breaker for one path, written from the
+// rule rather than from Breaker: Threshold consecutive failures or one
+// failed probe open it for min(Cooldown·2ᵏ, MaxCooldown) — k openings
+// since the path's last success — and a success closes it.
+type refBreaker struct {
+	state  int // breakerClosed, breakerOpen, breakerHalfOpen
+	consec int
+	opens  int
+	until  float64
+}
+
+// The fuzzed breaker's hold: Cooldown 1 s, MaxCooldown left to its
+// default of 8 × Cooldown.
+const fuzzHoldBase, fuzzHoldMax = 1.0, 8.0
 
 // coreStep is one call into the core and its answer, kept comparable
 // and unformatted: the transcript is only rendered for a failure, which
@@ -102,8 +121,18 @@ func (m *coreModel) idle(p int) float64 {
 	if m.fixed && (d.Action == Duplicate || d.Action == Wait || d.Probe) {
 		m.fatalf("fixed queue answered %+v", d)
 	}
-	if !m.breaker && (d.Action == Wait || d.Probe) {
-		m.fatalf("breaker is off yet Idle answered %+v", d)
+	switch rb := &m.breakers[p]; {
+	case rb.state == breakerOpen && m.now < rb.until:
+		if d != (Decision{Action: Wait, Until: rb.until}) {
+			m.fatalf("breaker open until %v yet Idle answered %+v", rb.until, d)
+		}
+	case rb.state == breakerOpen:
+		if !d.Probe || d.Action == Wait {
+			m.fatalf("breaker hold ended at %v yet Idle answered %+v, not a probe", rb.until, d)
+		}
+		rb.state = breakerHalfOpen
+	case d.Action == Wait || d.Probe:
+		m.fatalf("breaker is not open yet Idle answered %+v", d)
 	}
 	switch d.Action {
 	case Park:
@@ -167,9 +196,10 @@ func (m *coreModel) succeed(p int, bytes int64) {
 		}
 		m.cancelled[q] = true
 	}
-	if s.Closed && !m.breaker {
-		m.fatalf("breaker is off yet %+v", s)
+	if rb := &m.breakers[p]; s.Closed != (rb.state == breakerHalfOpen) {
+		m.fatalf("breaker state %d yet %+v", rb.state, s)
 	}
+	m.breakers[p] = refBreaker{}
 }
 
 func (m *coreModel) fail(p int) {
@@ -177,9 +207,7 @@ func (m *coreModel) fail(p int) {
 	m.carrying[p], m.cancelled[p] = -1, false
 	f := m.c.Failed(item, p, m.now)
 	m.steps = append(m.steps, coreStep{now: m.now, call: "failed", path: p, item: item, f: f})
-	if f.Opened && !m.breaker {
-		m.fatalf("breaker is off yet %+v", f)
-	}
+	m.failBreaker(p, f)
 	if f.Backoff < 0 || (f.Backoff > 0 && (m.opts.Backoff.Base == 0 || f.Exhausted)) {
 		m.fatalf("backoff base %v yet %+v", m.opts.Backoff.Base, f)
 	}
@@ -206,6 +234,32 @@ func (m *coreModel) fail(p int) {
 		m.fatalf("%+v; the budgets spent say %+v", f, want)
 	}
 	m.exhausted = f.Exhausted
+}
+
+// failBreaker steps path p's reference breaker on a failure and holds
+// the verdict's Opened and Cooldown to it.
+func (m *coreModel) failBreaker(p int, f Failure) {
+	rb := &m.breakers[p]
+	opened := false
+	if m.breaker {
+		switch rb.state {
+		case breakerClosed:
+			rb.consec++
+			opened = rb.consec >= m.opts.Breaker.Threshold
+		case breakerHalfOpen:
+			opened = true
+		default:
+			m.fatalf("path %d failed an attempt while its breaker was open", p)
+		}
+	}
+	var hold float64
+	if opened {
+		hold = math.Min(fuzzHoldBase*math.Pow(2, float64(rb.opens)), fuzzHoldMax)
+		*rb = refBreaker{state: breakerOpen, opens: rb.opens + 1, until: m.now + hold}
+	}
+	if f.Opened != opened || f.Cooldown != hold {
+		m.fatalf("%+v; the reference breaker says Opened %v, Cooldown %v", f, opened, hold)
+	}
 }
 
 func playCoreScript(t *testing.T, script []byte) *coreModel {
@@ -253,6 +307,7 @@ func playCoreScript(t *testing.T, script []byte) *coreModel {
 
 		carrying: make([]int, paths), cancelled: make([]bool, paths),
 		done: make([]bool, items), home: make([]int, items), fails: make([][]int, items),
+		breakers: make([]refBreaker, paths),
 	}
 	for p := range m.carrying {
 		m.carrying[p] = -1

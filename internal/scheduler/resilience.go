@@ -15,7 +15,8 @@ package scheduler
 //   - a per-path circuit breaker, GRD and PLAYOUT only: consecutive
 //     failures eject the path from the greedy rotation, an escalating
 //     cooldown holds it out, and a half-open probe readmits it
-//     (BreakerConfig; the state machine lives in core.go).
+//     (BreakerConfig; the state machine is Breaker, which core.go
+//     steps per path and permitplane.Cache steps per backend).
 //
 // Every state transition is exported through Options.Metrics and
 // Options.Events so a chaos run's eventlog tells the whole story.
@@ -134,6 +135,70 @@ func (c BreakerConfig) maxCooldown() time.Duration {
 		return c.MaxCooldown
 	}
 	return 8 * c.cooldown()
+}
+
+// Breaker states: closed (healthy) → open (ejected, cooling down) →
+// half-open (one probe in flight) → closed again on probe success, or
+// back to open with a doubled hold on probe failure.
+const (
+	breakerClosed = iota
+	breakerOpen
+	breakerHalfOpen
+)
+
+// Breaker is one circuit breaker's state machine. It holds no clock:
+// Failure names the hold an opening starts, and the caller keeps the
+// instant it ends and asks Probe once that instant has passed. The zero
+// value is a closed breaker.
+type Breaker struct {
+	state  int8
+	consec int     // consecutive failures while closed
+	hold   float64 // seconds the next opening holds; 0 selects the config's Cooldown
+}
+
+// Open reports whether the breaker is open: the caller waits out the
+// hold before it tries again.
+func (b *Breaker) Open() bool { return b.state == breakerOpen }
+
+// Probe moves an open breaker to half-open once the caller's hold has
+// ended: what the caller tries next is the probe.
+func (b *Breaker) Probe() {
+	if b.state == breakerOpen {
+		b.state = breakerHalfOpen
+	}
+}
+
+// Success records a success, which re-closes the breaker and resets the
+// hold. closed reports that the breaker was not closed before.
+func (b *Breaker) Success() (closed bool) {
+	closed = b.state != breakerClosed
+	*b = Breaker{}
+	return closed
+}
+
+// Failure records a failure under cfg and reports whether it opened the
+// breaker, and for how many seconds. A closed breaker opens at the
+// Threshold-th consecutive failure; a breaker that is not closed — a
+// failed probe — opens again at once. Each opening holds twice as long
+// as the last, up to MaxCooldown, until a success resets it. A zero
+// Threshold never opens.
+func (b *Breaker) Failure(cfg BreakerConfig) (opened bool, hold float64) {
+	if cfg.Threshold <= 0 {
+		return false, 0
+	}
+	if b.state == breakerClosed {
+		b.consec++
+		if b.consec < cfg.Threshold {
+			return false, 0
+		}
+	}
+	hold = b.hold
+	if hold == 0 {
+		hold = cfg.cooldown().Seconds()
+	}
+	b.state, b.consec = breakerOpen, 0
+	b.hold = math.Min(hold*2, cfg.maxCooldown().Seconds())
+	return true, hold
 }
 
 // toDuration converts the decision core's float seconds to a sleepable

@@ -11,7 +11,9 @@
 #   5. go test -race — full suite under the race detector
 #   6. fuzz        — ten seconds of FuzzCore: the scheduler's decision
 #      core under byte-scripted event sequences from a model driver
-#      (all four policies, equal timestamps allowed), starting from the
+#      (all four policies, equal timestamps allowed; every breaker
+#      opening, hold, probe and re-closing held to a reference breaker
+#      the model keeps per path), starting from the
 #      seed corpus in internal/scheduler/testdata/fuzz; then ten seconds
 #      of FuzzBatchCodec: arbitrary bytes into the /permits/batch
 #      request and response decoders against encoding/json on the plain
