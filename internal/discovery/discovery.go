@@ -51,9 +51,9 @@ type Beacon struct {
 	Announce func() (Announcement, bool)
 	// Interval between beacons; 0 selects DefaultInterval.
 	Interval time.Duration
-	// Metrics, when non-nil, receives beacon instrumentation (see
-	// NewMetrics).
-	Metrics *Metrics
+	// Metrics receives beacon instrumentation (see NewMetrics); the
+	// zero value records nothing.
+	Metrics Metrics
 
 	mu   sync.Mutex
 	stop chan struct{}
@@ -148,9 +148,9 @@ type Browser struct {
 	// TTL is how long an entry survives without a refresh; 0 selects
 	// 3×DefaultInterval.
 	TTL time.Duration
-	// Metrics, when non-nil, receives announcement/churn instrumentation
-	// (see NewMetrics).
-	Metrics *Metrics
+	// Metrics receives announcement/churn instrumentation (see
+	// NewMetrics); the zero value records nothing.
+	Metrics Metrics
 	// Clock ages entries for TTL expiry; nil selects the system clock.
 	// Tests inject a fake to pin sweeps to exact instants around the
 	// TTL boundary.
@@ -218,7 +218,7 @@ func (br *Browser) record(ann Announcement) {
 	defer br.mu.Unlock()
 	if !br.closed {
 		br.entries[ann.Name] = entry{ann: ann, seen: clock.Or(br.Clock).Now()}
-		br.Metrics.received()
+		br.Metrics.Announcements.Inc()
 	}
 }
 

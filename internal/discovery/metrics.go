@@ -9,8 +9,8 @@ const (
 )
 
 // Metrics holds the discovery protocol's instruments; register with
-// NewMetrics and assign to Beacon.Metrics and/or Browser.Metrics. A nil
-// Metrics disables instrumentation. The Devices gauge plus the expiry
+// NewMetrics and assign to Beacon.Metrics and/or Browser.Metrics. The
+// zero Metrics records nothing. The Devices gauge plus the expiry
 // counter together describe the churn of the admissible set Φ.
 type Metrics struct {
 	// Announcements counts datagrams the browser accepted.
@@ -28,8 +28,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the discovery protocol's metrics on r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
 		Announcements: r.NewCounter("discovery_announcements_received_total",
 			"Well-formed announcement datagrams accepted by the browser."),
 		Beacons: r.NewCounter("discovery_beacons_total",
@@ -42,17 +42,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) received() {
-	if m == nil {
-		return
-	}
-	m.Announcements.Inc()
-}
-
 func (m *Metrics) beacon(sent bool) {
-	if m == nil {
-		return
-	}
 	state := beaconSuppressed
 	if sent {
 		state = beaconSent
@@ -61,9 +51,6 @@ func (m *Metrics) beacon(sent bool) {
 }
 
 func (m *Metrics) swept(expired, live int) {
-	if m == nil {
-		return
-	}
 	if expired > 0 {
 		m.Expired.Add(int64(expired))
 	}

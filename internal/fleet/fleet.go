@@ -23,7 +23,6 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"threegol/internal/dsl"
@@ -259,51 +258,6 @@ func MapReduce[A Mergeable[A]](shards []Shard, workers int, simulate func(Shard)
 			}
 			fold++
 		}
-	}
-	return acc
-}
-
-// mapReduceResident is the all-resident reference fold: simulate every
-// shard, keep every accumulator, fold at the end. It exists so tests
-// can pin the streaming MapReduce byte-identical to the naive
-// materialise-then-fold semantics; production paths never use it.
-func mapReduceResident[A Mergeable[A]](shards []Shard, workers int, simulate func(Shard) A) A {
-	var zero A
-	if len(shards) == 0 {
-		return zero
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	out := make([]A, len(shards))
-	if workers == 1 {
-		for i, sh := range shards {
-			out[i] = simulate(sh)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					out[i] = simulate(shards[i])
-				}
-			}()
-		}
-		for i := range shards {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	acc := out[0]
-	for _, a := range out[1:] {
-		acc.Merge(a)
 	}
 	return acc
 }

@@ -175,7 +175,7 @@ func runDay(cfg Config, sh Shard, day int, rng *rand.Rand, st *shardScratch, res
 		if st.homes.sessions[i] > 0 {
 			sp := st.homes.dslSec[i] / st.homes.boostSec[i]
 			res.Speedups.Add(sp)
-			res.metrics.speedup(sp)
+			res.metrics.Speedup.Observe(sp)
 		}
 	}
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // Metrics holds the fleet engine's instruments, one Registry per shard
-// accumulator. Per-shard counters carry the shard index as a label, so a
-// merged dump shows how the population and its activity were partitioned;
-// the speedup histogram is unlabelled and merges exactly across shards.
+// accumulator; the zero Metrics records nothing. Per-shard counters
+// carry the shard index as a label, so a merged dump shows how the
+// population and its activity were partitioned; the speedup histogram
+// is unlabelled and merges exactly across shards.
 //
 // Determinism: every instrument derives from the shard simulation alone —
 // no wall-clock rates, no timestamps — so the merged registry's JSON dump
@@ -36,8 +37,8 @@ type Metrics struct {
 // NewMetrics registers the fleet engine's metrics on r for the given
 // shard. Every shard must call this with the same registration order
 // (guaranteed by construction here) so shard registries merge exactly.
-func NewMetrics(r *obs.Registry, shard int) *Metrics {
-	return &Metrics{
+func NewMetrics(r *obs.Registry, shard int) Metrics {
+	return Metrics{
 		reg:   r,
 		shard: strconv.Itoa(shard),
 		Homes: r.NewCounter("fleet_shard_homes_total",
@@ -54,35 +55,14 @@ func NewMetrics(r *obs.Registry, shard int) *Metrics {
 	}
 }
 
-// Registry exposes the backing registry (for dumps and merging).
-func (m *Metrics) Registry() *obs.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
-}
-
-func (m *Metrics) home() {
-	if m == nil {
-		return
-	}
-	m.Homes.With(m.shard).Inc()
-}
+// Registry exposes the backing registry (for dumps and merging); nil
+// for the zero Metrics.
+func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 func (m *Metrics) session(onloaded float64) {
-	if m == nil {
-		return
-	}
 	m.Sessions.With(m.shard).Inc()
 	if onloaded > 0 {
 		m.BoostedSessions.With(m.shard).Inc()
 		m.OnloadedBytes.With(m.shard).Add(int64(onloaded))
 	}
-}
-
-func (m *Metrics) speedup(x float64) {
-	if m == nil {
-		return
-	}
-	m.Speedup.Observe(x)
 }

@@ -53,7 +53,7 @@ type Result struct {
 	BackhaulMbps float64
 	// metrics holds the engine's obs instruments when Config.Metrics is
 	// set; the merged registry is exposed via MetricsRegistry.
-	metrics *Metrics
+	metrics Metrics
 	// events holds the shard's flight recorder when Config.Events is
 	// set; the merged stream is exposed via EventLog.
 	events *eventlog.Log
@@ -96,7 +96,7 @@ func (r *Result) MetricsRegistry() *obs.Registry {
 
 // observeHome records a generated household's static quantities.
 func (r *Result) observeHome(viewer bool, dailyBudget, baseMobileDaily float64, days int) {
-	r.metrics.home()
+	r.metrics.Homes.With(r.metrics.shard).Inc()
 	r.Homes++
 	if viewer {
 		r.Viewers++
@@ -180,9 +180,7 @@ func (r *Result) Merge(src *Result) {
 	r.Speedups.Merge(src.Speedups)
 	r.Budgeted.Merge(src.Budgeted)
 	r.Unlimited.Merge(src.Unlimited)
-	if r.metrics != nil && src.metrics != nil {
-		r.metrics.reg.Merge(src.metrics.reg)
-	}
+	r.metrics.reg.Merge(src.metrics.reg) // both nil without Config.Metrics: a no-op
 	if r.events != nil && src.events != nil {
 		r.events.Merge(src.events)
 	}

@@ -90,8 +90,8 @@ type Event struct {
 
 // Log is one shard's (or one process's) event stream. All methods are
 // safe for concurrent use and nil-safe: a nil *Log records nothing, so
-// instrumented code needs no guards — the same convention as the
-// per-package obs Metrics.
+// instrumented code needs no guards — the same convention as obs's
+// metric handles.
 type Log struct {
 	shard int
 	seed  int64

@@ -28,6 +28,10 @@
 // Registering the same name twice panics: metric names are a
 // program-wide contract, and a silent second registration would fork
 // the time series.
+//
+// A nil *Counter, *Gauge or *Histogram, and every child it hands out,
+// records nothing and reads zero. That is what lets each package's
+// Metrics be plain data: its zero value disables instrumentation.
 package obs
 
 import (
@@ -248,8 +252,12 @@ type Counter struct {
 }
 
 // With returns the child for the given label values, creating it on
-// first use. Call with no arguments for a label-less counter.
+// first use. Call with no arguments for a label-less counter. A nil
+// Counter returns a nil child, which records nothing.
 func (c *Counter) With(values ...string) *CounterChild {
+	if c == nil {
+		return nil
+	}
 	key := c.childKey(values)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -271,7 +279,8 @@ func (c *Counter) Inc() { c.With().Inc() }
 // Add is shorthand for With().Add(n) on a label-less counter.
 func (c *Counter) Add(n int64) { c.With().Add(n) }
 
-// CounterChild is one labelled time series of a Counter.
+// CounterChild is one labelled time series of a Counter. Its methods
+// are no-ops on a nil child.
 type CounterChild struct {
 	c *Counter
 	v *int64
@@ -282,16 +291,22 @@ func (cc *CounterChild) Inc() { cc.Add(1) }
 
 // Add adds n; negative increments panic (counters are monotone).
 func (cc *CounterChild) Add(n int64) {
+	if cc == nil {
+		return
+	}
 	if n < 0 {
 		panic(fmt.Sprintf("obs: counter %q decremented by %d", cc.c.desc.Name, n))
 	}
 	cc.c.mu.Lock()
+	defer cc.c.mu.Unlock()
 	*cc.v += n
-	cc.c.mu.Unlock()
 }
 
 // Value reports the child's current count.
 func (cc *CounterChild) Value() int64 {
+	if cc == nil {
+		return 0
+	}
 	cc.c.mu.Lock()
 	defer cc.c.mu.Unlock()
 	return *cc.v
@@ -336,8 +351,11 @@ type Gauge struct {
 }
 
 // With returns the child for the given label values, creating it on
-// first use.
+// first use. A nil Gauge returns a nil child, which records nothing.
 func (g *Gauge) With(values ...string) *GaugeChild {
+	if g == nil {
+		return nil
+	}
 	key := g.childKey(values)
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -359,7 +377,8 @@ func (g *Gauge) Set(v float64) { g.With().Set(v) }
 // Add is shorthand for With().Add(v) on a label-less gauge.
 func (g *Gauge) Add(v float64) { g.With().Add(v) }
 
-// GaugeChild is one labelled time series of a Gauge.
+// GaugeChild is one labelled time series of a Gauge. Its methods are
+// no-ops on a nil child.
 type GaugeChild struct {
 	g *Gauge
 	v *float64
@@ -367,20 +386,29 @@ type GaugeChild struct {
 
 // Set replaces the level.
 func (gc *GaugeChild) Set(v float64) {
+	if gc == nil {
+		return
+	}
 	gc.g.mu.Lock()
+	defer gc.g.mu.Unlock()
 	*gc.v = v
-	gc.g.mu.Unlock()
 }
 
 // Add moves the level by d (negative is fine).
 func (gc *GaugeChild) Add(d float64) {
+	if gc == nil {
+		return
+	}
 	gc.g.mu.Lock()
+	defer gc.g.mu.Unlock()
 	*gc.v += d
-	gc.g.mu.Unlock()
 }
 
 // Value reports the child's current level.
 func (gc *GaugeChild) Value() float64 {
+	if gc == nil {
+		return 0
+	}
 	gc.g.mu.Lock()
 	defer gc.g.mu.Unlock()
 	return *gc.v
@@ -427,8 +455,11 @@ type Histogram struct {
 func (h *Histogram) Bounds() (lo, hi float64, bins int) { return h.lo, h.hi, h.bins }
 
 // With returns the child for the given label values, creating it on
-// first use.
+// first use. A nil Histogram returns a nil child, which records nothing.
 func (h *Histogram) With(values ...string) *HistogramChild {
+	if h == nil {
+		return nil
+	}
 	key := h.childKey(values)
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -447,7 +478,8 @@ func (h *Histogram) With(values ...string) *HistogramChild {
 // Observe is shorthand for With().Observe(x) on a label-less histogram.
 func (h *Histogram) Observe(x float64) { h.With().Observe(x) }
 
-// HistogramChild is one labelled time series of a Histogram.
+// HistogramChild is one labelled time series of a Histogram. Its
+// methods are no-ops on a nil child.
 type HistogramChild struct {
 	h  *Histogram
 	sk *stats.Sketch
@@ -455,13 +487,19 @@ type HistogramChild struct {
 
 // Observe records one observation.
 func (hc *HistogramChild) Observe(x float64) {
+	if hc == nil {
+		return
+	}
 	hc.h.mu.Lock()
+	defer hc.h.mu.Unlock()
 	hc.sk.Add(x)
-	hc.h.mu.Unlock()
 }
 
 // Count reports the child's observation count.
 func (hc *HistogramChild) Count() int64 {
+	if hc == nil {
+		return 0
+	}
 	hc.h.mu.Lock()
 	defer hc.h.mu.Unlock()
 	return hc.sk.Count()

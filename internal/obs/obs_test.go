@@ -93,6 +93,49 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+func TestNilHandlesAreNoOps(t *testing.T) {
+	var (
+		c *Counter
+		g *Gauge
+		h *Histogram
+	)
+	// Label arity is not checked on a nil family: there is nothing to
+	// check it against.
+	c.Inc()
+	c.Add(5)
+	c.Add(-1)
+	c.With("adsl").Inc()
+	c.With("adsl").Add(7)
+	g.Set(3)
+	g.Add(-1)
+	g.With("dl").Set(2)
+	g.With("dl").Add(1)
+	h.Observe(1.5)
+	h.With("adsl").Observe(2.5)
+	if cc := c.With("adsl"); cc != nil || cc.Value() != 0 {
+		t.Errorf("nil counter child = %v reading %d, want nil reading 0", cc, cc.Value())
+	}
+	if gc := g.With(); gc != nil || gc.Value() != 0 {
+		t.Errorf("nil gauge child = %v reading %v, want nil reading 0", gc, gc.Value())
+	}
+	if hc := h.With(); hc != nil || hc.Count() != 0 {
+		t.Errorf("nil histogram child = %v counting %d, want nil counting 0", hc, hc.Count())
+	}
+	var (
+		cc *CounterChild
+		gc *GaugeChild
+		hc *HistogramChild
+	)
+	cc.Inc()
+	cc.Add(3)
+	gc.Set(1)
+	gc.Add(1)
+	hc.Observe(1)
+	if cc.Value() != 0 || gc.Value() != 0 || hc.Count() != 0 {
+		t.Errorf("nil children read %d/%v/%d, want 0/0/0", cc.Value(), gc.Value(), hc.Count())
+	}
+}
+
 // catalog builds one registry the way an instrumented shard would.
 func catalog() *Registry {
 	r := NewRegistry()

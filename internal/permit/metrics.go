@@ -9,8 +9,8 @@ const (
 )
 
 // Metrics holds the permit backend's instruments; register with
-// NewMetrics and assign to Backend.Metrics. A nil Metrics disables
-// instrumentation.
+// NewMetrics and assign to Backend.Metrics. The zero Metrics records
+// nothing and counts zero.
 type Metrics struct {
 	// Decisions counts backend permit decisions (granted | denied).
 	Decisions *obs.Counter
@@ -25,8 +25,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the permit subsystem's metrics on r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	m := &Metrics{
+func NewMetrics(r *obs.Registry) Metrics {
+	m := Metrics{
 		Decisions: r.NewCounter("permit_decisions_total",
 			"Backend permit decisions, by decision (granted | denied).", "decision"),
 		DecisionSeconds: r.NewHistogram("permit_decision_seconds",
@@ -40,9 +40,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 }
 
 func (m *Metrics) decided(granted bool, secs float64) {
-	if m == nil {
-		return
-	}
 	if granted {
 		m.granted.Inc()
 	} else {

@@ -38,9 +38,9 @@ type Backend struct {
 	Threshold float64
 	// TTL is the permit lifetime; 0 selects DefaultTTL.
 	TTL time.Duration
-	// Metrics, when non-nil, receives decision instrumentation (see
-	// NewMetrics).
-	Metrics *Metrics
+	// Metrics receives decision instrumentation (see NewMetrics); the
+	// zero value records nothing.
+	Metrics Metrics
 	// Events, when non-nil, records a flight-recorder point per permit
 	// decision, parented to the caller's X-3gol-Trace header when
 	// present — stitching backend decisions into device-side traces.

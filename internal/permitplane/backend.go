@@ -77,7 +77,7 @@ type shard struct {
 	index    int
 	reg      *obs.Registry
 	backend  *permit.Backend
-	pmetrics *Metrics
+	pmetrics Metrics
 	store    *GrantStore
 }
 
@@ -88,7 +88,7 @@ type Sharded struct {
 	cfg     Config
 	shards  []*shard
 	router  *obs.Registry
-	metrics *Metrics
+	metrics Metrics
 	events  *eventlog.Log
 	clk     clock.Clock
 }
@@ -185,7 +185,7 @@ func (s *Sharded) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveSingle answers GET /permit?device=<id>&cell=<id> on the cell's
 // shard.
 func (s *Sharded) serveSingle(w http.ResponseWriter, r *http.Request) {
-	s.metrics.routed()
+	s.metrics.Routed.Inc()
 	cell := r.URL.Query().Get("cell")
 	device := r.URL.Query().Get("device")
 	if cell == "" {

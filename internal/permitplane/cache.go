@@ -2,7 +2,7 @@ package permitplane
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -120,8 +120,9 @@ type Cache struct {
 	RefreshLo, RefreshHi float64
 	// Clock times TTLs; nil selects the system clock.
 	Clock clock.Clock
-	// Metrics, when non-nil, receives cache instrumentation.
-	Metrics *Metrics
+	// Metrics receives cache instrumentation; the zero value records
+	// nothing.
+	Metrics Metrics
 	// Events, when non-nil, records a point per refresh, joining the
 	// TraceContext riding the caller's context.
 	Events *eventlog.Log
@@ -192,7 +193,7 @@ func (c *Cache) Allowed(ctx context.Context) bool {
 		if fresh && !due {
 			v := c.granted
 			c.mu.Unlock()
-			c.Metrics.cacheHit()
+			c.Metrics.CacheHits.Inc()
 			return v
 		}
 		if c.breaker.Open() && (now.Before(c.probeAt) || c.flight != nil) {
@@ -201,7 +202,7 @@ func (c *Cache) Allowed(ctx context.Context) bool {
 			if fresh {
 				v := c.granted
 				c.mu.Unlock()
-				c.Metrics.cacheHit()
+				c.Metrics.CacheHits.Inc()
 				return v
 			}
 			v, stale := c.degradedVerdictLocked(now)
@@ -216,12 +217,12 @@ func (c *Cache) Allowed(ctx context.Context) bool {
 			if fresh {
 				v := c.granted
 				c.mu.Unlock()
-				c.Metrics.cacheCoalesced()
+				c.Metrics.CacheCoalesced.Inc()
 				return v
 			}
 			flight := c.flight
 			c.mu.Unlock()
-			c.Metrics.cacheCoalesced()
+			c.Metrics.CacheCoalesced.Inc()
 			select {
 			case <-flight:
 				continue // re-read the refreshed state
@@ -261,9 +262,9 @@ func (c *Cache) refresh(ctx context.Context, flight chan struct{}, proactive, pr
 	}
 	tc, _ := eventlog.FromContext(ctx)
 	c.Events.Point(tc, "permitplane.cache_refresh",
-		"cell", c.Cell, "granted", fmt.Sprintf("%t", granted),
-		"ok", fmt.Sprintf("%t", err == nil),
-		"proactive", fmt.Sprintf("%t", proactive))
+		"cell", c.Cell, "granted", strconv.FormatBool(granted),
+		"ok", strconv.FormatBool(err == nil),
+		"proactive", strconv.FormatBool(proactive))
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -274,9 +275,9 @@ func (c *Cache) refresh(ctx context.Context, flight chan struct{}, proactive, pr
 	} else if opened, hold := c.breaker.Failure(cacheBreaker); opened {
 		c.probeAt = now.Add(time.Duration(hold * float64(time.Second)))
 		if !probing {
-			c.Metrics.cacheDegradedEnter()
+			c.Metrics.CacheDegraded.Inc()
 			c.Events.Point(tc, "permitplane.cache_degraded",
-				"cell", c.Cell, "fail_open", fmt.Sprintf("%t", c.FailOpen))
+				"cell", c.Cell, "fail_open", strconv.FormatBool(c.FailOpen))
 		}
 	}
 	var ttl time.Duration

@@ -3,12 +3,14 @@ package permitplane
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"threegol/internal/obs"
+	"threegol/internal/obs/eventlog"
 	"threegol/internal/permit"
 )
 
@@ -231,6 +233,7 @@ func TestCacheStaleWhileRefreshServesCachedVerdict(t *testing.T) {
 func TestCacheFailedProactiveRefreshKeepsPermit(t *testing.T) {
 	clk := &fakeClock{}
 	fail := false
+	log := eventlog.New(0, 1, nil)
 	c := &Cache{
 		Fetch: func(ctx context.Context, device, cell string) (permit.Response, error) {
 			if fail {
@@ -240,6 +243,7 @@ func TestCacheFailedProactiveRefreshKeepsPermit(t *testing.T) {
 		},
 		Device: "d0", Cell: "bs0/s0", Clock: clk,
 		RefreshLo: 0.5, RefreshHi: 0.5,
+		Events: log,
 	}
 	if !c.Allowed(context.Background()) {
 		t.Fatal("initial grant failed")
@@ -248,6 +252,19 @@ func TestCacheFailedProactiveRefreshKeepsPermit(t *testing.T) {
 	clk.advance(31 * time.Second) // proactive refresh due, permit valid until 60s
 	if !c.Allowed(context.Background()) {
 		t.Error("failed proactive refresh revoked a permit whose TTL had not lapsed")
+	}
+	want := []map[string]string{
+		{"cell": "bs0/s0", "granted": "true", "ok": "true", "proactive": "false"},
+		{"cell": "bs0/s0", "granted": "false", "ok": "false", "proactive": "true"},
+	}
+	if evs := log.Events(); len(evs) != len(want) {
+		t.Errorf("%d events for two refreshes, want %d", len(evs), len(want))
+	} else {
+		for i, ev := range evs {
+			if ev.Name != "permitplane.cache_refresh" || !maps.Equal(ev.Attrs, want[i]) {
+				t.Errorf("refresh %d recorded %s %v, want permitplane.cache_refresh %v", i, ev.Name, ev.Attrs, want[i])
+			}
+		}
 	}
 	clk.advance(30 * time.Second) // now past the granted TTL
 	if c.Allowed(context.Background()) {

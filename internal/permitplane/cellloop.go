@@ -42,8 +42,9 @@ type CellLoop struct {
 	// Clock expires grants; nil selects the system clock. Tests inject
 	// a fake to step grants across TTL boundaries deterministically.
 	Clock clock.Clock
-	// Metrics, when non-nil, receives admission-loop gauges.
-	Metrics *Metrics
+	// Metrics receives admission-loop gauges; the zero value records
+	// nothing.
+	Metrics Metrics
 
 	mu      sync.Mutex
 	cells   map[string]*cellular.Cell

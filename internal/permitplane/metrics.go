@@ -30,7 +30,7 @@ const (
 // and any one process normally drives only one role's instruments, but
 // they register together so METRICS.md documents the whole plane and
 // so Sharded.MergedRegistry has a complete destination to merge into.
-// A nil Metrics disables instrumentation.
+// The zero Metrics records nothing.
 type Metrics struct {
 	// BatchRequests counts POST /permits/batch calls by outcome
 	// (ok | bad_request).
@@ -101,8 +101,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the permit plane's metrics on r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
 		BatchRequests: r.NewCounter("permitplane_batch_requests_total",
 			"Batch permit RPCs served, by outcome (ok | bad_request).", "outcome"),
 		BatchSize: r.NewHistogram("permitplane_batch_size",
@@ -152,9 +152,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 }
 
 func (m *Metrics) batchServed(ok bool, size int) {
-	if m == nil {
-		return
-	}
 	outcome := outcomeBadRequest
 	if ok {
 		outcome = outcomeOK
@@ -165,24 +162,7 @@ func (m *Metrics) batchServed(ok bool, size int) {
 	}
 }
 
-func (m *Metrics) routed() {
-	if m == nil {
-		return
-	}
-	m.Routed.Inc()
-}
-
-func (m *Metrics) cacheHit() {
-	if m == nil {
-		return
-	}
-	m.CacheHits.Inc()
-}
-
 func (m *Metrics) cacheRefreshed(granted bool, err error, proactive bool) {
-	if m == nil {
-		return
-	}
 	result := resultDenied
 	switch {
 	case err != nil:
@@ -196,33 +176,13 @@ func (m *Metrics) cacheRefreshed(granted bool, err error, proactive bool) {
 	}
 }
 
-func (m *Metrics) cacheCoalesced() {
-	if m == nil {
-		return
-	}
-	m.CacheCoalesced.Inc()
-}
-
 func (m *Metrics) admitted(activeGrants int, dlBps, ulBps float64) {
-	if m == nil {
-		return
-	}
 	m.ActiveGrants.Set(float64(activeGrants))
 	m.AdmittedLoad.With(directionDL).Set(dlBps)
 	m.AdmittedLoad.With(directionUL).Set(ulBps)
 }
 
-func (m *Metrics) cacheDegradedEnter() {
-	if m == nil {
-		return
-	}
-	m.CacheDegraded.Inc()
-}
-
 func (m *Metrics) cacheDegradedServed(staleGrant bool) {
-	if m == nil {
-		return
-	}
 	if staleGrant {
 		m.CacheDegradedServed.With(verdictStaleGrant).Inc()
 	} else {
@@ -231,9 +191,6 @@ func (m *Metrics) cacheDegradedServed(staleGrant bool) {
 }
 
 func (m *Metrics) cacheProbed(ok bool) {
-	if m == nil {
-		return
-	}
 	if ok {
 		m.CacheProbes.With(probeOK).Inc()
 	} else {
@@ -241,47 +198,9 @@ func (m *Metrics) cacheProbed(ok bool) {
 	}
 }
 
-func (m *Metrics) walAppended(op wal.Op, n int) {
-	if m == nil {
-		return
-	}
-	m.WALRecords.With(op.String()).Add(int64(n))
-}
-
-func (m *Metrics) walAppendFailed() {
-	if m == nil {
-		return
-	}
-	m.WALErrors.Inc()
-}
-
-func (m *Metrics) walSnapshotted() {
-	if m == nil {
-		return
-	}
-	m.WALSnapshots.Inc()
-}
-
 func (m *Metrics) walRecovered(grants, expired int, stats wal.RecoveryStats) {
-	if m == nil {
-		return
-	}
 	m.WALRecovered.Add(int64(grants))
 	m.WALExpiredOnRecovery.Add(int64(expired))
 	m.WALReplayedRecords.Add(stats.RecordsReplayed)
 	m.WALTornBytes.Add(stats.TornBytes)
-}
-
-func (m *Metrics) oversizedID() {
-	if m == nil {
-		return
-	}
-	m.OversizedIDs.Inc()
-}
-
-func (m *Metrics) outstanding(n int) {
-	if m == nil {
-		return
-	}
-	m.OutstandingGrants.Set(float64(n))
 }

@@ -46,7 +46,7 @@ type GrantStore struct {
 	heap    storeExpiryHeap
 	clk     clock.Clock
 
-	metrics       *Metrics
+	metrics       Metrics
 	snapshotEvery int
 	sinceSnapshot int
 	walErrs       int64
@@ -84,7 +84,7 @@ type Recovery struct {
 // NewGrantStore returns a memory-only store: grant state is tracked
 // (so /debug/shards reports outstanding permits) but nothing survives
 // the process.
-func NewGrantStore(clk clock.Clock, m *Metrics) *GrantStore {
+func NewGrantStore(clk clock.Clock, m Metrics) *GrantStore {
 	return &GrantStore{
 		state:   wal.NewState(),
 		entries: make(map[string]*storeExpiry),
@@ -100,7 +100,7 @@ func NewGrantStore(clk clock.Clock, m *Metrics) *GrantStore {
 // DefaultSnapshotEvery.
 //
 //3golvet:allow ctxprop — boot-time recovery: runs before any request exists to carry a context, and replay must complete or fail atomically
-func OpenGrantStore(dir string, clk clock.Clock, m *Metrics, snapshotEvery int) (*GrantStore, error) {
+func OpenGrantStore(dir string, clk clock.Clock, m Metrics, snapshotEvery int) (*GrantStore, error) {
 	if snapshotEvery <= 0 {
 		snapshotEvery = DefaultSnapshotEvery
 	}
@@ -226,7 +226,7 @@ func (s *GrantStore) tracked(pr PermitRequest) bool {
 		// a snapshot (both carry uint16 length fields); even holding it
 		// in memory would poison the next snapshot. The decision goes
 		// untracked, like one with no device identity.
-		s.metrics.oversizedID()
+		s.metrics.OversizedIDs.Inc()
 		return false
 	}
 	return true
@@ -245,7 +245,7 @@ func (s *GrantStore) recordFrom(reqs []PermitRequest, resps []permit.Response, i
 		}
 	}
 	s.commitLocked() //3golvet:allow lockio — the slice's one WAL write is the durability point: it must stay ordered with the state mutations it records, under the per-shard lock; bounded local file I/O
-	s.metrics.outstanding(len(s.state.Grants))
+	s.metrics.OutstandingGrants.Set(float64(len(s.state.Grants)))
 	s.maybeSnapshotLocked() //3golvet:allow lockio — compaction must see exactly the state the log it truncates recorded, under the per-shard lock; bounded local file I/O
 }
 
@@ -289,7 +289,7 @@ func (s *GrantStore) ExpireDue() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked() //3golvet:allow lockio — the expiries' one WAL write is the durability point: it must stay ordered with the state mutations it records, under the per-shard lock; bounded local file I/O
-	s.metrics.outstanding(len(s.state.Grants))
+	s.metrics.OutstandingGrants.Set(float64(len(s.state.Grants)))
 }
 
 // expireLocked observes the TTL lapses due by now as a unit of their
@@ -324,7 +324,7 @@ func (s *GrantStore) applyLocked(op wal.Op, device, cell string, at, expiry int6
 			return
 		}
 		s.walErrs++
-		s.metrics.walAppendFailed()
+		s.metrics.WALErrors.Inc()
 	}
 	// Memory-only fold (or degraded durability): synthesise the seq.
 	s.state.Apply(wal.Record{
@@ -351,13 +351,13 @@ func (s *GrantStore) commitLocked() {
 	for op, n := range s.staged {
 		if n > 0 && err == nil {
 			s.sinceSnapshot += n
-			s.metrics.walAppended(wal.Op(op), n)
+			s.metrics.WALRecords.With(wal.Op(op).String()).Add(int64(n))
 		}
 		s.staged[op] = 0
 	}
 	if err != nil {
 		s.walErrs++
-		s.metrics.walAppendFailed()
+		s.metrics.WALErrors.Inc()
 	}
 }
 
@@ -372,11 +372,11 @@ func (s *GrantStore) maybeSnapshotLocked() {
 func (s *GrantStore) snapshotLocked() {
 	if err := s.log.WriteSnapshot(s.state); err != nil {
 		s.walErrs++
-		s.metrics.walAppendFailed()
+		s.metrics.WALErrors.Inc()
 		return
 	}
 	s.sinceSnapshot = 0
-	s.metrics.walSnapshotted()
+	s.metrics.WALSnapshots.Inc()
 }
 
 // Snapshot flushes the current state to disk immediately — the

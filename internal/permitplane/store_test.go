@@ -21,7 +21,7 @@ func storeClock() *fakeClock {
 
 func TestGrantStoreExpiryHeap(t *testing.T) {
 	clk := storeClock()
-	s := NewGrantStore(clk, nil)
+	s := NewGrantStore(clk, Metrics{})
 
 	s.RecordDecision("d1", "bs0/s0", true, 10)
 	s.RecordDecision("d2", "bs0/s1", true, 20)
@@ -58,7 +58,7 @@ func TestGrantStoreExpiryHeap(t *testing.T) {
 
 func TestGrantStoreRevokeOnDenial(t *testing.T) {
 	clk := storeClock()
-	s := NewGrantStore(clk, nil)
+	s := NewGrantStore(clk, Metrics{})
 	s.RecordDecision("d1", "bs0/s0", true, 100)
 	if got := s.Outstanding(); got != 1 {
 		t.Fatalf("outstanding = %d, want 1", got)
@@ -79,7 +79,7 @@ func TestGrantStoreRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clk := storeClock()
 
-	s, err := OpenGrantStore(dir, clk, nil, 0)
+	s, err := OpenGrantStore(dir, clk, Metrics{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestGrantStoreRecovery(t *testing.T) {
 
 	// The outage outlives short's TTL.
 	clk.advance(60 * time.Second)
-	r, err := OpenGrantStore(dir, clk, nil, 0)
+	r, err := OpenGrantStore(dir, clk, Metrics{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestGrantStoreIgnoresOversizedIDs(t *testing.T) {
 func TestGrantStoreRecoveryExpiryCounted(t *testing.T) {
 	dir := t.TempDir()
 	clk := storeClock()
-	s, err := OpenGrantStore(dir, clk, nil, 0)
+	s, err := OpenGrantStore(dir, clk, Metrics{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestGrantStoreRecoveryExpiryCounted(t *testing.T) {
 	s.RecordDecision("long", "bs0/s1", true, 1000)
 	// Crash without Close; the outage outlives short's TTL.
 	clk.advance(60 * time.Second)
-	r, err := OpenGrantStore(dir, clk, nil, 0)
+	r, err := OpenGrantStore(dir, clk, Metrics{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestGrantStoreRecoveryExpiryCounted(t *testing.T) {
 func TestGrantStoreSnapshotOnClose(t *testing.T) {
 	dir := t.TempDir()
 	clk := storeClock()
-	s, err := OpenGrantStore(dir, clk, nil, 0)
+	s, err := OpenGrantStore(dir, clk, Metrics{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestGrantStoreSnapshotOnClose(t *testing.T) {
 
 	// A clean close compacted everything into the snapshot: reopening
 	// replays zero log records.
-	r, err := OpenGrantStore(dir, clk, nil, 0)
+	r, err := OpenGrantStore(dir, clk, Metrics{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestGrantStoreSnapshotOnClose(t *testing.T) {
 func TestGrantStoreSnapshotEvery(t *testing.T) {
 	dir := t.TempDir()
 	clk := storeClock()
-	s, err := OpenGrantStore(dir, clk, nil, 4)
+	s, err := OpenGrantStore(dir, clk, Metrics{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestGrantStoreSnapshotEvery(t *testing.T) {
 func seededStoreRun(t *testing.T, dir string, devices, steps int) *GrantStore {
 	t.Helper()
 	clk := storeClock()
-	s, err := OpenGrantStore(dir, clk, nil, 1<<30)
+	s, err := OpenGrantStore(dir, clk, Metrics{}, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestGrantStoreWALBytesPinned(t *testing.T) {
 func TestGrantStoreHeapHoldsOneEntryPerGrant(t *testing.T) {
 	const grants, rounds = 64, 50
 	clk := storeClock()
-	s := NewGrantStore(clk, nil)
+	s := NewGrantStore(clk, Metrics{})
 	for round := 0; round < rounds; round++ {
 		for d := 0; d < grants; d++ {
 			s.RecordDecision(fmt.Sprintf("dev-%02d", d), "cell", true, 3600)

@@ -11,8 +11,8 @@ const (
 )
 
 // Metrics holds the device proxy's instruments; register with
-// NewMetrics and assign to Server.Metrics. A nil Metrics disables
-// instrumentation. Latencies are measured on Server.Clock.
+// NewMetrics and assign to Server.Metrics. The zero Metrics records
+// nothing. Latencies are measured on Server.Clock.
 type Metrics struct {
 	// Requests counts proxied requests by outcome
 	// (proxied | tunnel | denied | error).
@@ -30,8 +30,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the proxy's metrics on r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
 		Requests: r.NewCounter("proxy_requests_total",
 			"Requests handled by the device proxy, by outcome (proxied | tunnel | denied | error).", "outcome"),
 		Bytes: r.NewCounter("proxy_bytes_total",
@@ -43,32 +43,4 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Time the Admit hook (permit or quota gate) takes per request.",
 			0, 60, 1200),
 	}
-}
-
-func (m *Metrics) request(outcome string) {
-	if m == nil {
-		return
-	}
-	m.Requests.With(outcome).Inc()
-}
-
-func (m *Metrics) bytes(n int64) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.Bytes.Add(n)
-}
-
-func (m *Metrics) seconds(s float64) {
-	if m == nil {
-		return
-	}
-	m.RequestSeconds.Observe(s)
-}
-
-func (m *Metrics) admitSeconds(s float64) {
-	if m == nil {
-		return
-	}
-	m.AdmitSeconds.Observe(s)
 }

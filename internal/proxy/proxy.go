@@ -51,9 +51,9 @@ type Server struct {
 	OnBytes func(n int64)
 	// Logf, when non-nil, receives diagnostic messages.
 	Logf func(format string, args ...any)
-	// Metrics, when non-nil, receives request/byte/latency
-	// instrumentation (see NewMetrics).
-	Metrics *Metrics
+	// Metrics receives request/byte/latency instrumentation (see
+	// NewMetrics); the zero value records nothing.
+	Metrics Metrics
 	// Clock times request service for Metrics; nil selects the system
 	// clock.
 	Clock clock.Clock
@@ -107,12 +107,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		r = r.WithContext(eventlog.NewContext(r.Context(), tc))
 	}
 	if s.Dial == nil {
-		s.Metrics.request(outcomeError)
+		s.Metrics.Requests.With(outcomeError).Inc()
 		http.Error(w, "proxy misconfigured: no dialer", http.StatusInternalServerError)
 		return
 	}
 	if s.Admit != nil && !s.admit(r.Context()) {
-		s.Metrics.request(outcomeDenied)
+		s.Metrics.Requests.With(outcomeDenied).Inc()
 		tc, _ := eventlog.FromContext(r.Context())
 		s.Events.Point(tc, "proxy.denied", "host", r.Host)
 		http.Error(w, "3GOL onloading not permitted", http.StatusServiceUnavailable)
@@ -123,7 +123,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !r.URL.IsAbs() {
-		s.Metrics.request(outcomeError)
+		s.Metrics.Requests.With(outcomeError).Inc()
 		http.Error(w, "this is a proxy; absolute-form request required", http.StatusBadRequest)
 		return
 	}
@@ -135,7 +135,7 @@ func (s *Server) admit(ctx context.Context) bool {
 	clk := clock.Or(s.Clock)
 	t0 := clk.Now()
 	ok := s.Admit(ctx)
-	s.Metrics.admitSeconds(clk.Since(t0).Seconds())
+	s.Metrics.AdmitSeconds.Observe(clk.Since(t0).Seconds())
 	return ok
 }
 
@@ -155,7 +155,7 @@ func (s *Server) serveHTTP1(w http.ResponseWriter, r *http.Request) {
 
 	resp, err := s.tr().RoundTrip(out)
 	if err != nil {
-		s.Metrics.request(outcomeError)
+		s.Metrics.Requests.With(outcomeError).Inc()
 		sp.End("outcome", "error", "error", err.Error())
 		s.logf("proxy: %s %s: %v", r.Method, r.URL, err)
 		http.Error(w, "upstream error: "+err.Error(), http.StatusBadGateway)
@@ -171,8 +171,8 @@ func (s *Server) serveHTTP1(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(resp.StatusCode)
 	n, err := Relay(w, resp.Body)
 	s.account(n + requestLineBytes(r))
-	s.Metrics.request(outcomeProxied)
-	s.Metrics.seconds(clk.Since(t0).Seconds())
+	s.Metrics.Requests.With(outcomeProxied).Inc()
+	s.Metrics.RequestSeconds.Observe(clk.Since(t0).Seconds())
 	sp.End("outcome", "ok", "status", eventlog.Int(int64(resp.StatusCode)),
 		"bytes", eventlog.Int(n))
 	if err != nil && !errors.Is(err, context.Canceled) {
@@ -219,11 +219,11 @@ func (s *Server) serveTunnel(w http.ResponseWriter, r *http.Request) {
 	}
 	upstream, err := s.Dial.DialContext(r.Context(), "tcp", r.Host)
 	if err != nil {
-		s.Metrics.request(outcomeError)
+		s.Metrics.Requests.With(outcomeError).Inc()
 		http.Error(w, "cannot reach "+r.Host, http.StatusBadGateway)
 		return
 	}
-	s.Metrics.request(outcomeTunnel)
+	s.Metrics.Requests.With(outcomeTunnel).Inc()
 	tunnelTC, _ := eventlog.FromContext(r.Context())
 	s.Events.Point(tunnelTC, "proxy.tunnel", "host", r.Host)
 	client, buf, err := hj.Hijack()
@@ -282,7 +282,7 @@ func (s *Server) account(n int64) {
 		return
 	}
 	s.bytesTotal.Add(n)
-	s.Metrics.bytes(n)
+	s.Metrics.Bytes.Add(n)
 	if s.OnBytes != nil {
 		s.OnBytes(n)
 	}

@@ -4,8 +4,8 @@ import "threegol/internal/obs"
 
 // Metrics holds the scheduler's instruments. Register once per process
 // (or per simulation shard) with NewMetrics and hand the struct to
-// every transaction via Options.Metrics; a nil Metrics disables
-// instrumentation with no overhead beyond a nil check.
+// every transaction via Options.Metrics; the zero Metrics records
+// nothing, at the cost of a nil check per event.
 //
 // The "path" label carries Path.Name() ("adsl", "phone1", …). Elapsed
 // times come from the transaction's injected clock.Clock, so a
@@ -54,8 +54,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the scheduler's metrics on r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
 		Assignments: r.NewCounter("scheduler_assignments_total",
 			"Item-to-path launches: first attempts, retries and endgame replicas.", "path"),
 		Completed: r.NewCounter("scheduler_items_completed_total",
@@ -84,91 +84,4 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		BreakerCloses: r.NewCounter("scheduler_breaker_closes_total",
 			"Breaker re-closures: a half-open probe succeeded and the path rejoined the rotation, by path.", "path"),
 	}
-}
-
-// The hooks below are nil-safe so instrumented code needs no guards.
-
-func (m *Metrics) assigned(path string) {
-	if m == nil {
-		return
-	}
-	m.Assignments.With(path).Inc()
-}
-
-func (m *Metrics) completed(path string, seconds float64) {
-	if m == nil {
-		return
-	}
-	m.Completed.With(path).Inc()
-	m.ItemSeconds.With(path).Observe(seconds)
-}
-
-func (m *Metrics) retried(path string) {
-	if m == nil {
-		return
-	}
-	m.Retries.With(path).Inc()
-}
-
-func (m *Metrics) requeued() {
-	if m == nil {
-		return
-	}
-	m.Requeues.Inc()
-}
-
-func (m *Metrics) duplicated(path string) {
-	if m == nil {
-		return
-	}
-	m.Duplicates.With(path).Inc()
-}
-
-func (m *Metrics) movedBytes(path string, n int64) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.Bytes.With(path).Add(n)
-}
-
-func (m *Metrics) wasted(n int64) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.WastedBytes.Add(n)
-}
-
-func (m *Metrics) stallAborted(path string) {
-	if m == nil {
-		return
-	}
-	m.StallAborts.With(path).Inc()
-}
-
-func (m *Metrics) backedOff(path string) {
-	if m == nil {
-		return
-	}
-	m.Backoffs.With(path).Inc()
-}
-
-func (m *Metrics) breakerOpened(path string) {
-	if m == nil {
-		return
-	}
-	m.BreakerOpens.With(path).Inc()
-}
-
-func (m *Metrics) breakerProbed(path string) {
-	if m == nil {
-		return
-	}
-	m.BreakerProbes.With(path).Inc()
-}
-
-func (m *Metrics) breakerClosed(path string) {
-	if m == nil {
-		return
-	}
-	m.BreakerCloses.With(path).Inc()
 }

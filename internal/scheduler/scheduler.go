@@ -123,9 +123,9 @@ type Options struct {
 	// Clock supplies elapsed-time measurement; nil selects the system
 	// clock. Tests and virtual-time harnesses inject a fake here.
 	Clock clock.Clock
-	// Metrics, when non-nil, receives per-path instrumentation (see
-	// NewMetrics); latencies are measured on Clock.
-	Metrics *Metrics
+	// Metrics receives per-path instrumentation (see NewMetrics); the
+	// zero value records nothing. Latencies are measured on Clock.
+	Metrics Metrics
 	// Events, when non-nil, receives flight-recorder events: the
 	// transaction root span plus every assignment, attempt, retry,
 	// requeue, endgame duplicate and completion. The attempt span's
@@ -261,7 +261,8 @@ func (t *tracker) complete(item Item, pathName string, bytes int64) {
 	t.rep.PerPath[pathName] = st
 	cb := t.opts.OnItemDone
 	t.mu.Unlock()
-	t.opts.Metrics.completed(pathName, elapsed.Seconds())
+	t.opts.Metrics.Completed.With(pathName).Inc()
+	t.opts.Metrics.ItemSeconds.With(pathName).Observe(elapsed.Seconds())
 	t.opts.Events.Point(t.opts.Trace, "scheduler.item_done",
 		"item", eventlog.Int(int64(item.ID)), "path", pathName,
 		"elapsed_s", eventlog.Float(elapsed.Seconds()))
@@ -282,7 +283,9 @@ func (t *tracker) addBytesLocked(pathName string, bytes int64) {
 	st := t.rep.PerPath[pathName]
 	st.Bytes += bytes
 	t.rep.PerPath[pathName] = st
-	t.opts.Metrics.movedBytes(pathName, bytes)
+	if bytes > 0 { // Add(0) would put an empty series in the dump
+		t.opts.Metrics.Bytes.With(pathName).Add(bytes)
+	}
 }
 
 // remaining reports how many items have not yet completed.
@@ -296,14 +299,16 @@ func (t *tracker) addWaste(bytes int64) {
 	t.mu.Lock()
 	t.rep.WastedBytes += bytes
 	t.mu.Unlock()
-	t.opts.Metrics.wasted(bytes)
+	if bytes > 0 {
+		t.opts.Metrics.WastedBytes.Add(bytes)
+	}
 }
 
 func (t *tracker) addDuplicate(pathName string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rep.Duplicates++
-	t.opts.Metrics.duplicated(pathName)
+	t.opts.Metrics.Duplicates.With(pathName).Inc()
 }
 
 // run is the live driver of the decision core, under every policy: one
@@ -364,7 +369,7 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 					}
 					d = core.Idle(pi, now())
 					if d.Probe {
-						m.breakerProbed(name)
+						m.BreakerProbes.With(name).Inc()
 						ev.Point(tc, "scheduler.breaker_probe", "path", name)
 					}
 					if d.Action != Park {
@@ -391,7 +396,7 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 					trk.addDuplicate(name)
 				}
 				mu.Unlock()
-				m.assigned(name)
+				m.Assignments.With(name).Inc()
 				if d.Action == Assign {
 					ev.Point(tc, "scheduler.assign",
 						"item", eventlog.Int(int64(item.ID)), "path", name)
@@ -430,7 +435,7 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 						sp.End("outcome", "lost_race", "bytes", eventlog.Int(n))
 					}
 					if s.Closed {
-						m.breakerClosed(name)
+						m.BreakerCloses.With(name).Inc()
 						ev.Point(tc, "scheduler.breaker_close", "path", name)
 					}
 					cond.Broadcast()
@@ -451,17 +456,17 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 					sp.End("outcome", "error", "bytes", eventlog.Int(n), "error", err.Error())
 					trk.addBytes(name, n)
 					if stalled {
-						m.stallAborted(name)
+						m.StallAborts.With(name).Inc()
 						ev.Point(tc, "scheduler.stall",
 							"item", eventlog.Int(int64(item.ID)), "path", name,
 							"timeout_s", eventlog.Float(opts.StallTimeout.Seconds()))
 					}
-					m.retried(name)
+					m.Retries.With(name).Inc()
 					ev.Point(tc, "scheduler.retry",
 						"item", eventlog.Int(int64(item.ID)), "path", name)
 					f := core.Failed(item.ID, pi, now())
 					if f.Opened {
-						m.breakerOpened(name)
+						m.BreakerOpens.With(name).Inc()
 						ev.Point(tc, "scheduler.breaker_open",
 							"path", name, "cooldown_s", eventlog.Float(f.Cooldown))
 					}
@@ -472,7 +477,7 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 						ev.Point(tc, "scheduler.exhausted",
 							"item", eventlog.Int(int64(item.ID)), "path", name)
 					case f.Requeued:
-						m.requeued()
+						m.Requeues.Inc()
 						ev.Point(tc, "scheduler.requeue",
 							"item", eventlog.Int(int64(item.ID)), "path", name)
 					}
@@ -481,7 +486,7 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 				}
 				mu.Unlock()
 				if backoff > 0 {
-					m.backedOff(name)
+					m.Backoffs.With(name).Inc()
 					ev.Point(tc, "scheduler.backoff",
 						"item", eventlog.Int(int64(item.ID)), "path", name,
 						"delay_s", eventlog.Float(backoff))

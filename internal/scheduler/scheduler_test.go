@@ -467,3 +467,12 @@ func TestExhaustionReturnsWithoutBackoff(t *testing.T) {
 		}
 	}
 }
+
+// The zero Metrics is how a transaction runs uninstrumented, so an event
+// through it must cost no allocation.
+func TestZeroMetricsAllocFree(t *testing.T) {
+	var m Metrics
+	if allocs := testing.AllocsPerRun(100, func() { m.Assignments.With("adsl").Inc() }); allocs != 0 {
+		t.Errorf("an assignment through the zero Metrics allocates %.1f times, want 0", allocs)
+	}
+}

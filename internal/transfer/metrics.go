@@ -14,8 +14,8 @@ const (
 
 // Metrics holds the HTTP transfer drivers' instruments; register with
 // NewMetrics and assign to DownloadPath.Metrics / UploadPath.Metrics
-// (one Metrics can serve any number of paths). A nil Metrics disables
-// instrumentation. Latencies are measured on the path's Clock.
+// (one Metrics can serve any number of paths). The zero Metrics records
+// nothing. Latencies are measured on the path's Clock.
 type Metrics struct {
 	// Requests counts transfer attempts by direction and outcome
 	// (ok | error | cancelled).
@@ -30,8 +30,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the transfer drivers' metrics on r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
 		Requests: r.NewCounter("transfer_requests_total",
 			"HTTP transfer attempts, by direction (download | upload) and outcome (ok | error | cancelled).",
 			"direction", "outcome"),
@@ -45,9 +45,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 
 // done records one finished transfer attempt.
 func (m *Metrics) done(direction string, n int64, err error, cancelled bool, secs float64) {
-	if m == nil {
-		return
-	}
 	outcome := outcomeOK
 	switch {
 	case cancelled:

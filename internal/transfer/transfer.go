@@ -33,9 +33,9 @@ type DownloadPath struct {
 	// safe for concurrent calls, with the same item too (GRD's endgame
 	// runs one item on two paths).
 	Sink func(item scheduler.Item, body io.Reader, size int64) (int64, error)
-	// Metrics, when non-nil, receives transfer instrumentation (see
-	// NewMetrics); one Metrics may be shared across paths.
-	Metrics *Metrics
+	// Metrics receives transfer instrumentation (see NewMetrics); the
+	// zero value records nothing. One Metrics may be shared across paths.
+	Metrics Metrics
 	// Events, when non-nil, records a flight-recorder span per transfer,
 	// parented to the TraceContext riding ctx (the scheduler's attempt
 	// span). The trace also propagates on the request's X-3gol-Trace
@@ -123,9 +123,9 @@ type UploadPath struct {
 	Field string
 	// Source opens each item's content.
 	Source ItemSource
-	// Metrics, when non-nil, receives transfer instrumentation (see
-	// NewMetrics); one Metrics may be shared across paths.
-	Metrics *Metrics
+	// Metrics receives transfer instrumentation (see NewMetrics); the
+	// zero value records nothing. One Metrics may be shared across paths.
+	Metrics Metrics
 	// Events, when non-nil, records a flight-recorder span per transfer,
 	// parented to the TraceContext riding ctx; the trace also propagates
 	// on the POST's X-3gol-Trace header.

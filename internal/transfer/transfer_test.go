@@ -423,3 +423,12 @@ func TestUploadPathCancelOutranksStatus(t *testing.T) {
 		t.Errorf("cancelled upload answered 502 returned %v, want context.Canceled", err)
 	}
 }
+
+// The zero Metrics is how a path runs uninstrumented, so a finished
+// transfer recorded through it must cost no allocation.
+func TestZeroMetricsAllocFree(t *testing.T) {
+	var m Metrics
+	if allocs := testing.AllocsPerRun(100, func() { m.done(dirDownload, 1<<20, nil, false, 0.5) }); allocs != 0 {
+		t.Errorf("a transfer through the zero Metrics allocates %.1f times, want 0", allocs)
+	}
+}

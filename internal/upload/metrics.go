@@ -3,8 +3,8 @@ package upload
 import "threegol/internal/obs"
 
 // Metrics holds the upload endpoint's instruments; register with
-// NewMetrics and assign to Server.Metrics. A nil Metrics disables
-// instrumentation. The instruments shadow the server's own Stats
+// NewMetrics and assign to Server.Metrics. The zero Metrics records
+// nothing. The instruments shadow the server's own Stats
 // counters so a metrics dump tells the same story as GET /stats.
 type Metrics struct {
 	// Requests counts multipart POSTs that stored at least one file.
@@ -20,8 +20,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the upload endpoint's metrics on r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
 		Requests: r.NewCounter("upload_requests_total",
 			"Multipart POST requests that stored at least one file part."),
 		Files: r.NewCounter("upload_files_total",
@@ -34,9 +34,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 }
 
 func (m *Metrics) stored(size int64, duplicate bool) {
-	if m == nil {
-		return
-	}
 	if duplicate {
 		m.DuplicateFiles.Inc()
 	} else {
@@ -45,11 +42,4 @@ func (m *Metrics) stored(size int64, duplicate bool) {
 	if size > 0 {
 		m.Bytes.Add(size)
 	}
-}
-
-func (m *Metrics) request() {
-	if m == nil {
-		return
-	}
-	m.Requests.Inc()
 }

@@ -39,9 +39,9 @@ type Server struct {
 	// false (the default) only sizes and digests are kept, so long
 	// experiments don't accumulate memory.
 	KeepPayloads bool
-	// Metrics, when non-nil, receives request/file/byte instrumentation
-	// (see NewMetrics).
-	Metrics *Metrics
+	// Metrics receives request/file/byte instrumentation (see
+	// NewMetrics); the zero value records nothing.
+	Metrics Metrics
 	// Events, when non-nil, records a flight-recorder span per upload
 	// request, parented to the sender's X-3gol-Trace header — the
 	// server-side end of a traced photo upload.
@@ -127,7 +127,7 @@ func (s *Server) serveUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no file parts in request", http.StatusBadRequest)
 		return
 	}
-	s.Metrics.request()
+	s.Metrics.Requests.Inc()
 	sp.End("outcome", "ok", "files", eventlog.Int(int64(len(stored))),
 		"bytes", eventlog.Int(total), "duplicates", eventlog.Int(int64(dups)))
 	w.WriteHeader(http.StatusCreated)

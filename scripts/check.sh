@@ -30,7 +30,10 @@
 #      and pooled buffers. TestLinkRateBudget: 3 MB in 4 KB writes over
 #      the HSPA uplink at TimeScale 150, on the system clock, finishes
 #      within 1.25 × its ideal link time, the ratchet on netem's
-#      byte-clocked pacing (one timer-floor sleep per write took 6 ×)
+#      byte-clocked pacing (one timer-floor sleep per write took 6 ×).
+#      TestZeroMetricsAllocFree: one event through the zero Metrics of
+#      scheduler, transfer and permitplane allocates nothing, the
+#      ratchet on "instrumentation costs nothing when disabled"
 #   8. fleet smoke — 3golfleet city-scale engine run inside a time
 #      budget, with its -json report validated for shape
 #   9. trace smoke — 3golfleet -events flight-recorder capture piped
@@ -104,13 +107,14 @@ go test -run '^$' -fuzz '^FuzzCore$' -fuzztime 10s ./internal/scheduler
 echo '==> fuzz (go test -fuzz FuzzBatchCodec -fuzztime 10s ./internal/permitplane)'
 go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 10s ./internal/permitplane
 
-echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestServeBatchAllocBudget, TestLinkRateBudget; no -race)'
+echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestServeBatchAllocBudget, TestLinkRateBudget, TestZeroMetricsAllocFree; no -race)'
 # Allocation counts and wall-clock link time mean nothing under the race
 # detector, so the stage above skips these tests; -count=1 keeps a
 # cached pass from standing in.
 go test -count=1 -run 'TestBoostVoDAllocBudget$' ./internal/core
 go test -count=1 -run 'TestServeBatchAllocBudget$' ./internal/permitplane
 go test -count=1 -run 'TestLinkRateBudget$' ./internal/netem
+go test -count=1 -run 'TestZeroMetricsAllocFree$' ./internal/scheduler ./internal/transfer ./internal/permitplane
 
 echo '==> fleet smoke (3golfleet -json inside a time budget)'
 # A small city-scale run must finish inside the time budget (a hang or
