@@ -255,6 +255,9 @@ func runChaos(o options) (*result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: independent replay of shard %d: %w", i, err)
 		}
+		if err := st.Check(); err != nil {
+			return nil, fmt.Errorf("chaos: independent replay of shard %d: %w", i, err)
+		}
 		states[i] = st
 		replayed += stats.RecordsReplayed
 		preKill += len(st.Grants)

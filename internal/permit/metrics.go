@@ -14,8 +14,9 @@ const (
 type Metrics struct {
 	// Decisions counts backend permit decisions (granted | denied).
 	Decisions *obs.Counter
-	// DecisionSeconds is the backend's service time per decision,
-	// dominated by the Utilization monitoring hook.
+	// DecisionSeconds is the backend's service time per decision, timed
+	// from the end of the decision before it in its slice and dominated
+	// by the Utilization monitoring hook.
 	DecisionSeconds *obs.Histogram
 
 	// The three series every decision touches, resolved once: looking a
@@ -37,15 +38,6 @@ func NewMetrics(r *obs.Registry) Metrics {
 	m.denied = m.Decisions.With(decisionDenied)
 	m.seconds = m.DecisionSeconds.With()
 	return m
-}
-
-func (m *Metrics) decided(granted bool, secs float64) {
-	if granted {
-		m.granted.Inc()
-	} else {
-		m.denied.Inc()
-	}
-	m.seconds.Observe(secs)
 }
 
 // Counts reads the granted and denied series of Decisions. It is the

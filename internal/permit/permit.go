@@ -79,31 +79,44 @@ func (b *Backend) ttl() time.Duration {
 	return b.TTL
 }
 
-// Decide makes one admission decision for a cell: granted while the
-// monitoring hook reports utilisation below the threshold, denied
-// otherwise. The sharded permit plane calls it once per request, whether
-// the request came as a GET /permit or inside a batch. The
-// flight-recorder point joins the TraceContext riding ctx (HTTP callers
-// extract the X-3gol-Trace header into it first).
-func (b *Backend) Decide(ctx context.Context, cell string) Response {
-	clk := clock.Or(b.Clock)
-	t0 := clk.Now()
-	util := b.Utilization(cell)
-	resp := Response{Utilization: util}
-	if util < b.threshold() {
-		resp.Granted = true
-		resp.TTLSeconds = b.ttl().Seconds()
-	}
-	if resp.Granted && b.OnGrant != nil {
-		b.OnGrant(cell)
-	}
-	b.Metrics.decided(resp.Granted, clk.Since(t0).Seconds())
-	if b.Events != nil {
-		tc, _ := eventlog.FromContext(ctx)
-		attrs := []string{"cell", cell, "granted", strconv.FormatBool(resp.Granted),
-			"utilization", eventlog.Float(util)}
-		attrs = append(attrs, b.Tags...)
-		b.Events.Point(tc, "permit.decision", attrs...)
-	}
+// Decide makes one admission decision for a cell: DecideN of one.
+func (b *Backend) Decide(ctx context.Context, cell string) (resp Response) {
+	b.DecideN(ctx, 1, func(int) string { return cell }, func(_ int, r Response) { resp = r })
 	return resp
+}
+
+// DecideN makes n admission decisions, the k-th for cell(k), handing
+// each to out(k, ·): granted while the monitoring hook reports
+// utilisation below the threshold. The clock is read before the first
+// decision and after each (a decision's service time is the gap), the
+// counts added once; each flight-recorder point joins ctx's trace.
+func (b *Backend) DecideN(ctx context.Context, n int, cell func(k int) string, out func(k int, r Response)) {
+	clk := clock.Or(b.Clock)
+	threshold, ttl := b.threshold(), b.ttl().Seconds()
+	granted := 0
+	t0, prev := clk.Now(), time.Duration(0)
+	for k := 0; k < n; k++ {
+		c := cell(k)
+		resp := Response{Utilization: b.Utilization(c)}
+		if resp.Utilization < threshold {
+			resp.Granted, resp.TTLSeconds = true, ttl
+			granted++
+			if b.OnGrant != nil {
+				b.OnGrant(c)
+			}
+		}
+		if b.Events != nil {
+			tc, _ := eventlog.FromContext(ctx)
+			attrs := []string{"cell", c, "granted", strconv.FormatBool(resp.Granted),
+				"utilization", eventlog.Float(resp.Utilization)}
+			attrs = append(attrs, b.Tags...)
+			b.Events.Point(tc, "permit.decision", attrs...)
+		}
+		out(k, resp)
+		since := clk.Since(t0) // a monotonic read, cheaper than Now
+		b.Metrics.seconds.Observe((since - prev).Seconds())
+		prev = since
+	}
+	b.Metrics.granted.Add(int64(granted))
+	b.Metrics.denied.Add(int64(n - granted))
 }

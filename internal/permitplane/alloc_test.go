@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"threegol/internal/permit"
 )
 
 // discardResponse is the cheapest ResponseWriter: what the handler
@@ -93,6 +95,53 @@ func TestServeBatchAllocBudget(t *testing.T) {
 	t.Logf("%.1f KB allocated per round trip", trip/1e3)
 	if trip >= 250e3 {
 		t.Errorf("%.1f KB allocated per round trip, budget 250 KB", trip/1e3)
+	}
+}
+
+// TestRecordDecisionsAllocFree pins what one decision costs the grant
+// store: a lookup of its grant and an update in place. A warmed
+// 128-decision slice — 64 refreshes of held grants on a clock that has
+// moved, so every one changes bucket, and 64 denials of devices holding
+// nothing — allocates nothing through a durable store; a first grant
+// allocates its key and its *Grant, and nothing else.
+func TestRecordDecisionsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	clk := storeClock()
+	s, err := OpenGrantStore(t.TempDir(), clk, Metrics{}, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reqs := make([]PermitRequest, 128)
+	resps := make([]permit.Response, len(reqs))
+	indices := make([]int, len(reqs))
+	for i := range reqs {
+		reqs[i] = PermitRequest{Device: fmt.Sprintf("dev-%03d", i), Cell: fmt.Sprintf("cell-%d", i%2)}
+		resps[i] = permit.Response{Granted: i%2 == 0, TTLSeconds: 180}
+		indices[i] = i
+	}
+	slice := func() {
+		clk.advance(time.Millisecond)
+		s.RecordDecisions(reqs, resps, indices)
+	}
+	slice() // the first grants
+	if allocs := testing.AllocsPerRun(100, slice); allocs != 0 {
+		t.Errorf("a refresh-and-deny slice of %d decisions allocates %.1f times, want 0", len(reqs), allocs)
+	}
+
+	fresh := make([]string, 101)
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("new-%03d", i)
+	}
+	n := 0
+	first := func() {
+		s.RecordDecision(fresh[n], "cell-0", true, 180)
+		n++
+	}
+	if allocs := testing.AllocsPerRun(100, first); allocs != 2 {
+		t.Errorf("a first grant allocates %.1f times, want 2 (its key and its *Grant)", allocs)
 	}
 }
 

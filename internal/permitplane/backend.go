@@ -320,9 +320,9 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(sh *shard, indices []int) {
 			defer wg.Done()
-			for _, i := range indices {
-				decisions[i] = sh.backend.Decide(ctx, reqs[i].Cell)
-			}
+			sh.backend.DecideN(ctx, len(indices),
+				func(k int) string { return reqs[indices[k]].Cell },
+				func(k int, r permit.Response) { decisions[indices[k]] = r })
 			sh.store.RecordDecisions(reqs, decisions, indices)
 		}(s.shards[si], indices)
 	}

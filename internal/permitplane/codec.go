@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 
 	"threegol/internal/permit"
@@ -134,12 +135,29 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// pow10 holds the powers of ten exact in a float64.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
 // appendJSONFloat appends f as encoding/json writes a float64: shortest
 // 'f' form, 'e' form below 1e-6 and from 1e21 with the exponent's
-// leading zero dropped.
+// leading zero dropped. A value below 1e15, -0 aside, with at most six
+// decimals (integral TTLs, utilisations like 0.95) is the m with m /
+// 10^d == |f| for the least d, written by AppendInt: while m < 2^50 one
+// d-decimal at most is within half an ulp of f, and Round finds it.
 func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	if a := math.Abs(f); a < 1e15 && (f != 0 || !math.Signbit(f)) {
+		for d := 0; d <= 6; d++ {
+			m := math.Round(a * pow10[d])
+			if m >= 1<<50 {
+				break
+			}
+			if m/pow10[d] == a {
+				return appendDecimal(dst, f < 0, int64(m), d), nil
+			}
+		}
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -156,6 +174,22 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
+// appendDecimal appends ±m / 10^d with exactly d decimals.
+func appendDecimal(dst []byte, neg bool, m int64, d int) []byte {
+	if neg {
+		dst = append(dst, '-')
+	}
+	if d == 0 {
+		return strconv.AppendInt(dst, m, 10)
+	}
+	unit := int64(pow10[d])
+	dst = strconv.AppendInt(dst, m/unit, 10)
+	point := len(dst)
+	dst = strconv.AppendInt(dst, unit+m%unit, 10) // a 1, then the d decimals zero-padded
+	dst[point] = '.'
+	return dst
+}
+
 // wireParser walks one body of the canonical shape. Every method
 // reports false on the first byte that is not what the shape has
 // there; the caller then abandons the parse.
@@ -164,14 +198,10 @@ type wireParser struct {
 	i int
 }
 
+// space consumes whitespace (inlined: one compare on the canonical shape).
 func (p *wireParser) space() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
+	for p.i < len(p.b) && (p.b[p.i] == ' ' || p.b[p.i] == '\t' || p.b[p.i] == '\n' || p.b[p.i] == '\r') {
+		p.i++
 	}
 }
 
@@ -185,12 +215,22 @@ func (p *wireParser) lit(s string) bool {
 	return true
 }
 
-// lits consumes each literal in turn.
-func (p *wireParser) lits(ss ...string) bool {
-	for _, s := range ss {
-		if !p.lit(s) {
+// lits consumes the tokens of s — punctuation bytes and quoted keys —
+// with whitespace allowed before each: in one compare when s is spelt
+// compactly, as the canonical shape has it, else token by token.
+func (p *wireParser) lits(s string) bool {
+	if p.lit(s) {
+		return true
+	}
+	for len(s) > 0 {
+		n := 1
+		if s[0] == '"' {
+			n = strings.IndexByte(s[1:], '"') + 2
+		}
+		if !p.lit(s[:n]) {
 			return false
 		}
+		s = s[n:]
 	}
 	return true
 }
@@ -228,18 +268,25 @@ func (p *wireParser) boolean() (v, ok bool) {
 }
 
 // num consumes a number of JSON's grammar and converts it as
-// encoding/json does; a number float64 cannot hold is not taken.
+// encoding/json does; a number float64 cannot hold is not taken. One of
+// at most 15 digits and no exponent is m / 10^d with m and 10^d exact in
+// a float64, so their correctly rounded quotient is ParseFloat's answer.
 func (p *wireParser) num() (float64, bool) {
 	p.space()
 	b, i := p.b, p.i
+	var v int64
+	n := 0 // digits taken into v
 	digits := func() bool {
 		from := i
 		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			v = v*10 + int64(b[i]-'0')
 			i++
 		}
+		n += i - from
 		return i > from
 	}
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
 	if i < len(b) && b[i] == '0' {
@@ -247,20 +294,33 @@ func (p *wireParser) num() (float64, bool) {
 	} else if !digits() {
 		return 0, false
 	}
+	decimals := 0
 	if i < len(b) && b[i] == '.' {
 		i++
+		from := i
 		if !digits() {
 			return 0, false
 		}
+		decimals = i - from
 	}
+	exact := n <= 15
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		exact = false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
 		if !digits() {
 			return 0, false
 		}
+	}
+	if exact {
+		f := float64(v) / pow10[decimals]
+		if neg {
+			f = -f // -0 included
+		}
+		p.i = i
+		return f, true
 	}
 	f, err := strconv.ParseFloat(string(b[p.i:i]), 64)
 	if err != nil {
@@ -270,23 +330,19 @@ func (p *wireParser) num() (float64, bool) {
 	return f, true
 }
 
-// list consumes `{"<key>":[`, then calls item for each element, then
-// `]}` and the end of the body.
-func (p *wireParser) list(key string, item func() bool) bool {
-	if !p.lits("{", key, ":", "[") {
+// list consumes open (`{"<key>":[`), then calls item for each element,
+// then `]}` and the end of the body.
+func (p *wireParser) list(open string, item func() bool) bool {
+	if !p.lits(open) {
 		return false
 	}
-	if !p.lit("]") {
-		for more := true; more; more = p.lit(",") {
-			if !item() {
-				return false
-			}
-		}
-		if !p.lit("]") {
+	empty := p.lit("]")
+	for more := !empty; more; more = p.lit(",") {
+		if !item() {
 			return false
 		}
 	}
-	return p.lit("}") && p.end()
+	return (empty || p.lit("]")) && p.lit("}") && p.end()
 }
 
 // wireCap sizes a decoded slice from the body's object count, capped so
@@ -304,12 +360,12 @@ func parseBatchRequest(data []byte, into []PermitRequest) ([]PermitRequest, bool
 		into = make([]PermitRequest, 0, n)
 	}
 	reqs := into[:0]
-	ok := p.list(`"requests"`, func() bool {
-		if !p.lits("{", `"device"`, ":") {
+	ok := p.list(`{"requests":[`, func() bool {
+		if !p.lits(`{"device":`) {
 			return false
 		}
 		device, ok := p.str()
-		if !ok || !p.lits(",", `"cell"`, ":") {
+		if !ok || !p.lits(`,"cell":`) {
 			return false
 		}
 		cell, ok := p.str()
@@ -329,16 +385,16 @@ func parseBatchResponse(data []byte, into []permit.Response) ([]permit.Response,
 		into = make([]permit.Response, 0, n)
 	}
 	decisions := into[:0]
-	ok := p.list(`"decisions"`, func() bool {
-		if !p.lits("{", `"granted"`, ":") {
+	ok := p.list(`{"decisions":[`, func() bool {
+		if !p.lits(`{"granted":`) {
 			return false
 		}
 		granted, ok := p.boolean()
-		if !ok || !p.lits(",", `"ttl_seconds"`, ":") {
+		if !ok || !p.lits(`,"ttl_seconds":`) {
 			return false
 		}
 		ttl, ok := p.num()
-		if !ok || !p.lits(",", `"utilization"`, ":") {
+		if !ok || !p.lits(`,"utilization":`) {
 			return false
 		}
 		util, ok := p.num()

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -41,7 +43,16 @@ func TestCodecWritesEncodingJSONBytes(t *testing.T) {
 	}
 
 	floats := []float64{0, 1, -1, 0.2, 180, 0.95, 1e-6, 9.99e-7, 1e-7, 5e-324, 1e20, 1e21, 1.5e21, 1.7976931348623157e308,
-		-1e-9, -1e21, 123456789.125, 1.0 / 3, math.Copysign(0, -1), 100000000000000000000, 1e-10, 1.5e-10, 1e100}
+		-1e-9, -1e21, 123456789.125, 1.0 / 3, math.Copysign(0, -1), 100000000000000000000, 1e-10, 1.5e-10, 1e100,
+		999999999999999, -999999999999999, 1e15, -1e15, 9007199254740993, 999999999999999.9, -3,
+		0.000001, 123456.789, 1.000001, 1125899906842.624, 0.1234567}
+	// Decimals of every length, and arbitrary floats, across the decimal
+	// fast paths' range.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		floats = append(floats, float64(rng.Int63n(1<<53))/pow10[rng.Intn(len(pow10))],
+			-rng.NormFloat64()*pow10[rng.Intn(len(pow10))])
+	}
 	responses := [][]permit.Response{nil, {}, {{Granted: true, TTLSeconds: 180, Utilization: 0.2}, {Utilization: 0.95}}}
 	var all []permit.Response
 	for i, f := range floats {
@@ -56,6 +67,7 @@ func TestCodecWritesEncodingJSONBytes(t *testing.T) {
 		if got, err := appendBatchResponse(nil, decisions); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("response encoder wrote\n%s (err %v)\nencoding/json\n%s", got, err, want)
 		}
+		checkWireDecode(t, want)
 	}
 }
 
@@ -132,19 +144,50 @@ func TestCodecTakesItsOwnBodies(t *testing.T) {
 	}
 }
 
-// FuzzBatchCodec is the differential check on arbitrary bytes. Its seed
-// corpus (testdata/fuzz/FuzzBatchCodec: bodies around the canonical
-// shape — padded, reordered, escaped, cased, null, truncated, …) runs
-// on every plain `go test`; the one seed too big to commit, a batch one
-// request over MaxBatch, is built here.
+// codecEdges are the numbers at the edges of the codec's fast paths:
+// integers the parser converts from their digits (at most 15) and the
+// encoder writes with AppendInt (integral, below 1e15), decimals the
+// same two take (at most 15 digits; at most six decimals), the first
+// ones past them, -0, and the float forms around them.
+var codecEdges = []string{"0", "-0", "1", "180", "999999999999999", "-999999999999999", "1e15",
+	"1000000000000000", "9007199254740993", "1e20", "1e21", "5e-324", "180.0", "0.5",
+	"0.95", "-0.0", "0.000001", "0.0000001", "1.0000001", "12345678901234.5", "123456789012345.6"}
+
+// FuzzBatchCodec is the differential check on arbitrary bytes: both
+// decoders against encoding/json, and, for a body the response parser
+// takes, the encoder writing back the bytes encoding/json writes for its
+// values. Its seed corpus (testdata/fuzz/FuzzBatchCodec: bodies around
+// the canonical shape — padded, reordered, escaped, cased, null,
+// truncated, …) runs on every plain `go test`; the seeds built here are
+// the one too big to commit, a batch one request over MaxBatch, and
+// codecEdges as body text and as encoded values.
 func FuzzBatchCodec(f *testing.F) {
 	over := make([]PermitRequest, MaxBatch+1)
 	for i := range over {
 		over[i] = PermitRequest{Device: fmt.Sprintf("dev-%05d", i), Cell: "cell"}
 	}
 	f.Add(appendBatchRequest(nil, over))
+	for _, n := range codecEdges {
+		f.Add([]byte(`{"decisions":[{"granted":true,"ttl_seconds":` + n + `,"utilization":` + n + `}]}`))
+		v, err := strconv.ParseFloat(n, 64)
+		if err != nil {
+			f.Fatal(err)
+		}
+		body, err := appendBatchResponse(nil, []permit.Response{{Granted: true, TTLSeconds: v, Utilization: v}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkWireDecode(t, data)
+		if decisions, ok := parseBatchResponse(data, nil); ok {
+			want, _ := json.Marshal(plainBatchResponse{Decisions: decisions})
+			if got, err := appendBatchResponse(nil, decisions); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("response %q decoded to %v, which the encoder writes as\n%s (err %v)\nencoding/json as\n%s",
+					data, decisions, got, err, want)
+			}
+		}
 	})
 }
 

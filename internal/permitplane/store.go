@@ -1,7 +1,6 @@
 package permitplane
 
 import (
-	"container/heap"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -25,12 +24,12 @@ const DefaultSnapshotEvery = 8192
 // a crashed daemon replays back to exactly the state it died with —
 // modulo the TTL expiries that genuinely lapsed while it was down.
 //
-// Expiry is lazy: a min-heap of (expiry, device, cell) is drained at
-// the top of every mutation (and by ExpireDue), so TTL lapses are
-// observed in deterministic order without a background timer. The heap
-// holds exactly one entry per outstanding grant — a refresh moves its
-// entry in place — so its size is bounded by the grant count, not by
-// TTL × refresh rate.
+// Expiry is lazy: the state's expiry index (wal.State.ExpireDue) is
+// drained at the top of every mutation (and by ExpireDue), so TTL
+// lapses are observed in (expiry, device, cell) order without a
+// background timer. The store keeps no index of its own: one map lookup
+// finds a decision's grant, and the state folds the record into that
+// grant in place.
 //
 // The unit of work is a slice of decisions, not a decision: one lock,
 // one clock read, one expiry drain, every record staged into the log's
@@ -40,11 +39,7 @@ type GrantStore struct {
 	mu    sync.Mutex
 	log   *wal.Log // nil for a memory-only store
 	state *wal.State
-	// entries and heap hold the same *storeExpiry values: entries by
-	// grant key (the keys of state.Grants, always), heap by expiry.
-	entries map[string]*storeExpiry
-	heap    storeExpiryHeap
-	clk     clock.Clock
+	clk   clock.Clock
 
 	metrics       Metrics
 	snapshotEvery int
@@ -87,7 +82,6 @@ type Recovery struct {
 func NewGrantStore(clk clock.Clock, m Metrics) *GrantStore {
 	return &GrantStore{
 		state:   wal.NewState(),
-		entries: make(map[string]*storeExpiry),
 		clk:     clock.Or(clk),
 		metrics: m,
 	}
@@ -113,7 +107,6 @@ func OpenGrantStore(dir string, clk clock.Clock, m Metrics, snapshotEvery int) (
 	s := &GrantStore{
 		log:           log,
 		state:         state,
-		entries:       make(map[string]*storeExpiry, len(state.Grants)),
 		clk:           c,
 		metrics:       m,
 		snapshotEvery: snapshotEvery,
@@ -123,28 +116,22 @@ func OpenGrantStore(dir string, clk clock.Clock, m Metrics, snapshotEvery int) (
 	for _, g := range expired {
 		// The lapse happened while the daemon was down; record it so
 		// replay-of-the-replay converges instead of re-expiring. The
-		// record folds through Apply like any other (ExpireDue already
-		// dropped the grant, so only the seq and expiry counter move):
-		// the snapshot written below then carries exactly the counters
-		// an independent replay of these records would reach, keeping
-		// compaction equivalent to the fold it replaces.
+		// record folds like any other (ExpireDue already dropped the
+		// grant, so only the seq and expiry counter move): the snapshot
+		// written below then carries exactly the counters an independent
+		// replay of these records would reach, keeping compaction
+		// equivalent to the fold it replaces.
 		rec, err := log.Stage(wal.OpExpire, g.Device, g.Cell, recoveredAt, 0)
 		if err != nil {
 			log.Close()
 			return nil, err
 		}
-		state.Apply(rec)
+		state.ApplyTo(nil, rec)
 	}
 	if err := log.Commit(); err != nil {
 		log.Close()
 		return nil, err
 	}
-	for key, g := range state.Grants {
-		e := &storeExpiry{at: g.Expiry, device: g.Device, cell: g.Cell, index: len(s.heap)}
-		s.entries[key] = e
-		s.heap = append(s.heap, e)
-	}
-	heap.Init(&s.heap)
 	// Compact immediately: recovery cost never compounds across
 	// restarts, and the recovered state is durably pinned.
 	if err := log.WriteSnapshot(state); err != nil {
@@ -249,31 +236,22 @@ func (s *GrantStore) recordFrom(reqs []PermitRequest, resps []permit.Response, i
 	s.maybeSnapshotLocked() //3golvet:allow lockio — compaction must see exactly the state the log it truncates recorded, under the per-shard lock; bounded local file I/O
 }
 
-// foldLocked stages and applies one tracked decision made at now. The
-// grant key is built where it is used: a key that is only looked up
-// stays on the stack, and only a first grant has to keep one.
+// foldLocked stages and applies one tracked decision made at now. Its
+// one hash is the lookup of the decision's grant, which the state then
+// updates in place; the key stays on the stack, and only a first grant
+// has to keep one.
 func (s *GrantStore) foldLocked(now time.Time, device, cell string, granted bool, ttlSeconds float64) {
-	e := s.entries[wal.Key(device, cell)]
+	g := s.state.Grants[wal.Key(device, cell)]
 	switch {
 	case granted:
 		op := wal.OpGrant
-		if e != nil {
+		if g != nil {
 			op = wal.OpRefresh
 		}
 		expiry := now.Add(time.Duration(ttlSeconds * float64(time.Second))).UnixNano()
-		s.applyLocked(op, device, cell, now.UnixNano(), expiry)
-		if e != nil {
-			e.at = expiry
-			heap.Fix(&s.heap, e.index)
-			return
-		}
-		e = &storeExpiry{at: expiry, device: device, cell: cell}
-		s.entries[wal.Key(device, cell)] = e
-		heap.Push(&s.heap, e)
-	case e != nil:
-		s.applyLocked(wal.OpRevoke, device, cell, now.UnixNano(), 0)
-		heap.Remove(&s.heap, e.index)
-		delete(s.entries, wal.Key(device, cell))
+		s.applyLocked(g, op, device, cell, now.UnixNano(), expiry)
+	case g != nil:
+		s.applyLocked(g, wal.OpRevoke, device, cell, now.UnixNano(), 0)
 	}
 }
 
@@ -299,27 +277,27 @@ func (s *GrantStore) expireLocked() {
 	s.commitLocked()
 }
 
-// drainLocked pops due grants in deterministic (expiry, device, cell)
-// order, staging one OpExpire record each; the caller commits.
+// drainLocked takes the due grants out of the state in deterministic
+// (expiry, device, cell) order, staging one OpExpire record each; the
+// caller commits.
 func (s *GrantStore) drainLocked(now int64) {
-	for len(s.heap) > 0 && s.heap[0].at <= now {
-		e := heap.Pop(&s.heap).(*storeExpiry)
-		delete(s.entries, wal.Key(e.device, e.cell))
-		s.applyLocked(wal.OpExpire, e.device, e.cell, now, 0)
+	for _, g := range s.state.ExpireDue(now) {
+		s.applyLocked(nil, wal.OpExpire, g.Device, g.Cell, now, 0)
 	}
 }
 
 // applyLocked stages the record (durable stores) and folds it into the
-// in-memory state; nothing is observable until the caller committed and
-// released the lock. A record the log refuses to stage (sealed) is
-// counted and the state still advances: a daemon with a full disk keeps
-// serving decisions, degraded to memory-only durability, rather than
-// going dark.
-func (s *GrantStore) applyLocked(op wal.Op, device, cell string, at, expiry int64) {
+// in-memory state, where g is the grant it acts on (nil if none);
+// nothing is observable until the caller committed and released the
+// lock. A record the log refuses to stage (sealed) is counted and the
+// state still advances: a daemon with a full disk keeps serving
+// decisions, degraded to memory-only durability, rather than going
+// dark.
+func (s *GrantStore) applyLocked(g *wal.Grant, op wal.Op, device, cell string, at, expiry int64) {
 	if s.log != nil {
 		rec, err := s.log.Stage(op, device, cell, at, expiry)
 		if err == nil {
-			s.state.Apply(rec)
+			s.state.ApplyTo(g, rec)
 			s.staged[op]++
 			return
 		}
@@ -327,7 +305,7 @@ func (s *GrantStore) applyLocked(op wal.Op, device, cell string, at, expiry int6
 		s.metrics.WALErrors.Inc()
 	}
 	// Memory-only fold (or degraded durability): synthesise the seq.
-	s.state.Apply(wal.Record{
+	s.state.ApplyTo(g, wal.Record{
 		Seq: s.state.Seq + 1, Op: op, At: at, Expiry: expiry, Device: device, Cell: cell,
 	})
 	if s.log != nil {
@@ -470,46 +448,4 @@ func HashState(st *wal.State) string {
 // daemon wrote.
 func ShardWALDir(root string, shard int) string {
 	return fmt.Sprintf("%s/shard-%d", root, shard)
-}
-
-// storeExpiry is one outstanding grant's entry in the lazy min-heap;
-// index is its current heap position, so a refresh or revoke reaches it
-// without a search.
-type storeExpiry struct {
-	at           int64
-	device, cell string
-	index        int
-}
-
-// storeExpiryHeap orders by expiry, breaking ties by (device, cell) so
-// the drain order — and therefore the OpExpire record order in the WAL
-// — is deterministic.
-type storeExpiryHeap []*storeExpiry
-
-func (h storeExpiryHeap) Len() int { return len(h) }
-func (h storeExpiryHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].device != h[j].device {
-		return h[i].device < h[j].device
-	}
-	return h[i].cell < h[j].cell
-}
-func (h storeExpiryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *storeExpiryHeap) Push(x any) {
-	e := x.(*storeExpiry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *storeExpiryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
 }

@@ -36,7 +36,7 @@ func TestGrantStoreExpiryHeap(t *testing.T) {
 		t.Errorf("outstanding after d1 lapse = %d, want 2", got)
 	}
 
-	// Refresh d2 before its 20s lapse: its heap entry moves to the new
+	// Refresh d2 before its 20s lapse: its index entry moves to the new
 	// expiry, and the old one must NOT expire the refreshed grant.
 	clk.advance(5 * time.Second) // t = +16s; d2's original expiry is +20s
 	s.RecordDecision("d2", "bs0/s1", true, 60)
@@ -315,10 +315,11 @@ func TestGrantStoreWALBytesPinned(t *testing.T) {
 	}
 }
 
-// TestGrantStoreHeapHoldsOneEntryPerGrant pins the heap bound: a
-// refresh moves its grant's entry in place, so however often G grants
-// are refreshed the heap holds G entries — not one per refresh waiting
-// out a TTL.
+// TestGrantStoreHeapHoldsOneEntryPerGrant pins the expiry index's
+// bound: a refresh moves its grant in place, so however often G grants
+// are refreshed the index holds G entries in at most G buckets — not
+// one per refresh waiting out a TTL. Check proves both: every grant
+// indexed exactly once, no bucket empty.
 func TestGrantStoreHeapHoldsOneEntryPerGrant(t *testing.T) {
 	const grants, rounds = 64, 50
 	clk := storeClock()
@@ -329,20 +330,43 @@ func TestGrantStoreHeapHoldsOneEntryPerGrant(t *testing.T) {
 		}
 		clk.advance(time.Second)
 	}
-	if len(s.heap) != grants || len(s.entries) != grants {
-		t.Fatalf("after %d refreshes of %d grants: heap %d, entries %d, want %d each",
-			rounds-1, grants, len(s.heap), len(s.entries), grants)
-	}
-	for i, e := range s.heap {
-		if e.index != i || s.entries[wal.Key(e.device, e.cell)] != e {
-			t.Fatalf("heap[%d] (%s) has index %d or is not its grant's entry", i, e.device, e.index)
-		}
+	if err := s.state.Check(); err != nil || len(s.state.Grants) != grants {
+		t.Fatalf("after %d refreshes of %d grants: %d held, index check: %v", rounds-1, grants, len(s.state.Grants), err)
 	}
 	// Revokes and lapses take their entries with them.
 	s.RecordDecision("dev-00", "cell", false, 0)
 	clk.advance(2 * time.Hour)
-	if got := s.Outstanding(); got != 0 || len(s.heap) != 0 || len(s.entries) != 0 {
-		t.Errorf("after revoke and lapse: %d outstanding, heap %d, entries %d, want 0", got, len(s.heap), len(s.entries))
+	if got := s.Outstanding(); got != 0 {
+		t.Errorf("after revoke and lapse: %d outstanding, want 0", got)
+	}
+	if err := s.state.Check(); err != nil {
+		t.Errorf("after revoke and lapse: %v", err)
+	}
+}
+
+// TestGrantKeysNeverCollide pins the grant key's injectivity: a NUL
+// inside an ID must not let two different (device, cell) pairs share a
+// grant. Both IDs reach the store — a GET /permit query carries %00, the
+// batch route's encoding/json fallback \u0000.
+func TestGrantKeysNeverCollide(t *testing.T) {
+	dir := t.TempDir()
+	clk := storeClock()
+	s, err := OpenGrantStore(dir, clk, Metrics{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.RecordDecision("a\x00b", "c", true, 100)
+	s.RecordDecision("a", "b\x00c", true, 100)
+	if got := s.Outstanding(); got != 2 {
+		t.Fatalf("outstanding = %d, want 2 — two permits share one grant", got)
+	}
+	s.RecordDecision("a", "b\x00c", false, 0)
+	if got := s.Outstanding(); got != 1 {
+		t.Errorf("outstanding after revoking one = %d, want 1", got)
+	}
+	if got, want := HashState(mustReplay(t, dir)), s.StateHash(); got != want {
+		t.Errorf("replayed state hashes to %s, live store to %s", got, want)
 	}
 }
 

@@ -37,6 +37,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,7 +45,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Op is a grant-state change class.
@@ -302,11 +304,25 @@ func Replay(dir string) (*State, RecoveryStats, error) {
 // replayDir loads the snapshot and replays the log, returning the
 // state, the stats, and the byte length of the log's valid prefix.
 func replayDir(dir string) (*State, RecoveryStats, int64, error) {
+	snapBytes, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, RecoveryStats{}, 0, fmt.Errorf("wal: reading snapshot in %s: %w", dir, err)
+	}
+	logBytes, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, RecoveryStats{}, 0, fmt.Errorf("wal: reading log in %s: %w", dir, err)
+	}
+	st, stats, valid := replay(snapBytes, logBytes)
+	return st, stats, valid, nil
+}
+
+// replay is the fold of a snapshot file's bytes (nil when there is no
+// snapshot file) and a log file's: the state, the stats, and the byte
+// length of the log's valid prefix.
+func replay(snapBytes, logBytes []byte) (*State, RecoveryStats, int64) {
 	var stats RecoveryStats
 	st := NewState()
-	snapBytes, err := os.ReadFile(filepath.Join(dir, snapName))
-	switch {
-	case err == nil:
+	if snapBytes != nil {
 		if err := st.unmarshalSnapshot(snapBytes); err != nil {
 			// A corrupt snapshot cannot be partially trusted; fall back
 			// to whatever the log alone reconstructs rather than refuse
@@ -317,14 +333,6 @@ func replayDir(dir string) (*State, RecoveryStats, int64, error) {
 			stats.SnapshotSeq = st.Seq
 			stats.SnapshotGrants = len(st.Grants)
 		}
-	case os.IsNotExist(err):
-	default:
-		return nil, stats, 0, fmt.Errorf("wal: reading snapshot in %s: %w", dir, err)
-	}
-
-	logBytes, err := os.ReadFile(filepath.Join(dir, logName))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, stats, 0, fmt.Errorf("wal: reading log in %s: %w", dir, err)
 	}
 	off := 0
 	for off < len(logBytes) {
@@ -341,7 +349,7 @@ func replayDir(dir string) (*State, RecoveryStats, int64, error) {
 		}
 		off += n
 	}
-	return st, stats, int64(off), nil
+	return st, stats, int64(off)
 }
 
 // Seq reports the last assigned sequence number.
@@ -524,126 +532,233 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// Grant is one outstanding permit in the reconstructed state.
+// Grant is one outstanding permit in the reconstructed state; it changes
+// only through Apply and ApplyTo, which keep it in the expiry index.
 type Grant struct {
 	Device string
 	Cell   string
 	At     int64
 	Expiry int64
 	Seq    uint64
+
+	bucket *expiryBucket // bucket.grants[slot] is this grant
+	slot   int
+}
+
+// expiryBucket holds the grants expiring at one instant; a State's
+// buckets ascend in a circular list through its sentinel, none empty.
+type expiryBucket struct {
+	at         int64
+	grants     []*Grant
+	prev, next *expiryBucket
 }
 
 // Key is the grant map key: a permit authorises one device to onload
 // via one cell, so state is keyed by the (device, cell) pair. Keying by
 // device alone would make shard-merged totals depend on the shard
 // count (shards own cells, so one device's grants in two cells live in
-// two shards) and break the byte-identical merge guarantee.
+// two shards) and break the byte-identical merge guarantee. The
+// device's length (a frame holds at most 65535) leads as two bytes, so
+// no ID byte can move the boundary between device and cell.
 func Key(device, cell string) string {
-	return device + "\x00" + cell
+	return string([]byte{byte(len(device) >> 8), byte(len(device))}) + device + cell
 }
 
 // State is the replayable shard state: outstanding grants keyed by
 // (device, cell), the last applied sequence number, and cumulative
 // lifecycle counters. Apply is a pure fold over records, so any two
 // observers that saw the same records hold byte-identical state.
+//
+// The state owns the expiry order: a bucket per expiry instant, one
+// entry per grant, so at most one bucket per grant (and one spare). A
+// refresh moves its grant by a swap-delete and an insertion walking back
+// from the latest bucket: O(1) for equal TTLs on a forward clock.
 type State struct {
-	Grants map[string]Grant
+	Grants map[string]*Grant
 	Seq    uint64
 	// TotalGrants, TotalRefreshes, TotalRevokes and TotalExpiries
 	// count lifecycle transitions since the log began (snapshots carry
 	// them forward through compaction).
 	TotalGrants, TotalRefreshes, TotalRevokes, TotalExpiries uint64
+
+	expiry expiryBucket  // sentinel: expiry.next is the earliest bucket
+	spare  *expiryBucket // the last to empty, reused by the next insertion
 }
 
 // NewState returns an empty state.
 func NewState() *State {
-	return &State{Grants: make(map[string]Grant)}
+	st := &State{Grants: make(map[string]*Grant)}
+	st.expiry.prev, st.expiry.next = &st.expiry, &st.expiry
+	return st
 }
 
-// Apply folds one record into the state.
+// Apply folds one record into the state: a lookup plus ApplyTo.
 func (st *State) Apply(r Record) {
-	k := Key(r.Device, r.Cell)
+	st.ApplyTo(st.Grants[Key(r.Device, r.Cell)], r)
+}
+
+// ApplyTo folds one record into the state, given g =
+// Grants[Key(r.Device, r.Cell)] (nil if none): the one fold, for a
+// caller that has already looked the grant up.
+func (st *State) ApplyTo(g *Grant, r Record) {
 	switch r.Op {
-	case OpGrant:
-		st.TotalGrants++
-		st.Grants[k] = Grant{Device: r.Device, Cell: r.Cell, At: r.At, Expiry: r.Expiry, Seq: r.Seq}
-	case OpRefresh:
-		st.TotalRefreshes++
-		st.Grants[k] = Grant{Device: r.Device, Cell: r.Cell, At: r.At, Expiry: r.Expiry, Seq: r.Seq}
-	case OpRevoke:
-		st.TotalRevokes++
-		delete(st.Grants, k)
-	case OpExpire:
-		st.TotalExpiries++
-		delete(st.Grants, k)
+	case OpGrant, OpRefresh:
+		if r.Op == OpGrant {
+			st.TotalGrants++
+		} else {
+			st.TotalRefreshes++
+		}
+		switch {
+		case g == nil:
+			g = &Grant{Device: r.Device, Cell: r.Cell, Expiry: r.Expiry}
+			st.Grants[Key(r.Device, r.Cell)] = g
+			st.index(g)
+		case g.Expiry != r.Expiry:
+			st.unindex(g)
+			g.Expiry = r.Expiry
+			st.index(g)
+		}
+		g.At, g.Seq = r.At, r.Seq
+	case OpRevoke, OpExpire:
+		if r.Op == OpRevoke {
+			st.TotalRevokes++
+		} else {
+			st.TotalExpiries++
+		}
+		if g != nil {
+			st.unindex(g)
+			delete(st.Grants, Key(r.Device, r.Cell))
+		}
 	}
 	st.Seq = r.Seq
 }
 
-// ExpireDue removes every grant whose expiry is at or before now,
-// returning them sorted by (expiry, device, cell) so callers that log
-// the expiries produce a deterministic record order.
+// index files g under its expiry, walking back from the latest bucket.
+func (st *State) index(g *Grant) {
+	b := st.expiry.prev
+	for b != &st.expiry && b.at > g.Expiry {
+		b = b.prev
+	}
+	if b == &st.expiry || b.at != g.Expiry {
+		after := b
+		if b = st.spare; b == nil {
+			b = new(expiryBucket)
+		}
+		st.spare = nil
+		b.at, b.prev, b.next = g.Expiry, after, after.next
+		after.next.prev, after.next = b, b
+	}
+	g.bucket, g.slot = b, len(b.grants)
+	b.grants = append(b.grants, g)
+}
+
+// unindex takes g out of its bucket (a swap-delete) and unlinks the
+// bucket if that emptied it.
+func (st *State) unindex(g *Grant) {
+	b := g.bucket
+	last := len(b.grants) - 1
+	b.grants[g.slot] = b.grants[last]
+	b.grants[g.slot].slot = g.slot
+	b.grants[last] = nil
+	b.grants = b.grants[:last]
+	if last == 0 {
+		st.unlink(b)
+	}
+}
+
+// unlink drops an emptied bucket from the list and keeps it as the spare.
+func (st *State) unlink(b *expiryBucket) {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+	st.spare = b
+}
+
+// ExpireDue removes every grant whose expiry is at or before now — the
+// due buckets at the front of the index — returning them sorted by
+// (expiry, device, cell) so callers that log the expiries produce a
+// deterministic record order.
 func (st *State) ExpireDue(now int64) []Grant {
 	var due []Grant
-	for _, g := range st.Grants {
-		if g.Expiry <= now {
-			due = append(due, g)
+	for b := st.expiry.next; b != &st.expiry && b.at <= now; b = st.expiry.next {
+		slices.SortFunc(b.grants, byDeviceCell)
+		for i, g := range b.grants {
+			delete(st.Grants, Key(g.Device, g.Cell))
+			g.bucket, g.slot, b.grants[i] = nil, 0, nil
+			due = append(due, *g)
 		}
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].Expiry != due[j].Expiry {
-			return due[i].Expiry < due[j].Expiry
-		}
-		if due[i].Device != due[j].Device {
-			return due[i].Device < due[j].Device
-		}
-		return due[i].Cell < due[j].Cell
-	})
-	for _, g := range due {
-		delete(st.Grants, Key(g.Device, g.Cell))
+		b.grants = b.grants[:0]
+		st.unlink(b)
 	}
 	return due
 }
 
-// Marshal renders the state canonically: a header line followed by one
-// line per outstanding grant in (device, cell) order. Two states with
-// the same grants, seq and counters marshal to identical bytes — the
-// "byte-identical replay" pin the recovery tests and the chaos
-// harness's cross-process hash comparison both rest on.
-func (st *State) Marshal() []byte {
-	devices := make([]string, 0, len(st.Grants))
-	for d := range st.Grants {
-		devices = append(devices, d)
+// byDeviceCell orders grants by (device, cell).
+func byDeviceCell(a, b *Grant) int {
+	if c := strings.Compare(a.Device, b.Device); c != 0 {
+		return c
 	}
-	sort.Strings(devices)
+	return strings.Compare(a.Cell, b.Cell)
+}
+
+// sortedGrants returns the grants in the order of order.
+func (st *State) sortedGrants(order func(a, b *Grant) int) []*Grant {
+	gs := make([]*Grant, 0, len(st.Grants))
+	for _, g := range st.Grants {
+		gs = append(gs, g)
+	}
+	slices.SortFunc(gs, order)
+	return gs
+}
+
+// Check verifies that the map and the expiry index agree: every grant
+// indexed once, in its expiry's bucket; buckets ascending, none empty.
+func (st *State) Check() error {
+	indexed := 0
+	for b := st.expiry.next; b != &st.expiry; b = b.next {
+		if b.prev.next != b || b.next.prev != b || len(b.grants) == 0 || (b.prev != &st.expiry && b.prev.at >= b.at) {
+			return fmt.Errorf("wal: expiry bucket %d is mislinked, empty or out of order", b.at)
+		}
+		for i, g := range b.grants {
+			if g.bucket != b || g.slot != i || g.Expiry != b.at || st.Grants[Key(g.Device, g.Cell)] != g {
+				return fmt.Errorf("wal: grant (%q, %q) expiring at %d is misindexed in bucket %d", g.Device, g.Cell, g.Expiry, b.at)
+			}
+		}
+		indexed += len(b.grants)
+	}
+	if indexed != len(st.Grants) {
+		return fmt.Errorf("wal: %d grants held, %d indexed", len(st.Grants), indexed)
+	}
+	return nil
+}
+
+// Marshal renders the state canonically: a header line followed by one
+// line per outstanding grant in (device, cell) order, IDs quoted. Two
+// states marshal to identical bytes exactly when they hold the same
+// grants, seq and counters — the "byte-identical replay" pin the
+// recovery tests and the chaos harness's hash comparison rest on.
+func (st *State) Marshal() []byte {
 	buf := fmt.Appendf(nil, "seq=%d grants=%d total=%d/%d/%d/%d\n",
 		st.Seq, len(st.Grants),
 		st.TotalGrants, st.TotalRefreshes, st.TotalRevokes, st.TotalExpiries)
-	for _, d := range devices {
-		g := st.Grants[d]
-		buf = fmt.Appendf(buf, "%s %s %d %d %d\n", g.Device, g.Cell, g.At, g.Expiry, g.Seq)
+	for _, g := range st.sortedGrants(byDeviceCell) {
+		buf = fmt.Appendf(buf, "%q %q %d %d %d\n", g.Device, g.Cell, g.At, g.Expiry, g.Seq)
 	}
 	return buf
 }
 
 // Snapshot payload: u32 length + u32 CRC frame (same as records)
-// around: seq, four counters, grant count, then each grant in device
-// order.
+// around: seq, four counters, grant count, then each grant in (device,
+// cell) order.
 func (st *State) marshalSnapshot() []byte {
-	devices := make([]string, 0, len(st.Grants))
-	for d := range st.Grants {
-		devices = append(devices, d)
-	}
-	sort.Strings(devices)
-	payload := make([]byte, 0, 44+len(devices)*48)
+	grants := st.sortedGrants(byDeviceCell)
+	payload := make([]byte, 0, 44+len(grants)*48)
 	payload = binary.LittleEndian.AppendUint64(payload, st.Seq)
 	payload = binary.LittleEndian.AppendUint64(payload, st.TotalGrants)
 	payload = binary.LittleEndian.AppendUint64(payload, st.TotalRefreshes)
 	payload = binary.LittleEndian.AppendUint64(payload, st.TotalRevokes)
 	payload = binary.LittleEndian.AppendUint64(payload, st.TotalExpiries)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(devices)))
-	for _, d := range devices {
-		g := st.Grants[d]
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(grants)))
+	for _, g := range grants {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(g.Device)))
 		payload = append(payload, g.Device...)
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(g.Cell)))
@@ -681,7 +796,7 @@ func (st *State) unmarshalSnapshot(b []byte) error {
 	n := int(binary.LittleEndian.Uint32(payload[40:]))
 	off := 44
 	for i := 0; i < n; i++ {
-		var g Grant
+		g := new(Grant)
 		if off+2 > len(payload) {
 			return errSnapshot
 		}
@@ -707,6 +822,10 @@ func (st *State) unmarshalSnapshot(b []byte) error {
 	}
 	if off != len(payload) {
 		return errSnapshot
+	}
+	// In expiry order, every insertion lands at the tail.
+	for _, g := range st.sortedGrants(func(a, b *Grant) int { return cmp.Compare(a.Expiry, b.Expiry) }) {
+		st.index(g)
 	}
 	return nil
 }

@@ -2,9 +2,15 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -310,12 +316,198 @@ func TestExpireDueDeterministicOrder(t *testing.T) {
 			t.Errorf("expiry %d = %s, want %s", i, g.Device, wantOrder[i])
 		}
 	}
-	if len(st.Grants) != 1 || st.Grants[Key("later", "c")].Device != "later" {
+	if g := st.Grants[Key("later", "c")]; len(st.Grants) != 1 || g == nil || g.Device != "later" {
 		t.Errorf("surviving grants %v, want only later", st.Grants)
 	}
 	if st.ExpireDue(100) != nil {
 		t.Error("second ExpireDue at the same instant expired something")
 	}
+	if err := st.Check(); err != nil {
+		t.Error(err)
+	}
+}
+
+// modelExpireDue is the trivially correct expiry the index replaced: scan
+// every grant, sort the due ones by (expiry, device, cell), delete them.
+func modelExpireDue(model map[string]Grant, now int64) []Grant {
+	var due []Grant
+	for _, g := range model {
+		if g.Expiry <= now {
+			due = append(due, g)
+		}
+	}
+	sort.Slice(due, func(i, j int) bool {
+		if due[i].Expiry != due[j].Expiry {
+			return due[i].Expiry < due[j].Expiry
+		}
+		if due[i].Device != due[j].Device {
+			return due[i].Device < due[j].Device
+		}
+		return due[i].Cell < due[j].Cell
+	})
+	for _, g := range due {
+		delete(model, Key(g.Device, g.Cell))
+	}
+	return due
+}
+
+// TestStateIndexMatchesModel runs seeded random Grant, Refresh, Revoke
+// and Expire records and ExpireDue calls through a State and through a
+// plain map expired by modelExpireDue: expiries equal, ascending and
+// descending (a clock that steps back), TTLs mixed. After every step
+// the index must pass Check and the grants must be the model's; every
+// ExpireDue must return exactly the model's grants, in its order.
+func TestStateIndexMatchesModel(t *testing.T) {
+	ttls := []int64{100, 100, 100, 30, 250}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st, model := NewState(), map[string]Grant{}
+		now := int64(1000)
+		for step := 0; step < 2000; step++ {
+			switch c := rng.Intn(10); {
+			case c == 0:
+				now -= rng.Int63n(60)
+			case c < 4:
+				now += rng.Int63n(20)
+			}
+			r := Record{Seq: st.Seq + 1, At: now,
+				Device: fmt.Sprintf("d%d", rng.Intn(24)), Cell: fmt.Sprintf("c%d", rng.Intn(3))}
+			k := Key(r.Device, r.Cell)
+			switch c := rng.Intn(10); {
+			case c < 5:
+				r.Op, r.Expiry = OpGrant, now+ttls[rng.Intn(len(ttls))]
+				if _, held := model[k]; held {
+					r.Op = OpRefresh
+				}
+				model[k] = Grant{Device: r.Device, Cell: r.Cell, At: r.At, Expiry: r.Expiry, Seq: r.Seq}
+			case c < 6:
+				r.Op = OpRevoke
+				delete(model, k)
+			case c < 7:
+				r.Op = OpExpire
+				delete(model, k)
+			default:
+				at := now + rng.Int63n(200) - 50
+				got, want := st.ExpireDue(at), modelExpireDue(model, at)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: ExpireDue(%d) = %v, model %v", seed, step, at, got, want)
+				}
+			}
+			if r.Op != 0 {
+				st.Apply(r)
+			}
+			if err := st.Check(); err != nil {
+				t.Fatalf("seed %d step %d (%s): %v", seed, step, r.Op, err)
+			}
+			if len(st.Grants) != len(model) {
+				t.Fatalf("seed %d step %d: %d grants, model %d", seed, step, len(st.Grants), len(model))
+			}
+			for k, want := range model {
+				if g := st.Grants[k]; g == nil || g.Device != want.Device || g.Cell != want.Cell ||
+					g.At != want.At || g.Expiry != want.Expiry || g.Seq != want.Seq {
+					t.Fatalf("seed %d step %d: grant %+v, model %+v", seed, step, g, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMarshalSeparatesIDs pins Marshal's injectivity: two states that
+// differ only in where a space, a newline or a NUL splits device from
+// cell must not marshal — and so hash — alike.
+func TestMarshalSeparatesIDs(t *testing.T) {
+	for _, ids := range [][4]string{
+		{"a b", "c", "a", "b c"},
+		{"a\nb", "c", "a", "b\nc"},
+		{"a\x00b", "c", "a", "b\x00c"},
+	} {
+		x, y := NewState(), NewState()
+		x.Apply(Record{Seq: 1, Op: OpGrant, At: 1, Expiry: 2, Device: ids[0], Cell: ids[1]})
+		y.Apply(Record{Seq: 1, Op: OpGrant, At: 1, Expiry: 2, Device: ids[2], Cell: ids[3]})
+		if bytes.Equal(x.Marshal(), y.Marshal()) {
+			t.Errorf("(%q, %q) and (%q, %q) marshal alike:\n%s", ids[0], ids[1], ids[2], ids[3], x.Marshal())
+		}
+	}
+}
+
+// replayIDs are the identifiers FuzzReplay's record scripts draw from:
+// ordinary ones, and pairs whose concatenations coincide.
+var replayIDs = []string{"d0", "d1", "a", "b c", "a b", "c", "a\x00b", "b\x00c", ""}
+
+// scriptRecords turns a fuzzed script into records, four bytes each:
+// op, device, cell, and a clock step that may be negative (the expiry's
+// distance from the decision time derives from it too).
+func scriptRecords(script []byte) []Record {
+	var recs []Record
+	at := int64(1000)
+	for len(script) >= 4 && len(recs) < 64 {
+		r := Record{Seq: uint64(len(recs) + 1), Op: OpGrant + Op(script[0]%4),
+			Device: replayIDs[int(script[1])%len(replayIDs)], Cell: replayIDs[int(script[2])%len(replayIDs)]}
+		at += int64(int8(script[3]))
+		r.At = at
+		if r.Op == OpGrant || r.Op == OpRefresh {
+			r.Expiry = at + int64(script[3]%7)*10
+		}
+		recs = append(recs, r)
+		script = script[4:]
+	}
+	return recs
+}
+
+// FuzzReplay holds the WAL decoder to its contract on bytes it did not
+// write. The fuzzed log lands as wal.log and the fuzzed snapshot payload,
+// framed with a valid CRC so the snapshot decoder's own checks are what
+// it meets, as snapshot.snap: Replay must not panic, and what it returns
+// must pass Check, before and after an ExpireDue. Then the log a fuzzed
+// record script writes is cut at every frame boundary, and each prefix
+// must replay (replay is Replay's fold, minus the file reads) to the
+// fold of that record prefix. The seed corpus is
+// testdata/fuzz/FuzzReplay.
+func FuzzReplay(f *testing.F) {
+	f.Add(encode(nil, testRecords()[0]), []byte{}, []byte{0, 2, 3, 5, 1, 4, 5, 200})
+	f.Fuzz(func(t *testing.T, log, snap, script []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if len(snap) > 0 {
+			framed := binary.LittleEndian.AppendUint32(nil, uint32(len(snap)))
+			framed = binary.LittleEndian.AppendUint32(framed, crc32.ChecksumIEEE(snap))
+			if err := os.WriteFile(filepath.Join(dir, snapName), append(framed, snap...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, _, err := Replay(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Check(); err != nil {
+			t.Fatalf("replayed state: %v", err)
+		}
+		st.ExpireDue(1000)
+		if err := st.Check(); err != nil {
+			t.Fatalf("replayed state after ExpireDue: %v", err)
+		}
+
+		var written []byte
+		fold := NewState()
+		for k, r := range append([]Record{{}}, scriptRecords(script)...) {
+			if k > 0 {
+				written = encode(written, r)
+				fold.Apply(r)
+			}
+			st, stats, _ := replay(nil, written)
+			if stats.TornBytes != 0 {
+				t.Fatalf("%d-record log: %d torn bytes", k, stats.TornBytes)
+			}
+			if !bytes.Equal(st.Marshal(), fold.Marshal()) {
+				t.Fatalf("%d-record log replays to\n%s\nits records fold to\n%s", k, st.Marshal(), fold.Marshal())
+			}
+			if err := st.Check(); err != nil {
+				t.Fatalf("%d-record log: %v", k, err)
+			}
+		}
+	})
 }
 
 // TestAppendRejectsOversizedID pins the ID bound: an identifier too
