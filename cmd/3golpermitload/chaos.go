@@ -1,13 +1,14 @@
 // Chaos mode: instead of an in-process plane, the harness spawns a
-// real 3golpermitd with a WAL, SIGKILLs it mid-load, replays the WAL
-// itself while the daemon is dead, restarts the daemon on the same
-// port, and cross-checks the daemon's recovered state hash against its
-// own replay — the process-level proof that the durability layer's
-// "replay equals pre-kill state modulo TTL expiries" contract holds
-// under real concurrent load, not just in unit tests.
+// real 3golpermitd with a WAL, SIGKILLs it mid-load, copies the WAL
+// while the daemon is dead, restarts the daemon on the same port, and
+// recovers each copy with the daemon's own OpenGrantStore at the
+// daemon's recovery instant, which must reproduce the daemon's recovery
+// — the process-level proof of "replay equals pre-kill state modulo
+// TTL expiries" under real concurrent load, not just in unit tests.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,12 +18,13 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
 	"threegol/internal/clock"
+	"threegol/internal/obs/eventlog"
 	"threegol/internal/permitplane"
 	"threegol/internal/permitplane/wal"
 )
@@ -48,72 +50,25 @@ type chaosResult struct {
 	// RecoverySeconds is the slowest shard's boot-time WAL replay (the
 	// daemon's own measurement, from /debug/shards).
 	RecoverySeconds float64 `json:"recovery_seconds"`
-	// PreKillGrants is what the harness's independent replay of the
-	// dead daemon's WAL reconstructed; RecoveredGrants is what the
-	// restarted daemon reports (PreKill minus outage TTL expiries).
+	// PreKillGrants is what a read-only replay of the dead daemon's WAL
+	// reconstructed; RecoveredGrants is what the restarted daemon
+	// reports (PreKill minus outage TTL expiries).
 	PreKillGrants     int `json:"pre_kill_grants"`
 	RecoveredGrants   int `json:"recovered_grants"`
 	ExpiredOnRecovery int `json:"expired_on_recovery"`
-	// ReplayedRecords counts WAL records the independent replay applied
+	// ReplayedRecords counts WAL records the read-only replay applied
 	// across all shards.
 	ReplayedRecords int64 `json:"replayed_records"`
-	// ShardsVerified counts shards whose post-restart state hash
-	// matched the independent replay exactly. A mismatch aborts the run
-	// before this report exists, so on success this equals the shard
-	// count — recorded anyway so the report is self-describing.
+	// ShardsVerified counts shards whose recovery verifyRecovery
+	// reproduced. Anything less aborts the run before this report
+	// exists, so it equals the shard count — recorded anyway so the
+	// report is self-describing.
 	ShardsVerified int `json:"shards_verified"`
 	// Phase-split client counters.
 	ErrorsBeforeKill       int64 `json:"errors_before_kill"`
 	ErrorsDuringOutage     int64 `json:"errors_during_outage"`
 	ErrorsAfterRecovery    int64 `json:"errors_after_recovery"`
 	DecisionsAfterRecovery int64 `json:"decisions_after_recovery"`
-}
-
-// eventWriter appends chaos lifecycle events as JSONL — the artifact a
-// CI run uploads so a failed chaos stage can be reconstructed offline.
-// A nil *eventWriter is a no-op.
-type eventWriter struct {
-	mu  sync.Mutex
-	f   *os.File
-	enc *json.Encoder
-	clk clock.Clock
-	t0  time.Time
-}
-
-func newEventWriter(path string, clk clock.Clock) (*eventWriter, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("creating chaos eventlog %s: %w", path, err)
-	}
-	return &eventWriter{f: f, enc: json.NewEncoder(f), clk: clk, t0: clk.Now()}, nil
-}
-
-func (e *eventWriter) emit(event string, fields map[string]any) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	line := map[string]any{
-		"wall_seconds": e.clk.Since(e.t0).Seconds(),
-		"event":        event,
-	}
-	for k, v := range fields {
-		line[k] = v
-	}
-	if err := e.enc.Encode(line); err != nil {
-		log.Printf("3golpermitload: chaos eventlog: %v", err)
-	}
-}
-
-func (e *eventWriter) close() {
-	if e == nil {
-		return
-	}
-	e.f.Close()
 }
 
 // spawnPermitd starts a real 3golpermitd on addr with the harness's
@@ -147,28 +102,106 @@ func spawnPermitd(o options, addr string) (*exec.Cmd, io.WriteCloser, error) {
 	return cmd, stdin, nil
 }
 
-// shardRecovery is the /debug/shards slice element the harness needs.
-type shardRecovery struct {
-	Shard    int                   `json:"shard"`
-	Recovery *permitplane.Recovery `json:"recovery"`
-}
-
-func fetchShards(url string) ([]shardRecovery, error) {
+func fetchShards(url string) ([]permitplane.ShardStatus, error) {
 	resp, err := http.Get(url + "/debug/shards")
 	if err != nil {
 		return nil, fmt.Errorf("fetching %s/debug/shards: %w", url, err)
 	}
 	defer resp.Body.Close()
-	var out []shardRecovery
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("fetching %s/debug/shards: %s", url, resp.Status)
+	}
+	var out []permitplane.ShardStatus
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("decoding /debug/shards: %w", err)
 	}
 	return out, nil
 }
 
+// fixedClock reads one instant until it is moved.
+type fixedClock struct{ at time.Time }
+
+func (c *fixedClock) Now() time.Time                  { return c.at }
+func (c *fixedClock) Since(t time.Time) time.Duration { return c.at.Sub(t) }
+func (c *fixedClock) Sleep(d time.Duration)           { c.at = c.at.Add(d) }
+
+// copyDir copies the files of a quiescent shard directory into dst.
+func copyDir(src, dst string) error {
+	entries, err := os.ReadDir(src)
+	if err == nil {
+		err = os.MkdirAll(dst, 0o755)
+	}
+	for _, e := range entries {
+		var b []byte
+		if err == nil {
+			b, err = os.ReadFile(filepath.Join(src, e.Name()))
+		}
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644)
+		}
+	}
+	return err
+}
+
+// verifyRecovery requires every shard 0..len(copies)-1 reported exactly
+// once, and the daemon's own OpenGrantStore, run on copies[i] (shard
+// i's WAL as the kill left it) at shard i's recovery instant, to reach
+// the daemon's Recovery: state hash, grant and expiry counts, WAL stats.
+func verifyRecovery(copies []string, shards []permitplane.ShardStatus) (verified int, err error) {
+	byShard := make([]*permitplane.Recovery, len(copies))
+	for _, ss := range shards {
+		switch {
+		case ss.Shard < 0 || ss.Shard >= len(copies) || ss.Recovery == nil:
+			return 0, fmt.Errorf("shard %d: no recovery stats in a %d-shard plane", ss.Shard, len(copies))
+		case byShard[ss.Shard] != nil:
+			return 0, fmt.Errorf("shard %d reported twice", ss.Shard)
+		}
+		byShard[ss.Shard] = ss.Recovery
+	}
+	for i, want := range byShard {
+		if want == nil {
+			return 0, fmt.Errorf("shard %d not reported", i)
+		}
+		st, err := permitplane.OpenGrantStore(copies[i], &fixedClock{at: time.Unix(0, want.RecoveredAt)}, permitplane.Metrics{}, 0)
+		if err != nil {
+			return 0, fmt.Errorf("shard %d: recovering the copied WAL: %w", i, err)
+		}
+		got := st.Recovery()
+		_ = st.Close()             // the copy is thrown away
+		got.Seconds = want.Seconds // wall time: the one field a second replay need not reproduce
+		if got != *want {
+			return 0, fmt.Errorf("shard %d diverged across kill -9: the copy recovered %+v, the daemon %+v", i, got, *want)
+		}
+		verified++
+	}
+	return verified, nil
+}
+
 // runChaos is the -chaos entry point: real daemon, real kill, real
-// recovery, with the load fleet running throughout.
-func runChaos(o options) (*result, error) {
+// recovery, with the load fleet running throughout. With -events, the
+// lifecycle is written as an eventlog stream — one permitload.chaos
+// span, one point per step — on every return, so a failed run can be
+// reconstructed offline.
+func runChaos(o options) (res *result, err error) {
+	clk := clock.System
+	ev := eventlog.New(0, o.seed, eventlog.SinceStart(clk))
+	run := ev.Begin(eventlog.TraceContext{}, "permitload.chaos")
+	step := func(name string, attrs ...string) { ev.Point(run.Context(), name, attrs...) }
+	defer func() {
+		if err != nil {
+			run.End("error", err.Error())
+		} else {
+			run.End()
+		}
+		if o.eventsPath != "" {
+			var buf bytes.Buffer
+			_ = ev.WriteJSONL(&buf) // a bytes.Buffer write cannot fail
+			if werr := os.WriteFile(o.eventsPath, buf.Bytes(), 0o644); werr != nil && err == nil {
+				err = fmt.Errorf("writing chaos eventlog: %w", werr)
+			}
+		}
+	}()
+
 	if o.backend != "" {
 		return nil, errors.New("-chaos spawns its own daemon; drop -backend")
 	}
@@ -178,20 +211,14 @@ func runChaos(o options) (*result, error) {
 	if o.killAfter <= 0 || o.killAfter >= 1 {
 		return nil, fmt.Errorf("-kill-after %v outside (0,1)", o.killAfter)
 	}
-	if o.walRoot == "" {
-		dir, err := os.MkdirTemp("", "3gol-chaos-wal-*")
-		if err != nil {
-			return nil, fmt.Errorf("creating WAL temp dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		o.walRoot = dir
-	}
-	clk := clock.System
-	ev, err := newEventWriter(o.eventsPath, clk)
+	tmp, err := os.MkdirTemp("", "3gol-chaos-*")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("creating temp dir: %w", err)
 	}
-	defer ev.close()
+	defer os.RemoveAll(tmp)
+	if o.walRoot == "" {
+		o.walRoot = filepath.Join(tmp, "wal")
+	}
 
 	// A fixed port, so the restarted daemon comes back where the fleet
 	// expects it — client recovery without reconfiguration is part of
@@ -209,7 +236,7 @@ func runChaos(o options) (*result, error) {
 		return nil, err
 	}
 	defer stdin.Close()
-	ev.emit("daemon_start", map[string]any{"pid": cmd.Process.Pid, "addr": addr, "wal": o.walRoot})
+	step("daemon_start", "pid", eventlog.Int(int64(cmd.Process.Pid)), "addr", addr, "wal", o.walRoot)
 	if err := waitReady(clk, backendURL, 10*time.Second); err != nil {
 		cmd.Process.Kill()
 		cmd.Wait()
@@ -236,7 +263,7 @@ func runChaos(o options) (*result, error) {
 	// Flip the phase BEFORE the kill so every error the kill causes —
 	// including RPCs already in flight — lands in the outage bucket.
 	f.phase.Store(phaseOutage)
-	ev.emit("kill", map[string]any{"pid": cmd.Process.Pid, "signal": "SIGKILL"})
+	step("kill", "pid", eventlog.Int(int64(cmd.Process.Pid)), "signal", "SIGKILL")
 	if err := cmd.Process.Kill(); err != nil {
 		return nil, fmt.Errorf("killing daemon: %w", err)
 	}
@@ -245,26 +272,30 @@ func runChaos(o options) (*result, error) {
 	tKill := clk.Now()
 	log.Printf("3golpermitload: chaos — SIGKILLed daemon pid %d at %.2fs", cmd.Process.Pid, killAt.Seconds())
 
-	// Independent replay while the daemon is dead and the WAL
-	// quiescent: this is the pre-kill state the recovery must match.
-	states := make([]*wal.State, o.shards)
+	// While the daemon is dead and the WAL quiescent: count the pre-kill
+	// state with a read-only replay, and copy each shard's directory for
+	// verifyRecovery (the restart rewrites the originals).
+	copies := make([]string, o.shards)
 	var replayed int64
 	preKill := 0
-	for i := range states {
-		st, stats, err := wal.Replay(permitplane.ShardWALDir(o.walRoot, i))
+	for i := range copies {
+		dir := permitplane.ShardWALDir(o.walRoot, i)
+		st, stats, err := wal.Replay(dir)
+		if err == nil {
+			err = st.Check()
+		}
 		if err != nil {
-			return nil, fmt.Errorf("chaos: independent replay of shard %d: %w", i, err)
+			return nil, fmt.Errorf("chaos: replaying shard %d: %w", i, err)
 		}
-		if err := st.Check(); err != nil {
-			return nil, fmt.Errorf("chaos: independent replay of shard %d: %w", i, err)
-		}
-		states[i] = st
 		replayed += stats.RecordsReplayed
 		preKill += len(st.Grants)
-		ev.emit("replayed", map[string]any{
-			"shard": i, "grants": len(st.Grants), "seq": st.Seq,
-			"records": stats.RecordsReplayed, "torn_bytes": stats.TornBytes,
-		})
+		copies[i] = permitplane.ShardWALDir(filepath.Join(tmp, "copy"), i)
+		if err := copyDir(dir, copies[i]); err != nil {
+			return nil, fmt.Errorf("chaos: copying shard %d: %w", i, err)
+		}
+		step("replayed", "shard", eventlog.Int(int64(i)), "grants", eventlog.Int(int64(len(st.Grants))),
+			"seq", eventlog.Int(int64(st.Seq)), "records", eventlog.Int(stats.RecordsReplayed),
+			"torn_bytes", eventlog.Int(stats.TornBytes))
 	}
 
 	// Hold the daemon down for a real outage window. The replay above
@@ -282,7 +313,7 @@ func runChaos(o options) (*result, error) {
 		return nil, fmt.Errorf("chaos: restarting daemon: %w", err)
 	}
 	defer stdin2.Close()
-	ev.emit("daemon_restart", map[string]any{"pid": cmd2.Process.Pid})
+	step("daemon_restart", "pid", eventlog.Int(int64(cmd2.Process.Pid)))
 	if err := waitReady(clk, backendURL, 10*time.Second); err != nil {
 		cmd2.Process.Kill()
 		cmd2.Wait()
@@ -290,52 +321,31 @@ func runChaos(o options) (*result, error) {
 	}
 	outage := clk.Since(tKill)
 	f.phase.Store(phaseRecovered)
-	ev.emit("recovered", map[string]any{"outage_seconds": outage.Seconds()})
+	step("recovered", "outage_seconds", eventlog.Float(outage.Seconds()))
 	log.Printf("3golpermitload: chaos — daemon back after %.3fs outage", outage.Seconds())
 
-	// Cross-check every shard: the daemon's recovered state hash must
-	// equal our replay after filtering the TTL expiries that lapsed at
-	// the daemon's recovery instant. The daemon folded one OpExpire
-	// record per lapsed grant through Apply (advancing its sequence
-	// number and expiry counter), so the mirror is ExpireDue + the same
-	// seq and counter bumps.
-	shards, err := fetchShards(backendURL)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
 	ch := &chaosResult{
 		KillAtWallSeconds: killAt.Seconds(),
 		OutageSeconds:     outage.Seconds(),
 		PreKillGrants:     preKill,
 		ReplayedRecords:   replayed,
 	}
-	for _, ss := range shards {
-		rec := ss.Recovery
-		if rec == nil {
-			return nil, fmt.Errorf("chaos: shard %d reports no recovery stats after restart", ss.Shard)
-		}
-		if ss.Shard < 0 || ss.Shard >= len(states) {
-			return nil, fmt.Errorf("chaos: shard index %d outside the %d-shard plane", ss.Shard, len(states))
-		}
-		st := states[ss.Shard]
-		expired := st.ExpireDue(rec.RecoveredAt)
-		st.Seq += uint64(len(expired))
-		st.TotalExpiries += uint64(len(expired))
-		if h := permitplane.HashState(st); h != rec.StateHash {
-			return nil, fmt.Errorf("chaos: shard %d diverged across kill -9: independent replay %s, daemon recovered %s (%d grants vs %d)",
-				ss.Shard, h, rec.StateHash, len(st.Grants), rec.RecoveredGrants)
-		}
-		ch.ShardsVerified++
-		ch.RecoveredGrants += rec.RecoveredGrants
-		ch.ExpiredOnRecovery += rec.ExpiredOnRecovery
-		if rec.Seconds > ch.RecoverySeconds {
-			ch.RecoverySeconds = rec.Seconds
-		}
+	shards, err := fetchShards(backendURL)
+	if err == nil {
+		ch.ShardsVerified, err = verifyRecovery(copies, shards)
 	}
-	ev.emit("verified", map[string]any{
-		"shards": ch.ShardsVerified, "recovered_grants": ch.RecoveredGrants,
-		"expired_on_recovery": ch.ExpiredOnRecovery, "recovery_seconds": ch.RecoverySeconds,
-	})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	for _, ss := range shards {
+		ch.RecoveredGrants += ss.Recovery.RecoveredGrants
+		ch.ExpiredOnRecovery += ss.Recovery.ExpiredOnRecovery
+		ch.RecoverySeconds = max(ch.RecoverySeconds, ss.Recovery.Seconds)
+	}
+	step("verified", "shards", eventlog.Int(int64(ch.ShardsVerified)),
+		"recovered_grants", eventlog.Int(int64(ch.RecoveredGrants)),
+		"expired_on_recovery", eventlog.Int(int64(ch.ExpiredOnRecovery)),
+		"recovery_seconds", eventlog.Float(ch.RecoverySeconds))
 	log.Printf("3golpermitload: chaos — %d shards verified, %d grants recovered (%d expired during outage), slowest replay %.3fs",
 		ch.ShardsVerified, ch.RecoveredGrants, ch.ExpiredOnRecovery, ch.RecoverySeconds)
 
@@ -344,7 +354,7 @@ func runChaos(o options) (*result, error) {
 	<-fleetDone
 	cmd2.Process.Signal(syscall.SIGTERM)
 	cmd2.Wait()
-	ev.emit("daemon_stop", map[string]any{"pid": cmd2.Process.Pid})
+	step("daemon_stop", "pid", eventlog.Int(int64(cmd2.Process.Pid)))
 
 	for _, ws := range f.workers {
 		ch.ErrorsBeforeKill += ws.phaseErrors[phaseBeforeKill]
@@ -352,7 +362,7 @@ func runChaos(o options) (*result, error) {
 		ch.ErrorsAfterRecovery += ws.phaseErrors[phaseRecovered]
 		ch.DecisionsAfterRecovery += ws.phaseDecisions[phaseRecovered]
 	}
-	res := f.report(o)
+	res = f.report(o)
 	res.Chaos = ch
 	return res, nil
 }
@@ -377,8 +387,6 @@ func checkChaosSmoke(r *result) error {
 		return errors.New("no decisions after recovery — clients never came back")
 	case ch.RecoveredGrants == 0:
 		return errors.New("no grants survived the kill — the WAL recovered nothing")
-	case ch.ShardsVerified != r.Shards:
-		return fmt.Errorf("%d of %d shard state hashes verified", ch.ShardsVerified, r.Shards)
 	}
 	return nil
 }

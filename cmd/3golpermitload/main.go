@@ -133,7 +133,7 @@ func main() {
 		o.timescale = 120
 		if o.chaos {
 			// A chaos cycle needs enough wall time for the kill, the
-			// independent replay and a recovered-phase tail: 10 s.
+			// WAL replay and copy, and a recovered-phase tail: 10 s.
 			o.duration = 600
 			o.timescale = 60
 		}

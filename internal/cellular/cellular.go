@@ -243,64 +243,14 @@ type Cell struct {
 	peakUtilDL float64
 	peakUtilUL float64
 	attached   int
-	onloadDL   float64
-	onloadUL   float64
 }
 
-// refresh applies the current background utilisation — and any admitted
-// onloading load — to the shared channels.
+// refresh applies the current background utilisation to the shared
+// channels.
 func (c *Cell) refresh() {
 	shape := c.load.AtTime(c.bs.net.sim.Clock().Now())
-	c.dl.SetCapacity(capAfterLoad(c.nominalDL, shape*c.peakUtilDL, c.onloadDL))
-	c.ul.SetCapacity(capAfterLoad(c.nominalUL, shape*c.peakUtilUL, c.onloadUL))
-}
-
-// capAfterLoad deducts background utilisation and admitted onloading
-// load from a channel's nominal capacity, never dropping below the
-// 5% floor that clampUtil guarantees for background load alone.
-func capAfterLoad(nominal, bgUtil, onload float64) float64 {
-	remaining := nominal*(1-clampUtil(bgUtil)) - onload
-	if floor := nominal * 0.05; remaining < floor {
-		return floor
-	}
-	return remaining
-}
-
-// SetOnloadBps registers externally-admitted onloading load on the
-// sector's shared channels, in bits/s per direction. The permit plane's
-// admission loop calls it as permits are granted and as they expire, so
-// granted load feeds back into the very utilisation signal the next
-// grant decision reads — the closed network-integrated loop of §5.
-// Negative values clamp to zero.
-func (c *Cell) SetOnloadBps(dl, ul float64) {
-	if dl < 0 {
-		dl = 0
-	}
-	if ul < 0 {
-		ul = 0
-	}
-	c.onloadDL, c.onloadUL = dl, ul
-	c.refresh()
-}
-
-// LoadFactor reports, per direction, the fraction of the sector's
-// nominal shared capacity currently unavailable — background
-// subscribers, admitted onloading load, and active transfers combined.
-// Unlike Utilization, which only sees flows inside the fluid simulator,
-// it also accounts for capacity ceded to background load and onloading,
-// which is what makes it the permit plane's congestion signal.
-func (c *Cell) LoadFactor() (dl, ul float64) {
-	return 1 - c.DownlinkFree()/c.nominalDL, 1 - c.UplinkFree()/c.nominalUL
-}
-
-// Congestion is the max of the two LoadFactor directions — the scalar
-// the permit backend compares against its acceptance threshold.
-func (c *Cell) Congestion() float64 {
-	dl, ul := c.LoadFactor()
-	if ul > dl {
-		return ul
-	}
-	return dl
+	c.dl.SetCapacity(c.nominalDL * (1 - clampUtil(shape*c.peakUtilDL)))
+	c.ul.SetCapacity(c.nominalUL * (1 - clampUtil(shape*c.peakUtilUL)))
 }
 
 func clampUtil(u float64) float64 {

@@ -47,11 +47,6 @@ type Backend struct {
 	Events *eventlog.Log
 	// Clock times decisions for Metrics; nil selects the system clock.
 	Clock clock.Clock
-	// OnGrant, when non-nil, fires after each granted decision with the
-	// cell ID — the hook the permit plane's admission loop uses to feed
-	// granted load back into the cell-utilisation model. It is called
-	// from handler goroutines and must be safe for concurrent use.
-	OnGrant func(cellID string)
 	// Tags are extra attribute pairs appended to every decision's
 	// flight-recorder point (e.g. "shard", "3" in the sharded plane).
 	Tags []string
@@ -101,9 +96,6 @@ func (b *Backend) DecideN(ctx context.Context, n int, cell func(k int) string, o
 		if resp.Utilization < threshold {
 			resp.Granted, resp.TTLSeconds = true, ttl
 			granted++
-			if b.OnGrant != nil {
-				b.OnGrant(c)
-			}
 		}
 		if b.Events != nil {
 			tc, _ := eventlog.FromContext(ctx)

@@ -45,14 +45,9 @@ type Config struct {
 	// Threshold and TTL configure every shard's permit.Backend.
 	Threshold float64
 	TTL       time.Duration
-	// Utilization is the shared monitoring hook (UtilTable.Get,
-	// CellLoop.Utilization, or an operator's own). Required; must be
-	// safe for concurrent use.
+	// Utilization is the shared monitoring hook (UtilTable.Get or an
+	// operator's own). Required; must be safe for concurrent use.
 	Utilization func(cellID string) float64
-	// OnGrant, when non-nil, fires after every granted decision — the
-	// admission loop's feedback hook (CellLoop.OnGrant). Must be safe
-	// for concurrent use.
-	OnGrant func(cellID string)
 	// Clock times decisions; nil selects the system clock.
 	Clock clock.Clock
 	// Events, when non-nil, is the shared flight recorder: every
@@ -120,7 +115,6 @@ func New(cfg Config) *Sharded {
 				Metrics:     permit.NewMetrics(reg),
 				Events:      cfg.Events,
 				Clock:       cfg.Clock,
-				OnGrant:     cfg.OnGrant,
 				Tags:        []string{"shard", strconv.Itoa(i)},
 			},
 		})
@@ -369,8 +363,8 @@ type ShardStatus struct {
 	Outstanding int `json:"outstanding"`
 	// WALSeq is the last applied WAL sequence number.
 	WALSeq uint64 `json:"wal_seq"`
-	// StateHash is the SHA-256 of the canonical grant-state marshal —
-	// what the chaos harness compares against its independent replay.
+	// StateHash is the SHA-256 of the canonical grant-state marshal, so
+	// two observers can agree on a shard's whole grant state.
 	StateHash string `json:"state_hash,omitempty"`
 	// WALErrors counts failed WAL writes (durability degraded).
 	WALErrors int64 `json:"wal_errors,omitempty"`
@@ -458,16 +452,6 @@ func (s *Sharded) DecideDevice(ctx context.Context, device, cell string) permit.
 	resp := sh.backend.Decide(ctx, cell)
 	sh.store.RecordDecision(device, cell, resp.Granted, resp.TTLSeconds)
 	return resp
-}
-
-// SnapshotAll flushes every shard's grant state to disk — the graceful
-// drain hook. Memory-only planes no-op.
-//
-//3golvet:allow ctxprop — shutdown-path flush: runs after request serving stopped, must not be cancellable
-func (s *Sharded) SnapshotAll() {
-	for _, sh := range s.shards {
-		sh.store.Snapshot()
-	}
 }
 
 // Close flushes a final snapshot on every shard and closes the WALs.

@@ -14,9 +14,6 @@ const (
 	outcomeOK         = "ok"
 	outcomeBadRequest = "bad_request"
 
-	directionDL = "dl"
-	directionUL = "ul"
-
 	verdictStaleGrant = "stale_grant"
 	verdictFailClosed = "fail_closed"
 
@@ -26,11 +23,11 @@ const (
 
 // Metrics holds the permit plane's instruments; register with
 // NewMetrics. The families split into three roles — router-side (batch
-// RPC handling), client-side (cache behaviour) and admission-loop —
-// and any one process normally drives only one role's instruments, but
-// they register together so METRICS.md documents the whole plane and
-// so Sharded.MergedRegistry has a complete destination to merge into.
-// The zero Metrics records nothing.
+// RPC handling), client-side (cache behaviour) and the shard's grant
+// store and WAL — and any one process normally drives only one role's
+// instruments, but they register together so METRICS.md documents the
+// whole plane and so Sharded.MergedRegistry has a complete destination
+// to merge into. The zero Metrics records nothing.
 type Metrics struct {
 	// BatchRequests counts POST /permits/batch calls by outcome
 	// (ok | bad_request).
@@ -64,13 +61,6 @@ type Metrics struct {
 	// CacheProbes counts half-open probes a degraded cache issued, by
 	// result (ok | failed). An ok probe closes the breaker.
 	CacheProbes *obs.Counter
-
-	// ActiveGrants is the admission loop's count of live (unexpired)
-	// permits across all cells.
-	ActiveGrants *obs.Gauge
-	// AdmittedLoad is the onloading load the admission loop has fed
-	// back into the cell model, in bits/s, by direction (dl | ul).
-	AdmittedLoad *obs.Gauge
 
 	// OutstandingGrants is the shard's live (unexpired) permit count;
 	// the shard-merged dump sums to the plane-wide total.
@@ -125,11 +115,6 @@ func NewMetrics(r *obs.Registry) Metrics {
 			"verdict"),
 		CacheProbes: r.NewCounter("permitplane_cache_probes_total",
 			"Half-open probes issued by a degraded permit cache, by result (ok | failed).", "result"),
-		ActiveGrants: r.NewGauge("permitplane_active_grants",
-			"Live (unexpired) permits the admission loop is carrying across all cells."),
-		AdmittedLoad: r.NewGauge("permitplane_admitted_load_bps",
-			"Onloading load the admission loop has fed back into the cell model, by direction (dl | ul).",
-			"direction"),
 		OutstandingGrants: r.NewGauge("permitplane_outstanding_grants",
 			"Live (unexpired) permits tracked by the shard's grant store; shard-merged dumps sum to the plane total."),
 		WALRecords: r.NewCounter("permitplane_wal_records_total",
@@ -174,12 +159,6 @@ func (m *Metrics) cacheRefreshed(granted bool, err error, proactive bool) {
 	if proactive {
 		m.CacheProactive.Inc()
 	}
-}
-
-func (m *Metrics) admitted(activeGrants int, dlBps, ulBps float64) {
-	m.ActiveGrants.Set(float64(activeGrants))
-	m.AdmittedLoad.With(directionDL).Set(dlBps)
-	m.AdmittedLoad.With(directionUL).Set(ulBps)
 }
 
 func (m *Metrics) cacheDegradedServed(staleGrant bool) {

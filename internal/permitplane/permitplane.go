@@ -19,11 +19,9 @@
 //     refresh coalescing, and stale-while-refresh serving, so a
 //     refresh never stalls the request path and a backend restart
 //     never sees a thundering herd.
-//   - The closed admission loop. CellLoop wires internal/cellular into
-//     the decision path: utilisation comes from the live cell model,
-//     and every granted permit feeds its expected load back into the
-//     cell, so the grant ratio falls as cells fill — the paper's
-//     network-integrated mode, end-to-end.
+//   - Durability. Each shard's GrantStore is the plane's one grant
+//     ledger: every decision is folded into it, and with a WAL
+//     directory it survives a crash and replays at boot.
 //
 // cmd/3golpermitd hosts a Sharded plane (-shards N); cmd/3golpermitload
 // drives one with ≥100k simulated clients.

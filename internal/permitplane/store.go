@@ -435,8 +435,8 @@ func (s *GrantStore) WALErrors() int64 {
 
 // HashState is the SHA-256 of a state's canonical marshal — the same
 // digest StateHash and Recovery.StateHash report, exported so an
-// independent replayer (the chaos harness) can compare entire shard
-// states by fingerprint.
+// independent read-only replay (wal.Replay) can be compared with a
+// shard's state by fingerprint.
 func HashState(st *wal.State) string {
 	sum := sha256.Sum256(st.Marshal())
 	return hex.EncodeToString(sum[:])

@@ -118,7 +118,7 @@ func TestGrantStoreRecovery(t *testing.T) {
 	}
 
 	// An independent read-only replay filtered at the recovery instant
-	// must agree — the exact invariant the chaos harness asserts.
+	// must agree.
 	st, _, err := wal.Replay(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -63,11 +63,13 @@
 #      every client served, mixed grant/deny split); the JSON report is
 #      left at bench-permit-smoke.json for CI artifact upload
 #  13. permit chaos smoke — 3golpermitload -chaos spawns a real
-#      3golpermitd with a WAL, SIGKILLs it mid-load, independently
-#      replays the WAL, restarts the daemon and cross-checks every
-#      shard's recovered state hash; the command exits non-zero on any
-#      recovery-invariant violation. The lifecycle eventlog is left at
-#      chaos-permit-events.jsonl for CI artifact upload
+#      3golpermitd with a WAL, SIGKILLs it mid-load, copies the WAL,
+#      restarts the daemon and recovers every shard's copy with the
+#      daemon's own OpenGrantStore at its recovery instant, which must
+#      match the daemon's state hash and counts; the command exits
+#      non-zero on any recovery-invariant violation. The lifecycle
+#      eventlog is left at chaos-permit-events.jsonl for CI artifact
+#      upload and piped through 3goltrace -check
 #  14. metrics docs — METRICS.md must match the live registry
 #      (3golobs gen-docs -check)
 #  15. package docs — every package must carry a godoc comment
@@ -177,11 +179,13 @@ echo '==> permit chaos smoke (3golpermitload -chaos kill/recover invariants)'
 # replays to exactly the pre-kill grant state (modulo TTL expiries),
 # and that the client fleet rides through the outage without crashes or
 # double-counted outcomes. The harness exits non-zero on any violation.
+# Its lifecycle eventlog must pass the trace analyzer's checks too.
 permitd=$(mktemp)
 go build -o "$permitd" ./cmd/3golpermitd
 timeout 120 go run ./cmd/3golpermitload -chaos -smoke -permitd "$permitd" \
     -events chaos-permit-events.jsonl > /dev/null
 rm -f "$permitd"
+go run ./cmd/3goltrace -check chaos-permit-events.jsonl
 
 echo '==> metrics docs (3golobs gen-docs -check)'
 # METRICS.md is rendered from the live metric registry; adding, renaming
