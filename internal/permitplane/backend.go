@@ -203,15 +203,22 @@ func (s *Sharded) serveSingle(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchScratch is what one serveBatch call works in and the next can
-// reuse: both bodies, the decoded requests, the decisions and the
-// per-shard index lists. A handler owns its scratch from the pool until
-// it has written the response — the ResponseWriter keeps nothing of a
-// Write after it returned — and nothing else keeps a slice of it (the
-// grant store and the hooks keep ID strings, which are never recycled).
+// reuse: both bodies, the decoded requests, the cell table, the
+// decisions and the per-shard index lists. A handler owns its scratch
+// from the pool until it has written the response — the ResponseWriter
+// keeps nothing of a Write after it returned.
+//
+// The IDs follow one ownership rule. A request's device is a slice of
+// body, valid until the scratch goes back to the pool: nothing may keep
+// one past the grant store's RecordDecisions, and the one decision that
+// keeps its device, a first grant, copies it into a string of its own.
+// Cells are strings (the table's, or the request's own past its bound),
+// never recycled, so the store and the hooks may keep them.
 type batchScratch struct {
 	body      wireBuf
 	out       []byte
-	reqs      []PermitRequest
+	reqs      []serverRequest
+	cells     cellTable
 	decisions []permit.Response
 	byShard   [][]int
 }
@@ -219,12 +226,12 @@ type batchScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // putScratch recycles sc unless a rare huge batch grew it past what is
-// worth keeping (the body bounds what was decoded from it).
+// worth keeping.
 func putScratch(sc *batchScratch) {
-	if cap(sc.body.b) > maxWireKeep || cap(sc.out) > maxWireKeep {
+	if cap(sc.body.b) > maxWireKeep || cap(sc.out) > maxWireKeep || cap(sc.reqs) > MaxBatch+1 {
 		return
 	}
-	clear(sc.reqs[:cap(sc.reqs)]) // let go of the ID strings
+	clear(sc.reqs[:cap(sc.reqs)]) // let go of copied devices and untabled cells
 	scratchPool.Put(sc)
 }
 
@@ -251,10 +258,8 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusBadRequest, fmt.Sprintf("malformed batch: %v", err))
 		return
 	}
-	reqs, ok := parseBatchRequest(sc.body.b, sc.reqs)
-	if ok {
-		sc.reqs = reqs
-	} else {
+	reqs, ok := parseBatchRequest(sc.body.b, sc.reqs, &sc.cells)
+	if !ok {
 		// Not the canonical shape: encoding/json decides, reading the
 		// first value of the body as it always has.
 		var plain plainBatchRequest
@@ -262,8 +267,9 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 			reject(http.StatusBadRequest, fmt.Sprintf("malformed batch: %v", err))
 			return
 		}
-		reqs = plain.Requests
+		reqs = serverRequests(sc.reqs, plain.Requests)
 	}
+	sc.reqs = reqs
 	if len(reqs) == 0 {
 		reject(http.StatusBadRequest, "empty batch")
 		return
@@ -273,11 +279,11 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, pr := range reqs {
-		if pr.Cell == "" {
+		if pr.cell == "" {
 			reject(http.StatusBadRequest, fmt.Sprintf("request %d: missing cell", i))
 			return
 		}
-		if len(pr.Device) > wal.MaxIDLen || len(pr.Cell) > wal.MaxIDLen {
+		if len(pr.device) > wal.MaxIDLen || len(pr.cell) > wal.MaxIDLen {
 			reject(http.StatusBadRequest, fmt.Sprintf("request %d: device or cell ID exceeds %d bytes", i, wal.MaxIDLen))
 			return
 		}
@@ -299,7 +305,7 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 		sc.byShard[si] = sc.byShard[si][:0]
 	}
 	for i, pr := range reqs {
-		idx := ShardOf(pr.Cell, len(s.shards))
+		idx := ShardOf(pr.cell, len(s.shards))
 		sc.byShard[idx] = append(sc.byShard[idx], i)
 	}
 	if cap(sc.decisions) < len(reqs) {
@@ -315,7 +321,7 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 		go func(sh *shard, indices []int) {
 			defer wg.Done()
 			sh.backend.DecideN(ctx, len(indices),
-				func(k int) string { return reqs[indices[k]].Cell },
+				func(k int) string { return reqs[indices[k]].cell },
 				func(k int, r permit.Response) { decisions[indices[k]] = r })
 			sh.store.RecordDecisions(reqs, decisions, indices)
 		}(s.shards[si], indices)

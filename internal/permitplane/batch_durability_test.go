@@ -89,10 +89,10 @@ func TestFailedBatchWriteDegradesAsAUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	slice := func(prefix string, n int) ([]PermitRequest, []int) {
-		reqs, indices := make([]PermitRequest, n), make([]int, n)
+	slice := func(prefix string, n int) ([]serverRequest, []int) {
+		reqs, indices := make([]serverRequest, n), make([]int, n)
 		for i := range reqs {
-			reqs[i], indices[i] = PermitRequest{Device: fmt.Sprintf("%s-%02d", prefix, i), Cell: "cell"}, i
+			reqs[i], indices[i] = serverRequest{device: fmt.Appendf(nil, "%s-%02d", prefix, i), cell: "cell"}, i
 		}
 		return reqs, indices
 	}

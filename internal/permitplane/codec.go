@@ -45,7 +45,10 @@ type (
 // UnmarshalJSON implements json.Unmarshaler: the shape parser, or
 // encoding/json for anything it does not take.
 func (r *BatchRequest) UnmarshalJSON(data []byte) error {
-	if reqs, ok := parseBatchRequest(data, nil); ok {
+	reqs := make([]PermitRequest, 0, wireCap(data))
+	if walkBatchRequest(data, func(device, cell []byte) {
+		reqs = append(reqs, PermitRequest{Device: string(device), Cell: string(cell)})
+	}) {
 		r.Requests = reqs
 		return nil
 	}
@@ -241,22 +244,23 @@ func (p *wireParser) end() bool {
 	return p.i == len(p.b)
 }
 
-// str consumes a string of plain bytes.
-func (p *wireParser) str() (string, bool) {
+// raw consumes a string of plain bytes and returns them in place: a
+// slice of the body, not a copy.
+func (p *wireParser) raw() ([]byte, bool) {
 	if !p.lit(`"`) {
-		return "", false
+		return nil, false
 	}
 	for j := p.i; j < len(p.b); j++ {
 		if c := p.b[j]; !wirePlain[c] {
 			if c != '"' {
-				return "", false
+				return nil, false
 			}
-			s := string(p.b[p.i:j])
+			b := p.b[p.i:j]
 			p.i = j + 1
-			return s, true
+			return b, true
 		}
 	}
-	return "", false
+	return nil, false
 }
 
 // boolean consumes true or false.
@@ -351,34 +355,97 @@ func wireCap(data []byte) int {
 	return min(bytes.Count(data, []byte{'{'}), MaxBatch+1)
 }
 
-// parseBatchRequest decodes a BatchRequest body of the canonical shape
-// into into[:0] (allocating when that is too small) and reports whether
-// the body had that shape.
-func parseBatchRequest(data []byte, into []PermitRequest) ([]PermitRequest, bool) {
-	p := wireParser{b: data}
-	if n := wireCap(data); cap(into) < n {
-		into = make([]PermitRequest, 0, n)
+// serverRequest is a PermitRequest as the server holds it: the device's
+// bytes where the parse found them — inside the request body, so
+// nothing may keep them past the grant store's RecordDecisions (see
+// batchScratch) — and the cell as a string, for the monitoring hook.
+type serverRequest struct {
+	device []byte
+	cell   string
+}
+
+// serverRequests converts decoded PermitRequests into the server's form
+// in into[:0]: encoding/json's path, which copies each device.
+func serverRequests(into []serverRequest, reqs []PermitRequest) []serverRequest {
+	into = into[:0]
+	for _, pr := range reqs {
+		into = append(into, serverRequest{device: []byte(pr.Device), cell: pr.Cell})
 	}
-	reqs := into[:0]
-	ok := p.list(`{"requests":[`, func() bool {
+	return into
+}
+
+// cellTable hands out the cell IDs a scratch's batches name: a cell the
+// table holds costs a map lookup by the body's bytes, not a string. It
+// rests on one property of real traffic, that the cells a permit plane
+// serves are few next to the requests naming them, so after the first
+// batches every cell is a hit. A table belongs to one scratch, and so
+// to one handler at a time: it has no lock.
+type cellTable struct {
+	names map[string]string
+	size  int // bytes charged to names
+}
+
+// cellTableBytes bounds a table: each name is charged its length plus
+// 32 bytes for its entry, so ~1 600 cells of ordinary IDs. A cell past
+// the bound is a string per request.
+const cellTableBytes = 64 << 10
+
+// cell returns the string of a cell ID.
+func (t *cellTable) cell(b []byte) string {
+	if name, ok := t.names[string(b)]; ok {
+		return name
+	}
+	name := string(b)
+	if cost := len(name) + 32; t.size+cost <= cellTableBytes {
+		if t.names == nil {
+			t.names = make(map[string]string)
+		}
+		t.names[name] = name
+		t.size += cost
+	}
+	return name
+}
+
+// walkBatchRequest walks a BatchRequest body of the canonical shape,
+// handing add each request's device and cell, in order, as slices of
+// data, and reports whether the body had that shape.
+func walkBatchRequest(data []byte, add func(device, cell []byte)) bool {
+	p := wireParser{b: data}
+	return p.list(`{"requests":[`, func() bool {
 		if !p.lits(`{"device":`) {
 			return false
 		}
-		device, ok := p.str()
+		device, ok := p.raw()
 		if !ok || !p.lits(`,"cell":`) {
 			return false
 		}
-		cell, ok := p.str()
+		cell, ok := p.raw()
 		if !ok || !p.lit("}") {
 			return false
 		}
-		reqs = append(reqs, PermitRequest{Device: device, Cell: cell})
+		add(device, cell)
 		return true
+	})
+}
+
+// parseBatchRequest is the server's decode of a BatchRequest body of the
+// canonical shape: into into[:0] (allocating when that is too small),
+// devices in place and cells from cells. It reports whether the body had
+// that shape.
+func parseBatchRequest(data []byte, into []serverRequest, cells *cellTable) ([]serverRequest, bool) {
+	if n := wireCap(data); cap(into) < n {
+		into = make([]serverRequest, 0, n)
+	}
+	reqs := into[:0]
+	ok := walkBatchRequest(data, func(device, cell []byte) {
+		reqs = append(reqs, serverRequest{device: device, cell: cells.cell(cell)})
 	})
 	return reqs, ok
 }
 
-// parseBatchResponse is parseBatchRequest for a BatchResponse body.
+// parseBatchResponse decodes a BatchResponse body of the canonical shape
+// into into[:0] (allocating when that is too small) and reports whether
+// the body had that shape.
 func parseBatchResponse(data []byte, into []permit.Response) ([]permit.Response, bool) {
 	p := wireParser{b: data}
 	if n := wireCap(data); cap(into) < n {

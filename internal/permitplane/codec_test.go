@@ -96,7 +96,10 @@ func TestCodecRefusesNaNAndInf(t *testing.T) {
 // checkWireDecode holds both decoders to encoding/json on one body:
 // same error-ness, DeepEqual values — through json.Unmarshal (the
 // UnmarshalJSON methods) and through the shape parsers directly, whose
-// "mine" must mean exactly what encoding/json decodes.
+// "mine" must mean exactly what encoding/json decodes. The request
+// parser is the server's: it runs twice with one cell table, missing
+// and then hitting, and both times what it takes — devices in place in
+// the body, cells from the table — must be encoding/json's requests.
 func checkWireDecode(t *testing.T, data []byte) {
 	t.Helper()
 	var req BatchRequest
@@ -108,8 +111,11 @@ func checkWireDecode(t *testing.T, data []byte) {
 	if err == nil && !reflect.DeepEqual(req.Requests, plainReq.Requests) {
 		t.Fatalf("request %q: decoded %#v, encoding/json %#v", data, req.Requests, plainReq.Requests)
 	}
-	if reqs, ok := parseBatchRequest(data, nil); ok && (plainErr != nil || !reflect.DeepEqual(reqs, plainReq.Requests)) {
-		t.Fatalf("request %q: shape parser took it as %#v, encoding/json %#v (err %v)", data, reqs, plainReq.Requests, plainErr)
+	var cells cellTable
+	for pass := 0; pass < 2; pass++ {
+		if reqs, ok := parseBatchRequest(data, nil, &cells); ok && (plainErr != nil || !sameRequests(data, reqs, plainReq.Requests)) {
+			t.Fatalf("request %q: shape parser took it as %#v, encoding/json %#v (err %v)", data, reqs, plainReq.Requests, plainErr)
+		}
 	}
 
 	var resp BatchResponse
@@ -126,12 +132,28 @@ func checkWireDecode(t *testing.T, data []byte) {
 	}
 }
 
+// sameRequests reports whether the server's parse of body took exactly
+// want: the same IDs in the same order, every device a slice of body.
+func sameRequests(body []byte, got []serverRequest, want []PermitRequest) bool {
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		return false
+	}
+	for i, r := range got {
+		inPlace := len(r.device) == 0 || cap(r.device) <= cap(body) && &body[cap(body)-cap(r.device)] == &r.device[0]
+		if !inPlace || string(r.device) != want[i].Device || r.cell != want[i].Cell {
+			return false
+		}
+	}
+	return true
+}
+
 // TestCodecTakesItsOwnBodies requires the shape parsers to take the
 // bodies this repository's encoders write: the fast path has to be the
 // common path, not only a correct one.
 func TestCodecTakesItsOwnBodies(t *testing.T) {
 	reqs := []PermitRequest{{Device: "dev-000001", Cell: "cell-001"}, {Device: "a b+c#d", Cell: "del\x7f"}}
-	if got, ok := parseBatchRequest(appendBatchRequest(nil, reqs), nil); !ok || !reflect.DeepEqual(got, reqs) {
+	body := appendBatchRequest(nil, reqs)
+	if got, ok := parseBatchRequest(body, nil, &cellTable{}); !ok || !sameRequests(body, got, reqs) {
 		t.Errorf("shape parser left an encoder-written request body to encoding/json (ok=%t, %v)", ok, got)
 	}
 	decisions := []permit.Response{{Granted: true, TTLSeconds: 180, Utilization: 0.2}, {Utilization: 1e-9}}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,34 +56,52 @@ func (t *UtilTable) Len() int {
 	return len(t.util)
 }
 
+// maxFeedLine bounds a feed line: one of this many bytes or more,
+// newline aside, is malformed and skipped.
+const maxFeedLine = 64 << 10
+
 // ReadFeed consumes "cellID utilisation" lines from r into t until EOF
-// or a read error. Malformed lines are counted and reported through
-// logf (nil discards); a read failure is returned — unlike the old
-// silent stdin loop, the caller can tell a finished feed from a broken
-// one, so updates never just stop without a trace in the log.
+// or a read error. Malformed lines — not two fields, a utilisation that
+// is not a finite number ≥ 0, or a line of maxFeedLine bytes or more —
+// are skipped, counted and reported through logf (nil discards); the
+// feed goes on. A read failure is returned — unlike the old silent
+// stdin loop, the caller can tell a finished feed from a broken one, so
+// updates never just stop without a trace in the log.
 func ReadFeed(r io.Reader, t *UtilTable, logf func(format string, args ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	sc := bufio.NewScanner(r)
+	br := bufio.NewReaderSize(r, maxFeedLine)
 	malformed := 0
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
+	skip := func(format string, args ...any) {
+		malformed++
+		if malformed <= 10 {
+			logf(format, args...)
 		}
-		u, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if len(fields) != 2 || err != nil || u < 0 {
-			malformed++
-			if malformed <= 10 {
-				logf("permitplane: malformed feed line %q", sc.Text())
-			}
-			continue
-		}
-		t.Set(fields[0], u)
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("permitplane: utilisation feed read failed: %w", err)
+	for {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			n := len(line)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				n += len(line)
+			}
+			skip("permitplane: malformed feed line of %d bytes (limit %d)", n, maxFeedLine)
+		} else if fields := strings.Fields(string(line)); len(fields) > 0 {
+			u, perr := strconv.ParseFloat(fields[len(fields)-1], 64)
+			if len(fields) != 2 || perr != nil || u < 0 || math.IsNaN(u) || math.IsInf(u, 0) {
+				skip("permitplane: malformed feed line %q", strings.TrimSuffix(string(line), "\n"))
+			} else {
+				t.Set(fields[0], u)
+			}
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("permitplane: utilisation feed read failed: %w", err)
+		}
 	}
 	if malformed > 0 {
 		logf("permitplane: feed ended (%d malformed lines skipped)", malformed)

@@ -28,8 +28,8 @@ const DefaultSnapshotEvery = 8192
 // drained at the top of every mutation (and by ExpireDue), so TTL
 // lapses are observed in (expiry, device, cell) order without a
 // background timer. The store keeps no index of its own: one map lookup
-// finds a decision's grant, and the state folds the record into that
-// grant in place.
+// (wal.State.Lookup, keyed on the stack) finds a decision's grant, and
+// the state folds the record into that grant in place.
 //
 // The unit of work is a slice of decisions, not a decision: one lock,
 // one clock read, one expiry drain, every record staged into the log's
@@ -162,12 +162,12 @@ func (s *GrantStore) Recovery() Recovery {
 }
 
 // RecordDecision folds one permit decision into the grant state: a
-// slice of one through RecordDecisions.
+// slice of one, in the handler's form, through RecordDecisions.
 //
 //3golvet:allow ctxprop — the WAL append must stay ordered with the decision it records; cancelling it mid-write would desynchronise log and state
 func (s *GrantStore) RecordDecision(device, cell string, granted bool, ttlSeconds float64) {
 	s.RecordDecisions(
-		[]PermitRequest{{Device: device, Cell: cell}},
+		[]serverRequest{{device: []byte(device), cell: cell}},
 		[]permit.Response{{Granted: granted, TTLSeconds: ttlSeconds}},
 		[]int{0})
 }
@@ -187,8 +187,12 @@ func (s *GrantStore) RecordDecision(device, cell string, granted bool, ttlSecond
 // advances, see applyLocked). Callers serve the decisions only after
 // RecordDecisions returned — append-before-serve at slice granularity.
 //
+// The requests are the handler's, devices in place in its request body:
+// RecordDecisions keeps no slice of them (a first grant copies its
+// device; a refresh or a revoke stages the held grant's own strings).
+//
 //3golvet:allow ctxprop — the WAL append must stay ordered with the decisions it records; cancelling it mid-write would desynchronise log and state
-func (s *GrantStore) RecordDecisions(reqs []PermitRequest, resps []permit.Response, indices []int) {
+func (s *GrantStore) RecordDecisions(reqs []serverRequest, resps []permit.Response, indices []int) {
 	if s == nil {
 		return
 	}
@@ -204,11 +208,11 @@ func (s *GrantStore) RecordDecisions(reqs []PermitRequest, resps []permit.Respon
 }
 
 // tracked reports whether a decision on pr can be recorded.
-func (s *GrantStore) tracked(pr PermitRequest) bool {
-	if pr.Device == "" {
+func (s *GrantStore) tracked(pr serverRequest) bool {
+	if len(pr.device) == 0 {
 		return false
 	}
-	if len(pr.Device) > wal.MaxIDLen || len(pr.Cell) > wal.MaxIDLen {
+	if len(pr.device) > wal.MaxIDLen || len(pr.cell) > wal.MaxIDLen {
 		// An oversized ID can be framed neither in a WAL record nor in
 		// a snapshot (both carry uint16 length fields); even holding it
 		// in memory would poison the next snapshot. The decision goes
@@ -221,14 +225,14 @@ func (s *GrantStore) tracked(pr PermitRequest) bool {
 
 // recordFrom is RecordDecisions from the slice's first tracked decision
 // (indices[0]) on.
-func (s *GrantStore) recordFrom(reqs []PermitRequest, resps []permit.Response, indices []int) {
+func (s *GrantStore) recordFrom(reqs []serverRequest, resps []permit.Response, indices []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.clk.Now()
 	s.drainLocked(now.UnixNano())
 	for k, i := range indices {
 		if k == 0 || s.tracked(reqs[i]) {
-			s.foldLocked(now, reqs[i].Device, reqs[i].Cell, resps[i].Granted, resps[i].TTLSeconds)
+			s.foldLocked(now, reqs[i].device, reqs[i].cell, resps[i].Granted, resps[i].TTLSeconds)
 		}
 	}
 	s.commitLocked() //3golvet:allow lockio — the slice's one WAL write is the durability point: it must stay ordered with the state mutations it records, under the per-shard lock; bounded local file I/O
@@ -237,21 +241,22 @@ func (s *GrantStore) recordFrom(reqs []PermitRequest, resps []permit.Response, i
 }
 
 // foldLocked stages and applies one tracked decision made at now. Its
-// one hash is the lookup of the decision's grant, which the state then
-// updates in place; the key stays on the stack, and only a first grant
-// has to keep one.
-func (s *GrantStore) foldLocked(now time.Time, device, cell string, granted bool, ttlSeconds float64) {
-	g := s.state.Grants[wal.Key(device, cell)]
+// one hash is the lookup of the decision's grant, keyed on the stack,
+// which the state then updates in place. A refresh or a revoke records
+// the grant's own strings; only a first grant, which keeps its IDs,
+// turns the device into a string of its own.
+func (s *GrantStore) foldLocked(now time.Time, device []byte, cell string, granted bool, ttlSeconds float64) {
+	g := s.state.Lookup(device, cell)
 	switch {
 	case granted:
-		op := wal.OpGrant
-		if g != nil {
-			op = wal.OpRefresh
-		}
 		expiry := now.Add(time.Duration(ttlSeconds * float64(time.Second))).UnixNano()
-		s.applyLocked(g, op, device, cell, now.UnixNano(), expiry)
+		if g == nil {
+			s.applyLocked(nil, wal.OpGrant, string(device), cell, now.UnixNano(), expiry)
+		} else {
+			s.applyLocked(g, wal.OpRefresh, g.Device, g.Cell, now.UnixNano(), expiry)
+		}
 	case g != nil:
-		s.applyLocked(g, wal.OpRevoke, device, cell, now.UnixNano(), 0)
+		s.applyLocked(g, wal.OpRevoke, g.Device, g.Cell, now.UnixNano(), 0)
 	}
 }
 

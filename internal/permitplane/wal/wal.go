@@ -103,9 +103,11 @@ const (
 	maxPayload  = 1 << 16
 )
 
-// maxStagedKeep is the largest staging buffer a Log keeps between
-// commits (a full 512-record slice of ordinary IDs is ~40 KB).
-const maxStagedKeep = 1 << 20
+// maxBufKeep is the largest buffer a Log keeps for reuse: its staging
+// buffer between commits (a full 512-record slice of ordinary IDs is
+// ~40 KB) and its snapshot buffer between compactions (~46 bytes a
+// grant of ordinary IDs).
+const maxBufKeep = 1 << 20
 
 // MaxIDLen bounds the device and cell identifiers a record may carry.
 // The frame stores each length in a uint16 and caps the whole payload
@@ -236,8 +238,10 @@ type Log struct {
 	sealed bool
 	// staged holds the frames of the stagedN records Stage has numbered
 	// and Commit has not yet written.
-	staged    []byte
-	stagedN   int
+	staged  []byte
+	stagedN int
+	// snap holds the last snapshot's bytes, kept for the next one.
+	snap      []byte
 	recovered RecoveryStats
 }
 
@@ -399,7 +403,7 @@ func (l *Log) Commit() error {
 	}
 	frames, n := l.staged, l.stagedN
 	l.staged, l.stagedN = l.staged[:0], 0
-	if cap(frames) > maxStagedKeep {
+	if cap(frames) > maxBufKeep {
 		l.staged = nil // one huge batch must not pin its buffer for good
 	}
 	if _, err := l.f.Write(frames); err != nil {
@@ -464,10 +468,14 @@ func (l *Log) SkipTo(seq uint64) {
 // truncates the log: every record the snapshot covers is compacted
 // away. A crash at any point leaves a recoverable directory — the old
 // snapshot until the rename, skipped duplicate records until the
-// truncation.
+// truncation. The bytes are built in a buffer the log keeps for the
+// next compaction.
 func (l *Log) WriteSnapshot(st *State) error {
 	tmp := filepath.Join(l.dir, snapTempName)
-	buf := st.marshalSnapshot()
+	buf := st.appendSnapshot(l.snap[:0])
+	if l.snap = buf[:0]; cap(buf) > maxBufKeep {
+		l.snap = nil // one huge state must not pin its buffer for good
+	}
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: creating snapshot temp: %w", err)
@@ -553,15 +561,42 @@ type expiryBucket struct {
 	prev, next *expiryBucket
 }
 
-// Key is the grant map key: a permit authorises one device to onload
-// via one cell, so state is keyed by the (device, cell) pair. Keying by
-// device alone would make shard-merged totals depend on the shard
-// count (shards own cells, so one device's grants in two cells live in
-// two shards) and break the byte-identical merge guarantee. The
-// device's length (a frame holds at most 65535) leads as two bytes, so
-// no ID byte can move the boundary between device and cell.
+// appendKey appends the grant map key of (device, cell) to dst. A
+// permit authorises one device to onload via one cell, so state is
+// keyed by the pair. Keying by device alone would make shard-merged
+// totals depend on the shard count (shards own cells, so one device's
+// grants in two cells live in two shards) and break the byte-identical
+// merge guarantee. The device's length (a frame holds at most 65535)
+// leads as two bytes, so no ID byte can move the boundary between
+// device and cell. This is the one definition of the layout: Key and
+// every lookup build their keys here.
+func appendKey[ID []byte | string](dst []byte, device ID, cell string) []byte {
+	dst = append(dst, byte(len(device)>>8), byte(len(device)))
+	dst = append(dst, device...)
+	return append(dst, cell...)
+}
+
+// keyRoom is the stack room a key is built in; longer IDs spill to the
+// heap.
+const keyRoom = 128
+
+// Key is the grant map key of (device, cell) as a string of its own.
 func Key(device, cell string) string {
-	return string([]byte{byte(len(device) >> 8), byte(len(device))}) + device + cell
+	var room [keyRoom]byte
+	return string(appendKey(room[:0], device, cell))
+}
+
+// lookup finds the grant of (device, cell), nil if none, with the key
+// built on the stack: a lookup allocates nothing.
+func lookup[ID []byte | string](grants map[string]*Grant, device ID, cell string) *Grant {
+	var room [keyRoom]byte
+	return grants[string(appendKey(room[:0], device, cell))]
+}
+
+// forget deletes the grant of (device, cell), keyed on the stack.
+func forget(grants map[string]*Grant, device, cell string) {
+	var room [keyRoom]byte
+	delete(grants, string(appendKey(room[:0], device, cell)))
 }
 
 // State is the replayable shard state: outstanding grants keyed by
@@ -592,9 +627,16 @@ func NewState() *State {
 	return st
 }
 
+// Lookup returns the grant of (device, cell), nil if none. The device
+// is bytes so a caller holding an ID in a buffer need not make it a
+// string to find its grant; the lookup allocates nothing.
+func (st *State) Lookup(device []byte, cell string) *Grant {
+	return lookup(st.Grants, device, cell)
+}
+
 // Apply folds one record into the state: a lookup plus ApplyTo.
 func (st *State) Apply(r Record) {
-	st.ApplyTo(st.Grants[Key(r.Device, r.Cell)], r)
+	st.ApplyTo(lookup(st.Grants, r.Device, r.Cell), r)
 }
 
 // ApplyTo folds one record into the state, given g =
@@ -627,7 +669,7 @@ func (st *State) ApplyTo(g *Grant, r Record) {
 		}
 		if g != nil {
 			st.unindex(g)
-			delete(st.Grants, Key(r.Device, r.Cell))
+			forget(st.Grants, r.Device, r.Cell)
 		}
 	}
 	st.Seq = r.Seq
@@ -682,7 +724,7 @@ func (st *State) ExpireDue(now int64) []Grant {
 	for b := st.expiry.next; b != &st.expiry && b.at <= now; b = st.expiry.next {
 		slices.SortFunc(b.grants, byDeviceCell)
 		for i, g := range b.grants {
-			delete(st.Grants, Key(g.Device, g.Cell))
+			forget(st.Grants, g.Device, g.Cell)
 			g.bucket, g.slot, b.grants[i] = nil, 0, nil
 			due = append(due, *g)
 		}
@@ -700,16 +742,6 @@ func byDeviceCell(a, b *Grant) int {
 	return strings.Compare(a.Cell, b.Cell)
 }
 
-// sortedGrants returns the grants in the order of order.
-func (st *State) sortedGrants(order func(a, b *Grant) int) []*Grant {
-	gs := make([]*Grant, 0, len(st.Grants))
-	for _, g := range st.Grants {
-		gs = append(gs, g)
-	}
-	slices.SortFunc(gs, order)
-	return gs
-}
-
 // Check verifies that the map and the expiry index agree: every grant
 // indexed once, in its expiry's bucket; buckets ascending, none empty.
 func (st *State) Check() error {
@@ -719,7 +751,7 @@ func (st *State) Check() error {
 			return fmt.Errorf("wal: expiry bucket %d is mislinked, empty or out of order", b.at)
 		}
 		for i, g := range b.grants {
-			if g.bucket != b || g.slot != i || g.Expiry != b.at || st.Grants[Key(g.Device, g.Cell)] != g {
+			if g.bucket != b || g.slot != i || g.Expiry != b.at || lookup(st.Grants, g.Device, g.Cell) != g {
 				return fmt.Errorf("wal: grant (%q, %q) expiring at %d is misindexed in bucket %d", g.Device, g.Cell, g.Expiry, b.at)
 			}
 		}
@@ -735,41 +767,52 @@ func (st *State) Check() error {
 // line per outstanding grant in (device, cell) order, IDs quoted. Two
 // states marshal to identical bytes exactly when they hold the same
 // grants, seq and counters — the "byte-identical replay" pin the
-// recovery tests and the chaos harness's hash comparison rest on.
+// recovery tests and the chaos harness's hash comparison rest on. It is
+// the state's one canonical order: the snapshot file keeps the index's.
 func (st *State) Marshal() []byte {
 	buf := fmt.Appendf(nil, "seq=%d grants=%d total=%d/%d/%d/%d\n",
 		st.Seq, len(st.Grants),
 		st.TotalGrants, st.TotalRefreshes, st.TotalRevokes, st.TotalExpiries)
-	for _, g := range st.sortedGrants(byDeviceCell) {
+	gs := make([]*Grant, 0, len(st.Grants))
+	for _, g := range st.Grants {
+		gs = append(gs, g)
+	}
+	slices.SortFunc(gs, byDeviceCell)
+	for _, g := range gs {
 		buf = fmt.Appendf(buf, "%q %q %d %d %d\n", g.Device, g.Cell, g.At, g.Expiry, g.Seq)
 	}
 	return buf
 }
 
-// Snapshot payload: u32 length + u32 CRC frame (same as records)
-// around: seq, four counters, grant count, then each grant in (device,
-// cell) order.
-func (st *State) marshalSnapshot() []byte {
-	grants := st.sortedGrants(byDeviceCell)
-	payload := make([]byte, 0, 44+len(grants)*48)
-	payload = binary.LittleEndian.AppendUint64(payload, st.Seq)
-	payload = binary.LittleEndian.AppendUint64(payload, st.TotalGrants)
-	payload = binary.LittleEndian.AppendUint64(payload, st.TotalRefreshes)
-	payload = binary.LittleEndian.AppendUint64(payload, st.TotalRevokes)
-	payload = binary.LittleEndian.AppendUint64(payload, st.TotalExpiries)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(grants)))
-	for _, g := range grants {
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(g.Device)))
-		payload = append(payload, g.Device...)
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(g.Cell)))
-		payload = append(payload, g.Cell...)
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(g.At))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(g.Expiry))
-		payload = binary.LittleEndian.AppendUint64(payload, g.Seq)
+// appendSnapshot appends the snapshot file's bytes to dst: a u32 length
+// + u32 CRC frame (same as records) around seq, the four counters, the
+// grant count, then each grant, read straight off the expiry index in
+// its order — ascending expiry, a bucket's grants in the order the
+// state's history left them.
+func (st *State) appendSnapshot(dst []byte) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = binary.LittleEndian.AppendUint64(dst, st.Seq)
+	dst = binary.LittleEndian.AppendUint64(dst, st.TotalGrants)
+	dst = binary.LittleEndian.AppendUint64(dst, st.TotalRefreshes)
+	dst = binary.LittleEndian.AppendUint64(dst, st.TotalRevokes)
+	dst = binary.LittleEndian.AppendUint64(dst, st.TotalExpiries)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(st.Grants)))
+	for b := st.expiry.next; b != &st.expiry; b = b.next {
+		for _, g := range b.grants {
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(g.Device)))
+			dst = append(dst, g.Device...)
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(g.Cell)))
+			dst = append(dst, g.Cell...)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(g.At))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(g.Expiry))
+			dst = binary.LittleEndian.AppendUint64(dst, g.Seq)
+		}
 	}
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // errSnapshot reports an unreadable snapshot file.
@@ -795,6 +838,7 @@ func (st *State) unmarshalSnapshot(b []byte) error {
 	st.TotalExpiries = binary.LittleEndian.Uint64(payload[32:])
 	n := int(binary.LittleEndian.Uint32(payload[40:]))
 	off := 44
+	var gs []*Grant
 	for i := 0; i < n; i++ {
 		g := new(Grant)
 		if off+2 > len(payload) {
@@ -819,13 +863,20 @@ func (st *State) unmarshalSnapshot(b []byte) error {
 		g.Seq = binary.LittleEndian.Uint64(payload[off+16:])
 		off += 24
 		st.Grants[Key(g.Device, g.Cell)] = g
+		gs = append(gs, g)
 	}
 	if off != len(payload) {
 		return errSnapshot
 	}
-	// In expiry order, every insertion lands at the tail.
-	for _, g := range st.sortedGrants(func(a, b *Grant) int { return cmp.Compare(a.Expiry, b.Expiry) }) {
-		st.index(g)
+	// In expiry order every insertion lands at the tail. A snapshot is
+	// written in that order, so the sort is one pass over it; files whose
+	// grants are in another order (earlier writers used (device, cell))
+	// load all the same. Of a pair listed twice the later entry holds.
+	slices.SortFunc(gs, func(a, b *Grant) int { return cmp.Compare(a.Expiry, b.Expiry) })
+	for _, g := range gs {
+		if lookup(st.Grants, g.Device, g.Cell) == g {
+			st.index(g)
+		}
 	}
 	return nil
 }

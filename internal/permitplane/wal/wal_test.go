@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -247,7 +249,7 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 		st.Apply(stamped)
 	}
 	// Simulate the crash: write the snapshot by hand, leave the log.
-	if err := os.WriteFile(filepath.Join(dir, snapName), st.marshalSnapshot(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapName), st.appendSnapshot(nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	want := st.Marshal()
@@ -267,6 +269,105 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	}
 	if !bytes.Equal(reopened.Marshal(), want) {
 		t.Errorf("state double-applied covered records:\ngot:\n%s\nwant:\n%s", reopened.Marshal(), want)
+	}
+}
+
+// grantedState folds n grants over a few expiry instants — the shape of
+// a shard's state under equal TTLs — into a fresh state.
+func grantedState(n int) *State {
+	st := NewState()
+	for i := 0; i < n; i++ {
+		st.Apply(Record{Seq: uint64(i + 1), Op: OpGrant, At: int64(i / 64), Expiry: int64(1000 + i/64),
+			Device: fmt.Sprintf("dev-%06d", (i*7919)%n), Cell: fmt.Sprintf("cell-%03d", i%256)})
+	}
+	return st
+}
+
+// sortedSnapshot is the snapshot file as earlier writers laid it out:
+// the frame and fields appendSnapshot writes, the grants in (device,
+// cell) order.
+func sortedSnapshot(st *State) []byte {
+	gs := make([]*Grant, 0, len(st.Grants))
+	for _, g := range st.Grants {
+		gs = append(gs, g)
+	}
+	slices.SortFunc(gs, byDeviceCell)
+	payload := binary.LittleEndian.AppendUint64(nil, st.Seq)
+	for _, c := range []uint64{st.TotalGrants, st.TotalRefreshes, st.TotalRevokes, st.TotalExpiries} {
+		payload = binary.LittleEndian.AppendUint64(payload, c)
+	}
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(gs)))
+	for _, g := range gs {
+		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(g.Device)))
+		payload = append(payload, g.Device...)
+		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(g.Cell)))
+		payload = append(payload, g.Cell...)
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(g.At))
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(g.Expiry))
+		payload = binary.LittleEndian.AppendUint64(payload, g.Seq)
+	}
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
+}
+
+// TestSnapshotLoadsInEitherGrantOrder pins what the grant order of a
+// snapshot file may be: one state written in expiry-index order (the
+// writer's) and in (device, cell) order (earlier writers') loads to the
+// same state, by Marshal, and to an index that passes Check.
+func TestSnapshotLoadsInEitherGrantOrder(t *testing.T) {
+	st := grantedState(2048)
+	st.Apply(Record{Seq: st.Seq + 1, Op: OpRevoke, At: 40, Device: "dev-000000", Cell: "cell-000"})
+	st.Apply(Record{Seq: st.Seq + 1, Op: OpRefresh, At: 41, Expiry: 990, Device: "dev-000007", Cell: "cell-001"})
+	indexOrder, deviceOrder := st.appendSnapshot(nil), sortedSnapshot(st)
+	if bytes.Equal(indexOrder, deviceOrder) {
+		t.Fatal("the two orders wrote the same bytes: the test compares nothing")
+	}
+	want := st.Marshal()
+	for name, file := range map[string][]byte{"index order": indexOrder, "(device, cell) order": deviceOrder} {
+		loaded := NewState()
+		if err := loaded.unmarshalSnapshot(file); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := loaded.Marshal(); !bytes.Equal(got, want) {
+			t.Errorf("%s loads to\n%.200s…\nthe state is\n%.200s…", name, got, want)
+		}
+		if err := loaded.Check(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestWriteSnapshotAllocBudget is the ratchet on compaction's buffer: a
+// warmed WriteSnapshot of a 2 048-grant state appends the snapshot into
+// the buffer the log kept from the last one, straight off the expiry
+// index, so it allocates only the file handling's few hundred bytes —
+// where building a fresh payload from a (device, cell)-sorted copy of
+// the grants allocated both, ~110 KB.
+func TestWriteSnapshotAllocBudget(t *testing.T) {
+	l, _, _, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	st := grantedState(2048)
+	write := func() {
+		if err := l.WriteSnapshot(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const n = 20
+	for i := 0; i < n; i++ {
+		write()
+	}
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	t.Logf("%.0f bytes allocated per snapshot of %d grants", per, len(st.Grants))
+	if per > 4096 {
+		t.Errorf("a warmed snapshot of %d grants allocates %.0f bytes, budget 4 KB", len(st.Grants), per)
 	}
 }
 

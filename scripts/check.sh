@@ -17,7 +17,8 @@
 #      seed corpus in internal/scheduler/testdata/fuzz; then ten seconds
 #      of FuzzBatchCodec: arbitrary bytes into the /permits/batch
 #      request and response decoders against encoding/json on the plain
-#      structs (same error-ness, equal values; the response encoder
+#      structs (same error-ness, equal values, the server's parse taking
+#      devices in place and cells from a table; the response encoder
 #      writing back encoding/json's bytes), from the corpus in
 #      internal/permitplane/testdata/fuzz; then ten seconds of
 #      FuzzReplay: fuzzed bytes as a shard's wal.log beside a fuzzed,
@@ -25,19 +26,27 @@
 #      state it returns passes State.Check), and a log written from a
 #      fuzzed record script cut at every frame boundary (each prefix
 #      replays to the fold of its records), from the corpus in
-#      internal/permitplane/wal/testdata/fuzz. A failing input is
-#      written beside its corpus for the fix to commit
+#      internal/permitplane/wal/testdata/fuzz; then ten seconds of
+#      FuzzFeed: fuzzed bytes as the utilisation feed (ReadFeed never
+#      fails on a reader that does not, stores only finite values ≥ 0,
+#      and fills the table a line-by-line reference parse does; an
+#      overlong line is skipped, not the end of the feed). A failing
+#      input is written beside its corpus for the fix to commit
 #   7. alloc and link-rate budgets — without the race detector (the
 #      race stage skips them). TestBoostVoDAllocBudget: a boosted BipBop
 #      q4 session at steady state allocates under 2 MB, the ratchet on
 #      the segment-buffer recycling of the client proxy.
 #      TestServeBatchAllocBudget: a warmed 512-request batch allocates
-#      under 150 KB in the permit plane's handler and under 250 KB per
+#      under 8 KB in the permit plane's handler and under 100 KB per
 #      BatchClient round trip, the ratchet on the batch path's codec
-#      and pooled buffers. TestRecordDecisionsAllocFree: a warmed
-#      128-decision refresh-and-deny slice through a durable grant store
-#      allocates nothing, and a first grant only its key and its *Grant,
-#      the ratchet on "one lookup and an update in place per decision".
+#      and pooled buffers; TestParseBatchRequestAllocFree: its warmed
+#      parse allocates nothing (IDs read in place, cells from a table).
+#      TestRecordDecisionsAllocFree: a warmed 128-decision
+#      refresh-and-deny slice through a durable grant store allocates
+#      nothing, and a first grant only its key, its device string and
+#      its *Grant, the ratchet on "one lookup and an update in place per
+#      decision". TestWriteSnapshotAllocBudget: a warmed WAL snapshot of
+#      2 048 grants allocates under 4 KB (no sort, a kept buffer).
 #      TestLinkRateBudget: 3 MB in 4 KB writes over
 #      the HSPA uplink at TimeScale 150, on the system clock, finishes
 #      within 1.25 × its ideal link time, the ratchet on netem's
@@ -123,12 +132,16 @@ go test -run '^$' -fuzz '^FuzzBatchCodec$' -fuzztime 10s ./internal/permitplane
 echo '==> fuzz (go test -fuzz FuzzReplay -fuzztime 10s ./internal/permitplane/wal)'
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s ./internal/permitplane/wal
 
-echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestServeBatchAllocBudget, TestRecordDecisionsAllocFree, TestLinkRateBudget, TestZeroMetricsAllocFree; no -race)'
+echo '==> fuzz (go test -fuzz FuzzFeed -fuzztime 10s ./internal/permitplane)'
+go test -run '^$' -fuzz '^FuzzFeed$' -fuzztime 10s ./internal/permitplane
+
+echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestServeBatchAllocBudget, TestParseBatchRequestAllocFree, TestRecordDecisionsAllocFree, TestWriteSnapshotAllocBudget, TestLinkRateBudget, TestZeroMetricsAllocFree; no -race)'
 # Allocation counts and wall-clock link time mean nothing under the race
 # detector, so the stage above skips these tests; -count=1 keeps a
 # cached pass from standing in.
 go test -count=1 -run 'TestBoostVoDAllocBudget$' ./internal/core
-go test -count=1 -run 'TestServeBatchAllocBudget$|TestRecordDecisionsAllocFree$' ./internal/permitplane
+go test -count=1 -run 'TestServeBatchAllocBudget$|TestParseBatchRequestAllocFree$|TestRecordDecisionsAllocFree$' ./internal/permitplane
+go test -count=1 -run 'TestWriteSnapshotAllocBudget$' ./internal/permitplane/wal
 go test -count=1 -run 'TestLinkRateBudget$' ./internal/netem
 go test -count=1 -run 'TestZeroMetricsAllocFree$' ./internal/scheduler ./internal/transfer ./internal/permitplane
 
