@@ -8,30 +8,24 @@
 // Usage:
 //
 //	go run ./cmd/3golvet ./...                          # whole module
-//	go run ./cmd/3golvet -baseline lint/baseline.json ./...
 //	go run ./cmd/3golvet -json vet-report.json ./...    # CI artifact
-//	go run ./cmd/3golvet -sarif vet.sarif ./...         # CI annotations
-//	go run ./cmd/3golvet -fix ./...                     # apply autofixes
-//	go run ./cmd/3golvet -baseline lint/baseline.json -writebaseline ./...
 //
 // A pattern ending in /... is walked recursively (testdata, vendor and
 // hidden directories are skipped). Findings print one per line as
 //
 //	file:line: [analyzer] message
 //
-// With -baseline, findings matching the committed baseline are frozen
-// debt: they stay visible in reports but do not fail the run. New
-// findings fail with exit status 1 (the ratchet only tightens); baseline
-// entries with no matching finding are reported as shrinkable. Without
-// -baseline every finding is new. See internal/lint for the analyzer
-// catalogue and the //3golvet:allow suppression directive.
+// on stdout, or on stderr when -json - puts the report there. Any
+// finding fails the run with exit status 1; a deliberate violation is
+// kept with a //3golvet:allow directive at the site, which staleallow
+// flags once it suppresses nothing. Bad arguments and load errors exit
+// with status 2. See internal/lint for the analyzer catalogue.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,13 +36,7 @@ import (
 )
 
 func main() {
-	var (
-		jsonPath      = flag.String("json", "", "write a JSON report to `file` (\"-\" for stdout)")
-		sarifPath     = flag.String("sarif", "", "write a SARIF 2.1.0 log to `file` (\"-\" for stdout)")
-		baselinePath  = flag.String("baseline", "", "apply the ratchet against baseline `file` (findings in it are frozen, new ones fail)")
-		writeBaseline = flag.Bool("writebaseline", false, "regenerate the -baseline file from the current findings and exit")
-		fix           = flag.Bool("fix", false, "apply mechanical autofixes (defer-unlock insertion, stale allow removal), then re-analyze")
-	)
+	jsonPath := flag.String("json", "", "write a JSON report to `file` (\"-\" for stdout)")
 	flag.Parse()
 	start := time.Now() //3golvet:allow wallclock — elapsed_seconds in the report measures real tool latency
 
@@ -71,79 +59,30 @@ func main() {
 	}
 	diags := prog.Run(lint.Analyzers())
 
-	var fixed []string
-	if *fix {
-		fixed, err = lint.Fix(prog, diags)
+	lines := os.Stdout
+	if *jsonPath != "" {
+		report := &lint.Report{
+			Tool:           "3golvet",
+			ElapsedSeconds: time.Since(start).Seconds(), //3golvet:allow wallclock — elapsed_seconds in the report measures real tool latency
+			Packages:       countTargets(prog),
+			Fresh:          lint.Findings(diags),
+		}
+		if *jsonPath == "-" {
+			lines = os.Stderr // stdout carries nothing but the report
+			err = report.WriteJSON(os.Stdout)
+		} else {
+			err = writeReport(*jsonPath, report)
+		}
 		if err != nil {
 			fatal(err)
 		}
-		for _, path := range fixed {
-			fmt.Printf("3golvet: fixed %s\n", path)
-		}
-		if len(fixed) > 0 {
-			// Re-analyze from a clean load so the report reflects the
-			// fixed tree.
-			if prog, err = load(dirs, modRoot, modPath); err != nil {
-				fatal(err)
-			}
-			diags = prog.Run(lint.Analyzers())
-		}
 	}
 
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fatal(fmt.Errorf("-writebaseline requires -baseline <file>"))
-		}
-		b := lint.NewBaseline(diags)
-		if err := b.Write(*baselinePath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("3golvet: wrote %s (%d entr%s freezing %d finding(s))\n",
-			*baselinePath, len(b.Entries), plural(len(b.Entries), "y", "ies"), len(diags))
-		return
+	for _, d := range diags {
+		fmt.Fprintln(lines, d)
 	}
-
-	fresh, baselined := diags, []lint.Diagnostic(nil)
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		fresh, baselined, stale = b.Apply(diags)
-	}
-
-	report := &lint.Report{
-		Tool:           "3golvet",
-		ElapsedSeconds: time.Since(start).Seconds(), //3golvet:allow wallclock — elapsed_seconds in the report measures real tool latency
-		Packages:       countTargets(prog),
-		Fresh:          lint.Findings(fresh),
-		Baselined:      lint.Findings(baselined),
-		StaleBaseline:  stale,
-		Fixed:          fixed,
-	}
-	if stale == nil {
-		report.StaleBaseline = []lint.BaselineEntry{}
-	}
-	if err := emit(*jsonPath, func(w io.Writer) error { return report.WriteJSON(w) }); err != nil {
-		fatal(err)
-	}
-	if err := emit(*sarifPath, func(w io.Writer) error { return report.WriteSARIF(w, lint.Analyzers()) }); err != nil {
-		fatal(err)
-	}
-
-	for _, d := range fresh {
-		fmt.Println(d)
-	}
-	if len(baselined) > 0 {
-		fmt.Fprintf(os.Stderr, "3golvet: %d baselined finding(s) tolerated (frozen debt)\n", len(baselined))
-	}
-	if len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "3golvet: %d stale baseline entr%s — debt shrank; run -writebaseline to tighten the ratchet\n",
-			len(stale), plural(len(stale), "y", "ies"))
-	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "3golvet: %d new finding(s)\n", len(fresh))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "3golvet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }
@@ -153,27 +92,12 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
-}
-
-// emit runs write against the named file, "-" meaning stdout and ""
-// meaning skip.
-func emit(path string, write func(io.Writer) error) error {
-	switch path {
-	case "":
-		return nil
-	case "-":
-		return write(os.Stdout)
-	}
+func writeReport(path string, report *lint.Report) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := report.WriteJSON(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -203,14 +127,17 @@ func load(dirs []string, modRoot, modPath string) (*lint.Program, error) {
 }
 
 // loadDepClosure repeatedly loads module-local imports of loaded
-// packages until the closure is complete, marking them DepOnly.
+// packages until the closure is complete, marking them DepOnly. Each
+// import path is tried once: one that names no Go package (a deleted
+// or test-only directory) stays unloaded, and go/types reports it.
 func loadDepClosure(prog *lint.Program, modRoot, modPath string) error {
 	cwd, err := os.Getwd()
 	if err != nil {
 		return err
 	}
+	tried := make(map[string]bool)
 	for {
-		missing := missingModuleImports(prog, modPath)
+		missing := untriedModuleImports(prog, modPath, tried)
 		if len(missing) == 0 {
 			return nil
 		}
@@ -222,7 +149,7 @@ func loadDepClosure(prog *lint.Program, modRoot, modPath string) error {
 			pkg, err := prog.LoadDir(dir, ip)
 			if err != nil {
 				if os.IsNotExist(err) {
-					continue // import of a deleted package: let go/types report it
+					continue
 				}
 				return err
 			}
@@ -233,10 +160,10 @@ func loadDepClosure(prog *lint.Program, modRoot, modPath string) error {
 	}
 }
 
-// missingModuleImports lists module-local import paths referenced by
-// loaded files but not yet loaded.
-func missingModuleImports(prog *lint.Program, modPath string) []string {
-	seen := make(map[string]bool)
+// untriedModuleImports lists, sorted, the module-local import paths
+// referenced by loaded files that are neither loaded nor in tried, and
+// adds them to tried.
+func untriedModuleImports(prog *lint.Program, modPath string, tried map[string]bool) []string {
 	var out []string
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
@@ -245,10 +172,10 @@ func missingModuleImports(prog *lint.Program, modPath string) []string {
 				if ip != modPath && !strings.HasPrefix(ip, modPath+"/") {
 					continue
 				}
-				if seen[ip] || prog.Package(ip) != nil {
+				if tried[ip] || prog.Package(ip) != nil {
 					continue
 				}
-				seen[ip] = true
+				tried[ip] = true
 				out = append(out, ip)
 			}
 		}

@@ -202,6 +202,33 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParseRejectsBadDurations holds both duration tags to one range: a
+// NaN, infinite, negative or over-a-day value is a bad-duration error,
+// like text that is not a number. The VoD proxy sizes a prefetched
+// segment from its duration, so any of them would reach the scheduler.
+func TestParseRejectsBadDurations(t *testing.T) {
+	cases := []struct{ text, want string }{
+		{"#EXTM3U\n#EXTINF:+Inf,\nseg.ts\n", "bad EXTINF duration"},
+		{"#EXTM3U\n#EXTINF:1e300,\nseg.ts\n", "bad EXTINF duration"},
+		{"#EXTM3U\n#EXTINF:NaN,\nseg.ts\n", "bad EXTINF duration"},
+		{"#EXTM3U\n#EXTINF:-10,\nseg.ts\n", "bad EXTINF duration"},
+		{"#EXTM3U\n#EXTINF:86400.5,\nseg.ts\n", "bad EXTINF duration"},
+		{"#EXTM3U\n#EXT-X-TARGETDURATION:NaN\n#EXTINF:10,\nseg.ts\n", "bad target duration"},
+		{"#EXTM3U\n#EXT-X-TARGETDURATION:-Inf\n#EXTINF:10,\nseg.ts\n", "bad target duration"},
+		{"#EXTM3U\n#EXT-X-TARGETDURATION:90000\n#EXTINF:10,\nseg.ts\n", "bad target duration"},
+	}
+	for _, c := range cases {
+		_, err := Parse(strings.NewReader(c.text))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) = %v, want a %q error", c.text, err, c.want)
+		}
+	}
+	// A day of video is the bound, not past it.
+	if _, err := Parse(strings.NewReader("#EXTM3U\n#EXT-X-TARGETDURATION:86400\n#EXTINF:86400,\nseg.ts\n")); err != nil {
+		t.Errorf("Parse rejected a one-day segment: %v", err)
+	}
+}
+
 func TestParseAttrsQuotedValues(t *testing.T) {
 	attrs := parseAttrs(`BANDWIDTH=200000,CODECS="avc1.42e00a,mp4a.40.2",RESOLUTION=416x234`)
 	if attrs["BANDWIDTH"] != "200000" {
@@ -423,6 +450,55 @@ func TestPlaylistRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParse holds Parse to its contract on arbitrary bytes: it never
+// panics, every duration it accepts is finite, ≥ 0 and at most
+// maxDuration, and a playlist it accepts with at least one variant or
+// segment encodes to a fixed point after one round:
+// Encode(Parse(Encode(p))) == Encode(p). The seed corpus
+// (testdata/fuzz/FuzzParse) has a master and a media playlist as the
+// origin writes them, CRLF line ends, non-finite, negative, absurd and
+// boundary durations, and garbage.
+func FuzzParse(f *testing.F) {
+	encode := func(p *Parsed) string {
+		if p.Kind == KindMaster {
+			return p.Master.String()
+		}
+		return p.Media.String()
+	}
+	inRange := func(d float64) bool { return d >= 0 && d <= maxDuration } // NaN fails both
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if p.Kind == KindMaster {
+			if len(p.Master.Variants) == 0 {
+				return
+			}
+		} else {
+			if !inRange(p.Media.TargetDuration) {
+				t.Fatalf("accepted target duration %v from %q", p.Media.TargetDuration, data)
+			}
+			for _, seg := range p.Media.Segments {
+				if !inRange(seg.Duration) {
+					t.Fatalf("accepted segment duration %v from %q", seg.Duration, data)
+				}
+			}
+			if len(p.Media.Segments) == 0 {
+				return
+			}
+		}
+		once := encode(p)
+		p2, err := Parse(strings.NewReader(once))
+		if err != nil {
+			t.Fatalf("Parse rejects its own encoding %q of %q: %v", once, data, err)
+		}
+		if twice := encode(p2); twice != once {
+			t.Fatalf("encoding is not a fixed point after one round:\n%q\nthen\n%q", once, twice)
+		}
+	})
 }
 
 func TestNewOriginPanicsOnBadVideo(t *testing.T) {

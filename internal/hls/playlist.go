@@ -157,14 +157,14 @@ func Parse(r io.Reader) (*Parsed, error) {
 			if i := strings.IndexByte(spec, ','); i >= 0 {
 				spec = spec[:i]
 			}
-			d, err := strconv.ParseFloat(strings.TrimSpace(spec), 64)
-			if err != nil {
+			d, ok := parseDuration(strings.TrimSpace(spec))
+			if !ok {
 				return nil, fmt.Errorf("hls: bad EXTINF duration %q", line)
 			}
 			pendingSegDur = d
 		case strings.HasPrefix(line, "#EXT-X-TARGETDURATION:"):
-			d, err := strconv.ParseFloat(strings.TrimPrefix(line, "#EXT-X-TARGETDURATION:"), 64)
-			if err != nil {
+			d, ok := parseDuration(strings.TrimPrefix(line, "#EXT-X-TARGETDURATION:"))
+			if !ok {
 				return nil, fmt.Errorf("hls: bad target duration %q", line)
 			}
 			media.TargetDuration = d
@@ -200,6 +200,19 @@ func Parse(r io.Reader) (*Parsed, error) {
 	default:
 		return nil, fmt.Errorf("hls: playlist has neither variants nor segments")
 	}
+}
+
+// maxDuration bounds, in seconds, any duration a playlist states: one
+// day of video. The VoD proxy sizes a segment from its duration, so a
+// larger value is a malformed playlist, not a segment to fetch.
+const maxDuration = 24 * 60 * 60
+
+// parseDuration parses a playlist duration, reporting false for text
+// that is not a number and for a value that is NaN, infinite, negative
+// or above maxDuration.
+func parseDuration(s string) (float64, bool) {
+	d, err := strconv.ParseFloat(s, 64)
+	return d, err == nil && d >= 0 && d <= maxDuration // NaN fails both
 }
 
 // parseAttrs parses the KEY=VALUE[,KEY=VALUE...] attribute syntax of

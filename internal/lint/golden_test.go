@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -8,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite the .golden files under testdata")
@@ -107,55 +110,73 @@ func TestSuppressionScope(t *testing.T) {
 	}
 }
 
-// TestVetCommand runs the actual cmd/3golvet binary against fixture
-// directories and asserts the documented exit statuses: 1 when findings
-// survive, 0 on a clean tree.
+// TestVetCommand builds the cmd/3golvet binary and runs it against
+// fixture directories, asserting the contract check.sh relies on: exit
+// 1 when findings survive, 0 on a clean tree, 2 on a flag it does not
+// define; the -json artifact lists the findings; -json - leaves stdout
+// to the report alone; and a run ends on an import that names no Go
+// package. Each run is bounded, so a loader that never terminates fails
+// the test rather than hanging the suite.
 func TestVetCommand(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool not on PATH")
 	}
-	run := func(args ...string) (string, int) {
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "3golvet")
+	if out, err := exec.Command("go", "build", "-o", bin, "threegol/cmd/3golvet").CombinedOutput(); err != nil {
+		t.Fatalf("go build 3golvet: %v\n%s", err, out)
+	}
+	run := func(args ...string) (stdout, stderr string, code int) {
 		t.Helper()
-		cmd := exec.Command("go", append([]string{"run", "threegol/cmd/3golvet"}, args...)...)
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			return string(out), 0
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, bin, args...)
+		var outBuf, errBuf bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
+		err := cmd.Run()
+		if ctx.Err() != nil {
+			t.Fatalf("3golvet %s did not finish within the timeout", strings.Join(args, " "))
 		}
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("go run 3golvet %s: %v\n%s", strings.Join(args, " "), err, out)
+		if err != nil {
+			ee, ok := err.(*exec.ExitError)
+			if !ok {
+				t.Fatalf("3golvet %s: %v", strings.Join(args, " "), err)
+			}
+			code = ee.ExitCode()
 		}
-		return string(out), ee.ExitCode()
+		return outBuf.String(), errBuf.String(), code
+	}
+	wantLocksafe := func(name string, rep Report) {
+		t.Helper()
+		if len(rep.Fresh) != 4 {
+			t.Fatalf("%s: %d fresh findings, want the locks fixture's 4: %+v", name, len(rep.Fresh), rep.Fresh)
+		}
+		for _, f := range rep.Fresh {
+			if f.Analyzer != "locksafe" {
+				t.Errorf("%s: finding %+v, want locksafe", name, f)
+			}
+		}
 	}
 
-	out, code := run("./testdata/src/locks")
+	out, _, code := run("./testdata/src/locks")
 	if code != 1 {
 		t.Fatalf("exit code on violating fixture = %d, want 1\n%s", code, out)
 	}
 	if !strings.Contains(out, "[locksafe]") {
-		t.Errorf("output missing [locksafe] finding:\n%s", out)
+		t.Errorf("stdout missing [locksafe] finding:\n%s", out)
 	}
 
-	out, code = run("./testdata/src/clean")
-	if code != 0 {
-		t.Fatalf("exit code on clean fixture = %d, want 0\n%s", code, out)
-	}
-	if strings.TrimSpace(out) != "" {
-		t.Errorf("clean fixture produced output:\n%s", out)
+	out, errOut, code := run("./testdata/src/clean")
+	if code != 0 || out != "" || errOut != "" {
+		t.Fatalf("clean fixture: exit %d, want 0 and no output\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
 
-	// Ratchet flow: freeze the violating fixture's findings, then the
-	// same run turns green and the JSON artifact shows them as baselined.
-	tmp := t.TempDir()
-	base := filepath.Join(tmp, "baseline.json")
-	out, code = run("-baseline", base, "-writebaseline", "./testdata/src/locks")
-	if code != 0 {
-		t.Fatalf("-writebaseline exit = %d, want 0\n%s", code, out)
-	}
+	// check.sh's artifact: any finding still fails the run, and the
+	// report names every one of them.
 	artifact := filepath.Join(tmp, "vet-report.json")
-	out, code = run("-baseline", base, "-json", artifact, "./testdata/src/locks")
-	if code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0 (debt is frozen)\n%s", code, out)
+	out, _, code = run("-json", artifact, "./testdata/src/locks")
+	if code != 1 {
+		t.Fatalf("-json run exit = %d, want 1 (findings fail)\n%s", code, out)
 	}
 	data, err := os.ReadFile(artifact)
 	if err != nil {
@@ -165,8 +186,30 @@ func TestVetCommand(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("artifact is not a Report: %v\n%s", err, data)
 	}
-	if len(rep.Fresh) != 0 || len(rep.Baselined) == 0 {
-		t.Errorf("artifact: %d fresh, %d baselined; want 0 fresh and the frozen locksafe debt",
-			len(rep.Fresh), len(rep.Baselined))
+	wantLocksafe("-json file", rep)
+
+	// With the report on stdout, the finding lines move to stderr.
+	out, errOut, code = run("-json", "-", "./testdata/src/locks")
+	if code != 1 {
+		t.Fatalf("-json - exit = %d, want 1\n%s", code, errOut)
+	}
+	rep = Report{}
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("-json - stdout is not one Report: %v\n%s", err, out)
+	}
+	wantLocksafe("-json -", rep)
+	if !strings.Contains(errOut, "[locksafe]") {
+		t.Errorf("-json - stderr missing [locksafe] finding:\n%s", errOut)
+	}
+
+	out, errOut, code = run("./testdata/src/missingdep")
+	if code != 0 {
+		t.Fatalf("missingdep fixture: exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+
+	for _, flag := range []string{"-baseline=x", "-writebaseline", "-sarif=x", "-fix"} {
+		if _, _, code := run(flag, "./testdata/src/clean"); code != 2 {
+			t.Errorf("3golvet %s exit = %d, want 2 (no such flag)", flag, code)
+		}
 	}
 }

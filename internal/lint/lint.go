@@ -70,7 +70,6 @@ func (d Diagnostic) String() string {
 type allowEntry struct {
 	name string
 	pos  token.Pos // position of the directive comment
-	end  token.Pos // end of the directive comment
 	used bool
 }
 
@@ -206,7 +205,7 @@ func parseAllows(fset *token.FileSet, astf *ast.File) map[int][]*allowEntry {
 				if !isAnalyzerName(field) {
 					break // trailing prose ("— reason why") ends the list
 				}
-				m[line] = append(m[line], &allowEntry{name: field, pos: c.Pos(), end: c.End()})
+				m[line] = append(m[line], &allowEntry{name: field, pos: c.Pos()})
 			}
 		}
 	}

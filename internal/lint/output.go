@@ -6,19 +6,13 @@ import (
 )
 
 // Report is the machine-readable result of one 3golvet run, consumed by
-// check.sh (CI artifact + ratchet gate) and scripts/bench.sh
+// check.sh (the CI artifact vet-report.json) and scripts/bench.sh
 // (vet_seconds in BENCH_fleet.json).
 type Report struct {
 	Tool           string    `json:"tool"`
 	ElapsedSeconds float64   `json:"elapsed_seconds"`
 	Packages       int       `json:"packages"`
 	Fresh          []Finding `json:"fresh"`
-	Baselined      []Finding `json:"baselined"`
-	// StaleBaseline lists frozen debt that no longer exists; the run
-	// stays green, and -writebaseline shrinks the committed file.
-	StaleBaseline []BaselineEntry `json:"stale_baseline"`
-	// Fixed lists files rewritten by -fix in this run.
-	Fixed []string `json:"fixed,omitempty"`
 }
 
 // Finding is one diagnostic in report form.
@@ -30,23 +24,18 @@ type Finding struct {
 	Message  string `json:"message"`
 }
 
-// NewFinding converts a Diagnostic for serialization.
-func NewFinding(d Diagnostic) Finding {
-	return Finding{
-		File:     d.Position.Filename,
-		Line:     d.Position.Line,
-		Column:   d.Position.Column,
-		Analyzer: d.Analyzer,
-		Message:  d.Message,
-	}
-}
-
-// Findings converts a diagnostic slice, returning an empty (non-nil)
-// slice so JSON renders [] rather than null.
+// Findings converts diagnostics for serialization, returning an empty
+// (non-nil) slice so JSON renders [] rather than null.
 func Findings(diags []Diagnostic) []Finding {
 	out := make([]Finding, 0, len(diags))
 	for _, d := range diags {
-		out = append(out, NewFinding(d))
+		out = append(out, Finding{
+			File:     d.Position.Filename,
+			Line:     d.Position.Line,
+			Column:   d.Position.Column,
+			Analyzer: d.Analyzer,
+			Message:  d.Message,
+		})
 	}
 	return out
 }
@@ -56,108 +45,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ----- SARIF 2.1.0 (minimal subset understood by CI annotators) -----
-
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string        `json:"id"`
-	ShortDescription sarifText     `json:"shortDescription"`
-	Properties       sarifRuleProp `json:"properties,omitempty"`
-}
-
-type sarifRuleProp struct {
-	Tags []string `json:"tags,omitempty"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// WriteSARIF writes the report as a SARIF 2.1.0 log. Fresh findings are
-// level "error" (they fail the ratchet); baselined findings are level
-// "note" so annotators show the frozen debt without failing review.
-func (r *Report) WriteSARIF(w io.Writer, analyzers []*Analyzer) error {
-	driver := sarifDriver{Name: r.Tool, Rules: make([]sarifRule, 0, len(analyzers))}
-	for _, a := range analyzers {
-		driver.Rules = append(driver.Rules, sarifRule{
-			ID:               a.Name,
-			ShortDescription: sarifText{Text: a.Doc},
-			Properties:       sarifRuleProp{Tags: []string{"determinism", "concurrency"}},
-		})
-	}
-	results := make([]sarifResult, 0, len(r.Fresh)+len(r.Baselined))
-	add := func(f Finding, level string) {
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   level,
-			Message: sarifText{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: f.File},
-					Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Column},
-				},
-			}},
-		})
-	}
-	for _, f := range r.Fresh {
-		add(f, "error")
-	}
-	for _, f := range r.Baselined {
-		add(f, "note")
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: driver}, Results: results}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }

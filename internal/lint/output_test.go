@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-func testReport() *Report {
-	return &Report{
+func TestReportJSON(t *testing.T) {
+	report := &Report{
 		Tool:           "3golvet",
 		ElapsedSeconds: 1.25,
 		Packages:       7,
@@ -15,17 +15,9 @@ func testReport() *Report {
 			File: "a.go", Line: 10, Column: 2,
 			Analyzer: "lockio", Message: "I/O under lock",
 		}},
-		Baselined: []Finding{{
-			File: "b.go", Line: 4, Column: 1,
-			Analyzer: "ctxprop", Message: "frozen debt",
-		}},
-		StaleBaseline: []BaselineEntry{},
 	}
-}
-
-func TestReportJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := testReport().WriteJSON(&buf); err != nil {
+	if err := report.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var got Report
@@ -41,65 +33,5 @@ func TestReportJSON(t *testing.T) {
 	// bench.sh greps elapsed_seconds out of the artifact: pin the key.
 	if !bytes.Contains(buf.Bytes(), []byte(`"elapsed_seconds"`)) {
 		t.Errorf("JSON missing elapsed_seconds key:\n%s", buf.String())
-	}
-}
-
-func TestReportSARIF(t *testing.T) {
-	var buf bytes.Buffer
-	if err := testReport().WriteSARIF(&buf, Analyzers()); err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
-		t.Fatalf("SARIF is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("version=%q runs=%d, want 2.1.0 with one run", log.Version, len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "3golvet" {
-		t.Errorf("driver name = %q", run.Tool.Driver.Name)
-	}
-	if len(run.Tool.Driver.Rules) != len(Analyzers()) {
-		t.Errorf("rules = %d, want one per analyzer (%d)", len(run.Tool.Driver.Rules), len(Analyzers()))
-	}
-	if len(run.Results) != 2 {
-		t.Fatalf("results = %d, want 2 (one fresh, one baselined)", len(run.Results))
-	}
-	if run.Results[0].Level != "error" || run.Results[0].RuleID != "lockio" {
-		t.Errorf("fresh finding rendered as %+v, want lockio error", run.Results[0])
-	}
-	if run.Results[1].Level != "note" || run.Results[1].RuleID != "ctxprop" {
-		t.Errorf("baselined finding rendered as %+v, want ctxprop note", run.Results[1])
-	}
-	loc := run.Results[0].Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "a.go" || loc.Region.StartLine != 10 {
-		t.Errorf("location = %+v, want a.go:10", loc)
 	}
 }

@@ -28,7 +28,7 @@ func runStaleAllow(p *Program, report func(f *File, pos token.Pos, format string
 						continue
 					}
 					report(f, e.pos,
-						"stale //3golvet:allow %s: no %s finding is suppressed here — remove the directive (or run 3golvet -fix)",
+						"stale //3golvet:allow %s: no %s finding is suppressed here — remove the directive",
 						e.name, e.name)
 				}
 			}

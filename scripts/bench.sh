@@ -79,7 +79,7 @@ echo '==> 3golvet -json (analyzer wall time)'
 # The analyzer's own latency is part of the perf trajectory: check.sh
 # runs it on every push, so a pass that regresses from seconds to
 # minutes is a real cost. elapsed_seconds comes from the tool's report.
-go run ./cmd/3golvet -baseline lint/baseline.json -json "$vet" ./...
+go run ./cmd/3golvet -json "$vet" ./...
 
 echo '==> 3golfleet -json (engine throughput + aggregates)'
 go run ./cmd/3golfleet -homes 18000 -days 1 -shards 8 -json > "$fleet"
