@@ -2,6 +2,7 @@ package netem
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -57,16 +58,45 @@ func (p Pipe) scale() float64 {
 const quantum = time.Millisecond
 
 // maxChunk is the unit of the byte clock: one jitter/stall draw per
-// maxChunk bytes carried. It also bounds the bytes charged per pacing
-// step of a Write, so a large write is smoothed rather than paid for in
-// one sleep, and is the least a Read offers the kernel.
+// maxChunk bytes carried. It is also the smallest step a direction takes.
 const maxChunk = 16 * 1024
 
-// MaxRead is the most a Read offers the kernel in one call, and the size
-// of the buffer a relay above a shaped hop copies through (proxy.Relay):
-// a link too fast to bind inside a timer tick moves a segment in pieces
-// this large instead of paying a syscall per maxChunk.
+// MaxRead is the largest step a direction takes: the most a Read offers the
+// kernel, or a Write or ReadFrom hands it, in one call, and the size of
+// the buffers copies above a shaped hop go through (Buffer): a link too
+// fast to bind inside a timer tick moves a body in pieces this large
+// instead of paying a syscall per maxChunk.
 const MaxRead = 256 * 1024
+
+// bufs is the free list of MaxRead buffers behind Buffer, and not a
+// sync.Pool: a pool is emptied by the collector, and a buffer needed
+// only when a session's replicas peak did not survive from one peak to
+// the next, so it was made again (30 KB per link-bound session,
+// measured). The list keeps what it is given up to its capacity, 4 MB:
+// sixteen copies at once is more than an emulated home's uploads, phone
+// proxies and player reach together; past that a buffer is made and
+// dropped.
+var bufs = make(chan []byte, 16)
+
+// Buffer returns a MaxRead-byte buffer from the free list, or a new one
+// when the list is empty. Hand it back with Release once the copy ends.
+func Buffer() []byte {
+	select {
+	case buf := <-bufs:
+		return buf
+	default:
+		return make([]byte, MaxRead)
+	}
+}
+
+// Release returns a buffer from Buffer to the free list; a full list
+// drops it.
+func Release(buf []byte) {
+	select {
+	case bufs <- buf:
+	default:
+	}
+}
 
 // shaper paces one direction of one connection, clocked by the bytes it
 // carries, not by the calls that carry them: the limiters are charged
@@ -128,14 +158,14 @@ func (s *shaper) pace(n int) {
 	}
 }
 
-// readCap is the size of one read step on this direction: what its
+// step is the most this direction carries in one call: what its
 // slowest limiter moves in a quantum, no less than maxChunk and no more
-// than MaxRead. A link that binds within a quantum is thus read in
+// than MaxRead. A link that binds within a quantum is thus carried in
 // maxChunk pieces and sleeps as often as ever, where one flat large
-// read would be paid for in a single long sleep; a link that cannot
-// bind is read MaxRead at a time. It follows SetRate: the limiters are
-// asked on every call.
-func (s *shaper) readCap() int {
+// step would be paid for in a single long sleep; a link that cannot
+// bind is carried MaxRead at a time. It follows SetRate: the limiters
+// are asked on every call.
+func (s *shaper) step() int {
 	if s == nil {
 		return MaxRead
 	}
@@ -185,10 +215,10 @@ type Conn struct {
 }
 
 // Read shapes the server→client direction, in steps of the link's
-// readCap.
+// step.
 func (c *Conn) Read(p []byte) (int, error) {
 	if len(p) > maxChunk {
-		p = p[:min(len(p), c.down.readCap())]
+		p = p[:min(len(p), c.down.step())]
 	}
 	n, err := c.Conn.Read(p)
 	if n > 0 {
@@ -197,14 +227,16 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write shapes the client→server direction.
+// Write shapes the client→server direction, in steps of the link's
+// step.
 func (c *Conn) Write(p []byte) (int, error) {
+	step := maxChunk
+	if len(p) > maxChunk {
+		step = c.up.step()
+	}
 	var total int
 	for len(p) > 0 {
-		chunk := p
-		if len(chunk) > maxChunk {
-			chunk = chunk[:maxChunk]
-		}
+		chunk := p[:min(len(p), step)]
 		c.up.pace(len(chunk))
 		n, err := c.Conn.Write(chunk)
 		total += n
@@ -214,6 +246,34 @@ func (c *Conn) Write(p []byte) (int, error) {
 		p = p[n:]
 	}
 	return total, nil
+}
+
+// ReadFrom copies r to the client→server direction until EOF, one step
+// per write through a buffer from the free list, paced as Write paces.
+// It is the copy net/http makes of a request body with a declared
+// length, which would otherwise allocate 32 KB per request; a chunked
+// body goes through Write.
+func (c *Conn) ReadFrom(r io.Reader) (int64, error) {
+	buf := Buffer()
+	defer Release(buf)
+	var total int64
+	for {
+		n, err := r.Read(buf[:c.up.step()])
+		if n > 0 {
+			c.up.pace(n)
+			m, werr := c.Conn.Write(buf[:n])
+			total += int64(m)
+			if werr != nil {
+				return total, werr
+			}
+		}
+		if err == io.EOF {
+			return total, nil
+		}
+		if err != nil {
+			return total, err
+		}
+	}
 }
 
 // WrapConn shapes an existing connection. Each call derives fresh

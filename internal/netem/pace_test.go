@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"math/rand"
@@ -403,5 +404,120 @@ func TestUpstreamInFlightIsBounded(t *testing.T) {
 	}
 	if limit := 2 * 2 * upstreamBuffer; swallowed > limit {
 		t.Errorf("a stopped receiver's hop swallowed %d bytes, want at most %d", swallowed, limit)
+	}
+}
+
+// writeRecorder is a net.Conn that accepts every write and records its
+// size.
+type writeRecorder struct {
+	net.Conn
+	sizes []int
+}
+
+func (c *writeRecorder) Write(p []byte) (int, error) {
+	c.sizes = append(c.sizes, len(p))
+	return len(p), nil
+}
+
+// onlyReader hides a source's WriteTo, as the io.LimitedReader net/http
+// wraps a declared-length request body in does.
+type onlyReader struct{ io.Reader }
+
+// hspaUpStep is what loc1's phone uplink moves in a quantum at the
+// upload workload's TimeScale (183 Mbit/s × 1 ms): the step of its
+// writes.
+const hspaUpStep = 22_875
+
+// ReadFrom, the copy net/http makes of a declared-length request body,
+// is paced as Write is: 3 MB over loc1's phone uplink at TimeScale 150
+// takes the same virtual time, in as few sleeps, with the same draws as
+// the same bytes written 4 KB at a time, and the kernel is never handed
+// more than one step.
+func TestReadFromPacedAsWrite(t *testing.T) {
+	const seed = 11
+	run := func(send func(c *Conn)) (*stepClock, *writeRecorder, *Conn) {
+		clk := &stepClock{now: time.Unix(0, 0)}
+		pipe, _, _ := HSPAPipe(1.83e6, hspaUp, hspaScale)
+		pipe.Clock = clk
+		pipe.Up.Shared = []*Limiter{NewLimiterClock(hspaUp*hspaScale, 0, clk)}
+		under := &writeRecorder{}
+		c := WrapConn(under, pipe, seed)
+		send(c)
+		return clk, under, c
+	}
+	wclk, _, wc := run(func(c *Conn) { writeIn(t, c, photo, []int{4 << 10}) })
+	rclk, under, rc := run(func(c *Conn) {
+		if n, err := c.ReadFrom(onlyReader{bytes.NewReader(make([]byte, photo))}); err != nil || n != photo {
+			t.Fatalf("ReadFrom = %d, %v; want %d", n, err, photo)
+		}
+	})
+
+	for _, n := range under.sizes {
+		if n > hspaUpStep {
+			t.Fatalf("ReadFrom handed the kernel %d bytes, want at most one step (%d)", n, hspaUpStep)
+		}
+	}
+	if d := rclk.slept - wclk.slept; d < -quantum || d > quantum {
+		t.Errorf("ReadFrom slept %v of virtual time, 4 KB writes %v", rclk.slept, wclk.slept)
+	}
+	if off := math.Abs(float64(rclk.slept-photoIdeal)) / float64(photoIdeal); off > 0.02 {
+		t.Errorf("ReadFrom slept %v of virtual time, ideal %v: off by %.1f %%", rclk.slept, photoIdeal, 100*off)
+	}
+	if rclk.sleeps > wclk.sleeps {
+		t.Errorf("ReadFrom slept %d times, 4 KB writes %d", rclk.sleeps, wclk.sleeps)
+	}
+	if got, want := rc.up.rng.Int63(), wc.up.rng.Int63(); got != want {
+		t.Errorf("the byte clock drew differently: next value %d after ReadFrom, %d after 4 KB writes", got, want)
+	}
+	t.Logf("ReadFrom: %v in %d sleeps, %d writes; 4 KB writes: %v in %d sleeps (ideal %v)",
+		rclk.slept, rclk.sleeps, len(under.sizes), wclk.slept, wclk.sleeps, photoIdeal)
+}
+
+// A write step is what the direction's slowest limiter moves in a
+// quantum, between maxChunk and MaxRead, for Write and ReadFrom alike,
+// and it follows SetRate.
+func TestWriteStepFollowsTheLink(t *testing.T) {
+	clk := &stepClock{now: time.Unix(0, 0)}
+	radio := NewLimiterClock(1e18, 0, clk)
+	under := &writeRecorder{}
+	c := WrapConn(under, Pipe{Up: Shape{Shared: []*Limiter{radio}}, Clock: clk}, 1)
+	const big = 1 << 20
+	largest := func() int {
+		most := 0
+		for _, n := range under.sizes {
+			most = max(most, n)
+		}
+		under.sizes = nil
+		return most
+	}
+	for _, step := range []struct {
+		rate float64
+		want int
+	}{
+		{hspaUp * hspaScale, hspaUpStep},
+		{1e18, MaxRead},
+		{adslDown * 20, maxChunk},
+		{400e6, 50_000},
+		{0, MaxRead},
+	} {
+		radio.SetRate(step.rate)
+		if _, err := c.Write(make([]byte, big)); err != nil {
+			t.Fatal(err)
+		}
+		if got := largest(); got != step.want {
+			t.Errorf("after SetRate(%g) a %d-byte Write was handed to the kernel %d bytes at a time, want %d", step.rate, big, got, step.want)
+		}
+		if _, err := c.ReadFrom(onlyReader{bytes.NewReader(make([]byte, big))}); err != nil {
+			t.Fatal(err)
+		}
+		if got := largest(); got != step.want {
+			t.Errorf("after SetRate(%g) ReadFrom handed the kernel %d bytes at a time, want %d", step.rate, got, step.want)
+		}
+	}
+	if _, err := c.Write(make([]byte, 4<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if got := largest(); got != 4<<10 {
+		t.Errorf("a 4 KB write was handed over as %d bytes", got)
 	}
 }

@@ -37,17 +37,38 @@ func InjectHTTP(h http.Header, tc TraceContext) {
 	h.Set(HeaderTrace, tc.Trace+"/"+tc.Span)
 }
 
-// ExtractHTTP reads the propagation header from an incoming request.
+// ExtractHTTP reads the propagation header from an incoming request. A
+// header the repo did not write is as likely as one it did: each half is
+// taken only at most maxIDLen bytes long and made of [0-9A-Za-z_-], and
+// the trace must not be empty. Anything else reads as no header, so the
+// request starts a fresh trace — tracing never fails a request.
 func ExtractHTTP(h http.Header) (TraceContext, bool) {
-	v := h.Get(HeaderTrace)
-	if v == "" {
-		return TraceContext{}, false
-	}
-	trace, span, _ := strings.Cut(v, "/")
-	if trace == "" {
+	trace, span, _ := strings.Cut(h.Get(HeaderTrace), "/")
+	if trace == "" || !validID(trace) || !validID(span) {
 		return TraceContext{}, false
 	}
 	return TraceContext{Trace: trace, Span: span}, true
+}
+
+// maxIDLen bounds each half of an extracted trace header. The repo's own
+// IDs are 16 hex digits; an outside ID is recorded on every span the
+// request begins and passed on to the permit backend, so it may not be
+// a megabyte long.
+const maxIDLen = 64
+
+// validID reports whether s may stand as one half of a trace header.
+func validID(s string) bool {
+	if len(s) > maxIDLen {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9', 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // Handler serves the log as JSON Lines — the /debug/events surface on

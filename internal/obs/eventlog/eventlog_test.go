@@ -183,6 +183,72 @@ func TestHTTPPropagation(t *testing.T) {
 	}
 }
 
+// A trace header from outside is taken only when each half is short and
+// plain; anything else is no header at all, so the request starts a
+// fresh trace instead of recording (and passing on) what it was sent.
+func TestExtractHTTPRejectsForeignIDs(t *testing.T) {
+	id64 := strings.Repeat("a", maxIDLen)
+	for _, tc := range []struct {
+		header string
+		ok     bool
+	}{
+		{"abc/def", true},
+		{"0123456789abcdef/fedcba9876543210", true},
+		{"A_b-9", true},
+		{"abc/", true},
+		{id64 + "/" + id64, true},
+		{strings.Repeat("x", 200_000), false},
+		{id64 + "a/def", false},
+		{"abc/" + id64 + "a", false},
+		{"/def", false},
+		{"a b/def", false},
+		{"abc/d/e", false},
+		{"abc/de\xff", false},
+		{"ab\u00e9/def", false},
+		{"abc/def;x=1", false},
+	} {
+		h := http.Header{}
+		h.Set(HeaderTrace, tc.header)
+		got, ok := ExtractHTTP(h)
+		if ok != tc.ok {
+			short := tc.header
+			if len(short) > 80 {
+				short = short[:80] + "..."
+			}
+			t.Errorf("ExtractHTTP(%q) = %+v, %v; want ok=%v", short, got, ok, tc.ok)
+		}
+	}
+}
+
+// FuzzTraceHeader: whatever arrives in X-3gol-Trace, extracting it does
+// not panic, an accepted context is bounded and plain, and injecting an
+// extracted context writes a header that extracts to the same context.
+func FuzzTraceHeader(f *testing.F) {
+	for _, s := range []string{"abc/def", "0123456789abcdef/fedcba9876543210", "abc", "abc/", "/def", "a/b/c", "a b/c"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		h := http.Header{}
+		h.Set(HeaderTrace, v)
+		tc, ok := ExtractHTTP(h)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("rejected %q but returned %+v", v, tc)
+			}
+			return
+		}
+		if !tc.Valid() || !validID(tc.Trace) || !validID(tc.Span) {
+			t.Fatalf("accepted %q as %+v", v, tc)
+		}
+		out := http.Header{}
+		InjectHTTP(out, tc)
+		again, ok := ExtractHTTP(out)
+		if !ok || again != tc {
+			t.Fatalf("%q extracted to %+v, which injected as %q extracts to %+v, %v", v, tc, out.Get(HeaderTrace), again, ok)
+		}
+	})
+}
+
 func TestHandler(t *testing.T) {
 	l := New(0, 1, nil)
 	l.Begin(TraceContext{}, "op").End()

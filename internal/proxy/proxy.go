@@ -180,35 +180,17 @@ func (s *Server) serveHTTP1(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// relayBufs is a free list of Relay's buffers, and not a sync.Pool: a
-// pool is emptied by the collector, and a buffer needed only when a
-// session's replicas peak did not survive from one peak to the next, so
-// it was made again (30 KB per link-bound session, measured). The list
-// keeps what it is given up to its capacity, 2 MB: eight relays at once
-// is more than an emulated home's phone proxies and player reach
-// together; past that a buffer is made and dropped.
-var relayBufs = make(chan []byte, 8)
-
 // Relay copies src to dst until EOF through a buffer as large as one read
-// of a shaped connection gets, so that a relay adds no syscalls to those
-// the link's rate asks for. The ReadFrom of dst is hidden: an
-// http.ResponseWriter's ends in net's generic copy loop, which allocates
-// 32 KB per call, and io.Discard's reads 8 KB at a time.
+// of a shaped connection gets, from netem's free list, so that a relay
+// adds no syscalls to those the link's rate asks for. The ReadFrom of dst
+// is hidden: an http.ResponseWriter's ends in net's generic copy loop,
+// which allocates 32 KB per call, and io.Discard's reads 8 KB at a time.
 //
 //3golvet:allow ctxprop — a copy loop; cancellation reaches it through the request context that src and dst were made under
 func Relay(dst io.Writer, src io.Reader) (int64, error) {
-	var buf []byte
-	select {
-	case buf = <-relayBufs:
-	default:
-		buf = make([]byte, netem.MaxRead)
-	}
-	n, err := io.CopyBuffer(struct{ io.Writer }{dst}, src, buf)
-	select {
-	case relayBufs <- buf:
-	default: // the list is full
-	}
-	return n, err
+	buf := netem.Buffer()
+	defer netem.Release(buf)
+	return io.CopyBuffer(struct{ io.Writer }{dst}, src, buf)
 }
 
 func (s *Server) serveTunnel(w http.ResponseWriter, r *http.Request) {

@@ -6,12 +6,13 @@
 package transfer
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"mime/multipart"
 	"net/http"
-	"sync"
+	"sync/atomic"
 
 	"threegol/internal/clock"
 	"threegol/internal/obs/eventlog"
@@ -92,7 +93,7 @@ func (p *DownloadPath) transfer(ctx context.Context, item scheduler.Item, progre
 	}
 	body := io.Reader(resp.Body)
 	if progress != nil {
-		body = &progressReader{r: body, fn: progress}
+		body = &countingReader{r: body, fn: progress}
 	}
 	n, err = sink(item, body, resp.ContentLength)
 	if err != nil {
@@ -121,7 +122,9 @@ type UploadPath struct {
 	TargetURL string
 	// Field is the form field name; empty selects "file".
 	Field string
-	// Source opens each item's content.
+	// Source opens each item's content, which must be exactly the
+	// item's Size bytes: the POST declares its length, and content that
+	// ends short or runs long fails the transfer.
 	Source ItemSource
 	// Metrics receives transfer instrumentation (see NewMetrics); the
 	// zero value records nothing. One Metrics may be shared across paths.
@@ -137,8 +140,9 @@ type UploadPath struct {
 // Name implements scheduler.Path.
 func (p *UploadPath) Name() string { return p.PathName }
 
-// Transfer implements scheduler.Path: stream one multipart POST. The
-// returned byte count covers the item content (not multipart framing).
+// Transfer implements scheduler.Path: one multipart POST of the item,
+// sent with a Content-Length. The returned byte count covers the item
+// content (not multipart framing).
 func (p *UploadPath) Transfer(ctx context.Context, item scheduler.Item) (int64, error) {
 	return p.transfer(ctx, item, nil)
 }
@@ -161,47 +165,23 @@ func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, progress
 	if p.Source == nil {
 		return 0, fmt.Errorf("transfer: UploadPath %s has no Source", p.PathName)
 	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.TargetURL, nil)
+	if err != nil {
+		return 0, fmt.Errorf("transfer: building POST for %s: %w", item.Name, err)
+	}
 	content, err := p.Source(item)
 	if err != nil {
 		return 0, fmt.Errorf("transfer: opening %s: %w", item.Name, err)
 	}
-
-	pr, pw := io.Pipe()
-	mw := multipart.NewWriter(pw)
-	counter := &countingReader{r: content, fn: progress}
-
-	// The writer goroutine's lifecycle is the pipe itself: every exit path
-	// closes pw, which unblocks the POST body reader, and Client.Do below
-	// cannot return before the pipe is closed or broken.
-	go func() { //3golvet:allow goroleak — joined through the pipe close, not a channel
-		defer content.Close()
-		field := p.Field
-		if field == "" {
-			field = "file"
-		}
-		part, err := mw.CreateFormFile(field, item.Name)
-		if err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		if _, err := io.Copy(part, counter); err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		pw.CloseWithError(mw.Close())
-	}()
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.TargetURL, pr)
-	if err != nil {
-		pr.Close()
-		return 0, fmt.Errorf("transfer: building POST for %s: %w", item.Name, err)
-	}
-	req.Header.Set("Content-Type", mw.FormDataContentType())
+	body, contentType := newUploadBody(content, item, p.Field, progress)
+	// The transport closes the body, and with it the content, on every
+	// path out of Do.
+	req.Body = body
+	req.ContentLength = body.length()
+	req.Header.Set("Content-Type", contentType)
 	eventlog.InjectHTTP(req.Header, propagated(sp, tc))
 	resp, err := p.Client.Do(req)
-	if err != nil {
-		pr.Close()
-	} else {
+	if err == nil {
 		defer resp.Body.Close()
 		io.Copy(io.Discard, resp.Body)
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated &&
@@ -209,7 +189,7 @@ func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, progress
 			err = fmt.Errorf("status %s", resp.Status)
 		}
 	}
-	n = counter.count()
+	n = body.content.count()
 	if err != nil {
 		// Prefer reporting cancellation over whatever the cancel turned
 		// into on the wire (a short write, a broken pipe, a hop's 502 for
@@ -221,6 +201,85 @@ func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, progress
 		return n, fmt.Errorf("transfer: POST %s via %s: %w", item.Name, p.PathName, err)
 	}
 	return n, nil
+}
+
+// uploadBody is one POST's body: the multipart head, the item's content,
+// the closing boundary. Its length is declared, so net/http sends it with
+// a Content-Length and copies it to the connection in one pass (a shaped
+// connection's ReadFrom: one link step per read, into a reused buffer);
+// the body itself holds no buffer beyond the framing's few hundred bytes.
+// Content that ends before item.Size, or runs past it, fails the read
+// before the closing boundary is sent, so the server never takes a
+// truncated file for a whole one.
+type uploadBody struct {
+	frame   []byte // the head, then the tail
+	head    int    // the head's length within frame
+	sent    int    // framing bytes read
+	size    int64  // the content's declared length
+	content countingReader
+	src     io.ReadCloser
+	closed  atomic.Bool
+}
+
+// newUploadBody frames item's content src as the one file part of a
+// multipart/form-data body, returning the body and its Content-Type.
+func newUploadBody(src io.ReadCloser, item scheduler.Item, field string, progress func(int64)) (*uploadBody, string) {
+	if field == "" {
+		field = "file"
+	}
+	var frame bytes.Buffer
+	mw := multipart.NewWriter(&frame)
+	_, _ = mw.CreateFormFile(field, item.Name) // a bytes.Buffer takes every write
+	head := frame.Len()
+	_ = mw.Close()
+	return &uploadBody{
+		frame: frame.Bytes(), head: head, size: item.Size,
+		content: countingReader{r: src, fn: progress}, src: src,
+	}, mw.FormDataContentType()
+}
+
+// length is the body's declared Content-Length.
+func (b *uploadBody) length() int64 { return int64(len(b.frame)) + b.size }
+
+func (b *uploadBody) Read(p []byte) (int, error) {
+	if b.sent < b.head {
+		n := copy(p, b.frame[b.sent:b.head])
+		b.sent += n
+		return n, nil
+	}
+	if left := b.size - b.content.count(); left > 0 {
+		n, err := b.content.Read(p[:min(int64(len(p)), left)])
+		if err == io.EOF {
+			err = nil
+			if int64(n) < left {
+				err = fmt.Errorf("content ended after %d of its %d bytes", b.content.count(), b.size)
+			}
+		}
+		return n, err
+	}
+	if b.sent == b.head {
+		// The content must end where its size says: one byte more, and
+		// the body would carry a file the sender did not mean.
+		var one [1]byte
+		if n, _ := b.src.Read(one[:]); n > 0 {
+			return 0, fmt.Errorf("content runs past its %d bytes", b.size)
+		}
+	}
+	if b.sent == len(b.frame) {
+		return 0, io.EOF
+	}
+	n := copy(p, b.frame[b.sent:])
+	b.sent += n
+	return n, nil
+}
+
+// Close closes the content, once: the transport may close a request
+// body more than once on its error paths.
+func (b *uploadBody) Close() error {
+	if b.closed.Swap(true) {
+		return nil
+	}
+	return b.src.Close()
 }
 
 // outcome classifies a finished transfer for the flight recorder,
@@ -248,44 +307,25 @@ func propagated(sp eventlog.Span, tc eventlog.TraceContext) eventlog.TraceContex
 	return tc
 }
 
+// countingReader forwards Reads, reporting the cumulative byte count to
+// fn, when set, after every productive read. The count may be read from
+// another goroutine: the transport can still be reading a request body
+// when Do returns.
 type countingReader struct {
 	r  io.Reader
-	fn func(int64) // optional progress hook (cumulative bytes)
-	mu sync.Mutex
-	n  int64
+	fn func(int64)
+	n  atomic.Int64
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.mu.Lock()
-	c.n += int64(n)
-	total := c.n
-	c.mu.Unlock()
-	if c.fn != nil && n > 0 {
-		c.fn(total)
-	}
-	return n, err
-}
-
-// progressReader forwards Reads, reporting the cumulative byte count to
-// fn after every productive read.
-type progressReader struct {
-	r     io.Reader
-	fn    func(int64)
-	total int64
-}
-
-func (p *progressReader) Read(b []byte) (int, error) {
-	n, err := p.r.Read(b)
 	if n > 0 {
-		p.total += int64(n)
-		p.fn(p.total)
+		total := c.n.Add(int64(n))
+		if c.fn != nil {
+			c.fn(total)
+		}
 	}
 	return n, err
 }
 
-func (c *countingReader) count() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
+func (c *countingReader) count() int64 { return c.n.Load() }

@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -421,6 +423,93 @@ func TestUploadPathCancelOutranksStatus(t *testing.T) {
 	cancelOnResponse = true
 	if _, err := p.Transfer(ctx, item); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled upload answered 502 returned %v, want context.Canceled", err)
+	}
+}
+
+// closeCounter is an item's content that counts its Close calls.
+type closeCounter struct {
+	io.Reader
+	closes *atomic.Int32
+}
+
+func (c closeCounter) Close() error {
+	c.closes.Add(1)
+	return nil
+}
+
+// However an upload ends — delivered, cancelled mid-body as an endgame
+// loser is, or refused by a server that answers 400 before it reads —
+// it gives back what it took: once the client's idle connections close
+// the goroutines stand where they stood, and every source was closed
+// exactly once (the transport closes the body, and may try more than
+// once on its error paths).
+func TestUploadPathReleasesEverything(t *testing.T) {
+	const size = 4 << 20 // more than loopback's socket buffers hold
+	photo := make([]byte, size)
+	stored := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusCreated)
+	}))
+	defer stored.Close()
+	refused := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "not here", http.StatusBadRequest)
+	}))
+	defer refused.Close()
+	var cancelMidBody atomic.Pointer[context.CancelFunc]
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		buf := make([]byte, 64<<10)
+		if _, err := io.ReadFull(r.Body, buf); err == nil {
+			(*cancelMidBody.Load())()
+		}
+		io.Copy(io.Discard, r.Body) // until the cancelled client's conn goes
+	}))
+	defer slow.Close()
+
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	before := runtime.NumGoroutine()
+	var closes []*atomic.Int32
+	upload := func(url string, cancelled bool) error {
+		t.Helper()
+		n := new(atomic.Int32)
+		closes = append(closes, n)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cancelMidBody.Store(&cancel)
+		p := &UploadPath{
+			PathName: "ph1", Client: client, TargetURL: url,
+			Source: func(scheduler.Item) (io.ReadCloser, error) {
+				return closeCounter{bytes.NewReader(photo), n}, nil
+			},
+		}
+		_, err := p.Transfer(ctx, scheduler.Item{Name: "IMG_0001.jpg", Size: size})
+		if cancelled && !errors.Is(err, context.Canceled) {
+			t.Errorf("upload cancelled mid-body returned %v, want context.Canceled", err)
+		}
+		return err
+	}
+	for i := 0; i < 3; i++ {
+		if err := upload(stored.URL, false); err != nil {
+			t.Fatalf("upload to a storing server: %v", err)
+		}
+		if err := upload(refused.URL, false); err == nil || !strings.Contains(err.Error(), "400") {
+			t.Errorf("upload to a refusing server returned %v, want a 400", err)
+		}
+		upload(slow.URL, true)
+	}
+	tr.CloseIdleConnections()
+
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(3 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("goroutines: %d before the uploads, %d after", before, n)
+	}
+	for i, c := range closes {
+		if got := c.Load(); got != 1 {
+			t.Errorf("upload %d closed its source %d times, want once", i, got)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@
 package upload
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -16,7 +17,9 @@ import (
 	"sort"
 	"sync"
 
+	"threegol/internal/netem"
 	"threegol/internal/obs/eventlog"
+	"threegol/internal/proxy"
 )
 
 // File is one stored upload.
@@ -77,7 +80,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveUpload(w http.ResponseWriter, r *http.Request) {
 	tc, _ := eventlog.ExtractHTTP(r.Header)
 	sp := s.Events.Begin(tc, "upload.request")
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBytes())
+	br := bodyReader(http.MaxBytesReader(w, r.Body, s.maxBytes()))
+	defer releaseReader(br)
+	r.Body = io.NopCloser(br)
 	mr, err := r.MultipartReader()
 	if err != nil {
 		sp.End("outcome", "error", "error", err.Error())
@@ -109,7 +114,7 @@ func (s *Server) serveUpload(w http.ResponseWriter, r *http.Request) {
 			payload, err = io.ReadAll(io.TeeReader(part, h))
 			n = int64(len(payload))
 		} else {
-			n, err = io.Copy(h, part)
+			n, err = proxy.Relay(h, part)
 		}
 		if err != nil {
 			sp.End("outcome", "error", "error", err.Error())
@@ -132,6 +137,33 @@ func (s *Server) serveUpload(w http.ResponseWriter, r *http.Request) {
 		"bytes", eventlog.Int(total), "duplicates", eventlog.Int(int64(dups)))
 	w.WriteHeader(http.StatusCreated)
 	_ = json.NewEncoder(w).Encode(map[string]any{"stored": stored}) // client disconnect; nothing to do
+}
+
+// readers is the free list of the readers request bodies are read
+// through. mime/multipart refills a 4 KB buffer from what it is given:
+// given the body, that is a socket read per 4 KB; given one of these, a
+// read per MaxRead, what a shaped hop carries in a step at most. The
+// list keeps eight (2 MB), more than the requests one home's paths and
+// their endgame replicas have open at once; past that a reader is made
+// and dropped.
+var readers = make(chan *bufio.Reader, 8)
+
+func bodyReader(body io.Reader) *bufio.Reader {
+	select {
+	case br := <-readers:
+		br.Reset(body)
+		return br
+	default:
+		return bufio.NewReaderSize(body, netem.MaxRead)
+	}
+}
+
+func releaseReader(br *bufio.Reader) {
+	br.Reset(nil) // keep no finished request's body reachable
+	select {
+	case readers <- br:
+	default:
+	}
 }
 
 // record stores one file, reporting whether it was a duplicate replay.

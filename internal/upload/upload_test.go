@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"threegol/internal/obs/eventlog"
 	"threegol/internal/scheduler"
 	"threegol/internal/transfer"
 )
@@ -176,5 +177,100 @@ func TestUploadViaSchedulerPaths(t *testing.T) {
 	}
 	if st := s.Stats(); st.Files != 3 {
 		t.Errorf("files = %d, want 3", st.Files)
+	}
+}
+
+// The uploader declares each photo's length, so content that ends short
+// of its item's Size, or runs past it, fails the transfer, and the
+// server stores nothing: a short file must not arrive as a whole one.
+func TestUploadPathDeclaredLength(t *testing.T) {
+	s := &Server{}
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	const size = 300_000
+	for _, tc := range []struct {
+		name    string
+		content int
+	}{
+		{"short", size - 1000},
+		{"short by one", size - 1},
+		{"empty", 0},
+		{"long", size + 1000},
+		{"long by one", size + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &transfer.UploadPath{
+				PathName: "ph1", Client: srv.Client(), TargetURL: srv.URL,
+				Source: func(scheduler.Item) (io.ReadCloser, error) {
+					return io.NopCloser(bytes.NewReader(bytes.Repeat([]byte("p"), tc.content))), nil
+				},
+			}
+			_, err := p.Transfer(context.Background(), scheduler.Item{Name: "IMG_0001.jpg", Size: size})
+			if err == nil {
+				t.Fatalf("%d bytes of content for a %d-byte item uploaded without error", tc.content, size)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "IMG_0001.jpg") || !strings.Contains(msg, "ph1") {
+				t.Errorf("error %q does not name both the item and the path", msg)
+			}
+			t.Log(err)
+			if files := s.Files(); len(files) != 0 {
+				t.Errorf("server stored %+v", files)
+			}
+		})
+	}
+	// The exact length still goes through.
+	p := &transfer.UploadPath{
+		PathName: "ph1", Client: srv.Client(), TargetURL: srv.URL,
+		Source: func(scheduler.Item) (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(make([]byte, size))), nil
+		},
+	}
+	if n, err := p.Transfer(context.Background(), scheduler.Item{Name: "IMG_0002.jpg", Size: size}); err != nil || n != size {
+		t.Fatalf("exact content: %d, %v", n, err)
+	}
+	if files := s.Files(); len(files) != 1 || files[0].Size != size {
+		t.Errorf("server stored %+v, want IMG_0002.jpg of %d bytes", files, size)
+	}
+}
+
+// A trace ID from outside is recorded only if it is one: a 200 000-byte
+// X-3gol-Trace starts a fresh trace instead of being stored on the span.
+func TestUploadIgnoresForeignTrace(t *testing.T) {
+	events := eventlog.New(0, 1, nil)
+	s := &Server{Events: events}
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	var form bytes.Buffer
+	mw := multipart.NewWriter(&form)
+	part, _ := mw.CreateFormFile("file", "a.jpg")
+	part.Write([]byte("abc"))
+	mw.Close()
+	huge := strings.Repeat("7", 200_000)
+	req, err := http.NewRequest(http.MethodPost, srv.URL, &form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", mw.FormDataContentType())
+	req.Header.Set(eventlog.HeaderTrace, huge+"/0123456789abcdef")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("status = %s: tracing failed the request", resp.Status)
+	}
+	var spans int
+	for _, ev := range events.Events() {
+		if ev.Name != "upload.request" {
+			continue
+		}
+		spans++
+		if len(ev.Trace) > 64 || ev.Parent != "" {
+			t.Errorf("%s event recorded a %d-byte trace with parent %q", ev.Kind, len(ev.Trace), ev.Parent)
+		}
+	}
+	if spans == 0 {
+		t.Error("no upload.request span recorded")
 	}
 }

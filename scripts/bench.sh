@@ -279,7 +279,7 @@ if [ -f BENCH_dataplane.json ]; then
              printf "%-14s %-16s %12.4f %12.4f %+7.1f%%%s\n", $1, $2, $3, $4, ($3 > 0 ? 100 * ($4 / $3 - 1) : 0),
                  ($5 < 0 ? "" : over ? "  OVER its bound" : "  (ratcheted)") }
            END { exit failed }' \
-    || { echo "bench.sh: FAIL — alloc_MB_per_op grew past its bound vs committed BENCH_dataplane.json (rows marked above); on the vod workloads the fast guard is go test -count=1 -run TestBoostVoDAllocBudget ./internal/core" >&2; exit 1; }
+    || { echo "bench.sh: FAIL — alloc_MB_per_op grew past its bound vs committed BENCH_dataplane.json (rows marked above); the fast guards are go test -count=1 -run TestBoostVoDAllocBudget ./internal/core on the vod workloads and -run TestUploadPhotosAllocBudget on upload_shaped" >&2; exit 1; }
 fi
 mv "$dp/fresh" BENCH_dataplane.json
 

@@ -35,12 +35,22 @@
 #      seconds of FuzzParse: fuzzed bytes as an m3u8 playlist (Parse
 #      never panics, accepts only finite durations between 0 and a day,
 #      and a playlist it accepts encodes to a fixed point after one
-#      round), from the corpus in internal/hls/testdata/fuzz. A failing
-#      input is written beside its corpus for the fix to commit
+#      round), from the corpus in internal/hls/testdata/fuzz; then ten
+#      seconds of FuzzTraceHeader: fuzzed X-3gol-Trace values (extracting
+#      never panics, an accepted trace and span are at most 64 bytes of
+#      [0-9A-Za-z_-], and injecting an extracted context writes a header
+#      that extracts to it again), from the corpus in
+#      internal/obs/eventlog/testdata/fuzz. A failing input is written
+#      beside its corpus for the fix to commit
 #   7. alloc and link-rate budgets — without the race detector (the
 #      race stage skips them). TestBoostVoDAllocBudget: a boosted BipBop
 #      q4 session at steady state allocates under 2 MB, the ratchet on
 #      the segment-buffer recycling of the client proxy.
+#      TestUploadPhotosAllocBudget: a boosted upload of 12 photos over
+#      an unshaped home (every hop still a netem.Conn) allocates under
+#      56 KB per photo at steady state, the ratchet on the upload path's
+#      copies (a declared-length body, the shaped conn's ReadFrom and
+#      the upload server's reused reader and hash buffer).
 #      TestServeBatchAllocBudget: a warmed 512-request batch allocates
 #      under 8 KB in the permit plane's handler and under 100 KB per
 #      BatchClient round trip, the ratchet on the batch path's codec
@@ -142,11 +152,14 @@ go test -run '^$' -fuzz '^FuzzFeed$' -fuzztime 10s ./internal/permitplane
 echo '==> fuzz (go test -fuzz FuzzParse -fuzztime 10s ./internal/hls)'
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/hls
 
-echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestServeBatchAllocBudget, TestParseBatchRequestAllocFree, TestRecordDecisionsAllocFree, TestWriteSnapshotAllocBudget, TestLinkRateBudget, TestZeroMetricsAllocFree; no -race)'
+echo '==> fuzz (go test -fuzz FuzzTraceHeader -fuzztime 10s ./internal/obs/eventlog)'
+go test -run '^$' -fuzz '^FuzzTraceHeader$' -fuzztime 10s ./internal/obs/eventlog
+
+echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestUploadPhotosAllocBudget, TestServeBatchAllocBudget, TestParseBatchRequestAllocFree, TestRecordDecisionsAllocFree, TestWriteSnapshotAllocBudget, TestLinkRateBudget, TestZeroMetricsAllocFree; no -race)'
 # Allocation counts and wall-clock link time mean nothing under the race
 # detector, so the stage above skips these tests; -count=1 keeps a
 # cached pass from standing in.
-go test -count=1 -run 'TestBoostVoDAllocBudget$' ./internal/core
+go test -count=1 -run 'TestBoostVoDAllocBudget$|TestUploadPhotosAllocBudget$' ./internal/core
 go test -count=1 -run 'TestServeBatchAllocBudget$|TestParseBatchRequestAllocFree$|TestRecordDecisionsAllocFree$' ./internal/permitplane
 go test -count=1 -run 'TestWriteSnapshotAllocBudget$' ./internal/permitplane/wal
 go test -count=1 -run 'TestLinkRateBudget$' ./internal/netem
