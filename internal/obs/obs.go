@@ -495,6 +495,18 @@ func (hc *HistogramChild) Observe(x float64) {
 	hc.sk.Add(x)
 }
 
+// ObserveN records n observations of x under one lock: n calls of
+// Observe(x), for a caller that times a run of n events once and
+// records their mean. n ≤ 0 records nothing.
+func (hc *HistogramChild) ObserveN(x float64, n int) {
+	if hc == nil || n <= 0 {
+		return
+	}
+	hc.h.mu.Lock()
+	defer hc.h.mu.Unlock()
+	hc.sk.AddN(x, int64(n))
+}
+
 // Count reports the child's observation count.
 func (hc *HistogramChild) Count() int64 {
 	if hc == nil {

@@ -93,6 +93,46 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestObserveNIsNObserves holds ObserveN(x, n) to n calls of
+// Observe(x): count, sum, bins, min and max. The values are dyadic, so
+// x·n is the sum n additions reach and the sums compare exactly.
+func TestObserveNIsNObserves(t *testing.T) {
+	r := NewRegistry()
+	h := r.NewHistogram("lat_seconds", "latency", 0, 10, 100, "way")
+	batched, single := h.With("n"), h.With("1")
+	for _, obs := range []struct {
+		x float64
+		n int
+	}{{0.25, 128}, {3.5, 1}, {0, 7}, {-1, 3}, {12, 2}, {0.0078125, 1000}, {9.75, 0}, {5, -4}} {
+		batched.ObserveN(obs.x, obs.n)
+		for i := 0; i < obs.n; i++ {
+			single.Observe(obs.x)
+		}
+	}
+	got, want := batched.sk, single.sk
+	if got.N != want.N || got.Sum != want.Sum || got.Min != want.Min || got.Max != want.Max {
+		t.Errorf("ObserveN: count %d sum %v min %v max %v; n Observes: count %d sum %v min %v max %v",
+			got.N, got.Sum, got.Min, got.Max, want.N, want.Sum, want.Min, want.Max)
+	}
+	for i := range want.Counts {
+		if got.Counts[i] != want.Counts[i] {
+			t.Errorf("bin %d: ObserveN %d, n Observes %d", i, got.Counts[i], want.Counts[i])
+		}
+	}
+
+	empty := h.With("none")
+	empty.ObserveN(1, 0)
+	empty.ObserveN(1, -1)
+	if empty.Count() != 0 || empty.sk.Sum != 0 {
+		t.Errorf("ObserveN with n ≤ 0 recorded count %d sum %v, want nothing", empty.Count(), empty.sk.Sum)
+	}
+	var hc *HistogramChild
+	hc.ObserveN(1, 5)
+	if hc.Count() != 0 {
+		t.Errorf("nil child counted %d, want 0", hc.Count())
+	}
+}
+
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var (
 		c *Counter

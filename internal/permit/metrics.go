@@ -14,9 +14,9 @@ const (
 type Metrics struct {
 	// Decisions counts backend permit decisions (granted | denied).
 	Decisions *obs.Counter
-	// DecisionSeconds is the backend's service time per decision, timed
-	// from the end of the decision before it in its slice and dominated
-	// by the Utilization monitoring hook.
+	// DecisionSeconds is the backend's service time per decision: each
+	// DecideN slice is timed once and recorded as its mean, n times.
+	// Dominated by the Utilization monitoring hook.
 	DecisionSeconds *obs.Histogram
 
 	// The three series every decision touches, resolved once: looking a

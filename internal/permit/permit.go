@@ -83,13 +83,14 @@ func (b *Backend) Decide(ctx context.Context, cell string) (resp Response) {
 // DecideN makes n admission decisions, the k-th for cell(k), handing
 // each to out(k, ·): granted while the monitoring hook reports
 // utilisation below the threshold. The clock is read before the first
-// decision and after each (a decision's service time is the gap), the
-// counts added once; each flight-recorder point joins ctx's trace.
+// decision and after the last, and the slice recorded as n decisions of
+// its mean service time; the counts are added once too. Each
+// flight-recorder point joins ctx's trace.
 func (b *Backend) DecideN(ctx context.Context, n int, cell func(k int) string, out func(k int, r Response)) {
 	clk := clock.Or(b.Clock)
 	threshold, ttl := b.threshold(), b.ttl().Seconds()
 	granted := 0
-	t0, prev := clk.Now(), time.Duration(0)
+	t0 := clk.Now()
 	for k := 0; k < n; k++ {
 		c := cell(k)
 		resp := Response{Utilization: b.Utilization(c)}
@@ -105,9 +106,9 @@ func (b *Backend) DecideN(ctx context.Context, n int, cell func(k int) string, o
 			b.Events.Point(tc, "permit.decision", attrs...)
 		}
 		out(k, resp)
-		since := clk.Since(t0) // a monotonic read, cheaper than Now
-		b.Metrics.seconds.Observe((since - prev).Seconds())
-		prev = since
+	}
+	if n > 0 {
+		b.Metrics.seconds.ObserveN(clk.Since(t0).Seconds()/float64(n), n)
 	}
 	b.Metrics.granted.Add(int64(granted))
 	b.Metrics.denied.Add(int64(n - granted))

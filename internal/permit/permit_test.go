@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"threegol/internal/obs"
 	"threegol/internal/permit"
 	"threegol/internal/permitplane"
 )
@@ -164,4 +165,54 @@ func TestDeniedPermitRecheckedAfterCooldown(t *testing.T) {
 		t.Errorf("backend called %d times within cool-down, want 1", calls)
 	}
 	mu.Unlock()
+}
+
+// stepClock moves one step on every read, so a reading counts the reads
+// before it.
+type stepClock struct {
+	now  time.Time
+	step time.Duration
+}
+
+func (c *stepClock) Now() time.Time {
+	c.now = c.now.Add(c.step)
+	return c.now
+}
+
+func (c *stepClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+
+func (c *stepClock) Sleep(d time.Duration) { c.now = c.now.Add(d) }
+
+// TestDecideNTimesItsSliceOnce pins DecideN's timing: two clock reads
+// per slice, whatever its length, and permit_decision_seconds holding
+// one observation per decision whose sum is the slice's elapsed time.
+func TestDecideNTimesItsSliceOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	clk := &stepClock{step: time.Millisecond}
+	b := &permit.Backend{
+		Utilization: func(string) float64 { return 0.2 },
+		Metrics:     permit.NewMetrics(reg),
+		Clock:       clk,
+	}
+	const n = 128
+	start := clk.now
+	decided := 0
+	b.DecideN(context.Background(), n, func(int) string { return "c" }, func(int, permit.Response) { decided++ })
+	elapsed := clk.now.Sub(start)
+	if decided != n || elapsed != 2*clk.step {
+		t.Fatalf("%d decisions in %d clock reads; want %d in 2", decided, elapsed/clk.step, n)
+	}
+	for _, m := range reg.Snapshot() {
+		if m.Name != "permit_decision_seconds" {
+			continue
+		}
+		v := m.Values[0]
+		// Two reads one step apart: the slice took one step.
+		if v.Count != n || v.Sum != clk.step.Seconds() {
+			t.Errorf("permit_decision_seconds count %d sum %v; want %d and the slice's %v s",
+				v.Count, v.Sum, n, clk.step.Seconds())
+		}
+		return
+	}
+	t.Fatal("permit_decision_seconds not registered")
 }

@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"threegol/internal/obs"
 	"threegol/internal/permit"
@@ -137,6 +138,79 @@ func TestShardedRejectsOversizedIDs(t *testing.T) {
 	if g, d := s.Stats(); g != 0 || d != 0 {
 		t.Errorf("rejected requests made decisions: grants=%d denials=%d", g, d)
 	}
+}
+
+// FuzzPermitQuery feeds fuzzed device and cell IDs to GET /permit on a
+// durable plane. No answer is a 5xx. A missing cell, or an ID over
+// wal.MaxIDLen, is a 400 that records nothing: no decision counted, no
+// WAL record. Anything else is a 200 carrying a permit.Response — the
+// hook's verdict on the cell — and one decision more; a grant to a
+// named device advances its shard's WAL. A missing device is decided
+// (and not tracked), as in a batch. The seed corpus
+// (testdata/fuzz/FuzzPermitQuery) has ordinary, hot, empty and escaped
+// IDs; the IDs at and one past the bound are built here.
+func FuzzPermitQuery(f *testing.F) {
+	long := strings.Repeat("x", wal.MaxIDLen)
+	for _, q := range [][2]string{{long, "c"}, {"d", long}, {long + "x", "c"}, {"d", long + "x"}} {
+		f.Add(q[0], q[1])
+	}
+	clk := &fakeClock{}
+	s, err := NewDurable(Config{Shards: 4, TTL: time.Minute, Utilization: testUtil, Clock: clk, WALDir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = s.Close() })
+	f.Fuzz(func(t *testing.T, device, cell string) {
+		clk.advance(time.Minute) // earlier grants lapse: the store stays small
+		sh := s.shardFor(cell)
+		grants, denials := s.Stats()
+		seqs := make([]uint64, len(s.shards))
+		for i, sh := range s.shards {
+			seqs[i] = sh.store.Seq()
+		}
+		rec := httptest.NewRecorder()
+		q := url.Values{"device": {device}, "cell": {cell}}
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/permit?"+q.Encode(), nil))
+
+		g, d := s.Stats()
+		if cell == "" || len(cell) > wal.MaxIDLen || len(device) > wal.MaxIDLen {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("device %q cell %q: %d, want 400", device, cell, rec.Code)
+			}
+			if g != grants || d != denials {
+				t.Fatalf("device %q cell %q: a 400 counted %d grants and %d denials", device, cell, g-grants, d-denials)
+			}
+			for i, sh := range s.shards {
+				if seq := sh.store.Seq(); seq != seqs[i] {
+					t.Fatalf("device %q cell %q: a 400 moved shard %d's WAL from %d to %d", device, cell, i, seqs[i], seq)
+				}
+			}
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("device %q cell %q: %d %q, want 200", device, cell, rec.Code, rec.Body.String())
+		}
+		var resp permit.Response
+		dec := json.NewDecoder(rec.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("device %q cell %q: body %q is no permit.Response: %v", device, cell, rec.Body.String(), err)
+		}
+		util := testUtil(cell)
+		want := permit.Response{Granted: util < permit.DefaultThreshold, Utilization: util}
+		if want.Granted {
+			want.TTLSeconds = time.Minute.Seconds()
+		}
+		if resp != want {
+			t.Fatalf("device %q cell %q: %+v, want %+v", device, cell, resp, want)
+		}
+		if g+d != grants+denials+1 {
+			t.Fatalf("device %q cell %q: a 200 counted %d decisions, want 1", device, cell, g+d-grants-denials)
+		}
+		if resp.Granted && device != "" && sh.store.Seq() <= seqs[sh.index] {
+			t.Fatalf("device %q cell %q: a grant left its shard's WAL at %d", device, cell, seqs[sh.index])
+		}
+	})
 }
 
 // TestShardedWithoutHookFailsRequests pins the misconfigured plane: with

@@ -52,9 +52,13 @@ func (c *BatchClient) Batch(ctx context.Context, reqs []PermitRequest) ([]permit
 	}
 	sent := newRequestBuf(reqs)
 	defer sent.release()
+	// No ContentLength: the body goes chunked, copied by requestBody's
+	// WriteTo from the pooled buffer. A declared length has net/http
+	// wrap the body in an io.LimitedReader, which the TCP conn's
+	// ReadFrom copies through a fresh buffer of the body's size on
+	// every request.
 	req.Body = sent.reader()
 	req.GetBody = func() (io.ReadCloser, error) { return sent.reader(), nil }
-	req.ContentLength = int64(len(sent.b))
 	req.Header.Set("Content-Type", "application/json")
 	if tc, ok := eventlog.FromContext(ctx); ok {
 		eventlog.InjectHTTP(req.Header, tc)

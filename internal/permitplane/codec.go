@@ -349,10 +349,12 @@ func (p *wireParser) list(open string, item func() bool) bool {
 	return (empty || p.lit("]")) && p.lit("}") && p.end()
 }
 
-// wireCap sizes a decoded slice from the body's object count, capped so
-// a body of braces cannot ask for more than a full batch up front.
+// wireCap sizes a decoded slice from the body's object count, the
+// outer object's brace not counted — exactly the list's length on the
+// canonical shape — and capped so a body of braces cannot ask for more
+// than a full batch up front.
 func wireCap(data []byte) int {
-	return min(bytes.Count(data, []byte{'{'}), MaxBatch+1)
+	return min(max(bytes.Count(data, []byte{'{'})-1, 0), MaxBatch+1)
 }
 
 // serverRequest is a PermitRequest as the server holds it: the device's
@@ -429,11 +431,11 @@ func walkBatchRequest(data []byte, add func(device, cell []byte)) bool {
 }
 
 // parseBatchRequest is the server's decode of a BatchRequest body of the
-// canonical shape: into into[:0] (allocating when that is too small),
-// devices in place and cells from cells. It reports whether the body had
+// canonical shape: into into[:0] (allocating when that is nil or too
+// small), devices in place and cells from cells. It reports whether the body had
 // that shape.
 func parseBatchRequest(data []byte, into []serverRequest, cells *cellTable) ([]serverRequest, bool) {
-	if n := wireCap(data); cap(into) < n {
+	if n := wireCap(data); into == nil || cap(into) < n {
 		into = make([]serverRequest, 0, n)
 	}
 	reqs := into[:0]
@@ -444,12 +446,12 @@ func parseBatchRequest(data []byte, into []serverRequest, cells *cellTable) ([]s
 }
 
 // parseBatchResponse decodes a BatchResponse body of the canonical shape
-// into into[:0] (allocating when that is too small) and reports whether
-// the body had that shape.
+// into into[:0] (allocating when that is nil or too small) and reports
+// whether the body had that shape.
 func parseBatchResponse(data []byte, into []permit.Response) ([]permit.Response, bool) {
 	p := wireParser{b: data}
-	if n := wireCap(data); cap(into) < n {
-		into = make([]permit.Response, 0, n)
+	if n := wireCap(data); into == nil || cap(into) < n {
+		into = make([]permit.Response, 0, n) // non-nil: an empty list is not null
 	}
 	decisions := into[:0]
 	ok := p.list(`{"decisions":[`, func() bool {

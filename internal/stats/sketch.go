@@ -41,7 +41,11 @@ func NewSketch(lo, hi float64, bins int) *Sketch {
 }
 
 // Add records one observation.
-func (s *Sketch) Add(x float64) {
+func (s *Sketch) Add(x float64) { s.AddN(x, 1) }
+
+// AddN records n observations of x: n calls of Add(x) in one bin
+// update, their sum taken as x·n.
+func (s *Sketch) AddN(x float64, n int64) {
 	i := int((x - s.Lo) / (s.Hi - s.Lo) * float64(len(s.Counts)))
 	if i < 0 {
 		i = 0
@@ -49,9 +53,9 @@ func (s *Sketch) Add(x float64) {
 	if i >= len(s.Counts) {
 		i = len(s.Counts) - 1
 	}
-	s.Counts[i]++
-	s.N++
-	s.Sum += x
+	s.Counts[i] += n
+	s.N += n
+	s.Sum += x * float64(n)
 	if x < s.Min {
 		s.Min = x
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -86,6 +87,74 @@ func TestCachingSinkReusesBuffersAcrossLengths(t *testing.T) {
 			t.Errorf("round %d: Len=%d Bytes=%d after Release", round, cache.Len(), cache.Bytes())
 		}
 	}
+}
+
+// A released buffer is there for the next session however many
+// collections fall between the two: the free list is not a sync.Pool,
+// so a session's allocations do not hang on when the collector runs.
+func TestSegmentBuffersOutliveCollections(t *testing.T) {
+	const size, n = 1 << 20, 4
+	body := bytes.Repeat([]byte("s"), size)
+	cache := NewCache()
+	sink := CachingSink(cache)
+	session := func() map[*byte]bool {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := sink(scheduler.Item{Name: strconv.Itoa(i)}, bytes.NewReader(body), size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		used := map[*byte]bool{}
+		for i := 0; i < n; i++ {
+			b, _ := cache.Get(strconv.Itoa(i))
+			used[&b[0]] = true
+		}
+		cache.Release()
+		return used
+	}
+	first := session()
+	runtime.GC()
+	runtime.GC()
+	for p := range session() {
+		if !first[p] {
+			t.Fatal("a segment buffer was made again after two collections")
+		}
+	}
+}
+
+// The free list hands out the smallest buffer that fits, drops the
+// smallest on a miss so it turns over to a larger rendition, and keeps
+// no more than segmentKeep bytes.
+func TestSegmentListBestFitAndBound(t *testing.T) {
+	mk := func(n int) *[]byte { b := make([]byte, n); return &b }
+	var l segmentList
+	small, large, mid := mk(100), mk(300), mk(200)
+	l.put(small)
+	l.put(large)
+	l.put(mid)
+	if got := l.get(150); got != mid {
+		t.Fatalf("get(150) = cap %d, want the 200-byte buffer", capOf(got))
+	}
+	if got := l.get(1000); got != nil {
+		t.Fatalf("get(1000) = cap %d, want a miss", capOf(got))
+	}
+	if len(l.free) != 1 || l.free[0] != large || l.bytes != 300 {
+		t.Fatalf("after the miss: %d buffers, %d bytes; want only the 300-byte one", len(l.free), l.bytes)
+	}
+
+	full := segmentList{bytes: segmentKeep - 10}
+	full.put(mk(11))
+	full.put(mk(10))
+	if len(full.free) != 1 || cap(*full.free[0]) != 10 || full.bytes != segmentKeep {
+		t.Fatalf("past the bound: %d buffers, %d bytes; want the 10-byte one kept and %d", len(full.free), full.bytes, segmentKeep)
+	}
+}
+
+func capOf(bp *[]byte) int {
+	if bp == nil {
+		return -1
+	}
+	return cap(*bp)
 }
 
 // GRD's endgame can deliver a segment twice; the first body is the one a

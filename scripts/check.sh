@@ -32,7 +32,12 @@
 #      fails on a reader that does not, stores only finite values ≥ 0,
 #      and fills the table a line-by-line reference parse does; an
 #      overlong line is skipped, not the end of the feed); then ten
-#      seconds of FuzzParse: fuzzed bytes as an m3u8 playlist (Parse
+#      seconds of FuzzPermitQuery: fuzzed device and cell IDs to GET
+#      /permit on a durable plane (never a 5xx; a missing cell or an
+#      oversized ID is a 400 that records no decision and no WAL record;
+#      a 200 is one decision, its body a permit.Response), from the
+#      corpus in internal/permitplane/testdata/fuzz; then ten seconds of
+#      FuzzParse: fuzzed bytes as an m3u8 playlist (Parse
 #      never panics, accepts only finite durations between 0 and a day,
 #      and a playlist it accepts encodes to a fixed point after one
 #      round), from the corpus in internal/hls/testdata/fuzz; then ten
@@ -52,10 +57,15 @@
 #      copies (a declared-length body, the shaped conn's ReadFrom and
 #      the upload server's reused reader and hash buffer).
 #      TestServeBatchAllocBudget: a warmed 512-request batch allocates
-#      under 8 KB in the permit plane's handler and under 100 KB per
+#      under 8 KB in the permit plane's handler and under 32 KB per
 #      BatchClient round trip, the ratchet on the batch path's codec
-#      and pooled buffers; TestParseBatchRequestAllocFree: its warmed
-#      parse allocates nothing (IDs read in place, cells from a table).
+#      and pooled buffers and on the client's chunked request body (a
+#      declared length cost a body-sized copy buffer per request);
+#      TestParseBatchRequestAllocFree: its warmed parse allocates
+#      nothing (IDs read in place, cells from a table);
+#      TestParseBatchResponseAllocFree: a warmed parse of a
+#      512-decision response into a slice of exactly 512 allocates
+#      nothing (the client sizes its decisions slice to the batch).
 #      TestRecordDecisionsAllocFree: a warmed 128-decision
 #      refresh-and-deny slice through a durable grant store allocates
 #      nothing, and a first grant only its key, its device string and
@@ -149,18 +159,21 @@ go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s ./internal/permitplane/wal
 echo '==> fuzz (go test -fuzz FuzzFeed -fuzztime 10s ./internal/permitplane)'
 go test -run '^$' -fuzz '^FuzzFeed$' -fuzztime 10s ./internal/permitplane
 
+echo '==> fuzz (go test -fuzz FuzzPermitQuery -fuzztime 10s ./internal/permitplane)'
+go test -run '^$' -fuzz '^FuzzPermitQuery$' -fuzztime 10s ./internal/permitplane
+
 echo '==> fuzz (go test -fuzz FuzzParse -fuzztime 10s ./internal/hls)'
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/hls
 
 echo '==> fuzz (go test -fuzz FuzzTraceHeader -fuzztime 10s ./internal/obs/eventlog)'
 go test -run '^$' -fuzz '^FuzzTraceHeader$' -fuzztime 10s ./internal/obs/eventlog
 
-echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestUploadPhotosAllocBudget, TestServeBatchAllocBudget, TestParseBatchRequestAllocFree, TestRecordDecisionsAllocFree, TestWriteSnapshotAllocBudget, TestLinkRateBudget, TestZeroMetricsAllocFree; no -race)'
+echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestUploadPhotosAllocBudget, TestServeBatchAllocBudget, TestParseBatchRequestAllocFree, TestParseBatchResponseAllocFree, TestRecordDecisionsAllocFree, TestWriteSnapshotAllocBudget, TestLinkRateBudget, TestZeroMetricsAllocFree; no -race)'
 # Allocation counts and wall-clock link time mean nothing under the race
 # detector, so the stage above skips these tests; -count=1 keeps a
 # cached pass from standing in.
 go test -count=1 -run 'TestBoostVoDAllocBudget$|TestUploadPhotosAllocBudget$' ./internal/core
-go test -count=1 -run 'TestServeBatchAllocBudget$|TestParseBatchRequestAllocFree$|TestRecordDecisionsAllocFree$' ./internal/permitplane
+go test -count=1 -run 'TestServeBatchAllocBudget$|TestParseBatchRequestAllocFree$|TestParseBatchResponseAllocFree$|TestRecordDecisionsAllocFree$' ./internal/permitplane
 go test -count=1 -run 'TestWriteSnapshotAllocBudget$' ./internal/permitplane/wal
 go test -count=1 -run 'TestLinkRateBudget$' ./internal/netem
 go test -count=1 -run 'TestZeroMetricsAllocFree$' ./internal/scheduler ./internal/transfer ./internal/permitplane
