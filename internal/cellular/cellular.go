@@ -59,26 +59,6 @@ type Params struct {
 	FadingStd  float64
 	FadingLo   float64
 	FadingHi   float64
-	// RadioCapsFunc maps a device's signal strength (dBm) to its
-	// per-device downlink/uplink rate ceilings; nil selects the HSPA
-	// mapping (RadioCaps). LTEParams installs the LTE mapping.
-	RadioCapsFunc func(signalDBm float64) (dl, ul float64)
-}
-
-// LTEParams returns constants for a 4G/LTE deployment — the paper's
-// §2.3 outlook ("with the reduced latency, and the large increase of
-// bandwidth, the period of powerboosting time might be extremely
-// short"): a 10 MHz LTE sector carries ≈35/12 Mbps usable DL/UL, RRC
-// idle→connected takes ≈100 ms, and per-device rates reach tens of Mbps.
-func LTEParams() Params {
-	p := DefaultParams()
-	p.HSDPACellCap = 35 * linksim.Mbps
-	p.HSUPACellCap = 12 * linksim.Mbps
-	p.BackhaulCap = 150 * linksim.Mbps
-	p.PromotionIdle = 0.1
-	p.PromotionFACH = 0.02
-	p.RadioCapsFunc = LTERadioCaps
-	return p
 }
 
 // DefaultParams returns the model constants used throughout the paper's

@@ -78,11 +78,7 @@ func (n *Network) AttachTo(name string, signalDBm float64, cell *Cell) *Device {
 		signal: signalDBm,
 		rrc:    RRCIdle,
 	}
-	capsFn := n.params.RadioCapsFunc
-	if capsFn == nil {
-		capsFn = radioCaps
-	}
-	d.capDL, d.capUL = capsFn(signalDBm)
+	d.capDL, d.capUL = radioCaps(signalDBm)
 	cell.attached++
 	return d
 }

@@ -1,7 +1,11 @@
 package discovery
 
 import (
+	"encoding/json"
 	"net"
+	"regexp"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,6 +129,9 @@ func TestEntryExpiresAfterTTL(t *testing.T) {
 	t.Error("entry did not expire after beacon went silent")
 }
 
+// TestBrowserIgnoresMalformedDatagrams sends each datagram and then a
+// well-formed one; the browser reads them in order, so once the last is
+// recorded every earlier one has been judged.
 func TestBrowserIgnoresMalformedDatagrams(t *testing.T) {
 	br := &Browser{}
 	addr, err := br.Listen("127.0.0.1:0")
@@ -139,12 +146,55 @@ func TestBrowserIgnoresMalformedDatagrams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write([]byte("not json"))
-	conn.Write([]byte(`{"proxy_addr":"x"}`)) // missing name
-	time.Sleep(50 * time.Millisecond)
-	if devs := br.Devices(); len(devs) != 0 {
-		t.Errorf("malformed datagrams created entries: %+v", devs)
+	for _, d := range []string{
+		"not json",
+		`{"proxy_addr":"x:1"}`, // missing name
+		`{"name":"slash","proxy_addr":"evil/x"}`,
+		`{"name":"new\nline","proxy_addr":"x:1"}`,
+		`{"name":"` + strings.Repeat("n", 65) + `","proxy_addr":"x:1"}`,
+		`{"name":"a/b","proxy_addr":"x:1"}`,
+		`{"name":"negative","proxy_addr":"x:1","allowance_bytes":-5}`,
+		`{"name":"nohost","proxy_addr":":8080"}`,
+		`{"name":"port0","proxy_addr":"x:0"}`,
+		`{"name":"port65536","proxy_addr":"x:65536"}`,
+		`{"name":"portname","proxy_addr":"x:http"}`,
+		`{"name":"cell","proxy_addr":"x:1","cell":"c 1"}`,
+	} {
+		conn.Write([]byte(d))
 	}
+	want := Announcement{Name: "3gol-host.lan_" + strings.Repeat("n", 50), ProxyAddr: "[::1]:65535",
+		AllowanceBytes: 7, Cell: "cell-7.a_b"}
+	b, _ := json.Marshal(want)
+	conn.Write(b)
+	if devs := br.WaitFor(1, 2*time.Second); len(devs) != 1 || devs[0] != want {
+		t.Errorf("devices = %+v, want only %+v", devs, want)
+	}
+}
+
+// FuzzAnnouncement feeds arbitrary datagrams to the browser's decoder:
+// it never panics, everything it accepts obeys the rules, and an
+// accepted announcement survives a JSON round trip unchanged.
+func FuzzAnnouncement(f *testing.F) {
+	id := regexp.MustCompile(`^[0-9A-Za-z_.-]{1,64}$`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ann, ok := parseAnnouncement(data)
+		if !ok {
+			return
+		}
+		host, port, err := net.SplitHostPort(ann.ProxyAddr)
+		p, perr := strconv.Atoi(port)
+		if !id.MatchString(ann.Name) || (ann.Cell != "" && !id.MatchString(ann.Cell)) ||
+			ann.AllowanceBytes < 0 || err != nil || host == "" || perr != nil || p < 1 || p > 65535 {
+			t.Fatalf("accepted %q as %+v", data, ann)
+		}
+		b, err := json.Marshal(ann)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, ok := parseAnnouncement(b); !ok || again != ann {
+			t.Fatalf("%+v encoded as %s decodes to %+v, %v", ann, b, again, ok)
+		}
+	})
 }
 
 func TestBeaconStartErrors(t *testing.T) {
@@ -153,7 +203,7 @@ func TestBeaconStartErrors(t *testing.T) {
 		b.Stop()
 		t.Error("missing Announce accepted")
 	}
-	b2 := &Beacon{Target: "://bad", Announce: fixedAnnounce("x", "y")}
+	b2 := &Beacon{Target: "://bad", Announce: fixedAnnounce("x", "x:1")}
 	if err := b2.Start(); err == nil {
 		b2.Stop()
 		t.Error("bad target accepted")
@@ -164,7 +214,7 @@ func TestBeaconDoubleStopSafe(t *testing.T) {
 	br := &Browser{}
 	addr, _ := br.Listen("127.0.0.1:0")
 	defer br.Close()
-	b := &Beacon{Target: addr, Announce: fixedAnnounce("x", "y")}
+	b := &Beacon{Target: addr, Announce: fixedAnnounce("x", "x:1")}
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +226,7 @@ func TestBeaconRestartAfterStop(t *testing.T) {
 	br := &Browser{}
 	addr, _ := br.Listen("127.0.0.1:0")
 	defer br.Close()
-	b := &Beacon{Target: addr, Announce: fixedAnnounce("x", "y"), Interval: 10 * time.Millisecond}
+	b := &Beacon{Target: addr, Announce: fixedAnnounce("x", "x:1"), Interval: 10 * time.Millisecond}
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}

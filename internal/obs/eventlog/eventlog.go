@@ -215,19 +215,7 @@ func (l *Log) Begin(parent TraceContext, name string, attrs ...string) Span {
 	if l == nil {
 		return Span{}
 	}
-	return l.beginAt(l.now(), parent, name, attrs)
-}
-
-// BeginAt is Begin at an explicit time — for analytic models that emit
-// spans whose extent is computed rather than measured.
-func (l *Log) BeginAt(t float64, parent TraceContext, name string, attrs ...string) Span {
-	if l == nil {
-		return Span{}
-	}
-	return l.beginAt(t, parent, name, attrs)
-}
-
-func (l *Log) beginAt(t float64, parent TraceContext, name string, attrs []string) Span {
+	t := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	tc := TraceContext{Trace: parent.Trace}
@@ -271,18 +259,7 @@ func (l *Log) Point(tc TraceContext, name string, attrs ...string) {
 	if l == nil {
 		return
 	}
-	l.pointAt(l.now(), tc, name, attrs)
-}
-
-// PointAt is Point at an explicit time.
-func (l *Log) PointAt(t float64, tc TraceContext, name string, attrs ...string) {
-	if l == nil {
-		return
-	}
-	l.pointAt(t, tc, name, attrs)
-}
-
-func (l *Log) pointAt(t float64, tc TraceContext, name string, attrs []string) {
+	t := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	trace := tc.Trace

@@ -3,8 +3,10 @@ package eventlog
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -245,6 +247,49 @@ func FuzzTraceHeader(f *testing.F) {
 		again, ok := ExtractHTTP(out)
 		if !ok || again != tc {
 			t.Fatalf("%q extracted to %+v, which injected as %q extracts to %+v, %v", v, tc, out.Get(HeaderTrace), again, ok)
+		}
+	})
+}
+
+// FuzzReadJSONL feeds arbitrary bytes to the reader behind 3goltrace
+// -check and on through every analysis it drives: nothing panics, and
+// a stream Check accepts comes back equal after WriteJSONL and
+// ReadJSONL.
+func FuzzReadJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_, checkErr := Check(events)
+		a := Assemble(events)
+		a.FindAnomalies()
+		for _, tr := range a.Traces {
+			tr.CriticalPath()
+		}
+		WriteChromeTrace(io.Discard, events)
+		if checkErr != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, events); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("%q wrote %q, which reads back as %v", data, buf.Bytes(), err)
+		}
+		// An empty attrs object is omitted on the way out and reads back
+		// as no attrs: the same event.
+		for _, evs := range [][]Event{events, back} {
+			for i := range evs {
+				if len(evs[i].Attrs) == 0 {
+					evs[i].Attrs = nil
+				}
+			}
+		}
+		if !reflect.DeepEqual(back, events) {
+			t.Fatalf("%q read as %+v, wrote %q, read back as %+v", data, events, buf.Bytes(), back)
 		}
 	})
 }

@@ -451,9 +451,6 @@ type Histogram struct {
 	values map[string]*stats.Sketch
 }
 
-// Bounds reports the histogram's [lo, hi) range and bin count.
-func (h *Histogram) Bounds() (lo, hi float64, bins int) { return h.lo, h.hi, h.bins }
-
 // With returns the child for the given label values, creating it on
 // first use. A nil Histogram returns a nil child, which records nothing.
 func (h *Histogram) With(values ...string) *HistogramChild {

@@ -198,22 +198,19 @@ func Fig11b(tr *traces.DSLAMTrace, cfg Config, binSeconds float64) LoadSeries {
 func MeanOnloadedFirstVideoBytes(tr *traces.DSLAMTrace, cfg Config) float64 {
 	cfg = cfg.withDefaults()
 	shareg3 := cfg.threeGBits() / (cfg.DSLBits + cfg.threeGBits())
-	boosted := make(map[int]float64)
+	// Summed in session order: a sum in map order differs between runs
+	// in its last bits.
+	boosted := make(map[int]bool)
+	var total float64
 	for _, s := range tr.Sessions {
-		if s.SizeBytes < cfg.MinBoostBytes {
+		if s.SizeBytes < cfg.MinBoostBytes || boosted[s.UserID] {
 			continue
 		}
-		if _, ok := boosted[s.UserID]; ok {
-			continue
-		}
-		boosted[s.UserID] = math.Min(s.SizeBytes*shareg3, cfg.budget())
+		boosted[s.UserID] = true
+		total += math.Min(s.SizeBytes*shareg3, cfg.budget())
 	}
 	if len(boosted) == 0 {
 		return 0
-	}
-	var total float64
-	for _, b := range boosted {
-		total += b
 	}
 	return total / float64(len(boosted))
 }

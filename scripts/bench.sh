@@ -6,7 +6,7 @@
 #   1. 3golfleet -json            — city-scale engine run (wall time,
 #      homes/sec, memory envelope, evaluation aggregates)
 #   2. 3golbench fig11a -json     — the speedup-CDF experiment's wall
-#      time and headline metrics
+#      time and rows (speedup quantiles, paper anchors)
 #   3. BenchmarkFleetThroughput   — go test -bench -benchmem engine
 #      scaling (homes/s + allocs/op at shard widths 1, 4, 16, NumCPU)
 #   4. BenchmarkFleetInnerLoop    — the engine's per-home hot path over

@@ -45,8 +45,18 @@
 #      never panics, an accepted trace and span are at most 64 bytes of
 #      [0-9A-Za-z_-], and injecting an extracted context writes a header
 #      that extracts to it again), from the corpus in
-#      internal/obs/eventlog/testdata/fuzz. A failing input is written
-#      beside its corpus for the fix to commit
+#      internal/obs/eventlog/testdata/fuzz; then ten seconds of
+#      FuzzReadJSONL: fuzzed bytes as the event stream 3goltrace -check
+#      reads (reading, Check, Assemble, FindAnomalies, CriticalPath and
+#      WriteChromeTrace never panic, and a stream Check accepts reads
+#      back equal after WriteJSONL), from the same corpus directory;
+#      then ten seconds of FuzzAnnouncement: fuzzed datagrams as the
+#      discovery beacon (the decoder never panics, accepts only a Name
+#      and Cell of at most 64 bytes of [0-9A-Za-z_.-], a host:port
+#      ProxyAddr with a port in 1-65535 and a non-negative allowance,
+#      and an accepted announcement survives a JSON round trip), from
+#      the corpus in internal/discovery/testdata/fuzz. A failing input
+#      is written beside its corpus for the fix to commit
 #   7. alloc and link-rate budgets — without the race detector (the
 #      race stage skips them). TestBoostVoDAllocBudget: a boosted BipBop
 #      q4 session at steady state allocates under 2 MB, the ratchet on
@@ -167,6 +177,12 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/hls
 
 echo '==> fuzz (go test -fuzz FuzzTraceHeader -fuzztime 10s ./internal/obs/eventlog)'
 go test -run '^$' -fuzz '^FuzzTraceHeader$' -fuzztime 10s ./internal/obs/eventlog
+
+echo '==> fuzz (go test -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/eventlog)'
+go test -run '^$' -fuzz '^FuzzReadJSONL$' -fuzztime 10s ./internal/obs/eventlog
+
+echo '==> fuzz (go test -fuzz FuzzAnnouncement -fuzztime 10s ./internal/discovery)'
+go test -run '^$' -fuzz '^FuzzAnnouncement$' -fuzztime 10s ./internal/discovery
 
 echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestUploadPhotosAllocBudget, TestServeBatchAllocBudget, TestParseBatchRequestAllocFree, TestParseBatchResponseAllocFree, TestRecordDecisionsAllocFree, TestWriteSnapshotAllocBudget, TestLinkRateBudget, TestZeroMetricsAllocFree; no -race)'
 # Allocation counts and wall-clock link time mean nothing under the race
