@@ -2,7 +2,7 @@
 // package clause says fault, which is on the SimPackages list: plans are
 // compiled on a virtual float64-seconds timeline and schedules must draw
 // from per-target seeded streams, so wall-clock reads and global
-// math/rand draws are both banned. Injected-clock gating of a live Conn
+// math/rand draws are both banned. A per-target seeded stream
 // passes; "jittering" a schedule from the shared source does not.
 package fault
 
