@@ -103,6 +103,42 @@ func TestSimulateBlackoutAllCompletesOnADSL(t *testing.T) {
 	}
 }
 
+func TestSimulateRevokeHoldsNewAttempts(t *testing.T) {
+	// A fast phone beside a slow, clean ADSL line (4 items take it 4 s
+	// alone). A revoked phone starts nothing inside the window, an
+	// attempt already in flight when it opens runs on, and the path
+	// wakes at the window's end (never, for a Forever window).
+	paths := []SimPath{{Name: "adsl", Rate: 100e3}, {Name: "phone1", Rate: 1e6}}
+	for _, tc := range []struct {
+		name       string
+		start, end float64
+		items      int
+		phoneItems int // -1: some, but not all
+		maxElapsed float64
+	}{
+		{"revoked-past-adsl", 0, 10, 4, 0, 4},
+		{"revoked-forever", 0, Forever, 4, 0, 4},
+		{"in-flight-runs-on", 0.05, 10, 4, 1, 3},
+		{"wakes-at-end", 0, 1.5, 8, -1, 3},
+	} {
+		plan := NewPlan(Window{Target: "phone1", Kind: Revoke, Start: tc.start, End: tc.end})
+		rep := mustSimulate(t, SimConfig{Paths: paths, Items: simItems(tc.items, 100e3), Plan: plan})
+		assertExactlyOnce(t, rep, tc.items)
+		phone := rep.PerPath["phone1"]
+		switch {
+		case tc.phoneItems >= 0 && phone.Items != tc.phoneItems:
+			t.Errorf("%s: phone delivered %d items, want %d", tc.name, phone.Items, tc.phoneItems)
+		case tc.phoneItems == 0 && phone.Bytes != 0:
+			t.Errorf("%s: a phone revoked from the start moved %d bytes", tc.name, phone.Bytes)
+		case tc.phoneItems < 0 && (phone.Items == 0 || phone.Items == tc.items):
+			t.Errorf("%s: phone delivered %d of %d items after its permit returned", tc.name, phone.Items, tc.items)
+		}
+		if rep.Elapsed > tc.maxElapsed+1e-9 || rep.Elapsed < tc.start {
+			t.Errorf("%s: elapsed %.3f s, want within [%v, %v]", tc.name, rep.Elapsed, tc.start, tc.maxElapsed)
+		}
+	}
+}
+
 func TestSimulateDeterministic(t *testing.T) {
 	for _, sc := range Scenarios() {
 		plan := MustCompile(sc, 11, []string{"phone1", "phone2"}, 120)
