@@ -2,6 +2,8 @@ package integration
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -214,6 +216,76 @@ func TestCLITracegenAndBench(t *testing.T) {
 	for _, want := range []string{"duplication=true", "α=0.75", "PLAYOUT"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("3golbench ablation output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCLIFleetReportsWhatItRan holds 3golfleet to the configuration it
+// actually ran: impossible counts are usage errors, the report names
+// the shards the engine used, and -validate refuses a report of a run
+// that cannot have happened.
+func TestCLIFleetReportsWhatItRan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	fleet := buildBinaries(t, "3golfleet")["3golfleet"]
+	run := func(stdin []byte, args ...string) ([]byte, int) {
+		t.Helper()
+		cmd := exec.Command(fleet, args...)
+		cmd.Stdin = bytes.NewReader(stdin)
+		out, err := cmd.Output()
+		var ee *exec.ExitError
+		switch {
+		case err == nil:
+			return out, 0
+		case errors.As(err, &ee):
+			return out, ee.ExitCode()
+		}
+		t.Fatalf("3golfleet %v: %v", args, err)
+		return nil, 0
+	}
+
+	for _, args := range [][]string{
+		{"-chaos", "none", "-homes", "8", "-shards", "-3"},
+		{"-chaos", "none", "-homes", "8", "-workers", "0"},
+		{"-homes", "8", "-days", "-2"},
+	} {
+		if _, code := run(nil, args...); code != 2 {
+			t.Errorf("3golfleet %v: exit %d, want 2", args, code)
+		}
+	}
+
+	for _, args := range [][]string{
+		{"-homes", "4", "-shards", "9", "-workers", "2", "-json"},
+		{"-chaos", "hostile", "-homes", "4", "-shards", "9", "-workers", "2", "-json"},
+	} {
+		out, code := run(nil, args...)
+		if code != 0 {
+			t.Fatalf("3golfleet %v: exit %d", args, code)
+		}
+		var rep map[string]any
+		if err := json.Unmarshal(out, &rep); err != nil {
+			t.Fatalf("3golfleet %v: %v", args, err)
+		}
+		if rep["shards"] != 4.0 {
+			t.Errorf("3golfleet %v: reports %v shards; 4 homes run on 4", args, rep["shards"])
+		}
+		if _, code := run(out, "-validate"); code != 0 {
+			t.Errorf("3golfleet -validate rejects the report of %v", args)
+		}
+		for field, bad := range map[string]any{"shards": -1, "workers": 0, "healthy": false, "delivered": 0} {
+			if _, ok := rep[field]; !ok {
+				continue
+			}
+			broken := make(map[string]any, len(rep))
+			for k, v := range rep {
+				broken[k] = v
+			}
+			broken[field] = bad
+			doc, _ := json.Marshal(broken)
+			if _, code := run(doc, "-validate"); code != 1 {
+				t.Errorf("3golfleet -validate: exit %d for %v's report with %s = %v, want 1", code, args, field, bad)
+			}
 		}
 	}
 }

@@ -186,6 +186,7 @@ echo "bench.sh: wrote BENCH_fleet.json"
 
 echo '==> 3golfleet -chaos hostile -json (fault-injection engine)'
 go run ./cmd/3golfleet -chaos hostile -homes 4096 -seed 1 -json > "$chaos"
+go run ./cmd/3golfleet -validate < "$chaos"
 
 jq -n \
     --slurpfile chaos "$chaos" \

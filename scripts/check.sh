@@ -96,7 +96,8 @@
 #  10. chaos smoke — 3golfleet -chaos runs the fault-injection harness
 #      under a hostile scenario and under blackout-all; the command
 #      exits non-zero if any resilience invariant (exactly-once
-#      delivery, duplicate-waste bound, ADSL-only completion) breaks
+#      delivery, duplicate-waste bound, ADSL-only completion) breaks,
+#      and -validate checks the hostile run's -json report
 #  11. chaos at scale — the hostile scenario again at 100k homes: the
 #      invariants must hold, and the run must fit the time budget, at a
 #      population three orders of magnitude above the race-detector
@@ -217,8 +218,12 @@ echo '==> chaos smoke (3golfleet -chaos invariants)'
 # The chaos harness replays the hostile scenario (every fault class
 # layered) and total 3G blackout across a small fleet; 3golfleet itself
 # asserts the resilience invariants and exits non-zero on any violation.
-# The captured eventlog must also pass the trace analyzer's checks.
-timeout 180 go run ./cmd/3golfleet -chaos hostile -homes 256 -seed 1 -json > /dev/null
+# The -json report goes through -validate, which rejects an unhealthy,
+# incomplete or truncated one (sh has no pipefail: the check is on the
+# report, not the producer's status). The captured eventlog must also
+# pass the trace analyzer's checks.
+timeout 180 go run ./cmd/3golfleet -chaos hostile -homes 256 -seed 1 -json |
+    go run ./cmd/3golfleet -validate
 timeout 180 go run ./cmd/3golfleet -chaos blackout-all -homes 128 -seed 1 -events "$events" > /dev/null
 go run ./cmd/3goltrace -check "$events"
 
@@ -228,7 +233,8 @@ echo '==> chaos at scale (3golfleet -chaos hostile, 100k homes)'
 # that a scheduling or merge regression would blow. Runs without the
 # race detector — the scale, not the interleaving, is what this stage
 # adds over the go test chaos suite.
-timeout 300 go run ./cmd/3golfleet -chaos hostile -homes 100000 -shards 32 -seed 1 -json > /dev/null
+timeout 300 go run ./cmd/3golfleet -chaos hostile -homes 100000 -shards 32 -seed 1 -json |
+    go run ./cmd/3golfleet -validate
 
 echo '==> permit smoke (3golpermitload -smoke)'
 # The permit-plane load harness runs a small population against an
