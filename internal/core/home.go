@@ -57,7 +57,8 @@ type HomeConfig struct {
 	Seed int64
 	// RRCPromotionDelay is the idle→DCH delay (unscaled); 0 selects 2 s.
 	RRCPromotionDelay time.Duration
-	// RRCTail is how long a phone stays warm after activity; 0 → 10 s.
+	// RRCTail is how long a phone stays warm after activity — its last
+	// dial or the last byte its proxy moved; 0 → 10 s.
 	RRCTail time.Duration
 	// Clock drives the emulation's real-time components (RRC state,
 	// netem pacing); nil selects the system clock.
@@ -115,6 +116,8 @@ func (p *Phone) rrcDelay() time.Duration {
 }
 
 // WarmUp models the ICMP train: promotes the phone to DCH immediately.
+// The proxy calls it for every byte it moves, so a phone carrying
+// traffic stays in DCH until its tail runs out after the last byte.
 func (p *Phone) WarmUp() {
 	p.rrcMu.Lock()
 	defer p.rrcMu.Unlock()
@@ -208,11 +211,11 @@ func (h *Home) startPhone(i int, pc PhoneConfig, scale float64, promotion, tail 
 	}
 
 	ph.Proxy = &proxy.Server{
-		Dial: &netem.Dialer{Pipe: hspaPipe, Seed: h.cfg.Seed + int64(i)*977},
+		Dial:    &netem.Dialer{Pipe: hspaPipe, Seed: h.cfg.Seed + int64(i)*977},
+		OnBytes: func(int64) { ph.WarmUp() },
 	}
-	if ph.Tracker != nil {
-		tr := ph.Tracker
-		ph.Proxy.OnBytes = tr.Use
+	if tr := ph.Tracker; tr != nil {
+		ph.Proxy.OnBytes = func(n int64) { ph.WarmUp(); tr.Use(n) }
 		ph.Proxy.Admit = func(context.Context) bool { return tr.ShouldAdvertise() }
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

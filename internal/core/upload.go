@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"time"
 
 	"threegol/internal/scheduler"
@@ -68,15 +70,25 @@ type UploadResult struct {
 
 // UploadPhotos uploads the set over the ADSL uplink plus the admissible
 // phones, mirroring the sequential native-client behaviour only in shape
-// (multipart POST per photo) while parallelising across paths.
+// (multipart POST per photo) while parallelising across paths. The
+// scheduler is offered the photos longest-first (stable on ties): a path
+// that frees up late then picks up a small photo, not a large one, so the
+// paths finish closer together. The report is in the caller's order:
+// ItemDone[i] and an ItemError's ItemID refer to photos[i]. Two photos
+// may not share a name, the key the upload server stores them by.
 func (h *Home) UploadPhotos(ctx context.Context, photos []Photo, opts UploadOptions) (*UploadResult, error) {
 	if opts.TargetURL == "" {
 		return nil, fmt.Errorf("core: UploadPhotos requires a TargetURL")
 	}
+	order := uploadOrder(photos)
 	items := make([]scheduler.Item, len(photos))
 	byName := make(map[string][]byte, len(photos))
-	for i, p := range photos {
-		items[i] = scheduler.Item{ID: i, Name: p.Name, Size: int64(len(p.Data))}
+	for id, i := range order {
+		p := photos[i]
+		if _, dup := byName[p.Name]; dup {
+			return nil, fmt.Errorf("core: photo name %q appears twice in the set", p.Name)
+		}
+		items[id] = scheduler.Item{ID: id, Name: p.Name, Size: int64(len(p.Data))}
 		byName[p.Name] = p.Data
 	}
 	source := func(item scheduler.Item) (io.ReadCloser, error) {
@@ -109,8 +121,16 @@ func (h *Home) UploadPhotos(ctx context.Context, photos []Photo, opts UploadOpti
 		DisableDuplication: opts.DisableDuplication,
 	})
 	if err != nil {
+		if ie := (*scheduler.ItemError)(nil); errors.As(err, &ie) {
+			ie.ItemID = order[ie.ItemID]
+		}
 		return nil, fmt.Errorf("core: upload transaction: %w", err)
 	}
+	done := make([]time.Duration, len(photos))
+	for id, i := range order {
+		done[i] = rep.ItemDone[id]
+	}
+	rep.ItemDone = done
 	return &UploadResult{
 		Elapsed:         h.ScaleDuration(rep.Elapsed),
 		Bytes:           TotalBytes(photos),
@@ -118,11 +138,24 @@ func (h *Home) UploadPhotos(ctx context.Context, photos []Photo, opts UploadOpti
 	}, nil
 }
 
+// uploadOrder is the order UploadPhotos offers photos to the scheduler:
+// their indices longest-first, stable on ties.
+func uploadOrder(photos []Photo) []int {
+	order := make([]int, len(photos))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return len(photos[b].Data) - len(photos[a].Data) })
+	return order
+}
+
 // BaselineUpload uploads the set sequentially over ADSL alone — the
-// native-client baseline the paper compares against.
+// native-client baseline the paper compares against. It sends the photos
+// longest-first, as UploadPhotos does; one path's total does not depend
+// on the order.
 func (h *Home) BaselineUpload(ctx context.Context, photos []Photo, targetURL string) (*UploadResult, error) {
 	res, err := h.UploadPhotos(ctx, photos, UploadOptions{
-		Algo:      scheduler.RoundRobin, // single path: order-preserving
+		Algo:      scheduler.RoundRobin, // single path: the offered order
 		TargetURL: targetURL,
 	})
 	if err != nil {

@@ -101,33 +101,32 @@ func Release(buf []byte) {
 // shaper paces one direction of one connection, clocked by the bytes it
 // carries, not by the calls that carry them: the limiters are charged
 // exactly on every call, stochastic delay is drawn once per maxChunk
-// bytes, and time owed — limiter debt plus drawn delay — is carried
-// forward until it amounts to a quantum. Skipping a sleep loses nothing:
-// the buckets' debt is the ledger, and the next call is quoted the rest.
+// bytes, and time owed — limiter debt plus delay not yet slept, the
+// one-way latency first — is carried forward until it amounts to a
+// quantum. Skipping a sleep loses nothing: the buckets' debt is the
+// ledger, and the next call is quoted the rest.
 type shaper struct {
-	clk         clock.Clock
-	limiters    []*Limiter
-	latency     time.Duration
-	jitter      time.Duration
-	stallProb   float64
-	stallDelay  time.Duration
-	latencyOnce sync.Once // pays the one-way latency once per connection
+	clk        clock.Clock
+	limiters   []*Limiter
+	jitter     time.Duration
+	stallProb  float64
+	stallDelay time.Duration
 
 	mu      sync.Mutex
 	seed    int64
 	rng     *rand.Rand    // seeded from seed on the first draw
 	covered int           // bytes the latest draw still covers
-	drawn   time.Duration // drawn delay not yet slept
+	delay   time.Duration // latency and drawn delay not yet slept
 }
 
 func newShaper(s Shape, scale float64, seed int64, clk clock.Clock) *shaper {
 	sh := &shaper{
 		clk:        clk,
-		latency:    time.Duration(float64(s.Latency) / scale),
 		jitter:     time.Duration(float64(s.Jitter) / scale),
 		stallProb:  s.StallProb,
 		stallDelay: time.Duration(float64(s.StallDelay) / scale),
 		seed:       seed,
+		delay:      time.Duration(float64(s.Latency) / scale), // paid once per connection
 	}
 	if s.Rate > 0 {
 		sh.limiters = append(sh.limiters, NewLimiterClock(s.Rate*scale, 0, clk))
@@ -141,11 +140,6 @@ func (s *shaper) pace(n int) {
 	if s == nil {
 		return
 	}
-	s.latencyOnce.Do(func() {
-		if s.latency > 0 {
-			s.clk.Sleep(s.latency)
-		}
-	})
 	bits := float64(n) * 8
 	var debt time.Duration
 	for _, l := range s.limiters {
@@ -153,7 +147,7 @@ func (s *shaper) pace(n int) {
 			debt = d
 		}
 	}
-	if wait := debt + s.stochasticDelay(n, debt); wait >= quantum {
+	if wait := debt + s.owedDelay(n, debt); wait >= quantum {
 		s.clk.Sleep(wait)
 	}
 }
@@ -178,33 +172,32 @@ func (s *shaper) step() int {
 	return max(maxChunk, int(limit))
 }
 
-// stochasticDelay advances the byte clock by n, drawing jitter and the
-// stall penalty for every maxChunk boundary crossed, and returns the
-// drawn delay to sleep now: all of it once it and debt amount to a
-// quantum, none until then. The rng is drawn under the shaper's lock;
-// the sleep is the caller's, outside it.
-func (s *shaper) stochasticDelay(n int, debt time.Duration) time.Duration {
-	if s.jitter <= 0 && s.stallProb <= 0 {
-		return 0 // nothing to draw: most connections never need the rng
-	}
+// owedDelay advances the byte clock by n, drawing jitter and the stall
+// penalty for every maxChunk boundary crossed, and returns the delay to
+// sleep now: all that is owed once it and debt amount to a quantum, none
+// until then. The rng is drawn under the shaper's lock; the sleep is the
+// caller's, outside it.
+func (s *shaper) owedDelay(n int, debt time.Duration) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(s.seed))
-	}
-	for s.covered -= n; s.covered < 0; s.covered += maxChunk {
-		if s.jitter > 0 {
-			s.drawn += time.Duration(s.rng.Int63n(int64(s.jitter)))
+	if s.jitter > 0 || s.stallProb > 0 { // most connections never need the rng
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(s.seed))
 		}
-		if s.stallProb > 0 && s.rng.Float64() < s.stallProb {
-			s.drawn += s.stallDelay
+		for s.covered -= n; s.covered < 0; s.covered += maxChunk {
+			if s.jitter > 0 {
+				s.delay += time.Duration(s.rng.Int63n(int64(s.jitter)))
+			}
+			if s.stallProb > 0 && s.rng.Float64() < s.stallProb {
+				s.delay += s.stallDelay
+			}
 		}
 	}
-	if debt+s.drawn < quantum {
+	if debt+s.delay < quantum {
 		return 0
 	}
-	d := s.drawn
-	s.drawn = 0
+	d := s.delay
+	s.delay = 0
 	return d
 }
 
