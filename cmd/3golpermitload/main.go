@@ -28,7 +28,6 @@
 package main
 
 import (
-	"container/heap"
 	"context"
 	"encoding/json"
 	"flag"
@@ -44,6 +43,7 @@ import (
 	"threegol/internal/clock"
 	"threegol/internal/permit"
 	"threegol/internal/permitplane"
+	"threegol/internal/simclock"
 	"threegol/internal/stats"
 )
 
@@ -269,26 +269,7 @@ func run(o options) (*result, error) {
 type client struct {
 	name  string
 	cell  string
-	due   float64 // next refresh, virtual seconds
-	draws uint64  // jitter stream position
-}
-
-// clientHeap is a min-heap of client indices by due time.
-type clientHeap struct {
-	due []float64
-	idx []int
-}
-
-func (h *clientHeap) Len() int           { return len(h.idx) }
-func (h *clientHeap) Less(i, j int) bool { return h.due[h.idx[i]] < h.due[h.idx[j]] }
-func (h *clientHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *clientHeap) Push(x any)         { h.idx = append(h.idx, x.(int)) }
-func (h *clientHeap) Pop() any {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
+	draws uint64 // jitter stream position
 }
 
 // job is one batch RPC's worth of due clients.
@@ -327,7 +308,7 @@ type workerStats struct {
 type fleet struct {
 	o       options
 	clients []client
-	pending clientHeap
+	pending simclock.Queue[int] // client indices by next refresh, virtual seconds
 	jobs    chan job
 	results chan done
 	workers []*workerStats
@@ -355,7 +336,6 @@ func newFleet(o options, backendURL string, transport *http.Transport) *fleet {
 		},
 		clk: clock.System,
 	}
-	f.pending.due = make([]float64, o.clients)
 	for i := range f.clients {
 		f.clients[i] = client{
 			name: fmt.Sprintf("c%d", i),
@@ -363,12 +343,21 @@ func newFleet(o options, backendURL string, transport *http.Transport) *fleet {
 		}
 		// Every client is due at t=0: the synchronised first wave is the
 		// worst case the jittered cache exists to absorb.
-		heap.Push(&f.pending, i)
+		f.pending.Push(0, i)
 	}
 	for w := range f.workers {
 		f.workers[w] = &workerStats{latency: stats.NewSketch(latencyLo, latencyHi, latencyBins)}
 	}
 	return f
+}
+
+// due reports whether a client's refresh is due at virtual time now.
+func (f *fleet) due(now float64) bool {
+	if f.pending.Len() == 0 {
+		return false
+	}
+	at, _ := f.pending.Peek()
+	return at <= now
 }
 
 // virtualNow converts elapsed wall time to virtual seconds.
@@ -407,10 +396,10 @@ func (f *fleet) run() {
 		}
 		// Dispatch every due client in batches.
 		dispatched := false
-		for f.pending.Len() > 0 && f.pending.due[f.pending.idx[0]] <= now {
+		for f.due(now) {
 			j := job{}
-			for f.pending.Len() > 0 && f.pending.due[f.pending.idx[0]] <= now && len(j.indices) < f.o.batch {
-				i := heap.Pop(&f.pending).(int)
+			for f.due(now) && len(j.indices) < f.o.batch {
+				_, i := f.pending.Pop()
 				j.indices = append(j.indices, i)
 				j.reqs = append(j.reqs, permitplane.PermitRequest{
 					Device: f.clients[i].name, Cell: f.clients[i].cell,
@@ -435,7 +424,7 @@ func (f *fleet) run() {
 	f.wall = f.clk.Since(f.start)
 }
 
-// drain folds completed jobs back into the heap; block waits for at
+// drain folds completed jobs back into the schedule; block waits for at
 // least one completion.
 func (f *fleet) drain(inflight *int, block bool) bool {
 	drained := false
@@ -454,8 +443,7 @@ func (f *fleet) drain(inflight *int, block bool) bool {
 		now := f.virtualNow()
 		for _, out := range d.outcomes {
 			c := &f.clients[out.index]
-			f.pending.due[out.index] = now + f.nextDelay(c, out)
-			heap.Push(&f.pending, out.index)
+			f.pending.Push(now+f.nextDelay(c, out), out.index)
 		}
 		drained = true
 		if block {

@@ -9,17 +9,17 @@ package fault
 // selection, endgame duplication, retry budgets, requeue, backoff and
 // the circuit breaker are the core's — played against a fault Plan on
 // its float64-seconds timeline. This file owns what the core does not:
-// the event heap, how long an attempt takes under the plan (including
-// the stall watchdog), and byte and waste accounting. No wall clock, no
-// global rand, no goroutines: same config in, same report out, bit for
-// bit.
+// the event loop on a simclock.Queue, how long an attempt takes under
+// the plan (including the stall watchdog), and byte and waste
+// accounting. No wall clock, no global rand, no goroutines: same config
+// in, same report out, bit for bit.
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
 	"threegol/internal/scheduler"
+	"threegol/internal/simclock"
 )
 
 // SimPath describes one path in a chaos simulation.
@@ -150,25 +150,10 @@ const (
 )
 
 type simEvent struct {
-	t    float64
-	seq  int // FIFO tie-break: identical times pop in push order
 	kind int
 	path int
 	att  *simAttempt
 }
-
-type eventHeap []simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(simEvent)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 type simAttempt struct {
 	item      int
@@ -184,8 +169,7 @@ type simState struct {
 	stall float64 // watchdog timeout, seconds; 0 = off
 	rep   *SimReport
 
-	events eventHeap
-	evSeq  int
+	events simclock.Queue[simEvent]
 
 	// running[p] is path p's attempt in progress, nil when idle.
 	running []*simAttempt
@@ -212,8 +196,8 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	n := len(cfg.Paths)
 	names := make([]string, n)
 	for i, p := range cfg.Paths {
-		if p.Rate <= 0 {
-			return nil, fmt.Errorf("fault: path %q has non-positive rate", p.Name)
+		if !(p.Rate > 0) || math.IsInf(p.Rate, 1) {
+			return nil, fmt.Errorf("fault: path %q has rate %v, want positive and finite", p.Name, p.Rate)
 		}
 		names[i] = p.Name
 	}
@@ -231,19 +215,19 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	}
 	for p := range cfg.Paths {
 		s.rep.PerPath[cfg.Paths[p].Name] = SimPathStats{}
-		s.push(simEvent{t: 0, kind: evIdle, path: p})
+		s.events.Push(0, simEvent{kind: evIdle, path: p})
 	}
 	if len(cfg.Items) == 0 {
 		return s.rep, nil
 	}
 
 	for s.events.Len() > 0 && !s.done && s.rep.Failed == "" {
-		e := heap.Pop(&s.events).(simEvent)
+		t, e := s.events.Pop()
 		switch e.kind {
 		case evIdle:
-			s.dispatch(e.path, e.t)
+			s.dispatch(e.path, t)
 		case evResolve:
-			s.resolve(e.path, e.att, e.t)
+			s.resolve(e.path, e.att, t)
 		}
 	}
 	if !s.done && s.rep.Failed == "" {
@@ -262,18 +246,12 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	return s.rep, nil
 }
 
-func (s *simState) push(e simEvent) {
-	e.seq = s.evSeq
-	s.evSeq++
-	heap.Push(&s.events, e)
-}
-
 // wakeAll re-dispatches every idle path at time t: the core's state
 // changed, so a parked path may have something to carry now.
 func (s *simState) wakeAll(t float64) {
 	for p, att := range s.running {
 		if att == nil {
-			s.push(simEvent{t: t, kind: evIdle, path: p})
+			s.events.Push(t, simEvent{kind: evIdle, path: p})
 		}
 	}
 }
@@ -290,7 +268,7 @@ func (s *simState) dispatch(p int, t float64) {
 		// (a Forever window parks the path for good).
 		s.earliestIdle[p] = w.End
 		if !math.IsInf(w.End, 1) {
-			s.push(simEvent{t: w.End, kind: evIdle, path: p})
+			s.events.Push(w.End, simEvent{kind: evIdle, path: p})
 		}
 		return
 	}
@@ -299,7 +277,7 @@ func (s *simState) dispatch(p int, t float64) {
 	case scheduler.Park:
 		return // a wake will retry when state changes
 	case scheduler.Wait:
-		s.push(simEvent{t: d.Until, kind: evIdle, path: p})
+		s.events.Push(d.Until, simEvent{kind: evIdle, path: p})
 		return
 	case scheduler.Duplicate:
 		s.rep.Duplicates++
@@ -307,7 +285,7 @@ func (s *simState) dispatch(p int, t float64) {
 	end, bytes, out := walkAttempt(s.cfg.Plan, sp.Name, sp.Rate, s.cfg.Items[d.Item], t, s.stall)
 	att := &simAttempt{item: d.Item, start: t, bytes: bytes, out: out}
 	s.running[p] = att
-	s.push(simEvent{t: end, kind: evResolve, path: p, att: att})
+	s.events.Push(end, simEvent{kind: evResolve, path: p, att: att})
 	// A fresh in-flight item is a new endgame candidate for parked
 	// paths.
 	s.wakeAll(t)
@@ -352,7 +330,7 @@ func (s *simState) resolve(p int, att *simAttempt, t float64) {
 		}
 		s.rep.PerPath[name] = st
 		if !s.done {
-			s.push(simEvent{t: t, kind: evIdle, path: p})
+			s.events.Push(t, simEvent{kind: evIdle, path: p})
 			s.wakeAll(t)
 		}
 		return
@@ -381,6 +359,6 @@ func (s *simState) resolve(p int, att *simAttempt, t float64) {
 		s.rep.Requeues++
 	}
 	s.earliestIdle[p] = t + f.Backoff
-	s.push(simEvent{t: t + f.Backoff, kind: evIdle, path: p})
+	s.events.Push(t+f.Backoff, simEvent{kind: evIdle, path: p})
 	s.wakeAll(t)
 }

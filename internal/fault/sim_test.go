@@ -2,6 +2,7 @@ package fault
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -293,8 +294,14 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(SimConfig{}); err == nil {
 		t.Fatalf("no paths should be rejected")
 	}
-	if _, err := Simulate(SimConfig{Paths: []SimPath{{Name: "x", Rate: 0}}}); err == nil {
-		t.Fatalf("zero rate should be rejected")
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		cfg := SimConfig{
+			Paths: []SimPath{{Name: "adsl", Rate: 1e6}, {Name: "p", Rate: rate}},
+			Items: []int64{1e5, 1e5, 1e5},
+		}
+		if _, err := Simulate(cfg); err == nil {
+			t.Errorf("rate %v should be rejected", rate)
+		}
 	}
 	rep := mustSimulate(t, SimConfig{Paths: simPaths()})
 	if rep.Completed != 0 || rep.Failed != "" {

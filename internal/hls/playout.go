@@ -1,9 +1,6 @@
 package hls
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // PlayoutStats summarises a playback session reconstructed from segment
 // completion times — the metric the paper's deferred playout-phase
@@ -66,19 +63,4 @@ func SimulatePlayout(done []time.Duration, segDur float64, prebufferSegs int) Pl
 		clock += seg
 	}
 	return stats
-}
-
-// SortedCompletionTimes is a small helper converting a map of segment
-// index → completion time into the dense slice SimulatePlayout expects.
-func SortedCompletionTimes(m map[int]time.Duration) []time.Duration {
-	idx := make([]int, 0, len(m))
-	for i := range m {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	out := make([]time.Duration, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, m[i])
-	}
-	return out
 }

@@ -66,11 +66,3 @@ func TestSimulatePlayoutPrebufferClamps(t *testing.T) {
 		t.Errorf("empty playout = %+v", got)
 	}
 }
-
-func TestSortedCompletionTimes(t *testing.T) {
-	m := map[int]time.Duration{2: 3 * time.Second, 0: time.Second, 1: 2 * time.Second}
-	out := SortedCompletionTimes(m)
-	if len(out) != 3 || out[0] != time.Second || out[2] != 3*time.Second {
-		t.Errorf("sorted = %v", out)
-	}
-}

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -103,40 +104,48 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// panics reports whether fn panics.
+func panics(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
+}
+
 func TestSchedulePastPanics(t *testing.T) {
-	c := New()
-	c.Schedule(5, func() {})
-	c.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("scheduling in the past did not panic")
+	for _, at := range []float64{1, math.NaN()} {
+		c := New()
+		c.Schedule(5, func() {})
+		c.Run()
+		if !panics(func() { c.Schedule(at, func() {}) }) {
+			t.Errorf("Schedule(%v) at now 5 did not panic", at)
 		}
-	}()
-	c.Schedule(1, func() {})
+		if c.Now() != 5 {
+			t.Errorf("Schedule(%v): Now = %v, want 5", at, c.Now())
+		}
+	}
 }
 
 func TestRunUntilPastPanics(t *testing.T) {
-	c := New()
-	c.Schedule(5, func() {})
-	c.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("RunUntil in the past did not panic")
+	for _, until := range []float64{1, math.NaN()} {
+		c := New()
+		c.Schedule(5, func() {})
+		c.Run()
+		if !panics(func() { c.RunUntil(until) }) {
+			t.Errorf("RunUntil(%v) at now 5 did not panic", until)
 		}
-	}()
-	c.RunUntil(1)
+		if c.Now() != 5 {
+			t.Errorf("RunUntil(%v): Now = %v, want 5", until, c.Now())
+		}
+	}
 }
 
-func TestPending(t *testing.T) {
-	c := New()
-	t1 := c.Schedule(1, func() {})
-	c.Schedule(2, func() {})
-	if c.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", c.Pending())
+func TestQueuePushNaNPanics(t *testing.T) {
+	var q Queue[int]
+	if !panics(func() { q.Push(math.NaN(), 1) }) {
+		t.Error("Push(NaN) did not panic")
 	}
-	t1.Stop()
-	if c.Pending() != 1 {
-		t.Errorf("Pending after cancel = %d, want 1", c.Pending())
+	if q.Len() != 0 {
+		t.Errorf("Len = %d after a rejected push, want 0", q.Len())
 	}
 }
 
@@ -161,7 +170,10 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 }
 
 // Property: with random schedule times, events always fire in
-// non-decreasing time order and the clock ends at the max time.
+// non-decreasing time order and the clock ends at the max time; and a
+// Queue under random pushes and pops, with times from a small set so that
+// ties are common, pops exactly what a stable sort on (time, push order)
+// puts first.
 func TestRandomScheduleOrderProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -185,6 +197,46 @@ func TestRandomScheduleOrderProperty(t *testing.T) {
 		return c.Now() == times[len(times)-1]
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+
+	type item struct {
+		at float64
+		v  int // minus the push order
+	}
+	g := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var q Queue[int]
+		var model []item
+		now, pushed := 0.0, 0
+		for op := 0; op < int(n)+1; op++ {
+			if len(model) > 0 && rng.Intn(3) == 0 {
+				at, v := q.Pop()
+				want := model[0]
+				model = model[1:]
+				if at != want.at || v != want.v || at < now {
+					return false
+				}
+				now = at
+				continue
+			}
+			// Values count down so a tie broken by value pops the
+			// wrong one; times fall on now+{0,1,2,3}.
+			at := now + float64(rng.Intn(4))
+			q.Push(at, -pushed)
+			model = append(model, item{at, -pushed})
+			pushed++
+			sort.SliceStable(model, func(i, j int) bool { return model[i].at < model[j].at })
+			if q.Len() != len(model) {
+				return false
+			}
+			if at, v := q.Peek(); at != model[0].at || v != model[0].v {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
 	}
 }

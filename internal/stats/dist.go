@@ -76,47 +76,10 @@ func (d TruncNormal) Sample(rng *rand.Rand) float64 {
 	return d.Mean
 }
 
-// Poisson draws a Poisson(lambda) variate using Knuth's method for small
-// lambda and a normal approximation above 30, which is ample for the
-// videos-per-day counts the DSLAM generator needs.
-func Poisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		x := lambda + math.Sqrt(lambda)*rng.NormFloat64()
-		if x < 0 {
-			return 0
-		}
-		return int(x + 0.5)
-	}
-	l := math.Exp(-lambda)
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Exponential draws an exponential variate with the given mean.
 func Exponential(rng *rand.Rand, mean float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
 	return rng.ExpFloat64() * mean
-}
-
-// Pareto draws a bounded Pareto variate on [lo, hi] with shape alpha.
-// Heavy-tailed per-user demand (the MNO cap-usage population) uses it.
-func Pareto(rng *rand.Rand, alpha, lo, hi float64) float64 {
-	if lo <= 0 || hi <= lo || alpha <= 0 {
-		panic(fmt.Sprintf("stats: invalid bounded pareto alpha=%v lo=%v hi=%v", alpha, lo, hi))
-	}
-	u := rng.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
