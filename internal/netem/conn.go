@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"threegol/internal/clock"
+	"threegol/internal/freelist"
 )
 
 // Shape describes one direction of an emulated link.
@@ -68,35 +69,22 @@ const maxChunk = 16 * 1024
 // instead of paying a syscall per maxChunk.
 const MaxRead = 256 * 1024
 
-// bufs is the free list of MaxRead buffers behind Buffer, and not a
-// sync.Pool: a pool is emptied by the collector, and a buffer needed
-// only when a session's replicas peak did not survive from one peak to
-// the next, so it was made again (30 KB per link-bound session,
-// measured). The list keeps what it is given up to its capacity, 4 MB:
-// sixteen copies at once is more than an emulated home's uploads, phone
-// proxies and player reach together; past that a buffer is made and
-// dropped.
-var bufs = make(chan []byte, 16)
+// bufs keeps sixteen buffers (4 MB): more copies at once than an
+// emulated home's uploads, phone proxies and player reach together.
+var bufs = freelist.List[*[MaxRead]byte]{Name: "netem buffers", Keep: 16 * MaxRead}
 
 // Buffer returns a MaxRead-byte buffer from the free list, or a new one
 // when the list is empty. Hand it back with Release once the copy ends.
-func Buffer() []byte {
-	select {
-	case buf := <-bufs:
+func Buffer() *[MaxRead]byte {
+	if buf, ok := bufs.Get(MaxRead); ok {
 		return buf
-	default:
-		return make([]byte, MaxRead)
 	}
+	return new([MaxRead]byte)
 }
 
-// Release returns a buffer from Buffer to the free list; a full list
-// drops it.
-func Release(buf []byte) {
-	select {
-	case bufs <- buf:
-	default:
-	}
-}
+// Release returns a buffer from Buffer to the free list (a second
+// release panics); a full list drops it.
+func Release(buf *[MaxRead]byte) { bufs.Put(buf, MaxRead) }
 
 // shaper paces one direction of one connection, clocked by the bytes it
 // carries, not by the calls that carry them: the limiters are charged

@@ -165,6 +165,41 @@ func TestServeBatchAllocBudget(t *testing.T) {
 	}
 }
 
+// A handler's scratch and its two bodies are there for the next batch
+// however many collections fall between the two: scratches is not a
+// sync.Pool, whose victim cache the second collection empties.
+func TestBatchScratchOutlivesCollections(t *testing.T) {
+	s := New(Config{Shards: 4, TTL: time.Second, Utilization: testUtil})
+	for { // start from no kept scratch, whatever earlier tests left
+		if _, ok := scratches.Get(0); !ok {
+			break
+		}
+	}
+	body := appendBatchRequest(nil, budgetBatch())
+	serve := func() (sc *batchScratch, in, out *byte) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/permits/batch", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("batch answered %d", w.Code)
+		}
+		sc, ok := scratches.Get(0)
+		if !ok {
+			t.Fatal("the handler gave back no scratch")
+		}
+		defer putScratch(sc)
+		return sc, &sc.body.b[:1][0], &sc.out[:1][0]
+	}
+	sc, in, out := serve()
+	runtime.GC()
+	runtime.GC()
+	sc2, in2, out2 := serve()
+	if sc2 != sc || in2 != in || out2 != out {
+		t.Fatalf("after two collections: same scratch %v, request body %v, response body %v; want all reused",
+			sc2 == sc, in2 == in, out2 == out)
+	}
+}
+
 // TestRecordDecisionsAllocFree pins what one decision costs the grant
 // store: a lookup of its grant, keyed on the stack, and an update in
 // place. A warmed 128-decision slice in the handler's form — devices as

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"threegol/internal/clock"
+	"threegol/internal/freelist"
 	"threegol/internal/obs"
 	"threegol/internal/obs/eventlog"
 	"threegol/internal/permit"
@@ -205,11 +206,11 @@ func (s *Sharded) serveSingle(w http.ResponseWriter, r *http.Request) {
 // batchScratch is what one serveBatch call works in and the next can
 // reuse: both bodies, the decoded requests, the cell table, the
 // decisions and the per-shard index lists. A handler owns its scratch
-// from the pool until it has written the response — the ResponseWriter
-// keeps nothing of a Write after it returned.
+// from scratches until it has written the response — the ResponseWriter
+// keeps nothing of a Write after it returned — and gives it back once.
 //
 // The IDs follow one ownership rule. A request's device is a slice of
-// body, valid until the scratch goes back to the pool: nothing may keep
+// body, valid until the scratch goes back to scratches: nothing may keep
 // one past the grant store's RecordDecisions, and the one decision that
 // keeps its device, a first grant, copies it into a string of its own.
 // Cells are strings (the table's, or the request's own past its bound),
@@ -223,7 +224,9 @@ type batchScratch struct {
 	byShard   [][]int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+// scratches keeps 2 MB of scratch, counted by its two bodies: 32 batches
+// in flight (3golpermitload's default) of up to 64 KB at 512 requests.
+var scratches = freelist.List[*batchScratch]{Name: "permitplane batch scratch", Keep: 2 << 20}
 
 // putScratch recycles sc unless a rare huge batch grew it past what is
 // worth keeping.
@@ -232,7 +235,7 @@ func putScratch(sc *batchScratch) {
 		return
 	}
 	clear(sc.reqs[:cap(sc.reqs)]) // let go of copied devices and untabled cells
-	scratchPool.Put(sc)
+	scratches.Put(sc, cap(sc.body.b)+cap(sc.out))
 }
 
 // batchBodyLimit caps a batch body; larger is a 400.
@@ -248,7 +251,10 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	sc := scratchPool.Get().(*batchScratch)
+	sc, ok := scratches.Get(0)
+	if !ok {
+		sc = new(batchScratch)
+	}
 	defer putScratch(sc)
 	reject := func(status int, msg string) {
 		s.metrics.batchServed(false, 0)

@@ -53,7 +53,7 @@ func (c *BatchClient) Batch(ctx context.Context, reqs []PermitRequest) ([]permit
 	sent := newRequestBuf(reqs)
 	defer sent.release()
 	// No ContentLength: the body goes chunked, copied by requestBody's
-	// WriteTo from the pooled buffer. A declared length has net/http
+	// WriteTo from the kept buffer. A declared length has net/http
 	// wrap the body in an io.LimitedReader, which the TCP conn's
 	// ReadFrom copies through a fresh buffer of the body's size on
 	// every request.
@@ -91,15 +91,16 @@ func (c *BatchClient) Batch(ctx context.Context, reqs []PermitRequest) ([]permit
 	return decisions, nil
 }
 
-// requestBuf is the pooled buffer one batch RPC's request body is
-// encoded into and sent from. It is never reused for the response, and
+// requestBuf is the buffer from wires that one batch RPC's request body
+// is encoded into and sent from. It is never reused for the response, and
 // it outlives Do: net/http may still be reading a request body after Do
 // returned (a backend that answers before it has read the request — a
 // 400 or 413 — leaves the transport's writer running) and may ask
 // GetBody for a second reader on a retry. So Batch and every reader
-// handed out hold a reference each, and the buffer returns to the pool
+// handed out hold a reference each, and the buffer returns to wires
 // when the last one lets go — Batch after it has read the whole
-// response, a reader when the transport closes it.
+// response, a reader when the transport closes it. Only that last
+// release reaches the list, which panics on a second.
 type requestBuf struct {
 	*wireBuf
 	refs atomic.Int32

@@ -8,8 +8,8 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 
+	"threegol/internal/freelist"
 	"threegol/internal/permit"
 )
 
@@ -477,27 +477,34 @@ func parseBatchResponse(data []byte, into []permit.Response) ([]permit.Response,
 }
 
 // wireBuf is a reusable body buffer: the server's request body lives in
-// its handler's scratch, the client's two bodies come from wirePool
-// under the ownership rule on requestBuf.
+// its handler's scratch (scratches), the client's two bodies come from
+// wires under the ownership rule on requestBuf.
 type wireBuf struct {
 	b []byte
 }
 
-// maxWireKeep is the largest body buffer the pool keeps (a 512-request
-// batch is ~25 KB out, ~35 KB back); a rare huge batch is left to the
+// maxWireKeep is the largest body buffer a free list keeps (a 512-request
+// batch is ~21 KB out, ~27 KB back); a rare huge batch is left to the
 // garbage collector.
 const maxWireKeep = 1 << 20
 
-var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
+// wires keeps 2 MB of the client's bodies: a request and a response
+// body, up to 32 KB each at 512 requests, for 32 batches in flight
+// (3golpermitload's default).
+var wires = freelist.List[*wireBuf]{Name: "permitplane wire bodies", Keep: 2 << 20}
 
-func getWireBuf() *wireBuf { return wirePool.Get().(*wireBuf) }
+func getWireBuf() *wireBuf {
+	if w, ok := wires.Get(0); ok {
+		return w
+	}
+	return new(wireBuf)
+}
 
 func putWireBuf(w *wireBuf) {
 	if cap(w.b) > maxWireKeep {
 		return
 	}
-	w.b = w.b[:0]
-	wirePool.Put(w)
+	wires.Put(w, cap(w.b))
 }
 
 // readFrom replaces the buffer's contents with everything r yields.

@@ -190,7 +190,7 @@ func (s *Server) serveHTTP1(w http.ResponseWriter, r *http.Request) {
 func Relay(dst io.Writer, src io.Reader) (int64, error) {
 	buf := netem.Buffer()
 	defer netem.Release(buf)
-	return io.CopyBuffer(struct{ io.Writer }{dst}, src, buf)
+	return io.CopyBuffer(struct{ io.Writer }{dst}, src, buf[:])
 }
 
 func (s *Server) serveTunnel(w http.ResponseWriter, r *http.Request) {

@@ -75,11 +75,3 @@ func (d TruncNormal) Sample(rng *rand.Rand) float64 {
 	}
 	return d.Mean
 }
-
-// Exponential draws an exponential variate with the given mean.
-func Exponential(rng *rand.Rand, mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	return rng.ExpFloat64() * mean
-}

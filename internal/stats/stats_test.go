@@ -237,20 +237,6 @@ func TestTruncNormalClampFallback(t *testing.T) {
 	}
 }
 
-func TestExponential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var xs []float64
-	for i := 0; i < 20000; i++ {
-		xs = append(xs, Exponential(rng, 5))
-	}
-	if m := Mean(xs); math.Abs(m-5) > 0.2 {
-		t.Errorf("mean = %v, want ≈5", m)
-	}
-	if Exponential(rng, 0) != 0 {
-		t.Error("Exponential(0) should be 0")
-	}
-}
-
 // Property: quantiles are monotone in q.
 func TestQuantileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {

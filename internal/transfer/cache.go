@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 
+	"threegol/internal/freelist"
 	"threegol/internal/scheduler"
 )
 
@@ -18,17 +19,17 @@ import (
 // so a slice handed out by Get or Wait never changes while the entry
 // lives.
 //
-// Buffer ownership. CachingSink reads sized bodies into buffers from a
-// package-level free list, and each such buffer has exactly one owner:
+// Buffer ownership. CachingSink reads sized bodies into buffers from the
+// segments freelist.List, and each such buffer has exactly one owner:
 // the replica's sink from the moment it takes the buffer until it stores
 // it (on a read error, a cancellation or a lost race the sink gives the
 // buffer back itself), then the Cache, until Release. Release returns
-// every buffer the cache owns to the free list and empties the cache;
-// whoever calls it must first know that no reader still holds a slice
-// from Get or Wait and that no sink is still storing into this cache.
-// Calling it is optional: a Cache that is simply dropped leaves its
-// buffers to the garbage collector. Slices passed to Put stay the
-// caller's and are never recycled or written.
+// every buffer the cache owns to the list (a second return panics) and
+// empties the cache; whoever calls it must first know that no reader
+// still holds a slice from Get or Wait and that no sink is still storing
+// into this cache. Calling it is optional: a Cache that is simply
+// dropped leaves its buffers to the garbage collector. Slices passed to
+// Put stay the caller's and are never recycled or written.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string][]byte
@@ -88,7 +89,7 @@ func (c *Cache) Release() {
 	clear(c.entries)
 	c.mu.Unlock()
 	for _, bp := range pooled {
-		segments.put(bp)
+		segments.Put(bp, cap(*bp))
 	}
 }
 
@@ -145,91 +146,16 @@ func (c *Cache) Bytes() int64 {
 	return t
 }
 
-// segments recycles the buffers CachingSink reads sized bodies into. It
-// is a free list and not a sync.Pool: the collector empties a pool, so
-// whether a session's buffers were still there for the next session
-// hung on when collections fell between the two, and a link-bound
-// session made a whole segment's buffer again (0.92 MB at the test
-// video's top rendition) or did not, from one run to the next.
-var segments segmentList
-
-// segmentKeep bounds the bytes the free list keeps: one session of the
-// test video at its top rendition (20 segments, 18.45 MB) with its
-// endgame duplicates fits; past it a released buffer is dropped.
-const segmentKeep = 32 << 20
-
-// segmentList is a free list of segment buffers. The segments of one
-// rendition are the same size, so a buffer that is large enough is
-// reused as it is: no size classes.
-type segmentList struct {
-	mu    sync.Mutex
-	free  []*[]byte
-	bytes int // Σ cap of free
-}
-
-// get takes the smallest free buffer of at least size bytes, or returns
-// nil. A miss drops the smallest free buffer, all of which are too
-// small, so the list turns over to a larger rendition.
-func (l *segmentList) get(size int) *[]byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fit, small := -1, -1
-	for i, bp := range l.free {
-		c := cap(*bp)
-		if c >= size && (fit < 0 || c < cap(*l.free[fit])) {
-			fit = i
-		}
-		if small < 0 || c < cap(*l.free[small]) {
-			small = i
-		}
-	}
-	if fit < 0 {
-		if small >= 0 {
-			l.take(small)
-		}
-		return nil
-	}
-	return l.take(fit)
-}
-
-// take removes and returns free[i]; the caller holds mu.
-func (l *segmentList) take(i int) *[]byte {
-	bp := l.free[i]
-	last := len(l.free) - 1
-	l.free[i] = l.free[last]
-	l.free[last] = nil
-	l.free = l.free[:last]
-	l.bytes -= cap(*bp)
-	return bp
-}
-
-// put returns a buffer to the list, or drops it when keeping it would
-// pass segmentKeep.
-func (l *segmentList) put(bp *[]byte) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.bytes+cap(*bp) > segmentKeep {
-		return
-	}
-	l.free = append(l.free, bp)
-	l.bytes += cap(*bp)
-}
+// segments recycles the buffers CachingSink reads sized bodies into; the
+// segments of one rendition are the same size. It keeps 32 MB: one
+// session of the test video at its top rendition (20 segments, 18.45 MB)
+// with its endgame duplicates.
+var segments = freelist.List[*[]byte]{Name: "transfer segments", Keep: 32 << 20}
 
 // maxSized bounds the buffer allocated up front on the word of a
 // Content-Length header; a larger declared length grows as bytes arrive,
 // like an unknown one.
 const maxSized = 64 << 20
-
-// segmentBuffer returns a buffer of exactly size bytes, recycled when the
-// free list has one with the capacity. Its contents are unspecified.
-func segmentBuffer(size int) *[]byte {
-	if bp := segments.get(size); bp != nil {
-		*bp = (*bp)[:size]
-		return bp
-	}
-	b := make([]byte, size)
-	return &b
-}
 
 // CachingSink returns a DownloadPath sink that stores bodies into cache
 // under the item's name. A body of known size is read into one recycled
@@ -245,14 +171,19 @@ func CachingSink(cache *Cache) func(scheduler.Item, io.Reader, int64) (int64, er
 			cache.Put(item.Name, buf)
 			return int64(len(buf)), nil
 		}
-		bp := segmentBuffer(int(size))
+		bp, ok := segments.Get(int(size))
+		if !ok {
+			bp = new([]byte)
+			*bp = make([]byte, size)
+		}
+		*bp = (*bp)[:size]
 		n, err := io.ReadFull(body, *bp)
 		if err != nil {
-			segments.put(bp)
+			segments.Put(bp, cap(*bp))
 			return int64(n), err
 		}
 		if !cache.store(item.Name, *bp, bp) {
-			segments.put(bp) // late duplicate: the first body stays
+			segments.Put(bp, cap(*bp)) // late duplicate: the first body stays
 		}
 		return size, nil
 	}

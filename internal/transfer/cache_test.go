@@ -122,41 +122,6 @@ func TestSegmentBuffersOutliveCollections(t *testing.T) {
 	}
 }
 
-// The free list hands out the smallest buffer that fits, drops the
-// smallest on a miss so it turns over to a larger rendition, and keeps
-// no more than segmentKeep bytes.
-func TestSegmentListBestFitAndBound(t *testing.T) {
-	mk := func(n int) *[]byte { b := make([]byte, n); return &b }
-	var l segmentList
-	small, large, mid := mk(100), mk(300), mk(200)
-	l.put(small)
-	l.put(large)
-	l.put(mid)
-	if got := l.get(150); got != mid {
-		t.Fatalf("get(150) = cap %d, want the 200-byte buffer", capOf(got))
-	}
-	if got := l.get(1000); got != nil {
-		t.Fatalf("get(1000) = cap %d, want a miss", capOf(got))
-	}
-	if len(l.free) != 1 || l.free[0] != large || l.bytes != 300 {
-		t.Fatalf("after the miss: %d buffers, %d bytes; want only the 300-byte one", len(l.free), l.bytes)
-	}
-
-	full := segmentList{bytes: segmentKeep - 10}
-	full.put(mk(11))
-	full.put(mk(10))
-	if len(full.free) != 1 || cap(*full.free[0]) != 10 || full.bytes != segmentKeep {
-		t.Fatalf("past the bound: %d buffers, %d bytes; want the 10-byte one kept and %d", len(full.free), full.bytes, segmentKeep)
-	}
-}
-
-func capOf(bp *[]byte) int {
-	if bp == nil {
-		return -1
-	}
-	return cap(*bp)
-}
-
 // GRD's endgame can deliver a segment twice; the first body is the one a
 // handler may already be writing, so it stays.
 func TestCacheKeepsFirstBody(t *testing.T) {

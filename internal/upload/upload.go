@@ -17,6 +17,7 @@ import (
 	"sort"
 	"sync"
 
+	"threegol/internal/freelist"
 	"threegol/internal/netem"
 	"threegol/internal/obs/eventlog"
 	"threegol/internal/proxy"
@@ -144,26 +145,20 @@ func (s *Server) serveUpload(w http.ResponseWriter, r *http.Request) {
 // given the body, that is a socket read per 4 KB; given one of these, a
 // read per MaxRead, what a shaped hop carries in a step at most. The
 // list keeps eight (2 MB), more than the requests one home's paths and
-// their endgame replicas have open at once; past that a reader is made
-// and dropped.
-var readers = make(chan *bufio.Reader, 8)
+// their endgame replicas have open at once.
+var readers = freelist.List[*bufio.Reader]{Name: "upload readers", Keep: 8 * netem.MaxRead}
 
 func bodyReader(body io.Reader) *bufio.Reader {
-	select {
-	case br := <-readers:
+	if br, ok := readers.Get(netem.MaxRead); ok {
 		br.Reset(body)
 		return br
-	default:
-		return bufio.NewReaderSize(body, netem.MaxRead)
 	}
+	return bufio.NewReaderSize(body, netem.MaxRead)
 }
 
 func releaseReader(br *bufio.Reader) {
 	br.Reset(nil) // keep no finished request's body reachable
-	select {
-	case readers <- br:
-	default:
-	}
+	readers.Put(br, br.Size())
 }
 
 // record stores one file, reporting whether it was a duplicate replay.

@@ -4,13 +4,17 @@
 #
 #   1. gofmt       — tree must be canonically formatted
 #   2. go vet      — stdlib static checks
-#   3. go build    — everything compiles
-#   4. 3golvet     — repo-specific determinism/concurrency analyzers
+#   3. free lists  — no sync.Pool in non-test Go under internal/ and cmd/
+#      outside internal/fleet: buffers are reused through
+#      freelist.List, which the collector does not empty between uses
+#      (fleet's pool holds per-shard scratch, checked out once a shard)
+#   4. go build    — everything compiles
+#   5. 3golvet     — repo-specific determinism/concurrency analyzers
 #      (type-aware; any finding fails, a deliberate one is kept only by
 #      a //3golvet:allow directive at the site; emits vet-report.json
 #      for CI artifact upload)
-#   5. go test -race — full suite under the race detector
-#   6. fuzz        — ten seconds of FuzzCore: the scheduler's decision
+#   6. go test -race — full suite under the race detector
+#   7. fuzz        — ten seconds of FuzzCore: the scheduler's decision
 #      core under byte-scripted event sequences from a model driver
 #      (all four policies, equal timestamps allowed; every breaker
 #      opening, hold, probe and re-closing held to a reference breaker
@@ -57,7 +61,7 @@
 #      and an accepted announcement survives a JSON round trip), from
 #      the corpus in internal/discovery/testdata/fuzz. A failing input
 #      is written beside its corpus for the fix to commit
-#   7. alloc and link-rate budgets — without the race detector (the
+#   8. alloc and link-rate budgets — without the race detector (the
 #      race stage skips them). TestBoostVoDAllocBudget: a boosted BipBop
 #      q4 session at steady state allocates under 2 MB, the ratchet on
 #      the segment-buffer recycling of the client proxy.
@@ -89,25 +93,25 @@
 #      TestZeroMetricsAllocFree: one event through the zero Metrics of
 #      scheduler, transfer and permitplane allocates nothing, the
 #      ratchet on "instrumentation costs nothing when disabled"
-#   8. fleet smoke — 3golfleet city-scale engine run inside a time
+#   9. fleet smoke — 3golfleet city-scale engine run inside a time
 #      budget, with its -json report validated for shape
-#   9. trace smoke — 3golfleet -events flight-recorder capture piped
+#  10. trace smoke — 3golfleet -events flight-recorder capture piped
 #      through 3goltrace -check (stream invariants)
-#  10. chaos smoke — 3golfleet -chaos runs the fault-injection harness
+#  11. chaos smoke — 3golfleet -chaos runs the fault-injection harness
 #      under a hostile scenario and under blackout-all; the command
 #      exits non-zero if any resilience invariant (exactly-once
 #      delivery, duplicate-waste bound, ADSL-only completion) breaks,
 #      and -validate checks the hostile run's -json report
-#  11. chaos at scale — the hostile scenario again at 100k homes: the
+#  12. chaos at scale — the hostile scenario again at 100k homes: the
 #      invariants must hold, and the run must fit the time budget, at a
 #      population three orders of magnitude above the race-detector
 #      tests (which cap at tens of homes for wall-time reasons)
-#  12. permit smoke — 3golpermitload -smoke drives a few thousand
+#  13. permit smoke — 3golpermitload -smoke drives a few thousand
 #      simulated clients through an in-process sharded permit plane
 #      over real HTTP and asserts the decision invariants (no errors,
 #      every client served, mixed grant/deny split); the JSON report is
 #      left at bench-permit-smoke.json for CI artifact upload
-#  13. permit chaos smoke — 3golpermitload -chaos spawns a real
+#  14. permit chaos smoke — 3golpermitload -chaos spawns a real
 #      3golpermitd with a WAL, SIGKILLs it mid-load, copies the WAL,
 #      restarts the daemon and recovers every shard's copy with the
 #      daemon's own OpenGrantStore at its recovery instant, which must
@@ -115,11 +119,11 @@
 #      non-zero on any recovery-invariant violation. The lifecycle
 #      eventlog is left at chaos-permit-events.jsonl for CI artifact
 #      upload and piped through 3goltrace -check
-#  14. metrics docs — METRICS.md must match the live registry
+#  15. metrics docs — METRICS.md must match the live registry
 #      (3golobs gen-docs -check)
-#  15. package docs — every package must carry a godoc comment
+#  16. package docs — every package must carry a godoc comment
 #      (go list's .Doc field is empty otherwise)
-#  16. code size — BENCH_codesize.json must match scripts/codesize.sh
+#  17. code size — BENCH_codesize.json must match scripts/codesize.sh
 #      (lines of Go, packages, binaries), so every PR's size change is
 #      in its diff
 #
@@ -140,6 +144,18 @@ fi
 
 echo '==> go vet ./...'
 go vet ./...
+
+echo '==> free lists (no sync.Pool outside internal/fleet)'
+# A sync.Pool loses what it holds across two collections, which makes an
+# allocation metric read one of two values from run to run; comment lines
+# may still name it.
+pools=$(grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Pool' internal cmd |
+    grep -v '^internal/fleet/' | grep -v '^[^:]*:[0-9]*:[[:space:]]*//' || true)
+if [ -n "$pools" ]; then
+    echo "check.sh: sync.Pool outside internal/fleet; reuse buffers through freelist.List:" >&2
+    echo "$pools" >&2
+    exit 1
+fi
 
 echo '==> go build ./...'
 go build ./...
