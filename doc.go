@@ -12,7 +12,7 @@
 // evaluation; see DESIGN.md for the per-experiment index and
 // EXPERIMENTS.md for measured-versus-paper results.
 //
-// The benchmarks in bench_test.go are named after the paper's tables and
-// figures; each reports the experiment's headline quantity as a custom
-// benchmark metric.
+// BenchmarkExperiments in bench_test.go runs the same table as
+// cmd/3golbench (internal/experiments), one sub-benchmark per table or
+// figure, and reports every row of each as a custom benchmark metric.
 package threegol

@@ -96,16 +96,6 @@ func (l Line) SyncRates() (down, up float64) {
 	return down, up
 }
 
-// Asymmetry returns the line's downlink:uplink ratio (the paper notes
-// ≈10:1 for typical ADSL).
-func (l Line) Asymmetry() float64 {
-	down, up := l.SyncRates()
-	if up <= 0 {
-		return math.Inf(1)
-	}
-	return down / up
-}
-
 // Population synthesises subscriber lines with realistic loop-length
 // diversity.
 type Population struct {
@@ -151,37 +141,4 @@ func (p Population) SampleOne(rng *rand.Rand) Line {
 		LoopMetres:    d,
 		NoiseMarginDB: margin,
 	}
-}
-
-// DownRates extracts the downlink sync rates of a line set (bits/s).
-func DownRates(lines []Line) []float64 {
-	out := make([]float64, len(lines))
-	for i, l := range lines {
-		out[i], _ = l.SyncRates()
-	}
-	return out
-}
-
-// UpRates extracts the uplink sync rates of a line set (bits/s).
-func UpRates(lines []Line) []float64 {
-	out := make([]float64, len(lines))
-	for i, l := range lines {
-		_, out[i] = l.SyncRates()
-	}
-	return out
-}
-
-// SpeedupPotential returns the 3GOL speedup factor a line would see from
-// the given aggregate 3G rate: (dsl+3g)/dsl per direction. Long loops
-// (rural areas) yield the largest factors — the paper's geographic
-// observation.
-func (l Line) SpeedupPotential(g3Down, g3Up float64) (down, up float64) {
-	d, u := l.SyncRates()
-	if d > 0 {
-		down = (d + g3Down) / d
-	}
-	if u > 0 {
-		up = (u + g3Up) / u
-	}
-	return down, up
 }

@@ -1,4 +1,4 @@
-package main
+package experiments
 
 import (
 	"bytes"
@@ -9,49 +9,49 @@ import (
 	"testing"
 )
 
-func names(exps []experiment) []string {
+func names(exps []Experiment) []string {
 	var out []string
 	for _, e := range exps {
-		out = append(out, e.name)
+		out = append(out, e.Name)
 	}
 	return out
 }
 
 func TestSimSelectsEveryExperimentNotLive(t *testing.T) {
 	var notLive, live []string
-	for _, e := range experiments {
-		if e.live {
-			live = append(live, e.name)
+	for _, e := range Table {
+		if e.Live {
+			live = append(live, e.Name)
 		} else {
-			notLive = append(notLive, e.name)
+			notLive = append(notLive, e.Name)
 		}
 	}
-	if got := names(selectExperiments("sim")); !reflect.DeepEqual(got, notLive) {
+	if got := names(Select("sim")); !reflect.DeepEqual(got, notLive) {
 		t.Errorf("sim selects %v, want %v", got, notLive)
 	}
 	sort.Strings(live)
 	if want := []string{"ablation", "fig6", "fig7", "fig8", "fig9", "lte"}; !reflect.DeepEqual(live, want) {
 		t.Errorf("live experiments %v, want %v", live, want)
 	}
-	if got := names(selectExperiments("fig11a")); !reflect.DeepEqual(got, []string{"fig11a"}) {
+	if got := names(Select("fig11a")); !reflect.DeepEqual(got, []string{"fig11a"}) {
 		t.Errorf("fig11a selects %v", got)
 	}
-	if got := selectExperiments("fig2"); len(got) != 0 {
+	if got := Select("fig2"); len(got) != 0 {
 		t.Errorf("unknown name selects %v", names(got))
 	}
 }
 
 // TestSimRowsAreWellFormedAndDeterministic runs sim twice with the
-// default flags: every experiment returns rows with unique keys, units
-// and finite values, the second run's rows equal the first's, and the
-// -json writer carries them unchanged.
+// default configuration: every experiment returns rows with unique keys,
+// units and finite values, the second run's rows equal the first's, and
+// the JSON writer carries them unchanged.
 func TestSimRowsAreWellFormedAndDeterministic(t *testing.T) {
-	cfg, _ := parseFlags("sim", nil)
-	first, err := runExperiments(selectExperiments("sim"), cfg)
+	cfg := DefaultConfig()
+	first, err := Run(Select("sim"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := runExperiments(selectExperiments("sim"), cfg)
+	second, err := Run(Select("sim"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +78,14 @@ func TestSimRowsAreWellFormedAndDeterministic(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := write(&buf, first, true); err != nil {
+	if err := Write(&buf, first, true); err != nil {
 		t.Fatal(err)
 	}
-	var decoded []result
+	var decoded []Result
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(decoded, first) {
-		t.Error("-json output does not decode to the results written")
+		t.Error("JSON output does not decode to the results written")
 	}
 }

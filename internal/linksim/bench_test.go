@@ -15,7 +15,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.StartFlow(FlowSpec{Name: "f", Bits: 1 * MB, Path: []*Link{l}})
-		if s.ActiveFlows() >= 16 {
+		if len(s.flows) >= 16 {
 			s.Run()
 		}
 	}

@@ -83,7 +83,7 @@ func TestRandomOperationsPreserveInvariants(t *testing.T) {
 		checkConservation(t, s)
 		// Everything either completed (callback fired) or was aborted;
 		// nothing remains active.
-		return s.ActiveFlows() == 0
+		return len(s.flows) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

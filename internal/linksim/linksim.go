@@ -180,6 +180,7 @@ func (f *Flow) Abort() {
 	f.sim.settle(f)
 	f.done = true
 	f.end = f.sim.clock.Now()
+	f.remaining = 0
 	f.sim.detach(f)
 	f.sim.reallocate()
 }
@@ -189,19 +190,6 @@ func (f *Flow) Name() string { return f.name }
 
 // Rate returns the currently allocated rate in bits/s.
 func (f *Flow) Rate() float64 { return f.rate }
-
-// Remaining returns the bits left to transfer as of the current clock.
-func (f *Flow) Remaining() float64 {
-	if f.done {
-		return 0
-	}
-	elapsed := f.sim.clock.Now() - f.lastUpdate
-	rem := f.remaining - f.rate*elapsed
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
 
 // Done reports whether the flow has completed or been aborted.
 func (f *Flow) Done() bool { return f.done }
@@ -436,9 +424,6 @@ func (s *Simulator) complete(f *Flow) {
 		f.onDone(f)
 	}
 }
-
-// ActiveFlows returns the number of in-flight flows.
-func (s *Simulator) ActiveFlows() int { return len(s.flows) }
 
 // Run drains the event queue (all bounded flows complete).
 func (s *Simulator) Run() { s.clock.Run() }

@@ -165,8 +165,8 @@ func TestAbort(t *testing.T) {
 	if !close(other.End(), 4.5) {
 		t.Errorf("other end = %v, want 4.5", other.End())
 	}
-	if victim.Remaining() != 0 {
-		t.Errorf("aborted Remaining = %v, want 0", victim.Remaining())
+	if victim.remaining != 0 {
+		t.Errorf("aborted remaining = %v, want 0", victim.remaining)
 	}
 }
 
@@ -206,8 +206,9 @@ func TestRemainingMidFlight(t *testing.T) {
 	l := s.NewLink("cell", 2*Mbps)
 	f := s.StartFlow(FlowSpec{Name: "f", Bits: 2 * MB, Path: []*Link{l}})
 	s.RunUntil(4)
-	if got := f.Remaining(); !close(got, 1*MB) {
-		t.Errorf("Remaining at t=4 = %v, want 1MB", got)
+	s.settle(f)
+	if got := f.remaining; !close(got, 1*MB) {
+		t.Errorf("remaining at t=4 = %v, want 1MB", got)
 	}
 	s.Run()
 }
@@ -318,11 +319,11 @@ func TestWorkConservationUnderCapacityChanges(t *testing.T) {
 		}
 		// Integrate rate over the lifetime via throughput identity:
 		// duration × average rate = size. We can't observe the integral
-		// directly, but completion with Remaining()==0 plus a sane
+		// directly, but completion with remaining==0 plus a sane
 		// duration bound implies conservation.
 		minCap, maxCap := 0.5*Mbps, 10.5*Mbps
 		d := fl.Duration()
-		return d >= size/maxCap-1e-6 && d <= size/minCap+1e-6 && fl.Remaining() == 0
+		return d >= size/maxCap-1e-6 && d <= size/minCap+1e-6 && fl.remaining == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

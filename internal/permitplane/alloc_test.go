@@ -200,6 +200,54 @@ func TestBatchScratchOutlivesCollections(t *testing.T) {
 	}
 }
 
+// A round trip takes each of its two bodies by the size it needs: the
+// request the smallest kept body, the response one that holds its
+// declared length. With two request-sized bodies and one response-sized
+// body kept, all three come back with their arrays: the response is not
+// read into the second request-sized body, regrown and its array dropped.
+func TestBatchTakesResponseBodyBySize(t *testing.T) {
+	s := New(Config{Shards: 4, TTL: time.Second, Utilization: testUtil})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	c := &BatchClient{BackendURL: srv.URL, HTTPClient: &http.Client{Transport: tr}}
+	reqs := budgetBatch()
+
+	for { // start from no kept body, whatever earlier tests left
+		if _, ok := wires.Get(0); !ok {
+			break
+		}
+	}
+	reqSize := len(appendBatchRequest(nil, reqs))
+	kept := map[*wireBuf]*byte{}
+	for _, size := range []int{reqSize, reqSize, 64 << 10} {
+		w := &wireBuf{b: make([]byte, 0, size)}
+		kept[w] = &w.b[:1][0]
+		putWireBuf(w)
+	}
+
+	if out, err := c.Batch(context.Background(), reqs); err != nil || len(out) != len(reqs) {
+		t.Fatalf("%d decisions, err %v", len(out), err)
+	}
+	// The transport lets go of the request body once it has sent it,
+	// which may be after Batch has returned.
+	back := map[*wireBuf]bool{}
+	for deadline := time.Now().Add(5 * time.Second); len(back) < len(kept) && time.Now().Before(deadline); {
+		if w, ok := wires.Get(0); ok {
+			back[w] = true
+			if arr, ok := kept[w]; !ok || &w.b[:1][0] != arr {
+				t.Errorf("body of cap %d came back with a new array", cap(w.b))
+			}
+		} else {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if len(back) != len(kept) {
+		t.Errorf("%d of the %d kept bodies came back", len(back), len(kept))
+	}
+}
+
 // TestRecordDecisionsAllocFree pins what one decision costs the grant
 // store: a lookup of its grant, keyed on the stack, and an update in
 // place. A warmed 128-decision slice in the handler's form — devices as

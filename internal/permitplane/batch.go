@@ -71,7 +71,13 @@ func (c *BatchClient) Batch(ctx context.Context, reqs []PermitRequest) ([]permit
 	if httpResp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("permitplane: batch backend returned %s", httpResp.Status)
 	}
-	got := getWireBuf()
+	// The declared length picks the body: readFrom wants one byte over
+	// it, and a smaller body would be regrown and its array dropped.
+	size := 0
+	if n := httpResp.ContentLength; n > 0 && n < maxWireKeep {
+		size = int(n) + 1
+	}
+	got := getWireBuf(size)
 	defer putWireBuf(got)
 	if err := got.readFrom(httpResp.Body, httpResp.ContentLength); err != nil {
 		return nil, fmt.Errorf("permitplane: reading batch response: %w", err)
@@ -107,7 +113,7 @@ type requestBuf struct {
 }
 
 func newRequestBuf(reqs []PermitRequest) *requestBuf {
-	rb := &requestBuf{wireBuf: getWireBuf()}
+	rb := &requestBuf{wireBuf: getWireBuf(0)}
 	rb.b = appendBatchRequest(rb.b[:0], reqs)
 	rb.refs.Store(1) // Batch's own
 	return rb

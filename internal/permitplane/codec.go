@@ -493,8 +493,10 @@ const maxWireKeep = 1 << 20
 // (3golpermitload's default).
 var wires = freelist.List[*wireBuf]{Name: "permitplane wire bodies", Keep: 2 << 20}
 
-func getWireBuf() *wireBuf {
-	if w, ok := wires.Get(0); ok {
+// getWireBuf returns the smallest kept body of at least size bytes of
+// capacity, or a new one.
+func getWireBuf(size int) *wireBuf {
+	if w, ok := wires.Get(size); ok {
 		return w
 	}
 	return new(wireBuf)

@@ -339,19 +339,3 @@ func (t *DSLAMTrace) SessionsByUser() map[int][]VideoSession {
 	}
 	return out
 }
-
-// VolumeInBins aggregates session bytes into fixed-width time bins over
-// the day (binSeconds wide), returning bytes per bin — the raw series of
-// Fig. 1 and Fig. 11(b).
-func (t *DSLAMTrace) VolumeInBins(binSeconds float64) []float64 {
-	nbins := int(math.Ceil(24 * 3600 / binSeconds))
-	bins := make([]float64, nbins)
-	for _, s := range t.Sessions {
-		b := int(s.Time / binSeconds)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		bins[b] += s.SizeBytes
-	}
-	return bins
-}

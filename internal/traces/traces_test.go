@@ -125,29 +125,14 @@ func TestDSLAMSessionsSortedAndDiurnal(t *testing.T) {
 		}
 	}
 	// Diurnal shape: evening bins busier than pre-dawn bins.
-	bins := tr.VolumeInBins(3600)
-	if len(bins) != 24 {
-		t.Fatalf("bins = %d, want 24", len(bins))
+	var bins [24]float64 // bytes per hour
+	for _, s := range tr.Sessions {
+		bins[int(s.Time/3600)] += s.SizeBytes
 	}
 	night := bins[3] + bins[4] + bins[5]
 	evening := bins[20] + bins[21] + bins[22]
 	if evening <= 2*night {
 		t.Errorf("evening volume %v not ≫ pre-dawn %v", evening, night)
-	}
-}
-
-func TestVolumeInBinsConservesBytes(t *testing.T) {
-	tr := GenerateDSLAM(DSLAMConfig{Users: 2000}, 13)
-	var total float64
-	for _, s := range tr.Sessions {
-		total += s.SizeBytes
-	}
-	var binned float64
-	for _, b := range tr.VolumeInBins(300) {
-		binned += b
-	}
-	if math.Abs(total-binned) > 1 {
-		t.Errorf("binned %v != total %v", binned, total)
 	}
 }
 

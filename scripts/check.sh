@@ -93,25 +93,30 @@
 #      TestZeroMetricsAllocFree: one event through the zero Metrics of
 #      scheduler, transfer and permitplane allocates nothing, the
 #      ratchet on "instrumentation costs nothing when disabled"
-#   9. fleet smoke — 3golfleet city-scale engine run inside a time
+#   9. experiments loop — go test -bench BenchmarkExperiments -short
+#      -benchtime 1x at the repo root: one sub-benchmark per entry of
+#      internal/experiments' table; every entry 3golbench lists as sim
+#      must report a result line and every one it lists as live must be
+#      skipped
+#  10. fleet smoke — 3golfleet city-scale engine run inside a time
 #      budget, with its -json report validated for shape
-#  10. trace smoke — 3golfleet -events flight-recorder capture piped
+#  11. trace smoke — 3golfleet -events flight-recorder capture piped
 #      through 3goltrace -check (stream invariants)
-#  11. chaos smoke — 3golfleet -chaos runs the fault-injection harness
+#  12. chaos smoke — 3golfleet -chaos runs the fault-injection harness
 #      under a hostile scenario and under blackout-all; the command
 #      exits non-zero if any resilience invariant (exactly-once
 #      delivery, duplicate-waste bound, ADSL-only completion) breaks,
 #      and -validate checks the hostile run's -json report
-#  12. chaos at scale — the hostile scenario again at 100k homes: the
+#  13. chaos at scale — the hostile scenario again at 100k homes: the
 #      invariants must hold, and the run must fit the time budget, at a
 #      population three orders of magnitude above the race-detector
 #      tests (which cap at tens of homes for wall-time reasons)
-#  13. permit smoke — 3golpermitload -smoke drives a few thousand
+#  14. permit smoke — 3golpermitload -smoke drives a few thousand
 #      simulated clients through an in-process sharded permit plane
 #      over real HTTP and asserts the decision invariants (no errors,
 #      every client served, mixed grant/deny split); the JSON report is
 #      left at bench-permit-smoke.json for CI artifact upload
-#  14. permit chaos smoke — 3golpermitload -chaos spawns a real
+#  15. permit chaos smoke — 3golpermitload -chaos spawns a real
 #      3golpermitd with a WAL, SIGKILLs it mid-load, copies the WAL,
 #      restarts the daemon and recovers every shard's copy with the
 #      daemon's own OpenGrantStore at its recovery instant, which must
@@ -119,11 +124,11 @@
 #      non-zero on any recovery-invariant violation. The lifecycle
 #      eventlog is left at chaos-permit-events.jsonl for CI artifact
 #      upload and piped through 3goltrace -check
-#  15. metrics docs — METRICS.md must match the live registry
+#  16. metrics docs — METRICS.md must match the live registry
 #      (3golobs gen-docs -check)
-#  16. package docs — every package must carry a godoc comment
+#  17. package docs — every package must carry a godoc comment
 #      (go list's .Doc field is empty otherwise)
-#  17. code size — BENCH_codesize.json must match scripts/codesize.sh
+#  18. code size — BENCH_codesize.json must match scripts/codesize.sh
 #      (lines of Go, packages, binaries), so every PR's size change is
 #      in its diff
 #
@@ -210,6 +215,31 @@ go test -count=1 -run 'TestServeBatchAllocBudget$|TestParseBatchRequestAllocFree
 go test -count=1 -run 'TestWriteSnapshotAllocBudget$' ./internal/permitplane/wal
 go test -count=1 -run 'TestLinkRateBudget$' ./internal/netem
 go test -count=1 -run 'TestZeroMetricsAllocFree$' ./internal/scheduler ./internal/transfer ./internal/permitplane
+
+echo '==> experiments loop (go test -bench BenchmarkExperiments -benchtime 1x -short .)'
+# The root benchmark runs the paper's evaluation table once. The entries
+# and their sim/live marks come from 3golbench's own listing (its usage
+# lines), so a new entry is held to this stage without editing it.
+out=$(go test -v -run '^$' -bench '^BenchmarkExperiments$' -benchtime 1x -short .)
+table=$(go run ./cmd/3golbench 2>&1 | awk '/^  / { print $1, $2 }')
+if [ -z "$table" ]; then
+    echo "check.sh: 3golbench listed no experiments" >&2
+    exit 1
+fi
+bad=$(printf '%s\n' "$table" | while read -r name kind; do
+    case $kind in
+    sim) printf '%s\n' "$out" | grep -Eq "^BenchmarkExperiments/$name(-[0-9]+)?[[:space:]]" ||
+        echo "$name: no result line" ;;
+    live) printf '%s\n' "$out" | grep -qx -- "--- SKIP: BenchmarkExperiments/$name" ||
+        echo "$name: not skipped under -short" ;;
+    *) echo "$name: unknown kind $kind" ;;
+    esac
+done)
+if [ -n "$bad" ]; then
+    echo "check.sh: BenchmarkExperiments does not match 3golbench's table:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
 
 echo '==> fleet smoke (3golfleet -json inside a time budget)'
 # A small city-scale run must finish inside the time budget (a hang or
