@@ -299,35 +299,49 @@ func goroutinesSettleAt(limit int) int {
 
 // Every session builds its own transports; when it returns, the
 // connections they pooled — and the two goroutines behind each — must
-// go with it, or a long-lived Home grows without bound.
+// go with it, or a long-lived Home grows without bound. The second home
+// plays BipBop over phones 4× slower than its line, so its endgame
+// splits the segments they carry, and a carrier cut short must close its connection, not pool
+// a half-read one.
 func TestSessionsReleaseConnections(t *testing.T) {
 	origin := httptest.NewServer(hls.NewOrigin(testVideo()))
 	defer origin.Close()
+	bipbop := httptest.NewServer(hls.NewOrigin(hls.BipBop()))
+	defer bipbop.Close()
 	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		w.WriteHeader(http.StatusCreated)
 	}))
 	defer sink.Close()
 	// Links fast enough that a session costs milliseconds.
-	h, err := NewHome(HomeConfig{
-		DSLDown: 100e6, DSLUp: 100e6, TimeScale: 100, Seed: 42,
-		Phones: []PhoneConfig{
-			{Name: "ph1", Down: 100e6, Up: 100e6, Warm: true},
-			{Name: "ph2", Down: 100e6, Up: 100e6, Warm: true},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	home := func(dslDown, phoneDown, timeScale float64) (*Home, []*Phone) {
+		t.Helper()
+		h, err := NewHome(HomeConfig{
+			DSLDown: dslDown, DSLUp: 100e6, TimeScale: timeScale, Seed: 42,
+			Phones: []PhoneConfig{
+				{Name: "ph1", Down: phoneDown, Up: 100e6, Warm: true},
+				{Name: "ph2", Down: phoneDown, Up: 100e6, Warm: true},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(h.Close)
+		phones := h.AdmissibleDevices(2, 5*time.Second)
+		if len(phones) != 2 {
+			t.Fatal("phones not discovered")
+		}
+		return h, phones
 	}
-	defer h.Close()
-	phones := h.AdmissibleDevices(2, 5*time.Second)
-	if len(phones) != 2 {
-		t.Fatal("phones not discovered")
-	}
+	h, phones := home(100e6, 100e6, 100)
+	// Rates that bind: a q1 segment takes 10 ms on the line, 40 on a
+	// phone, and a session about 150 ms.
+	slow, slowPhones := home(10e6, 2.5e6, 20)
 	photos := GeneratePhotos(4, 7)
 	for i := range photos {
 		photos[i].Data = photos[i].Data[:32*1024]
 	}
+	splits := 0
 	sessions := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
@@ -336,6 +350,13 @@ func TestSessionsReleaseConnections(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
+			res, err := slow.BoostVoD(context.Background(), bipbop.URL, "/bipbop/master.m3u8", VoDOptions{
+				Algo: scheduler.Greedy, Phones: slowPhones, PrebufferFrac: 0.2, Quality: "q1",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			splits += res.SchedulerReport.Splits
 			if _, err := h.UploadPhotos(context.Background(), photos, UploadOptions{
 				Algo: scheduler.Greedy, Phones: phones, TargetURL: sink.URL,
 			}); err != nil {
@@ -356,5 +377,9 @@ func TestSessionsReleaseConnections(t *testing.T) {
 	sessions(45)
 	if after50 := goroutinesSettleAt(after5 + slack); after50 > after5+slack {
 		t.Errorf("goroutines: %d after 5 sessions, %d after 50 — sessions leak connections", after5, after50)
+	}
+	t.Logf("%d splits over 50 sessions with slow phones", splits)
+	if splits == 0 {
+		t.Error("no session with slow phones split a segment")
 	}
 }

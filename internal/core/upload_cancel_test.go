@@ -113,10 +113,11 @@ func TestCancelledUploadStopsAtTheLink(t *testing.T) {
 	}
 	// The phone stops working for the cancelled request: once the link
 	// is quiet its byte count and its quota stand still.
-	proxied, charged := ph.Proxy.BytesTotal(), ph.Tracker.Used()
+	proxied, left := ph.Proxy.BytesTotal(), ph.Tracker.Available()
+	charged := 1<<30 - left
 	time.Sleep(200 * time.Millisecond)
-	if p, c := ph.Proxy.BytesTotal(), ph.Tracker.Used(); p != proxied || c != charged {
-		t.Errorf("phone kept working after the cancel: proxy bytes %d → %d, quota used %d → %d", proxied, p, charged, c)
+	if p, a := ph.Proxy.BytesTotal(), ph.Tracker.Available(); p != proxied || a != left {
+		t.Errorf("phone kept working after the cancel: proxy bytes %d → %d, quota left %d → %d", proxied, p, left, a)
 	}
 	// The chunked multipart body declares no length, and the request
 	// failed: the phone is still charged every byte its uplink carried —

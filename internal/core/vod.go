@@ -152,7 +152,11 @@ func (v *vodProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if v.claimed(target) {
 		body, err := v.cache.Wait(r.Context(), target)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusGatewayTimeout)
+			status := http.StatusBadGateway // the prefetch failed: Cache.Fail's error
+			if r.Context().Err() != nil {
+				status = http.StatusGatewayTimeout
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		w.Header().Set("Content-Type", "video/mp2t")
@@ -298,6 +302,9 @@ func (v *vodProxy) startPrefetch(playlistURL string, media *hls.MediaPlaylist) {
 		v.mu.Lock()
 		v.report, v.runErr = rep, err
 		v.mu.Unlock()
+		if err != nil {
+			v.cache.Fail(err) // the handlers waiting for its segments give up
+		}
 		close(v.done)
 	}()
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"threegol/internal/cellular"
+	"threegol/internal/fault"
 	"threegol/internal/hls"
 	"threegol/internal/scheduler"
 )
@@ -160,5 +162,83 @@ func TestBaselineVoDBadQuality(t *testing.T) {
 	h := testHome(t)
 	if _, err := h.BaselineVoD(context.Background(), origin.URL, "/clip/master.m3u8", 0.2, "q99"); err == nil {
 		t.Error("unknown quality accepted")
+	}
+}
+
+// The bench's vod_shaped session in virtual time: 20 q4 segments over
+// loc1's ADSL line and two phones at TimeScale 20. Whole segments end
+// at 797 ms, where ADSL's 14th segment lands; the fluid floor is 727
+// ms. Paths that carry byte ranges let the endgame split the last
+// segments in flight by rate, and the session ends near that floor.
+func TestSplitShortensVoDShaped(t *testing.T) {
+	const scale = 20
+	loc, ok := cellular.FindLocation(cellular.EvalLocations, "loc1")
+	if !ok {
+		t.Fatal("loc1 missing")
+	}
+	dl, _ := cellular.RadioCaps(loc.SignalDBm)
+	phoneDown := dl * cellular.DefaultParams().FadingMean
+	video := hls.BipBop()
+	q, _ := video.QualityByName("q4")
+	sizes := make([]int64, video.NumSegments())
+	for i := range sizes {
+		sizes[i] = int64(video.SegmentSize(q, i))
+	}
+	elapsed := func(ranged bool) (time.Duration, *fault.SimReport) {
+		t.Helper()
+		paths := []fault.SimPath{
+			{Name: "adsl", Rate: loc.DSLDown * scale / 8, Ranged: ranged},
+			{Name: "ph1", Rate: phoneDown * scale / 8, Ranged: ranged},
+			{Name: "ph2", Rate: phoneDown * scale / 8, Ranged: ranged},
+		}
+		rep, err := fault.Simulate(fault.SimConfig{Paths: paths, Items: sizes, Plan: fault.NewPlan()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Completed != len(sizes) {
+			t.Fatalf("%d of %d segments delivered", rep.Completed, len(sizes))
+		}
+		return time.Duration(rep.Elapsed * float64(time.Second)), rep
+	}
+	whole, wrep := elapsed(false)
+	split, srep := elapsed(true)
+	t.Logf("whole segments %v (%d duplicates, %d B waste); split %v (%d splits, %d duplicates, %d B waste)",
+		whole, wrep.Duplicates, wrep.DuplicateWaste, split, srep.Splits, srep.Duplicates, srep.DuplicateWaste)
+	if split > 750*time.Millisecond {
+		t.Errorf("with ranged paths the session ends at %v, want ≤ 750 ms (whole segments: %v)", split, whole)
+	}
+	if srep.Splits == 0 || srep.Duplicates+srep.Splits > wrep.Duplicates {
+		t.Errorf("%d splits and %d duplicates, against %d duplicates with whole segments: want splits, and no more requests",
+			srep.Splits, srep.Duplicates, wrep.Duplicates)
+	}
+}
+
+// A segment the prefetch transaction gives up on must fail the player's
+// GET for it at once, not hold it until the player's deadline.
+func TestFailedPrefetchFailsThePlayer(t *testing.T) {
+	video := hls.Video{Name: "v", Duration: 40, SegmentDur: 10,
+		Qualities: []hls.Quality{{Name: "q1", Bitrate: 100_000}}}
+	o := hls.NewOrigin(video)
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/seg0002.ts") {
+			http.Error(w, "broken", http.StatusInternalServerError)
+			return
+		}
+		o.ServeHTTP(w, r)
+	}))
+	defer origin.Close()
+	proxy := startVoDProxy(t, origin.URL, nil)
+
+	const deadline = 3 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	t0 := time.Now()
+	_, err := (&hls.Player{Client: &http.Client{}, PrebufferFrac: 0.2}).Play(ctx, proxy.URL+"/v/master.m3u8", "q1")
+	took := time.Since(t0)
+	if err == nil || !strings.Contains(err.Error(), "seg0002.ts") {
+		t.Fatalf("Play = %v, want an error naming seg0002.ts", err)
+	}
+	if took > deadline/3 {
+		t.Errorf("Play failed after %v of its %v deadline: %v", took, deadline, err)
 	}
 }

@@ -8,7 +8,8 @@ package fault
 // random workloads and compiled fault plans and held to the paper's
 // transaction-level claims: every item delivered exactly once, loser
 // waste at any completion ≤ (N−1)·Sm, termination, and ADSL-only
-// completion when every phone is dead. The live driver also runs the
+// completion when every phone is dead. On some seeds the paths can carry
+// byte ranges, so the endgame splits as well as duplicates. The live driver also runs the
 // two fixed-queue baselines, which promise less: termination, no
 // duplicate and no waste, and an honest error when a dead path holds an
 // item nobody else may carry. Both meet one fault model: the live
@@ -63,6 +64,12 @@ func (w workload) phones() []string { return w.names[1:] }
 func (w workload) wasteBound() int64 { return int64(len(w.names)-1) * w.maxSize }
 
 func TestSimDriverProperties(t *testing.T) {
+	splits := 0
+	defer func() {
+		if splits == 0 {
+			t.Error("no seed split an attempt")
+		}
+	}()
 	for seed := int64(0); seed < 400; seed++ {
 		w := randomWorkload(seed)
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
@@ -77,8 +84,9 @@ func TestSimDriverProperties(t *testing.T) {
 			Breaker:      scheduler.BreakerConfig{Threshold: rng.Intn(5)},
 		}
 		cfg := SimConfig{Items: w.sizes, Plan: MustCompile(w.scenario, seed, w.phones(), 120), Policy: policy}
+		ranged := rng.Intn(2) == 0 // ADSL, and each phone by a coin
 		for i, name := range w.names {
-			cfg.Paths = append(cfg.Paths, SimPath{Name: name, Rate: w.rates[i]})
+			cfg.Paths = append(cfg.Paths, SimPath{Name: name, Rate: w.rates[i], Ranged: ranged && (i == 0 || rng.Intn(2) == 0)})
 		}
 		rep, err := Simulate(cfg)
 		if err != nil {
@@ -96,10 +104,14 @@ func TestSimDriverProperties(t *testing.T) {
 			t.Errorf("seed %d (%s): completion waste %d > (N-1)·Sm = %d",
 				seed, w.scenario, rep.MaxCompletionWaste, w.wasteBound())
 		}
-		if policy.DisableDuplication && (rep.Duplicates != 0 || rep.DuplicateWaste != 0) {
-			t.Errorf("seed %d: duplication disabled yet %d duplicates, %d waste",
-				seed, rep.Duplicates, rep.DuplicateWaste)
+		if policy.DisableDuplication && (rep.Duplicates != 0 || rep.DuplicateWaste != 0 || rep.Splits != 0) {
+			t.Errorf("seed %d: duplication disabled yet %d duplicates, %d splits, %d waste",
+				seed, rep.Duplicates, rep.Splits, rep.DuplicateWaste)
 		}
+		if !ranged && rep.Splits != 0 {
+			t.Errorf("seed %d: %d splits over paths that cannot carry a range", seed, rep.Splits)
+		}
+		splits += rep.Splits
 		if w.scenario == ScenarioBlackoutAll {
 			if got := rep.PerPath["adsl"].Items; got != len(w.sizes) {
 				t.Errorf("seed %d: blackout-all: ADSL carried %d of %d items", seed, got, len(w.sizes))
@@ -161,6 +173,52 @@ func (p *memPath) TransferProgress(ctx context.Context, it scheduler.Item, progr
 	}
 }
 
+// rangedMemPath is a memPath that can carry a byte range: it walks its
+// window the same way and moves the bytes through the Range as
+// transfer.DownloadPath reads a body, so a split can cut it short.
+type rangedMemPath struct{ memPath }
+
+func (p *rangedMemPath) TransferRange(ctx context.Context, it scheduler.Item, r *scheduler.Range, progress func(int64)) (int64, error) {
+	if r.End() == 0 {
+		r.SetEnd(it.Size)
+	}
+	size := r.End() - r.Off
+	t0 := time.Since(p.epoch).Seconds()
+	end, bytes, out := walkAttempt(p.plan, p.name, p.rate, size, t0, 0)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	var got int64
+	for {
+		t := time.Since(p.epoch).Seconds()
+		moved := bytes
+		if t < end {
+			moved = cleanBytes(p.plan, p.name, p.rate, size, t0, t)
+		}
+		for got < moved {
+			k := r.Take(int(moved - got))
+			if k == 0 {
+				break // a split cut the window here
+			}
+			r.Got(k)
+			got += int64(k)
+		}
+		if progress != nil {
+			progress(got)
+		}
+		switch {
+		case r.Complete():
+			return got, nil
+		case t >= end && out == attemptKilled:
+			return got, errKilled
+		}
+		select {
+		case <-ctx.Done():
+			return got, ctx.Err()
+		case <-tick.C:
+		}
+	}
+}
+
 // scalePlan shrinks every window of plan by factor k, bringing the
 // catalog's second-scale schedules down to milliseconds.
 func scalePlan(plan *Plan, k float64) *Plan {
@@ -176,10 +234,11 @@ func scalePlan(plan *Plan, k float64) *Plan {
 }
 
 func TestLiveDriverProperties(t *testing.T) {
-	// The sim workloads at 1/50 scale: item sizes and fault windows both
-	// shrink (1–30 KB items, 10–400 ms windows) while rates stay, so a
-	// transaction lasts a few hundred real milliseconds and meets as many
-	// windows as its simulated twin.
+	// The sim workloads at 1/50 scale in time: fault windows shrink
+	// (10–400 ms) and rates grow 50×, so a transaction lasts a few
+	// hundred real milliseconds and meets as many windows as its
+	// simulated twin, with items large enough to split. Odd seeds run
+	// paths that can carry byte ranges.
 	const scale = 1.0 / 50
 	const maxRetries = 4
 	const stallTimeout = 40 * time.Millisecond
@@ -187,11 +246,14 @@ func TestLiveDriverProperties(t *testing.T) {
 	// driver that only ever met stalls at admission would pass the
 	// per-seed checks while the watchdog's mid-transfer branch went
 	// untested.
-	var ran, midStalls atomic.Int64
+	var ran, midStalls, splits atomic.Int64
 	t.Cleanup(func() {
-		t.Logf("%d stall aborts after bytes moved", midStalls.Load())
+		t.Logf("%d stall aborts after bytes moved, %d splits", midStalls.Load(), splits.Load())
 		if ran.Load() == 16 && midStalls.Load() == 0 {
 			t.Errorf("no stall abort ended after bytes moved, over 16 seeds")
+		}
+		if ran.Load() == 16 && splits.Load() == 0 {
+			t.Errorf("no split over the 8 seeds with ranged paths")
 		}
 	})
 	for seed := int64(0); seed < 16; seed++ {
@@ -204,12 +266,16 @@ func TestLiveDriverProperties(t *testing.T) {
 				plan := scalePlan(MustCompile(w.scenario, seed, w.phones(), 120), scale)
 				items := make([]scheduler.Item, len(w.sizes))
 				for i, size := range w.sizes {
-					items[i] = scheduler.Item{ID: i, Name: "item" + strconv.Itoa(i), Size: int64(float64(size) * scale)}
+					items[i] = scheduler.Item{ID: i, Name: "item" + strconv.Itoa(i), Size: size}
 				}
 				epoch := time.Now()
 				paths := make([]scheduler.Path, len(w.names))
 				for i, name := range w.names {
-					paths[i] = &memPath{name: name, rate: w.rates[i], plan: plan, epoch: epoch}
+					mp := memPath{name: name, rate: w.rates[i] / scale, plan: plan, epoch: epoch}
+					paths[i] = &mp
+					if seed%2 == 1 {
+						paths[i] = &rangedMemPath{mp}
+					}
 				}
 				log := eventlog.New(0, seed, func() float64 { return time.Since(epoch).Seconds() })
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -239,6 +305,9 @@ func TestLiveDriverProperties(t *testing.T) {
 					}
 					if ev.Kind == eventlog.KindPoint && ev.Name == "scheduler.duplicate" {
 						dups++
+					}
+					if ev.Kind == eventlog.KindPoint && ev.Name == "scheduler.split" {
+						splits.Add(1)
 					}
 				}
 				delivered := make([]int, len(items))
@@ -300,7 +369,7 @@ func TestLiveDriverProperties(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: Run: %v", algo, err) // includes non-termination: the deadline
 				}
-				bound := int64(float64(w.wasteBound()) * scale)
+				bound := w.wasteBound()
 				for i := range items {
 					if delivered[i] != 1 {
 						t.Errorf("%v: item %d delivered %d times", algo, i, delivered[i])

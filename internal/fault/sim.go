@@ -6,13 +6,13 @@ package fault
 // fleet engine's byte-identical-across-worker-counts contract. Simulate
 // is the bridge: a single-threaded discrete-event driver of the same
 // decision core (scheduler.Core) the live scheduler runs — item
-// selection, endgame duplication, retry budgets, requeue, backoff and
-// the circuit breaker are the core's — played against a fault Plan on
-// its float64-seconds timeline. This file owns what the core does not:
-// the event loop on a simclock.Queue, how long an attempt takes under
-// the plan (including the stall watchdog), and byte and waste
-// accounting. No wall clock, no global rand, no goroutines: same config
-// in, same report out, bit for bit.
+// selection, the endgame's duplicates and splits, retry budgets,
+// requeue, backoff and the circuit breaker are the core's — played
+// against a fault Plan on its float64-seconds timeline. This file owns
+// what the core does not: the event loop on a simclock.Queue, how long
+// an attempt takes under the plan (including the stall watchdog), and
+// byte and waste accounting. No wall clock, no global rand, no
+// goroutines: same config in, same report out, bit for bit.
 
 import (
 	"fmt"
@@ -28,6 +28,9 @@ type SimPath struct {
 	// Rate is the path's throughput in bytes per second of clean air
 	// (time outside every fault window).
 	Rate float64
+	// Ranged marks a path that can carry a byte range of an item, as a
+	// transfer.DownloadPath can: the endgame may split its attempts.
+	Ranged bool
 }
 
 // SimConfig drives Simulate.
@@ -70,9 +73,11 @@ type SimReport struct {
 	MaxCompletionWaste int64 `json:"max_completion_waste_bytes"`
 	// FailureWaste counts bytes abandoned by failed or stall-aborted
 	// attempts (unbounded in principle: the price of a hostile edge).
-	FailureWaste int64                   `json:"failure_waste_bytes"`
-	Requeues     int                     `json:"requeues"`
-	Duplicates   int                     `json:"duplicates"`
+	FailureWaste int64 `json:"failure_waste_bytes"`
+	Requeues     int   `json:"requeues"`
+	Duplicates   int   `json:"duplicates"`
+	// Splits counts endgame splits, which only ranged paths make.
+	Splits       int                     `json:"splits,omitempty"`
 	StallAborts  int                     `json:"stall_aborts"`
 	BreakerOpens int                     `json:"breaker_opens"`
 	PerPath      map[string]SimPathStats `json:"per_path"`
@@ -157,6 +162,7 @@ type simEvent struct {
 
 type simAttempt struct {
 	item      int
+	off, end  int64 // the bytes of the item it carries
 	start     float64
 	bytes     int64 // bytes at natural resolution
 	out       int
@@ -183,6 +189,7 @@ type simState struct {
 	// maximum is the §4.1.1-bounded MaxCompletionWaste.
 	lossByItem []int64
 
+	now     float64 // the instant being dispatched, for the Splitter
 	done    bool
 	elapsed float64
 }
@@ -213,6 +220,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		earliestIdle: make([]float64, n),
 		lossByItem:   make([]int64, len(cfg.Items)),
 	}
+	s.core.SetSplitter(s)
 	for p := range cfg.Paths {
 		s.rep.PerPath[cfg.Paths[p].Name] = SimPathStats{}
 		s.events.Push(0, simEvent{kind: evIdle, path: p})
@@ -272,6 +280,7 @@ func (s *simState) dispatch(p int, t float64) {
 		}
 		return
 	}
+	s.now = t
 	d := s.core.Idle(p, t)
 	switch d.Action {
 	case scheduler.Park:
@@ -281,14 +290,60 @@ func (s *simState) dispatch(p int, t float64) {
 		return
 	case scheduler.Duplicate:
 		s.rep.Duplicates++
+	case scheduler.Split:
+		s.rep.Splits++
 	}
-	end, bytes, out := walkAttempt(s.cfg.Plan, sp.Name, sp.Rate, s.cfg.Items[d.Item], t, s.stall)
-	att := &simAttempt{item: d.Item, start: t, bytes: bytes, out: out}
-	s.running[p] = att
-	s.events.Push(end, simEvent{kind: evResolve, path: p, att: att})
+	end := d.End
+	if end == 0 {
+		end = s.cfg.Items[d.Item]
+	}
+	s.start(p, &simAttempt{item: d.Item, off: d.Off, end: end, start: t})
 	// A fresh in-flight item is a new endgame candidate for parked
 	// paths.
 	s.wakeAll(t)
+}
+
+// start walks attempt att on path p from its start and queues its
+// resolution.
+func (s *simState) start(p int, att *simAttempt) {
+	sp := s.cfg.Paths[p]
+	var end float64
+	end, att.bytes, att.out = walkAttempt(s.cfg.Plan, sp.Name, sp.Rate, att.end-att.off, att.start, s.stall)
+	s.running[p] = att
+	s.events.Push(end, simEvent{kind: evResolve, path: p, att: att})
+}
+
+// held is how many bytes path p's running attempt has moved by now.
+func (s *simState) held(p int) int64 {
+	att, sp := s.running[p], s.cfg.Paths[p]
+	return cleanBytes(s.cfg.Plan, sp.Name, sp.Rate, att.end-att.off, att.start, s.now)
+}
+
+// Ranged, Left and Cut make simState the core's Splitter.
+func (s *simState) Ranged(p int) bool { return s.cfg.Paths[p].Ranged }
+
+func (s *simState) Left(p int) (int64, bool) {
+	att := s.running[p]
+	if att == nil {
+		return 0, false
+	}
+	return att.end - att.off - s.held(p), true
+}
+
+// Cut re-walks path p's attempt from its start to the cut: the bytes
+// before it are the same, and it resolves when it reaches the cut.
+func (s *simState) Cut(p int, share float64) (int64, int64, bool) {
+	att := s.running[p]
+	if att == nil {
+		return 0, 0, false
+	}
+	at, ok := scheduler.SplitAt(att.off+s.held(p), att.end, share)
+	if !ok {
+		return 0, 0, false
+	}
+	att.cancelled = true // its queued resolution is for the old end
+	s.start(p, &simAttempt{item: att.item, off: att.off, end: at, start: att.start})
+	return at, att.end, true
 }
 
 // resolve settles path p's attempt at its natural end time t.
@@ -312,7 +367,7 @@ func (s *simState) resolve(p int, att *simAttempt, t float64) {
 				r, loser := s.running[q], s.cfg.Paths[q]
 				r.cancelled = true
 				s.running[q] = nil
-				rb := cleanBytes(s.cfg.Plan, loser.Name, loser.Rate, s.cfg.Items[att.item], r.start, t)
+				rb := cleanBytes(s.cfg.Plan, loser.Name, loser.Rate, r.end-r.off, r.start, t)
 				lst := s.rep.PerPath[loser.Name]
 				lst.Bytes += rb
 				s.rep.PerPath[loser.Name] = lst
@@ -323,7 +378,7 @@ func (s *simState) resolve(p int, att *simAttempt, t float64) {
 				s.done = true
 				s.elapsed = t
 			}
-		} else {
+		} else if !res.Piece {
 			// Simultaneous finish: the earlier event won; ours is waste.
 			s.rep.DuplicateWaste += att.bytes
 			s.lossByItem[att.item] += att.bytes

@@ -509,3 +509,57 @@ func TestNewOriginPanicsOnBadVideo(t *testing.T) {
 	}()
 	NewOrigin(Video{Name: "x", Duration: 10, SegmentDur: 10})
 }
+
+// A single Range gets that slice of the segment as a 206 with its
+// Content-Range; a range past the body is a 416; anything else the
+// origin ignores, as RFC 9110 lets it, for the whole body.
+func TestOriginServesByteRanges(t *testing.T) {
+	v := oddVideo(1000)
+	whole := serveSegment(t, v, "a", 1)
+	o := NewOrigin(v)
+	for _, c := range []struct {
+		header      string
+		status      int
+		first, last int
+	}{
+		{"bytes=0-99", http.StatusPartialContent, 0, 99},
+		{"bytes=900-", http.StatusPartialContent, 900, 999},
+		{"bytes=950-5000", http.StatusPartialContent, 950, 999},
+		{"bytes=999-999", http.StatusPartialContent, 999, 999},
+		{"bytes=1000-", http.StatusRequestedRangeNotSatisfiable, 0, -1},
+		{"bytes=-100", http.StatusOK, 0, 999},
+		{"bytes=0-1,5-6", http.StatusOK, 0, 999},
+		{"bytes=+1-5", http.StatusOK, 0, 999},
+		{"bytes=9-5", http.StatusOK, 0, 999},
+		{"items=0-5", http.StatusOK, 0, 999},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/odd/a/seg0001.ts", nil)
+		req.Header.Set("Range", c.header)
+		rec := httptest.NewRecorder()
+		o.ServeHTTP(rec, req)
+		if rec.Code != c.status {
+			t.Errorf("Range %q: status %d, want %d", c.header, rec.Code, c.status)
+			continue
+		}
+		if got := rec.Header().Get("Accept-Ranges"); got != "bytes" {
+			t.Errorf("Range %q: Accept-Ranges %q", c.header, got)
+		}
+		switch c.status {
+		case http.StatusRequestedRangeNotSatisfiable:
+			if got := rec.Header().Get("Content-Range"); got != "bytes */1000" {
+				t.Errorf("Range %q: Content-Range %q", c.header, got)
+			}
+			continue
+		case http.StatusPartialContent:
+			if got, want := rec.Header().Get("Content-Range"), fmt.Sprintf("bytes %d-%d/1000", c.first, c.last); got != want {
+				t.Errorf("Range %q: Content-Range %q, want %q", c.header, got, want)
+			}
+		}
+		if !bytes.Equal(rec.Body.Bytes(), whole[c.first:c.last+1]) {
+			t.Errorf("Range %q: %d bytes, not the body's [%d, %d]", c.header, rec.Body.Len(), c.first, c.last)
+		}
+		if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+			t.Errorf("Range %q: Content-Length %s on %s bytes", c.header, got, want)
+		}
+	}
+}

@@ -85,6 +85,10 @@ func (v Video) QualityByName(name string) (Quality, bool) {
 //	/<video>/master.m3u8
 //	/<video>/<quality>/playlist.m3u8
 //	/<video>/<quality>/seg<i>.ts
+//
+// Segments declare "Accept-Ranges: bytes", and a segment GET with a
+// single-range Range header ("bytes=a-b" or "bytes=a-") gets that slice
+// of the body as a 206.
 type Origin struct {
 	video Video
 	tape  func() []byte // newTape, once, on the first segment request
@@ -172,16 +176,60 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		size := o.video.SegmentSize(q, idx)
-		w.Header().Set("Content-Type", "video/mp2t")
-		w.Header().Set("Content-Length", strconv.Itoa(size))
-		w.Header().Set("Cache-Control", "no-store") // the paper disables caching
+		first, last, status := byteRange(r.Header.Get("Range"), size)
+		h := w.Header()
+		h.Set("Content-Type", "video/mp2t")
+		h.Set("Cache-Control", "no-store") // the paper disables caching
+		h.Set("Accept-Ranges", "bytes")
+		switch status {
+		case http.StatusRequestedRangeNotSatisfiable:
+			h.Set("Content-Range", "bytes */"+strconv.Itoa(size))
+			http.Error(w, "range not satisfiable", status)
+			return
+		case http.StatusPartialContent:
+			h.Set("Content-Range", "bytes "+strconv.Itoa(first)+"-"+strconv.Itoa(last)+"/"+strconv.Itoa(size))
+		}
+		h.Set("Content-Length", strconv.Itoa(last+1-first))
+		w.WriteHeader(status)
 		if r.Method == http.MethodHead {
 			return
 		}
-		_, _ = w.Write(o.segmentBody(q, idx, size)) // client disconnect; nothing to do
+		// One Write of a slice of the tape, ranged or not: no
+		// http.ServeContent, whose copy loop allocates 32 KB a response.
+		_, _ = w.Write(o.segmentBody(q, idx, size)[first : last+1]) // client disconnect; nothing to do
 	default:
 		http.NotFound(w, r)
 	}
+}
+
+// byteRange reads a Range header against a body of size bytes: the
+// bytes [first, last] to send and the status to send them with. A
+// single "bytes=a-b" or "bytes=a-" range is a 206 of it (b clamped to
+// the body), or a 416 when a is past the body; anything else — no
+// header, several ranges, a suffix range, a malformed one — is ignored,
+// as RFC 9110 allows, for a 200 of the whole body.
+func byteRange(h string, size int) (first, last, status int) {
+	whole := func() (int, int, int) { return 0, size - 1, http.StatusOK }
+	spec, ok := strings.CutPrefix(h, "bytes=")
+	if !ok {
+		return whole()
+	}
+	a, b, ok := strings.Cut(spec, "-")
+	first, err := strconv.Atoi(a)
+	if !ok || err != nil || first < 0 || a[0] == '+' {
+		return whole()
+	}
+	last = size - 1
+	if b != "" {
+		if last, err = strconv.Atoi(b); err != nil || last < first || b[0] == '+' {
+			return whole()
+		}
+		last = min(last, size-1)
+	}
+	if first >= size {
+		return 0, -1, http.StatusRequestedRangeNotSatisfiable
+	}
+	return first, last, http.StatusPartialContent
 }
 
 // tapeSlack is the range of a segment's offset into the tape: a power of

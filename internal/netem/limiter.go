@@ -107,13 +107,6 @@ func (l *Limiter) Reserve(bits float64) time.Duration {
 	return time.Duration(-l.bucket / l.rate * float64(time.Second))
 }
 
-// Take reserves bits and sleeps out the returned debt.
-func (l *Limiter) Take(bits float64) {
-	if d := l.Reserve(bits); d > 0 {
-		l.clk.Sleep(d)
-	}
-}
-
 // String implements fmt.Stringer for diagnostics.
 func (l *Limiter) String() string {
 	return fmt.Sprintf("limiter(%.0f bps)", l.Rate())

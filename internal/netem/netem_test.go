@@ -17,6 +17,13 @@ func TestLimiterUnlimited(t *testing.T) {
 	}
 }
 
+// take reserves bits and sleeps out the returned debt.
+func take(l *Limiter, bits float64) {
+	if d := l.Reserve(bits); d > 0 {
+		l.clk.Sleep(d)
+	}
+}
+
 func TestLimiterPacesToRate(t *testing.T) {
 	// 8 Mbps limiter, send 1 MB (8 Mbit) in chunks: should take ≈1s
 	// minus the initial burst allowance.
@@ -25,7 +32,7 @@ func TestLimiterPacesToRate(t *testing.T) {
 	const chunk = 8 * 1024 * 8 // bits
 	var sent float64
 	for sent < 8e6 {
-		l.Take(chunk)
+		take(l, chunk)
 		sent += chunk
 	}
 	elapsed := time.Since(start).Seconds()
@@ -36,10 +43,10 @@ func TestLimiterPacesToRate(t *testing.T) {
 
 func TestLimiterSetRateTakesEffect(t *testing.T) {
 	l := NewLimiter(1e6, 1) // tiny burst
-	l.Take(1)               // drain
+	take(l, 1)              // drain
 	l.SetRate(100e6)
 	start := time.Now()
-	l.Take(1e6) // 1 Mbit at 100 Mbps ≈ 10 ms
+	take(l, 1e6) // 1 Mbit at 100 Mbps ≈ 10 ms
 	if e := time.Since(start); e > 100*time.Millisecond {
 		t.Errorf("rate change not applied: 1Mbit took %v", e)
 	}
@@ -57,7 +64,7 @@ func TestLimiterSharedBetweenCallers(t *testing.T) {
 			defer wg.Done()
 			var sent float64
 			for sent < 8e6 {
-				l.Take(64e3)
+				take(l, 64e3)
 				sent += 64e3
 			}
 		}()

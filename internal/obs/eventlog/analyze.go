@@ -47,11 +47,6 @@ type Analysis struct {
 	byID   map[string]*Trace
 }
 
-// TraceByID returns the trace with the given ID, or nil.
-func (a *Analysis) TraceByID(id string) *Trace {
-	return a.byID[id]
-}
-
 // Assemble reconstructs span trees from a flat event stream. It never
 // fails: malformed fragments (unended spans, ends without begins,
 // missing parents) degrade to partial trees, because the analyzer must

@@ -34,7 +34,7 @@ func TestAssembleAndCriticalPath(t *testing.T) {
 	if len(tr.Roots[0].Children) != 2 {
 		t.Fatalf("session has %d children, want 2", len(tr.Roots[0].Children))
 	}
-	if got := a.TraceByID(tr.ID); got != tr {
+	if got := a.byID[tr.ID]; got != tr {
 		t.Fatalf("TraceByID mismatch")
 	}
 

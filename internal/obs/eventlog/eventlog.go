@@ -297,16 +297,6 @@ func (l *Log) Len() int {
 	return len(l.events)
 }
 
-// Dropped reports how many events a ring log has evicted.
-func (l *Log) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
 // Merge appends src's events after l's, preserving each event's
 // original shard and sequence — the fleet merge-reduce contract. Folded
 // in shard order, the merged stream is bit-identical for every worker

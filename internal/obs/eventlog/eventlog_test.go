@@ -97,7 +97,7 @@ func TestNilSafety(t *testing.T) {
 	sp.End()
 	l.Point(sp.Context(), "noop")
 	l.Merge(nil)
-	if l.Len() != 0 || l.Events() != nil || l.Dropped() != 0 || l.Now() != 0 {
+	if l.Len() != 0 || l.Events() != nil || l.Now() != 0 {
 		t.Fatal("nil log accessors not zero")
 	}
 	var zero Span
@@ -122,8 +122,8 @@ func TestRingEviction(t *testing.T) {
 	if evs[0].Seq != 2 || evs[2].Seq != 4 {
 		t.Fatalf("ring seqs = %d..%d, want 2..4", evs[0].Seq, evs[2].Seq)
 	}
-	if l.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", l.Dropped())
+	if l.dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", l.dropped)
 	}
 }
 

@@ -158,17 +158,6 @@ func (c *Cache) grace() time.Duration {
 	return DefaultGrace
 }
 
-// Mode reports "normal" or "degraded" — the explicit state the load
-// harness and operators observe.
-func (c *Cache) Mode() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.breaker.Open() {
-		return "degraded"
-	}
-	return "normal"
-}
-
 // degradedVerdictLocked is the no-round-trip verdict served while the
 // breaker is open: fail-open honours the last granted permit inside its
 // grace window (measured from the permit's genuine expiry); everything
@@ -313,13 +302,4 @@ func (c *Cache) refresh(ctx context.Context, flight chan struct{}, proactive, pr
 		c.grantExpiry = c.expires
 	}
 	return c.granted
-}
-
-// Invalidate drops the cached permit, forcing a refresh on next use.
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.haveState = false
-	c.expires = time.Time{}
-	c.refreshAt = time.Time{}
 }

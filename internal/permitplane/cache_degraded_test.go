@@ -30,6 +30,17 @@ func (b *flakyBackend) fetch(ctx context.Context, device, cell string) (permit.R
 	return permit.Response{Granted: true, TTLSeconds: b.ttl.Seconds()}, nil
 }
 
+// mode reports "normal" or "degraded": whether the cache's breaker is
+// open.
+func mode(c *Cache) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.breaker.Open() {
+		return "degraded"
+	}
+	return "normal"
+}
+
 // tripBreaker drives consecutive refresh failures until the cache goes
 // degraded, advancing the clock past each error cooldown.
 func tripBreaker(t *testing.T, c *Cache, clk *fakeClock) {
@@ -38,13 +49,13 @@ func tripBreaker(t *testing.T, c *Cache, clk *fakeClock) {
 		if c.Allowed(context.Background()) && !c.FailOpen {
 			t.Fatal("fail-closed cache granted during blackout")
 		}
-		if c.Mode() == "degraded" {
+		if mode(c) == "degraded" {
 			return
 		}
 		clk.advance(errorCooldown + time.Second)
 	}
-	if c.Mode() != "degraded" {
-		t.Fatalf("cache still %s after %d consecutive failures", c.Mode(), DefaultBreakerThreshold)
+	if mode(c) != "degraded" {
+		t.Fatalf("cache still %s after %d consecutive failures", mode(c), DefaultBreakerThreshold)
 	}
 }
 
@@ -89,8 +100,8 @@ func TestCacheDegradedFailClosed(t *testing.T) {
 	if !c.Allowed(context.Background()) {
 		t.Error("recovered backend probe did not grant")
 	}
-	if c.Mode() != "normal" {
-		t.Errorf("mode %q after successful probe, want normal", c.Mode())
+	if mode(c) != "normal" {
+		t.Errorf("mode %q after successful probe, want normal", mode(c))
 	}
 }
 
@@ -147,8 +158,8 @@ func TestCacheFailOpenGraceBoundary(t *testing.T) {
 	if !c.Allowed(context.Background()) {
 		t.Error("recovered backend did not re-grant")
 	}
-	if c.Mode() != "normal" {
-		t.Errorf("mode %q after recovery, want normal", c.Mode())
+	if mode(c) != "normal" {
+		t.Errorf("mode %q after recovery, want normal", mode(c))
 	}
 }
 
@@ -263,8 +274,8 @@ func TestCacheCallerCancellationLeavesCacheAlone(t *testing.T) {
 	if got := calls.Load(); got != DefaultBreakerThreshold {
 		t.Fatalf("%d cancelled refreshes reached the backend, want %d", got, DefaultBreakerThreshold)
 	}
-	if c.Mode() != "normal" {
-		t.Errorf("mode %q after %d cancelled callers, want normal", c.Mode(), DefaultBreakerThreshold)
+	if mode(c) != "normal" {
+		t.Errorf("mode %q after %d cancelled callers, want normal", mode(c), DefaultBreakerThreshold)
 	}
 
 	cancelledCall()
@@ -304,19 +315,21 @@ func TestCacheBreakerHoldCapsAndResets(t *testing.T) {
 	for _, s := range []int{2, 4, 8, 16, 30, 30} {
 		holdEnds(opened, time.Duration(s)*time.Second)
 		opened = clk.Now()
-		if c.Mode() != "degraded" {
-			t.Fatalf("failed probe left the cache %s", c.Mode())
+		if mode(c) != "degraded" {
+			t.Fatalf("failed probe left the cache %s", mode(c))
 		}
 	}
 
 	b.healthy.Store(true)
 	holdEnds(opened, DefaultBreakerMaxCooldown)
-	if c.Mode() != "normal" {
-		t.Fatalf("mode %q after a successful probe, want normal", c.Mode())
+	if mode(c) != "normal" {
+		t.Fatalf("mode %q after a successful probe, want normal", mode(c))
 	}
 
 	b.healthy.Store(false)
-	c.Invalidate()
+	c.mu.Lock() // drop the cached permit, forcing a refresh on next use
+	c.haveState, c.expires, c.refreshAt = false, time.Time{}, time.Time{}
+	c.mu.Unlock()
 	tripBreaker(t, c, clk)
 	holdEnds(clk.Now(), DefaultBreakerCooldown)
 }

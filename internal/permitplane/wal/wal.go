@@ -241,8 +241,7 @@ type Log struct {
 	staged  []byte
 	stagedN int
 	// snap holds the last snapshot's bytes, kept for the next one.
-	snap      []byte
-	recovered RecoveryStats
+	snap []byte
 }
 
 // Open recovers a shard directory and returns the log ready for
@@ -278,7 +277,7 @@ func Open(dir string, syncEvery int) (*Log, *State, RecoveryStats, error) {
 		f.Close()
 		return nil, nil, stats, err
 	}
-	l := &Log{dir: dir, f: f, seq: st.Seq, syncEvery: syncEvery, size: validLen, recovered: stats}
+	l := &Log{dir: dir, f: f, seq: st.Seq, syncEvery: syncEvery, size: validLen}
 	return l, st, stats, nil
 }
 
@@ -358,9 +357,6 @@ func replay(snapBytes, logBytes []byte) (*State, RecoveryStats, int64) {
 
 // Seq reports the last assigned sequence number.
 func (l *Log) Seq() uint64 { return l.seq }
-
-// Recovered reports what Open found.
-func (l *Log) Recovered() RecoveryStats { return l.recovered }
 
 // Stage assigns the next sequence number to a record, frames it into
 // the log's staging buffer, and returns the stamped record for the

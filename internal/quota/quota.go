@@ -168,13 +168,6 @@ func (t *Tracker) Use(n int64) {
 	t.used += n
 }
 
-// Used reports bytes consumed today.
-func (t *Tracker) Used() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.used
-}
-
 // StartNewDay resets the daily counter (midnight rollover) and sets a
 // possibly updated allowance.
 func (t *Tracker) StartNewDay(dailyAllowance int64) {

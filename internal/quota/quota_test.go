@@ -162,8 +162,8 @@ func TestTrackerLifecycle(t *testing.T) {
 	if tr.ShouldAdvertise() {
 		t.Error("exhausted tracker must not advertise")
 	}
-	if tr.Used() != 1100 {
-		t.Errorf("Used = %d, want 1100", tr.Used())
+	if tr.used != 1100 {
+		t.Errorf("Used = %d, want 1100", tr.used)
 	}
 	tr.StartNewDay(2000)
 	if got := tr.Available(); got != 2000 {
@@ -178,8 +178,8 @@ func TestTrackerIgnoresNonPositiveUse(t *testing.T) {
 	tr := NewTracker(100)
 	tr.Use(0)
 	tr.Use(-50)
-	if tr.Used() != 0 {
-		t.Errorf("Used = %d, want 0", tr.Used())
+	if tr.used != 0 {
+		t.Errorf("Used = %d, want 0", tr.used)
 	}
 }
 
@@ -298,7 +298,7 @@ func TestTrackerExactExhaustionBoundary(t *testing.T) {
 		t.Errorf("over-use available = %d, want 0", tr.Available())
 	}
 	tr.StartNewDay(1000)
-	if tr.Available() != 1000 || tr.Used() != 0 {
-		t.Errorf("rollover: available = %d used = %d, want 1000/0", tr.Available(), tr.Used())
+	if tr.Available() != 1000 || tr.used != 0 {
+		t.Errorf("rollover: available = %d used = %d, want 1000/0", tr.Available(), tr.used)
 	}
 }

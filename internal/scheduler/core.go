@@ -3,10 +3,11 @@ package scheduler
 // This file is the decision core of all four policies: the one place
 // that decides which item an idle path carries — the next of a shared
 // pending pool (GRD, PLAYOUT) or the head of the path's own fixed queue
-// (RR, MIN) — when an endgame replica is launched, what a failure costs
-// (retry budget, requeue, exhaustion, backoff), whether a path's
-// circuit breaker lets it try at all, and, for MIN, the per-path
-// bandwidth estimate the queues are dealt by.
+// (RR, MIN) — when an endgame replica is launched or an in-flight
+// attempt split, what a failure costs (retry budget, requeue,
+// exhaustion, backoff), whether a path's circuit breaker lets it try at
+// all, and the per-path bandwidth estimate that MIN deals its queues by
+// and the pooled endgame sizes a split by.
 //
 // Core holds no clock, no lock and no goroutine. Its callers — the live
 // goroutine-per-path driver in run and the virtual-time event loop in
@@ -37,16 +38,28 @@ const (
 	Duplicate
 	// Wait: the path's breaker is open; ask again at Until.
 	Wait
+	// Split: carry the tail [Off, End) of Item, which Carrier's attempt
+	// was carrying; the core has already cut that attempt at Off.
+	Split
 )
 
 // Decision is what Core.Idle tells a driver to do with an idle path.
 type Decision struct {
 	Action Action
-	Item   int     // Assign, Duplicate
+	Item   int     // Assign, Duplicate, Split
 	Until  float64 // Wait: when the half-open probe unlocks
 	// Probe reports that this call moved the path's breaker from open
 	// to half-open: whatever the path carries next is the probe.
 	Probe bool
+	// Carrier is the path whose attempt a Split cut.
+	Carrier int
+	// Off and End bound the bytes of a piece: a Split's tail, or a piece
+	// back from a failed attempt; End 0 is the item's end.
+	Off, End int64
+	// Body names the buffer a ranged path's bytes go into: a new one for
+	// an attempt at a whole item, the item's for a piece of it. Off, End
+	// and Body stay 0 on a path that cannot carry a range.
+	Body int
 }
 
 // Success is the verdict on a transfer that finished without error.
@@ -54,6 +67,10 @@ type Success struct {
 	// Won is true for the item's first completion; a replica finishing
 	// after that delivered nothing and its bytes are waste.
 	Won bool
+	// Piece is true when the success delivered a piece of a split item
+	// whose other pieces are still to come: its bytes are not waste, and
+	// the item is won by the success that delivers the last piece.
+	Piece bool
 	// Cancel lists the paths still carrying a replica of the item the
 	// winner just delivered. The core has already released them; the
 	// driver aborts their attempts. Valid until the next call.
@@ -130,10 +147,15 @@ type corePath struct {
 	breaker Breaker
 	until   float64 // breaker open: when the half-open probe unlocks
 
-	// MIN's estimator.
-	est     float64 // bits/s, exponentially smoothed
-	sampled bool    // at least one transfer has been measured
-	backlog int64   // bytes dealt to the path and not yet delivered
+	// The estimator: MIN deals by it, the pooled endgame splits by it.
+	est     float64 // bits/s, exponentially smoothed; 0 until a pooled path's first measure
+	sampled bool    // MIN: at least one transfer has been measured
+	backlog int64   // MIN: bytes dealt to the path and not yet delivered
+
+	// A ranged attempt: the bytes [off, end) it carries (end 0 is the
+	// item's end) and the buffer they go into; body is 0 otherwise.
+	off, end int64
+	body     int
 }
 
 // coreFlight is one item's in-flight state; replicas == 0 means the
@@ -141,7 +163,16 @@ type corePath struct {
 type coreFlight struct {
 	replicas int
 	seq      int // assignment order, for "oldest" in the GRD endgame
+	// A split item: pieces counts the pieces not yet delivered, in
+	// flight or waiting for a path after a failure; body is the buffer
+	// they all go into. pieces is 0 for an item that was never split.
+	pieces  int
+	body    int
+	waiting []window
 }
+
+// window is a piece of an item: bytes [off, end), end 0 the item's end.
+type window struct{ off, end int64 }
 
 // Core is the decision state of one transaction under any policy.
 type Core struct {
@@ -164,6 +195,12 @@ type Core struct {
 	paths   []corePath
 	nextSeq int
 	cancel  []int // backing store for Success.Cancel
+
+	// split is the driver's view of its ranged attempts, nil when no
+	// path can carry a range (see SetSplitter); nextBody numbers the
+	// buffers ranged attempts fill.
+	split    Splitter
+	nextBody int
 
 	// MIN: sizes is nil under every other policy.
 	sizes []int64
@@ -189,6 +226,7 @@ func NewCore(algo Algo, sizes []int64, names []string, opts Options) *Core {
 		fails:       make([]int, items*paths),
 		paths:       make([]corePath, paths),
 		cancel:      make([]int, 0, paths),
+		alpha:       opts.minAlpha(),
 	}
 	for p := range c.paths {
 		c.paths[p] = corePath{item: -1}
@@ -208,7 +246,7 @@ func NewCore(algo Algo, sizes []int64, names []string, opts Options) *Core {
 		}
 		return c
 	}
-	c.sizes, c.alpha = sizes, opts.minAlpha()
+	c.sizes = sizes
 	for p, name := range names {
 		c.paths[p].est = 1e6
 		if v := opts.InitialBandwidth[name]; v > 0 {
@@ -227,12 +265,28 @@ func (c *Core) spent(item, p int) bool {
 	return c.fails[item*len(c.paths)+p] >= c.maxRetries
 }
 
+// SetSplitter lets the pooled policies' endgame split an in-flight
+// attempt between its carrier and an idle path when both can carry a
+// byte range (see Idle); s is the driver's view of its ranged attempts.
+// Over paths none of which can carry a range, the core decides exactly
+// as it does without one.
+func (c *Core) SetSplitter(s Splitter) {
+	if !c.fixed {
+		c.split = s
+	}
+}
+
+// ranged reports whether path p can carry a byte range.
+func (c *Core) ranged(p int) bool { return c.split != nil && c.split.Ranged(p) }
+
 // Idle answers an idle path p at time now. Under a fixed-queue policy
 // it carries the head of its own queue — first try or retry alike — and
 // parks when the queue is empty. Otherwise a path with an open breaker
 // waits out the hold and comes back as the half-open probe; else it
-// takes the first pending item it still has budget for, and when there
-// is none it duplicates an in-flight item — GRD picks the one with the
+// takes the first pending item it still has budget for (a piece of a
+// split item only if it can carry a range), and when there is none it
+// splits an in-flight attempt if it can (trySplit), or else duplicates
+// an in-flight item that was never split — GRD picks the one with the
 // fewest replicas, oldest assignment first; PLAYOUT the lowest ID,
 // which is what gates in-order playout.
 func (c *Core) Idle(p int, now float64) Decision {
@@ -255,23 +309,35 @@ func (c *Core) Idle(p int, now float64) Decision {
 		d.Probe = true
 	}
 	for i, it := range c.pending {
-		if c.spent(it, p) {
+		fl := &c.flights[it]
+		if c.spent(it, p) || (fl.pieces > 0 && !c.ranged(p)) {
 			continue
 		}
 		c.pending = append(c.pending[:i], c.pending[i+1:]...)
-		c.flights[it] = coreFlight{replicas: 1, seq: c.nextSeq}
-		c.nextSeq++
-		pp.item = it
 		d.Action, d.Item = Assign, it
+		if fl.pieces > 0 {
+			w := fl.waiting[0]
+			fl.waiting = fl.waiting[1:]
+			fl.replicas++
+			pp.item, pp.off, pp.end, pp.body = it, w.off, w.end, fl.body
+			d.Off, d.End, d.Body = w.off, w.end, fl.body
+			return d
+		}
+		*fl = coreFlight{replicas: 1, seq: c.nextSeq}
+		c.nextSeq++
+		c.carryWhole(p, it, &d)
 		return d
 	}
 	if !c.duplication {
 		return d
 	}
+	if c.trySplit(p, &d) {
+		return d
+	}
 	best := -1
 	for q := range c.paths {
 		it := c.paths[q].item
-		if it < 0 || c.spent(it, p) {
+		if it < 0 || c.spent(it, p) || c.flights[it].pieces > 0 {
 			continue
 		}
 		if best < 0 || c.duplicateBefore(it, best) {
@@ -282,9 +348,71 @@ func (c *Core) Idle(p int, now float64) Decision {
 		return d
 	}
 	c.flights[best].replicas++
-	pp.item = best
 	d.Action, d.Item = Duplicate, best
+	c.carryWhole(p, best, &d)
 	return d
+}
+
+// carryWhole puts path p on the whole of item, in a new buffer of its
+// own when p can carry a range.
+func (c *Core) carryWhole(p, item int, d *Decision) {
+	pp := &c.paths[p]
+	pp.item, pp.off, pp.end, pp.body = item, 0, 0, 0
+	if c.ranged(p) {
+		c.nextBody++
+		pp.body, d.Body = c.nextBody, c.nextBody
+	}
+}
+
+// trySplit is the pooled endgame's first choice for an idle path p that
+// can carry a range and has a rate estimate: among the ranged attempts
+// on other paths with an estimate, on items p has budget for that carry
+// no duplicate, it takes the one expected to end last (under PLAYOUT,
+// the lowest item) and asks the driver to cut it so that p carries the
+// share est_p/(est_p+est_carrier) of the bytes the carrier has yet to
+// receive. It reports false, changing nothing, when there is no such
+// attempt or the tail would be under MinPiece.
+func (c *Core) trySplit(p int, d *Decision) bool {
+	pp := &c.paths[p]
+	if pp.est <= 0 || !c.ranged(p) {
+		return false
+	}
+	best, bestT := -1, 0.0
+	for q := range c.paths {
+		qq := &c.paths[q]
+		it := qq.item
+		if q == p || it < 0 || qq.body == 0 || qq.est <= 0 || c.spent(it, p) ||
+			(c.flights[it].pieces == 0 && c.flights[it].replicas != 1) {
+			continue
+		}
+		left, ok := c.split.Left(q)
+		if !ok {
+			continue
+		}
+		t := float64(left) / qq.est
+		if best < 0 || (c.playout && it < c.paths[best].item) || (!c.playout && t > bestT) {
+			best, bestT = q, t
+		}
+	}
+	if best < 0 {
+		return false
+	}
+	qq := &c.paths[best]
+	at, end, ok := c.split.Cut(best, pp.est/(pp.est+qq.est))
+	if !ok {
+		return false
+	}
+	fl := &c.flights[qq.item]
+	if fl.pieces == 0 {
+		fl.pieces, fl.body = 1, qq.body
+	}
+	fl.pieces++
+	fl.replicas++
+	qq.end = at
+	pp.item, pp.off, pp.end, pp.body = qq.item, at, end, fl.body
+	d.Action, d.Item, d.Carrier = Split, qq.item, best
+	d.Off, d.End, d.Body = at, end, fl.body
+	return true
 }
 
 // duplicateBefore orders endgame candidates.
@@ -302,60 +430,86 @@ func (c *Core) duplicateBefore(a, b int) bool {
 // release takes path p off whatever it carries. A replica the winner
 // already cancelled carries nothing by the time its driver reports.
 func (c *Core) release(p int) {
-	if it := c.paths[p].item; it >= 0 {
-		c.flights[it].replicas--
-		c.paths[p].item = -1
+	pp := &c.paths[p]
+	if pp.item >= 0 {
+		c.flights[pp.item].replicas--
 	}
+	pp.item, pp.off, pp.end, pp.body = -1, 0, 0, 0
+}
+
+// piece reports whether path p carries a piece of item, which was split.
+func (c *Core) piece(item, p int) bool {
+	return c.paths[p].item == item && c.flights[item].pieces > 0
 }
 
 // Succeeded records that path p finished item without error at time
 // now, having moved bytes as the transport counted them (an Item's Size
 // need not be in bytes). Any success — winner or late replica — proves
 // the path healthy: its failure streak resets and its breaker
-// re-closes. Under a fixed-queue policy the item leaves the head of the
-// path's queue, and MIN folds the transfer into its estimate.
+// re-closes, and under a pooled policy it updates the path's estimate.
+// A piece of a split item wins the item only as its last piece. Under a
+// fixed-queue policy the item leaves the head of the path's queue, and
+// MIN folds the transfer into its estimate.
 func (c *Core) Succeeded(item, p int, bytes int64, now float64) Success {
+	piece := c.piece(item, p)
 	c.release(p)
 	pp := &c.paths[p]
 	s := Success{Closed: pp.breaker.Success()}
 	pp.streak = 0
+	c.observe(pp, bytes, now-pp.started)
 	if c.done[item] {
 		return s
+	}
+	if piece {
+		if c.flights[item].pieces--; c.flights[item].pieces > 0 {
+			s.Piece = true
+			return s
+		}
 	}
 	c.done[item] = true
 	s.Won = true
 	s.Cancel = c.cancel[:0]
 	for q := range c.paths {
 		if c.paths[q].item == item {
-			c.paths[q].item = -1
+			c.release(q)
 			s.Cancel = append(s.Cancel, q)
 		}
 	}
-	c.flights[item].replicas = 0
 	if c.fixed {
 		c.queues[p] = c.queues[p][1:]
 	}
 	if c.sizes != nil {
-		c.sample(item, p, bytes, now-pp.started)
+		c.sample(item, p)
 	}
 	return s
 }
 
-// sample is MIN's estimator and dealer, run at each delivery: fold the
-// measured transfer into path p's bandwidth estimate, then deal. While
+// observe folds a transfer into path p's bandwidth estimate. A pooled
+// path's first measurable transfer sets it; MIN's is seeded (NewCore).
+// A transfer that took no measurable time says nothing about bandwidth.
+func (c *Core) observe(pp *corePath, bytes int64, seconds float64) {
+	if seconds <= 0 {
+		return
+	}
+	x := float64(bytes) * 8 / seconds
+	if pp.est > 0 {
+		x = c.alpha*x + (1-c.alpha)*pp.est
+	}
+	pp.est = x
+}
+
+// sample is MIN's dealer, run at each delivery once observe has folded
+// the transfer into path p's bandwidth estimate. While
 // some path has yet to produce a sample the finishing path is kept busy
 // with the next item in order; the moment every path has one, all
 // remaining items are placed — once, never rebalanced — each on the
 // path minimising its estimated completion time. Deep queues built from
 // noisy early samples are exactly why MIN underperforms under wireless
-// variability. A transfer that took no measurable time says nothing
-// about bandwidth, but the path still counts as sampled and is still
-// fed: the deal must not wait on a clock tick.
-func (c *Core) sample(item, p int, bytes int64, seconds float64) {
+// variability. A transfer that took no measurable time still counts as
+// a sample, and its path is still fed: the deal must not wait on a clock
+// tick.
+func (c *Core) sample(item, p int) {
 	pp := &c.paths[p]
-	if seconds > 0 {
-		pp.est = c.alpha*(float64(bytes)*8/seconds) + (1-c.alpha)*pp.est
-	}
 	pp.sampled = true
 	pp.backlog -= c.sizes[item]
 	if c.next == len(c.sizes) {
@@ -390,10 +544,15 @@ func (c *Core) deal(p int) {
 // cancellation) of item on path p at time now. The path's health always
 // takes the hit — breaker and backoff streak advance — but the item is
 // charged, requeued or declared exhausted only while it is undelivered:
-// a replica that dies after the item landed costs the item nothing.
-// Under a fixed-queue policy the item simply stays at the head of p's
-// queue, and p's budget for it is the whole budget.
+// a replica that dies after the item landed costs the item nothing. A
+// failed piece of a split item waits on the pending pool for a ranged
+// path. Under a fixed-queue policy the item simply stays at the head of
+// p's queue, and p's budget for it is the whole budget.
 func (c *Core) Failed(item, p int, now float64) Failure {
+	if c.piece(item, p) {
+		fl := &c.flights[item]
+		fl.waiting = append(fl.waiting, window{c.paths[p].off, c.paths[p].end})
+	}
 	c.release(p)
 	pp := &c.paths[p]
 	var f Failure
@@ -411,7 +570,8 @@ func (c *Core) Failed(item, p int, now float64) Failure {
 }
 
 // charge books one failure of an undelivered item against path p's
-// budget for it and fills in what follows: exhaustion, or a requeue.
+// budget for it and fills in what follows: exhaustion — for a split item,
+// on every path that can carry its pieces — or a requeue.
 func (c *Core) charge(item, p int, f *Failure) {
 	n := len(c.paths)
 	row := c.fails[item*n : (item+1)*n]
@@ -421,15 +581,16 @@ func (c *Core) charge(item, p int, f *Failure) {
 		f.Exhausted = row[p] >= c.maxRetries
 		return
 	}
+	fl := &c.flights[item]
 	f.Exhausted = true
-	for _, k := range row {
+	for q, k := range row {
 		f.Attempts += k
-		if k < c.maxRetries {
+		if k < c.maxRetries && (fl.pieces == 0 || c.ranged(q)) {
 			f.Exhausted = false
 		}
 	}
 	f.Everywhere = f.Exhausted
-	if !f.Exhausted && c.flights[item].replicas == 0 {
+	if !f.Exhausted && (fl.pieces > 0 || fl.replicas == 0) {
 		c.pending = append(c.pending, item)
 		f.Requeued = true
 	}

@@ -19,7 +19,9 @@ import (
 // Script layout. Five header bytes: policy (mod 4), paths (1 + mod 4),
 // items (mod 9), MaxRetries (1 + mod 3), and option flags — 1 no
 // duplication, 2 backoff with seeded jitter, 4 breaker, 8 an inflated
-// InitialBandwidth for path 0, 16 MinAlpha 0.5. Then one byte per item,
+// InitialBandwidth for path 0, 16 MinAlpha 0.5, 32 byte ranges on every
+// path but path 1 (the model is the core's Splitter, and a running
+// attempt holds fuzzRate bytes a second of its window). Then one byte per item,
 // its size in kB. Then events of two bytes each. The first picks a path
 // (low two bits, mod paths), what the path's running attempt does (bits
 // 2–3: 2 fails, anything else succeeds; a replica the winner already
@@ -48,6 +50,12 @@ type coreModel struct {
 
 	carrying  []int  // [path] item of the running attempt, −1 when idle
 	cancelled []bool // [path] the winner cancelled the running attempt
+	ranged    []bool // [path] can carry a byte range
+	windows   []fuzzWindow
+	bodies    int     // the highest Body handed out
+	covered   []int64 // [item] bytes of it that successes delivered
+	split     []bool  // [item] was split
+	cut       fuzzWindow
 	done      []bool
 	home      []int        // [item] fixed queues: the one path that ever carried it
 	breakers  []refBreaker // [path] what the breaker's transitions must be
@@ -74,6 +82,55 @@ type refBreaker struct {
 // The fuzzed breaker's hold: Cooldown 1 s, MaxCooldown left to its
 // default of 8 × Cooldown.
 const fuzzHoldBase, fuzzHoldMax = 1.0, 8.0
+
+// fuzzRate is how fast, in bytes a second, a running attempt of the
+// model fills its window.
+const fuzzRate = 40 << 10
+
+// fuzzWindow is a running attempt's window [off, end) of its item, its
+// buffer and when it started.
+type fuzzWindow struct {
+	off, end int64
+	body     int
+	started  float64
+}
+
+// held is how many bytes path p's attempt has received by now.
+func (m *coreModel) held(p int) int64 {
+	w := m.windows[p]
+	return min(w.end-w.off, int64((m.now-w.started)*fuzzRate))
+}
+
+// Ranged, Left and Cut make the model the core's Splitter.
+func (m *coreModel) Ranged(p int) bool { return m.ranged[p] }
+
+func (m *coreModel) Left(p int) (int64, bool) {
+	m.running(p, "Left")
+	w := m.windows[p]
+	return w.end - w.off - m.held(p), true
+}
+
+func (m *coreModel) Cut(p int, share float64) (int64, int64, bool) {
+	m.running(p, "Cut")
+	w := &m.windows[p]
+	if share <= 0 || share >= 1 {
+		m.fatalf("Cut(%d) by share %v", p, share)
+	}
+	at, ok := SplitAt(w.off+m.held(p), w.end, share)
+	if !ok {
+		return 0, 0, false
+	}
+	m.cut = fuzzWindow{off: at, end: w.end, body: w.body}
+	w.end = at
+	return at, m.cut.end, true
+}
+
+// running fails unless path p runs a live ranged attempt.
+func (m *coreModel) running(p int, call string) {
+	if p < 0 || p >= len(m.carrying) || m.carrying[p] < 0 || m.cancelled[p] || !m.ranged[p] {
+		m.fatalf("%s(%d) on a path with no live ranged attempt", call, p)
+	}
+}
 
 // coreStep is one call into the core and its answer, kept comparable
 // and unformatted: the transcript is only rendered for a failure, which
@@ -116,10 +173,17 @@ func (m *coreModel) carriers(item int) (n int) {
 // idle asks the core what idle path p carries and checks the answer. It
 // returns the time a Wait named, or 0.
 func (m *coreModel) idle(p int) float64 {
+	m.cut = fuzzWindow{}
 	d := m.c.Idle(p, m.now)
 	m.steps = append(m.steps, coreStep{now: m.now, call: "idle", path: p, d: d})
-	if m.fixed && (d.Action == Duplicate || d.Action == Wait || d.Probe) {
+	if m.fixed && (d.Action == Duplicate || d.Action == Wait || d.Probe || d.Action == Split) {
 		m.fatalf("fixed queue answered %+v", d)
+	}
+	if !m.ranged[p] && (d.Off != 0 || d.End != 0 || d.Body != 0 || d.Carrier != 0) {
+		m.fatalf("a path that cannot carry a range was answered %+v", d)
+	}
+	if d.Action != Split && m.cut != (fuzzWindow{}) {
+		m.fatalf("the core cut an attempt at %+v yet answered %+v", m.cut, d)
 	}
 	switch rb := &m.breakers[p]; {
 	case rb.state == breakerOpen && m.now < rb.until:
@@ -141,7 +205,7 @@ func (m *coreModel) idle(p int) float64 {
 			m.fatalf("Wait until %v is not in the future of %v", d.Until, m.now)
 		}
 		return d.Until
-	case Assign, Duplicate:
+	case Assign, Duplicate, Split:
 		if d.Item < 0 || d.Item >= len(m.done) {
 			m.fatalf("item %d out of range", d.Item)
 		}
@@ -151,12 +215,16 @@ func (m *coreModel) idle(p int) float64 {
 		if m.fails[d.Item][p] >= m.opts.MaxRetries {
 			m.fatalf("path %d handed item %d with its budget for it spent", p, d.Item)
 		}
-		if n := m.carriers(d.Item); (d.Action == Assign) != (n == 0) {
+		if n := m.carriers(d.Item); !m.split[d.Item] && (d.Action == Assign) != (n == 0) {
 			m.fatalf("%+v with %d paths already carrying the item", d, n)
 		}
-		if d.Action == Duplicate && !m.dup {
+		if d.Action != Assign && !m.dup {
 			m.fatalf("duplication is off yet Idle answered %+v", d)
 		}
+		if d.Action == Duplicate && m.split[d.Item] {
+			m.fatalf("%+v duplicates a split item", d)
+		}
+		m.launch(p, d)
 		if m.fixed {
 			if h := m.home[d.Item]; h >= 0 && h != p {
 				m.fatalf("item %d moved from path %d to path %d", d.Item, h, p)
@@ -170,12 +238,45 @@ func (m *coreModel) idle(p int) float64 {
 	return 0
 }
 
+// launch checks a decision's window and buffer and puts it on path p.
+func (m *coreModel) launch(p int, d Decision) {
+	w := fuzzWindow{off: 0, end: m.sizes[d.Item], body: d.Body, started: m.now}
+	switch {
+	case d.Action == Split:
+		q := d.Carrier
+		if q == p || !m.ranged[p] || q < 0 || q >= len(m.carrying) || m.carrying[q] != d.Item || m.cancelled[q] {
+			m.fatalf("%+v: path %d does not carry a live attempt at item %d", d, q, d.Item)
+		}
+		if m.cut == (fuzzWindow{}) || d.Off != m.cut.off || d.End != m.cut.end || d.Body != m.windows[q].body {
+			m.fatalf("%+v, but the cut the core asked for gave %+v of a body %d", d, m.cut, m.windows[q].body)
+		}
+		m.split[d.Item] = true
+		w.off, w.end = d.Off, d.End
+	case d.End > 0:
+		if !m.split[d.Item] || d.Action != Assign || d.Off >= d.End {
+			m.fatalf("%+v hands out a piece of an item never split", d)
+		}
+		w.off, w.end = d.Off, d.End
+	case m.ranged[p]:
+		if d.Off != 0 || d.Body <= m.bodies {
+			m.fatalf("%+v is a whole item on a ranged path but not in a new body (last %d)", d, m.bodies)
+		}
+		m.bodies = d.Body
+		if m.split[d.Item] {
+			m.fatalf("%+v hands out the whole of a split item", d)
+		}
+	}
+	m.windows[p] = w
+}
+
 func (m *coreModel) succeed(p int, bytes int64) {
 	item := m.carrying[p]
 	wantCancel := 0
 	if !m.done[item] {
 		wantCancel = m.carriers(item) - 1
 	}
+	w := m.windows[p]
+	m.covered[item] += w.end - w.off
 	m.carrying[p], m.cancelled[p] = -1, false
 	s := m.c.Succeeded(item, p, bytes, m.now)
 	step := coreStep{now: m.now, call: "succeeded", path: p, item: item, bytes: bytes, won: s.Won, closed: s.Closed}
@@ -183,8 +284,17 @@ func (m *coreModel) succeed(p int, bytes int64) {
 		step.cancel |= 1 << q
 	}
 	m.steps = append(m.steps, step)
-	if s.Won == m.done[item] {
-		m.fatalf("Won = %v for item %d, delivered before = %v", s.Won, item, m.done[item])
+	whole := m.covered[item] >= m.sizes[item]
+	if s.Won != (!m.done[item] && whole) || s.Piece != (!m.done[item] && !whole) {
+		m.fatalf("%+v for item %d, delivered before = %v, %d of its %d bytes in",
+			s, item, m.done[item], m.covered[item], m.sizes[item])
+	}
+	if s.Piece {
+		if len(s.Cancel) != 0 {
+			m.fatalf("a piece cancelled %v", s.Cancel)
+		}
+		m.breakers[p] = refBreaker{}
+		return
 	}
 	m.done[item] = true
 	if len(s.Cancel) != wantCancel {
@@ -204,6 +314,7 @@ func (m *coreModel) succeed(p int, bytes int64) {
 
 func (m *coreModel) fail(p int) {
 	item := m.carrying[p]
+	live := !m.cancelled[p]
 	m.carrying[p], m.cancelled[p] = -1, false
 	f := m.c.Failed(item, p, m.now)
 	m.steps = append(m.steps, coreStep{now: m.now, call: "failed", path: p, item: item, f: f})
@@ -219,12 +330,12 @@ func (m *coreModel) fail(p int) {
 	}
 	m.fails[item][p]++
 	attempts, everywhere := 0, true
-	for _, k := range m.fails[item] {
+	for q, k := range m.fails[item] {
 		attempts += k
-		everywhere = everywhere && k >= m.opts.MaxRetries
+		everywhere = everywhere && (k >= m.opts.MaxRetries || (m.split[item] && !m.ranged[q]))
 	}
 	want := Failure{Exhausted: everywhere, Everywhere: everywhere, Attempts: attempts,
-		Requeued: !everywhere && m.carriers(item) == 0}
+		Requeued: !everywhere && (m.carriers(item) == 0 || (live && m.split[item]))}
 	if m.fixed {
 		k := m.fails[item][p]
 		want = Failure{Exhausted: k >= m.opts.MaxRetries, Attempts: k}
@@ -306,9 +417,17 @@ func playCoreScript(t *testing.T, script []byte) *coreModel {
 		breaker: !fixed && opts.Breaker.Threshold > 0,
 
 		carrying: make([]int, paths), cancelled: make([]bool, paths),
+		ranged: make([]bool, paths), windows: make([]fuzzWindow, paths),
+		covered: make([]int64, items), split: make([]bool, items),
 		done: make([]bool, items), home: make([]int, items), fails: make([][]int, items),
 		breakers: make([]refBreaker, paths),
 	}
+	// The model is the core's Splitter, as each driver is, ranged or
+	// not: over unranged paths it must never be asked to cut.
+	for p := range m.ranged {
+		m.ranged[p] = flags&32 != 0 && !fixed && p != 1
+	}
+	m.c.SetSplitter(m)
 	for p := range m.carrying {
 		m.carrying[p] = -1
 	}
@@ -365,7 +484,7 @@ func playCoreScript(t *testing.T, script []byte) *coreModel {
 				m.carrying[p], m.cancelled[p] = -1, false
 				progress = true
 			default:
-				m.succeed(p, sizes[m.carrying[p]])
+				m.succeed(p, m.windows[p].end-m.windows[p].off)
 				progress = true
 			}
 		}

@@ -26,6 +26,9 @@ type Metrics struct {
 	Requeues *obs.Counter
 	// Duplicates counts endgame replica launches (GRD/PLAYOUT only).
 	Duplicates *obs.Counter
+	// Splits counts endgame splits: an idle path taking the tail of an
+	// in-flight attempt, which ends early (GRD/PLAYOUT over ranged paths).
+	Splits *obs.Counter
 	// Bytes counts all bytes moved per path, including losing replicas.
 	Bytes *obs.Counter
 	// WastedBytes counts bytes moved by replicas that lost the endgame
@@ -66,6 +69,8 @@ func NewMetrics(r *obs.Registry) Metrics {
 			"Items put back on the pending pool after the last path carrying them failed (reassignment on path death; GRD/PLAYOUT)."),
 		Duplicates: r.NewCounter("scheduler_duplicates_total",
 			"Endgame replica launches (GRD/PLAYOUT), by path.", "path"),
+		Splits: r.NewCounter("scheduler_splits_total",
+			"Endgame splits: an idle path took the tail bytes of an in-flight attempt (GRD/PLAYOUT over ranged paths)."),
 		Bytes: r.NewCounter("scheduler_bytes_total",
 			"Bytes moved per path, including losing replicas.", "path"),
 		WastedBytes: r.NewCounter("scheduler_wasted_bytes_total",

@@ -232,15 +232,25 @@ func (t *tracker) sleepFor(ctx context.Context, d time.Duration) bool {
 	return ctx.Err() == nil
 }
 
-// runAttempt performs one transfer attempt, guarding it with the
-// progress watchdog when StallTimeout is set and the path reports
-// progress. stalled is true when the watchdog cancelled the attempt (in
-// which case err is a *StallError and the parent ctx is still alive).
-func runAttempt(ctx context.Context, p Path, it Item, trk *tracker) (n int64, err error, stalled bool) {
+// runAttempt performs one transfer attempt — through TransferRange when
+// window is not nil — guarding it with the progress watchdog when
+// StallTimeout is set and the path reports progress. stalled is true
+// when the watchdog cancelled the attempt (in which case err is a
+// *StallError and the parent ctx is still alive).
+func runAttempt(ctx context.Context, p Path, it Item, window *Range, trk *tracker) (n int64, err error, stalled bool) {
 	pp, watched := p.(ProgressPath)
+	transfer := func(ctx context.Context, progress func(int64)) (int64, error) {
+		switch {
+		case window != nil:
+			return p.(RangePath).TransferRange(ctx, it, window, progress)
+		case progress != nil:
+			return pp.TransferProgress(ctx, it, progress)
+		}
+		return p.Transfer(ctx, it)
+	}
 	st := trk.opts.StallTimeout
-	if st <= 0 || !watched {
-		n, err = p.Transfer(ctx, it)
+	if st <= 0 || !(watched || window != nil) {
+		n, err = transfer(ctx, nil)
 		return n, err, false
 	}
 
@@ -281,7 +291,7 @@ func runAttempt(ctx context.Context, p Path, it Item, trk *tracker) (n int64, er
 			}
 		}
 	}()
-	n, err = pp.TransferProgress(wctx, it, func(total int64) {
+	n, err = transfer(wctx, func(total int64) {
 		mu.Lock()
 		if total != lastTotal {
 			lastTotal = total

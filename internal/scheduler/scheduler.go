@@ -10,6 +10,9 @@
 //     goes idle; when no items remain, an idle path duplicates the oldest
 //     still-in-flight item, and the first replica to finish cancels the
 //     others. Wasted bytes are bounded by (N−1)·Sm, Sm the largest item.
+//     Over paths that can carry a byte range (RangePath), the idle path
+//     instead takes the tail of an in-flight attempt, sized by the two
+//     paths' rates, and the item is won when its pieces are all in.
 //   - RoundRobin (RR): items are dealt cyclically onto the paths up front.
 //   - MinTime (MIN): each item goes to the path with the smallest
 //     estimated completion time, with per-path bandwidth estimated by
@@ -105,8 +108,9 @@ type Options struct {
 	// completion with the elapsed time since the transaction started.
 	// Callbacks are serialised.
 	OnItemDone func(Item, time.Duration)
-	// DisableDuplication turns off GRD's endgame re-assignment (the
-	// ablation knob for the paper's duplication design choice).
+	// DisableDuplication turns off GRD's endgame re-assignment, whole
+	// (no duplicate) and split (no tail taken from an in-flight attempt):
+	// the ablation knob for the paper's duplication design choice.
 	DisableDuplication bool
 	// Backoff configures deterministic exponential backoff with seeded
 	// jitter between retry attempts. The zero value disables backoff
@@ -128,7 +132,7 @@ type Options struct {
 	Metrics Metrics
 	// Events, when non-nil, receives flight-recorder events: the
 	// transaction root span plus every assignment, attempt, retry,
-	// requeue, endgame duplicate and completion. The attempt span's
+	// requeue, endgame duplicate or split, and completion. The attempt span's
 	// TraceContext rides the transfer context, so instrumented paths
 	// (internal/transfer) extend the same trace.
 	Events *eventlog.Log
@@ -168,6 +172,10 @@ type Report struct {
 	WastedBytes int64
 	// Duplicates counts endgame replica launches (GRD only).
 	Duplicates int
+	// Splits counts endgame splits: an idle path taking the tail of an
+	// in-flight attempt (GRD and PLAYOUT over paths that can carry a
+	// byte range; see RangePath). A split is not a duplicate.
+	Splits int
 	// PerPath maps path name to its activity.
 	PerPath map[string]PathStats
 }
@@ -311,6 +319,13 @@ func (t *tracker) addDuplicate(pathName string) {
 	t.opts.Metrics.Duplicates.With(pathName).Inc()
 }
 
+func (t *tracker) addSplit() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.rep.Splits++
+	t.opts.Metrics.Splits.Inc()
+}
+
 // run is the live driver of the decision core, under every policy: one
 // goroutine per path asks the core what to carry, runs the attempt
 // against the real transport, and reports the outcome back. The core
@@ -324,8 +339,10 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 		sizes[i] = it.Size
 	}
 	names := make([]string, len(paths))
+	split := &liveSplitter{ranged: make([]bool, len(paths)), windows: make([]*Range, len(paths))}
 	for i, p := range paths {
 		names[i] = p.Name()
+		_, split.ranged[i] = p.(RangePath)
 	}
 
 	var (
@@ -337,6 +354,7 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 		cancels = make([]context.CancelFunc, len(paths))
 		failed  error
 	)
+	core.SetSplitter(split) // its windows are read and written under mu
 	now := func() float64 { return clk.Since(start).Seconds() }
 	g := newErrGroup(ctx)
 	// Wake all cond waiters when the group context dies (parent cancel or
@@ -392,22 +410,35 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 				tctx, cancel := context.WithCancel(ctx)
 				cancels[pi] = cancel
 				item := items[d.Item]
-				if d.Action == Duplicate {
+				var window *Range
+				if split.ranged[pi] {
+					window = newRange(d)
+					split.windows[pi] = window
+				}
+				switch d.Action {
+				case Duplicate:
 					trk.addDuplicate(name)
+				case Split:
+					trk.addSplit()
 				}
 				mu.Unlock()
 				m.Assignments.With(name).Inc()
-				if d.Action == Assign {
+				switch d.Action {
+				case Assign:
 					ev.Point(tc, "scheduler.assign",
 						"item", eventlog.Int(int64(item.ID)), "path", name)
-				} else {
+				case Duplicate:
 					ev.Point(tc, "scheduler.duplicate",
 						"item", eventlog.Int(int64(item.ID)), "path", name)
+				case Split:
+					ev.Point(tc, "scheduler.split",
+						"item", eventlog.Int(int64(item.ID)), "path", name,
+						"carrier", names[d.Carrier], "cut", eventlog.Int(d.Off))
 				}
 				sp := ev.Begin(tc, "scheduler.attempt",
 					"item", eventlog.Int(int64(item.ID)), "path", name)
 
-				n, err, stalled := runAttempt(eventlog.NewContext(tctx, sp.Context()), p, item, trk)
+				n, err, stalled := runAttempt(eventlog.NewContext(tctx, sp.Context()), p, item, window, trk)
 				// Record whether *our replica* was cancelled before we
 				// release the context (cancel() would make tctx.Err()
 				// non-nil unconditionally). A stall abort cancels only
@@ -418,10 +449,12 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 
 				var backoff float64
 				mu.Lock() //3golvet:allow locksafe — outcome bookkeeping unlocks manually on the abort path
+				split.windows[pi] = nil
 				switch {
 				case err == nil:
 					s := core.Succeeded(item.ID, pi, n, now())
-					if s.Won {
+					switch {
+					case s.Won:
 						trk.complete(item, name, n)
 						sp.End("outcome", "ok", "bytes", eventlog.Int(n))
 						// Abort losing replicas; their partial bytes are
@@ -429,7 +462,10 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 						for _, q := range s.Cancel {
 							cancels[q]()
 						}
-					} else {
+					case s.Piece:
+						trk.addBytes(name, n)
+						sp.End("outcome", "piece", "bytes", eventlog.Int(n))
+					default:
 						trk.addBytes(name, n)
 						trk.addWaste(n)
 						sp.End("outcome", "lost_race", "bytes", eventlog.Int(n))

@@ -100,7 +100,7 @@ func TestSegmentBuffersOutliveCollections(t *testing.T) {
 	session := func() map[*byte]bool {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if _, err := sink(scheduler.Item{Name: strconv.Itoa(i)}, bytes.NewReader(body), size); err != nil {
+			if _, err := sink(scheduler.Item{Name: strconv.Itoa(i)}, bytes.NewReader(body), Window{Size: size}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,10 +8,13 @@ package transfer
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"mime/multipart"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"threegol/internal/clock"
@@ -20,7 +23,9 @@ import (
 )
 
 // DownloadPath fetches items by URL over one HTTP route. It implements
-// scheduler.Path: each item's Name must be an absolute URL.
+// scheduler.Path, and scheduler.RangePath: each item's Name must be an
+// absolute URL, and a piece of an item is a Range GET, which the origin
+// must answer with the 206 it asked for.
 type DownloadPath struct {
 	// PathName labels the route in reports ("adsl", "phone1", ...).
 	PathName string
@@ -28,12 +33,11 @@ type DownloadPath struct {
 	// transport: the ADSL path uses a dialer shaped to the DSL line; a
 	// phone path uses a transport whose Proxy points at the device.
 	Client *http.Client
-	// Sink consumes each item's body; nil discards it. size is the
-	// response's Content-Length, -1 when the origin did not declare one.
-	// The HLS client proxy installs a caching sink here. Sink must be
-	// safe for concurrent calls, with the same item too (GRD's endgame
-	// runs one item on two paths).
-	Sink func(item scheduler.Item, body io.Reader, size int64) (int64, error)
+	// Sink consumes each item's body, or a piece of it, at w; nil
+	// discards it. The HLS client proxy installs a caching sink here.
+	// Sink must be safe for concurrent calls, with the same item too
+	// (GRD's endgame runs one item, or two pieces of it, on two paths).
+	Sink func(item scheduler.Item, body io.Reader, w Window) (int64, error)
 	// Metrics receives transfer instrumentation (see NewMetrics); the
 	// zero value records nothing. One Metrics may be shared across paths.
 	Metrics Metrics
@@ -46,13 +50,28 @@ type DownloadPath struct {
 	Clock clock.Clock
 }
 
+// Window is where a body a sink reads belongs in its item.
+type Window struct {
+	// Off is the body's first byte in the item.
+	Off int64
+	// Size is the item's whole size, -1 when the origin did not declare
+	// it.
+	Size int64
+	// Body is the buffer a ranged attempt's bytes go into
+	// (scheduler.Range.Body); 0 for a body that is the whole item and
+	// owns its buffer. A body with a Body is read to EOF: DownloadPath
+	// ends it where the attempt's range ends, however a split moved that,
+	// and fails one that ends before.
+	Body int
+}
+
 // Name implements scheduler.Path.
 func (p *DownloadPath) Name() string { return p.PathName }
 
 // Transfer implements scheduler.Path: GET the item and feed it to the
 // sink, returning bytes moved (partial on cancellation).
 func (p *DownloadPath) Transfer(ctx context.Context, item scheduler.Item) (int64, error) {
-	return p.transfer(ctx, item, nil)
+	return p.transfer(ctx, item, nil, nil)
 }
 
 // TransferProgress implements scheduler.ProgressPath: Transfer with a
@@ -60,10 +79,20 @@ func (p *DownloadPath) Transfer(ctx context.Context, item scheduler.Item) (int64
 // the scheduler's stall watchdog can abort a transfer whose connection
 // is up but silent.
 func (p *DownloadPath) TransferProgress(ctx context.Context, item scheduler.Item, progress func(int64)) (int64, error) {
-	return p.transfer(ctx, item, progress)
+	return p.transfer(ctx, item, nil, progress)
 }
 
-func (p *DownloadPath) transfer(ctx context.Context, item scheduler.Item, progress func(int64)) (n int64, err error) {
+// TransferRange implements scheduler.RangePath: GET the bytes of the
+// item that r bounds — the whole item while r has no end, else a Range
+// GET — and stop at r's end, which a split may lower mid-body. A whole
+// item's window gets its end, and may be split, only when the response
+// declares its length and "Accept-Ranges: bytes". A cut attempt closes
+// its response unread, so its connection is not reused.
+func (p *DownloadPath) TransferRange(ctx context.Context, item scheduler.Item, r *scheduler.Range, progress func(int64)) (int64, error) {
+	return p.transfer(ctx, item, r, progress)
+}
+
+func (p *DownloadPath) transfer(ctx context.Context, item scheduler.Item, r *scheduler.Range, progress func(int64)) (n int64, err error) {
 	clk := clock.Or(p.Clock)
 	t0 := clk.Now()
 	tc, _ := eventlog.FromContext(ctx)
@@ -76,26 +105,50 @@ func (p *DownloadPath) transfer(ctx context.Context, item scheduler.Item, progre
 	if err != nil {
 		return 0, fmt.Errorf("transfer: building request for %s: %w", item.Name, err)
 	}
+	var end int64
+	if r != nil {
+		if end = r.End(); end > 0 {
+			req.Header.Set("Range", "bytes="+strconv.FormatInt(r.Off, 10)+"-"+strconv.FormatInt(end-1, 10))
+		}
+	}
 	eventlog.InjectHTTP(req.Header, propagated(sp, tc))
 	resp, err := p.Client.Do(req)
 	if err != nil {
 		return 0, fmt.Errorf("transfer: GET %s via %s: %w", item.Name, p.PathName, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	w := Window{Size: resp.ContentLength}
+	switch {
+	case end > 0:
+		var ok bool
+		if resp.StatusCode != http.StatusPartialContent {
+			return 0, fmt.Errorf("transfer: GET %s bytes %d-%d via %s: status %s", item.Name, r.Off, end-1, p.PathName, resp.Status)
+		}
+		if w.Size, ok = contentRange(resp.Header.Get("Content-Range"), r.Off, end); !ok {
+			return 0, fmt.Errorf("transfer: GET %s bytes %d-%d via %s: Content-Range %q", item.Name, r.Off, end-1, p.PathName, resp.Header.Get("Content-Range"))
+		}
+	case resp.StatusCode != http.StatusOK:
 		return 0, fmt.Errorf("transfer: GET %s via %s: status %s", item.Name, p.PathName, resp.Status)
+	case r != nil && w.Size > 0 && resp.Header.Get("Accept-Ranges") == "bytes":
+		// Only an origin that serves ranges lets the attempt be split:
+		// a window with no end is never cut.
+		r.SetEnd(w.Size)
 	}
 	sink := p.Sink
 	if sink == nil {
-		sink = func(_ scheduler.Item, body io.Reader, _ int64) (int64, error) {
+		sink = func(_ scheduler.Item, body io.Reader, _ Window) (int64, error) {
 			return io.Copy(io.Discard, body)
 		}
 	}
 	body := io.Reader(resp.Body)
+	if r != nil {
+		w.Off, w.Body = r.Off, r.Body
+		body = &rangeReader{r: body, rng: r}
+	}
 	if progress != nil {
 		body = &countingReader{r: body, fn: progress}
 	}
-	n, err = sink(item, body, resp.ContentLength)
+	n, err = sink(item, body, w)
 	if err != nil {
 		// Prefer reporting cancellation over the wrapped copy error so
 		// the scheduler classifies aborted replicas correctly.
@@ -305,6 +358,51 @@ func propagated(sp eventlog.Span, tc eventlog.TraceContext) eventlog.TraceContex
 		return c
 	}
 	return tc
+}
+
+// contentRange reads a 206's Content-Range against the window [off, end)
+// its request asked for and returns the item's size. ok is false unless
+// the header names exactly that window inside a declared size, in the
+// canonical form that the values print back to.
+func contentRange(h string, off, end int64) (size int64, ok bool) {
+	i := strings.LastIndexByte(h, '/')
+	if i < 0 {
+		return 0, false
+	}
+	size, err := strconv.ParseInt(h[i+1:], 10, 64)
+	if err != nil || off < 0 || end <= off || end > size ||
+		h != "bytes "+strconv.FormatInt(off, 10)+"-"+strconv.FormatInt(end-1, 10)+"/"+strconv.FormatInt(size, 10) {
+		return 0, false
+	}
+	return size, true
+}
+
+// errShortRange is a body that ended before its range did.
+var errShortRange = errors.New("body ended before its range")
+
+// rangeReader reads a ranged attempt's body up to its range's end, which
+// a split may lower while it reads, and then reports EOF. A body that
+// ends short is errShortRange, never io.EOF or io.ErrUnexpectedEOF, so
+// that its reader can take an early EOF for the cut.
+type rangeReader struct {
+	r   io.Reader
+	rng *scheduler.Range
+}
+
+func (b *rangeReader) Read(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	k := b.rng.Take(len(p))
+	if k == 0 {
+		return 0, io.EOF
+	}
+	n, err := b.r.Read(p[:k])
+	b.rng.Got(n)
+	if err == io.ErrUnexpectedEOF || (err == io.EOF && b.rng.End() > 0 && !b.rng.Complete()) {
+		err = errShortRange
+	}
+	return n, err
 }
 
 // countingReader forwards Reads, reporting the cumulative byte count to

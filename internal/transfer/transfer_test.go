@@ -148,6 +148,44 @@ func TestCacheWaitHonoursCancellation(t *testing.T) {
 	}
 }
 
+// Fail ends the waits for what will not come, now and later, and leaves
+// what was stored; Release clears it.
+func TestCacheFailEndsWaits(t *testing.T) {
+	c := NewCache()
+	c.Put("in", []byte("body"))
+	errGone := errors.New("gone")
+	waited := make(chan error, 1)
+	go func() {
+		_, err := c.Wait(context.Background(), "out")
+		waited <- err
+	}()
+	for {
+		c.mu.Lock()
+		n := len(c.waiters["out"])
+		c.mu.Unlock()
+		if n > 0 {
+			break
+		}
+		runtime.Gosched()
+	}
+	c.Fail(errGone)
+	if err := <-waited; err != errGone {
+		t.Errorf("a waiter got %v, want Fail's error", err)
+	}
+	if _, err := c.Wait(context.Background(), "later"); err != errGone {
+		t.Errorf("a Wait after Fail got %v, want Fail's error", err)
+	}
+	if b, err := c.Wait(context.Background(), "in"); err != nil || string(b) != "body" {
+		t.Errorf("a stored body after Fail: %q, %v", b, err)
+	}
+	c.Release()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Wait(ctx, "later"); err != context.Canceled {
+		t.Errorf("after Release, Wait got %v, want its context's error", err)
+	}
+}
+
 func TestCacheConcurrentWaiters(t *testing.T) {
 	cache := NewCache()
 	const n = 8
@@ -520,4 +558,132 @@ func TestZeroMetricsAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { m.done(dirDownload, 1<<20, nil, false, 0.5) }); allocs != 0 {
 		t.Errorf("a transfer through the zero Metrics allocates %.1f times, want 0", allocs)
 	}
+}
+
+// rangeOrigin serves one body of size bytes at every path, honouring
+// Range through http.ServeContent (test code: the repo's origins must
+// not use it, for its copy buffer).
+func rangeOrigin(t *testing.T, size int) (*httptest.Server, []byte) {
+	t.Helper()
+	body := make([]byte, size)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(body))
+	}))
+	t.Cleanup(srv.Close)
+	return srv, body
+}
+
+// piece is the window [off, end) of Body 1.
+func piece(off, end int64) *scheduler.Range {
+	r := &scheduler.Range{Off: off, Body: 1}
+	r.SetEnd(end)
+	return r
+}
+
+// Two pieces of one item, each a Range GET, fill the item's one buffer,
+// and the cache holds the body only once both are in.
+func TestDownloadPathPiecesFillOneBuffer(t *testing.T) {
+	srv, body := rangeOrigin(t, 100_000)
+	cache := NewCache()
+	p := &DownloadPath{PathName: "adsl", Client: srv.Client(), Sink: CachingSink(cache)}
+	item := scheduler.Item{Name: srv.URL + "/seg"}
+	if n, err := p.TransferRange(context.Background(), item, piece(30_000, 100_000), nil); err != nil || n != 70_000 {
+		t.Fatalf("tail piece: %d, %v", n, err)
+	}
+	if _, ok := cache.Get(item.Name); ok {
+		t.Fatal("the body is cached with its head missing")
+	}
+	var seen int64
+	if n, err := p.TransferRange(context.Background(), item, piece(0, 30_000), func(total int64) { seen = total }); err != nil || n != 30_000 || seen != n {
+		t.Fatalf("head piece: %d, %v, progress %d", n, err, seen)
+	}
+	if got, _ := cache.Get(item.Name); !bytes.Equal(got, body) {
+		t.Errorf("cached %d bytes, not the body", len(got))
+	}
+	cache.Release()
+}
+
+// A whole-item attempt learns the item's size from the response and
+// declares it to its window, which a split may then cut — unless the
+// origin does not say it serves ranges.
+func TestDownloadPathWholeRangeDeclaresSize(t *testing.T) {
+	srv, body := rangeOrigin(t, 5000)
+	cache := NewCache()
+	p := &DownloadPath{PathName: "adsl", Client: srv.Client(), Sink: CachingSink(cache)}
+	r := &scheduler.Range{Body: 1}
+	if n, err := p.TransferRange(context.Background(), scheduler.Item{Name: srv.URL + "/w"}, r, nil); err != nil || n != 5000 {
+		t.Fatalf("TransferRange = %d, %v", n, err)
+	}
+	if r.End() != 5000 || !r.Complete() {
+		t.Errorf("window ends at %d, complete %v; want 5000, true", r.End(), r.Complete())
+	}
+	if got, _ := cache.Get(srv.URL + "/w"); !bytes.Equal(got, body) {
+		t.Errorf("cached %d bytes, not the body", len(got))
+	}
+	cache.Release()
+
+	plain := originServer(t, 5000) // declares its length, not Accept-Ranges
+	defer plain.Close()
+	p.Client = plain.Client()
+	r = &scheduler.Range{Body: 2}
+	if n, err := p.TransferRange(context.Background(), scheduler.Item{Name: plain.URL + "/p"}, r, nil); err != nil || n != 5000 {
+		t.Fatalf("TransferRange without Accept-Ranges = %d, %v", n, err)
+	}
+	if r.End() != 0 {
+		t.Errorf("an origin that does not serve ranges gave the window an end, %d", r.End())
+	}
+	if got, _ := cache.Get(plain.URL + "/p"); len(got) != 5000 {
+		t.Errorf("cached %d bytes, want 5000", len(got))
+	}
+	cache.Release()
+}
+
+// A piece is accepted only as the 206 it asked for.
+func TestDownloadPathRejectsWrongRanges(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		status int
+		header string
+	}{
+		{"whole body", http.StatusOK, ""},
+		{"other range", http.StatusPartialContent, "bytes 0-99/1000"},
+		{"unknown size", http.StatusPartialContent, "bytes 100-199/*"},
+		{"past the size", http.StatusPartialContent, "bytes 100-199/150"},
+		{"no header", http.StatusPartialContent, ""},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if c.header != "" {
+				w.Header().Set("Content-Range", c.header)
+			}
+			w.WriteHeader(c.status)
+			w.Write(make([]byte, 100))
+		}))
+		cache := NewCache()
+		p := &DownloadPath{PathName: "adsl", Client: srv.Client(), Sink: CachingSink(cache)}
+		if _, err := p.TransferRange(context.Background(), scheduler.Item{Name: srv.URL + "/x"}, piece(100, 200), nil); err == nil {
+			t.Errorf("%s: %d %q accepted for bytes 100-199", c.name, c.status, c.header)
+		}
+		srv.Close()
+	}
+}
+
+// FuzzContentRange holds the parser of a 206's Content-Range to what it
+// may accept from the far end: never a panic; only the range the request
+// asked for, inside a declared size; and only what it round-trips to.
+func FuzzContentRange(f *testing.F) {
+	f.Fuzz(func(t *testing.T, h string, off, end int64) {
+		size, ok := contentRange(h, off, end)
+		if !ok {
+			return
+		}
+		if off < 0 || end <= off || end > size {
+			t.Fatalf("%q accepted for [%d, %d) of a %d-byte item", h, off, end, size)
+		}
+		if back := fmt.Sprintf("bytes %d-%d/%d", off, end-1, size); back != h {
+			t.Fatalf("%q accepted, but it reads back as %q", h, back)
+		}
+	})
 }

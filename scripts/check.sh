@@ -59,8 +59,13 @@
 #      and Cell of at most 64 bytes of [0-9A-Za-z_.-], a host:port
 #      ProxyAddr with a port in 1-65535 and a non-negative allowance,
 #      and an accepted announcement survives a JSON round trip), from
-#      the corpus in internal/discovery/testdata/fuzz. A failing input
-#      is written beside its corpus for the fix to commit
+#      the corpus in internal/discovery/testdata/fuzz; then ten seconds
+#      of FuzzContentRange: fuzzed Content-Range headers against fuzzed
+#      requested windows (DownloadPath's parser never panics, accepts
+#      only the window it asked for inside a declared size, and only a
+#      header that the accepted values print back to), from the corpus
+#      in internal/transfer/testdata/fuzz. A failing input is written
+#      beside its corpus for the fix to commit
 #   8. alloc and link-rate budgets — without the race detector (the
 #      race stage skips them). TestBoostVoDAllocBudget: a boosted BipBop
 #      q4 session at steady state allocates under 2 MB, the ratchet on
@@ -205,6 +210,9 @@ go test -run '^$' -fuzz '^FuzzReadJSONL$' -fuzztime 10s ./internal/obs/eventlog
 
 echo '==> fuzz (go test -fuzz FuzzAnnouncement -fuzztime 10s ./internal/discovery)'
 go test -run '^$' -fuzz '^FuzzAnnouncement$' -fuzztime 10s ./internal/discovery
+
+echo '==> fuzz (go test -fuzz FuzzContentRange -fuzztime 10s ./internal/transfer)'
+go test -run '^$' -fuzz '^FuzzContentRange$' -fuzztime 10s ./internal/transfer
 
 echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestUploadPhotosAllocBudget, TestServeBatchAllocBudget, TestParseBatchRequestAllocFree, TestParseBatchResponseAllocFree, TestRecordDecisionsAllocFree, TestWriteSnapshotAllocBudget, TestLinkRateBudget, TestZeroMetricsAllocFree; no -race)'
 # Allocation counts and wall-clock link time mean nothing under the race
