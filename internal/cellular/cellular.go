@@ -1,8 +1,8 @@
 // Package cellular models a UMTS/HSPA deployment: base stations with one
 // or more sectors, per-sector shared HSDPA (downlink) and HSUPA (uplink)
 // channels, per-tower backhaul, per-device radio conditions, an RRC state
-// machine with promotion delays, and diurnal background load from the
-// cell's other subscribers.
+// machine with promotion delays (RRC, which core's live phones step too),
+// and diurnal background load from the cell's other subscribers.
 //
 // It is the stand-in for the real base stations the paper measures in §3:
 // the quantities the paper reports — aggregate throughput versus number of
@@ -40,7 +40,8 @@ type Params struct {
 	DLDedicatedFloor float64
 	ULDedicatedFloor float64
 	// PromotionIdle and PromotionFACH are RRC promotion delays in seconds
-	// from IDLE and FACH to DCH respectively.
+	// from IDLE and FACH to DCH respectively; RRC never charges more for
+	// FACH than for IDLE.
 	PromotionIdle float64
 	PromotionFACH float64
 	// DCHInactivity and FACHInactivity are the demotion timers: DCH→FACH
@@ -99,12 +100,6 @@ type Network struct {
 func NewNetwork(sim *linksim.Simulator, rng *rand.Rand, p Params) *Network {
 	return &Network{sim: sim, rng: rng, params: p}
 }
-
-// Sim returns the underlying fluid simulator.
-func (n *Network) Sim() *linksim.Simulator { return n.sim }
-
-// Params returns the model constants.
-func (n *Network) Params() Params { return n.params }
 
 // BaseStation is a tower with shared backhaul and one or more sectors.
 type BaseStation struct {
@@ -248,20 +243,6 @@ func (c *Cell) Name() string { return c.name }
 
 // BaseStation returns the owning tower.
 func (c *Cell) BaseStation() *BaseStation { return c.bs }
-
-// Attached returns the number of devices currently attached.
-func (c *Cell) Attached() int { return c.attached }
-
-// DownlinkFree and UplinkFree report the sector's current free shared
-// capacity in bits/s — what the 3GOL backend's monitoring hook inspects.
-func (c *Cell) DownlinkFree() float64 {
-	return c.dl.Capacity() * (1 - c.dl.Utilization())
-}
-
-// UplinkFree reports free shared uplink capacity in bits/s.
-func (c *Cell) UplinkFree() float64 {
-	return c.ul.Capacity() * (1 - c.ul.Utilization())
-}
 
 // Utilization returns the max of downlink and uplink utilisation — the
 // congestion signal consumed by the permit backend.

@@ -40,7 +40,7 @@ func TestAttachPrefersLeastLoadedSector(t *testing.T) {
 	if d1.Cell() == d2.Cell() {
 		t.Error("first two devices should land on different sectors")
 	}
-	if d3.Cell().Attached() != 2 && d1.Cell().Attached() != 2 {
+	if d3.Cell().attached != 2 && d1.Cell().attached != 2 {
 		t.Error("third device should join one of the sectors, making it 2")
 	}
 }
@@ -90,12 +90,11 @@ func TestSingleTransferThroughput(t *testing.T) {
 	if done == nil {
 		t.Fatal("transfer did not complete")
 	}
-	dl, _ := d.RadioCaps()
-	if got := done.Throughput(); !approx(got, dl, 0.01) {
-		t.Errorf("throughput = %v, want radio cap %v", got, dl)
+	if got := done.Throughput(); !approx(got, d.capDL, 0.01) {
+		t.Errorf("throughput = %v, want radio cap %v", got, d.capDL)
 	}
-	if done.AcquisitionDelay() != 0 {
-		t.Errorf("warm device paid acquisition delay %v", done.AcquisitionDelay())
+	if done.acqDelay != 0 {
+		t.Errorf("warm device paid acquisition delay %v", done.acqDelay)
 	}
 }
 
@@ -104,14 +103,14 @@ func TestIdleStartPaysPromotionDelay(t *testing.T) {
 	net := NewNetwork(sim, rand.New(rand.NewSource(1)), noFadingParams())
 	net.AddBaseStation(BaseStationConfig{Name: "bs", Sectors: 1, Load: diurnal.New([24]float64{})})
 	d := net.Attach("d", -82)
-	if d.RRC() != RRCIdle {
-		t.Fatalf("fresh device RRC = %v, want IDLE", d.RRC())
+	if d.rrc.state != rrcIdle {
+		t.Fatalf("fresh device RRC = %v, want IDLE", d.rrc.state)
 	}
 	var cold *Transfer
 	d.StartTransfer(Downlink, 2*linksim.MB, func(tr *Transfer) { cold = tr })
 	sim.Run()
-	if cold.AcquisitionDelay() < 1.5 || cold.AcquisitionDelay() > 2.5 {
-		t.Errorf("idle acquisition delay = %v, want ≈2±20%%", cold.AcquisitionDelay())
+	if cold.acqDelay < 1.5 || cold.acqDelay > 2.5 {
+		t.Errorf("idle acquisition delay = %v, want ≈2±20%%", cold.acqDelay)
 	}
 	// Same size transferred warm must be faster by about the delay.
 	d2 := net.Attach("d2", -82)
@@ -130,10 +129,38 @@ func TestRRCDemotionWalk(t *testing.T) {
 	net.AddBaseStation(BaseStationConfig{Name: "bs", Sectors: 1, Load: diurnal.New([24]float64{})})
 	d := net.Attach("d", -82)
 	d.WarmUp()
-	d.StartTransfer(Downlink, 1*linksim.MB, nil)
-	sim.Run() // transfer + demotion timers all fire
-	if d.RRC() != RRCIdle {
-		t.Errorf("RRC after full drain = %v, want IDLE", d.RRC())
+	tr := d.StartTransfer(Downlink, 1*linksim.MB, nil)
+	sim.Run()
+	// Demotion is worked out when the machine is next stepped: read the
+	// state the quiet spell since the transfer's end has reached.
+	p := net.params
+	for _, step := range []struct {
+		quiet float64
+		want  rrcState
+	}{
+		{p.DCHInactivity * 0.8, rrcDch},
+		{p.DCHInactivity, rrcFach},
+		{p.DCHInactivity + p.FACHInactivity*0.5, rrcFach},
+		{p.DCHInactivity + p.FACHInactivity, rrcIdle},
+	} {
+		r := d.rrc
+		r.settle(tr.end+step.quiet, p)
+		if r.state != step.want {
+			t.Errorf("RRC %vs after the transfer = %v, want %v", step.quiet, r.state, step.want)
+		}
+	}
+}
+
+// With LTE's 0.1 s IDLE promotion, a handset found in FACH pays no more
+// than that: FACH's 0.6 s is HSPA's, never dearer than IDLE.
+func TestFACHPromotionNeverExceedsIdle(t *testing.T) {
+	p := DefaultParams()
+	p.PromotionIdle = 0.1
+	rng := rand.New(rand.NewSource(1))
+	var r RRC
+	r.WarmUp(0)
+	if owed := r.Begin(p.DCHInactivity+1, p, rng); owed < 0.08 || owed > 0.12 {
+		t.Errorf("promotion from FACH = %vs, want IDLE's 0.1 s ±20%%", owed)
 	}
 }
 
@@ -149,7 +176,7 @@ func TestRRCStaysDCHBetweenBackToBackTransfers(t *testing.T) {
 		second = d.StartTransfer(Downlink, 1*linksim.MB, nil)
 	})
 	sim.Run()
-	if second == nil || second.AcquisitionDelay() != 0 {
+	if second == nil || second.acqDelay != 0 {
 		t.Errorf("back-to-back transfer paid delay: %+v", second)
 	}
 }
@@ -203,13 +230,13 @@ func TestHSUPAPlateau(t *testing.T) {
 	}
 	sim.Run()
 	aggregate := float64(n) * 2 * linksim.MB / lastEnd
-	if aggregate > net.Params().HSUPACellCap*1.001 {
+	if aggregate > net.params.HSUPACellCap*1.001 {
 		t.Errorf("uplink aggregate %v exceeds HSUPA capacity %v",
-			aggregate, net.Params().HSUPACellCap)
+			aggregate, net.params.HSUPACellCap)
 	}
-	if aggregate < 0.9*net.Params().HSUPACellCap {
+	if aggregate < 0.9*net.params.HSUPACellCap {
 		t.Errorf("uplink aggregate %v should saturate near %v",
-			aggregate, net.Params().HSUPACellCap)
+			aggregate, net.params.HSUPACellCap)
 	}
 }
 
@@ -232,9 +259,9 @@ func TestMultiSectorExceedsSingleCellUplink(t *testing.T) {
 	}
 	sim.Run()
 	aggregate := float64(n) * 2 * linksim.MB / lastEnd
-	if aggregate <= net.Params().HSUPACellCap {
+	if aggregate <= net.params.HSUPACellCap {
 		t.Errorf("two-sector aggregate %v should exceed one cell's %v",
-			aggregate, net.Params().HSUPACellCap)
+			aggregate, net.params.HSUPACellCap)
 	}
 }
 
@@ -282,11 +309,24 @@ func TestAbortTransferMidFlight(t *testing.T) {
 	if called {
 		t.Error("aborted transfer fired its callback")
 	}
-	if !tr.Done() {
+	if !tr.done {
 		t.Error("aborted transfer should report Done")
 	}
 	if net.activeTransfers != 0 {
 		t.Errorf("activeTransfers = %d after abort, want 0", net.activeTransfers)
+	}
+
+	// Aborted during its promotion, a cold transfer never starts its flow.
+	cold := net.Attach("cold", -82)
+	tr = cold.StartTransfer(Downlink, 100*linksim.MB, func(*Transfer) { called = true })
+	sim.Clock().After(0.1, func() { tr.Abort() })
+	sim.Run()
+	if called || tr.flow != nil {
+		t.Errorf("a transfer aborted during its %vs promotion ran (callback %v, flow %v)", tr.acqDelay, called, tr.flow != nil)
+	}
+	if net.activeTransfers != 0 || cold.rrc.active != 0 {
+		t.Errorf("after an abort during promotion: activeTransfers %d, RRC in flight %d, want 0 and 0",
+			net.activeTransfers, cold.rrc.active)
 	}
 }
 
@@ -298,12 +338,13 @@ func TestCellFreeCapacityAccounting(t *testing.T) {
 	if got := cell.Utilization(); got != 0 {
 		t.Errorf("idle utilization = %v, want 0", got)
 	}
-	free0 := cell.DownlinkFree()
+	free := func() float64 { return cell.dl.Capacity() * (1 - cell.dl.Utilization()) }
+	free0 := free()
 	d := net.Attach("d", -82)
 	d.WarmUp()
 	d.StartTransfer(Downlink, 100*linksim.MB, nil)
 	sim.RunUntil(1)
-	if cell.DownlinkFree() >= free0 {
+	if free() >= free0 {
 		t.Error("free capacity did not shrink under load")
 	}
 	if cell.Utilization() <= 0 {
@@ -329,9 +370,9 @@ func TestBuildSitePresets(t *testing.T) {
 			t.Fatalf("%s: attached %d devices", p.Name, len(devs))
 		}
 		for _, d := range devs {
-			if math.Abs(d.Signal()-p.SignalDBm) > 3 {
+			if math.Abs(d.signal-p.SignalDBm) > 3 {
 				t.Errorf("%s: device signal %v too far from preset %v",
-					p.Name, d.Signal(), p.SignalDBm)
+					p.Name, d.signal, p.SignalDBm)
 			}
 		}
 	}
@@ -360,9 +401,6 @@ func TestTransferPanicsOnZeroBits(t *testing.T) {
 func TestDirectionString(t *testing.T) {
 	if Downlink.String() != "downlink" || Uplink.String() != "uplink" {
 		t.Error("Direction.String mismatch")
-	}
-	if RRCIdle.String() != "IDLE" || RRCFach.String() != "FACH" || RRCDch.String() != "DCH" {
-		t.Error("RRCState.String mismatch")
 	}
 }
 

@@ -5,35 +5,8 @@ import (
 	"math"
 
 	"threegol/internal/linksim"
-	"threegol/internal/simclock"
 	"threegol/internal/stats"
 )
-
-// RRCState is the radio-resource-control state of a device. Transfers
-// started from IDLE pay a channel-acquisition delay (the paper's "3G"
-// start mode); the "H" mode pre-warms devices to DCH with an ICMP train.
-type RRCState int
-
-// RRC states in increasing readiness order.
-const (
-	RRCIdle RRCState = iota
-	RRCFach
-	RRCDch
-)
-
-// String implements fmt.Stringer.
-func (s RRCState) String() string {
-	switch s {
-	case RRCIdle:
-		return "IDLE"
-	case RRCFach:
-		return "FACH"
-	case RRCDch:
-		return "DCH"
-	default:
-		return fmt.Sprintf("RRCState(%d)", int(s))
-	}
-}
 
 // Device is a handset attached to one sector.
 type Device struct {
@@ -44,10 +17,7 @@ type Device struct {
 
 	capDL, capUL float64 // radio-condition rate caps (bits/s)
 
-	rrc        RRCState
-	active     int // in-flight transfers
-	demoteFach *simclock.Timer
-	demoteIdle *simclock.Timer
+	rrc RRC
 }
 
 // Attach creates a device at the given signal strength (dBm, e.g. −81 for
@@ -76,7 +46,6 @@ func (n *Network) AttachTo(name string, signalDBm float64, cell *Cell) *Device {
 		net:    n,
 		cell:   cell,
 		signal: signalDBm,
-		rrc:    RRCIdle,
 	}
 	d.capDL, d.capUL = radioCaps(signalDBm)
 	cell.attached++
@@ -149,70 +118,9 @@ func (d *Device) Name() string { return d.name }
 // Cell returns the serving sector.
 func (d *Device) Cell() *Cell { return d.cell }
 
-// Signal returns the signal strength in dBm.
-func (d *Device) Signal() float64 { return d.signal }
-
-// RRC returns the device's current RRC state.
-func (d *Device) RRC() RRCState { return d.rrc }
-
-// RadioCaps returns the device's downlink and uplink rate ceilings under
-// its radio conditions, before fading, in bits/s.
-func (d *Device) RadioCaps() (dl, ul float64) { return d.capDL, d.capUL }
-
 // WarmUp promotes the device straight to DCH, modelling the 0.1 s-spaced
 // ICMP train the paper uses to pre-establish the channel ("H" mode).
-func (d *Device) WarmUp() {
-	d.rrc = RRCDch
-	d.armDemotion()
-}
-
-// promotionDelay returns the delay a transfer starting now must pay, with
-// ±20% jitter, and transitions the device to DCH.
-func (d *Device) promotionDelay() float64 {
-	var base float64
-	switch d.rrc {
-	case RRCIdle:
-		base = d.net.params.PromotionIdle
-	case RRCFach:
-		base = d.net.params.PromotionFACH
-	case RRCDch:
-		return 0
-	}
-	d.rrc = RRCDch
-	jitter := 1 + 0.2*(2*d.net.rng.Float64()-1)
-	return base * jitter
-}
-
-// armDemotion (re)starts the inactivity timers that walk the device back
-// to FACH and then IDLE once no transfer is active.
-func (d *Device) armDemotion() {
-	d.cancelDemotion()
-	if d.active > 0 {
-		return
-	}
-	clock := d.net.sim.Clock()
-	d.demoteFach = clock.After(d.net.params.DCHInactivity, func() {
-		if d.rrc == RRCDch {
-			d.rrc = RRCFach
-		}
-		d.demoteIdle = clock.After(d.net.params.FACHInactivity, func() {
-			if d.rrc == RRCFach {
-				d.rrc = RRCIdle
-			}
-		})
-	})
-}
-
-func (d *Device) cancelDemotion() {
-	if d.demoteFach != nil {
-		d.demoteFach.Stop()
-		d.demoteFach = nil
-	}
-	if d.demoteIdle != nil {
-		d.demoteIdle.Stop()
-		d.demoteIdle = nil
-	}
-}
+func (d *Device) WarmUp() { d.rrc.WarmUp(d.net.sim.Clock().Now()) }
 
 // Transfer is an in-flight or completed device transfer.
 type Transfer struct {
@@ -222,7 +130,7 @@ type Transfer struct {
 	end      float64 // completion time; NaN while in flight
 	flow     *linksim.Flow
 	done     bool
-	acqDelay float64
+	acqDelay float64 // the RRC promotion paid
 }
 
 // Direction selects downlink or uplink.
@@ -257,13 +165,13 @@ func (d *Device) StartTransfer(dir Direction, bits float64, onDone func(*Transfe
 		start: clock.Now(),
 		end:   math.NaN(),
 	}
-	d.active++
 	d.net.activeTransfers++
 	d.net.ensureRefresh()
-	d.cancelDemotion()
-	delay := d.promotionDelay()
-	tr.acqDelay = delay
+	tr.acqDelay = d.rrc.Begin(tr.start, d.net.params, d.net.rng)
 	begin := func() {
+		if tr.done { // aborted during its promotion
+			return
+		}
 		var channel, backhaul *linksim.Link
 		var cap float64
 		if dir == Downlink {
@@ -283,17 +191,16 @@ func (d *Device) StartTransfer(dir Direction, bits float64, onDone func(*Transfe
 			OnDone: func(*linksim.Flow) {
 				tr.done = true
 				tr.end = clock.Now()
-				d.active--
 				d.net.activeTransfers--
-				d.armDemotion()
+				d.rrc.End(tr.end)
 				if onDone != nil {
 					onDone(tr)
 				}
 			},
 		})
 	}
-	if delay > 0 {
-		clock.After(delay, begin)
+	if tr.acqDelay > 0 {
+		clock.After(tr.acqDelay, begin)
 	} else {
 		begin()
 	}
@@ -310,20 +217,13 @@ func (t *Transfer) Abort() {
 	if t.flow != nil && !t.flow.Done() {
 		t.flow.Abort()
 	}
-	t.dev.active--
 	t.dev.net.activeTransfers--
-	t.dev.armDemotion()
+	t.dev.rrc.End(t.end)
 }
-
-// Done reports whether the transfer has finished or been aborted.
-func (t *Transfer) Done() bool { return t.done }
 
 // Duration returns the request-to-completion time in seconds, including
 // any RRC acquisition delay; NaN while in flight.
 func (t *Transfer) Duration() float64 { return t.end - t.start }
-
-// AcquisitionDelay returns the RRC promotion delay this transfer paid.
-func (t *Transfer) AcquisitionDelay() float64 { return t.acqDelay }
 
 // Throughput returns bits/Duration in bits/s; NaN while in flight.
 func (t *Transfer) Throughput() float64 {
@@ -333,6 +233,3 @@ func (t *Transfer) Throughput() float64 {
 	}
 	return t.bits / dur
 }
-
-// Bits returns the transfer size.
-func (t *Transfer) Bits() float64 { return t.bits }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"threegol/internal/cellular"
 	"threegol/internal/clock"
 	"threegol/internal/discovery"
 	"threegol/internal/netem"
@@ -39,7 +40,8 @@ type PhoneConfig struct {
 	// network-integrated (no cap enforced on-device).
 	DailyQuotaBytes int64
 	// Warm starts the device in DCH (the paper's "H" mode, after an ICMP
-	// train); cold devices pay the RRC promotion delay on first use.
+	// train); cold devices start in IDLE and pay its promotion on first
+	// use. Either way the phone then runs cellular's RRC machine.
 	Warm bool
 }
 
@@ -55,12 +57,12 @@ type HomeConfig struct {
 	Phones []PhoneConfig
 	// Seed drives all stochastic components.
 	Seed int64
-	// RRCPromotionDelay is the idle→DCH delay (unscaled); 0 selects 2 s.
+	// RRCPromotionDelay is the IDLE→DCH promotion (unscaled, before
+	// cellular's ±20 % jitter); 0 selects cellular.DefaultParams'
+	// PromotionIdle, 2 s. The FACH→DCH promotion and the demotion timers
+	// are cellular's.
 	RRCPromotionDelay time.Duration
-	// RRCTail is how long a phone stays warm after activity — its last
-	// dial or the last byte its proxy moved; 0 → 10 s.
-	RRCTail time.Duration
-	// Clock drives the emulation's real-time components (RRC state,
+	// Clock drives the emulation's real-time components (RRC time,
 	// netem pacing); nil selects the system clock.
 	Clock clock.Clock
 }
@@ -68,8 +70,10 @@ type HomeConfig struct {
 // Home is a running emulated residence. Create with NewHome, release with
 // Close.
 type Home struct {
-	cfg HomeConfig
-	clk clock.Clock
+	cfg   HomeConfig
+	clk   clock.Clock
+	start time.Time       // the phones' RRC time counts emulated seconds from here
+	radio cellular.Params // the phones' RRC promotions and timers
 
 	adslDialer *netem.Dialer
 	adslDown   *netem.Limiter
@@ -91,38 +95,39 @@ type Phone struct {
 	Proxy     *proxy.Server
 
 	dl, ul *netem.Limiter
-	procs  []*netem.RateProcess
-	clk    clock.Clock
+	home   *Home
 
-	rrcMu      sync.Mutex
-	warm       bool
-	lastActive time.Time
-	promotion  time.Duration // scaled
-	tail       time.Duration // scaled
+	rrcMu sync.Mutex
+	rrc   cellular.RRC
+	rng   *rand.Rand // promotion jitter
 }
 
-// rrcDelay returns the promotion delay a new transaction must pay now
-// and marks the phone active.
+// now is the phone's RRC time: emulated seconds since the home started.
+func (p *Phone) now() float64 {
+	return p.home.clk.Since(p.home.start).Seconds() * p.home.TimeScale()
+}
+
+// rrcDelay steps the phone's RRC through a dial and returns the wall
+// time the promotion it owes takes. The proxy reports no end to a
+// transaction, so the dial begins and ends one at once; the bytes that
+// follow keep the phone in DCH through WarmUp.
 func (p *Phone) rrcDelay() time.Duration {
 	p.rrcMu.Lock()
 	defer p.rrcMu.Unlock()
-	now := p.clk.Now()
-	defer func() { p.lastActive = now }()
-	if p.warm && now.Sub(p.lastActive) <= p.tail {
-		return 0
-	}
-	p.warm = true
-	return p.promotion
+	now := p.now()
+	owed := p.rrc.Begin(now, p.home.radio, p.rng)
+	p.rrc.End(now)
+	return time.Duration(owed / p.home.TimeScale() * float64(time.Second))
 }
 
 // WarmUp models the ICMP train: promotes the phone to DCH immediately.
 // The proxy calls it for every byte it moves, so a phone carrying
-// traffic stays in DCH until its tail runs out after the last byte.
+// traffic stays in DCH, and demotes only once it has been quiet for the
+// RRC's inactivity timers.
 func (p *Phone) WarmUp() {
 	p.rrcMu.Lock()
 	defer p.rrcMu.Unlock()
-	p.warm = true
-	p.lastActive = p.clk.Now()
+	p.rrc.WarmUp(p.now())
 }
 
 // NewHome builds and starts the environment: phones run their proxies and
@@ -139,16 +144,11 @@ func NewHome(cfg HomeConfig) (*Home, error) {
 	if wifiGoodput <= 0 {
 		wifiGoodput = netem.WiFiNGoodput
 	}
-	promotion := cfg.RRCPromotionDelay
-	if promotion <= 0 {
-		promotion = 2 * time.Second
+	h := &Home{cfg: cfg, clk: clock.Or(cfg.Clock), radio: cellular.DefaultParams()}
+	h.start = h.clk.Now()
+	if cfg.RRCPromotionDelay > 0 {
+		h.radio.PromotionIdle = cfg.RRCPromotionDelay.Seconds()
 	}
-	tail := cfg.RRCTail
-	if tail <= 0 {
-		tail = 10 * time.Second
-	}
-
-	h := &Home{cfg: cfg, clk: clock.Or(cfg.Clock)}
 	adslPipe, dl, ul := netem.ADSLPipe(cfg.DSLDown, cfg.DSLUp, scale)
 	h.adslDialer = &netem.Dialer{Pipe: adslPipe, Seed: cfg.Seed}
 	h.adslDown, h.adslUp = dl, ul
@@ -162,7 +162,7 @@ func NewHome(cfg HomeConfig) (*Home, error) {
 	h.closers = append(h.closers, h.Browser.Close)
 
 	for i, pc := range cfg.Phones {
-		ph, err := h.startPhone(i, pc, scale, promotion, tail, browseAddr)
+		ph, err := h.startPhone(i, pc, scale, browseAddr)
 		if err != nil {
 			h.Close()
 			return nil, err
@@ -172,7 +172,7 @@ func NewHome(cfg HomeConfig) (*Home, error) {
 	return h, nil
 }
 
-func (h *Home) startPhone(i int, pc PhoneConfig, scale float64, promotion, tail time.Duration, browseAddr string) (*Phone, error) {
+func (h *Home) startPhone(i int, pc PhoneConfig, scale float64, browseAddr string) (*Phone, error) {
 	if pc.Down <= 0 || pc.Up <= 0 {
 		return nil, fmt.Errorf("core: phone %q 3G rates must be positive", pc.Name)
 	}
@@ -182,16 +182,14 @@ func (h *Home) startPhone(i int, pc PhoneConfig, scale float64, promotion, tail 
 	}
 	hspaPipe, dl, ul := netem.HSPAPipe(pc.Down, pc.Up, scale)
 	ph := &Phone{
-		Name:      name,
-		clk:       h.clk,
-		dl:        dl,
-		ul:        ul,
-		promotion: time.Duration(float64(promotion) / scale),
-		tail:      time.Duration(float64(tail) / scale),
-		warm:      pc.Warm,
+		Name: name,
+		dl:   dl,
+		ul:   ul,
+		home: h,
+		rng:  h.rngFor(int64(i)),
 	}
 	if pc.Warm {
-		ph.lastActive = h.clk.Now()
+		ph.rrc.WarmUp(ph.now())
 	}
 
 	if pc.Variability > 0 {
@@ -201,7 +199,6 @@ func (h *Home) startPhone(i int, pc PhoneConfig, scale float64, promotion, tail 
 			{Limiter: ul, Mean: ul.Rate(), Std: pc.Variability, Interval: time.Duration(float64(2*time.Second) / scale)},
 		} {
 			rp.Start(seed + int64(j))
-			ph.procs = append(ph.procs, rp)
 			h.closers = append(h.closers, rp.Stop)
 		}
 	}
@@ -286,7 +283,7 @@ func (h *Home) PhoneClient(ph *Phone) *http.Client {
 		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 			once.Do(func() {
 				if d := ph.rrcDelay(); d > 0 {
-					ph.clk.Sleep(d)
+					h.clk.Sleep(d)
 				}
 			})
 			return wifiDialer.DialContext(ctx, network, addr)

@@ -131,99 +131,6 @@ func TestUploadRejectsRepeatedPhotoName(t *testing.T) {
 	}
 }
 
-// rrcClock is a manual clock for the phones' RRC state: Now moves only
-// when the test advances it, and Sleep returns at once, counting what a
-// promotion would have cost.
-type rrcClock struct {
-	mu    sync.Mutex
-	now   time.Time
-	slept time.Duration
-}
-
-func (c *rrcClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *rrcClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-
-func (c *rrcClock) Sleep(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.slept += d
-}
-
-func (c *rrcClock) advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
-
-func (c *rrcClock) promotions() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.slept
-}
-
-// A phone whose proxy carries traffic stays in DCH: RRCTail runs from
-// the last byte moved, not from the last dial, so back-to-back sessions
-// on a warm phone pay no promotion, and a phone left idle past the tail
-// pays it again.
-func TestPhoneMovingBytesStaysWarm(t *testing.T) {
-	const scale = 1000
-	tail := 10 * time.Second / scale // the default RRCTail, scaled
-	promotion := 2 * time.Second / scale
-	clk := &rrcClock{now: time.Unix(0, 0)}
-	h, err := NewHome(HomeConfig{
-		DSLDown: 2e6, DSLUp: 0.5e6, TimeScale: scale, Seed: 42, Clock: clk,
-		Phones: []PhoneConfig{warmPhone("ph1")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.Copy(io.Discard, r.Body)
-	}))
-	defer target.Close()
-	ph := h.Phones[0]
-
-	// post sends a body through the phone: the proxy accounts every byte
-	// as it reads it, before the target can answer.
-	post := func(c *http.Client) {
-		t.Helper()
-		resp, err := c.Post(target.URL, "application/octet-stream", strings.NewReader(strings.Repeat("x", 32<<10)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	session := func(activeFor time.Duration) {
-		t.Helper()
-		c := h.PhoneClient(ph)
-		defer c.CloseIdleConnections()
-		post(c)
-		clk.advance(activeFor)
-		post(c)
-	}
-
-	session(tail * 8 / 10) // dials warm, then moves bytes 0.8 tail later
-	clk.advance(tail * 8 / 10)
-	// 1.6 tails since the last dial, 0.8 since the last byte.
-	session(0)
-	if got := clk.promotions(); got != 0 {
-		t.Errorf("a phone active %v ago paid %v of promotion on a new session", tail*8/10, got)
-	}
-
-	clk.advance(tail * 12 / 10)
-	session(0)
-	if got := clk.promotions(); got != promotion {
-		t.Errorf("a phone idle %v (tail %v) paid %v of promotion, want %v", tail*12/10, tail, got, promotion)
-	}
-}
-
 // The order UploadPhotos offers photos in is worth ≈4 % of
 // upload_shaped's transaction: the real decision core, driven in virtual
 // time at loc1's uplinks × 150 on the workload's 12 photos, ends at

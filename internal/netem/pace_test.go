@@ -402,7 +402,9 @@ func discardServer(t *testing.T, ln net.Listener) {
 // The wall-clock ratchet on the byte clock (scripts/check.sh runs it
 // without the race detector): small writes over a fast-scaled phone
 // uplink deliver the configured rate. Call-clocked pacing took 6× ideal
-// here, one timer-floor sleep per 4 KB.
+// here, one timer-floor sleep per 4 KB. The fastest of up to three
+// back-to-back trials is judged: a pacing fault slows every trial, a
+// busy host one of them.
 func TestLinkRateBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock budget; the race detector's per-byte cost is not link time")
@@ -412,20 +414,28 @@ func TestLinkRateBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	discardServer(t, ln)
-	pipe, _, _ := HSPAPipe(1.83e6, hspaUp, hspaScale)
-	d := &Dialer{Pipe: pipe, Seed: 7}
-	c, err := d.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	trial := func() time.Duration {
+		pipe, _, _ := HSPAPipe(1.83e6, hspaUp, hspaScale)
+		d := &Dialer{Pipe: pipe, Seed: 7}
+		c, err := d.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		start := time.Now()
+		writeIn(t, c, photo, []int{4 << 10})
+		return time.Since(start)
 	}
-	defer c.Close()
-	start := time.Now()
-	writeIn(t, c, photo, []int{4 << 10})
-	if took := time.Since(start); took > photoIdeal*5/4 {
-		t.Errorf("3 MB in 4 KB writes took %v, budget 1.25 × ideal %v", took, photoIdeal)
-	} else {
-		t.Logf("3 MB in 4 KB writes took %v, ideal %v (%.2f of the configured rate)", took, photoIdeal, float64(photoIdeal)/float64(took))
+	var took []time.Duration
+	for len(took) < 3 {
+		took = append(took, trial())
+		if took[len(took)-1] <= photoIdeal*5/4 {
+			t.Logf("3 MB in 4 KB writes took %v, ideal %v (%.2f of the configured rate)",
+				took, photoIdeal, float64(photoIdeal)/float64(took[len(took)-1]))
+			return
+		}
 	}
+	t.Errorf("3 MB in 4 KB writes took %v in three trials, budget 1.25 × ideal %v", took, photoIdeal)
 }
 
 // A hop's upstream direction holds a bounded number of bytes: a sender
