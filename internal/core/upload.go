@@ -73,7 +73,10 @@ type UploadResult struct {
 // (multipart POST per photo) while parallelising across paths. The
 // scheduler is offered the photos longest-first (stable on ties): a path
 // that frees up late then picks up a small photo, not a large one, so the
-// paths finish closer together. The report is in the caller's order:
+// paths finish closer together; and once the target has said
+// "Accept-Ranges: bytes" (as upload.Server does), the last photos are
+// divided between the paths by their rates, each piece a POST of its
+// own, so that they finish together. The report is in the caller's order:
 // ItemDone[i] and an ItemError's ItemID refer to photos[i]. Two photos
 // may not share a name, the key the upload server stores them by.
 func (h *Home) UploadPhotos(ctx context.Context, photos []Photo, opts UploadOptions) (*UploadResult, error) {
@@ -96,7 +99,7 @@ func (h *Home) UploadPhotos(ctx context.Context, photos []Photo, opts UploadOpti
 		if !ok {
 			return nil, fmt.Errorf("core: unknown photo %q", item.Name)
 		}
-		return io.NopCloser(bytes.NewReader(b)), nil
+		return photoReader{bytes.NewReader(b)}, nil
 	}
 
 	// The session's clients each own a fresh transport; release their
@@ -137,6 +140,12 @@ func (h *Home) UploadPhotos(ctx context.Context, photos []Photo, opts UploadOpti
 		SchedulerReport: rep,
 	}, nil
 }
+
+// photoReader is a photo's content as the upload paths read it:
+// seekable, so that a piece of the photo starts at its offset.
+type photoReader struct{ *bytes.Reader }
+
+func (photoReader) Close() error { return nil }
 
 // uploadOrder is the order UploadPhotos offers photos to the scheduler:
 // their indices longest-first, stable on ties.

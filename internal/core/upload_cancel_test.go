@@ -119,11 +119,10 @@ func TestCancelledUploadStopsAtTheLink(t *testing.T) {
 	if p, a := ph.Proxy.BytesTotal(), ph.Tracker.Available(); p != proxied || a != left {
 		t.Errorf("phone kept working after the cancel: proxy bytes %d → %d, quota left %d → %d", proxied, p, left, a)
 	}
-	// The chunked multipart body declares no length, and the request
-	// failed: the phone is still charged every byte its uplink carried —
-	// what the server read, plus at most what the 3G hop's two sockets
-	// and the transport's copy buffer hold (from Content-Length this was
-	// 0 for the failed request, 213 bytes had it succeeded).
+	// The multipart body declares its length, but the request failed
+	// part-way: the phone is charged every byte its uplink carried, not
+	// the declared length — what the server read, plus at most what the
+	// 3G hop's two sockets and the transport's copy buffer hold.
 	const hopBound = 2*2*64<<10 + 64<<10
 	if got := received.Load(); proxied != charged || proxied < got || proxied > got+hopBound {
 		t.Errorf("server read %d bytes of the cancelled upload; the phone counted %d and charged its quota %d, want both the same and within [%d, %d]",

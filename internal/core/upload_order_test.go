@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +18,7 @@ import (
 	"threegol/internal/cellular"
 	"threegol/internal/fault"
 	"threegol/internal/scheduler"
+	"threegol/internal/upload"
 )
 
 // The uploader offers the scheduler its photos longest-first, and
@@ -137,6 +141,46 @@ func TestUploadRejectsRepeatedPhotoName(t *testing.T) {
 // 668.8 ms in the caller's order and at 638.6 ms longest-first (the
 // fluid floor, every path busy to the end, is 608.4 ms).
 func TestLongestFirstShortensUploadShaped(t *testing.T) {
+	photos := GeneratePhotos(12, 42)
+	given := make([]int, len(photos))
+	for i := range given {
+		given[i] = i
+	}
+	caller := uploadShaped(t, photos, given, false).Elapsed
+	offered := uploadShaped(t, photos, uploadOrder(photos), false).Elapsed
+	t.Logf("caller's order %.1f ms, longest-first %.1f ms", caller*1000, offered*1000)
+	if offered > 0.640 {
+		t.Errorf("longest-first upload ends at %.1f ms, want ≤ 640 ms (caller's order: %.1f ms)", offered*1000, caller*1000)
+	}
+}
+
+// Paths that carry pieces take the rest of the way to the floor: the
+// same transaction over ranged paths water-fills its last photos across
+// them by rate when it assigns them, and ends within a few milliseconds
+// of 608.4 ms, with no duplicate; whole photos still end at 638.6 ms.
+func TestPiecesShortenUploadShaped(t *testing.T) {
+	photos := GeneratePhotos(12, 42)
+	whole := uploadShaped(t, photos, uploadOrder(photos), false)
+	pieces := uploadShaped(t, photos, uploadOrder(photos), true)
+	t.Logf("whole photos %.1f ms (%d duplicates, %d B waste); pieces %.1f ms (%d pieces, %d duplicates, %d B waste)",
+		whole.Elapsed*1000, whole.Duplicates, whole.DuplicateWaste,
+		pieces.Elapsed*1000, pieces.Splits, pieces.Duplicates, pieces.DuplicateWaste)
+	if math.Abs(whole.Elapsed-0.6386) > 0.00005 {
+		t.Errorf("whole photos end at %.2f ms, want 638.6 ms", whole.Elapsed*1000)
+	}
+	if pieces.Elapsed > 0.615 {
+		t.Errorf("with ranged paths the upload ends at %.1f ms, want ≤ 615 ms", pieces.Elapsed*1000)
+	}
+	if pieces.Splits == 0 || pieces.Duplicates != 0 || pieces.DuplicateWaste != 0 {
+		t.Errorf("%d pieces, %d duplicates, %d B duplicate waste: want pieces and no duplicate", pieces.Splits, pieces.Duplicates, pieces.DuplicateWaste)
+	}
+}
+
+// uploadShaped drives the real decision core in virtual time over
+// upload_shaped's paths — loc1's ADSL and two phones' uplinks × 150,
+// ranged or not — on photos offered in order, and returns its report.
+func uploadShaped(t *testing.T, photos []Photo, order []int, ranged bool) *fault.SimReport {
+	t.Helper()
 	const scale = 150
 	loc, ok := cellular.FindLocation(cellular.EvalLocations, "loc1")
 	if !ok {
@@ -145,33 +189,103 @@ func TestLongestFirstShortensUploadShaped(t *testing.T) {
 	_, ul := cellular.RadioCaps(loc.SignalDBm)
 	phoneUp := ul * cellular.DefaultParams().FadingMean
 	paths := []fault.SimPath{
-		{Name: "adsl", Rate: loc.DSLUp * scale / 8},
-		{Name: "ph1", Rate: phoneUp * scale / 8},
-		{Name: "ph2", Rate: phoneUp * scale / 8},
+		{Name: "adsl", Rate: loc.DSLUp * scale / 8, Ranged: ranged},
+		{Name: "ph1", Rate: phoneUp * scale / 8, Ranged: ranged},
+		{Name: "ph2", Rate: phoneUp * scale / 8, Ranged: ranged},
 	}
-	photos := GeneratePhotos(12, 42)
-	elapsed := func(order []int) time.Duration {
-		t.Helper()
-		sizes := make([]int64, len(order))
-		for id, i := range order {
-			sizes[id] = int64(len(photos[i].Data))
+	sizes := make([]int64, len(order))
+	for id, i := range order {
+		sizes[id] = int64(len(photos[i].Data))
+	}
+	rep, err := fault.Simulate(fault.SimConfig{Paths: paths, Items: sizes, Plan: fault.NewPlan()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != len(photos) {
+		t.Fatalf("%d of %d photos delivered", rep.Completed, len(photos))
+	}
+	return rep
+}
+
+// An uploader sends pieces of a photo only to a target that has said
+// "Accept-Ranges: bytes": against a sink that never says it, the same
+// transaction that an upload.Server receives partly in pieces arrives as
+// whole photos only, each part with no Content-Range.
+func TestUploadPiecesOnlyWhereAccepted(t *testing.T) {
+	// Three uplinks of one rate, so that every path has an estimate by
+	// the time the last photo is assigned.
+	h, err := NewHome(HomeConfig{
+		DSLDown: 2e6, DSLUp: 1.5e6, TimeScale: testTimeScale(), Seed: 42,
+		Phones: []PhoneConfig{warmPhone("ph1"), warmPhone("ph2")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	phones := h.AdmissibleDevices(2, 5*time.Second)
+	if len(phones) != 2 {
+		t.Fatal("phones not discovered")
+	}
+	// Seven photos of one size: the first three start whole on the three
+	// paths before any has an estimate, the next three are each a path's
+	// share of the four left, and the last is divided when it is
+	// assigned.
+	photos := GeneratePhotos(7, 7)
+	for i := range photos {
+		photos[i].Data = photos[i].Data[:400<<10]
+	}
+	var pieces atomic.Int64 // parts with a Content-Range the plain sink saw
+	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mr, err := r.MultipartReader()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		rep, err := fault.Simulate(fault.SimConfig{Paths: paths, Items: sizes, Plan: fault.NewPlan()})
+		for part, err := mr.NextPart(); err == nil; part, err = mr.NextPart() {
+			if part.Header.Get("Content-Range") != "" {
+				pieces.Add(1)
+			}
+			_, _ = io.Copy(io.Discard, part)
+		}
+		w.WriteHeader(http.StatusCreated)
+	}))
+	defer plain.Close()
+	store := &upload.Server{}
+	accepting := httptest.NewServer(store)
+	defer accepting.Close()
+
+	send := func(target string) *scheduler.Report {
+		t.Helper()
+		res, err := h.UploadPhotos(context.Background(), photos, UploadOptions{
+			Algo: scheduler.Greedy, Phones: phones, TargetURL: target,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Completed != len(photos) {
-			t.Fatalf("%d of %d photos delivered", rep.Completed, len(photos))
+		return res.SchedulerReport
+	}
+	rep := send(plain.URL)
+	t.Logf("plain sink: %d pieces, %d splits, %d duplicates", pieces.Load(), rep.Splits, rep.Duplicates)
+	if pieces.Load() != 0 || rep.Splits != 0 {
+		t.Errorf("%d pieces sent, %d splits, to a target that never said Accept-Ranges", pieces.Load(), rep.Splits)
+	}
+	rep = send(accepting.URL)
+	t.Logf("upload.Server: %d splits, %d duplicates", rep.Splits, rep.Duplicates)
+	if rep.Splits == 0 {
+		t.Error("no photo divided for a target that says Accept-Ranges")
+	}
+	digests := map[string]string{}
+	for _, p := range photos {
+		sum := sha256.Sum256(p.Data)
+		digests[p.Name] = hex.EncodeToString(sum[:])
+	}
+	files := store.Files()
+	if len(files) != len(photos) {
+		t.Fatalf("upload.Server stored %d of %d photos", len(files), len(photos))
+	}
+	for _, f := range files {
+		if f.SHA256 != digests[f.Name] {
+			t.Errorf("%s stored with digest %s, sent %s", f.Name, f.SHA256, digests[f.Name])
 		}
-		return time.Duration(rep.Elapsed * float64(time.Second))
-	}
-	given := make([]int, len(photos))
-	for i := range given {
-		given[i] = i
-	}
-	caller, offered := elapsed(given), elapsed(uploadOrder(photos))
-	t.Logf("caller's order %v, longest-first %v", caller, offered)
-	if offered > 640*time.Millisecond {
-		t.Errorf("longest-first upload ends at %v, want ≤ 640 ms (caller's order: %v)", offered, caller)
 	}
 }

@@ -287,14 +287,10 @@ func (v *vodProxy) startPrefetch(playlistURL string, media *hls.MediaPlaylist) {
 			continue
 		}
 		v.prefetch[abs] = true
-		items = append(items, scheduler.Item{
-			ID:   i,
-			Name: abs,
-			// Segment size estimate from duration × variant rate is not
-			// available here; duration alone keeps MIN's relative
-			// ordering (uniform bitrate): scale to bytes via 1 kB/s.
-			Size: int64(seg.Duration * 1000),
-		})
+		// A segment's length is not known until its response: Size
+		// stays 0, so MIN deals segments by count and the core never
+		// sizes a piece of one before its GET learns it.
+		items = append(items, scheduler.Item{ID: i, Name: abs})
 	}
 	paths := v.buildPaths()
 	go func() {

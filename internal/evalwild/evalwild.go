@@ -10,9 +10,9 @@ package evalwild
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"time"
 
 	"threegol/internal/cellular"
@@ -20,6 +20,7 @@ import (
 	"threegol/internal/hls"
 	"threegol/internal/scheduler"
 	"threegol/internal/stats"
+	"threegol/internal/upload"
 )
 
 // Setup fixes global experiment parameters.
@@ -363,26 +364,17 @@ type Fig9Row struct {
 }
 
 // Fig9 measures the photo-upload transaction (30 photos, 2.5 MB mean) at
-// every eval location with 0 (baseline), 1 and 2 phones.
+// every eval location with 0 (baseline), 1 and 2 phones. Each run
+// uploads to a fresh upload.Server, the photo endpoint, which takes a
+// photo in pieces.
 func Fig9(s Setup, photosPerSet int) ([]Fig9Row, error) {
 	s = s.withDefaults()
 	if photosPerSet <= 0 {
 		photosPerSet = 30
 	}
+	var current atomic.Pointer[upload.Server]
 	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mr, err := r.MultipartReader()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		for {
-			part, err := mr.NextPart()
-			if err != nil {
-				break
-			}
-			io.Copy(io.Discard, part)
-		}
-		w.WriteHeader(http.StatusCreated)
+		current.Load().ServeHTTP(w, r)
 	}))
 	defer sink.Close()
 
@@ -399,6 +391,7 @@ func Fig9(s Setup, photosPerSet int) ([]Fig9Row, error) {
 					return err
 				}
 				defer h.Close()
+				current.Store(&upload.Server{})
 				var res *core.UploadResult
 				if nPhones == 0 {
 					res, err = h.BaselineUpload(context.Background(), photos, sink.URL)

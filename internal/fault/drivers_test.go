@@ -178,6 +178,9 @@ func (p *memPath) TransferProgress(ctx context.Context, it scheduler.Item, progr
 // transfer.DownloadPath reads a body, so a split can cut it short.
 type rangedMemPath struct{ memPath }
 
+func (p *rangedMemPath) Ranges() bool { return true }
+func (p *rangedMemPath) Cuts() bool   { return true }
+
 func (p *rangedMemPath) TransferRange(ctx context.Context, it scheduler.Item, r *scheduler.Range, progress func(int64)) (int64, error) {
 	if r.End() == 0 {
 		r.SetEnd(it.Size)

@@ -6,8 +6,8 @@ package fault
 // fleet engine's byte-identical-across-worker-counts contract. Simulate
 // is the bridge: a single-threaded discrete-event driver of the same
 // decision core (scheduler.Core) the live scheduler runs — item
-// selection, the endgame's duplicates and splits, retry budgets,
-// requeue, backoff and the circuit breaker are the core's — played
+// selection and pieces, the endgame's duplicates and splits, retry
+// budgets, requeue, backoff and the circuit breaker are the core's — played
 // against a fault Plan on its float64-seconds timeline. This file owns
 // what the core does not: the event loop on a simclock.Queue, how long
 // an attempt takes under the plan (including the stall watchdog), and
@@ -29,7 +29,8 @@ type SimPath struct {
 	// (time outside every fault window).
 	Rate float64
 	// Ranged marks a path that can carry a byte range of an item, as a
-	// transfer.DownloadPath can: the endgame may split its attempts.
+	// transfer.DownloadPath can: the core may size a piece for it when
+	// it assigns one, and the endgame may split its attempts.
 	Ranged bool
 }
 
@@ -76,7 +77,8 @@ type SimReport struct {
 	FailureWaste int64 `json:"failure_waste_bytes"`
 	Requeues     int   `json:"requeues"`
 	Duplicates   int   `json:"duplicates"`
-	// Splits counts endgame splits, which only ranged paths make.
+	// Splits counts items divided, at assignment or by an endgame
+	// split, which only ranged paths make.
 	Splits       int                     `json:"splits,omitempty"`
 	StallAborts  int                     `json:"stall_aborts"`
 	BreakerOpens int                     `json:"breaker_opens"`
@@ -290,7 +292,7 @@ func (s *simState) dispatch(p int, t float64) {
 		return
 	case scheduler.Duplicate:
 		s.rep.Duplicates++
-	case scheduler.Split:
+	case scheduler.Split, scheduler.Piece:
 		s.rep.Splits++
 	}
 	end := d.End
@@ -332,12 +334,12 @@ func (s *simState) Left(p int) (int64, bool) {
 
 // Cut re-walks path p's attempt from its start to the cut: the bytes
 // before it are the same, and it resolves when it reaches the cut.
-func (s *simState) Cut(p int, share float64) (int64, int64, bool) {
+func (s *simState) Cut(p int, share float64, least int64) (int64, int64, bool) {
 	att := s.running[p]
 	if att == nil {
 		return 0, 0, false
 	}
-	at, ok := scheduler.SplitAt(att.off+s.held(p), att.end, share)
+	at, ok := scheduler.SplitAt(att.off+s.held(p), att.end, share, least)
 	if !ok {
 		return 0, 0, false
 	}

@@ -230,7 +230,7 @@ func TestReadPacingIndependentOfReadSize(t *testing.T) {
 		scale float64
 		pipe  func(scale float64) (Pipe, *Limiter, *Limiter)
 		rate  float64
-		step  int // readCap of the link
+		step  int // the link's step: what its slowest limiter moves in a quantum
 	}{
 		{"ADSL at 20", 20, func(s float64) (Pipe, *Limiter, *Limiter) { return ADSLPipe(adslDown, 0.83e6, s) }, adslDown, maxChunk},
 		{"HSPA at 20", 20, func(s float64) (Pipe, *Limiter, *Limiter) { return HSPAPipe(hspaDown, hspaUp, s) }, hspaDown, maxChunk},

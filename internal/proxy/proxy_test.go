@@ -94,8 +94,8 @@ func TestProxyAdmitGate(t *testing.T) {
 
 // The proxy charges what the 3G interface carried: the response, and of
 // the request what the transport read of its body — whether the length
-// was declared, the body chunked (the uploader's multipart POSTs declare
-// none), or the request aborted part-way.
+// was declared (the uploader's multipart POSTs declare it), the body
+// chunked, or the request aborted part-way.
 func TestProxyOnBytesAccounting(t *testing.T) {
 	const reply = 10_000
 	var atOrigin atomic.Int64

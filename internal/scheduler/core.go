@@ -9,6 +9,11 @@ package scheduler
 // all, and the per-path bandwidth estimate that MIN deals its queues by
 // and the pooled endgame sizes a split by.
 //
+// Over paths that can carry a byte range, the pooled policies also size
+// what a path carries when they assign it (fill): the last pending
+// items are water-filled across the paths by their estimates, so that
+// every path ends together.
+//
 // Core holds no clock, no lock and no goroutine. Its callers — the live
 // goroutine-per-path driver in run and the virtual-time event loop in
 // fault.Simulate — serialise calls, pass the time in, and own
@@ -21,6 +26,7 @@ package scheduler
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Action is the core's answer to an idle path.
@@ -41,20 +47,23 @@ const (
 	// Split: carry the tail [Off, End) of Item, which Carrier's attempt
 	// was carrying; the core has already cut that attempt at Off.
 	Split
+	// Piece: carry the head [Off, End) of Item, which the core has just
+	// divided; the rest waits on the pending pool for the next path.
+	Piece
 )
 
 // Decision is what Core.Idle tells a driver to do with an idle path.
 type Decision struct {
 	Action Action
-	Item   int     // Assign, Duplicate, Split
+	Item   int     // Assign, Duplicate, Split, Piece
 	Until  float64 // Wait: when the half-open probe unlocks
 	// Probe reports that this call moved the path's breaker from open
 	// to half-open: whatever the path carries next is the probe.
 	Probe bool
 	// Carrier is the path whose attempt a Split cut.
 	Carrier int
-	// Off and End bound the bytes of a piece: a Split's tail, or a piece
-	// back from a failed attempt; End 0 is the item's end.
+	// Off and End bound the bytes of a piece: a Split's tail, a Piece's
+	// head, or a piece waiting on the pool; End 0 is the item's end.
 	Off, End int64
 	// Body names the buffer a ranged path's bytes go into: a new one for
 	// an attempt at a whole item, the item's for a piece of it. Off, End
@@ -147,7 +156,7 @@ type corePath struct {
 	breaker Breaker
 	until   float64 // breaker open: when the half-open probe unlocks
 
-	// The estimator: MIN deals by it, the pooled endgame splits by it.
+	// The estimator: MIN deals by it, the pooled policies size pieces by it.
 	est     float64 // bits/s, exponentially smoothed; 0 until a pooled path's first measure
 	sampled bool    // MIN: at least one transfer has been measured
 	backlog int64   // MIN: bytes dealt to the path and not yet delivered
@@ -164,8 +173,8 @@ type coreFlight struct {
 	replicas int
 	seq      int // assignment order, for "oldest" in the GRD endgame
 	// A split item: pieces counts the pieces not yet delivered, in
-	// flight or waiting for a path after a failure; body is the buffer
-	// they all go into. pieces is 0 for an item that was never split.
+	// flight or waiting for a path; body is the buffer they all go
+	// into. pieces is 0 for an item that was never split.
 	pieces  int
 	body    int
 	waiting []window
@@ -202,10 +211,15 @@ type Core struct {
 	split    Splitter
 	nextBody int
 
-	// MIN: sizes is nil under every other policy.
+	// sizes are the items' lengths; sized reports that every one is
+	// known (positive), which fill needs.
 	sizes []int64
-	next  int     // first item not yet dealt to a queue
-	alpha float64 // smoothing weight on the newest bandwidth sample
+	sized bool
+
+	// MIN's dealer.
+	minTime bool
+	next    int     // first item not yet dealt to a queue
+	alpha   float64 // smoothing weight on the newest bandwidth sample
 }
 
 // NewCore returns the decision state for a transaction of len(sizes)
@@ -218,6 +232,7 @@ func NewCore(algo Algo, sizes []int64, names []string, opts Options) *Core {
 	c := &Core{
 		playout:     algo == Playout,
 		fixed:       algo == RoundRobin || algo == MinTime,
+		minTime:     algo == MinTime,
 		duplication: !opts.DisableDuplication,
 		maxRetries:  opts.maxRetries(),
 		backoff:     newBackoff(opts.Backoff),
@@ -226,6 +241,8 @@ func NewCore(algo Algo, sizes []int64, names []string, opts Options) *Core {
 		fails:       make([]int, items*paths),
 		paths:       make([]corePath, paths),
 		cancel:      make([]int, 0, paths),
+		sizes:       sizes,
+		sized:       !slices.Contains(sizes, 0),
 		alpha:       opts.minAlpha(),
 	}
 	for p := range c.paths {
@@ -246,7 +263,6 @@ func NewCore(algo Algo, sizes []int64, names []string, opts Options) *Core {
 		}
 		return c
 	}
-	c.sizes = sizes
 	for p, name := range names {
 		c.paths[p].est = 1e6
 		if v := opts.InitialBandwidth[name]; v > 0 {
@@ -284,11 +300,11 @@ func (c *Core) ranged(p int) bool { return c.split != nil && c.split.Ranged(p) }
 // parks when the queue is empty. Otherwise a path with an open breaker
 // waits out the hold and comes back as the half-open probe; else it
 // takes the first pending item it still has budget for (a piece of a
-// split item only if it can carry a range), and when there is none it
-// splits an in-flight attempt if it can (trySplit), or else duplicates
-// an in-flight item that was never split — GRD picks the one with the
-// fewest replicas, oldest assignment first; PLAYOUT the lowest ID,
-// which is what gates in-order playout.
+// split item only if it can carry a range), or only the head of it when
+// fill says so; and when there is none it splits an in-flight attempt if
+// it can (trySplit), or else duplicates an in-flight item that was never
+// split — GRD picks the one with the fewest replicas, oldest assignment
+// first; PLAYOUT the lowest ID, which is what gates in-order playout.
 func (c *Core) Idle(p int, now float64) Decision {
 	var d Decision
 	pp := &c.paths[p]
@@ -313,19 +329,39 @@ func (c *Core) Idle(p int, now float64) Decision {
 		if c.spent(it, p) || (fl.pieces > 0 && !c.ranged(p)) {
 			continue
 		}
-		c.pending = append(c.pending[:i], c.pending[i+1:]...)
 		d.Action, d.Item = Assign, it
+		w := window{0, c.sizes[it]}
 		if fl.pieces > 0 {
-			w := fl.waiting[0]
-			fl.waiting = fl.waiting[1:]
-			fl.replicas++
-			pp.item, pp.off, pp.end, pp.body = it, w.off, w.end, fl.body
-			d.Off, d.End, d.Body = w.off, w.end, fl.body
-			return d
+			w = fl.waiting[0]
 		}
-		*fl = coreFlight{replicas: 1, seq: c.nextSeq}
-		c.nextSeq++
-		c.carryWhole(p, it, &d)
+		head := c.fill(p, it, now, w.end-w.off)
+		if fl.pieces == 0 {
+			if head == 0 {
+				c.pending = slices.Delete(c.pending, i, i+1)
+				*fl = coreFlight{replicas: 1, seq: c.nextSeq}
+				c.nextSeq++
+				c.carryWhole(p, it, &d)
+				return d
+			}
+			// The item becomes one piece waiting on the pool, in a
+			// buffer of its own, and is divided below.
+			c.nextBody++
+			*fl = coreFlight{pieces: 1, body: c.nextBody, seq: c.nextSeq, waiting: []window{w}}
+			c.nextSeq++
+		}
+		if head > 0 {
+			// The rest stays where it was on the pool, the pieces one more.
+			d.Action = Piece
+			fl.pieces++
+			fl.waiting[0].off += head
+			w.end = w.off + head
+		} else {
+			c.pending = slices.Delete(c.pending, i, i+1)
+			fl.waiting = fl.waiting[1:]
+		}
+		fl.replicas++
+		pp.item, pp.off, pp.end, pp.body = it, w.off, w.end, fl.body
+		d.Off, d.End, d.Body = w.off, w.end, fl.body
 		return d
 	}
 	if !c.duplication {
@@ -353,6 +389,61 @@ func (c *Core) Idle(p int, now float64) Decision {
 	return d
 }
 
+// fill is the pooled policies' rule for sizing what a path carries when
+// it is assigned: the work left, W — the pending pool's bytes plus what
+// each busy path is expected to have left of its window — ends soonest
+// when every path ends together, at T* = now + W/Σ est, so idle path p
+// takes the first est_p·(T* − now) bytes of the n-byte window of item it
+// is about to carry, and the rest waits for the next path. It returns
+// that head, or 0 for the whole window: unless every path can carry the
+// rest (a range, budget left for item), every size is known, and p and
+// every busy path have an estimate; when duplication is off (the
+// ablation knob restores whole-item GRD); and when p's share covers the
+// window or the head or the rest would not be worth a piece. Σ est
+// counts the idle paths with an estimate and a closed breaker, which ask
+// next.
+func (c *Core) fill(p, item int, now float64, n int64) int64 {
+	pp := &c.paths[p]
+	if !c.duplication || !c.sized || pp.est <= 0 {
+		return 0
+	}
+	var work, rate float64
+	for q := range c.paths {
+		qq := &c.paths[q]
+		switch {
+		case !c.ranged(q) || c.spent(item, q):
+			return 0
+		case qq.item >= 0:
+			if qq.est <= 0 {
+				return 0
+			}
+			end := qq.end
+			if end == 0 {
+				end = c.sizes[qq.item]
+			}
+			work += max(0, float64(end-qq.off)-qq.est/8*(now-qq.started))
+			rate += qq.est
+		case q == p || (qq.est > 0 && !qq.breaker.Open()):
+			rate += qq.est
+		}
+	}
+	for _, it := range c.pending {
+		if c.flights[it].pieces == 0 {
+			work += float64(c.sizes[it])
+		}
+	}
+	for it := range c.flights {
+		for _, w := range c.flights[it].waiting {
+			work += float64(w.end - w.off)
+		}
+	}
+	head, least := int64(work*pp.est/rate), leastPiece(pp.est)
+	if head >= n || head < least || n-head < least {
+		return 0
+	}
+	return head
+}
+
 // carryWhole puts path p on the whole of item, in a new buffer of its
 // own when p can carry a range.
 func (c *Core) carryWhole(p, item int, d *Decision) {
@@ -365,13 +456,13 @@ func (c *Core) carryWhole(p, item int, d *Decision) {
 }
 
 // trySplit is the pooled endgame's first choice for an idle path p that
-// can carry a range and has a rate estimate: among the ranged attempts
-// on other paths with an estimate, on items p has budget for that carry
-// no duplicate, it takes the one expected to end last (under PLAYOUT,
-// the lowest item) and asks the driver to cut it so that p carries the
-// share est_p/(est_p+est_carrier) of the bytes the carrier has yet to
-// receive. It reports false, changing nothing, when there is no such
-// attempt or the tail would be under MinPiece.
+// can carry a range and has a rate estimate: among the attempts on other
+// paths with an estimate that can be cut, on items p has budget for that
+// carry no duplicate, it takes the one expected to end last (under
+// PLAYOUT, the lowest item) and asks the driver to cut it so that p
+// carries the share est_p/(est_p+est_carrier) of the bytes the carrier
+// has yet to receive. It reports false, changing nothing, when there is
+// no such attempt or the tail would not be worth a piece on p.
 func (c *Core) trySplit(p int, d *Decision) bool {
 	pp := &c.paths[p]
 	if pp.est <= 0 || !c.ranged(p) {
@@ -398,7 +489,7 @@ func (c *Core) trySplit(p int, d *Decision) bool {
 		return false
 	}
 	qq := &c.paths[best]
-	at, end, ok := c.split.Cut(best, pp.est/(pp.est+qq.est))
+	at, end, ok := c.split.Cut(best, pp.est/(pp.est+qq.est), leastPiece(pp.est))
 	if !ok {
 		return false
 	}
@@ -478,7 +569,7 @@ func (c *Core) Succeeded(item, p int, bytes int64, now float64) Success {
 	if c.fixed {
 		c.queues[p] = c.queues[p][1:]
 	}
-	if c.sizes != nil {
+	if c.minTime {
 		c.sample(item, p)
 	}
 	return s
@@ -511,7 +602,7 @@ func (c *Core) observe(pp *corePath, bytes int64, seconds float64) {
 func (c *Core) sample(item, p int) {
 	pp := &c.paths[p]
 	pp.sampled = true
-	pp.backlog -= c.sizes[item]
+	pp.backlog -= c.weight(item)
 	if c.next == len(c.sizes) {
 		return
 	}
@@ -525,7 +616,7 @@ func (c *Core) sample(item, p int) {
 		best, bestT := 0, math.Inf(1)
 		for q := range c.paths {
 			qq := &c.paths[q]
-			if t := float64(qq.backlog+c.sizes[c.next]) * 8 / qq.est; t < bestT {
+			if t := float64(qq.backlog+c.weight(c.next)) * 8 / qq.est; t < bestT {
 				best, bestT = q, t
 			}
 		}
@@ -536,9 +627,14 @@ func (c *Core) sample(item, p int) {
 // deal puts the next undealt item on the tail of path p's queue.
 func (c *Core) deal(p int) {
 	c.queues[p] = append(c.queues[p], c.next)
-	c.paths[p].backlog += c.sizes[c.next]
+	c.paths[p].backlog += c.weight(c.next)
 	c.next++
 }
+
+// weight is what MIN's backlog counts an item as: its size, or a byte
+// when its size is unknown, so that a set of such items is dealt by
+// count.
+func (c *Core) weight(item int) int64 { return max(c.sizes[item], 1) }
 
 // Failed records a genuine failure (error or stall abort, not a
 // cancellation) of item on path p at time now. The path's health always

@@ -556,3 +556,58 @@ func TestCoreMinZeroLengthSample(t *testing.T) {
 		t.Fatalf("dealt %d of 5 items; every path is sampled, the tail must be dealt", c.next)
 	}
 }
+
+// rangedPaths is a Splitter over paths that all carry ranges and whose
+// attempts cannot be cut, as upload paths are.
+type rangedPaths struct{}
+
+func (rangedPaths) Ranged(int) bool                              { return true }
+func (rangedPaths) Left(int) (int64, bool)                       { return 0, false }
+func (rangedPaths) Cut(int, float64, int64) (int64, int64, bool) { return 0, 0, false }
+
+// The assignment-time rule divides the last pending items between the
+// paths by their estimates, the idle paths that ask next included: two
+// paths that free up together with equal estimates take half the work
+// left each, whole items while they fit in it; a path that then slows
+// takes its estimate's share of the work left — the rest waiting on the
+// pool plus what the busy path is expected to have left.
+func TestCoreFillDividesByRate(t *testing.T) {
+	const mb = 1 << 20
+	// Two paths free up together, each at 1 MB/s, with 8 MB left: half
+	// each.
+	c := NewCore(Greedy, []int64{mb, mb, 8 * mb}, []string{"a", "b"}, Options{})
+	c.SetSplitter(rangedPaths{})
+	idle(t, c, 0, Assign, 0)
+	idle(t, c, 1, Assign, 1)
+	c.Succeeded(0, 0, mb, 1)
+	c.Succeeded(1, 1, mb, 1)
+	if d := c.Idle(0, 1); d.Action != Piece || d.Item != 2 || d.Off != 0 || d.End != 4*mb {
+		t.Fatalf("Idle(0) = %+v, want the first 4 MB of item 2", d)
+	}
+	if d := c.Idle(1, 1); d.Action != Assign || d.Item != 2 || d.Off != 4*mb || d.End != 8*mb {
+		t.Fatalf("Idle(1) = %+v, want the rest of item 2", d)
+	}
+
+	c = NewCore(Greedy, []int64{mb, mb, 2 * mb, 8 * mb}, []string{"a", "b"}, Options{})
+	c.SetSplitter(rangedPaths{})
+	idle(t, c, 0, Assign, 0)
+	idle(t, c, 1, Assign, 1)
+	c.Succeeded(0, 0, mb, 1) // both at 1 MB/s
+	c.Succeeded(1, 1, mb, 1)
+	if d := c.Idle(0, 1); d.Action != Assign || d.Item != 2 || d.End != 0 {
+		t.Fatalf("Idle(0) = %+v, want all of item 2: its share of 10 MB is 5 MB", d)
+	}
+	if d := c.Idle(1, 1); d.Action != Piece || d.Item != 3 || d.Off != 0 || d.End != 5*mb {
+		t.Fatalf("Idle(1) = %+v, want the first 5 MB of item 3: 2 MB on path 0, 8 pending", d)
+	}
+	// Path 0 delivers item 2 at 0.5 MB/s, four seconds later; its
+	// estimate (α 0.75) is 0.625 MB/s. Path 1 has 1 MB of its piece
+	// left, and 3 MB of item 3 wait: path 0 takes 0.625/1.625 of 4 MB.
+	c.Succeeded(2, 0, 2*mb, 5)
+	d := c.Idle(0, 5)
+	work, est0, est1 := float64(4*mb), 0.625*8*mb, 8.0*mb
+	want := int64(work * est0 / (est0 + est1))
+	if d.Action != Piece || d.Item != 3 || d.Off != 5*mb || d.End != 5*mb+want {
+		t.Fatalf("Idle(0) = %+v, want bytes [%d, %d) of item 3", d, 5*mb, 5*mb+want)
+	}
+}

@@ -26,8 +26,9 @@ type Metrics struct {
 	Requeues *obs.Counter
 	// Duplicates counts endgame replica launches (GRD/PLAYOUT only).
 	Duplicates *obs.Counter
-	// Splits counts endgame splits: an idle path taking the tail of an
-	// in-flight attempt, which ends early (GRD/PLAYOUT over ranged paths).
+	// Splits counts items divided: an idle path taking the head of a
+	// pending item sized to its rate, or the tail of an in-flight attempt,
+	// which ends early (GRD/PLAYOUT over ranged paths).
 	Splits *obs.Counter
 	// Bytes counts all bytes moved per path, including losing replicas.
 	Bytes *obs.Counter
@@ -70,7 +71,7 @@ func NewMetrics(r *obs.Registry) Metrics {
 		Duplicates: r.NewCounter("scheduler_duplicates_total",
 			"Endgame replica launches (GRD/PLAYOUT), by path.", "path"),
 		Splits: r.NewCounter("scheduler_splits_total",
-			"Endgame splits: an idle path took the tail bytes of an in-flight attempt (GRD/PLAYOUT over ranged paths)."),
+			"Items divided: an idle path took the head of a pending item sized to its rate, or the tail bytes of an in-flight attempt (GRD/PLAYOUT over ranged paths)."),
 		Bytes: r.NewCounter("scheduler_bytes_total",
 			"Bytes moved per path, including losing replicas.", "path"),
 		WastedBytes: r.NewCounter("scheduler_wasted_bytes_total",

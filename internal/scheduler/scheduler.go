@@ -10,9 +10,11 @@
 //     goes idle; when no items remain, an idle path duplicates the oldest
 //     still-in-flight item, and the first replica to finish cancels the
 //     others. Wasted bytes are bounded by (N−1)·Sm, Sm the largest item.
-//     Over paths that can carry a byte range (RangePath), the idle path
-//     instead takes the tail of an in-flight attempt, sized by the two
-//     paths' rates, and the item is won when its pieces are all in.
+//     Over paths that can carry a byte range (RangePath), the last
+//     pending items are divided when they are assigned, so that every
+//     path ends together by its rate, and an idle path that would
+//     duplicate takes the tail of an in-flight attempt that can be cut
+//     instead; an item is won when its pieces are all in.
 //   - RoundRobin (RR): items are dealt cyclically onto the paths up front.
 //   - MinTime (MIN): each item goes to the path with the smallest
 //     estimated completion time, with per-path bandwidth estimated by
@@ -45,8 +47,10 @@ type Item struct {
 	ID int
 	// Name is a diagnostic/transport label, e.g. the URI to fetch.
 	Name string
-	// Size is the item's size in bytes (used by MIN's estimator and for
-	// waste accounting; GRD and RR work even when 0).
+	// Size is the item's size in bytes, 0 when the caller does not know
+	// it. MIN deals by it (an unknown size counts as a byte), and the
+	// pooled policies size pieces by it only when every item's is known;
+	// GRD and RR work without it.
 	Size int64
 }
 
@@ -109,8 +113,9 @@ type Options struct {
 	// Callbacks are serialised.
 	OnItemDone func(Item, time.Duration)
 	// DisableDuplication turns off GRD's endgame re-assignment, whole
-	// (no duplicate) and split (no tail taken from an in-flight attempt):
-	// the ablation knob for the paper's duplication design choice.
+	// (no duplicate) and split (no tail taken from an in-flight attempt),
+	// and the pieces sized at assignment with it: the ablation knob for
+	// the paper's duplication design choice, which leaves whole-item GRD.
 	DisableDuplication bool
 	// Backoff configures deterministic exponential backoff with seeded
 	// jitter between retry attempts. The zero value disables backoff
@@ -132,7 +137,7 @@ type Options struct {
 	Metrics Metrics
 	// Events, when non-nil, receives flight-recorder events: the
 	// transaction root span plus every assignment, attempt, retry,
-	// requeue, endgame duplicate or split, and completion. The attempt span's
+	// requeue, endgame duplicate, split or piece, and completion. The attempt span's
 	// TraceContext rides the transfer context, so instrumented paths
 	// (internal/transfer) extend the same trace.
 	Events *eventlog.Log
@@ -172,9 +177,10 @@ type Report struct {
 	WastedBytes int64
 	// Duplicates counts endgame replica launches (GRD only).
 	Duplicates int
-	// Splits counts endgame splits: an idle path taking the tail of an
-	// in-flight attempt (GRD and PLAYOUT over paths that can carry a
-	// byte range; see RangePath). A split is not a duplicate.
+	// Splits counts the times an item was divided: an idle path taking
+	// the head of a pending item sized to its rate, or the tail of an
+	// in-flight attempt (GRD and PLAYOUT over paths that can carry a byte
+	// range; see RangePath). A split is not a duplicate.
 	Splits int
 	// PerPath maps path name to its activity.
 	PerPath map[string]PathStats
@@ -339,11 +345,10 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 		sizes[i] = it.Size
 	}
 	names := make([]string, len(paths))
-	split := &liveSplitter{ranged: make([]bool, len(paths)), windows: make([]*Range, len(paths))}
 	for i, p := range paths {
 		names[i] = p.Name()
-		_, split.ranged[i] = p.(RangePath)
 	}
+	split := newLiveSplitter(paths)
 
 	var (
 		mu   sync.Mutex
@@ -411,14 +416,14 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 				cancels[pi] = cancel
 				item := items[d.Item]
 				var window *Range
-				if split.ranged[pi] {
+				if split.paths[pi] != nil {
 					window = newRange(d)
 					split.windows[pi] = window
 				}
 				switch d.Action {
 				case Duplicate:
 					trk.addDuplicate(name)
-				case Split:
+				case Split, Piece:
 					trk.addSplit()
 				}
 				mu.Unlock()
@@ -434,6 +439,10 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 					ev.Point(tc, "scheduler.split",
 						"item", eventlog.Int(int64(item.ID)), "path", name,
 						"carrier", names[d.Carrier], "cut", eventlog.Int(d.Off))
+				case Piece:
+					ev.Point(tc, "scheduler.piece",
+						"item", eventlog.Int(int64(item.ID)), "path", name,
+						"off", eventlog.Int(d.Off), "end", eventlog.Int(d.End))
 				}
 				sp := ev.Begin(tc, "scheduler.attempt",
 					"item", eventlog.Int(int64(item.ID)), "path", name)

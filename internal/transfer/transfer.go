@@ -1,8 +1,9 @@
 // Package transfer binds the multipath scheduler to HTTP: download paths
 // issue GET requests (directly over the ADSL route or through a 3G
-// device's proxy), upload paths stream multipart/form-data POSTs — the
+// device's proxy), upload paths send multipart/form-data POSTs — the
 // two transports the paper's client component uses for video-on-demand
-// prefetching and photo upload.
+// prefetching and photo upload. Both carry pieces of an item when the
+// scheduler divides one: a Range GET, or a part that names its window.
 package transfer
 
 import (
@@ -13,6 +14,7 @@ import (
 	"io"
 	"mime/multipart"
 	"net/http"
+	"net/textproto"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -81,6 +83,13 @@ func (p *DownloadPath) Transfer(ctx context.Context, item scheduler.Item) (int64
 func (p *DownloadPath) TransferProgress(ctx context.Context, item scheduler.Item, progress func(int64)) (int64, error) {
 	return p.transfer(ctx, item, nil, progress)
 }
+
+// Ranges implements scheduler.RangePath: a DownloadPath always carries
+// pieces.
+func (p *DownloadPath) Ranges() bool { return true }
+
+// Cuts implements scheduler.RangePath: a split may cut a GET short.
+func (p *DownloadPath) Cuts() bool { return true }
 
 // TransferRange implements scheduler.RangePath: GET the bytes of the
 // item that r bounds — the whole item while r has no end, else a Range
@@ -167,7 +176,13 @@ type ItemSource func(item scheduler.Item) (io.ReadCloser, error)
 
 // UploadPath uploads items to TargetURL as multipart/form-data POSTs —
 // the request shape of Facebook/Flickr/Picasa native clients the paper
-// emulates.
+// emulates. It implements scheduler.Path, and scheduler.RangePath: a
+// piece of an item is a POST of its bytes as a part that names its
+// window ("Content-Range: bytes a-b/size"), which it sends only once the
+// target has said "Accept-Ranges: bytes" in an earlier response; until
+// then it carries whole items, and no target that does not say so ever
+// sees a piece. An upload declares its length, so no attempt is ever
+// cut short.
 type UploadPath struct {
 	PathName string
 	Client   *http.Client
@@ -177,7 +192,8 @@ type UploadPath struct {
 	Field string
 	// Source opens each item's content, which must be exactly the
 	// item's Size bytes: the POST declares its length, and content that
-	// ends short or runs long fails the transfer.
+	// ends short or runs long fails the transfer. A piece reads it from
+	// the piece's offset, seeking when the content is an io.Seeker.
 	Source ItemSource
 	// Metrics receives transfer instrumentation (see NewMetrics); the
 	// zero value records nothing. One Metrics may be shared across paths.
@@ -188,6 +204,8 @@ type UploadPath struct {
 	Events *eventlog.Log
 	// Clock times transfers for Metrics; nil selects the system clock.
 	Clock clock.Clock
+
+	ranges atomic.Bool // the target has said "Accept-Ranges: bytes"
 }
 
 // Name implements scheduler.Path.
@@ -197,16 +215,32 @@ func (p *UploadPath) Name() string { return p.PathName }
 // sent with a Content-Length. The returned byte count covers the item
 // content (not multipart framing).
 func (p *UploadPath) Transfer(ctx context.Context, item scheduler.Item) (int64, error) {
-	return p.transfer(ctx, item, nil)
+	return p.transfer(ctx, item, 0, 0, nil)
 }
 
 // TransferProgress implements scheduler.ProgressPath: Transfer with a
 // cumulative byte-progress hook observing the request body stream.
 func (p *UploadPath) TransferProgress(ctx context.Context, item scheduler.Item, progress func(int64)) (int64, error) {
-	return p.transfer(ctx, item, progress)
+	return p.transfer(ctx, item, 0, 0, progress)
 }
 
-func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, progress func(int64)) (n int64, err error) {
+// Ranges implements scheduler.RangePath: the path carries pieces once
+// its target has said "Accept-Ranges: bytes".
+func (p *UploadPath) Ranges() bool { return p.ranges.Load() }
+
+// Cuts implements scheduler.RangePath: an upload declares its length, so
+// its attempts are never cut.
+func (p *UploadPath) Cuts() bool { return false }
+
+// TransferRange implements scheduler.RangePath: POST the whole item
+// while r has no end, else the piece [r.Off, r.End()) of it.
+func (p *UploadPath) TransferRange(ctx context.Context, item scheduler.Item, r *scheduler.Range, progress func(int64)) (int64, error) {
+	return p.transfer(ctx, item, r.Off, r.End(), progress)
+}
+
+// transfer POSTs the bytes [off, end) of item, the whole of it when end
+// is 0.
+func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, off, end int64, progress func(int64)) (n int64, err error) {
 	clk := clock.Or(p.Clock)
 	t0 := clk.Now()
 	tc, _ := eventlog.FromContext(ctx)
@@ -223,10 +257,15 @@ func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, progress
 		return 0, fmt.Errorf("transfer: building POST for %s: %w", item.Name, err)
 	}
 	content, err := p.Source(item)
+	if err == nil && off > 0 {
+		if err = skip(content, off); err != nil {
+			content.Close()
+		}
+	}
 	if err != nil {
 		return 0, fmt.Errorf("transfer: opening %s: %w", item.Name, err)
 	}
-	body, contentType := newUploadBody(content, item, p.Field, progress)
+	body, contentType := newUploadBody(content, item, p.Field, off, end, progress)
 	// The transport closes the body, and with it the content, on every
 	// path out of Do.
 	req.Body = body
@@ -237,6 +276,9 @@ func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, progress
 	if err == nil {
 		defer resp.Body.Close()
 		io.Copy(io.Discard, resp.Body)
+		if resp.Header.Get("Accept-Ranges") == "bytes" {
+			p.ranges.Store(true)
+		}
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated &&
 			resp.StatusCode != http.StatusNoContent {
 			err = fmt.Errorf("status %s", resp.Status)
@@ -256,37 +298,65 @@ func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, progress
 	return n, nil
 }
 
-// uploadBody is one POST's body: the multipart head, the item's content,
-// the closing boundary. Its length is declared, so net/http sends it with
-// a Content-Length and copies it to the connection in one pass (a shaped
-// connection's ReadFrom: one link step per read, into a reused buffer);
-// the body itself holds no buffer beyond the framing's few hundred bytes.
-// Content that ends before item.Size, or runs past it, fails the read
+// skip moves content to its byte off: a seek when it can, else a read.
+func skip(content io.Reader, off int64) error {
+	if s, ok := content.(io.Seeker); ok {
+		_, err := s.Seek(off, io.SeekStart)
+		return err
+	}
+	if _, err := io.CopyN(io.Discard, content, off); err != nil {
+		return fmt.Errorf("skipping to the piece at %d: %w", off, err)
+	}
+	return nil
+}
+
+// uploadBody is one POST's body: the multipart head, the item's content
+// or a piece of it, the closing boundary. Its length is declared, so
+// net/http sends it with a Content-Length and copies it to the
+// connection in one pass (a shaped connection's ReadFrom: one link step
+// per read, into a reused buffer); the body itself holds no buffer
+// beyond the framing's few hundred bytes. Content that ends before the
+// part's size, or a whole item's that runs past it, fails the read
 // before the closing boundary is sent, so the server never takes a
 // truncated file for a whole one.
 type uploadBody struct {
 	frame   []byte // the head, then the tail
 	head    int    // the head's length within frame
 	sent    int    // framing bytes read
-	size    int64  // the content's declared length
+	size    int64  // the part's declared length
+	whole   bool   // the part is the whole item: content must end at size
 	content countingReader
 	src     io.ReadCloser
 	closed  atomic.Bool
 }
 
-// newUploadBody frames item's content src as the one file part of a
-// multipart/form-data body, returning the body and its Content-Type.
-func newUploadBody(src io.ReadCloser, item scheduler.Item, field string, progress func(int64)) (*uploadBody, string) {
+// partQuoter escapes a file name as mime/multipart's CreateFormFile does.
+var partQuoter = strings.NewReplacer("\\", "\\\\", `"`, "\\\"")
+
+// newUploadBody frames the bytes [off, end) of item's content src — the
+// whole item when end is 0 — as the one file part of a
+// multipart/form-data body, returning the body and its Content-Type. A
+// piece's part names its window in a Content-Range header.
+func newUploadBody(src io.ReadCloser, item scheduler.Item, field string, off, end int64, progress func(int64)) (*uploadBody, string) {
 	if field == "" {
 		field = "file"
 	}
+	h := textproto.MIMEHeader{
+		"Content-Disposition": {`form-data; name="` + partQuoter.Replace(field) + `"; filename="` + partQuoter.Replace(item.Name) + `"`},
+		"Content-Type":        {"application/octet-stream"},
+	}
+	size := item.Size
+	if end > 0 {
+		h.Set("Content-Range", "bytes "+strconv.FormatInt(off, 10)+"-"+strconv.FormatInt(end-1, 10)+"/"+strconv.FormatInt(item.Size, 10))
+		size = end - off
+	}
 	var frame bytes.Buffer
 	mw := multipart.NewWriter(&frame)
-	_, _ = mw.CreateFormFile(field, item.Name) // a bytes.Buffer takes every write
+	_, _ = mw.CreatePart(h) // a bytes.Buffer takes every write
 	head := frame.Len()
 	_ = mw.Close()
 	return &uploadBody{
-		frame: frame.Bytes(), head: head, size: item.Size,
+		frame: frame.Bytes(), head: head, size: size, whole: end == 0,
 		content: countingReader{r: src, fn: progress}, src: src,
 	}, mw.FormDataContentType()
 }
@@ -310,7 +380,7 @@ func (b *uploadBody) Read(p []byte) (int, error) {
 		}
 		return n, err
 	}
-	if b.sent == b.head {
+	if b.sent == b.head && b.whole {
 		// The content must end where its size says: one byte more, and
 		// the body would carry a file the sender did not mean.
 		var one [1]byte

@@ -477,7 +477,8 @@ func (c closeCounter) Close() error {
 
 // However an upload ends — delivered, cancelled mid-body as an endgame
 // loser is, or refused by a server that answers 400 before it reads —
-// it gives back what it took: once the client's idle connections close
+// and whether it carries a whole photo or a piece of one, it gives back
+// what it took: once the client's idle connections close
 // the goroutines stand where they stood, and every source was closed
 // exactly once (the transport closes the body, and may try more than
 // once on its error paths).
@@ -507,7 +508,7 @@ func TestUploadPathReleasesEverything(t *testing.T) {
 	client := &http.Client{Transport: tr}
 	before := runtime.NumGoroutine()
 	var closes []*atomic.Int32
-	upload := func(url string, cancelled bool) error {
+	upload := func(url string, cancelled, pieced bool) error {
 		t.Helper()
 		n := new(atomic.Int32)
 		closes = append(closes, n)
@@ -520,20 +521,27 @@ func TestUploadPathReleasesEverything(t *testing.T) {
 				return closeCounter{bytes.NewReader(photo), n}, nil
 			},
 		}
-		_, err := p.Transfer(ctx, scheduler.Item{Name: "IMG_0001.jpg", Size: size})
+		item := scheduler.Item{Name: "IMG_0001.jpg", Size: size}
+		var err error
+		if pieced {
+			_, err = p.TransferRange(ctx, item, piece(1<<20, size), nil)
+		} else {
+			_, err = p.Transfer(ctx, item)
+		}
 		if cancelled && !errors.Is(err, context.Canceled) {
 			t.Errorf("upload cancelled mid-body returned %v, want context.Canceled", err)
 		}
 		return err
 	}
-	for i := 0; i < 3; i++ {
-		if err := upload(stored.URL, false); err != nil {
+	for i := 0; i < 6; i++ {
+		pieced := i%2 == 1 // a piece from 1 MB on, the source read up to it
+		if err := upload(stored.URL, false, pieced); err != nil {
 			t.Fatalf("upload to a storing server: %v", err)
 		}
-		if err := upload(refused.URL, false); err == nil || !strings.Contains(err.Error(), "400") {
+		if err := upload(refused.URL, false, pieced); err == nil || !strings.Contains(err.Error(), "400") {
 			t.Errorf("upload to a refusing server returned %v, want a 400", err)
 		}
-		upload(slow.URL, true)
+		upload(slow.URL, true, pieced)
 	}
 	tr.CloseIdleConnections()
 

@@ -18,7 +18,9 @@
 #      core under byte-scripted event sequences from a model driver
 #      (all four policies, equal timestamps allowed; every breaker
 #      opening, hold, probe and re-closing held to a reference breaker
-#      the model keeps per path), starting from the
+#      the model keeps per path; every piece, sized at assignment or
+#      cut from an attempt, held to the pool of windows the model keeps
+#      per item), starting from the
 #      seed corpus in internal/scheduler/testdata/fuzz; then ten seconds
 #      of FuzzBatchCodec: arbitrary bytes into the /permits/batch
 #      request and response decoders against encoding/json on the plain
@@ -64,8 +66,13 @@
 #      requested windows (DownloadPath's parser never panics, accepts
 #      only the window it asked for inside a declared size, and only a
 #      header that the accepted values print back to), from the corpus
-#      in internal/transfer/testdata/fuzz. A failing input is written
-#      beside its corpus for the fix to commit
+#      in internal/transfer/testdata/fuzz; then ten seconds of
+#      FuzzPieceWindow: fuzzed Content-Range headers of an uploaded
+#      piece (the upload server's parser never panics, accepts only a
+#      non-empty window inside its file, and only a header its values
+#      print back to), from the corpus in internal/upload/testdata/fuzz.
+#      A failing input is written beside its corpus for the fix to
+#      commit
 #   8. alloc and link-rate budgets — without the race detector (the
 #      race stage skips them). TestBoostVoDAllocBudget: a boosted BipBop
 #      q4 session at steady state allocates under 2 MB, the ratchet on
@@ -213,6 +220,9 @@ go test -run '^$' -fuzz '^FuzzAnnouncement$' -fuzztime 10s ./internal/discovery
 
 echo '==> fuzz (go test -fuzz FuzzContentRange -fuzztime 10s ./internal/transfer)'
 go test -run '^$' -fuzz '^FuzzContentRange$' -fuzztime 10s ./internal/transfer
+
+echo '==> fuzz (go test -fuzz FuzzPieceWindow -fuzztime 10s ./internal/upload)'
+go test -run '^$' -fuzz '^FuzzPieceWindow$' -fuzztime 10s ./internal/upload
 
 echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestUploadPhotosAllocBudget, TestServeBatchAllocBudget, TestParseBatchRequestAllocFree, TestParseBatchResponseAllocFree, TestRecordDecisionsAllocFree, TestWriteSnapshotAllocBudget, TestLinkRateBudget, TestZeroMetricsAllocFree; no -race)'
 # Allocation counts and wall-clock link time mean nothing under the race
