@@ -5,7 +5,9 @@
 //	vod     starts the HLS-aware accelerating proxy and (optionally)
 //	        plays a video through it, reporting startup latency;
 //	upload  uploads a set of files to a server as multipart POSTs over
-//	        all paths in parallel.
+//	        all paths in parallel, with core.Upload (the uploader the
+//	        experiments measure: largest files first, the last ones in
+//	        pieces once the server accepts ranges).
 //
 // Examples:
 //
@@ -30,10 +32,8 @@ import (
 	"threegol/internal/core"
 	"threegol/internal/discovery"
 	"threegol/internal/hls"
-	"threegol/internal/permit"
 	"threegol/internal/permitplane"
 	"threegol/internal/scheduler"
-	"threegol/internal/transfer"
 )
 
 func main() {
@@ -159,7 +159,6 @@ func runUpload(args []string) error {
 	devices := fs.Int("devices", 2, "number of devices to wait for")
 	wait := fs.Duration("wait", 2*time.Second, "discovery wait timeout")
 	algoName := fs.String("algo", "grd", "multipath scheduler: grd, rr or min")
-	field := fs.String("field", "file", "multipart form field name")
 	permitBackend := fs.String("permit-backend", "", "permit backend base URL; gates each device path on its announced serving cell")
 	permitFailOpen := fs.Bool("permit-fail-open", false, "honour stale permits for -permit-grace when the permit backend is unreachable (default: fail closed onto ADSL)")
 	permitGrace := fs.Duration("permit-grace", permitplane.DefaultGrace, "stale-permit grace window while fail-open and degraded")
@@ -181,6 +180,9 @@ func runUpload(args []string) error {
 		return err
 	}
 	defer closeBrowser()
+	if *permitBackend != "" {
+		gateRoutes(routes, *permitBackend, *permitFailOpen, *permitGrace)
+	}
 
 	items := make([]scheduler.Item, len(files))
 	for i, f := range files {
@@ -188,51 +190,17 @@ func runUpload(args []string) error {
 		if err != nil {
 			return fmt.Errorf("upload: %w", err)
 		}
-		items[i] = scheduler.Item{ID: i, Name: f, Size: info.Size()}
+		items[i] = scheduler.Item{Name: f, Size: info.Size()}
 	}
 	source := func(item scheduler.Item) (io.ReadCloser, error) {
 		return os.Open(item.Name)
 	}
-
-	// The ADSL path is never gated — permits govern cellular onloading
-	// only. Device paths that announced a serving cell get a client-side
-	// permit gate (defence in depth alongside the device's own check):
-	// a denied or lapsed permit fails the transfer with ErrNotPermitted,
-	// and the scheduler requeues the item onto the remaining paths.
-	paths := []scheduler.Path{&transfer.UploadPath{
-		PathName: "adsl", Client: http.DefaultClient, TargetURL: *target,
-		Field: *field, Source: source,
-	}}
-	var permitFetch func(ctx context.Context, device, cell string) (permit.Response, error)
-	if *permitBackend != "" {
-		permitFetch = (&permitplane.BatchClient{BackendURL: *permitBackend}).Fetch
-	}
-	for _, r := range routes {
-		var p scheduler.Path = &transfer.UploadPath{
-			PathName: r.Name, Client: r.Client, TargetURL: *target,
-			Field: *field, Source: source,
-		}
-		if permitFetch != nil && r.Cell != "" {
-			cache := &permitplane.Cache{
-				Fetch: permitFetch, Device: r.Name, Cell: r.Cell,
-				Seed:     int64(os.Getpid()),
-				FailOpen: *permitFailOpen,
-				Grace:    *permitGrace,
-			}
-			p = permitplane.GatePath(p, cache.Allowed)
-			log.Printf("3golc: gating path %s on permits for cell %s", r.Name, r.Cell)
-		} else if permitFetch != nil {
-			log.Printf("3golc: path %s announced no cell; relying on the device's own permit check", r.Name)
-		}
-		paths = append(paths, p)
-	}
-
-	rep, err := scheduler.Run(context.Background(), algo, items, paths, scheduler.Options{})
+	rep, err := core.Upload(context.Background(), algo, http.DefaultClient, routes, *target, items, source)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("uploaded %d files in %v over %d paths\n",
-		len(files), rep.Elapsed.Round(time.Millisecond), len(paths))
+		len(files), rep.Elapsed.Round(time.Millisecond), 1+len(routes))
 	for name, st := range rep.PerPath {
 		fmt.Printf("  %-12s %3d files  %d bytes\n", name, st.Items, st.Bytes)
 	}
@@ -240,4 +208,28 @@ func runUpload(args []string) error {
 		fmt.Printf("  endgame duplication wasted %d bytes\n", rep.WastedBytes)
 	}
 	return nil
+}
+
+// gateRoutes puts a client-side permit gate (defence in depth alongside
+// the device's own check) on the transport of every route that
+// announced a serving cell: a denied or lapsed permit fails the request
+// with permitplane.ErrNotPermitted, and the scheduler requeues the item
+// onto the remaining paths. The ADSL path is never gated — permits
+// govern cellular onloading only.
+func gateRoutes(routes []core.Route, backend string, failOpen bool, grace time.Duration) {
+	fetch := (&permitplane.BatchClient{BackendURL: backend}).Fetch
+	for _, r := range routes {
+		if r.Cell == "" {
+			log.Printf("3golc: path %s announced no cell; relying on the device's own permit check", r.Name)
+			continue
+		}
+		cache := &permitplane.Cache{
+			Fetch: fetch, Device: r.Name, Cell: r.Cell,
+			Seed:     int64(os.Getpid()),
+			FailOpen: failOpen,
+			Grace:    grace,
+		}
+		r.Client.Transport = permitplane.Gate(r.Client.Transport, cache.Allowed)
+		log.Printf("3golc: gating path %s on permits for cell %s", r.Name, r.Cell)
+	}
 }

@@ -1,9 +1,10 @@
 // Command 3gold is the 3GOL device daemon — the component that runs on a
-// 3G-connected phone (§4.1). It serves an HTTP proxy that pipes requests
-// from the home LAN out through the cellular interface, advertises itself
-// to the client's discovery endpoint while it is allowed to onload, and
-// enforces either a permit (network-integrated mode, -backend) or a daily
-// quota (multi-provider mode, -quota-mb).
+// 3G-connected phone (§4.1). It runs one core.Device, the device
+// component the emulated home and the experiments run: an HTTP proxy that
+// pipes requests from the home LAN out through the cellular interface,
+// advertised to the client's discovery endpoint while it is allowed to
+// onload, which needs a permit (network-integrated mode, -backend), quota
+// left (multi-provider mode, -quota-mb), both, or neither.
 //
 // Example (multi-provider, 20 MB/day):
 //
@@ -23,7 +24,7 @@ import (
 	"os/signal"
 	"syscall"
 
-	"threegol/internal/discovery"
+	"threegol/internal/core"
 	"threegol/internal/obs"
 	"threegol/internal/obs/eventlog"
 	"threegol/internal/permitplane"
@@ -55,10 +56,6 @@ func main() {
 	// Seed per process so span IDs from two daemons never collide when
 	// their logs are stitched together.
 	events := eventlog.NewRing(0, int64(os.Getpid()), eventlog.SinceStart(nil), eventRingSize)
-	srv := &proxy.Server{Dial: dialer(*iface3g), Metrics: proxy.NewMetrics(reg), Events: events}
-	if *verbosity {
-		srv.Logf = log.Printf
-	}
 	debugMux := http.NewServeMux()
 	debugMux.Handle("/debug/metrics", obs.Handler(reg))
 	debugMux.Handle("/debug/events", eventlog.Handler(events))
@@ -69,12 +66,10 @@ func main() {
 		debugMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		debugMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	srv.Debug = debugMux
 
 	var tracker *quota.Tracker
 	if *quotaMB > 0 {
 		tracker = quota.NewTracker(*quotaMB << 20)
-		srv.OnBytes = tracker.Use
 	}
 	// Network-integrated mode: the device-side permit cache refreshes
 	// through the batch RPC at a TTL-jittered point before expiry, so a
@@ -86,9 +81,9 @@ func main() {
 	// onloading — traffic falls back to ADSL), or with -permit-fail-open
 	// it honours the last granted permit for up to -permit-grace past
 	// its expiry while probing for the backend's return.
-	var permits *permitplane.Cache
+	var permit func(context.Context) bool
 	if *backend != "" {
-		permits = &permitplane.Cache{
+		permit = (&permitplane.Cache{
 			Fetch:    (&permitplane.BatchClient{BackendURL: *backend}).Fetch,
 			Device:   *name,
 			Cell:     *cell,
@@ -97,50 +92,34 @@ func main() {
 			Events:   events,
 			FailOpen: *failOpen,
 			Grace:    *grace,
-		}
-	}
-	srv.Admit = func(ctx context.Context) bool {
-		if permits != nil && !permits.Allowed(ctx) {
-			return false
-		}
-		if tracker != nil && !tracker.ShouldAdvertise() {
-			return false
-		}
-		return true
+		}).Allowed
 	}
 
-	addr, shutdown, err := srv.ListenAndServe(context.Background(), *listen)
+	dev := core.NewDevice(*name, *cell, dialer(*iface3g), tracker, permit)
+	dev.Proxy.Metrics = proxy.NewMetrics(reg)
+	dev.Proxy.Events = events
+	if *verbosity {
+		dev.Proxy.Logf = log.Printf
+	}
+	dev.Proxy.Debug = debugMux
+
+	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("3gold: starting proxy: %v", err)
 	}
-	defer shutdown()
-	log.Printf("3gold: %s proxying on %s (metrics at http://%s/debug/metrics)", *name, addr, addr)
-
+	if err := dev.Serve(context.Background(), ln, *disco, 0); err != nil {
+		log.Fatalf("3gold: starting beacon: %v", err)
+	}
+	defer dev.Close()
+	log.Printf("3gold: %s proxying on %s (metrics at http://%s/debug/metrics)", *name, ln.Addr(), ln.Addr())
 	if *disco != "" {
-		beacon := &discovery.Beacon{
-			Target: *disco,
-			Announce: func() (discovery.Announcement, bool) {
-				if !srv.Admit(context.Background()) {
-					return discovery.Announcement{}, false
-				}
-				ann := discovery.Announcement{Name: *name, ProxyAddr: addr, Cell: *cell}
-				if tracker != nil {
-					ann.AllowanceBytes = tracker.Available()
-				}
-				return ann, true
-			},
-		}
-		if err := beacon.Start(); err != nil {
-			log.Fatalf("3gold: starting beacon: %v", err)
-		}
-		defer beacon.Stop()
 		log.Printf("3gold: advertising to %s", *disco)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	log.Printf("3gold: %d bytes onloaded this session", srv.BytesTotal())
+	log.Printf("3gold: %d bytes onloaded this session", dev.Proxy.BytesTotal())
 }
 
 // dialer binds outgoing connections to the cellular interface address

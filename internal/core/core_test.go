@@ -81,7 +81,7 @@ func TestQuotaExhaustedPhoneWithdraws(t *testing.T) {
 		t.Fatal("capped phone should advertise while quota remains")
 	}
 	// Burn the quota directly.
-	h.Phones[0].Tracker.Use(2000)
+	h.Phones[0].Device.quota.Use(2000)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if len(h.Browser.Devices()) == 0 {

@@ -24,7 +24,6 @@ import (
 	"threegol/internal/clock"
 	"threegol/internal/discovery"
 	"threegol/internal/netem"
-	"threegol/internal/proxy"
 	"threegol/internal/quota"
 )
 
@@ -86,13 +85,11 @@ type Home struct {
 	closers []func()
 }
 
-// Phone is one running device component: HTTP proxy bound to an emulated
-// 3G path, quota tracker, discovery beacon, RRC state.
+// Phone is one emulated handset: a running Device whose proxy dials out
+// over an emulated 3G path, and the handset's RRC state.
 type Phone struct {
-	Name      string
-	ProxyAddr string
-	Tracker   *quota.Tracker // nil in network-integrated mode
-	Proxy     *proxy.Server
+	Name   string
+	Device *Device
 
 	dl, ul *netem.Limiter
 	home   *Home
@@ -203,45 +200,20 @@ func (h *Home) startPhone(i int, pc PhoneConfig, scale float64, browseAddr strin
 		}
 	}
 
+	var tracker *quota.Tracker // none in network-integrated mode
 	if pc.DailyQuotaBytes > 0 {
-		ph.Tracker = quota.NewTracker(pc.DailyQuotaBytes)
+		tracker = quota.NewTracker(pc.DailyQuotaBytes)
 	}
-
-	ph.Proxy = &proxy.Server{
-		Dial:    &netem.Dialer{Pipe: hspaPipe, Seed: h.cfg.Seed + int64(i)*977},
-		OnBytes: func(int64) { ph.WarmUp() },
-	}
-	if tr := ph.Tracker; tr != nil {
-		ph.Proxy.OnBytes = func(n int64) { ph.WarmUp(); tr.Use(n) }
-		ph.Proxy.Admit = func(context.Context) bool { return tr.ShouldAdvertise() }
-	}
+	ph.Device = NewDevice(name, "", &netem.Dialer{Pipe: hspaPipe, Seed: h.cfg.Seed + int64(i)*977}, tracker, nil)
+	ph.Device.Proxy.OnBytes = func(int64) { ph.WarmUp() }
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("core: starting proxy for %s: %w", name, err)
 	}
-	addr := ln.Addr().String()
-	shutdown := ph.Proxy.Serve(context.Background(), netem.BoundUpstream(ln))
-	ph.ProxyAddr = addr
-	h.closers = append(h.closers, func() { shutdown() })
-
-	beacon := &discovery.Beacon{
-		Target:   browseAddr,
-		Interval: 50 * time.Millisecond,
-		Announce: func() (discovery.Announcement, bool) {
-			ann := discovery.Announcement{Name: name, ProxyAddr: addr}
-			if ph.Tracker != nil {
-				ann.AllowanceBytes = ph.Tracker.Available()
-				if ann.AllowanceBytes <= 0 {
-					return discovery.Announcement{}, false
-				}
-			}
-			return ann, true
-		},
-	}
-	if err := beacon.Start(); err != nil {
+	if err := ph.Device.Serve(context.Background(), netem.BoundUpstream(ln), browseAddr, 50*time.Millisecond); err != nil {
 		return nil, fmt.Errorf("core: starting beacon for %s: %w", name, err)
 	}
-	h.closers = append(h.closers, beacon.Stop)
+	h.closers = append(h.closers, func() { ph.Device.Close() })
 	return ph, nil
 }
 
@@ -276,7 +248,7 @@ func (h *Home) PhoneClient(ph *Phone) *http.Client {
 		Pipe: netem.WiFiPipe(h.wifi, h.TimeScale()),
 		Seed: h.cfg.Seed ^ int64(len(ph.Name)),
 	}
-	proxyURL := &url.URL{Scheme: "http", Host: ph.ProxyAddr}
+	proxyURL := &url.URL{Scheme: "http", Host: ph.Device.addr}
 	var once sync.Once
 	return &http.Client{Transport: &http.Transport{
 		Proxy: http.ProxyURL(proxyURL),
@@ -290,6 +262,23 @@ func (h *Home) PhoneClient(ph *Phone) *http.Client {
 		},
 		MaxIdleConnsPerHost: 8,
 	}}
+}
+
+// routes returns a session's ADSL client and a route through each of
+// phones. Each client owns a fresh transport; release closes their
+// pooled connections (and the goroutines serving them).
+func (h *Home) routes(phones []*Phone) (*http.Client, []Route, func()) {
+	adsl := h.ADSLClient()
+	routes := make([]Route, len(phones))
+	for i, ph := range phones {
+		routes[i] = Route{Name: ph.Name, Client: h.PhoneClient(ph)}
+	}
+	return adsl, routes, func() {
+		adsl.CloseIdleConnections()
+		for _, r := range routes {
+			r.Client.CloseIdleConnections()
+		}
+	}
 }
 
 // AdmissibleDevices waits for up to n phones to appear in discovery and

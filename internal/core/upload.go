@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"slices"
 	"time"
 
@@ -56,9 +58,6 @@ type UploadOptions struct {
 	Phones []*Phone
 	// TargetURL is the upload endpoint (multipart POST).
 	TargetURL string
-	// MinAlpha and DisableDuplication are the ablation knobs.
-	MinAlpha           float64
-	DisableDuplication bool
 }
 
 // UploadResult reports a finished upload transaction in emulated time.
@@ -68,77 +67,82 @@ type UploadResult struct {
 	SchedulerReport *scheduler.Report
 }
 
-// UploadPhotos uploads the set over the ADSL uplink plus the admissible
-// phones, mirroring the sequential native-client behaviour only in shape
-// (multipart POST per photo) while parallelising across paths. The
-// scheduler is offered the photos longest-first (stable on ties): a path
-// that frees up late then picks up a small photo, not a large one, so the
-// paths finish closer together; and once the target has said
-// "Accept-Ranges: bytes" (as upload.Server does), the last photos are
-// divided between the paths by their rates, each piece a POST of its
-// own, so that they finish together. The report is in the caller's order:
-// ItemDone[i] and an ItemError's ItemID refer to photos[i]. Two photos
-// may not share a name, the key the upload server stores them by.
+// UploadPhotos uploads the set with Upload over the home's ADSL uplink
+// plus the admissible phones, mirroring the sequential native-client
+// behaviour only in shape (a multipart POST per photo) while
+// parallelising across paths. The report is in the caller's order:
+// ItemDone[i] and an ItemError's ItemID refer to photos[i].
 func (h *Home) UploadPhotos(ctx context.Context, photos []Photo, opts UploadOptions) (*UploadResult, error) {
 	if opts.TargetURL == "" {
 		return nil, fmt.Errorf("core: UploadPhotos requires a TargetURL")
 	}
-	order := uploadOrder(photos)
 	items := make([]scheduler.Item, len(photos))
 	byName := make(map[string][]byte, len(photos))
-	for id, i := range order {
-		p := photos[i]
-		if _, dup := byName[p.Name]; dup {
-			return nil, fmt.Errorf("core: photo name %q appears twice in the set", p.Name)
-		}
-		items[id] = scheduler.Item{ID: id, Name: p.Name, Size: int64(len(p.Data))}
+	for i, p := range photos {
+		items[i] = scheduler.Item{Name: p.Name, Size: int64(len(p.Data))}
 		byName[p.Name] = p.Data
 	}
 	source := func(item scheduler.Item) (io.ReadCloser, error) {
-		b, ok := byName[item.Name]
-		if !ok {
-			return nil, fmt.Errorf("core: unknown photo %q", item.Name)
+		return photoReader{bytes.NewReader(byName[item.Name])}, nil
+	}
+	adsl, routes, release := h.routes(opts.Phones)
+	defer release()
+	rep, err := Upload(ctx, opts.Algo, adsl, routes, opts.TargetURL, items, source)
+	if err != nil {
+		return nil, err
+	}
+	return &UploadResult{
+		Elapsed:         h.ScaleDuration(rep.Elapsed),
+		Bytes:           TotalBytes(photos),
+		SchedulerReport: rep,
+	}, nil
+}
+
+// Upload is the client component's uploader (§4.1), the one 3golc and
+// Home.UploadPhotos run: it sends items to target as multipart POSTs
+// (transfer.UploadPath) over direct, the ADSL route named "adsl", and
+// over every route, opening each item's content with source. The
+// scheduler is offered the items longest-first (stable on ties): a path
+// that frees up late then picks up a small item, not a large one, so the
+// paths finish closer together; and once the target has said
+// "Accept-Ranges: bytes" (as upload.Server does), the last items are
+// divided between the paths by their rates, each piece a POST of its
+// own, so that they finish together. Items need a Name and a Size; two
+// may not share a name, the key the upload server stores them by. The
+// report is in the caller's order: ItemDone[i] and an ItemError's ItemID
+// refer to items[i].
+func Upload(ctx context.Context, algo scheduler.Algo, direct *http.Client, routes []Route, target string, items []scheduler.Item, source transfer.ItemSource) (*scheduler.Report, error) {
+	order := uploadOrder(items)
+	offered := make([]scheduler.Item, len(items))
+	names := make(map[string]bool, len(items))
+	for id, i := range order {
+		it := items[i]
+		if names[it.Name] {
+			return nil, fmt.Errorf("core: name %q appears twice in the upload", it.Name)
 		}
-		return photoReader{bytes.NewReader(b)}, nil
+		names[it.Name] = true
+		it.ID = id
+		offered[id] = it
+	}
+	paths := make([]scheduler.Path, 0, 1+len(routes))
+	paths = append(paths, &transfer.UploadPath{PathName: "adsl", Client: direct, TargetURL: target, Source: source})
+	for _, r := range routes {
+		paths = append(paths, &transfer.UploadPath{PathName: r.Name, Client: r.Client, TargetURL: target, Source: source})
 	}
 
-	// The session's clients each own a fresh transport; release their
-	// pooled connections (and the goroutines serving them) on return.
-	adsl := h.ADSLClient()
-	defer adsl.CloseIdleConnections()
-	paths := []scheduler.Path{
-		&transfer.UploadPath{
-			PathName: "adsl", Client: adsl, TargetURL: opts.TargetURL, Source: source,
-		},
-	}
-	for _, ph := range opts.Phones {
-		c := h.PhoneClient(ph)
-		defer c.CloseIdleConnections()
-		paths = append(paths, &transfer.UploadPath{
-			PathName: ph.Name, Client: c, TargetURL: opts.TargetURL, Source: source,
-		})
-	}
-
-	rep, err := scheduler.Run(ctx, opts.Algo, items, paths, scheduler.Options{
-		MinAlpha:           opts.MinAlpha,
-		DisableDuplication: opts.DisableDuplication,
-	})
+	rep, err := scheduler.Run(ctx, algo, offered, paths, scheduler.Options{})
 	if err != nil {
 		if ie := (*scheduler.ItemError)(nil); errors.As(err, &ie) {
 			ie.ItemID = order[ie.ItemID]
 		}
 		return nil, fmt.Errorf("core: upload transaction: %w", err)
 	}
-	done := make([]time.Duration, len(photos))
+	done := make([]time.Duration, len(items))
 	for id, i := range order {
 		done[i] = rep.ItemDone[id]
 	}
 	rep.ItemDone = done
-	return &UploadResult{
-		Elapsed:         h.ScaleDuration(rep.Elapsed),
-		Bytes:           TotalBytes(photos),
-		SchedulerReport: rep,
-	}, nil
+	return rep, nil
 }
 
 // photoReader is a photo's content as the upload paths read it:
@@ -147,14 +151,14 @@ type photoReader struct{ *bytes.Reader }
 
 func (photoReader) Close() error { return nil }
 
-// uploadOrder is the order UploadPhotos offers photos to the scheduler:
-// their indices longest-first, stable on ties.
-func uploadOrder(photos []Photo) []int {
-	order := make([]int, len(photos))
+// uploadOrder is the order Upload offers items to the scheduler: their
+// indices longest-first, stable on ties.
+func uploadOrder(items []scheduler.Item) []int {
+	order := make([]int, len(items))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return len(photos[b].Data) - len(photos[a].Data) })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(items[b].Size, items[a].Size) })
 	return order
 }
 
@@ -163,12 +167,8 @@ func uploadOrder(photos []Photo) []int {
 // longest-first, as UploadPhotos does; one path's total does not depend
 // on the order.
 func (h *Home) BaselineUpload(ctx context.Context, photos []Photo, targetURL string) (*UploadResult, error) {
-	res, err := h.UploadPhotos(ctx, photos, UploadOptions{
+	return h.UploadPhotos(ctx, photos, UploadOptions{
 		Algo:      scheduler.RoundRobin, // single path: the offered order
 		TargetURL: targetURL,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -113,10 +113,10 @@ func TestCancelledUploadStopsAtTheLink(t *testing.T) {
 	}
 	// The phone stops working for the cancelled request: once the link
 	// is quiet its byte count and its quota stand still.
-	proxied, left := ph.Proxy.BytesTotal(), ph.Tracker.Available()
+	proxied, left := ph.Device.Proxy.BytesTotal(), ph.Device.quota.Available()
 	charged := 1<<30 - left
 	time.Sleep(200 * time.Millisecond)
-	if p, a := ph.Proxy.BytesTotal(), ph.Tracker.Available(); p != proxied || a != left {
+	if p, a := ph.Device.Proxy.BytesTotal(), ph.Device.quota.Available(); p != proxied || a != left {
 		t.Errorf("phone kept working after the cancel: proxy bytes %d → %d, quota left %d → %d", proxied, p, left, a)
 	}
 	// The multipart body declares its length, but the request failed

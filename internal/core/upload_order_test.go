@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -17,6 +18,7 @@ import (
 
 	"threegol/internal/cellular"
 	"threegol/internal/fault"
+	"threegol/internal/permitplane"
 	"threegol/internal/scheduler"
 	"threegol/internal/upload"
 )
@@ -147,7 +149,7 @@ func TestLongestFirstShortensUploadShaped(t *testing.T) {
 		given[i] = i
 	}
 	caller := uploadShaped(t, photos, given, false).Elapsed
-	offered := uploadShaped(t, photos, uploadOrder(photos), false).Elapsed
+	offered := uploadShaped(t, photos, uploadOrder(photoItems(photos)), false).Elapsed
 	t.Logf("caller's order %.1f ms, longest-first %.1f ms", caller*1000, offered*1000)
 	if offered > 0.640 {
 		t.Errorf("longest-first upload ends at %.1f ms, want ≤ 640 ms (caller's order: %.1f ms)", offered*1000, caller*1000)
@@ -160,8 +162,8 @@ func TestLongestFirstShortensUploadShaped(t *testing.T) {
 // of 608.4 ms, with no duplicate; whole photos still end at 638.6 ms.
 func TestPiecesShortenUploadShaped(t *testing.T) {
 	photos := GeneratePhotos(12, 42)
-	whole := uploadShaped(t, photos, uploadOrder(photos), false)
-	pieces := uploadShaped(t, photos, uploadOrder(photos), true)
+	whole := uploadShaped(t, photos, uploadOrder(photoItems(photos)), false)
+	pieces := uploadShaped(t, photos, uploadOrder(photoItems(photos)), true)
 	t.Logf("whole photos %.1f ms (%d duplicates, %d B waste); pieces %.1f ms (%d pieces, %d duplicates, %d B waste)",
 		whole.Elapsed*1000, whole.Duplicates, whole.DuplicateWaste,
 		pieces.Elapsed*1000, pieces.Splits, pieces.Duplicates, pieces.DuplicateWaste)
@@ -174,6 +176,101 @@ func TestPiecesShortenUploadShaped(t *testing.T) {
 	if pieces.Splits == 0 || pieces.Duplicates != 0 || pieces.DuplicateWaste != 0 {
 		t.Errorf("%d pieces, %d duplicates, %d B duplicate waste: want pieces and no duplicate", pieces.Splits, pieces.Duplicates, pieces.DuplicateWaste)
 	}
+}
+
+// piecesHome is a home whose three uplinks have one rate, so that every
+// path has an estimate by the time the last photo is assigned, with its
+// two phones discovered, and seven photos of one size: the first three
+// start whole on the three paths before any has an estimate, the next
+// three are each a path's share of the four left, and the last is
+// divided when it is assigned.
+func piecesHome(t *testing.T) (*Home, []*Phone, []Photo) {
+	t.Helper()
+	h, err := NewHome(HomeConfig{
+		DSLDown: 2e6, DSLUp: 1.5e6, TimeScale: testTimeScale(), Seed: 42,
+		Phones: []PhoneConfig{warmPhone("ph1"), warmPhone("ph2")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	phones := h.AdmissibleDevices(2, 5*time.Second)
+	if len(phones) != 2 {
+		t.Fatal("phones not discovered")
+	}
+	photos := GeneratePhotos(7, 7)
+	for i := range photos {
+		photos[i].Data = photos[i].Data[:400<<10]
+	}
+	return h, phones, photos
+}
+
+// A route gated on a permit is gated in its transport, so its upload
+// path still carries pieces: the permit-gated phones of a transaction
+// that an upload.Server receives take part in dividing its last photo,
+// and every photo arrives intact. (Gating the path itself hid that it
+// carries ranges, and the core then sized no piece on any path.)
+func TestPermitGatedRoutesCarryPieces(t *testing.T) {
+	h, phones, photos := piecesHome(t)
+	store := &upload.Server{}
+	target := httptest.NewServer(store)
+	defer target.Close()
+
+	var asked atomic.Int64
+	allow := func(context.Context) bool { asked.Add(1); return true }
+	adsl, routes, release := h.routes(phones)
+	defer release()
+	for _, r := range routes {
+		r.Client.Transport = permitplane.Gate(r.Client.Transport, allow)
+	}
+	byName := map[string][]byte{}
+	for _, p := range photos {
+		byName[p.Name] = p.Data
+	}
+	source := func(item scheduler.Item) (io.ReadCloser, error) {
+		return photoReader{bytes.NewReader(byName[item.Name])}, nil
+	}
+	rep, err := Upload(context.Background(), scheduler.Greedy, adsl, routes, target.URL, photoItems(photos), source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d splits, %d duplicates, %d permit checks", rep.Splits, rep.Duplicates, asked.Load())
+	if asked.Load() == 0 {
+		t.Error("no request asked the permit gate")
+	}
+	if rep.Splits == 0 {
+		t.Error("no photo divided over permit-gated routes")
+	}
+	checkStored(t, store, photos)
+}
+
+// checkStored checks that store holds every photo, each with the digest
+// of the bytes sent.
+func checkStored(t *testing.T, store *upload.Server, photos []Photo) {
+	t.Helper()
+	digests := map[string]string{}
+	for _, p := range photos {
+		sum := sha256.Sum256(p.Data)
+		digests[p.Name] = hex.EncodeToString(sum[:])
+	}
+	files := store.Files()
+	if len(files) != len(photos) {
+		t.Fatalf("upload.Server stored %d of %d photos", len(files), len(photos))
+	}
+	for _, f := range files {
+		if f.SHA256 != digests[f.Name] {
+			t.Errorf("%s stored with digest %s, sent %s", f.Name, f.SHA256, digests[f.Name])
+		}
+	}
+}
+
+// photoItems is photos as Upload's items.
+func photoItems(photos []Photo) []scheduler.Item {
+	items := make([]scheduler.Item, len(photos))
+	for i, p := range photos {
+		items[i] = scheduler.Item{Name: p.Name, Size: int64(len(p.Data))}
+	}
+	return items
 }
 
 // uploadShaped drives the real decision core in virtual time over
@@ -212,28 +309,7 @@ func uploadShaped(t *testing.T, photos []Photo, order []int, ranged bool) *fault
 // transaction that an upload.Server receives partly in pieces arrives as
 // whole photos only, each part with no Content-Range.
 func TestUploadPiecesOnlyWhereAccepted(t *testing.T) {
-	// Three uplinks of one rate, so that every path has an estimate by
-	// the time the last photo is assigned.
-	h, err := NewHome(HomeConfig{
-		DSLDown: 2e6, DSLUp: 1.5e6, TimeScale: testTimeScale(), Seed: 42,
-		Phones: []PhoneConfig{warmPhone("ph1"), warmPhone("ph2")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	phones := h.AdmissibleDevices(2, 5*time.Second)
-	if len(phones) != 2 {
-		t.Fatal("phones not discovered")
-	}
-	// Seven photos of one size: the first three start whole on the three
-	// paths before any has an estimate, the next three are each a path's
-	// share of the four left, and the last is divided when it is
-	// assigned.
-	photos := GeneratePhotos(7, 7)
-	for i := range photos {
-		photos[i].Data = photos[i].Data[:400<<10]
-	}
+	h, phones, photos := piecesHome(t)
 	var pieces atomic.Int64 // parts with a Content-Range the plain sink saw
 	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mr, err := r.MultipartReader()
@@ -274,18 +350,5 @@ func TestUploadPiecesOnlyWhereAccepted(t *testing.T) {
 	if rep.Splits == 0 {
 		t.Error("no photo divided for a target that says Accept-Ranges")
 	}
-	digests := map[string]string{}
-	for _, p := range photos {
-		sum := sha256.Sum256(p.Data)
-		digests[p.Name] = hex.EncodeToString(sum[:])
-	}
-	files := store.Files()
-	if len(files) != len(photos) {
-		t.Fatalf("upload.Server stored %d of %d photos", len(files), len(photos))
-	}
-	for _, f := range files {
-		if f.SHA256 != digests[f.Name] {
-			t.Errorf("%s stored with digest %s, sent %s", f.Name, f.SHA256, digests[f.Name])
-		}
-	}
+	checkStored(t, store, photos)
 }

@@ -42,10 +42,6 @@ type VoDOptions struct {
 	PrebufferFrac float64
 	// Quality selects the variant (e.g. "q3"); empty picks the lowest.
 	Quality string
-	// MinAlpha tunes the MIN estimator (ablation); 0 = paper's 0.75.
-	MinAlpha float64
-	// DisableDuplication turns off GRD's endgame (ablation).
-	DisableDuplication bool
 }
 
 // VoDResult reports a boosted session, in emulated time (TimeScale
@@ -326,20 +322,9 @@ func (v *vodProxy) buildPaths() []scheduler.Path {
 // proxy and reports emulated-time results. With an empty Phones set the
 // same pipeline degrades to the ADSL baseline.
 func (h *Home) BoostVoD(ctx context.Context, origin, masterPath string, opts VoDOptions) (*VoDResult, error) {
-	// The session's clients each own a fresh transport; release their
-	// pooled connections (and the goroutines serving them) on return.
-	adsl := h.ADSLClient()
-	defer adsl.CloseIdleConnections()
-	routes := make([]Route, 0, len(opts.Phones))
-	for _, ph := range opts.Phones {
-		c := h.PhoneClient(ph)
-		defer c.CloseIdleConnections()
-		routes = append(routes, Route{Name: ph.Name, Client: c})
-	}
-	vp, err := newVoDProxy(adsl, routes, origin, opts.Algo, scheduler.Options{
-		MinAlpha:           opts.MinAlpha,
-		DisableDuplication: opts.DisableDuplication,
-	})
+	adsl, routes, release := h.routes(opts.Phones)
+	defer release()
+	vp, err := newVoDProxy(adsl, routes, origin, opts.Algo, scheduler.Options{})
 	if err != nil {
 		return nil, err
 	}

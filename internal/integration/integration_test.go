@@ -19,7 +19,6 @@ import (
 	"threegol/internal/hls"
 	"threegol/internal/linksim"
 	"threegol/internal/permitplane"
-	"threegol/internal/proxy"
 	"threegol/internal/quota"
 	"threegol/internal/scheduler"
 	"threegol/internal/simclock"
@@ -58,35 +57,16 @@ func TestNetworkIntegratedPermitLoop(t *testing.T) {
 		Cell:   cell.Name(),
 	}
 
-	// Device component: proxy gated on the permit, beacon gated the same
-	// way.
-	srv := &proxy.Server{Dial: &net.Dialer{}, Admit: permits.Allowed}
-	proxyAddr, shutdown, err := srv.ListenAndServe(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-
+	// Device component: proxy and beacon gated on the permit. It
+	// announces no cell: the model names its sectors "bs/s0", and a
+	// discovery ID may not hold a '/'.
 	browser := &discovery.Browser{TTL: 120 * time.Millisecond}
 	discoAddr, err := browser.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer browser.Close()
-	beacon := &discovery.Beacon{
-		Target:   discoAddr,
-		Interval: 20 * time.Millisecond,
-		Announce: func() (discovery.Announcement, bool) {
-			if !permits.Allowed(context.Background()) {
-				return discovery.Announcement{}, false
-			}
-			return discovery.Announcement{Name: "ph1", ProxyAddr: proxyAddr}, true
-		},
-	}
-	if err := beacon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer beacon.Stop()
+	proxyAddr := serveDevice(t, core.NewDevice("ph1", "", &net.Dialer{}, nil, permits.Allowed), discoAddr)
 
 	// Phase 1: idle cell → permit granted → device visible.
 	if devs := browser.WaitFor(1, 2*time.Second); len(devs) != 1 {
@@ -161,25 +141,7 @@ func TestFullOTTStack(t *testing.T) {
 	for _, name := range []string{"ph1", "ph2"} {
 		tr := quota.NewTracker(100 << 20)
 		trackers = append(trackers, tr)
-		srv := &proxy.Server{Dial: &net.Dialer{}, OnBytes: tr.Use, Admit: func(context.Context) bool { return tr.ShouldAdvertise() }}
-		addr, shutdown, err := srv.ListenAndServe(context.Background(), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer shutdown()
-		b := &discovery.Beacon{
-			Target:   discoAddr,
-			Interval: 20 * time.Millisecond,
-			Announce: func() (discovery.Announcement, bool) {
-				return discovery.Announcement{
-					Name: name, ProxyAddr: addr, AllowanceBytes: tr.Available(),
-				}, true
-			},
-		}
-		if err := b.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer b.Stop()
+		serveDevice(t, core.NewDevice(name, "", &net.Dialer{}, tr, nil), discoAddr)
 	}
 
 	// Client side: build routes from discovery, start the accelerating
@@ -240,12 +202,7 @@ func TestQuotaGateClosesMidSession(t *testing.T) {
 	defer origin.Close()
 
 	tr := quota.NewTracker(100 * 1024) // ~1.5 responses worth
-	srv := &proxy.Server{Dial: &net.Dialer{}, OnBytes: tr.Use, Admit: func(context.Context) bool { return tr.ShouldAdvertise() }}
-	addr, shutdown, err := srv.ListenAndServe(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
+	addr := serveDevice(t, core.NewDevice("ph1", "", &net.Dialer{}, tr, nil), "")
 
 	u := &url.URL{Scheme: "http", Host: addr}
 	phone := &http.Client{Transport: &http.Transport{Proxy: http.ProxyURL(u)}}
@@ -271,4 +228,20 @@ func TestQuotaGateClosesMidSession(t *testing.T) {
 	if tr.Available() != 0 {
 		t.Errorf("quota not exhausted: %d left", tr.Available())
 	}
+}
+
+// serveDevice serves dev on a loopback port, announcing it to target
+// every 20 ms unless target is empty, until the test ends, and returns
+// its proxy's address.
+func serveDevice(t *testing.T, dev *core.Device, target string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Serve(context.Background(), ln, target, 20*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dev.Close() })
+	return ln.Addr().String()
 }

@@ -53,7 +53,10 @@ func round(site *cellular.Site, devs []*cellular.Device, dir cellular.Direction,
 			pending--
 		})
 	}
-	site.Sim.Run()
+	// The round ends at its last completion, not at the background-load
+	// refresh tick that may still be on the clock.
+	for pending > 0 && site.Sim.Clock().Step() {
+	}
 	if pending != 0 {
 		panic(fmt.Sprintf("measure: %d probes never completed", pending))
 	}

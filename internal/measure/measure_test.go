@@ -239,3 +239,21 @@ func TestDeterministicForSeed(t *testing.T) {
 		}
 	}
 }
+
+// A probe round ends at its last completion, not at whatever the
+// cellular model left on the clock: the background-load refresh tick a
+// transfer arms fires a refresh interval after the round began, long
+// after a 2 MB probe is in.
+func TestRoundEndsAtLastCompletion(t *testing.T) {
+	site := cellular.BuildSite(loc("loc1"), 42)
+	devs := site.AttachDevices(3)
+	t0 := site.Sim.Clock().Now()
+	samples := round(site, devs, cellular.Downlink, len(devs))
+	var slowest float64
+	for _, s := range samples {
+		slowest = math.Max(slowest, ProbeBytes*8/(s.Mbps*1e6))
+	}
+	if got := site.Sim.Clock().Now() - t0; math.Abs(got-slowest) > 1e-6*slowest {
+		t.Errorf("round returned %.3f s after it began, its slowest probe took %.3f s", got, slowest)
+	}
+}

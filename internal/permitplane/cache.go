@@ -98,9 +98,9 @@ func RefreshDelay(failed bool, ttl time.Duration, lo, hi float64, jitter func() 
 // Breaker): after DefaultBreakerThreshold consecutive refresh failures
 // it stops issuing backend round trips and serves a local degraded
 // verdict — fail-open (honour the last granted permit for up to Grace
-// past its genuine expiry) or fail-closed (no permit, no onloading; the
-// scheduler's gated path then fails with ErrNotPermitted and the
-// transfer falls back to ADSL, exactly the blackout behaviour).
+// past its genuine expiry) or fail-closed (no permit, no onloading; a
+// route behind Gate then fails with ErrNotPermitted and the transfer
+// falls back to ADSL, exactly the blackout behaviour).
 // Half-open probes re-close the breaker the moment the backend answers
 // again. A caller that gives up mid-refresh tells nothing about the
 // backend, so it leaves the cache and the breaker as they were.

@@ -13,6 +13,7 @@ import (
 	"threegol/internal/obs"
 	"threegol/internal/permit"
 	"threegol/internal/scheduler"
+	"threegol/internal/transfer"
 )
 
 // flakyBackend is a Fetch double with a reachability switch.
@@ -173,16 +174,27 @@ func TestCacheDegradedSchedulerFallsBack(t *testing.T) {
 	c := &Cache{Fetch: b.fetch, Device: "d0", Cell: "bs0/s0", Clock: clk}
 	tripBreaker(t, c, clk)
 
-	adsl := &stubPath{name: "adsl", n: 100}
-	gated := GatePath(&stubPath{name: "3g", n: 100}, c.Allowed)
+	fallsBackToADSL(t, c)
+}
+
+// fallsBackToADSL runs six items over ADSL and a 3G path gated on c,
+// which must refuse with ErrNotPermitted and leave every item to ADSL.
+func fallsBackToADSL(t *testing.T, c *Cache) {
+	t.Helper()
+	origin, _ := countingOrigin(t)
+	adsl := &transfer.DownloadPath{PathName: "adsl", Client: origin.Client()}
+	gated := gatedDownload(origin, c.Allowed)
 	items := make([]scheduler.Item, 6)
 	for i := range items {
-		items[i] = scheduler.Item{ID: i, Size: 100}
+		items[i] = scheduler.Item{ID: i, Name: origin.URL + "/seg", Size: 100}
+	}
+	if _, err := gated.Transfer(context.Background(), items[0]); !errors.Is(err, ErrNotPermitted) {
+		t.Errorf("3g transfer error = %v, want one wrapping ErrNotPermitted", err)
 	}
 	rep, err := scheduler.Run(context.Background(), scheduler.Greedy, items,
 		[]scheduler.Path{adsl, gated}, scheduler.Options{})
 	if err != nil {
-		t.Fatalf("transaction failed during permit blackout: %v", err)
+		t.Fatalf("transaction failed with no permit: %v", err)
 	}
 	if got := rep.PerPath["adsl"].Items; got != len(items) {
 		t.Errorf("adsl completed %d of %d items", got, len(items))
@@ -219,23 +231,7 @@ func TestMissingBatchRouteDegradesCache(t *testing.T) {
 		t.Error("degraded cache granted without a reachable batch route")
 	}
 
-	adsl := &stubPath{name: "adsl", n: 100}
-	gated := GatePath(&stubPath{name: "3g", n: 100}, c.Allowed)
-	items := make([]scheduler.Item, 6)
-	for i := range items {
-		items[i] = scheduler.Item{ID: i, Size: 100}
-	}
-	rep, err := scheduler.Run(context.Background(), scheduler.Greedy, items,
-		[]scheduler.Path{adsl, gated}, scheduler.Options{})
-	if err != nil {
-		t.Fatalf("transaction failed without a batch route: %v", err)
-	}
-	if got := rep.PerPath["adsl"].Items; got != len(items) {
-		t.Errorf("adsl completed %d of %d items", got, len(items))
-	}
-	if got := rep.PerPath["3g"].Items; got != 0 {
-		t.Errorf("3g completed %d items with no permit", got)
-	}
+	fallsBackToADSL(t, c)
 }
 
 // TestCacheCallerCancellationLeavesCacheAlone pins that a caller giving

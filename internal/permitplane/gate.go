@@ -3,54 +3,47 @@ package permitplane
 import (
 	"context"
 	"errors"
-
-	"threegol/internal/scheduler"
+	"net/http"
 )
 
-// ErrNotPermitted is returned by a gated path when its permit check
-// fails: the device's serving cell is congested (or the backend is
+// ErrNotPermitted is returned through a gated route when its permit
+// check fails: the device's serving cell is congested (or the backend is
 // unreachable, which fails safe). The scheduler treats it like any
 // transfer failure — the item requeues onto other paths, and repeated
 // denials trip the path's circuit breaker, which is exactly the
 // behaviour a revoked permit should produce.
 var ErrNotPermitted = errors.New("permitplane: no valid permit for path")
 
-// GatePath decorates a scheduler path with a client-side permit gate:
-// every transfer first consults allowed (normally Cache.Allowed, so the
-// check is a cache hit on the fast path) and fails with ErrNotPermitted
-// when the path may not onload right now. Progress reporting is
-// preserved: wrapping a ProgressPath yields a ProgressPath, so the
-// stall watchdog keeps watching through the gate.
-func GatePath(inner scheduler.Path, allowed func(ctx context.Context) bool) scheduler.Path {
-	g := gatedPath{inner: inner, allowed: allowed}
-	if pp, ok := inner.(scheduler.ProgressPath); ok {
-		return &gatedProgressPath{gatedPath: g, inner: pp}
-	}
-	return &g
+// Gate puts a client-side permit gate on next, a route's HTTP
+// transport: every request first consults allowed (normally
+// Cache.Allowed, so the check is a cache hit on the fast path) and, when
+// the route may not onload right now, fails with ErrNotPermitted without
+// reaching next. The error survives http.Client's wrapping, so errors.Is
+// finds it in what a path returns. Gating the transport rather than the
+// path leaves the path as it is: an upload path still carries pieces.
+func Gate(next http.RoundTripper, allowed func(ctx context.Context) bool) http.RoundTripper {
+	return gate{next: next, allowed: allowed}
 }
 
-type gatedPath struct {
-	inner   scheduler.Path
+type gate struct {
+	next    http.RoundTripper
 	allowed func(ctx context.Context) bool
 }
 
-func (g *gatedPath) Name() string { return g.inner.Name() }
-
-func (g *gatedPath) Transfer(ctx context.Context, item scheduler.Item) (int64, error) {
-	if !g.allowed(ctx) {
-		return 0, ErrNotPermitted
+func (g gate) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !g.allowed(req.Context()) {
+		if req.Body != nil {
+			req.Body.Close() // a RoundTripper closes the body on every path out
+		}
+		return nil, ErrNotPermitted
 	}
-	return g.inner.Transfer(ctx, item)
+	return g.next.RoundTrip(req)
 }
 
-type gatedProgressPath struct {
-	gatedPath
-	inner scheduler.ProgressPath
-}
-
-func (g *gatedProgressPath) TransferProgress(ctx context.Context, item scheduler.Item, progress func(total int64)) (int64, error) {
-	if !g.allowed(ctx) {
-		return 0, ErrNotPermitted
+// CloseIdleConnections passes http.Client's call on to next, so a gated
+// client still releases its pooled connections.
+func (g gate) CloseIdleConnections() {
+	if c, ok := g.next.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
 	}
-	return g.inner.TransferProgress(ctx, item, progress)
 }

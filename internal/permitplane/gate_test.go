@@ -2,78 +2,107 @@ package permitplane
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"threegol/internal/scheduler"
+	"threegol/internal/transfer"
 )
 
-type stubPath struct {
-	name  string
-	n     int64
-	calls int
+// countingOrigin answers every request with a 100-byte body and counts
+// the requests that reach it.
+func countingOrigin(t *testing.T) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = w.Write(make([]byte, 100))
+	}))
+	t.Cleanup(srv.Close)
+	return srv, &hits
 }
 
-func (p *stubPath) Name() string { return p.name }
-
-func (p *stubPath) Transfer(ctx context.Context, item scheduler.Item) (int64, error) {
-	p.calls++
-	return p.n, nil
-}
-
-type stubProgressPath struct {
-	stubPath
-	progressCalls int
-}
-
-func (p *stubProgressPath) TransferProgress(ctx context.Context, item scheduler.Item, progress func(total int64)) (int64, error) {
-	p.calls++
-	p.progressCalls++
-	progress(p.n)
-	return p.n, nil
-}
-
-func TestGatePathBlocksWithoutPermit(t *testing.T) {
-	allowed := true
-	inner := &stubPath{name: "3g", n: 1000}
-	p := GatePath(inner, func(context.Context) bool { return allowed })
-	if p.Name() != "3g" {
-		t.Errorf("gate renamed the path to %q", p.Name())
+// gatedDownload is a 3G download path whose client's transport is
+// gated on allowed.
+func gatedDownload(origin *httptest.Server, allowed func(context.Context) bool) *transfer.DownloadPath {
+	return &transfer.DownloadPath{
+		PathName: "3g",
+		Client:   &http.Client{Transport: Gate(origin.Client().Transport, allowed)},
 	}
-	if n, err := p.Transfer(context.Background(), scheduler.Item{}); err != nil || n != 1000 {
+}
+
+// closeRecorder is a request body that records its Close.
+type closeRecorder struct {
+	io.Reader
+	closed atomic.Bool
+}
+
+func (c *closeRecorder) Close() error { c.closed.Store(true); return nil }
+
+func TestGateBlocksWithoutPermit(t *testing.T) {
+	origin, hits := countingOrigin(t)
+	var allowed atomic.Bool
+	allowed.Store(true)
+	p := gatedDownload(origin, func(context.Context) bool { return allowed.Load() })
+	item := scheduler.Item{Name: origin.URL + "/seg"}
+	if n, err := p.Transfer(context.Background(), item); err != nil || n != 100 {
 		t.Errorf("permitted transfer: n=%d err=%v", n, err)
 	}
-	allowed = false
-	if _, err := p.Transfer(context.Background(), scheduler.Item{}); err != ErrNotPermitted {
-		t.Errorf("unpermitted transfer error = %v, want ErrNotPermitted", err)
+	allowed.Store(false)
+	if _, err := p.Transfer(context.Background(), item); !errors.Is(err, ErrNotPermitted) {
+		t.Errorf("unpermitted transfer error = %v, want one wrapping ErrNotPermitted", err)
 	}
-	if inner.calls != 1 {
-		t.Errorf("inner path called %d times, want 1 (gate must short-circuit)", inner.calls)
+	if got := hits.Load(); got != 1 {
+		t.Errorf("origin saw %d requests, want 1 (the gate must short-circuit)", got)
+	}
+
+	// A refused request's body is closed, as a RoundTripper must.
+	body := &closeRecorder{Reader: strings.NewReader("photo")}
+	req, err := http.NewRequest(http.MethodPost, origin.URL, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Client.Do(req); !errors.Is(err, ErrNotPermitted) {
+		t.Errorf("unpermitted POST error = %v, want one wrapping ErrNotPermitted", err)
+	}
+	if !body.closed.Load() {
+		t.Error("the gate refused a request without closing its body")
 	}
 }
 
-func TestGatePathPreservesProgress(t *testing.T) {
-	inner := &stubProgressPath{stubPath: stubPath{name: "3g", n: 500}}
-	allowed := true
-	gated := GatePath(inner, func(context.Context) bool { return allowed })
-	pp, ok := gated.(scheduler.ProgressPath)
-	if !ok {
-		t.Fatal("gating a ProgressPath lost the progress interface")
-	}
+// The gate sits in the transport, so the path it gates keeps reporting
+// progress to the stall watchdog.
+func TestGatePreservesProgress(t *testing.T) {
+	origin, _ := countingOrigin(t)
+	p := gatedDownload(origin, func(context.Context) bool { return true })
 	var reported int64
-	n, err := pp.TransferProgress(context.Background(), scheduler.Item{}, func(total int64) { reported = total })
-	if err != nil || n != 500 || reported != 500 {
+	n, err := p.TransferProgress(context.Background(),
+		scheduler.Item{Name: origin.URL + "/seg"}, func(total int64) { reported = total })
+	if err != nil || n != 100 || reported != 100 {
 		t.Errorf("gated progress transfer: n=%d reported=%d err=%v", n, reported, err)
 	}
-	allowed = false
-	if _, err := pp.TransferProgress(context.Background(), scheduler.Item{}, func(int64) {}); err != ErrNotPermitted {
-		t.Errorf("unpermitted progress transfer error = %v, want ErrNotPermitted", err)
-	}
-	if inner.progressCalls != 1 {
-		t.Errorf("inner progress path called %d times, want 1", inner.progressCalls)
-	}
+}
 
-	// A plain Path must not grow a progress method through the gate.
-	if _, ok := GatePath(&stubPath{}, func(context.Context) bool { return true }).(scheduler.ProgressPath); ok {
-		t.Error("gating a plain Path invented a progress interface")
+// idleCloser is a transport that counts CloseIdleConnections calls.
+type idleCloser struct {
+	http.RoundTripper
+	closes atomic.Int64
+}
+
+func (c *idleCloser) CloseIdleConnections() { c.closes.Add(1) }
+
+// A gated client still releases its transport's pooled connections.
+func TestGateClosesIdleConnections(t *testing.T) {
+	inner := &idleCloser{RoundTripper: http.DefaultTransport}
+	client := &http.Client{Transport: Gate(inner, func(context.Context) bool { return true })}
+	client.CloseIdleConnections()
+	if got := inner.closes.Load(); got != 1 {
+		t.Errorf("the gated transport's CloseIdleConnections ran %d times, want 1", got)
 	}
 }

@@ -108,10 +108,6 @@ type Options struct {
 	// MaxRetries is how many times a failed item is re-queued before the
 	// transaction aborts. Zero selects 3.
 	MaxRetries int
-	// OnItemDone, when non-nil, fires at each item's first successful
-	// completion with the elapsed time since the transaction started.
-	// Callbacks are serialised.
-	OnItemDone func(Item, time.Duration)
 	// DisableDuplication turns off GRD's endgame re-assignment, whole
 	// (no duplicate) and split (no tail taken from an in-flight attempt),
 	// and the pieces sized at assignment with it: the ablation knob for
@@ -262,7 +258,7 @@ func newTracker(rep *Report, clk clock.Clock, start time.Time, n int, opts Optio
 // complete records the delivery of item over pathName, exactly once per
 // item: the core names one winner.
 func (t *tracker) complete(item Item, pathName string, bytes int64) {
-	t.mu.Lock() // unlocked by hand so the OnItemDone callback runs outside the lock
+	t.mu.Lock()
 	t.addBytesLocked(pathName, bytes)
 	t.left--
 	if t.left == 0 {
@@ -273,16 +269,12 @@ func (t *tracker) complete(item Item, pathName string, bytes int64) {
 	st := t.rep.PerPath[pathName]
 	st.Items++
 	t.rep.PerPath[pathName] = st
-	cb := t.opts.OnItemDone
 	t.mu.Unlock()
 	t.opts.Metrics.Completed.With(pathName).Inc()
 	t.opts.Metrics.ItemSeconds.With(pathName).Observe(elapsed.Seconds())
 	t.opts.Events.Point(t.opts.Trace, "scheduler.item_done",
 		"item", eventlog.Int(int64(item.ID)), "path", pathName,
 		"elapsed_s", eventlog.Float(elapsed.Seconds()))
-	if cb != nil {
-		cb(item, elapsed)
-	}
 }
 
 // addBytes accounts bytes moved on a path without completing anything

@@ -99,15 +99,12 @@ func TestAllAlgosCompleteAllItems(t *testing.T) {
 				&fakePath{name: "ph2", rate: 80e3},
 			}
 			items := mkItems(12, 2000)
-			var doneCount atomic.Int32
-			rep, err := Run(context.Background(), algo, items, paths, Options{
-				OnItemDone: func(Item, time.Duration) { doneCount.Add(1) },
-			})
+			rep, err := Run(context.Background(), algo, items, paths, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := doneCount.Load(); got != 12 {
-				t.Errorf("OnItemDone fired %d times, want 12", got)
+			if got := len(rep.ItemDone); got != 12 {
+				t.Errorf("report has %d completion times, want 12", got)
 			}
 			var totalItems int
 			for _, st := range rep.PerPath {

@@ -188,8 +188,6 @@ type UploadPath struct {
 	Client   *http.Client
 	// TargetURL receives the POSTs.
 	TargetURL string
-	// Field is the form field name; empty selects "file".
-	Field string
 	// Source opens each item's content, which must be exactly the
 	// item's Size bytes: the POST declares its length, and content that
 	// ends short or runs long fails the transfer. A piece reads it from
@@ -265,7 +263,7 @@ func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, off, end
 	if err != nil {
 		return 0, fmt.Errorf("transfer: opening %s: %w", item.Name, err)
 	}
-	body, contentType := newUploadBody(content, item, p.Field, off, end, progress)
+	body, contentType := newUploadBody(content, item, off, end, progress)
 	// The transport closes the body, and with it the content, on every
 	// path out of Do.
 	req.Body = body
@@ -337,12 +335,9 @@ var partQuoter = strings.NewReplacer("\\", "\\\\", `"`, "\\\"")
 // whole item when end is 0 — as the one file part of a
 // multipart/form-data body, returning the body and its Content-Type. A
 // piece's part names its window in a Content-Range header.
-func newUploadBody(src io.ReadCloser, item scheduler.Item, field string, off, end int64, progress func(int64)) (*uploadBody, string) {
-	if field == "" {
-		field = "file"
-	}
+func newUploadBody(src io.ReadCloser, item scheduler.Item, off, end int64, progress func(int64)) (*uploadBody, string) {
 	h := textproto.MIMEHeader{
-		"Content-Disposition": {`form-data; name="` + partQuoter.Replace(field) + `"; filename="` + partQuoter.Replace(item.Name) + `"`},
+		"Content-Disposition": {`form-data; name="file"; filename="` + partQuoter.Replace(item.Name) + `"`},
 		"Content-Type":        {"application/octet-stream"},
 	}
 	size := item.Size

@@ -153,15 +153,10 @@ func (s *Server) piece(ctx context.Context, name string, off, end, size int64, r
 	// assembly leaves the table with the file's arrival.
 	h := sha256.New()
 	a.bytes(func(b []byte) { _, _ = h.Write(b) }) // a hash takes every write
-	var payload []byte
-	if s.KeepPayloads {
-		payload = make([]byte, 0, size)
-		a.bytes(func(b []byte) { payload = append(payload, b...) })
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.drop(name, a)
-	s.keep(name, size, hex.EncodeToString(h.Sum(nil)), payload)
+	s.keep(name, size, hex.EncodeToString(h.Sum(nil)))
 	s.files[name].Copies += a.replays
 	return nil
 }

@@ -1,10 +1,10 @@
 // Package upload implements the photo-sharing service endpoint of the
 // paper's uplink application (§4.1): an HTTP server accepting
 // multipart/form-data POSTs the way Facebook/Flickr/Picasa native
-// clients send them. It stores payloads in memory, deduplicates replays
-// by filename (the greedy scheduler's endgame can deliver an item
-// twice), assembles a photo sent in pieces (pieces.go), and exposes
-// counters the experiments assert on.
+// clients send them. It keeps each file's size and SHA-256 digest, not
+// its bytes, deduplicates replays by filename (the greedy scheduler's
+// endgame can deliver an item twice), assembles a photo sent in pieces
+// (pieces.go), and exposes counters the experiments assert on.
 package upload
 
 import (
@@ -47,10 +47,6 @@ type Server struct {
 	// MaxBytes caps a single request body, and the photos being
 	// assembled from pieces between them; 0 means 256 MB.
 	MaxBytes int64
-	// KeepPayloads retains file contents for later inspection; when
-	// false (the default) only sizes and digests are kept, so long
-	// experiments don't accumulate memory.
-	KeepPayloads bool
 	// Metrics receives request/file/byte instrumentation (see
 	// NewMetrics); the zero value records nothing.
 	Metrics Metrics
@@ -66,7 +62,6 @@ type Server struct {
 
 	mu         sync.Mutex
 	files      map[string]*File
-	payloads   map[string][]byte
 	assembling map[string]*assembly // photos arriving in pieces (pieces.go)
 	// assemblyBytes is Σ size of assembling.
 	assemblyBytes int64
@@ -143,20 +138,13 @@ func (s *Server) serveUpload(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		h := sha256.New()
-		var payload []byte
-		var n int64
-		if s.KeepPayloads {
-			payload, err = io.ReadAll(io.TeeReader(part, h))
-			n = int64(len(payload))
-		} else {
-			n, err = proxy.Relay(h, part)
-		}
+		n, err := proxy.Relay(h, part)
 		if err != nil {
 			sp.End("outcome", "error", "error", err.Error())
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if s.record(name, n, hex.EncodeToString(h.Sum(nil)), payload) {
+		if s.record(name, n, hex.EncodeToString(h.Sum(nil))) {
 			dups++
 		}
 		total += n
@@ -198,11 +186,11 @@ func releaseReader(br *bufio.Reader) {
 
 // record stores one file that arrived whole, reporting whether it was a
 // duplicate replay.
-func (s *Server) record(name string, size int64, digest string, payload []byte) bool {
+func (s *Server) record(name string, size int64, digest string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.received(size)
-	return s.keep(name, size, digest, payload)
+	return s.keep(name, size, digest)
 }
 
 // received counts a file part's payload, whole file or piece. The caller
@@ -217,7 +205,7 @@ func (s *Server) received(n int64) {
 
 // keep stores a file that is whole, or counts a replay of one already
 // stored, reporting which. The caller holds s.mu.
-func (s *Server) keep(name string, size int64, digest string, payload []byte) bool {
+func (s *Server) keep(name string, size int64, digest string) bool {
 	if s.files == nil {
 		s.files = make(map[string]*File)
 	}
@@ -230,12 +218,6 @@ func (s *Server) keep(name string, size int64, digest string, payload []byte) bo
 	s.files[name] = &File{Name: name, Size: size, SHA256: digest, Copies: 1}
 	if a := s.assembling[name]; a != nil && !a.busy() {
 		s.drop(name, a) // its pieces can only be replays now
-	}
-	if s.KeepPayloads {
-		if s.payloads == nil {
-			s.payloads = make(map[string][]byte)
-		}
-		s.payloads[name] = payload
 	}
 	return false
 }
@@ -274,12 +256,4 @@ func (s *Server) Files() []File {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Payload returns a stored file's bytes (only with KeepPayloads).
-func (s *Server) Payload(name string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.payloads[name]
-	return b, ok
 }

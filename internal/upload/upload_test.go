@@ -37,7 +37,7 @@ func postFile(t *testing.T, url, name string, body []byte) *http.Response {
 }
 
 func TestUploadStoresAndDigests(t *testing.T) {
-	s := &Server{KeepPayloads: true}
+	s := &Server{}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -53,10 +53,6 @@ func TestUploadStoresAndDigests(t *testing.T) {
 	sum := sha256.Sum256(content)
 	if files[0].SHA256 != hex.EncodeToString(sum[:]) {
 		t.Error("digest mismatch")
-	}
-	got, ok := s.Payload("a.jpg")
-	if !ok || !bytes.Equal(got, content) {
-		t.Error("payload not retained intact")
 	}
 }
 
@@ -143,7 +139,7 @@ func TestStatsEndpoint(t *testing.T) {
 func TestUploadViaSchedulerPaths(t *testing.T) {
 	// The real client pipeline: transfer.UploadPath → multipart POST →
 	// this server, over two paths with the greedy scheduler.
-	s := &Server{KeepPayloads: true}
+	s := &Server{}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -169,14 +165,15 @@ func TestUploadViaSchedulerPaths(t *testing.T) {
 		[]scheduler.Path{mk("adsl"), mk("ph1")}, scheduler.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	for name, want := range content {
-		got, ok := s.Payload(name)
-		if !ok || !bytes.Equal(got, want) {
-			t.Errorf("%s corrupted or missing", name)
-		}
+	files := s.Files()
+	if len(files) != len(content) {
+		t.Fatalf("files = %d, want %d", len(files), len(content))
 	}
-	if st := s.Stats(); st.Files != 3 {
-		t.Errorf("files = %d, want 3", st.Files)
+	for _, f := range files {
+		sum := sha256.Sum256(content[f.Name])
+		if f.SHA256 != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s stored with digest %s, sent %x", f.Name, f.SHA256, sum)
+		}
 	}
 }
 

@@ -8,13 +8,18 @@
 #      outside internal/fleet: buffers are reused through
 #      freelist.List, which the collector does not empty between uses
 #      (fleet's pool holds per-shard scratch, checked out once a shard)
-#   4. go build    — everything compiles
-#   5. 3golvet     — repo-specific determinism/concurrency analyzers
+#   4. one device  — no proxy.Server{ or discovery.Beacon{ literal in
+#      non-test Go under internal/ and cmd/ outside
+#      internal/core/device.go and the two packages' own files: 3gold,
+#      the emulated home and the tests all build their device component
+#      with core.NewDevice, so they run one admission rule
+#   5. go build    — everything compiles
+#   6. 3golvet     — repo-specific determinism/concurrency analyzers
 #      (type-aware; any finding fails, a deliberate one is kept only by
 #      a //3golvet:allow directive at the site; emits vet-report.json
 #      for CI artifact upload)
-#   6. go test -race — full suite under the race detector
-#   7. fuzz        — ten seconds of FuzzCore: the scheduler's decision
+#   7. go test -race — full suite under the race detector
+#   8. fuzz        — ten seconds of FuzzCore: the scheduler's decision
 #      core under byte-scripted event sequences from a model driver
 #      (all four policies, equal timestamps allowed; every breaker
 #      opening, hold, probe and re-closing held to a reference breaker
@@ -73,7 +78,7 @@
 #      print back to), from the corpus in internal/upload/testdata/fuzz.
 #      A failing input is written beside its corpus for the fix to
 #      commit
-#   8. alloc and link-rate budgets — without the race detector (the
+#   9. alloc and link-rate budgets — without the race detector (the
 #      race stage skips them). TestBoostVoDAllocBudget: a boosted BipBop
 #      q4 session at steady state allocates under 2 MB, the ratchet on
 #      the segment-buffer recycling of the client proxy.
@@ -105,30 +110,30 @@
 #      TestZeroMetricsAllocFree: one event through the zero Metrics of
 #      scheduler, transfer and permitplane allocates nothing, the
 #      ratchet on "instrumentation costs nothing when disabled"
-#   9. experiments loop — go test -bench BenchmarkExperiments -short
+#  10. experiments loop — go test -bench BenchmarkExperiments -short
 #      -benchtime 1x at the repo root: one sub-benchmark per entry of
 #      internal/experiments' table; every entry 3golbench lists as sim
 #      must report a result line and every one it lists as live must be
 #      skipped
-#  10. fleet smoke — 3golfleet city-scale engine run inside a time
+#  11. fleet smoke — 3golfleet city-scale engine run inside a time
 #      budget, with its -json report validated for shape
-#  11. trace smoke — 3golfleet -events flight-recorder capture piped
+#  12. trace smoke — 3golfleet -events flight-recorder capture piped
 #      through 3goltrace -check (stream invariants)
-#  12. chaos smoke — 3golfleet -chaos runs the fault-injection harness
+#  13. chaos smoke — 3golfleet -chaos runs the fault-injection harness
 #      under a hostile scenario and under blackout-all; the command
 #      exits non-zero if any resilience invariant (exactly-once
 #      delivery, duplicate-waste bound, ADSL-only completion) breaks,
 #      and -validate checks the hostile run's -json report
-#  13. chaos at scale — the hostile scenario again at 100k homes: the
+#  14. chaos at scale — the hostile scenario again at 100k homes: the
 #      invariants must hold, and the run must fit the time budget, at a
 #      population three orders of magnitude above the race-detector
 #      tests (which cap at tens of homes for wall-time reasons)
-#  14. permit smoke — 3golpermitload -smoke drives a few thousand
+#  15. permit smoke — 3golpermitload -smoke drives a few thousand
 #      simulated clients through an in-process sharded permit plane
 #      over real HTTP and asserts the decision invariants (no errors,
 #      every client served, mixed grant/deny split); the JSON report is
 #      left at bench-permit-smoke.json for CI artifact upload
-#  15. permit chaos smoke — 3golpermitload -chaos spawns a real
+#  16. permit chaos smoke — 3golpermitload -chaos spawns a real
 #      3golpermitd with a WAL, SIGKILLs it mid-load, copies the WAL,
 #      restarts the daemon and recovers every shard's copy with the
 #      daemon's own OpenGrantStore at its recovery instant, which must
@@ -136,11 +141,11 @@
 #      non-zero on any recovery-invariant violation. The lifecycle
 #      eventlog is left at chaos-permit-events.jsonl for CI artifact
 #      upload and piped through 3goltrace -check
-#  16. metrics docs — METRICS.md must match the live registry
+#  17. metrics docs — METRICS.md must match the live registry
 #      (3golobs gen-docs -check)
-#  17. package docs — every package must carry a godoc comment
+#  18. package docs — every package must carry a godoc comment
 #      (go list's .Doc field is empty otherwise)
-#  18. code size — BENCH_codesize.json must match scripts/codesize.sh
+#  19. code size — BENCH_codesize.json must match scripts/codesize.sh
 #      (lines of Go, packages, binaries), so every PR's size change is
 #      in its diff
 #
@@ -171,6 +176,19 @@ pools=$(grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Pool' internal cm
 if [ -n "$pools" ]; then
     echo "check.sh: sync.Pool outside internal/fleet; reuse buffers through freelist.List:" >&2
     echo "$pools" >&2
+    exit 1
+fi
+
+echo '==> one device (proxy.Server and discovery.Beacon built only in internal/core/device.go)'
+# The device component is a proxy and a beacon gated by one admission
+# rule; a second assembly of them is a second rule. Comment lines may
+# still name them.
+devices=$(grep -rn --include='*.go' --exclude='*_test.go' -e 'proxy\.Server{' -e 'discovery\.Beacon{' internal cmd |
+    grep -v -e '^internal/core/device\.go:' -e '^internal/proxy/' -e '^internal/discovery/' |
+    grep -v '^[^:]*:[0-9]*:[[:space:]]*//' || true)
+if [ -n "$devices" ]; then
+    echo "check.sh: a device component assembled outside internal/core/device.go; build it with core.NewDevice:" >&2
+    echo "$devices" >&2
     exit 1
 fi
 
