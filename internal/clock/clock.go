@@ -31,6 +31,24 @@ func (sysClock) Since(t time.Time) time.Duration { return time.Since(t) } //3gol
 
 func (sysClock) Sleep(d time.Duration) { time.Sleep(d) } //3golvet:allow wallclock
 
+func (sysClock) AfterFunc(d time.Duration, f func()) func() bool { return time.AfterFunc(d, f).Stop }
+
+// AfterFunc calls f in a goroutine of its own once d has passed on c,
+// unless the stop function it returns, which reports whether it did so,
+// is called first. The system clock, like any Clock with an AfterFunc
+// method of this shape, schedules the call itself; any other clock
+// sleeps d out on c and then calls f whatever stop said, which suits a
+// fake whose Sleep moves its time at once.
+func AfterFunc(c Clock, d time.Duration, f func()) (stop func() bool) {
+	if t, ok := c.(interface {
+		AfterFunc(time.Duration, func()) func() bool
+	}); ok {
+		return t.AfterFunc(d, f)
+	}
+	go func() { c.Sleep(d); f() }() //3golvet:allow goroleak — ends after Sleep; the caller joins it through f, which always runs
+	return func() bool { return false }
+}
+
 // Or returns c, or System when c is nil — the standard way for a struct
 // with an optional Clock field to resolve its time source.
 func Or(c Clock) Clock {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"threegol/internal/clock"
+	"threegol/internal/permit"
 )
 
 // Announcement is one device's advertisement.
@@ -212,33 +213,17 @@ func (br *Browser) receive(conn *net.UDPConn) {
 // parseAnnouncement decodes a datagram from the LAN and reports whether
 // it is a well-formed announcement. A client builds a proxy URL from
 // ProxyAddr, logs Name and forwards Cell to the permit backend, so:
-// Name is 1–64 bytes of [0-9A-Za-z_.-], Cell is empty or the same,
-// ProxyAddr is host:port with a host and a port in 1–65535, and
-// AllowanceBytes is not negative.
+// Name is a permit.ValidID, Cell is empty or one, ProxyAddr is host:port
+// with a host and a port in 1–65535, and AllowanceBytes is not negative.
 func parseAnnouncement(b []byte) (Announcement, bool) {
 	var a Announcement
-	if json.Unmarshal(b, &a) != nil || !validID(a.Name) || (a.Cell != "" && !validID(a.Cell)) ||
+	if json.Unmarshal(b, &a) != nil || !permit.ValidID(a.Name) || (a.Cell != "" && !permit.ValidID(a.Cell)) ||
 		a.AllowanceBytes < 0 {
 		return a, false
 	}
 	host, port, err := net.SplitHostPort(a.ProxyAddr)
 	p, perr := strconv.ParseUint(port, 10, 16)
 	return a, err == nil && host != "" && perr == nil && p > 0
-}
-
-// validID reports whether s is 1–64 bytes of [0-9A-Za-z_.-].
-func validID(s string) bool {
-	if len(s) == 0 || len(s) > 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case '0' <= c && c <= '9', 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_', c == '.', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // record stamps an announcement with its arrival time on the browser's

@@ -3,7 +3,6 @@ package discovery
 import (
 	"encoding/json"
 	"net"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"threegol/internal/obs"
+	"threegol/internal/permit"
 )
 
 func fixedAnnounce(name, addr string) func() (Announcement, bool) {
@@ -152,7 +152,6 @@ func TestBrowserIgnoresMalformedDatagrams(t *testing.T) {
 		`{"name":"slash","proxy_addr":"evil/x"}`,
 		`{"name":"new\nline","proxy_addr":"x:1"}`,
 		`{"name":"` + strings.Repeat("n", 65) + `","proxy_addr":"x:1"}`,
-		`{"name":"a/b","proxy_addr":"x:1"}`,
 		`{"name":"negative","proxy_addr":"x:1","allowance_bytes":-5}`,
 		`{"name":"nohost","proxy_addr":":8080"}`,
 		`{"name":"port0","proxy_addr":"x:0"}`,
@@ -163,7 +162,7 @@ func TestBrowserIgnoresMalformedDatagrams(t *testing.T) {
 		conn.Write([]byte(d))
 	}
 	want := Announcement{Name: "3gol-host.lan_" + strings.Repeat("n", 50), ProxyAddr: "[::1]:65535",
-		AllowanceBytes: 7, Cell: "cell-7.a_b"}
+		AllowanceBytes: 7, Cell: "bs-7.a_b/s0"}
 	b, _ := json.Marshal(want)
 	conn.Write(b)
 	if devs := br.WaitFor(1, 2*time.Second); len(devs) != 1 || devs[0] != want {
@@ -172,10 +171,11 @@ func TestBrowserIgnoresMalformedDatagrams(t *testing.T) {
 }
 
 // FuzzAnnouncement feeds arbitrary datagrams to the browser's decoder:
-// it never panics, everything it accepts obeys the rules, and an
-// accepted announcement survives a JSON round trip unchanged.
+// it never panics, everything it accepts obeys the rules — its IDs are
+// the permit plane's, permit.ValidID, as FuzzPermitQuery holds GET
+// /permit to — and an accepted announcement survives a JSON round trip
+// unchanged.
 func FuzzAnnouncement(f *testing.F) {
-	id := regexp.MustCompile(`^[0-9A-Za-z_.-]{1,64}$`)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ann, ok := parseAnnouncement(data)
 		if !ok {
@@ -183,7 +183,7 @@ func FuzzAnnouncement(f *testing.F) {
 		}
 		host, port, err := net.SplitHostPort(ann.ProxyAddr)
 		p, perr := strconv.Atoi(port)
-		if !id.MatchString(ann.Name) || (ann.Cell != "" && !id.MatchString(ann.Cell)) ||
+		if !permit.ValidID(ann.Name) || (ann.Cell != "" && !permit.ValidID(ann.Cell)) ||
 			ann.AllowanceBytes < 0 || err != nil || host == "" || perr != nil || p < 1 || p > 65535 {
 			t.Fatalf("accepted %q as %+v", data, ann)
 		}

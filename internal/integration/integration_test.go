@@ -57,20 +57,19 @@ func TestNetworkIntegratedPermitLoop(t *testing.T) {
 		Cell:   cell.Name(),
 	}
 
-	// Device component: proxy and beacon gated on the permit. It
-	// announces no cell: the model names its sectors "bs/s0", and a
-	// discovery ID may not hold a '/'.
+	// Device component: proxy and beacon gated on the permit, announcing
+	// the sector it is in.
 	browser := &discovery.Browser{TTL: 120 * time.Millisecond}
 	discoAddr, err := browser.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer browser.Close()
-	proxyAddr := serveDevice(t, core.NewDevice("ph1", "", &net.Dialer{}, nil, permits.Allowed), discoAddr)
+	proxyAddr := serveDevice(t, core.NewDevice("ph1", cell.Name(), &net.Dialer{}, nil, permits.Allowed), discoAddr)
 
-	// Phase 1: idle cell → permit granted → device visible.
-	if devs := browser.WaitFor(1, 2*time.Second); len(devs) != 1 {
-		t.Fatal("device not advertised while cell idle")
+	// Phase 1: idle cell → permit granted → device visible, in its cell.
+	if devs := browser.WaitFor(1, 2*time.Second); len(devs) != 1 || devs[0].Cell != cell.Name() {
+		t.Fatalf("device not advertised in cell %q while cell idle: %+v", cell.Name(), devs)
 	}
 
 	// Phase 2: congest the cell — several background subscribers, each

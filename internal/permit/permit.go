@@ -18,6 +18,24 @@ import (
 	"threegol/internal/obs/eventlog"
 )
 
+// ValidID is the one rule for a device or cell identifier that crosses
+// a process boundary — in a discovery announcement, GET /permit's query
+// and a /permits/batch body: 1–64 bytes of [0-9A-Za-z_.-/]. The '/'
+// admits the cellular model's sector names ("bs/s0").
+func ValidID[T string | []byte](s T) bool {
+	if len(s) == 0 || len(s) > 64 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9', 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_', c == '.', c == '-', c == '/':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // DefaultTTL is how long a granted permit stays valid ("a permit is
 // cached for a certain duration (few minutes)"); tests override it.
 const DefaultTTL = 3 * time.Minute

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -215,4 +216,19 @@ func TestDecideNTimesItsSliceOnce(t *testing.T) {
 		return
 	}
 	t.Fatal("permit_decision_seconds not registered")
+}
+
+// One ID rule serves discovery and both permit routes: the load
+// generator's cells and devices and the cellular model's sector names
+// pass it; empty, long, spaced and non-ASCII IDs do not.
+func TestValidID(t *testing.T) {
+	for id, want := range map[string]bool{
+		"cell-001": true, "dev-000042": true, "bs/s0": true, "kitchen-phone.lan_2": true,
+		strings.Repeat("x", 64): true, strings.Repeat("x", 65): false,
+		"": false, "cell 2": false, "d\xc3\xa9": false, "a&b": false,
+	} {
+		if permit.ValidID(id) != want || permit.ValidID([]byte(id)) != want {
+			t.Errorf("permit.ValidID(%q) = %v, want %v", id, !want, want)
+		}
+	}
 }

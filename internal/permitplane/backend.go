@@ -15,7 +15,6 @@ import (
 	"threegol/internal/obs"
 	"threegol/internal/obs/eventlog"
 	"threegol/internal/permit"
-	"threegol/internal/permitplane/wal"
 )
 
 // MaxBatch bounds the number of permit requests one batch RPC may
@@ -187,11 +186,8 @@ func (s *Sharded) serveSingle(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing cell parameter", http.StatusBadRequest)
 		return
 	}
-	if len(cell) > wal.MaxIDLen || len(device) > wal.MaxIDLen {
-		// An oversized ID cannot be framed in the WAL; reject it at the
-		// edge instead of granting an untrackable permit.
-		http.Error(w, fmt.Sprintf("device or cell ID exceeds %d bytes", wal.MaxIDLen),
-			http.StatusBadRequest)
+	if !permit.ValidID(cell) || (device != "" && !permit.ValidID(device)) {
+		http.Error(w, "invalid device or cell ID", http.StatusBadRequest)
 		return
 	}
 	ctx := r.Context()
@@ -289,8 +285,8 @@ func (s *Sharded) serveBatch(w http.ResponseWriter, r *http.Request) {
 			reject(http.StatusBadRequest, fmt.Sprintf("request %d: missing cell", i))
 			return
 		}
-		if len(pr.device) > wal.MaxIDLen || len(pr.cell) > wal.MaxIDLen {
-			reject(http.StatusBadRequest, fmt.Sprintf("request %d: device or cell ID exceeds %d bytes", i, wal.MaxIDLen))
+		if !permit.ValidID(pr.cell) || (len(pr.device) > 0 && !permit.ValidID(pr.device)) {
+			reject(http.StatusBadRequest, fmt.Sprintf("request %d: invalid device or cell ID", i))
 			return
 		}
 	}

@@ -141,17 +141,19 @@ func TestShardedRejectsOversizedIDs(t *testing.T) {
 }
 
 // FuzzPermitQuery feeds fuzzed device and cell IDs to GET /permit on a
-// durable plane. No answer is a 5xx. A missing cell, or an ID over
-// wal.MaxIDLen, is a 400 that records nothing: no decision counted, no
+// durable plane. No answer is a 5xx. A missing cell, or an ID that is
+// not a permit.ValidID — the rule FuzzAnnouncement holds the discovery
+// decoder to — is a 400 that records nothing: no decision counted, no
 // WAL record. Anything else is a 200 carrying a permit.Response — the
 // hook's verdict on the cell — and one decision more; a grant to a
 // named device advances its shard's WAL. A missing device is decided
 // (and not tracked), as in a batch. The seed corpus
 // (testdata/fuzz/FuzzPermitQuery) has ordinary, hot, empty and escaped
-// IDs; the IDs at and one past the bound are built here.
+// IDs; the IDs at and one past wal.MaxIDLen, the WAL's framing bound,
+// and a sector name are built here.
 func FuzzPermitQuery(f *testing.F) {
 	long := strings.Repeat("x", wal.MaxIDLen)
-	for _, q := range [][2]string{{long, "c"}, {"d", long}, {long + "x", "c"}, {"d", long + "x"}} {
+	for _, q := range [][2]string{{long, "c"}, {"d", long}, {long + "x", "c"}, {"d", long + "x"}, {"ph1", "bs/s0"}} {
 		f.Add(q[0], q[1])
 	}
 	clk := &fakeClock{}
@@ -173,7 +175,7 @@ func FuzzPermitQuery(f *testing.F) {
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/permit?"+q.Encode(), nil))
 
 		g, d := s.Stats()
-		if cell == "" || len(cell) > wal.MaxIDLen || len(device) > wal.MaxIDLen {
+		if !permit.ValidID(cell) || (device != "" && !permit.ValidID(device)) {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("device %q cell %q: %d, want 400", device, cell, rec.Code)
 			}
@@ -435,32 +437,39 @@ func TestBatchClientAgainstShardedBackend(t *testing.T) {
 	}
 }
 
-// TestBatchAndGetWiresAgreeOnEscapedIDs pins the IDs on both wires: a
-// device or cell ID holding a query metacharacter must land in the store
+// TestBatchAndGetWiresAgreeOnEscapedIDs pins the IDs on both wires. An
+// ID holding a query metacharacter, which unescaped would cut the ID
+// short or turn it into another, is no permit.ValidID: a 400 on either
+// wire that records nothing. A sector name's '/' lands in the store
 // under the same grant key whether it rode the batch body or a GET
-// /permit query string escaped with url.QueryEscape (unescaped, "&",
-// "#", "+" and " " cut the ID short or turned it into another).
+// /permit query string escaped with url.QueryEscape.
 func TestBatchAndGetWiresAgreeOnEscapedIDs(t *testing.T) {
-	ids := []string{"a&b", "a#b", "a+b", "a b", "a%26b", "a=b?c/d"}
+	valid := []PermitRequest{{Device: "ph1", Cell: "bs/s0"}, {Device: "dev/a.b", Cell: "cell-a_b"}}
 	for _, viaGET := range []bool{false, true} {
 		s := New(Config{Shards: 4, Utilization: testUtil, Clock: &fakeClock{}})
 		srv := httptest.NewServer(s)
-		var reqs []PermitRequest
-		for _, id := range ids {
-			reqs = append(reqs, PermitRequest{Device: "dev-" + id, Cell: "cell-" + id})
+		ask := func(reqs []PermitRequest) ([]permit.Response, error) {
+			if viaGET {
+				return getEach(srv.URL, reqs)
+			}
+			return (&BatchClient{BackendURL: srv.URL}).Batch(context.Background(), reqs)
 		}
-		var out []permit.Response
-		var err error
-		if viaGET {
-			out, err = getEach(srv.URL, reqs)
-		} else {
-			out, err = (&BatchClient{BackendURL: srv.URL}).Batch(context.Background(), reqs)
+		for _, id := range []string{"a&b", "a#b", "a+b", "a b", "a%26b", "a=b?c/d"} {
+			for _, pr := range []PermitRequest{{Device: "dev-" + id, Cell: "cell-a"}, {Device: "dev-a", Cell: "cell-" + id}} {
+				if out, err := ask([]PermitRequest{pr}); err == nil {
+					t.Errorf("viaGET=%t: (%q, %q) decided %+v, want a 400", viaGET, pr.Device, pr.Cell, out)
+				}
+			}
 		}
+		if g, d := s.Stats(); g != 0 || d != 0 {
+			t.Errorf("viaGET=%t: invalid IDs made %d grants and %d denials", viaGET, g, d)
+		}
+		out, err := ask(valid)
 		srv.Close()
-		if err != nil || len(out) != len(reqs) {
+		if err != nil || len(out) != len(valid) {
 			t.Fatalf("viaGET=%t: %d decisions, err %v", viaGET, len(out), err)
 		}
-		for _, pr := range reqs {
+		for _, pr := range valid {
 			st := s.shardFor(pr.Cell).store
 			st.mu.Lock()
 			_, held := st.state.Grants[wal.Key(pr.Device, pr.Cell)]
@@ -468,14 +477,6 @@ func TestBatchAndGetWiresAgreeOnEscapedIDs(t *testing.T) {
 			if !held {
 				t.Errorf("viaGET=%t: no grant under (%q, %q) in the cell's shard", viaGET, pr.Device, pr.Cell)
 			}
-		}
-		if got := func() (n int) {
-			for _, st := range s.Status() {
-				n += st.Outstanding
-			}
-			return n
-		}(); got != len(reqs) {
-			t.Errorf("viaGET=%t: %d grants outstanding, want %d — an ID was recorded under another key", viaGET, got, len(reqs))
 		}
 	}
 }

@@ -218,9 +218,12 @@ func FuzzBatchCodec(f *testing.F) {
 // before the codec: a reflection-encoded body, with its length declared
 // as the old client did, into the new server and its reply decoded by
 // reflection, then the new client — which sends its body chunked —
-// against a handler that decodes and encodes by reflection.
+// against a handler that decodes and encodes by reflection. The server
+// takes only valid IDs (permit.ValidID); the client sends any, so its
+// half has IDs that encoding/json escapes.
 func TestBatchWireInteroperatesWithEncodingJSON(t *testing.T) {
-	reqs := []PermitRequest{{Device: "d0", Cell: "cell-0"}, {Device: "d<1>", Cell: "hot-1"}, {Device: "dé", Cell: "cell 2"}}
+	reqs := []PermitRequest{{Device: "d0", Cell: "cell-0"}, {Device: "d-1", Cell: "hot-1"}, {Device: "ph/2", Cell: "bs/s2"}}
+	escaped := []PermitRequest{{Device: "d0", Cell: "cell-0"}, {Device: "d<1>", Cell: "hot-1"}, {Device: "dé", Cell: "cell 2"}}
 	wantGranted := []bool{true, false, true}
 
 	s := New(Config{Shards: 4, Utilization: testUtil, Clock: &fakeClock{}})
@@ -249,7 +252,7 @@ func TestBatchWireInteroperatesWithEncodingJSON(t *testing.T) {
 
 	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sent, err := io.ReadAll(r.Body)
-		if want, _ := json.Marshal(plainBatchRequest{Requests: reqs}); err != nil || !bytes.Equal(sent, want) {
+		if want, _ := json.Marshal(plainBatchRequest{Requests: escaped}); err != nil || !bytes.Equal(sent, want) {
 			t.Errorf("new client sent\n%q\nthe reflection encoder\n%q", sent, want)
 		}
 		if r.ContentLength != -1 || len(r.TransferEncoding) != 1 || r.TransferEncoding[0] != "chunked" {
@@ -268,7 +271,7 @@ func TestBatchWireInteroperatesWithEncodingJSON(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(out)
 	}))
 	defer old.Close()
-	got, err := (&BatchClient{BackendURL: old.URL}).Batch(context.Background(), reqs)
+	got, err := (&BatchClient{BackendURL: old.URL}).Batch(context.Background(), escaped)
 	if err != nil {
 		t.Fatalf("new client against old server: %v", err)
 	}

@@ -7,7 +7,7 @@ package scheduler
 //
 //   - deterministic exponential backoff with seeded jitter between
 //     retry attempts, under every policy (BackoffConfig; the delays
-//     come from core.go, the one driver sleeps them out);
+//     come from core.go, the live driver sits them out);
 //   - a progress watchdog that aborts an attempt when no bytes move for
 //     StallTimeout, which the core then treats as any other failure —
 //     the only defence against silent stalls, where the path neither
@@ -201,35 +201,11 @@ func (b *Breaker) Failure(cfg BreakerConfig) (opened bool, hold float64) {
 	return true, hold
 }
 
-// toDuration converts the decision core's float seconds to a sleepable
-// duration, rounding up so a sleep never ends a fraction of a nanosecond
+// toDuration converts the decision core's float seconds to a timer's
+// duration, rounding up so a timer never fires a fraction of a nanosecond
 // short of the instant the core named.
 func toDuration(seconds float64) time.Duration {
 	return time.Duration(math.Ceil(seconds * float64(time.Second)))
-}
-
-// sleepFor sleeps d on the transaction clock in small slices, waking
-// early when ctx dies or the transaction completes. It reports whether
-// the full duration elapsed.
-func (t *tracker) sleepFor(ctx context.Context, d time.Duration) bool {
-	const slice = 5 * time.Millisecond
-	for d > 0 {
-		if ctx.Err() != nil {
-			return false
-		}
-		select {
-		case <-t.doneCh:
-			return false
-		default:
-		}
-		step := d
-		if step > slice {
-			step = slice
-		}
-		t.clk.Sleep(step)
-		d -= step
-	}
-	return ctx.Err() == nil
 }
 
 // runAttempt performs one transfer attempt — through TransferRange when

@@ -245,14 +245,10 @@ type tracker struct {
 	start time.Time
 	opts  Options
 	left  int
-	// doneCh closes when the last item completes, so workers sleeping
-	// out a backoff or breaker cooldown wake instead of delaying the
-	// transaction's return.
-	doneCh chan struct{}
 }
 
 func newTracker(rep *Report, clk clock.Clock, start time.Time, n int, opts Options) *tracker {
-	return &tracker{rep: rep, clk: clk, start: start, opts: opts, left: n, doneCh: make(chan struct{})}
+	return &tracker{rep: rep, clk: clk, start: start, opts: opts, left: n}
 }
 
 // complete records the delivery of item over pathName, exactly once per
@@ -261,9 +257,6 @@ func (t *tracker) complete(item Item, pathName string, bytes int64) {
 	t.mu.Lock()
 	t.addBytesLocked(pathName, bytes)
 	t.left--
-	if t.left == 0 {
-		close(t.doneCh)
-	}
 	elapsed := t.clk.Since(t.start)
 	t.rep.ItemDone[item.ID] = elapsed
 	st := t.rep.PerPath[pathName]
@@ -353,6 +346,31 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 	)
 	core.SetSplitter(split) // its windows are read and written under mu
 	now := func() float64 { return clk.Since(start).Seconds() }
+	// sitOut holds its caller, which holds mu, out for d seconds or until
+	// the transaction ends; early, any broadcast ends it, as
+	// fault.Simulate's wakeAll re-asks a waiting path. run waits for
+	// timers: none outlives the transaction.
+	var timers sync.WaitGroup
+	sitOut := func(d float64, early bool) {
+		fired := false
+		timers.Add(1)
+		stop := clock.AfterFunc(clk, toDuration(d), func() {
+			defer timers.Done()
+			mu.Lock()
+			fired = true
+			cond.Broadcast()
+			mu.Unlock()
+		})
+		for !fired && failed == nil && trk.remaining() > 0 {
+			cond.Wait()
+			if early {
+				break
+			}
+		}
+		if stop() {
+			timers.Done()
+		}
+	}
 	g := newErrGroup(ctx)
 	// Wake all cond waiters when the group context dies (parent cancel or
 	// a worker error) so they can exit.
@@ -387,22 +405,17 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 						m.BreakerProbes.With(name).Inc()
 						ev.Point(tc, "scheduler.breaker_probe", "path", name)
 					}
+					if d.Action == Wait {
+						// An open breaker's hold or a replica not yet
+						// expected to win: ask again at Until, or once
+						// another path's outcome may have changed that.
+						sitOut(d.Until-now(), true)
+						continue
+					}
 					if d.Action != Park {
 						break
 					}
 					cond.Wait()
-				}
-				if d.Action == Wait {
-					// Breaker open: the path is out of the rotation. Sleep
-					// out the hold (waking early on completion or
-					// cancellation), then come back as the half-open probe.
-					mu.Unlock()
-					if !trk.sleepFor(ctx, toDuration(d.Until-now())) {
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-					}
-					continue
 				}
 				tctx, cancel := context.WithCancel(ctx)
 				cancels[pi] = cancel
@@ -521,18 +534,20 @@ func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 					backoff = f.Backoff
 					cond.Broadcast()
 				}
-				mu.Unlock()
 				if backoff > 0 {
 					m.Backoffs.With(name).Inc()
 					ev.Point(tc, "scheduler.backoff",
 						"item", eventlog.Int(int64(item.ID)), "path", name,
 						"delay_s", eventlog.Float(backoff))
-					trk.sleepFor(ctx, toDuration(backoff))
+					sitOut(backoff, false)
 				}
+				mu.Unlock()
 			}
 		})
 	}
-	return g.wait()
+	err := g.wait()
+	timers.Wait()
+	return err
 }
 
 // errGroup is a minimal errgroup built on the stdlib (module is
