@@ -27,6 +27,7 @@ import (
 	"threegol/internal/core"
 	"threegol/internal/obs"
 	"threegol/internal/obs/eventlog"
+	"threegol/internal/permit"
 	"threegol/internal/permitplane"
 	"threegol/internal/proxy"
 	"threegol/internal/quota"
@@ -51,6 +52,10 @@ func main() {
 		verbosity = flag.Bool("v", false, "verbose logging")
 	)
 	flag.Parse()
+	if err := checkIDs(*name, *cell); err != nil {
+		fmt.Fprintln(os.Stderr, "3gold:", err)
+		os.Exit(2)
+	}
 
 	reg := obs.NewRegistry()
 	// Seed per process so span IDs from two daemons never collide when
@@ -130,6 +135,19 @@ func dialer(bind string) proxy.Dialer {
 		d.LocalAddr = &net.TCPAddr{IP: net.ParseIP(bind)}
 	}
 	return d
+}
+
+// checkIDs names the flag whose ID fails permit.ValidID: every browser
+// and the permit plane drop such a device, silently. An empty -cell is
+// no cell.
+func checkIDs(name, cell string) error {
+	if !permit.ValidID(name) {
+		return fmt.Errorf("-name %q is not 1-64 bytes of [0-9A-Za-z_.-/]", name)
+	}
+	if cell != "" && !permit.ValidID(cell) {
+		return fmt.Errorf("-cell %q is not 1-64 bytes of [0-9A-Za-z_.-/]", cell)
+	}
+	return nil
 }
 
 func hostnameDefault() string {

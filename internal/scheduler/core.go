@@ -15,13 +15,12 @@ package scheduler
 // every path ends together.
 //
 // Core holds no clock, no lock and no goroutine. Its callers — the live
-// goroutine-per-path driver in run and the virtual-time event loop in
-// fault.Simulate — serialise calls, pass the time in, and own
-// everything that touches bytes: contexts, the stall watchdog,
-// waste accounting, metrics and events. Paths and items are dense
-// indexes; every time is float64 seconds elapsed since the transaction
-// started, so the same arithmetic runs on the wall clock and on a
-// simulated timeline.
+// event loop in run and the virtual-time one in fault.Simulate — each
+// call it from one loop, pass the time in, and own everything that
+// touches bytes: contexts, the stall watchdog, waste accounting,
+// metrics and events. Paths and items are dense indexes; every time is
+// float64 seconds elapsed since the transaction started, so the same
+// arithmetic runs on the wall clock and on a simulated timeline.
 
 import (
 	"math"

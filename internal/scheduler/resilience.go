@@ -11,7 +11,8 @@ package scheduler
 //   - a progress watchdog that aborts an attempt when no bytes move for
 //     StallTimeout, which the core then treats as any other failure —
 //     the only defence against silent stalls, where the path neither
-//     errs nor progresses (ProgressPath, runAttempt);
+//     errs nor progresses (ProgressPath; watch and checkStall, a
+//     deadline the live driver's loop keeps per attempt);
 //   - a per-path circuit breaker, GRD and PLAYOUT only: consecutive
 //     failures eject the path from the greedy rotation, an escalating
 //     cooldown holds it out, and a half-open probe readmits it
@@ -25,8 +26,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
+
+	"threegol/internal/clock"
 )
 
 // ProgressPath is a Path that can report byte progress mid-transfer.
@@ -208,79 +210,54 @@ func toDuration(seconds float64) time.Duration {
 	return time.Duration(math.Ceil(seconds * float64(time.Second)))
 }
 
-// runAttempt performs one transfer attempt — through TransferRange when
-// window is not nil — guarding it with the progress watchdog when
-// StallTimeout is set and the path reports progress. stalled is true
-// when the watchdog cancelled the attempt (in which case err is a
-// *StallError and the parent ctx is still alive).
-func runAttempt(ctx context.Context, p Path, it Item, window *Range, trk *tracker) (n int64, err error, stalled bool) {
-	pp, watched := p.(ProgressPath)
-	transfer := func(ctx context.Context, progress func(int64)) (int64, error) {
-		switch {
-		case window != nil:
-			return p.(RangePath).TransferRange(ctx, it, window, progress)
-		case progress != nil:
-			return pp.TransferProgress(ctx, it, progress)
-		}
-		return p.Transfer(ctx, it)
+// transfer moves a's bytes over p: through TransferRange when a carries
+// a window, and reporting progress when it is not nil.
+func (a *attempt) transfer(ctx context.Context, p Path, progress func(int64)) (int64, error) {
+	switch {
+	case a.window != nil:
+		return p.(RangePath).TransferRange(ctx, a.item, a.window, progress)
+	case progress != nil:
+		return p.(ProgressPath).TransferProgress(ctx, a.item, progress)
 	}
-	st := trk.opts.StallTimeout
-	if st <= 0 || !(watched || window != nil) {
-		n, err = transfer(ctx, nil)
-		return n, err, false
-	}
+	return p.Transfer(ctx, a.item)
+}
 
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu         sync.Mutex
-		lastTotal  int64 = -1 // -1 ≠ 0: a silent connect stall must trip too
-		lastChange       = trk.clk.Now()
-		tripped    bool
-	)
-	done := make(chan struct{})
-	go func() {
-		// The watchdog polls at a quarter of the stall timeout; it
-		// cancels only the attempt's child context, so the scheduler's
-		// replica-cancellation detection (tctx.Err()) stays false and a
-		// stall abort flows into the requeue branch.
-		slice := st / 4
-		if slice <= 0 {
-			slice = time.Millisecond
-		}
-		for {
-			trk.clk.Sleep(slice)
-			select {
-			case <-done:
-				return
-			default:
-			}
-			mu.Lock() //3golvet:allow locksafe — two-line idle read inside the poll loop; defer would pin it per-iteration
-			idle := trk.clk.Since(lastChange)
-			mu.Unlock()
-			if idle >= st {
-				mu.Lock() //3golvet:allow locksafe — sets the trip flag before cancel(); defer would hold it across cancel
-				tripped = true
-				mu.Unlock()
-				cancel()
-				return
-			}
-		}
-	}()
-	n, err = transfer(wctx, func(total int64) {
-		mu.Lock()
-		if total != lastTotal {
-			lastTotal = total
-			lastChange = trk.clk.Now()
-		}
-		mu.Unlock()
-	})
-	close(done)
-	mu.Lock() //3golvet:allow locksafe — two-line read of the trip flag; deferring would hold it across return
-	s := tripped
-	mu.Unlock()
-	if s && err != nil && ctx.Err() == nil {
-		return n, &StallError{ItemID: it.ID, PathName: p.Name(), Timeout: st}, true
+// watch arms the stall watchdog on attempt a of path p when StallTimeout
+// is set and the path reports progress, and returns the progress hook
+// that feeds it (nil when the attempt is not watched). The watchdog is a
+// timer of the loop's: it fires StallTimeout after the attempt's last
+// progress and cancels the attempt with a *StallError (checkStall). The
+// hook only stores the instant, so the abort falls exactly StallTimeout
+// after the last byte, as fault.Simulate's attempt walk has it.
+func (l *loop) watch(p int, a *attempt) func(int64) {
+	st := l.opts.StallTimeout
+	if _, ok := l.paths[p].Path.(ProgressPath); st <= 0 || !(ok || a.window != nil) {
+		return nil
 	}
-	return n, err, false
+	a.total.Store(-1) // −1 ≠ 0: a silent connect stall trips too
+	a.last.Store(int64(l.clk.Since(l.start)))
+	a.watchdog = clock.AfterFunc(l.clk, st, func() { l.send(wake{p: p, att: a}) })
+	return func(total int64) {
+		if a.total.Swap(total) != total {
+			a.last.Store(int64(l.clk.Since(l.start)))
+		}
+	}
+}
+
+// checkStall is the stall watchdog's timer on attempt a of path p: it
+// cancels the attempt, whose context then carries the *StallError, when
+// no byte has come for StallTimeout, and otherwise re-arms for
+// StallTimeout after the last one. An attempt that has returned is left
+// alone.
+func (l *loop) checkStall(p int, a *attempt) {
+	if l.paths[p].att != a {
+		return
+	}
+	st := l.opts.StallTimeout
+	idle := l.clk.Since(l.start) - time.Duration(a.last.Load())
+	if idle >= st {
+		a.cancel(&StallError{ItemID: a.item.ID, PathName: l.paths[p].name, Timeout: st})
+		return
+	}
+	a.watchdog = clock.AfterFunc(l.clk, st-idle, func() { l.send(wake{p: p, att: a}) })
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,5 +166,105 @@ func TestBackoffDisabledByDefault(t *testing.T) {
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("instant retry took %v", d)
+	}
+}
+
+// freezePath is a ProgressPath under a stepClock whose first attempt
+// tells the test it started, reports one byte on the test's word and
+// then freezes, noting the instant it is cancelled at; its later
+// attempts deliver at once.
+type freezePath struct {
+	clk      *stepClock
+	started  chan struct{}
+	report   chan struct{} // the test's word, answered once the byte is reported
+	aborted  chan time.Duration
+	attempts atomic.Int32
+}
+
+func (p *freezePath) Name() string { return "phone1" }
+
+func (p *freezePath) Transfer(ctx context.Context, item Item) (int64, error) {
+	return p.TransferProgress(ctx, item, func(int64) {})
+}
+
+func (p *freezePath) TransferProgress(ctx context.Context, item Item, progress func(int64)) (int64, error) {
+	if p.attempts.Add(1) > 1 {
+		progress(item.Size)
+		return item.Size, nil
+	}
+	p.started <- struct{}{}
+	<-p.report
+	progress(1)
+	p.report <- struct{}{}
+	<-ctx.Done()
+	p.aborted <- p.clk.Now().Sub(time.Time{})
+	return 1, ctx.Err()
+}
+
+// A frozen attempt is aborted exactly StallTimeout after its last byte,
+// as fault.Simulate's attempt walk has it: a byte at 15 ms and a 40 ms
+// timeout abort at 55 ms, where a watchdog polling every 10 ms from the
+// start aborted at 60.
+func TestStallAbortsAtDeadline(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	clk := newStepClock()
+	p := &freezePath{clk: clk, started: make(chan struct{}), report: make(chan struct{}),
+		aborted: make(chan time.Duration, 1)}
+	m := NewMetrics(obs.NewRegistry())
+	run := &scriptRun{done: make(chan struct{})}
+	go func() {
+		defer close(run.done)
+		run.rep, run.err = Run(ctx, Greedy, mkItems(1, 100), []Path{p},
+			Options{StallTimeout: 40 * time.Millisecond, MaxRetries: 2, Clock: clk, Metrics: m})
+	}()
+	select {
+	case <-p.started:
+	case <-time.After(patience):
+		t.Fatal("no attempt")
+	}
+	// step moves the clock and gives what it wakes time to act: until
+	// it next arms a timer or sleeps, or for a while of real time.
+	step := func(d, wait time.Duration) {
+		for len(clk.armed) > 0 {
+			<-clk.armed
+		}
+		clk.Step(d)
+		select {
+		case <-clk.armed:
+		case <-time.After(wait):
+		}
+	}
+	step(15*time.Millisecond, 50*time.Millisecond)
+	p.report <- struct{}{}
+	<-p.report
+	step(25*time.Millisecond, patience) // 40 ms: 25 ms idle, so the watchdog waits on
+	for i := 0; i < 3; i++ {
+		step(5*time.Millisecond, 50*time.Millisecond) // 45, 50, 55 ms
+	}
+	select {
+	case at := <-p.aborted:
+		if at != 55*time.Millisecond {
+			t.Fatalf("aborted at %v; want 55ms", at)
+		}
+	case <-time.After(patience):
+		t.Fatal("the frozen attempt was not aborted by 55ms")
+	}
+	select {
+	case <-run.done:
+	case <-time.After(patience):
+		t.Fatal("the requeued item was not delivered")
+	}
+	if run.err != nil {
+		t.Fatal(run.err)
+	}
+	if got := m.StallAborts.With("phone1").Value(); got != 1 {
+		t.Errorf("stall aborts = %v; want 1", got)
+	}
+	if got := m.Requeues.With().Value(); got != 1 {
+		t.Errorf("requeues = %v; want 1", got)
+	}
+	if got := run.rep.PerPath["phone1"].Items; got != 1 {
+		t.Errorf("delivered %d of 1", got)
 	}
 }

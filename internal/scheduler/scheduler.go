@@ -25,16 +25,18 @@
 //     delivery variant the paper leaves as future work.
 //
 // All four are decided in one place, the clockless Core (core.go), and
-// run by one live loop, run (below): a goroutine per path that asks the
-// core what to carry and reports back how it went. fault.Simulate drives
-// the same core in virtual time.
+// run by one live event loop, run (below), which owns the core: it asks
+// the core what each idle path carries, runs each attempt in a goroutine
+// that sends it the outcome, and settles that outcome with the core.
+// fault.Simulate drives the same core from the same shape of loop in
+// virtual time.
 package scheduler
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"threegol/internal/clock"
@@ -237,349 +239,346 @@ func Run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 	return rep, nil
 }
 
-// tracker serialises completion bookkeeping shared by all policies.
-type tracker struct {
-	mu    sync.Mutex
-	rep   *Report
-	clk   clock.Clock
-	start time.Time
-	opts  Options
-	left  int
-}
-
-func newTracker(rep *Report, clk clock.Clock, start time.Time, n int, opts Options) *tracker {
-	return &tracker{rep: rep, clk: clk, start: start, opts: opts, left: n}
-}
-
-// complete records the delivery of item over pathName, exactly once per
-// item: the core names one winner.
-func (t *tracker) complete(item Item, pathName string, bytes int64) {
-	t.mu.Lock()
-	t.addBytesLocked(pathName, bytes)
-	t.left--
-	elapsed := t.clk.Since(t.start)
-	t.rep.ItemDone[item.ID] = elapsed
-	st := t.rep.PerPath[pathName]
-	st.Items++
-	t.rep.PerPath[pathName] = st
-	t.mu.Unlock()
-	t.opts.Metrics.Completed.With(pathName).Inc()
-	t.opts.Metrics.ItemSeconds.With(pathName).Observe(elapsed.Seconds())
-	t.opts.Events.Point(t.opts.Trace, "scheduler.item_done",
-		"item", eventlog.Int(int64(item.ID)), "path", pathName,
-		"elapsed_s", eventlog.Float(elapsed.Seconds()))
-}
-
-// addBytes accounts bytes moved on a path without completing anything
-// (aborted replicas, failed attempts).
-func (t *tracker) addBytes(pathName string, bytes int64) {
-	t.mu.Lock()
-	t.addBytesLocked(pathName, bytes)
-	t.mu.Unlock()
-}
-
-func (t *tracker) addBytesLocked(pathName string, bytes int64) {
-	st := t.rep.PerPath[pathName]
-	st.Bytes += bytes
-	t.rep.PerPath[pathName] = st
-	if bytes > 0 { // Add(0) would put an empty series in the dump
-		t.opts.Metrics.Bytes.With(pathName).Add(bytes)
-	}
-}
-
-// remaining reports how many items have not yet completed.
-func (t *tracker) remaining() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.left
-}
-
-func (t *tracker) addWaste(bytes int64) {
-	t.mu.Lock()
-	t.rep.WastedBytes += bytes
-	t.mu.Unlock()
-	if bytes > 0 {
-		t.opts.Metrics.WastedBytes.Add(bytes)
-	}
-}
-
-func (t *tracker) addDuplicate(pathName string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rep.Duplicates++
-	t.opts.Metrics.Duplicates.With(pathName).Inc()
-}
-
-func (t *tracker) addSplit() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rep.Splits++
-	t.opts.Metrics.Splits.Inc()
-}
-
 // run is the live driver of the decision core, under every policy: one
-// goroutine per path asks the core what to carry, runs the attempt
-// against the real transport, and reports the outcome back. The core
-// decides; this loop owns the goroutines, the lock that serialises
-// calls into the core, contexts and replica cancellation, byte and
-// waste accounting, metrics and events.
+// loop, shaped like fault.Simulate's, that owns the core, the report,
+// the running attempts, their windows and cancellation, and every
+// path's timer. It asks the core what each idle path carries, starts
+// each attempt in a goroutine that sends back one outcome, and settles
+// that outcome; timers — a Wait's Until, a backoff's end, the stall
+// watchdog's deadline — send it wakes. Nothing else touches its state,
+// so nothing locks it. It returns once every attempt has returned, so
+// the losers' bytes are counted.
 func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
-	trk := newTracker(rep, clk, start, len(items), opts)
-	sizes := make([]int64, len(items))
+	l := &loop{ctx: ctx, opts: opts, rep: rep, clk: clk, start: start, items: items, left: len(items),
+		paths: make([]livePath, len(paths)), outcomes: make(chan outcome, len(paths)),
+		wakes: make(chan wake), quit: make(chan struct{})}
+	sizes, names := make([]int64, len(items)), make([]string, len(paths))
 	for i, it := range items {
 		sizes[i] = it.Size
 	}
-	names := make([]string, len(paths))
 	for i, p := range paths {
-		names[i] = p.Name()
+		lp := &l.paths[i]
+		lp.Path, lp.name = p, p.Name()
+		names[i] = lp.name
+		if lp.rp, _ = p.(RangePath); lp.rp != nil {
+			lp.cuts = lp.rp.Cuts()
+		}
 	}
-	split := newLiveSplitter(paths)
-
-	var (
-		mu   sync.Mutex
-		cond = sync.NewCond(&mu)
-		core = NewCore(algo, sizes, names, opts)
-		// cancels[p] aborts path p's current (or, harmlessly, latest)
-		// attempt; the winner of an item calls it on the losing replicas.
-		cancels = make([]context.CancelFunc, len(paths))
-		failed  error
-	)
-	core.SetSplitter(split) // its windows are read and written under mu
-	now := func() float64 { return clk.Since(start).Seconds() }
-	// sitOut holds its caller, which holds mu, out for d seconds or until
-	// the transaction ends; early, any broadcast ends it, as
-	// fault.Simulate's wakeAll re-asks a waiting path. run waits for
-	// timers: none outlives the transaction.
-	var timers sync.WaitGroup
-	sitOut := func(d float64, early bool) {
-		fired := false
-		timers.Add(1)
-		stop := clock.AfterFunc(clk, toDuration(d), func() {
-			defer timers.Done()
-			mu.Lock()
-			fired = true
-			cond.Broadcast()
-			mu.Unlock()
-		})
-		for !fired && failed == nil && trk.remaining() > 0 {
-			cond.Wait()
-			if early {
-				break
+	l.core = NewCore(algo, sizes, names, opts)
+	l.core.SetSplitter(l)
+	defer l.stop()
+	done := ctx.Done()
+	for l.dispatchAll(); (l.failed == nil && l.left > 0) || l.inflight > 0; l.dispatchAll() {
+		select {
+		case o := <-l.outcomes:
+			l.resolve(o)
+		case w := <-l.wakes: // a timer fired: re-ask the paths
+			if w.att != nil {
+				l.checkStall(w.p, w.att)
+			} else if lp := &l.paths[w.p]; lp.seq == w.seq {
+				lp.timer, lp.backoff = nil, false
 			}
+		case <-done:
+			done = nil
+			l.fail(ctx.Err())
 		}
-		if stop() {
-			timers.Done()
+		// Settle every outcome in before asking the paths, as Simulate
+		// resolves an instant's attempts before the dispatches they cause.
+		for len(l.outcomes) > 0 {
+			l.resolve(<-l.outcomes)
 		}
 	}
-	g := newErrGroup(ctx)
-	// Wake all cond waiters when the group context dies (parent cancel or
-	// a worker error) so they can exit.
-	stopWake := context.AfterFunc(g.ctx, func() {
-		mu.Lock()
-		if failed == nil {
-			failed = g.ctx.Err()
+	return l.failed
+}
+
+// loop is run's state.
+type loop struct {
+	ctx   context.Context
+	opts  Options
+	rep   *Report
+	clk   clock.Clock
+	start time.Time
+	items []Item
+	paths []livePath
+	core  *Core
+
+	left, inflight int   // items not yet delivered, attempts not yet resolved
+	failed         error // the transaction's end: an *ItemError or ctx's error
+
+	outcomes chan outcome // one slot a path: an attempt's goroutine never waits
+	wakes    chan wake
+	quit     chan struct{} // closed as run returns: a late wake is dropped
+}
+
+// livePath is one path's share of the loop's state: rp is the path as a
+// RangePath, nil when it cannot carry a range, and cuts its Cuts.
+type livePath struct {
+	Path
+	name string
+	rp   RangePath
+	cuts bool
+	att  *attempt // the running attempt, nil when idle
+	// The path's timer, nil when none is armed: a Wait's wake at Until,
+	// or, when backoff is set, the end of a backoff, which holds the path
+	// out of dispatch. at is the instant it is armed for; seq numbers it,
+	// so that the wake of a timer since replaced changes nothing.
+	timer   func() bool
+	at      float64
+	seq     int
+	backoff bool
+}
+
+// attempt is one transfer under way on a path.
+type attempt struct {
+	item   Item
+	window *Range // on a path that can carry a range
+	span   eventlog.Span
+	cancel context.CancelCauseFunc
+	// The stall watchdog's (see watch): the instant of the last byte
+	// progress since the transaction started, the total last reported,
+	// and the timer that checks them.
+	last, total atomic.Int64
+	watchdog    func() bool
+}
+
+// outcome is what an attempt's goroutine sends the loop when its
+// transfer returns: the bytes moved, and the error, which is the cause
+// the loop cancelled the attempt with — errLost, a *StallError, the
+// transaction's end — whenever it did.
+type outcome struct {
+	p   int
+	n   int64
+	err error
+}
+
+// wake is a timer's message to the loop: path p's timer numbered seq
+// fired, or, when att is set, the stall watchdog's on att.
+type wake struct {
+	p, seq int
+	att    *attempt
+}
+
+// errLost cancels the replicas that lost the race to deliver an item.
+var errLost = errors.New("scheduler: another replica delivered the item")
+
+// dispatchAll asks the core about every idle path, and again after any
+// of them starts an attempt: a fresh attempt is a new endgame candidate
+// for a path that parked or waits.
+func (l *loop) dispatchAll() {
+	for started := true; started && l.failed == nil && l.left > 0; {
+		started = false
+		for p := range l.paths {
+			started = l.dispatch(p) || started
 		}
-		cond.Broadcast()
-		mu.Unlock()
-	})
-	defer stopWake()
-
-	for pi, p := range paths {
-		pi, name, p := pi, names[pi], p
-		g.go_(func(ctx context.Context) error {
-			ev, tc, m := trk.opts.Events, trk.opts.Trace, trk.opts.Metrics
-			for {
-				mu.Lock() //3golvet:allow locksafe — condition-variable protocol; cond.Wait needs the raw mutex
-				var d Decision
-				for {
-					if failed != nil {
-						mu.Unlock()
-						return failed
-					}
-					if trk.remaining() == 0 {
-						mu.Unlock()
-						return nil
-					}
-					d = core.Idle(pi, now())
-					if d.Probe {
-						m.BreakerProbes.With(name).Inc()
-						ev.Point(tc, "scheduler.breaker_probe", "path", name)
-					}
-					if d.Action == Wait {
-						// An open breaker's hold or a replica not yet
-						// expected to win: ask again at Until, or once
-						// another path's outcome may have changed that.
-						sitOut(d.Until-now(), true)
-						continue
-					}
-					if d.Action != Park {
-						break
-					}
-					cond.Wait()
-				}
-				tctx, cancel := context.WithCancel(ctx)
-				cancels[pi] = cancel
-				item := items[d.Item]
-				var window *Range
-				if split.paths[pi] != nil {
-					window = newRange(d)
-					split.windows[pi] = window
-				}
-				switch d.Action {
-				case Duplicate:
-					trk.addDuplicate(name)
-				case Split, Piece:
-					trk.addSplit()
-				}
-				mu.Unlock()
-				m.Assignments.With(name).Inc()
-				switch d.Action {
-				case Assign:
-					ev.Point(tc, "scheduler.assign",
-						"item", eventlog.Int(int64(item.ID)), "path", name)
-				case Duplicate:
-					ev.Point(tc, "scheduler.duplicate",
-						"item", eventlog.Int(int64(item.ID)), "path", name)
-				case Split:
-					ev.Point(tc, "scheduler.split",
-						"item", eventlog.Int(int64(item.ID)), "path", name,
-						"carrier", names[d.Carrier], "cut", eventlog.Int(d.Off))
-				case Piece:
-					ev.Point(tc, "scheduler.piece",
-						"item", eventlog.Int(int64(item.ID)), "path", name,
-						"off", eventlog.Int(d.Off), "end", eventlog.Int(d.End))
-				}
-				sp := ev.Begin(tc, "scheduler.attempt",
-					"item", eventlog.Int(int64(item.ID)), "path", name)
-
-				n, err, stalled := runAttempt(eventlog.NewContext(tctx, sp.Context()), p, item, window, trk)
-				// Record whether *our replica* was cancelled before we
-				// release the context (cancel() would make tctx.Err()
-				// non-nil unconditionally). A stall abort cancels only
-				// runAttempt's child context, so it lands in the genuine-
-				// failure branch below and the item is requeued.
-				replicaCancelled := tctx.Err() != nil
-				cancel()
-
-				var backoff float64
-				mu.Lock() //3golvet:allow locksafe — outcome bookkeeping unlocks manually on the abort path
-				split.windows[pi] = nil
-				switch {
-				case err == nil:
-					s := core.Succeeded(item.ID, pi, n, now())
-					switch {
-					case s.Won:
-						trk.complete(item, name, n)
-						sp.End("outcome", "ok", "bytes", eventlog.Int(n))
-						// Abort losing replicas; their partial bytes are
-						// accounted when their Transfer returns.
-						for _, q := range s.Cancel {
-							cancels[q]()
-						}
-					case s.Piece:
-						trk.addBytes(name, n)
-						sp.End("outcome", "piece", "bytes", eventlog.Int(n))
-					default:
-						trk.addBytes(name, n)
-						trk.addWaste(n)
-						sp.End("outcome", "lost_race", "bytes", eventlog.Int(n))
-					}
-					if s.Closed {
-						m.BreakerCloses.With(name).Inc()
-						ev.Point(tc, "scheduler.breaker_close", "path", name)
-					}
-					cond.Broadcast()
-				case replicaCancelled && ctx.Err() == nil:
-					// Cancelled because another replica won: waste. The
-					// core released this path when the winner reported.
-					sp.End("outcome", "cancelled", "bytes", eventlog.Int(n))
-					trk.addBytes(name, n)
-					trk.addWaste(n)
-					cond.Broadcast()
-				case ctx.Err() != nil:
-					sp.End("outcome", "cancelled", "bytes", eventlog.Int(n))
-					trk.addBytes(name, n)
-					mu.Unlock()
-					return ctx.Err()
-				default:
-					// Genuine transfer failure.
-					sp.End("outcome", "error", "bytes", eventlog.Int(n), "error", err.Error())
-					trk.addBytes(name, n)
-					if stalled {
-						m.StallAborts.With(name).Inc()
-						ev.Point(tc, "scheduler.stall",
-							"item", eventlog.Int(int64(item.ID)), "path", name,
-							"timeout_s", eventlog.Float(opts.StallTimeout.Seconds()))
-					}
-					m.Retries.With(name).Inc()
-					ev.Point(tc, "scheduler.retry",
-						"item", eventlog.Int(int64(item.ID)), "path", name)
-					f := core.Failed(item.ID, pi, now())
-					if f.Opened {
-						m.BreakerOpens.With(name).Inc()
-						ev.Point(tc, "scheduler.breaker_open",
-							"path", name, "cooldown_s", eventlog.Float(f.Cooldown))
-					}
-					switch {
-					case f.Exhausted:
-						failed = &ItemError{ItemID: item.ID, ItemName: item.Name, PathName: name,
-							Attempts: f.Attempts, Everywhere: f.Everywhere, Err: err}
-						ev.Point(tc, "scheduler.exhausted",
-							"item", eventlog.Int(int64(item.ID)), "path", name)
-					case f.Requeued:
-						m.Requeues.Inc()
-						ev.Point(tc, "scheduler.requeue",
-							"item", eventlog.Int(int64(item.ID)), "path", name)
-					}
-					backoff = f.Backoff
-					cond.Broadcast()
-				}
-				if backoff > 0 {
-					m.Backoffs.With(name).Inc()
-					ev.Point(tc, "scheduler.backoff",
-						"item", eventlog.Int(int64(item.ID)), "path", name,
-						"delay_s", eventlog.Float(backoff))
-					sitOut(backoff, false)
-				}
-				mu.Unlock()
-			}
-		})
 	}
-	err := g.wait()
-	timers.Wait()
-	return err
 }
 
-// errGroup is a minimal errgroup built on the stdlib (module is
-// dependency-free): first error wins, wait returns it.
-type errGroup struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-	once   sync.Once
-	err    error
+// dispatch asks the core what idle path p carries, and starts it.
+func (l *loop) dispatch(p int) bool {
+	lp := &l.paths[p]
+	if lp.att != nil || lp.backoff {
+		return false
+	}
+	now := l.clk.Since(l.start).Seconds()
+	d := l.core.Idle(p, now)
+	if d.Probe {
+		l.opts.Metrics.BreakerProbes.With(lp.name).Inc()
+		l.opts.Events.Point(l.opts.Trace, "scheduler.breaker_probe", "path", lp.name)
+	}
+	switch d.Action {
+	case Park:
+		return false
+	case Wait:
+		// An open breaker's hold or a replica not yet expected to win:
+		// ask again at Until, or after any outcome that may change that.
+		l.arm(p, now, d.Until)
+		return false
+	}
+	l.begin(p, d)
+	return true
 }
 
-func newErrGroup(parent context.Context) *errGroup {
-	ctx, cancel := context.WithCancel(parent)
-	return &errGroup{ctx: ctx, cancel: cancel}
-}
-
-func (g *errGroup) go_(fn func(context.Context) error) {
-	g.wg.Add(1)
+// begin starts the attempt that decision d gives path p.
+func (l *loop) begin(p int, d Decision) {
+	lp := &l.paths[p]
+	ev, tc, m := l.opts.Events, l.opts.Trace, l.opts.Metrics
+	a := &attempt{item: l.items[d.Item]}
+	if lp.rp != nil {
+		a.window = newRange(d)
+	}
+	m.Assignments.With(lp.name).Inc()
+	id := eventlog.Int(int64(a.item.ID))
+	switch d.Action {
+	case Assign:
+		ev.Point(tc, "scheduler.assign", "item", id, "path", lp.name)
+	case Duplicate:
+		l.rep.Duplicates++
+		m.Duplicates.With(lp.name).Inc()
+		ev.Point(tc, "scheduler.duplicate", "item", id, "path", lp.name)
+	case Split:
+		l.rep.Splits++
+		m.Splits.Inc()
+		ev.Point(tc, "scheduler.split", "item", id, "path", lp.name,
+			"carrier", l.paths[d.Carrier].name, "cut", eventlog.Int(d.Off))
+	case Piece:
+		l.rep.Splits++
+		m.Splits.Inc()
+		ev.Point(tc, "scheduler.piece", "item", id, "path", lp.name,
+			"off", eventlog.Int(d.Off), "end", eventlog.Int(d.End))
+	}
+	a.span = ev.Begin(tc, "scheduler.attempt", "item", id, "path", lp.name)
+	actx, cancel := context.WithCancelCause(l.ctx)
+	a.cancel = cancel
+	path, progress := lp.Path, l.watch(p, a)
+	lp.att = a
+	l.inflight++
 	go func() {
-		defer g.wg.Done()
-		if err := fn(g.ctx); err != nil {
-			g.once.Do(func() {
-				g.err = err
-				g.cancel()
-			})
+		n, err := a.transfer(eventlog.NewContext(actx, a.span.Context()), path, progress)
+		if err != nil && actx.Err() != nil {
+			err = context.Cause(actx)
 		}
+		l.outcomes <- outcome{p, n, err}
 	}()
 }
 
-func (g *errGroup) wait() error {
-	g.wg.Wait()
-	g.cancel()
-	return g.err
+// resolve settles the outcome of path o.p's attempt.
+func (l *loop) resolve(o outcome) {
+	lp := &l.paths[o.p]
+	a, name, n, err := lp.att, lp.name, o.n, o.err
+	lp.att = nil
+	l.inflight--
+	a.cancel(nil)
+	if a.watchdog != nil {
+		a.watchdog()
+	}
+	ev, tc, m := l.opts.Events, l.opts.Trace, l.opts.Metrics
+	id := eventlog.Int(int64(a.item.ID))
+	elapsed := l.clk.Since(l.start)
+	st := l.rep.PerPath[name]
+	st.Bytes += n
+	l.rep.PerPath[name] = st
+	if n > 0 { // Add(0) would put an empty series in the dump
+		m.Bytes.With(name).Add(n)
+	}
+	switch {
+	case err == nil:
+		s := l.core.Succeeded(a.item.ID, o.p, n, elapsed.Seconds())
+		switch {
+		case s.Won:
+			l.left--
+			l.rep.ItemDone[a.item.ID] = elapsed
+			st.Items++
+			l.rep.PerPath[name] = st
+			m.Completed.With(name).Inc()
+			m.ItemSeconds.With(name).Observe(elapsed.Seconds())
+			ev.Point(tc, "scheduler.item_done", "item", id, "path", name,
+				"elapsed_s", eventlog.Float(elapsed.Seconds()))
+			a.span.End("outcome", "ok", "bytes", eventlog.Int(n))
+			// Abort the losing replicas; their bytes are counted when
+			// their outcomes come back.
+			for _, q := range s.Cancel {
+				l.paths[q].att.cancel(errLost)
+			}
+		case s.Piece:
+			a.span.End("outcome", "piece", "bytes", eventlog.Int(n))
+		default:
+			l.waste(n)
+			a.span.End("outcome", "lost_race", "bytes", eventlog.Int(n))
+		}
+		if s.Closed {
+			m.BreakerCloses.With(name).Inc()
+			ev.Point(tc, "scheduler.breaker_close", "path", name)
+		}
+	case l.failed != nil || l.ctx.Err() != nil:
+		a.span.End("outcome", "cancelled", "bytes", eventlog.Int(n))
+		l.fail(l.ctx.Err())
+	case errors.Is(err, errLost):
+		// The core released this path when the winner reported.
+		a.span.End("outcome", "cancelled", "bytes", eventlog.Int(n))
+		l.waste(n)
+	default:
+		a.span.End("outcome", "error", "bytes", eventlog.Int(n), "error", err.Error())
+		if errors.As(err, new(*StallError)) {
+			m.StallAborts.With(name).Inc()
+			ev.Point(tc, "scheduler.stall", "item", id, "path", name,
+				"timeout_s", eventlog.Float(l.opts.StallTimeout.Seconds()))
+		}
+		m.Retries.With(name).Inc()
+		ev.Point(tc, "scheduler.retry", "item", id, "path", name)
+		now := elapsed.Seconds()
+		f := l.core.Failed(a.item.ID, o.p, now)
+		if f.Opened {
+			m.BreakerOpens.With(name).Inc()
+			ev.Point(tc, "scheduler.breaker_open", "path", name, "cooldown_s", eventlog.Float(f.Cooldown))
+		}
+		switch {
+		case f.Exhausted:
+			ev.Point(tc, "scheduler.exhausted", "item", id, "path", name)
+			l.fail(&ItemError{ItemID: a.item.ID, ItemName: a.item.Name, PathName: name,
+				Attempts: f.Attempts, Everywhere: f.Everywhere, Err: err})
+		case f.Requeued:
+			m.Requeues.Inc()
+			ev.Point(tc, "scheduler.requeue", "item", id, "path", name)
+		}
+		if f.Backoff > 0 {
+			m.Backoffs.With(name).Inc()
+			ev.Point(tc, "scheduler.backoff", "item", id, "path", name, "delay_s", eventlog.Float(f.Backoff))
+			l.arm(o.p, now, now+f.Backoff)
+			lp.backoff = true
+		}
+	}
+}
+
+func (l *loop) waste(n int64) {
+	l.rep.WastedBytes += n
+	if n > 0 {
+		l.opts.Metrics.WastedBytes.Add(n)
+	}
+}
+
+// fail ends the transaction with err, unless it has ended already, and
+// cancels every running attempt.
+func (l *loop) fail(err error) {
+	if l.failed != nil {
+		return
+	}
+	l.failed = err
+	for _, lp := range l.paths {
+		if lp.att != nil {
+			lp.att.cancel(err)
+		}
+	}
+}
+
+// arm sets path p's timer to wake the loop at instant at, unless it is
+// set for that instant already.
+func (l *loop) arm(p int, now, at float64) {
+	lp := &l.paths[p]
+	if lp.timer != nil {
+		if lp.at == at {
+			return
+		}
+		lp.timer()
+	}
+	lp.seq++
+	w := wake{p: p, seq: lp.seq}
+	lp.at, lp.timer = at, clock.AfterFunc(l.clk, toDuration(at-now), func() { l.send(w) })
+}
+
+// send hands a timer's wake to the loop, or drops it once run returned.
+func (l *loop) send(w wake) {
+	select {
+	case l.wakes <- w:
+	case <-l.quit:
+	}
+}
+
+// stop disarms the paths' timers as run returns.
+func (l *loop) stop() {
+	for _, lp := range l.paths {
+		if lp.timer != nil {
+			lp.timer()
+		}
+	}
+	close(l.quit)
 }

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"threegol/internal/obs"
 )
 
 // fakePath transfers items at a fixed byte rate using real (short)
@@ -471,5 +474,111 @@ func TestZeroMetricsAllocFree(t *testing.T) {
 	var m Metrics
 	if allocs := testing.AllocsPerRun(100, func() { m.Assignments.With("adsl").Inc() }); allocs != 0 {
 		t.Errorf("an assignment through the zero Metrics allocates %.1f times, want 0", allocs)
+	}
+}
+
+// Run leaves no goroutine behind, however the transaction ends: every
+// attempt has returned and every timer is disarmed or drained when it
+// returns.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	const hour = time.Hour
+	failing := func(name string, n int) *fakePath {
+		f := map[int]int{}
+		for i := 0; i < n; i++ {
+			f[i] = 1000
+		}
+		return &fakePath{name: name, rate: 1e6, failures: f}
+	}
+	waits, backoffs := NewMetrics(obs.NewRegistry()), NewMetrics(obs.NewRegistry())
+	for _, tc := range []struct {
+		name    string
+		items   []Item
+		paths   []Path
+		opts    Options
+		timeout time.Duration // cancels the caller's ctx this long in, when set
+		check   func(*Report, error) error
+	}{{
+		name:  "delivered, losers cancelled",
+		items: mkItems(3, 10_000),
+		paths: []Path{&fakePath{name: "adsl", rate: 1e6}, &fakePath{name: "phone1", rate: 1e5}},
+		check: func(rep *Report, err error) error {
+			if err == nil && rep.Duplicates == 0 {
+				return errors.New("no replica was launched")
+			}
+			return err
+		},
+	}, {
+		name:    "ctx cancelled mid-attempt",
+		items:   mkItems(1, 1e6),
+		paths:   []Path{&fakePath{name: "adsl", rate: 1e3}},
+		timeout: 50 * time.Millisecond,
+		check: func(_ *Report, err error) error {
+			if !errors.Is(err, context.DeadlineExceeded) {
+				return fmt.Errorf("err = %v; want the ctx's", err)
+			}
+			return nil
+		},
+	}, {
+		name:  "exhausted",
+		items: mkItems(1, 100),
+		paths: []Path{failing("adsl", 1), failing("phone1", 1)},
+		opts:  Options{MaxRetries: 2},
+		check: func(_ *Report, err error) error {
+			var ie *ItemError
+			if !errors.As(err, &ie) {
+				return fmt.Errorf("err = %v; want an *ItemError", err)
+			}
+			return nil
+		},
+	}, {
+		name:  "a path waits at the last delivery",
+		items: mkItems(4, 1000),
+		paths: []Path{&fakePath{name: "adsl", rate: 1e5}, failing("phone1", 4)},
+		opts:  Options{MaxRetries: 3, Breaker: BreakerConfig{Threshold: 1, Cooldown: hour}, Metrics: waits},
+		check: func(_ *Report, err error) error {
+			if err == nil && waits.BreakerOpens.With("phone1").Value() == 0 {
+				return errors.New("phone1's breaker never opened")
+			}
+			return err
+		},
+	}, {
+		name:  "a backoff in progress",
+		items: mkItems(4, 1000),
+		paths: []Path{&fakePath{name: "adsl", rate: 1e5}, failing("phone1", 4)},
+		opts:  Options{MaxRetries: 3, Backoff: BackoffConfig{Base: hour}, Metrics: backoffs},
+		check: func(_ *Report, err error) error {
+			if err == nil && backoffs.Backoffs.With("phone1").Value() == 0 {
+				return errors.New("phone1 never backed off")
+			}
+			return err
+		},
+	}, {
+		name:  "a stall abort",
+		items: mkItems(3, 100),
+		paths: []Path{&stallyPath{name: "phone1", stallsLeft: map[int]int{0: 1}}},
+		opts:  Options{StallTimeout: 20 * time.Millisecond, MaxRetries: 2},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			if tc.timeout > 0 {
+				ctx, cancel = context.WithTimeout(context.Background(), tc.timeout)
+			}
+			defer cancel()
+			before := runtime.NumGoroutine()
+			rep, err := Run(ctx, Greedy, tc.items, tc.paths, tc.opts)
+			if tc.check == nil {
+				tc.check = func(_ *Report, err error) error { return err }
+			}
+			if err := tc.check(rep, err); err != nil {
+				t.Fatal(err)
+			}
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n > before {
+				t.Errorf("%d goroutines after Run, %d before", n, before)
+			}
+		})
 	}
 }

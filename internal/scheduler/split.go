@@ -3,9 +3,9 @@ package scheduler
 // This file is the shared vocabulary of pieces. The core decides when an
 // item is divided — at assignment (core.go: fill) or by cutting an
 // attempt in flight (trySplit); the drivers own the bytes, so each lends
-// the core a Splitter over its ranged attempts — run's over the live
-// Range windows below, fault.Simulate's over its attempt walk — and both
-// size a cut with SplitAt.
+// the core a Splitter over its ranged attempts — run's loop over the
+// live Range windows below, fault.Simulate's over its attempt walk — and
+// both size a cut with SplitAt.
 
 import (
 	"context"
@@ -43,7 +43,7 @@ func SplitAt(pos, end int64, share float64, least int64) (at int64, ok bool) {
 
 // Splitter is a driver's view of the byte windows its ranged attempts
 // carry, which the core reads and cuts to split one. The core calls it
-// only from Idle, under whatever serialises the driver's calls.
+// only from Idle, so from the driver's one loop.
 type Splitter interface {
 	// Ranged reports whether path p can carry a byte range of an item
 	// now.
@@ -173,37 +173,21 @@ func (r *Range) cut(share float64, least int64) (at, end int64, ok bool) {
 	return at, end, ok
 }
 
-// liveSplitter is run's Splitter: paths[p] is path p as a RangePath, nil
-// when it cannot carry a range; windows[p] is the Range of its running
-// attempt, nil when it carries none; cuts[p] is its Cuts.
-type liveSplitter struct {
-	paths   []RangePath
-	windows []*Range
-	cuts    []bool
+// Ranged, Left and Cut make run's loop the core's Splitter, over the
+// windows of the attempts it runs. Only the loop calls them; a window's
+// own lock is for the attempt's goroutine, which moves its bytes.
+func (l *loop) Ranged(p int) bool { return l.paths[p].rp != nil && l.paths[p].rp.Ranges() }
+
+func (l *loop) Left(p int) (int64, bool) {
+	if lp := &l.paths[p]; lp.att != nil && lp.cuts {
+		return lp.att.window.left()
+	}
+	return 0, false
 }
 
-func newLiveSplitter(paths []Path) *liveSplitter {
-	s := &liveSplitter{paths: make([]RangePath, len(paths)), windows: make([]*Range, len(paths)), cuts: make([]bool, len(paths))}
-	for i, p := range paths {
-		if rp, ok := p.(RangePath); ok {
-			s.paths[i], s.cuts[i] = rp, rp.Cuts()
-		}
+func (l *loop) Cut(p int, share float64, least int64) (int64, int64, bool) {
+	if a := l.paths[p].att; a != nil && a.window != nil {
+		return a.window.cut(share, least)
 	}
-	return s
-}
-
-func (s *liveSplitter) Ranged(p int) bool { return s.paths[p] != nil && s.paths[p].Ranges() }
-
-func (s *liveSplitter) Left(p int) (int64, bool) {
-	if s.windows[p] == nil || !s.cuts[p] {
-		return 0, false
-	}
-	return s.windows[p].left()
-}
-
-func (s *liveSplitter) Cut(p int, share float64, least int64) (int64, int64, bool) {
-	if s.windows[p] == nil {
-		return 0, 0, false
-	}
-	return s.windows[p].cut(share, least)
+	return 0, 0, false
 }

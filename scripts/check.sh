@@ -13,13 +13,17 @@
 #      internal/core/device.go and the two packages' own files: 3gold,
 #      the emulated home and the tests all build their device component
 #      with core.NewDevice, so they run one admission rule
-#   5. go build    — everything compiles
-#   6. 3golvet     — repo-specific determinism/concurrency analyzers
+#   5. one event loop — no sync.Cond and no //3golvet:allow directive
+#      in non-test Go under internal/scheduler: the live driver is one
+#      loop that owns the core and the report, and its attempts send it
+#      their outcomes, so nothing there needs a lock kept by hand
+#   6. go build    — everything compiles
+#   7. 3golvet     — repo-specific determinism/concurrency analyzers
 #      (type-aware; any finding fails, a deliberate one is kept only by
 #      a //3golvet:allow directive at the site; emits vet-report.json
 #      for CI artifact upload)
-#   7. go test -race — full suite under the race detector
-#   8. fuzz        — ten seconds of FuzzCore: the scheduler's decision
+#   8. go test -race — full suite under the race detector
+#   9. fuzz        — ten seconds of FuzzCore: the scheduler's decision
 #      core under byte-scripted event sequences from a model driver
 #      (all four policies, equal timestamps allowed; every breaker
 #      opening, hold, probe and re-closing held to a reference breaker
@@ -78,7 +82,7 @@
 #      print back to), from the corpus in internal/upload/testdata/fuzz.
 #      A failing input is written beside its corpus for the fix to
 #      commit
-#   9. alloc and link-rate budgets — without the race detector (the
+#  10. alloc and link-rate budgets — without the race detector (the
 #      race stage skips them). TestBoostVoDAllocBudget: a boosted BipBop
 #      q4 session at steady state allocates under 2 MB, the ratchet on
 #      the segment-buffer recycling of the client proxy.
@@ -110,30 +114,30 @@
 #      TestZeroMetricsAllocFree: one event through the zero Metrics of
 #      scheduler, transfer and permitplane allocates nothing, the
 #      ratchet on "instrumentation costs nothing when disabled"
-#  10. experiments loop — go test -bench BenchmarkExperiments -short
+#  11. experiments loop — go test -bench BenchmarkExperiments -short
 #      -benchtime 1x at the repo root: one sub-benchmark per entry of
 #      internal/experiments' table; every entry 3golbench lists as sim
 #      must report a result line and every one it lists as live must be
 #      skipped
-#  11. fleet smoke — 3golfleet city-scale engine run inside a time
+#  12. fleet smoke — 3golfleet city-scale engine run inside a time
 #      budget, with its -json report validated for shape
-#  12. trace smoke — 3golfleet -events flight-recorder capture piped
+#  13. trace smoke — 3golfleet -events flight-recorder capture piped
 #      through 3goltrace -check (stream invariants)
-#  13. chaos smoke — 3golfleet -chaos runs the fault-injection harness
+#  14. chaos smoke — 3golfleet -chaos runs the fault-injection harness
 #      under a hostile scenario and under blackout-all; the command
 #      exits non-zero if any resilience invariant (exactly-once
 #      delivery, duplicate-waste bound, ADSL-only completion) breaks,
 #      and -validate checks the hostile run's -json report
-#  14. chaos at scale — the hostile scenario again at 100k homes: the
+#  15. chaos at scale — the hostile scenario again at 100k homes: the
 #      invariants must hold, and the run must fit the time budget, at a
 #      population three orders of magnitude above the race-detector
 #      tests (which cap at tens of homes for wall-time reasons)
-#  15. permit smoke — 3golpermitload -smoke drives a few thousand
+#  16. permit smoke — 3golpermitload -smoke drives a few thousand
 #      simulated clients through an in-process sharded permit plane
 #      over real HTTP and asserts the decision invariants (no errors,
 #      every client served, mixed grant/deny split); the JSON report is
 #      left at bench-permit-smoke.json for CI artifact upload
-#  16. permit chaos smoke — 3golpermitload -chaos spawns a real
+#  17. permit chaos smoke — 3golpermitload -chaos spawns a real
 #      3golpermitd with a WAL, SIGKILLs it mid-load, copies the WAL,
 #      restarts the daemon and recovers every shard's copy with the
 #      daemon's own OpenGrantStore at its recovery instant, which must
@@ -141,11 +145,11 @@
 #      non-zero on any recovery-invariant violation. The lifecycle
 #      eventlog is left at chaos-permit-events.jsonl for CI artifact
 #      upload and piped through 3goltrace -check
-#  17. metrics docs — METRICS.md must match the live registry
+#  18. metrics docs — METRICS.md must match the live registry
 #      (3golobs gen-docs -check)
-#  18. package docs — every package must carry a godoc comment
+#  19. package docs — every package must carry a godoc comment
 #      (go list's .Doc field is empty otherwise)
-#  19. code size — BENCH_codesize.json must match scripts/codesize.sh
+#  20. code size — BENCH_codesize.json must match scripts/codesize.sh
 #      (lines of Go, packages, binaries), so every PR's size change is
 #      in its diff
 #
@@ -189,6 +193,16 @@ devices=$(grep -rn --include='*.go' --exclude='*_test.go' -e 'proxy\.Server{' -e
 if [ -n "$devices" ]; then
     echo "check.sh: a device component assembled outside internal/core/device.go; build it with core.NewDevice:" >&2
     echo "$devices" >&2
+    exit 1
+fi
+
+echo '==> one event loop (no sync.Cond or //3golvet:allow in internal/scheduler)'
+# The live driver's state belongs to its loop; a condition variable or a
+# lock discipline the analyzers must be told to accept is a second owner.
+owners=$(grep -rn --include='*.go' --exclude='*_test.go' -e 'sync\.Cond' -e 'sync\.NewCond' -e '//3golvet:allow' internal/scheduler || true)
+if [ -n "$owners" ]; then
+    echo "check.sh: shared state in internal/scheduler; let the driver's loop own it:" >&2
+    echo "$owners" >&2
     exit 1
 fi
 
