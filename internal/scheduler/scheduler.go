@@ -242,12 +242,10 @@ func Run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Option
 // run is the live driver of the decision core, under every policy: one
 // loop, shaped like fault.Simulate's, that owns the core, the report,
 // the running attempts, their windows and cancellation, and every
-// path's timer. It asks the core what each idle path carries, starts
-// each attempt in a goroutine that sends back one outcome, and settles
-// that outcome; timers — a Wait's Until, a backoff's end, the stall
-// watchdog's deadline — send it wakes. Nothing else touches its state,
-// so nothing locks it. It returns once every attempt has returned, so
-// the losers' bytes are counted.
+// path's timer. Attempts send it their outcomes, and timers — a Wait's
+// Until, a backoff's end, the stall watchdog's deadline — their wakes.
+// Nothing else touches its state, so nothing locks it. It returns once
+// every attempt has returned, so the losers' bytes are counted.
 func run(ctx context.Context, algo Algo, items []Item, paths []Path, opts Options, rep *Report, clk clock.Clock, start time.Time) error {
 	l := &loop{ctx: ctx, opts: opts, rep: rep, clk: clk, start: start, items: items, left: len(items),
 		paths: make([]livePath, len(paths)), outcomes: make(chan outcome, len(paths)),
@@ -475,9 +473,11 @@ func (l *loop) resolve(o outcome) {
 				"elapsed_s", eventlog.Float(elapsed.Seconds()))
 			a.span.End("outcome", "ok", "bytes", eventlog.Int(n))
 			// Abort the losing replicas; their bytes are counted when
-			// their outcomes come back.
+			// their outcomes come back. One settled after fail has none.
 			for _, q := range s.Cancel {
-				l.paths[q].att.cancel(errLost)
+				if la := l.paths[q].att; la != nil {
+					la.cancel(errLost)
+				}
 			}
 		case s.Piece:
 			a.span.End("outcome", "piece", "bytes", eventlog.Int(n))

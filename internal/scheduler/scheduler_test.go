@@ -582,3 +582,60 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		})
 	}
 }
+
+// cancelPath is a path whose attempts report on started and then hold
+// until ctx is cancelled, when they return what finish says.
+type cancelPath struct {
+	name    string
+	started chan<- string
+	finish  func(ctx context.Context) (int64, error)
+}
+
+func (p *cancelPath) Name() string { return p.name }
+
+func (p *cancelPath) Transfer(ctx context.Context, _ Item) (int64, error) {
+	p.started <- p.name
+	<-ctx.Done()
+	return p.finish(ctx)
+}
+
+// When the caller cancels a transaction while two replicas carry its
+// item, one replica returning the ctx's error at once and the other
+// delivering the item after that, Run still ends with the ctx's error:
+// the winner's outcome must not cancel the rival, whose cancelled attempt
+// is already settled.
+func TestCancelledRunSettlesALateWinner(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started, quickDone := make(chan string, 2), make(chan struct{})
+	quick := &cancelPath{name: "quick", started: started, finish: func(ctx context.Context) (int64, error) {
+		defer close(quickDone)
+		return 0, ctx.Err()
+	}}
+	late := &cancelPath{name: "late", started: started, finish: func(context.Context) (int64, error) {
+		<-quickDone
+		time.Sleep(50 * time.Millisecond) // quick's outcome is settled first
+		return 1000, nil
+	}}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := Run(ctx, Greedy, mkItems(1, 1000), []Path{quick, late}, Options{})
+		errCh <- err
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the item and its replica did not both start")
+		}
+	}
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v; want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after cancellation")
+	}
+}
