@@ -20,6 +20,7 @@ import (
 	"threegol/internal/fault"
 	"threegol/internal/permitplane"
 	"threegol/internal/scheduler"
+	"threegol/internal/transfer"
 	"threegol/internal/upload"
 )
 
@@ -206,10 +207,14 @@ func piecesHome(t *testing.T) (*Home, []*Phone, []Photo) {
 }
 
 // A route gated on a permit is gated in its transport, so its upload
-// path still carries pieces: the permit-gated phones of a transaction
-// that an upload.Server receives take part in dividing its last photo,
-// and every photo arrives intact. (Gating the path itself hid that it
-// carries ranges, and the core then sized no piece on any path.)
+// path still carries pieces: a transaction over permit-gated phones
+// delivers every photo intact, and the path a gated route gets learns
+// from the target's "Accept-Ranges: bytes" that it takes pieces and
+// sends one as a piece. (Gating the path itself hid that it carries
+// ranges, and the core then sized no piece on any path.) Whether the
+// transaction divides a photo depends on when each path's first photo
+// lands; TestPiecesHomeDividesLastPhoto holds the division in virtual
+// time.
 func TestPermitGatedRoutesCarryPieces(t *testing.T) {
 	h, phones, photos := piecesHome(t)
 	store := &upload.Server{}
@@ -238,10 +243,35 @@ func TestPermitGatedRoutesCarryPieces(t *testing.T) {
 	if asked.Load() == 0 {
 		t.Error("no request asked the permit gate")
 	}
-	if rep.Splits == 0 {
-		t.Error("no photo divided over permit-gated routes")
-	}
 	checkStored(t, store, photos)
+
+	whole, divided := photos[0], Photo{Name: "pieces-" + photos[0].Name, Data: photos[0].Data}
+	byName[divided.Name] = divided.Data
+	route := routes[0]
+	path := &transfer.UploadPath{PathName: route.Name, Client: route.Client, TargetURL: target.URL, Source: source}
+	before := asked.Load()
+	if _, err := path.Transfer(context.Background(), photoItems([]Photo{whole})[0]); err != nil {
+		t.Fatal(err)
+	}
+	if !path.Ranges() {
+		t.Fatalf("%s's path did not learn through its gate that the target takes pieces", route.Name)
+	}
+	item := photoItems([]Photo{divided})[0]
+	half := item.Size / 2
+	for _, w := range [][2]int64{{0, half}, {half, item.Size}} {
+		r := &scheduler.Range{Off: w[0]}
+		r.SetEnd(w[1])
+		if _, err := path.TransferRange(context.Background(), item, r, nil); err != nil {
+			t.Fatal(err)
+		}
+		if w[1] == half && len(store.Files()) != len(photos) {
+			t.Fatalf("the first half of %s was stored as a whole photo", divided.Name)
+		}
+	}
+	if got := asked.Load() - before; got != 3 {
+		t.Errorf("the gate was asked %d times for 3 requests", got)
+	}
+	checkStored(t, store, append(photos, divided))
 }
 
 // checkStored checks that store holds every photo, each with the digest

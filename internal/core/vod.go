@@ -277,8 +277,8 @@ func (v *vodProxy) startPrefetch(playlistURL string, media *hls.MediaPlaylist) {
 		return // already prefetching this session
 	}
 	items := make([]scheduler.Item, 0, len(media.Segments))
-	for i, seg := range media.Segments {
-		abs, err := resolveRef(playlistURL, seg.URI)
+	for _, seg := range media.Segments {
+		abs, err := hls.ResolveRef(playlistURL, seg.URI)
 		if err != nil {
 			continue
 		}
@@ -286,7 +286,7 @@ func (v *vodProxy) startPrefetch(playlistURL string, media *hls.MediaPlaylist) {
 		// A segment's length is not known until its response: Size
 		// stays 0, so MIN deals segments by count and the core never
 		// sizes a piece of one before its GET learns it.
-		items = append(items, scheduler.Item{ID: i, Name: abs})
+		items = append(items, scheduler.Item{ID: len(items), Name: abs})
 	}
 	paths := v.buildPaths()
 	go func() {
@@ -400,17 +400,4 @@ func (h *Home) BaselineVoD(ctx context.Context, origin, masterPath string, prebu
 		Bytes:     res.Bytes,
 		Segments:  res.Segments,
 	}, nil
-}
-
-// resolveRef resolves a playlist-relative reference.
-func resolveRef(base, ref string) (string, error) {
-	b, err := url.Parse(base)
-	if err != nil {
-		return "", err
-	}
-	r, err := url.Parse(ref)
-	if err != nil {
-		return "", err
-	}
-	return b.ResolveReference(r).String(), nil
 }

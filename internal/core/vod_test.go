@@ -144,6 +144,41 @@ func TestVoDProxyMediaPlaylistPrefetchesOnce(t *testing.T) {
 	}
 }
 
+// A segment whose URI does not resolve is left out of the prefetch, and
+// the rest are still prefetched and served: item IDs stay dense.
+func TestVoDProxyPrefetchSkipsBadSegmentURI(t *testing.T) {
+	seg := strings.Repeat("s", 10_000)
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v/playlist.m3u8":
+			io.WriteString(w, "#EXTM3U\n#EXT-X-TARGETDURATION:10\n#EXTINF:10,\nseg%zz.ts\n#EXTINF:10,\nseg1.ts\n#EXT-X-ENDLIST\n")
+		case "/v/seg1.ts":
+			io.WriteString(w, seg)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer origin.Close()
+	proxy := startVoDProxy(t, origin.URL, nil)
+
+	resp, err := http.Get(proxy.URL + "/v/playlist.m3u8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	resp, err = http.Get(proxy.URL + "/v/seg1.ts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != seg {
+		t.Fatalf("seg1.ts: status %d, %d bytes (%.60q); want 200 and its %d bytes",
+			resp.StatusCode, len(body), body, len(seg))
+	}
+}
+
 func TestVoDProxyUnreachableOrigin(t *testing.T) {
 	proxy := startVoDProxy(t, "http://127.0.0.1:1", nil)
 	resp, err := http.Get(proxy.URL + "/v/master.m3u8")

@@ -419,13 +419,6 @@ func Fig9(s Setup, photosPerSet int) ([]Fig9Row, error) {
 	return rows, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TechRow is one row of the 4G outlook comparison (§2.3): the same boost
 // executed with HSPA-class and LTE-class devices.
 type TechRow struct {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strings"
 	"time"
 
 	"threegol/internal/clock"
@@ -67,7 +68,7 @@ func (p *Player) Play(ctx context.Context, masterURL, quality string) (*PlayerRe
 	if err != nil {
 		return nil, err
 	}
-	mediaURL, err := resolveRef(masterURL, variant.URI)
+	mediaURL, err := ResolveRef(masterURL, variant.URI)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +86,7 @@ func (p *Player) Play(ctx context.Context, masterURL, quality string) (*PlayerRe
 
 	var buffered float64
 	for _, seg := range media.Media.Segments {
-		segURL, err := resolveRef(mediaURL, seg.URI)
+		segURL, err := ResolveRef(mediaURL, seg.URI)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +129,7 @@ func containsSegmentName(uri, name string) bool {
 	rest := uri
 	for len(rest) > 0 {
 		var seg string
-		if i := indexByte(rest, '/'); i >= 0 {
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
 			seg, rest = rest[:i], rest[i+1:]
 		} else {
 			seg, rest = rest, ""
@@ -138,15 +139,6 @@ func containsSegmentName(uri, name string) bool {
 		}
 	}
 	return false
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 func (p *Player) fetchPlaylist(ctx context.Context, u string) (*Parsed, error) {
@@ -181,9 +173,9 @@ func (p *Player) fetchSegment(ctx context.Context, u string) (int64, error) {
 	return proxy.Relay(io.Discard, resp.Body) // in the steps a shaped connection reads in
 }
 
-// resolveRef resolves a possibly relative playlist reference against its
+// ResolveRef resolves a possibly relative playlist reference against its
 // base URL.
-func resolveRef(base, ref string) (string, error) {
+func ResolveRef(base, ref string) (string, error) {
 	b, err := url.Parse(base)
 	if err != nil {
 		return "", fmt.Errorf("hls: bad base URL %q: %w", base, err)

@@ -317,45 +317,6 @@ func (d *Dialer) nextSeed() int64 {
 	return seed
 }
 
-// Listener wraps accepted connections in a pipe shape. Down/Up are from
-// the *dialing* peer's perspective mirrored: bytes the server writes are
-// shaped by Pipe.Down (they travel "down" to the client).
-type Listener struct {
-	net.Listener
-	Pipe Pipe
-	Seed int64
-
-	mu   sync.Mutex
-	next int64
-}
-
-// Accept waits for a connection and wraps it.
-func (l *Listener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	seed := l.nextSeed()
-	// From the server side, writes head toward the client (down) and
-	// reads arrive from the client (up): swap relative to WrapConn.
-	scale := l.Pipe.scale()
-	clk := clock.Or(l.Pipe.Clock)
-	return &Conn{
-		Conn: conn,
-		down: newShaper(l.Pipe.Up, scale, seed, clk),     // server reads = client's up
-		up:   newShaper(l.Pipe.Down, scale, seed+1, clk), // server writes = client's down
-	}, nil
-}
-
-// nextSeed derives the next per-connection sub-seed.
-func (l *Listener) nextSeed() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seed := l.Seed + l.next
-	l.next += 2
-	return seed
-}
-
 // BoundUpstream returns ln with the receive buffer of every TCP
 // connection it accepts held to upstreamBuffer (64 KB; the kernel
 // reserves about twice that per socket): the far end of a hop

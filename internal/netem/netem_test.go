@@ -181,40 +181,6 @@ func TestLatencyAppliedOncePerConn(t *testing.T) {
 	}
 }
 
-func TestListenerShapesAcceptedConns(t *testing.T) {
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := &Listener{Listener: inner, Pipe: Pipe{
-		Down:      Shape{Rate: 1e6},
-		TimeScale: 10,
-	}}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		c.Write(bytes.Repeat([]byte("y"), 1e6/8)) // 1 Mbit "down"
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	start := time.Now()
-	if _, err := io.Copy(io.Discard, conn); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start).Seconds()
-	// 1 Mbit at 10 Mbps effective ≈ 0.1 s.
-	if elapsed < 0.06 || elapsed > 0.5 {
-		t.Errorf("listener-shaped 1Mbit took %.3fs, want ≈0.1s", elapsed)
-	}
-}
-
 func TestSharedWiFiCapBindsTwoConns(t *testing.T) {
 	addr, done := echoServer(t)
 	defer done()

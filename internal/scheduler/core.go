@@ -17,10 +17,10 @@ package scheduler
 // Core holds no clock, no lock and no goroutine. Its callers — the live
 // event loop in run and the virtual-time one in fault.Simulate — each
 // call it from one loop, pass the time in, and own everything that
-// touches bytes: contexts, the stall watchdog, waste accounting,
-// metrics and events. Paths and items are dense indexes; every time is
-// float64 seconds elapsed since the transaction started, so the same
-// arithmetic runs on the wall clock and on a simulated timeline.
+// touches bytes: contexts, the stall watchdog, waste accounting and
+// events. Paths and items are dense indexes; every time is float64
+// seconds elapsed since the transaction started, so the same arithmetic
+// runs on the wall clock and on a simulated timeline.
 
 import (
 	"math"

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"threegol/internal/obs"
 	"threegol/internal/obs/eventlog"
 )
 
@@ -33,6 +32,17 @@ func filterEvents(evs []eventlog.Event, kind, name string) []eventlog.Event {
 		}
 	}
 	return out
+}
+
+// points counts the points of the named kind on path.
+func points(evs []eventlog.Event, name, path string) int {
+	n := 0
+	for _, ev := range filterEvents(evs, eventlog.KindPoint, name) {
+		if ev.Attrs["path"] == path {
+			n++
+		}
+	}
+	return n
 }
 
 // outcomes tallies the "outcome" attr over the end events of the named
@@ -101,28 +111,25 @@ func TestRetryEventsOnFixedPath(t *testing.T) {
 }
 
 // Ruling (e): a same-path retry on a fixed queue is a fresh launch —
-// one assign point and one assignment counted per attempt, as GRD has
-// after a requeue — but not a requeue: nothing was reassigned.
+// one assign point and one attempt span per attempt, as GRD has after a
+// requeue — but not a requeue: nothing was reassigned.
 func TestFixedQueueRetryIsALaunchNotARequeue(t *testing.T) {
 	for _, algo := range []Algo{RoundRobin, MinTime} {
-		log, m := newTestLog(), NewMetrics(obs.NewRegistry())
+		log := newTestLog()
 		p := &fakePath{name: "adsl", rate: 1e6, failures: map[int]int{0: 2}}
 		if _, err := Run(context.Background(), algo, mkItems(1, 1000), []Path{p},
-			Options{MaxRetries: 3, Events: log, Metrics: m}); err != nil {
+			Options{MaxRetries: 3, Events: log}); err != nil {
 			t.Fatal(err)
 		}
 		evs := log.Events()
 		if got := len(filterEvents(evs, eventlog.KindPoint, "scheduler.assign")); got != 3 {
 			t.Errorf("%v: assign points = %d, want 3 (one per launch)", algo, got)
 		}
-		if got := m.Assignments.With("adsl").Value(); got != 3 {
-			t.Errorf("%v: scheduler_assignments_total = %v, want 3", algo, got)
+		if got := len(filterEvents(evs, eventlog.KindBegin, "scheduler.attempt")); got != 3 {
+			t.Errorf("%v: attempt spans = %d, want 3", algo, got)
 		}
 		if got := len(filterEvents(evs, eventlog.KindPoint, "scheduler.requeue")); got != 0 {
 			t.Errorf("%v: requeue points = %d, want 0", algo, got)
-		}
-		if got := m.Requeues.With().Value(); got != 0 {
-			t.Errorf("%v: scheduler_requeues_total = %v, want 0", algo, got)
 		}
 	}
 }

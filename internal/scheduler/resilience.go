@@ -19,8 +19,8 @@ package scheduler
 //     (BreakerConfig; the state machine is Breaker, which core.go
 //     steps per path and permitplane.Cache steps per backend).
 //
-// Every state transition is exported through Options.Metrics and
-// Options.Events so a chaos run's eventlog tells the whole story.
+// Every state transition is a point in Options.Events, so a chaos
+// run's eventlog tells the whole story.
 
 import (
 	"context"

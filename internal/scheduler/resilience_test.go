@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"threegol/internal/obs"
+	"threegol/internal/obs/eventlog"
 )
 
 // stallyPath is a ProgressPath that silently wedges (no bytes, no
@@ -43,18 +43,17 @@ func (p *stallyPath) TransferProgress(ctx context.Context, item Item, progress f
 }
 
 func TestStallWatchdogAbortsAndRecovers(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+	log := newTestLog()
 	p := &stallyPath{name: "phone1", stallsLeft: map[int]int{0: 1, 2: 1}}
 	rep, err := Run(context.Background(), Greedy, mkItems(3, 100), []Path{p},
-		Options{StallTimeout: 30 * time.Millisecond, MaxRetries: 3, Metrics: m})
+		Options{StallTimeout: 30 * time.Millisecond, MaxRetries: 3, Events: log})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if got := rep.PerPath["phone1"].Items; got != 3 {
 		t.Fatalf("completed %d of 3 items", got)
 	}
-	if got := m.StallAborts.With("phone1").Value(); got != 2 {
+	if got := points(log.Events(), "scheduler.stall", "phone1"); got != 2 {
 		t.Fatalf("stall aborts = %v; want 2", got)
 	}
 }
@@ -78,17 +77,16 @@ func TestStallErrorRequeues(t *testing.T) {
 	// the stall abort must requeue the item, not kill the transaction.
 	wedge := &stallyPath{name: "phone1", stallsLeft: map[int]int{0: 99, 1: 99}}
 	clean := &fakePath{name: "adsl", rate: 1e4} // 100ms per item: slow enough for the watchdog to beat it
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+	log := newTestLog()
 	rep, err := Run(context.Background(), Greedy, mkItems(2, 1000), []Path{clean, wedge},
-		Options{StallTimeout: 20 * time.Millisecond, MaxRetries: 2, Metrics: m})
+		Options{StallTimeout: 20 * time.Millisecond, MaxRetries: 2, Events: log})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if got := rep.PerPath["adsl"].Items; got != 2 {
 		t.Fatalf("adsl completed %d of 2 (%+v)", got, rep.PerPath)
 	}
-	if m.StallAborts.With("phone1").Value() == 0 {
+	if points(log.Events(), "scheduler.stall", "phone1") == 0 {
 		t.Fatal("watchdog never fired on the wedged path")
 	}
 }
@@ -107,15 +105,14 @@ func TestGracefulDegradationADSLOnly(t *testing.T) {
 	}
 	adsl := &fakePath{name: "adsl", rate: 1e6}
 	phone1, phone2 := dead("phone1"), dead("phone2")
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+	log := newTestLog()
 	rep, err := Run(context.Background(), Greedy, mkItems(n, 1000),
 		[]Path{adsl, phone1, phone2},
 		Options{
 			MaxRetries: 2,
 			Backoff:    BackoffConfig{Base: time.Millisecond, Jitter: 0.5, Seed: 1},
 			Breaker:    BreakerConfig{Threshold: 2, Cooldown: 10 * time.Millisecond},
-			Metrics:    m,
+			Events:     log,
 		})
 	if err != nil {
 		t.Fatalf("transaction failed with a live ADSL path: %v", err)
@@ -128,10 +125,11 @@ func TestGracefulDegradationADSLOnly(t *testing.T) {
 			t.Fatalf("%s delivered %d items while dead", phone, got)
 		}
 	}
-	if m.BreakerOpens.With("phone1").Value() == 0 || m.BreakerOpens.With("phone2").Value() == 0 {
+	evs := log.Events()
+	if points(evs, "scheduler.breaker_open", "phone1") == 0 || points(evs, "scheduler.breaker_open", "phone2") == 0 {
 		t.Fatal("dead phone paths never tripped their breakers")
 	}
-	if m.Backoffs.With("phone1").Value() == 0 {
+	if points(evs, "scheduler.backoff", "phone1") == 0 {
 		t.Fatal("failing path never backed off")
 	}
 }
@@ -211,12 +209,12 @@ func TestStallAbortsAtDeadline(t *testing.T) {
 	clk := newStepClock()
 	p := &freezePath{clk: clk, started: make(chan struct{}), report: make(chan struct{}),
 		aborted: make(chan time.Duration, 1)}
-	m := NewMetrics(obs.NewRegistry())
+	log := newTestLog()
 	run := &scriptRun{done: make(chan struct{})}
 	go func() {
 		defer close(run.done)
 		run.rep, run.err = Run(ctx, Greedy, mkItems(1, 100), []Path{p},
-			Options{StallTimeout: 40 * time.Millisecond, MaxRetries: 2, Clock: clk, Metrics: m})
+			Options{StallTimeout: 40 * time.Millisecond, MaxRetries: 2, Clock: clk, Events: log})
 	}()
 	select {
 	case <-p.started:
@@ -258,10 +256,11 @@ func TestStallAbortsAtDeadline(t *testing.T) {
 	if run.err != nil {
 		t.Fatal(run.err)
 	}
-	if got := m.StallAborts.With("phone1").Value(); got != 1 {
+	evs := log.Events()
+	if got := points(evs, "scheduler.stall", "phone1"); got != 1 {
 		t.Errorf("stall aborts = %v; want 1", got)
 	}
-	if got := m.Requeues.With().Value(); got != 1 {
+	if got := len(filterEvents(evs, eventlog.KindPoint, "scheduler.requeue")); got != 1 {
 		t.Errorf("requeues = %v; want 1", got)
 	}
 	if got := run.rep.PerPath["phone1"].Items; got != 1 {

@@ -130,9 +130,6 @@ type Options struct {
 	// Clock supplies elapsed-time measurement; nil selects the system
 	// clock. Tests and virtual-time harnesses inject a fake here.
 	Clock clock.Clock
-	// Metrics receives per-path instrumentation (see NewMetrics); the
-	// zero value records nothing. Latencies are measured on Clock.
-	Metrics Metrics
 	// Events, when non-nil, receives flight-recorder events: the
 	// transaction root span plus every assignment, attempt, retry,
 	// requeue, endgame duplicate, split or piece, and completion. The attempt span's
@@ -380,7 +377,6 @@ func (l *loop) dispatch(p int) bool {
 	now := l.clk.Since(l.start).Seconds()
 	d := l.core.Idle(p, now)
 	if d.Probe {
-		l.opts.Metrics.BreakerProbes.With(lp.name).Inc()
 		l.opts.Events.Point(l.opts.Trace, "scheduler.breaker_probe", "path", lp.name)
 	}
 	switch d.Action {
@@ -399,28 +395,24 @@ func (l *loop) dispatch(p int) bool {
 // begin starts the attempt that decision d gives path p.
 func (l *loop) begin(p int, d Decision) {
 	lp := &l.paths[p]
-	ev, tc, m := l.opts.Events, l.opts.Trace, l.opts.Metrics
+	ev, tc := l.opts.Events, l.opts.Trace
 	a := &attempt{item: l.items[d.Item]}
 	if lp.rp != nil {
 		a.window = newRange(d)
 	}
-	m.Assignments.With(lp.name).Inc()
 	id := eventlog.Int(int64(a.item.ID))
 	switch d.Action {
 	case Assign:
 		ev.Point(tc, "scheduler.assign", "item", id, "path", lp.name)
 	case Duplicate:
 		l.rep.Duplicates++
-		m.Duplicates.With(lp.name).Inc()
 		ev.Point(tc, "scheduler.duplicate", "item", id, "path", lp.name)
 	case Split:
 		l.rep.Splits++
-		m.Splits.Inc()
 		ev.Point(tc, "scheduler.split", "item", id, "path", lp.name,
 			"carrier", l.paths[d.Carrier].name, "cut", eventlog.Int(d.Off))
 	case Piece:
 		l.rep.Splits++
-		m.Splits.Inc()
 		ev.Point(tc, "scheduler.piece", "item", id, "path", lp.name,
 			"off", eventlog.Int(d.Off), "end", eventlog.Int(d.End))
 	}
@@ -449,15 +441,12 @@ func (l *loop) resolve(o outcome) {
 	if a.watchdog != nil {
 		a.watchdog()
 	}
-	ev, tc, m := l.opts.Events, l.opts.Trace, l.opts.Metrics
+	ev, tc := l.opts.Events, l.opts.Trace
 	id := eventlog.Int(int64(a.item.ID))
 	elapsed := l.clk.Since(l.start)
 	st := l.rep.PerPath[name]
 	st.Bytes += n
 	l.rep.PerPath[name] = st
-	if n > 0 { // Add(0) would put an empty series in the dump
-		m.Bytes.With(name).Add(n)
-	}
 	switch {
 	case err == nil:
 		s := l.core.Succeeded(a.item.ID, o.p, n, elapsed.Seconds())
@@ -467,8 +456,6 @@ func (l *loop) resolve(o outcome) {
 			l.rep.ItemDone[a.item.ID] = elapsed
 			st.Items++
 			l.rep.PerPath[name] = st
-			m.Completed.With(name).Inc()
-			m.ItemSeconds.With(name).Observe(elapsed.Seconds())
 			ev.Point(tc, "scheduler.item_done", "item", id, "path", name,
 				"elapsed_s", eventlog.Float(elapsed.Seconds()))
 			a.span.End("outcome", "ok", "bytes", eventlog.Int(n))
@@ -482,11 +469,10 @@ func (l *loop) resolve(o outcome) {
 		case s.Piece:
 			a.span.End("outcome", "piece", "bytes", eventlog.Int(n))
 		default:
-			l.waste(n)
+			l.rep.WastedBytes += n
 			a.span.End("outcome", "lost_race", "bytes", eventlog.Int(n))
 		}
 		if s.Closed {
-			m.BreakerCloses.With(name).Inc()
 			ev.Point(tc, "scheduler.breaker_close", "path", name)
 		}
 	case l.failed != nil || l.ctx.Err() != nil:
@@ -495,20 +481,17 @@ func (l *loop) resolve(o outcome) {
 	case errors.Is(err, errLost):
 		// The core released this path when the winner reported.
 		a.span.End("outcome", "cancelled", "bytes", eventlog.Int(n))
-		l.waste(n)
+		l.rep.WastedBytes += n
 	default:
 		a.span.End("outcome", "error", "bytes", eventlog.Int(n), "error", err.Error())
 		if errors.As(err, new(*StallError)) {
-			m.StallAborts.With(name).Inc()
 			ev.Point(tc, "scheduler.stall", "item", id, "path", name,
 				"timeout_s", eventlog.Float(l.opts.StallTimeout.Seconds()))
 		}
-		m.Retries.With(name).Inc()
 		ev.Point(tc, "scheduler.retry", "item", id, "path", name)
 		now := elapsed.Seconds()
 		f := l.core.Failed(a.item.ID, o.p, now)
 		if f.Opened {
-			m.BreakerOpens.With(name).Inc()
 			ev.Point(tc, "scheduler.breaker_open", "path", name, "cooldown_s", eventlog.Float(f.Cooldown))
 		}
 		switch {
@@ -517,22 +500,13 @@ func (l *loop) resolve(o outcome) {
 			l.fail(&ItemError{ItemID: a.item.ID, ItemName: a.item.Name, PathName: name,
 				Attempts: f.Attempts, Everywhere: f.Everywhere, Err: err})
 		case f.Requeued:
-			m.Requeues.Inc()
 			ev.Point(tc, "scheduler.requeue", "item", id, "path", name)
 		}
 		if f.Backoff > 0 {
-			m.Backoffs.With(name).Inc()
 			ev.Point(tc, "scheduler.backoff", "item", id, "path", name, "delay_s", eventlog.Float(f.Backoff))
 			l.arm(o.p, now, now+f.Backoff)
 			lp.backoff = true
 		}
-	}
-}
-
-func (l *loop) waste(n int64) {
-	l.rep.WastedBytes += n
-	if n > 0 {
-		l.opts.Metrics.WastedBytes.Add(n)
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"threegol/internal/obs"
 )
 
 // fakePath transfers items at a fixed byte rate using real (short)
@@ -468,15 +466,6 @@ func TestExhaustionReturnsWithoutBackoff(t *testing.T) {
 	}
 }
 
-// The zero Metrics is how a transaction runs uninstrumented, so an event
-// through it must cost no allocation.
-func TestZeroMetricsAllocFree(t *testing.T) {
-	var m Metrics
-	if allocs := testing.AllocsPerRun(100, func() { m.Assignments.With("adsl").Inc() }); allocs != 0 {
-		t.Errorf("an assignment through the zero Metrics allocates %.1f times, want 0", allocs)
-	}
-}
-
 // Run leaves no goroutine behind, however the transaction ends: every
 // attempt has returned and every timer is disarmed or drained when it
 // returns.
@@ -489,7 +478,7 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		}
 		return &fakePath{name: name, rate: 1e6, failures: f}
 	}
-	waits, backoffs := NewMetrics(obs.NewRegistry()), NewMetrics(obs.NewRegistry())
+	waits, backoffs := newTestLog(), newTestLog()
 	for _, tc := range []struct {
 		name    string
 		items   []Item
@@ -534,9 +523,9 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		name:  "a path waits at the last delivery",
 		items: mkItems(4, 1000),
 		paths: []Path{&fakePath{name: "adsl", rate: 1e5}, failing("phone1", 4)},
-		opts:  Options{MaxRetries: 3, Breaker: BreakerConfig{Threshold: 1, Cooldown: hour}, Metrics: waits},
+		opts:  Options{MaxRetries: 3, Breaker: BreakerConfig{Threshold: 1, Cooldown: hour}, Events: waits},
 		check: func(_ *Report, err error) error {
-			if err == nil && waits.BreakerOpens.With("phone1").Value() == 0 {
+			if err == nil && points(waits.Events(), "scheduler.breaker_open", "phone1") == 0 {
 				return errors.New("phone1's breaker never opened")
 			}
 			return err
@@ -545,9 +534,9 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		name:  "a backoff in progress",
 		items: mkItems(4, 1000),
 		paths: []Path{&fakePath{name: "adsl", rate: 1e5}, failing("phone1", 4)},
-		opts:  Options{MaxRetries: 3, Backoff: BackoffConfig{Base: hour}, Metrics: backoffs},
+		opts:  Options{MaxRetries: 3, Backoff: BackoffConfig{Base: hour}, Events: backoffs},
 		check: func(_ *Report, err error) error {
-			if err == nil && backoffs.Backoffs.With("phone1").Value() == 0 {
+			if err == nil && points(backoffs.Events(), "scheduler.backoff", "phone1") == 0 {
 				return errors.New("phone1 never backed off")
 			}
 			return err

@@ -257,10 +257,3 @@ func NewViolin(xs []float64, bins int) Violin {
 		Summary: s,
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

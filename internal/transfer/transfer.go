@@ -19,7 +19,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"threegol/internal/clock"
 	"threegol/internal/obs/eventlog"
 	"threegol/internal/scheduler"
 )
@@ -40,16 +39,11 @@ type DownloadPath struct {
 	// Sink must be safe for concurrent calls, with the same item too
 	// (GRD's endgame runs one item, or two pieces of it, on two paths).
 	Sink func(item scheduler.Item, body io.Reader, w Window) (int64, error)
-	// Metrics receives transfer instrumentation (see NewMetrics); the
-	// zero value records nothing. One Metrics may be shared across paths.
-	Metrics Metrics
 	// Events, when non-nil, records a flight-recorder span per transfer,
 	// parented to the TraceContext riding ctx (the scheduler's attempt
 	// span). The trace also propagates on the request's X-3gol-Trace
 	// header, with or without a local log.
 	Events *eventlog.Log
-	// Clock times transfers for Metrics; nil selects the system clock.
-	Clock clock.Clock
 }
 
 // Window is where a body a sink reads belongs in its item.
@@ -102,12 +96,9 @@ func (p *DownloadPath) TransferRange(ctx context.Context, item scheduler.Item, r
 }
 
 func (p *DownloadPath) transfer(ctx context.Context, item scheduler.Item, r *scheduler.Range, progress func(int64)) (n int64, err error) {
-	clk := clock.Or(p.Clock)
-	t0 := clk.Now()
 	tc, _ := eventlog.FromContext(ctx)
 	sp := p.Events.Begin(tc, "transfer.download", "item", item.Name, "path", p.PathName)
 	defer func() {
-		p.Metrics.done(dirDownload, n, err, ctx.Err() != nil, clk.Since(t0).Seconds())
 		sp.End("outcome", outcome(err, ctx), "bytes", eventlog.Int(n))
 	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, item.Name, nil)
@@ -193,15 +184,10 @@ type UploadPath struct {
 	// ends short or runs long fails the transfer. A piece reads it from
 	// the piece's offset, seeking when the content is an io.Seeker.
 	Source ItemSource
-	// Metrics receives transfer instrumentation (see NewMetrics); the
-	// zero value records nothing. One Metrics may be shared across paths.
-	Metrics Metrics
 	// Events, when non-nil, records a flight-recorder span per transfer,
 	// parented to the TraceContext riding ctx; the trace also propagates
 	// on the POST's X-3gol-Trace header.
 	Events *eventlog.Log
-	// Clock times transfers for Metrics; nil selects the system clock.
-	Clock clock.Clock
 
 	ranges atomic.Bool // the target has said "Accept-Ranges: bytes"
 }
@@ -239,12 +225,9 @@ func (p *UploadPath) TransferRange(ctx context.Context, item scheduler.Item, r *
 // transfer POSTs the bytes [off, end) of item, the whole of it when end
 // is 0.
 func (p *UploadPath) transfer(ctx context.Context, item scheduler.Item, off, end int64, progress func(int64)) (n int64, err error) {
-	clk := clock.Or(p.Clock)
-	t0 := clk.Now()
 	tc, _ := eventlog.FromContext(ctx)
 	sp := p.Events.Begin(tc, "transfer.upload", "item", item.Name, "path", p.PathName)
 	defer func() {
-		p.Metrics.done(dirUpload, n, err, ctx.Err() != nil, clk.Since(t0).Seconds())
 		sp.End("outcome", outcome(err, ctx), "bytes", eventlog.Int(n))
 	}()
 	if p.Source == nil {

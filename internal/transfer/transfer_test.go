@@ -559,15 +559,6 @@ func TestUploadPathReleasesEverything(t *testing.T) {
 	}
 }
 
-// The zero Metrics is how a path runs uninstrumented, so a finished
-// transfer recorded through it must cost no allocation.
-func TestZeroMetricsAllocFree(t *testing.T) {
-	var m Metrics
-	if allocs := testing.AllocsPerRun(100, func() { m.done(dirDownload, 1<<20, nil, false, 0.5) }); allocs != 0 {
-		t.Errorf("a transfer through the zero Metrics allocates %.1f times, want 0", allocs)
-	}
-}
-
 // rangeOrigin serves one body of size bytes at every path, honouring
 // Range through http.ServeContent (test code: the repo's origins must
 // not use it, for its copy buffer).

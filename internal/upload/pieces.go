@@ -189,7 +189,6 @@ func (s *Server) replayed(name string, n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.received(n)
-	s.Metrics.DuplicateFiles.Inc()
 	if f, ok := s.files[name]; ok {
 		f.Copies++
 	} else if a := s.assembling[name]; a != nil {

@@ -47,9 +47,6 @@ type Server struct {
 	// MaxBytes caps a single request body, and the photos being
 	// assembled from pieces between them; 0 means 256 MB.
 	MaxBytes int64
-	// Metrics receives request/file/byte instrumentation (see
-	// NewMetrics); the zero value records nothing.
-	Metrics Metrics
 	// Events, when non-nil, records a flight-recorder span per upload
 	// request, parented to the sender's X-3gol-Trace header — the
 	// server-side end of a traced photo upload.
@@ -155,7 +152,6 @@ func (s *Server) serveUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no file parts in request", http.StatusBadRequest)
 		return
 	}
-	s.Metrics.Requests.Inc()
 	sp.End("outcome", "ok", "files", eventlog.Int(int64(len(stored))),
 		"bytes", eventlog.Int(total), "duplicates", eventlog.Int(int64(dups)))
 	w.Header().Set("Accept-Ranges", "bytes")
@@ -198,9 +194,6 @@ func (s *Server) record(name string, size int64, digest string) bool {
 func (s *Server) received(n int64) {
 	s.requests++
 	s.bytes += n
-	if n > 0 {
-		s.Metrics.Bytes.Add(n)
-	}
 }
 
 // keep stores a file that is whole, or counts a replay of one already
@@ -211,10 +204,8 @@ func (s *Server) keep(name string, size int64, digest string) bool {
 	}
 	if f, ok := s.files[name]; ok {
 		f.Copies++
-		s.Metrics.DuplicateFiles.Inc()
 		return true
 	}
-	s.Metrics.Files.Inc()
 	s.files[name] = &File{Name: name, Size: size, SHA256: digest, Copies: 1}
 	if a := s.assembling[name]; a != nil && !a.busy() {
 		s.drop(name, a) // its pieces can only be replays now

@@ -111,9 +111,9 @@
 #      the HSPA uplink at TimeScale 150, on the system clock, finishes
 #      within 1.25 × its ideal link time, the ratchet on netem's
 #      byte-clocked pacing (one timer-floor sleep per write took 6 ×).
-#      TestZeroMetricsAllocFree: one event through the zero Metrics of
-#      scheduler, transfer and permitplane allocates nothing, the
-#      ratchet on "instrumentation costs nothing when disabled"
+#      TestZeroMetricsAllocFree: one event through permitplane's zero
+#      Metrics allocates nothing, the ratchet on "instrumentation costs
+#      nothing when disabled"
 #  11. experiments loop — go test -bench BenchmarkExperiments -short
 #      -benchtime 1x at the repo root: one sub-benchmark per entry of
 #      internal/experiments' table; every entry 3golbench lists as sim
@@ -261,10 +261,9 @@ echo '==> alloc and link-rate budgets (TestBoostVoDAllocBudget, TestUploadPhotos
 # detector, so the stage above skips these tests; -count=1 keeps a
 # cached pass from standing in.
 go test -count=1 -run 'TestBoostVoDAllocBudget$|TestUploadPhotosAllocBudget$' ./internal/core
-go test -count=1 -run 'TestServeBatchAllocBudget$|TestParseBatchRequestAllocFree$|TestParseBatchResponseAllocFree$|TestRecordDecisionsAllocFree$' ./internal/permitplane
+go test -count=1 -run 'TestServeBatchAllocBudget$|TestParseBatchRequestAllocFree$|TestParseBatchResponseAllocFree$|TestRecordDecisionsAllocFree$|TestZeroMetricsAllocFree$' ./internal/permitplane
 go test -count=1 -run 'TestWriteSnapshotAllocBudget$' ./internal/permitplane/wal
 go test -count=1 -run 'TestLinkRateBudget$' ./internal/netem
-go test -count=1 -run 'TestZeroMetricsAllocFree$' ./internal/scheduler ./internal/transfer ./internal/permitplane
 
 echo '==> experiments loop (go test -bench BenchmarkExperiments -benchtime 1x -short .)'
 # The root benchmark runs the paper's evaluation table once. The entries
