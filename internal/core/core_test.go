@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -297,9 +299,9 @@ func goroutinesSettleAt(limit int) int {
 	return n
 }
 
-// Every session builds its own transports; when it returns, the
-// connections they pooled — and the two goroutines behind each — must
-// go with it, or a long-lived Home grows without bound. The second home
+// Every session shares the home's transports; the connections they pool
+// — and the two goroutines behind each — must be reused, not added to,
+// or a long-lived Home grows without bound. The second home
 // plays BipBop over phones 4× slower than its line, so its endgame
 // splits the segments they carry, and a carrier cut short must close its connection, not pool
 // a half-read one.
@@ -381,5 +383,122 @@ func TestSessionsReleaseConnections(t *testing.T) {
 	t.Logf("%d splits over 50 sessions with slow phones", splits)
 	if splits == 0 {
 		t.Error("no session with slow phones split a segment")
+	}
+}
+
+// countDials counts the connections ph's transport dials to its proxy
+// from now on. Call it before the phone carries a request.
+func countDials(ph *Phone) *atomic.Int64 {
+	var n atomic.Int64
+	dial := ph.transport.DialContext
+	ph.transport.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		n.Add(1)
+		return dial(ctx, network, addr)
+	}
+	return &n
+}
+
+// Sessions reuse the home's connections: ten baseline sessions reach the
+// origin over one ADSL connection, and ten sessions' fresh clients reach
+// a phone's proxy over one Wi-Fi connection.
+func TestSessionsReuseConnections(t *testing.T) {
+	var accepts atomic.Int64
+	origin := httptest.NewUnstartedServer(hls.NewOrigin(testVideo()))
+	origin.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			accepts.Add(1)
+		}
+	}
+	origin.Start()
+	defer origin.Close()
+	h, err := NewHome(HomeConfig{
+		DSLDown: 100e6, DSLUp: 100e6, TimeScale: 100, Seed: 42, Phones: []PhoneConfig{warmPhone("ph1")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	for i := 0; i < 10; i++ {
+		if _, err := h.BaselineVoD(context.Background(), origin.URL, "/clip/master.m3u8", 0.4, "q1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Errorf("ten baseline sessions opened %d ADSL connections, want 1", n)
+	}
+
+	ph := h.Phones[0]
+	dials := countDials(ph)
+	for i := 0; i < 10; i++ {
+		resp, err := h.PhoneClient(ph).Get(origin.URL + "/clip/master.m3u8")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("ten sessions' clients reached %s's proxy over %d connections, want 1", ph.Name, n)
+	}
+}
+
+// Two phones whose names have the same length draw Wi-Fi streams of
+// their own: their hops stall at different byte offsets.
+func TestPhonesDrawOwnWiFiStreams(t *testing.T) {
+	h, err := NewHome(HomeConfig{
+		DSLDown: 2e6, DSLUp: 0.5e6, WiFi: 1e12, Seed: 42, Phones: []PhoneConfig{warmPhone("ph1"), warmPhone("ph2")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	go func() {
+		for {
+			c, err := sink.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _, _ = io.Copy(io.Discard, c); c.Close() }()
+		}
+	}()
+	// stalls writes 32 MB through ph's Wi-Fi hop, one draw per 16 KB
+	// write, on a clock that records each pause instead of sleeping it,
+	// and returns the writes that paused: the first pays the hop's
+	// latency, the rest stalled.
+	stalls := func(ph *Phone) []int {
+		t.Helper()
+		clk := &rrcClock{}
+		ph.wifi.Pipe.Clock = clk
+		conn, err := ph.wifi.DialContext(context.Background(), "tcp", sink.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		chunk := make([]byte, 16<<10)
+		var at []int
+		for i := 0; i < 2048; i++ {
+			before := clk.promotions()
+			if _, err := conn.Write(chunk); err != nil {
+				t.Fatal(err)
+			}
+			if clk.promotions() > before {
+				at = append(at, i)
+			}
+		}
+		return at
+	}
+	a, b := stalls(h.Phones[0]), stalls(h.Phones[1])
+	t.Logf("ph1 paused at writes %v, ph2 at %v", a, b)
+	if len(a) < 2 || len(b) < 2 {
+		t.Fatal("a phone's Wi-Fi hop never stalled over 32 MB")
+	}
+	if slices.Equal(a, b) {
+		t.Error("ph1 and ph2 stalled at the same byte offsets: they share one Wi-Fi random stream")
 	}
 }

@@ -74,10 +74,10 @@ type Home struct {
 	start time.Time       // the phones' RRC time counts emulated seconds from here
 	radio cellular.Params // the phones' RRC promotions and timers
 
-	adslDialer *netem.Dialer
-	adslDown   *netem.Limiter
-	adslUp     *netem.Limiter
-	wifi       *netem.Limiter
+	adsl     *http.Transport // every session's connections over the line
+	adslDown *netem.Limiter
+	adslUp   *netem.Limiter
+	wifi     *netem.Limiter
 
 	Phones  []*Phone
 	Browser *discovery.Browser
@@ -91,8 +91,10 @@ type Phone struct {
 	Name   string
 	Device *Device
 
-	dl, ul *netem.Limiter
-	home   *Home
+	dl, ul    *netem.Limiter
+	home      *Home
+	wifi      *netem.Dialer   // the phone's Wi-Fi hop
+	transport *http.Transport // every session's connections to its proxy, over wifi
 
 	rrcMu sync.Mutex
 	rrc   cellular.RRC
@@ -104,10 +106,10 @@ func (p *Phone) now() float64 {
 	return p.home.clk.Since(p.home.start).Seconds() * p.home.TimeScale()
 }
 
-// rrcDelay steps the phone's RRC through a dial and returns the wall
-// time the promotion it owes takes. The proxy reports no end to a
-// transaction, so the dial begins and ends one at once; the bytes that
-// follow keep the phone in DCH through WarmUp.
+// rrcDelay steps the phone's RRC through a session's first request and
+// returns the wall time the promotion it owes takes. The proxy reports
+// no end to a transaction, so the request begins and ends one at once;
+// the bytes that follow keep the phone in DCH through WarmUp.
 func (p *Phone) rrcDelay() time.Duration {
 	p.rrcMu.Lock()
 	defer p.rrcMu.Unlock()
@@ -147,8 +149,12 @@ func NewHome(cfg HomeConfig) (*Home, error) {
 		h.radio.PromotionIdle = cfg.RRCPromotionDelay.Seconds()
 	}
 	adslPipe, dl, ul := netem.ADSLPipe(cfg.DSLDown, cfg.DSLUp, scale)
-	h.adslDialer = &netem.Dialer{Pipe: adslPipe, Seed: cfg.Seed}
+	h.adsl = &http.Transport{
+		DialContext:         (&netem.Dialer{Pipe: adslPipe, Seed: cfg.Seed}).DialContext,
+		MaxIdleConnsPerHost: 8,
+	}
 	h.adslDown, h.adslUp = dl, ul
+	h.closers = append(h.closers, h.adsl.CloseIdleConnections)
 	h.wifi = netem.NewWiFiLimiter(wifiGoodput, scale)
 
 	h.Browser = &discovery.Browser{}
@@ -184,6 +190,7 @@ func (h *Home) startPhone(i int, pc PhoneConfig, scale float64, browseAddr strin
 		ul:   ul,
 		home: h,
 		rng:  h.rngFor(int64(i)),
+		wifi: &netem.Dialer{Pipe: netem.WiFiPipe(h.wifi, scale), Seed: h.cfg.Seed + int64(i)*977 + wifiSeedSalt},
 	}
 	if pc.Warm {
 		ph.rrc.WarmUp(ph.now())
@@ -214,6 +221,12 @@ func (h *Home) startPhone(i int, pc PhoneConfig, scale float64, browseAddr strin
 		return nil, fmt.Errorf("core: starting beacon for %s: %w", name, err)
 	}
 	h.closers = append(h.closers, func() { ph.Device.Close() })
+	ph.transport = &http.Transport{
+		Proxy:               http.ProxyURL(&url.URL{Scheme: "http", Host: ph.Device.addr}),
+		DialContext:         ph.wifi.DialContext,
+		MaxIdleConnsPerHost: 8,
+	}
+	h.closers = append(h.closers, ph.transport.CloseIdleConnections)
 	return ph, nil
 }
 
@@ -231,54 +244,44 @@ func (h *Home) ScaleDuration(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * h.TimeScale())
 }
 
-// ADSLClient returns an HTTP client routed directly over the ADSL line —
-// the baseline path and the scheduler's "adsl" route.
+// ADSLClient returns a new HTTP client over the home's connections on
+// the ADSL line — the baseline path and the scheduler's "adsl" route.
 func (h *Home) ADSLClient() *http.Client {
-	return &http.Client{Transport: &http.Transport{
-		DialContext:         h.adslDialer.DialContext,
-		MaxIdleConnsPerHost: 8,
-	}}
+	return &http.Client{Transport: h.adsl}
 }
 
-// PhoneClient returns an HTTP client routed through the named phone's
-// proxy across the shaped Wi-Fi LAN. The phone's RRC promotion delay, if
-// due, is paid on the first connection.
+// PhoneClient returns a new HTTP client over the home's connections to
+// the named phone's proxy across the shaped Wi-Fi LAN. The phone's RRC
+// promotion delay, if due, is paid before the client's first request,
+// whether that request dials or finds a pooled connection: one client is
+// one session's route through the phone.
 func (h *Home) PhoneClient(ph *Phone) *http.Client {
-	wifiDialer := &netem.Dialer{
-		Pipe: netem.WiFiPipe(h.wifi, h.TimeScale()),
-		Seed: h.cfg.Seed ^ int64(len(ph.Name)),
-	}
-	proxyURL := &url.URL{Scheme: "http", Host: ph.Device.addr}
-	var once sync.Once
-	return &http.Client{Transport: &http.Transport{
-		Proxy: http.ProxyURL(proxyURL),
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-			once.Do(func() {
-				if d := ph.rrcDelay(); d > 0 {
-					h.clk.Sleep(d)
-				}
-			})
-			return wifiDialer.DialContext(ctx, network, addr)
-		},
-		MaxIdleConnsPerHost: 8,
-	}}
+	return &http.Client{Transport: &promoting{ph: ph}}
 }
 
-// routes returns a session's ADSL client and a route through each of
-// phones. Each client owns a fresh transport; release closes their
-// pooled connections (and the goroutines serving them).
-func (h *Home) routes(phones []*Phone) (*http.Client, []Route, func()) {
-	adsl := h.ADSLClient()
+// promoting is a phone client's transport: the phone's, with its RRC
+// promotion charged once, on the first request.
+type promoting struct {
+	ph   *Phone
+	once sync.Once
+}
+
+func (p *promoting) RoundTrip(req *http.Request) (*http.Response, error) {
+	p.once.Do(func() {
+		if d := p.ph.rrcDelay(); d > 0 {
+			p.ph.home.clk.Sleep(d)
+		}
+	})
+	return p.ph.transport.RoundTrip(req)
+}
+
+// phoneRoutes returns a session's route through each of phones.
+func (h *Home) phoneRoutes(phones []*Phone) []Route {
 	routes := make([]Route, len(phones))
 	for i, ph := range phones {
 		routes[i] = Route{Name: ph.Name, Client: h.PhoneClient(ph)}
 	}
-	return adsl, routes, func() {
-		adsl.CloseIdleConnections()
-		for _, r := range routes {
-			r.Client.CloseIdleConnections()
-		}
-	}
+	return routes
 }
 
 // AdmissibleDevices waits for up to n phones to appear in discovery and
@@ -304,6 +307,10 @@ func (h *Home) Close() {
 	}
 	h.closers = nil
 }
+
+// wifiSeedSalt sets a phone's Wi-Fi draws apart from its HSPA ones,
+// which start at the same Seed + i*977.
+const wifiSeedSalt = 1 << 32
 
 // rngFor derives a deterministic sub-RNG.
 func (h *Home) rngFor(salt int64) *rand.Rand {

@@ -60,11 +60,12 @@ func emulated(s float64) time.Duration {
 	return time.Duration(s / rrcScale * float64(time.Second))
 }
 
-// rrcHome starts a home on a manual clock. The session it returns dials
-// a phone, posts a body through it, lets activeFor of emulated time pass
-// and posts another on the same connection; it returns the promotion the
-// dial paid, in emulated seconds. The proxy accounts every byte as it
-// reads it, before the target can answer.
+// rrcHome starts a home on a manual clock. The session it returns takes
+// a new client through a phone, posts a body through it, lets activeFor
+// of emulated time pass and posts another; it returns the promotion the
+// session paid, in emulated seconds. Sessions share the phone's pooled
+// connection. The proxy accounts every byte as it reads it, before the
+// target can answer.
 func rrcHome(t *testing.T, phones ...PhoneConfig) (*Home, *rrcClock, func(ph *Phone, activeFor float64) float64) {
 	t.Helper()
 	clk := &rrcClock{now: time.Unix(0, 0)}
@@ -92,7 +93,6 @@ func rrcHome(t *testing.T, phones ...PhoneConfig) (*Home, *rrcClock, func(ph *Ph
 		t.Helper()
 		before := clk.promotions()
 		c := h.PhoneClient(ph)
-		defer c.CloseIdleConnections()
 		post(c)
 		clk.advance(emulated(activeFor))
 		post(c)
@@ -133,6 +133,29 @@ func TestPhoneMovingBytesStaysWarm(t *testing.T) {
 	clk.advance(emulated(quiet))
 	if paid := session(ph, 0); !within(paid, p.PromotionIdle) {
 		t.Errorf("a phone quiet %vs paid %vs of promotion, want IDLE's %vs ±20%%", quiet, paid, p.PromotionIdle)
+	}
+}
+
+// Sessions share a phone's pooled connection, and each still pays the
+// promotion its RRC state owes: the charge is made at a session's first
+// request, not at the dial that a pooled connection skips.
+func TestPooledConnectionPaysPromotion(t *testing.T) {
+	p := cellular.DefaultParams()
+	h, clk, session := rrcHome(t, warmPhone("ph1"))
+	ph := h.Phones[0]
+	dials := countDials(ph)
+
+	if paid := session(ph, 0); paid != 0 {
+		t.Errorf("a warm phone paid %vs of promotion", paid)
+	}
+	quiet := (p.DCHInactivity + p.FACHInactivity) * 1.2
+	clk.advance(emulated(quiet))
+	if paid := session(ph, 0); !within(paid, p.PromotionIdle) {
+		t.Errorf("a session on a pooled connection to a phone quiet %vs paid %vs of promotion, want IDLE's %vs ±20%%",
+			quiet, paid, p.PromotionIdle)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("two sessions dialled the phone's proxy %d times, want 1: the second did not reuse the pooled connection", n)
 	}
 }
 

@@ -85,9 +85,7 @@ func (h *Home) UploadPhotos(ctx context.Context, photos []Photo, opts UploadOpti
 	source := func(item scheduler.Item) (io.ReadCloser, error) {
 		return photoReader{bytes.NewReader(byName[item.Name])}, nil
 	}
-	adsl, routes, release := h.routes(opts.Phones)
-	defer release()
-	rep, err := Upload(ctx, opts.Algo, adsl, routes, opts.TargetURL, items, source)
+	rep, err := Upload(ctx, opts.Algo, h.ADSLClient(), h.phoneRoutes(opts.Phones), opts.TargetURL, items, source)
 	if err != nil {
 		return nil, err
 	}

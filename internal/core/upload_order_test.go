@@ -223,8 +223,7 @@ func TestPermitGatedRoutesCarryPieces(t *testing.T) {
 
 	var asked atomic.Int64
 	allow := func(context.Context) bool { asked.Add(1); return true }
-	adsl, routes, release := h.routes(phones)
-	defer release()
+	routes := h.phoneRoutes(phones)
 	for _, r := range routes {
 		r.Client.Transport = permitplane.Gate(r.Client.Transport, allow)
 	}
@@ -235,7 +234,7 @@ func TestPermitGatedRoutesCarryPieces(t *testing.T) {
 	source := func(item scheduler.Item) (io.ReadCloser, error) {
 		return photoReader{bytes.NewReader(byName[item.Name])}, nil
 	}
-	rep, err := Upload(context.Background(), scheduler.Greedy, adsl, routes, target.URL, photoItems(photos), source)
+	rep, err := Upload(context.Background(), scheduler.Greedy, h.ADSLClient(), routes, target.URL, photoItems(photos), source)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,9 +322,7 @@ func (v *vodProxy) buildPaths() []scheduler.Path {
 // proxy and reports emulated-time results. With an empty Phones set the
 // same pipeline degrades to the ADSL baseline.
 func (h *Home) BoostVoD(ctx context.Context, origin, masterPath string, opts VoDOptions) (*VoDResult, error) {
-	adsl, routes, release := h.routes(opts.Phones)
-	defer release()
-	vp, err := newVoDProxy(adsl, routes, origin, opts.Algo, scheduler.Options{})
+	vp, err := newVoDProxy(h.ADSLClient(), h.phoneRoutes(opts.Phones), origin, opts.Algo, scheduler.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -387,9 +385,7 @@ func (v *vodProxy) outcome() (*scheduler.Report, error) {
 // BaselineVoD plays the video directly over the ADSL line (no 3GOL),
 // reporting emulated-time results.
 func (h *Home) BaselineVoD(ctx context.Context, origin, masterPath string, prebufferFrac float64, quality string) (*VoDResult, error) {
-	adsl := h.ADSLClient()
-	defer adsl.CloseIdleConnections()
-	player := &hls.Player{Client: adsl, PrebufferFrac: prebufferFrac}
+	player := &hls.Player{Client: h.ADSLClient(), PrebufferFrac: prebufferFrac}
 	res, err := player.Play(ctx, strings.TrimSuffix(origin, "/")+masterPath, quality)
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline playback: %w", err)

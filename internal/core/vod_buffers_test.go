@@ -300,7 +300,13 @@ func TestBoostVoDCancelStopsPrefetch(t *testing.T) {
 // The ratchet behind the segment-buffer work: at steady state a boosted
 // session allocates a small fraction of the video it moves (18.45 MB for
 // BipBop q4; 109 MB were allocated per session before buffers were sized
-// and recycled, about 0.6 MB after).
+// and recycled, about 0.6 MB after). Sessions that share the home's
+// transports take 0.43–0.46 MB on 2 vCPUs, those that built their own
+// 0.49–0.51 MB. In about 3 runs of 100 a measured session is the
+// process's first to launch an endgame duplicate, whose replicas each
+// take a new segment buffer (about 1.9 MB for two) that the free list
+// then keeps; those runs read 0.56–0.70 MB, and the budget is the worst
+// of them plus 10 %.
 func TestBoostVoDAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race detector (and sync.Pool drops at random)")
@@ -344,8 +350,8 @@ func TestBoostVoDAllocBudget(t *testing.T) {
 	sessions(measured)
 	runtime.ReadMemStats(&m1)
 	perSession := float64(m1.TotalAlloc-m0.TotalAlloc) / measured / 1e6
-	t.Logf("%.2f MB allocated per session", perSession)
-	if perSession >= 2 {
-		t.Errorf("%.2f MB allocated per session, budget 2 MB", perSession)
+	t.Logf("%.3f MB allocated per session", perSession)
+	if perSession >= 0.78 {
+		t.Errorf("%.3f MB allocated per session, budget 0.78 MB", perSession)
 	}
 }

@@ -84,13 +84,15 @@
 #      commit
 #  10. alloc and link-rate budgets — without the race detector (the
 #      race stage skips them). TestBoostVoDAllocBudget: a boosted BipBop
-#      q4 session at steady state allocates under 2 MB, the ratchet on
-#      the segment-buffer recycling of the client proxy.
+#      q4 session at steady state allocates under 0.78 MB, the ratchet
+#      on the segment-buffer recycling of the client proxy and on the
+#      home's shared transports.
 #      TestUploadPhotosAllocBudget: a boosted upload of 12 photos over
 #      an unshaped home (every hop still a netem.Conn) allocates under
-#      56 KB per photo at steady state, the ratchet on the upload path's
-#      copies (a declared-length body, the shaped conn's ReadFrom and
-#      the upload server's reused reader and hash buffer).
+#      24.2 KB per photo at steady state, the ratchet on the upload
+#      path's copies (a declared-length body, the shaped conn's ReadFrom
+#      and the upload server's reused reader and hash buffer) and on the
+#      home's shared transports.
 #      TestServeBatchAllocBudget: a warmed 512-request batch allocates
 #      under 8 KB in the permit plane's handler and under 32 KB per
 #      BatchClient round trip, the ratchet on the batch path's codec
